@@ -1,11 +1,7 @@
-"""Perf smoke: measure the scheduling fast path and gate regressions.
+"""Perf smoke: measure the service and process-backend smokes, gate regressions.
 
-Produces the three root-level snapshots the repository commits:
+Produces two of the root-level snapshots the repository commits:
 
-- ``BENCH_OVERHEAD.json`` — per-platform scheduling overhead of the cold
-  path (every optimization off) vs the fast path (warm-start LP,
-  characterization caches, vectorized DES) at rtol=0, where the two must
-  produce bit-identical simulated timelines;
 - ``BENCH_SERVICE.json`` — a small multi-stream service run on SysHK
   with the shared cross-session LP cache, recording round/frame counts,
   cache hit rate, and host-side wall time;
@@ -14,6 +10,10 @@ Produces the three root-level snapshots the repository commits:
   bit-identity, and the calibrated LP's predicted-vs-measured makespan
   error.
 
+(Per-frame scheduling overhead is gated by ``BENCHMARK.json``'s
+``sched_steady`` / ``sched_jitter`` ``host_ms_per_frame``, normalised to
+host speed; see ``benchmarks/suite/``.)
+
 Usage::
 
     python benchmarks/perf_smoke.py --write   # refresh the snapshots
@@ -21,17 +21,12 @@ Usage::
     python benchmarks/perf_smoke.py --check --only parallel --workers 2
 
 ``--check`` compares fresh measurements against the committed snapshots
-and fails when the fast path regresses by more than ``REGRESSION_TOL``
-(25%). Absolute milliseconds vary across machines, so the gated metrics
-are machine-normalized:
+and fails on a regression of more than ``REGRESSION_TOL`` (25%).
+Absolute milliseconds vary across machines, so the gated metrics are
+machine-normalized:
 
-- ``relative_overhead`` = fast ms / cold ms, measured in the same
-  process on the same host — a genuine fast-path regression raises it
-  regardless of how fast the CI runner is;
 - the service LP-cache ``hit_rate`` and the deterministic ``rounds`` /
   ``frames`` counts, which must not degrade at all;
-- ``timelines_identical``, which must stay true (the fast path is only
-  acceptable while bit-identical to the cold path);
 - the process backend's ``bit_identical`` flags (always), its speedup
   vs the snapshot (same-core-count hosts only, 25% tolerance), the
   ≥2x-at-4-workers floor (hosts with ≥4 cores only), and a loose sanity
@@ -61,13 +56,8 @@ from repro.hw.presets import get_platform
 from repro.service import EncodingService, ServiceConfig, build_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-OVERHEAD_PATH = REPO_ROOT / "BENCH_OVERHEAD.json"
 SERVICE_PATH = REPO_ROOT / "BENCH_SERVICE.json"
 PARALLEL_PATH = REPO_ROOT / "BENCH_PARALLEL.json"
-
-PLATFORMS = ("SysNF", "SysNFF", "SysHK")
-N_FRAMES = 40
-CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
 
 SERVICE_STREAMS = 4
 SERVICE_FRAMES = 8
@@ -91,60 +81,6 @@ SPEEDUP_FLOOR_AT_4 = 2.0
 #: in single-digit percent, and even the worst first-LP-frame
 #: misprediction on an oversubscribed 1-core host stays under ~1x.
 MAKESPAN_ERROR_CEILING = 3.0
-
-
-#: Repetitions per (platform, config); the minimum is kept. Wall-clock
-#: noise only ever inflates a measurement, so min-of-N is the stable
-#: estimator — a single run can jitter ±30% and trip the 25% gate.
-N_REPS = 3
-
-
-def _run(platform: str, fw_cfg: FrameworkConfig) -> FevesFramework:
-    fw = FevesFramework(get_platform(platform), CFG, fw_cfg)
-    fw.run_model(N_FRAMES)
-    return fw
-
-
-def _best_overhead(
-    platform: str, fw_cfg: FrameworkConfig
-) -> tuple[float, FevesFramework]:
-    best_ms, best_fw = float("inf"), None
-    for _ in range(N_REPS):
-        fw = _run(platform, fw_cfg)
-        if fw.scheduling_overhead_ms < best_ms:
-            best_ms, best_fw = fw.scheduling_overhead_ms, fw
-    assert best_fw is not None
-    return best_ms, best_fw
-
-
-def measure_overhead() -> dict:
-    out: dict[str, dict] = {}
-    for platform in PLATFORMS:
-        cold_ms, cold = _best_overhead(platform, FrameworkConfig(
-            lb_cache_rtol=0.0, lp_warm_start=False, char_cache=False,
-            des_fast=False,
-        ))
-        fast_ms, fast = _best_overhead(platform, FrameworkConfig(
-            lb_cache_rtol=0.0, lp_warm_start=True, char_cache=True,
-            des_fast=True,
-        ))
-        out[platform] = {
-            "cold_ms_per_frame": round(cold_ms, 4),
-            "fast_ms_per_frame": round(fast_ms, 4),
-            "speedup": round(cold_ms / fast_ms, 2) if fast_ms > 0 else None,
-            "relative_overhead": (
-                round(fast_ms / cold_ms, 4) if cold_ms > 0 else None
-            ),
-            "timelines_identical": (
-                cold.frame_times_ms() == fast.frame_times_ms()
-            ),
-        }
-    return {
-        "benchmark": "scheduling overhead, cold vs fast path (rtol=0)",
-        "config": "1080p, 32x32 SA, 1 RF",
-        "n_frames": N_FRAMES,
-        "platforms": out,
-    }
 
 
 def _service_point(n_streams: int, workload: list) -> dict:
@@ -322,50 +258,26 @@ def check_parallel(parallel: dict, snap: dict | None = None) -> list[str]:
     return failures
 
 
-def write(
-    overhead: dict | None, service: dict | None, parallel: dict | None
-) -> None:
+def write(service: dict | None, parallel: dict | None) -> None:
     wrote = []
-    for blob, path in (
-        (overhead, OVERHEAD_PATH),
-        (service, SERVICE_PATH),
-        (parallel, PARALLEL_PATH),
-    ):
+    for blob, path in ((service, SERVICE_PATH), (parallel, PARALLEL_PATH)):
         if blob is not None:
             path.write_text(json.dumps(blob, indent=1) + "\n")
             wrote.append(path.name)
     print(f"wrote {', '.join(wrote)}")
 
 
-def check(overhead: dict | None, service: dict | None) -> list[str]:
-    """Compare fresh measurements against the committed snapshots."""
+def check(service: dict | None) -> list[str]:
+    """Compare a fresh service measurement against the committed snapshot."""
     failures: list[str] = []
-    if overhead is not None and not OVERHEAD_PATH.exists():
-        return ["missing committed BENCH_OVERHEAD.json "
-                "(run with --write and commit the output)"]
-    if service is not None and not SERVICE_PATH.exists():
+    if service is None:
+        return failures
+    if not SERVICE_PATH.exists():
         return ["missing committed BENCH_SERVICE.json "
                 "(run with --write and commit the output)"]
-    snap_o = json.loads(OVERHEAD_PATH.read_text()) if overhead else {}
-    snap_s = json.loads(SERVICE_PATH.read_text()) if service else {}
+    snap_s = json.loads(SERVICE_PATH.read_text())
 
-    for platform, cur in (overhead or {"platforms": {}})["platforms"].items():
-        if not cur["timelines_identical"]:
-            failures.append(
-                f"{platform}: fast-path timelines diverge from cold path"
-            )
-        snap = snap_o.get("platforms", {}).get(platform)
-        if snap is None:
-            continue
-        rel, snap_rel = cur["relative_overhead"], snap.get("relative_overhead")
-        if rel is not None and snap_rel:
-            if rel > snap_rel * (1 + REGRESSION_TOL):
-                failures.append(
-                    f"{platform}: relative overhead {rel:.4f} regressed "
-                    f">{REGRESSION_TOL:.0%} vs snapshot {snap_rel:.4f}"
-                )
-
-    for point, cur in (service or {"workloads": {}})["workloads"].items():
+    for point, cur in service["workloads"].items():
         snap = snap_s.get("workloads", {}).get(point)
         if snap is None:
             continue
@@ -395,15 +307,14 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="measure, compare vs committed snapshots "
                            "(exit 1 on regression), then rewrite them")
-    ap.add_argument("--only", choices=("overhead", "service", "parallel"),
-                    help="run a single section instead of all three")
+    ap.add_argument("--only", choices=("service", "parallel"),
+                    help="run a single section instead of both")
     ap.add_argument("--workers", type=int, metavar="N",
                     help="cap the parallel sweep at N workers (pin to the "
                          "runner's vCPU count for reproducible CI numbers)")
     args = ap.parse_args(argv)
 
     run_all = args.only is None
-    overhead = measure_overhead() if run_all or args.only == "overhead" else None
     service = measure_service() if run_all or args.only == "service" else None
     parallel = None
     if run_all or args.only == "parallel":
@@ -414,10 +325,6 @@ def main(argv: list[str] | None = None) -> int:
                 counts = (args.workers,)
         parallel = measure_parallel(counts)
 
-    for platform, v in (overhead or {"platforms": {}})["platforms"].items():
-        print(f"{platform}: cold {v['cold_ms_per_frame']:.3f} ms -> fast "
-              f"{v['fast_ms_per_frame']:.3f} ms ({v['speedup']}x), "
-              f"identical={v['timelines_identical']}")
     for point, v in (service or {"workloads": {}})["workloads"].items():
         misses = ", ".join(
             f"{cls}={rate:.0%}" for cls, rate in v["class_miss_rates"].items()
@@ -435,17 +342,17 @@ def main(argv: list[str] | None = None) -> int:
                   f"{v['lp_frames']} LP frames")
 
     if args.check:
-        failures = check(overhead, service)
+        failures = check(service)
         if parallel is not None:
             failures += check_parallel(parallel)
-        write(overhead, service, parallel)
+        write(service, parallel)
         if failures:
             for f in failures:
                 print(f"PERF REGRESSION: {f}", file=sys.stderr)
             return 1
         print("perf smoke: no regression vs committed snapshots")
         return 0
-    write(overhead, service, parallel)
+    write(service, parallel)
     return 0
 
 

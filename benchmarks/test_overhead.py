@@ -1,24 +1,20 @@
-"""Paper §IV scheduling-overhead claim, re-baselined for the fast path.
+"""Paper §IV scheduling-overhead claim.
 
 "The scheduling overheads (introduced by the proposed framework) take, on
 average, less than 2 ms per inter-frame encoding" — here measured as the
 real wall-clock time of the Load Balancing solve + Data Access planning
 per frame (everything between Algorithm 1's line 8 and the start of frame
-execution). Four modes per platform:
+execution). Two modes per platform:
 
-- ``cold``    — rtol=0 and every fast-path optimization disabled: a full
-  LP solve pipeline every frame (the pre-optimization baseline);
-- ``exact``   — rtol=0 with warm-start LP, characterization caches, and
-  vectorized DES: must produce bit-identical simulated timelines to
-  ``cold``, only cheaper;
-- ``steady``  — the defaults (rtol decision cache on top): the number the
-  paper's claim is checked against;
-- ``jittered``— 5% execution-time noise defeats the rtol cache, bounding
-  overhead when decisions can't be reused.
+- ``steady``  — the default configuration: the number the paper's claim
+  is checked against;
+- ``jittered``— 5% execution-time noise defeats the rtol decision cache,
+  bounding overhead when decisions can't be reused.
 
-The committed root-level ``BENCH_OVERHEAD.json`` snapshot of the
-cold-vs-exact comparison is produced by ``benchmarks/perf_smoke.py``,
-which CI gates at 25% regression.
+The regression gate on these numbers is ``BENCHMARK.json``'s
+``sched_steady`` / ``sched_jitter`` ``host_ms_per_frame``; that the
+scheduler's shortcuts change no decision is a tier-1 oracle test
+(``tests/sanitizers/test_fast_path_equivalence.py``), not a benchmark.
 """
 
 import pytest
@@ -31,11 +27,6 @@ from repro.hw.presets import get_platform
 from repro.report import format_table
 
 CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
-
-COLD = dict(lb_cache_rtol=0.0, lp_warm_start=False, char_cache=False,
-            des_fast=False)
-EXACT = dict(lb_cache_rtol=0.0, lp_warm_start=True, char_cache=True,
-             des_fast=True)
 
 
 def run_model(platform: str, n: int = 50, fw_cfg: FrameworkConfig | None = None):
@@ -52,12 +43,7 @@ def overhead_ms(platform: str, n: int = 50, fw_cfg: FrameworkConfig | None = Non
 def overheads():
     out = {}
     for platform in ("SysNF", "SysNFF", "SysHK"):
-        cold = run_model(platform, fw_cfg=FrameworkConfig(**COLD))
-        exact = run_model(platform, fw_cfg=FrameworkConfig(**EXACT))
         out[platform] = {
-            "cold": cold.scheduling_overhead_ms,
-            "exact": exact.scheduling_overhead_ms,
-            "identical": cold.frame_times_ms() == exact.frame_times_ms(),
             "steady": overhead_ms(platform),
             "jittered": overhead_ms(
                 platform,
@@ -72,21 +58,13 @@ def overheads():
 def test_overhead_table(overheads, emit, benchmark):
     benchmark.pedantic(overhead_ms, args=("SysHK", 20), rounds=2, iterations=1)
     rows = [
-        [
-            p,
-            f"{v['cold']:.3f}",
-            f"{v['exact']:.3f}",
-            f"{v['cold'] / v['exact']:.1f}x",
-            f"{v['steady']:.3f}",
-            f"{v['jittered']:.3f}",
-        ]
+        [p, f"{v['steady']:.3f}", f"{v['jittered']:.3f}"]
         for p, v in overheads.items()
     ]
     emit(
         "overhead",
         format_table(
-            ["platform", "cold ms", "exact ms", "speedup",
-             "steady ms", "5% jitter ms"],
+            ["platform", "steady ms", "5% jitter ms"],
             rows,
             title="Scheduling overhead per inter frame (paper claim: < 2 ms)",
         ),
@@ -97,24 +75,6 @@ def test_steady_state_under_2ms(overheads, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for p, v in overheads.items():
         assert v["steady"] < 2.0, f"{p}: {v['steady']:.2f} ms"
-
-
-def test_fast_path_speedup_on_syshk(overheads, benchmark):
-    """Acceptance bar of the fast-path work: ≥5x less per-frame overhead
-    on SysHK with warm-start + caching, at bit-identical timelines."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    v = overheads["SysHK"]
-    assert v["identical"], "fast path diverged from cold path on SysHK"
-    assert v["cold"] / v["exact"] >= 5.0, (
-        f"SysHK: cold {v['cold']:.3f} ms / exact {v['exact']:.3f} ms "
-        f"= {v['cold'] / v['exact']:.1f}x < 5x"
-    )
-
-
-def test_fast_path_bit_identical_everywhere(overheads, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for p, v in overheads.items():
-        assert v["identical"], f"{p}: fast path diverged from cold path"
 
 
 def test_overhead_much_smaller_than_frame_time(overheads, benchmark):

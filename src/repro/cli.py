@@ -182,25 +182,94 @@ def _enable_protocol_journal(args: argparse.Namespace) -> None:
         JOURNAL.enable()
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    _enable_protocol_journal(args)
-    if getattr(args, "backend", "sim") == "process":
-        return _cmd_run_process(args)
-    cfg = _codec_cfg(args)
-    faults = _fault_schedule(args)
+def _sanitize_exit(args: argparse.Namespace, check) -> int:
+    """The ``--sanitize`` epilogue of every command: 0 if off or clean.
+
+    ``check(TimelineSanitizer)`` returns the command's own report (run,
+    service, cluster or shared-memory journal); the SAN-G protocol replay
+    is appended, the summary and the first 20 violations are printed,
+    and the exit code is 1 when anything was found.
+    """
+    if not args.sanitize:
+        return 0
+    from repro.sanitizers import TimelineSanitizer
+
+    report = check(TimelineSanitizer)
+    report.extend(TimelineSanitizer.check_protocols())
+    print(report.summary())
+    for v in report.violations[:20]:
+        print(f"  {v}")
+    return 0 if report.clean else 1
+
+
+def _check_framework(san, fw: FevesFramework):
+    """Sanitizer report of one framework run, whichever backend ran it."""
+    if fw.fw_cfg.backend != "process":
+        return san.for_framework(fw).check_run(fw)
+    from repro.sanitizers.violations import SanitizerReport
+
+    report = SanitizerReport()
+    for f, entries in sorted(fw.manager.exec_journal.items()):
+        report.extend(san.check_exec(entries, frame=f))
+    return report
+
+
+def _framework_from_args(
+    args: argparse.Namespace, profiler=None
+) -> FevesFramework:
+    """The framework ``run``/``profile``/``trace`` drive, on either backend.
+
+    Everything the user can get wrong here — an unknown device in a
+    fault spec, faults on the process backend, a typo'd
+    ``$REPRO_EXEC_START_METHOD``/``$REPRO_EXEC_TIMEOUT_S`` (validated
+    eagerly at backend construction) — exits with a one-line error.
+    """
+    backend = getattr(args, "backend", "sim")
     try:
         fw = FevesFramework(
             get_platform(args.platform),
-            cfg,
+            _codec_cfg(args),
             FrameworkConfig(
-                centric=args.centric,
+                compute="real" if backend == "process" else "model",
+                backend=backend,
+                exec_workers=getattr(args, "workers", 0),
+                centric=getattr(args, "centric", "auto"),
                 rstar_parallel=getattr(args, "rstar_parallel", False),
-                faults=faults,
+                faults=_fault_schedule(args),
             ),
+            profiler=profiler,
         )
     except KeyError as exc:
-        # unknown device in a fault spec — surface it as a CLI error
         raise SystemExit(f"error: {exc.args[0]}") from None
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    if backend == "process" and getattr(args, "sanitize", False):
+        fw.manager.sanitize = True
+    return fw
+
+
+def _synthetic_clip(cfg: CodecConfig, n_frames: int) -> list:
+    """The fixed-seed clip the process backend really encodes."""
+    from repro.video.generator import SyntheticSequence
+
+    return SyntheticSequence(
+        width=cfg.width, height=cfg.height, seed=7
+    ).frames(n_frames)
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    _enable_protocol_journal(args)
+    fw = _framework_from_args(args)
+    drive = _run_process if fw.fw_cfg.backend == "process" else _run_model
+    with fw:
+        ok = drive(args, fw)
+    return _sanitize_exit(args, lambda san: _check_framework(san, fw)) or (
+        0 if ok else 1
+    )
+
+
+def _run_model(args: argparse.Namespace, fw: FevesFramework) -> bool:
+    """``run`` on the DES: per-frame times, steady state, fault log."""
     fw.run_model(args.frames)
     times = fw.frame_times_ms()
     print(ascii_series(
@@ -219,7 +288,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     names = [d.name for d in fw.platform.devices]
     print(f"final distributions over {names}:")
     print(f"  ME={last.m.rows}  INT={last.l.rows}  SME={last.s.rows}")
-    if not faults.empty:
+    if not fw.fw_cfg.faults.empty:
         summary = fw.summary()
         print(f"live devices at end: {summary['live_devices']}   "
               f"fault time lost: {summary['fault_time_lost_s'] * 1e3:.1f} ms")
@@ -238,17 +307,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         n = export_fault_log(fw.fault_log, args.fault_log)
         print(f"wrote {n} fault-log entries to {args.fault_log}")
-    if args.sanitize:
-        from repro.sanitizers import TimelineSanitizer
-
-        report = TimelineSanitizer.for_framework(fw).check_run(fw)
-        report.extend(TimelineSanitizer.check_protocols())
-        print(report.summary())
-        for v in report.violations[:20]:
-            print(f"  {v}")
-        if not report.clean:
-            return 1
-    return 0
+    return True
 
 
 def _encoded_equal(a, b) -> bool:
@@ -266,92 +325,58 @@ def _encoded_equal(a, b) -> bool:
     )
 
 
-def _cmd_run_process(args: argparse.Namespace) -> int:
-    """``run --backend process``: really-parallel encode vs the serial encoder."""
+def _print_accuracy(accuracy: dict) -> None:
+    """The process backend's predicted-vs-measured line (``{}`` on sim)."""
+    if accuracy.get("frames", 0):
+        phase_err = ", ".join(
+            f"{k} {100 * v:.1f}%"
+            for k, v in accuracy["phase_error_mean"].items()
+        )
+        print(f"  LP makespan error (predicted vs measured, "
+              f"{accuracy['frames']} LP frames): "
+              f"mean {100 * accuracy['makespan_error_mean']:.1f}%, "
+              f"max {100 * accuracy['makespan_error_max']:.1f}% ({phase_err})")
+    elif accuracy:
+        print("  LP makespan error: n/a (no LP-scheduled frames; "
+              "encode more frames)")
+
+
+def _run_process(args: argparse.Namespace, fw: FevesFramework) -> bool:
+    """``run`` on the worker pool: really encode, diff vs the serial encoder."""
     import time
 
     from repro.codec.encoder import ReferenceEncoder
-    from repro.video.generator import SyntheticSequence
 
-    if not _fault_schedule(args).empty:
-        raise SystemExit(
-            "error: --backend process cannot inject faults (simulation-only)"
-        )
-    cfg = _codec_cfg(args)
-    frames = SyntheticSequence(
-        width=cfg.width, height=cfg.height, seed=7
-    ).frames(args.frames)
-
+    cfg = fw.codec_cfg
+    frames = _synthetic_clip(cfg, args.frames)
     ref = ReferenceEncoder(cfg)
     t0 = time.perf_counter()
     serial = [ref.encode_frame(f) for f in frames]
     serial_s = time.perf_counter() - t0
 
-    try:
-        fw = FevesFramework(
-            get_platform(args.platform),
-            cfg,
-            FrameworkConfig(
-                compute="real",
-                backend="process",
-                exec_workers=args.workers,
-                centric=args.centric,
-            ),
-        )
-    except ValueError as exc:
-        # e.g. a typo'd $REPRO_EXEC_START_METHOD / $REPRO_EXEC_TIMEOUT_S,
-        # validated eagerly at backend construction.
-        raise SystemExit(f"error: {exc}") from None
-    if args.sanitize:
-        fw.manager.sanitize = True
-    with fw:
-        t0 = time.perf_counter()
-        outcomes = fw.encode(frames)
-        process_s = time.perf_counter() - t0
-        accuracy = fw.accuracy_report().summary()
+    t0 = time.perf_counter()
+    outcomes = fw.encode(frames)
+    process_s = time.perf_counter() - t0
 
     identical = all(
         o.encoded is not None and _encoded_equal(s, o.encoded)
         for s, o in zip(serial, outcomes)
     )
-    san_report = None
-    san_records = 0
-    if args.sanitize:
-        from repro.sanitizers import TimelineSanitizer
-        from repro.sanitizers.violations import SanitizerReport
-
-        san_report = SanitizerReport()
-        for f, entries in sorted(fw.manager.exec_journal.items()):
-            san_records += len(entries)
-            san_report.extend(TimelineSanitizer.check_exec(entries, frame=f))
-        san_report.extend(TimelineSanitizer.check_protocols())
     n = len(frames)
-    workers = fw.manager.workers
     speedup = serial_s / process_s if process_s > 0 else float("inf")
     print(f"{args.platform}, {cfg.width}x{cfg.height}, {n} frames, "
-          f"{workers} workers (process backend)")
+          f"{fw.manager.workers} workers (process backend)")
     print(f"  serial encoder : {n / serial_s:7.2f} fps  ({serial_s:.2f} s)")
     print(f"  process backend: {n / process_s:7.2f} fps  ({process_s:.2f} s)  "
           f"-> {speedup:.2f}x")
     print(f"  bit-identical to serial: {'yes' if identical else 'NO'}")
-    if accuracy.get("frames", 0):
-        print(f"  LP makespan error (predicted vs measured, "
-              f"{accuracy['frames']} LP frames): "
-              f"mean {100 * accuracy['makespan_error_mean']:.1f}%, "
-              f"max {100 * accuracy['makespan_error_max']:.1f}%")
-    else:
-        print("  LP makespan error: n/a (no LP-scheduled frames; "
-              "encode more frames)")
-    if san_report is not None:
-        print(f"  shared-memory sanitizer: "
-              f"{'clean' if san_report.clean else san_report.summary()} "
-              f"({san_records} journal records, "
-              f"{len(fw.manager.exec_journal)} frames)")
-        if not san_report.clean:
-            for v in san_report.violations[:20]:
-                print(f"    {v}", file=sys.stderr)
-            return 1
-    return 0 if identical else 1
+    _print_accuracy(fw.accuracy_report().summary())
+    if args.sanitize:
+        journal = fw.manager.exec_journal
+        print(f"  shared-memory journal: "
+              f"{sum(len(e) for e in journal.values())} records, "
+              f"{len(journal)} frames")
+    return identical
 
 
 def _serve_workload(args: argparse.Namespace) -> list:
@@ -468,17 +493,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         n = service.export_trace(args.trace)
         print(f"wrote {n} trace events ({len(metrics.streams)} stream pids) "
               f"to {args.trace}")
-    if args.sanitize:
-        from repro.sanitizers import TimelineSanitizer
-
-        report = TimelineSanitizer.check_service(service)
-        report.extend(TimelineSanitizer.check_protocols())
-        print(report.summary())
-        for v in report.violations[:20]:
-            print(f"  {v}")
-        if not report.clean:
-            return 1
-    return 0
+    return _sanitize_exit(args, lambda san: san.check_service(service))
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -605,43 +620,29 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.trace:
         n = cluster.export_trace(args.trace)
         print(f"wrote {n} trace events (node-namespaced pids) to {args.trace}")
-    if args.sanitize:
-        from repro.sanitizers import TimelineSanitizer
-
-        report = TimelineSanitizer.check_cluster(cluster)
-        report.extend(TimelineSanitizer.check_protocols())
-        print(report.summary())
-        for v in report.violations[:20]:
-            print(f"  {v}")
-        if not report.clean:
-            return 1
-    return 0
+    return _sanitize_exit(args, lambda san: san.check_cluster(cluster))
 
 
-def _cmd_profile_process(args: argparse.Namespace) -> int:
-    """``profile --backend process``: measured exec-phase breakdown."""
+def cmd_profile(args: argparse.Namespace) -> int:
     from repro.util.profiling import PhaseProfiler
-    from repro.video.generator import SyntheticSequence
 
-    cfg = _codec_cfg(args)
-    frames = SyntheticSequence(
-        width=cfg.width, height=cfg.height, seed=7
-    ).frames(args.frames)
+    _enable_protocol_journal(args)
     profiler = PhaseProfiler()
-    try:
-        fw = FevesFramework(
-            get_platform(args.platform), cfg,
-            FrameworkConfig(
-                compute="real", backend="process", exec_workers=args.workers
-            ),
-            profiler=profiler,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    fw = _framework_from_args(args, profiler=profiler)
+    cfg = fw.codec_cfg
+    process = fw.fw_cfg.backend == "process"
     with fw:
-        fw.encode(frames)
-        accuracy = fw.accuracy_report().summary()
-        workers = fw.manager.workers
+        if process:
+            fw.encode(_synthetic_clip(cfg, args.frames))
+        else:
+            fw.run_model(args.frames)
+    accuracy = fw.accuracy_report().summary() if process else {}
+    workers = fw.manager.workers if process else 0
+    rc = 0
+    if args.sanitize:
+        with profiler.phase("sanitizer"):
+            rc = _sanitize_exit(args, lambda san: _check_framework(san, fw))
+
     rows = [
         [r["phase"], r["calls"], f"{r['total_ms']:.2f}",
          f"{r['ms_per_frame']:.3f}", f"{100 * r['share']:.1f}%"]
@@ -650,120 +651,31 @@ def _cmd_profile_process(args: argparse.Namespace) -> int:
     print(format_table(
         ["phase", "calls", "total ms", "ms/frame", "share"], rows,
         title=(
-            f"process backend: {args.platform}, {cfg.width}x{cfg.height}, "
-            f"{args.frames} frames, {workers} workers"
+            f"{fw.fw_cfg.backend} backend: {args.platform}, "
+            f"{cfg.width}x{cfg.height}, {args.frames} frames"
+            + (f", {workers} workers" if process else "")
+            + f" — LB overhead {fw.scheduling_overhead_ms:.3f} ms/frame"
         ),
     ))
-    if accuracy.get("frames", 0):
-        phase_err = ", ".join(
-            f"{k} {100 * v:.1f}%"
-            for k, v in accuracy["phase_error_mean"].items()
-        )
-        print(f"\nsimulated-vs-measured over {accuracy['frames']} LP frames: "
-              f"makespan error mean {100 * accuracy['makespan_error_mean']:.1f}% "
-              f"max {100 * accuracy['makespan_error_max']:.1f}% ({phase_err})")
-    else:
-        print("\nsimulated-vs-measured: no LP-scheduled frames yet")
+    _print_accuracy(accuracy)
     if args.json:
         import json
         from pathlib import Path
 
         Path(args.json).write_text(json.dumps({
             "platform": args.platform,
-            "backend": "process",
+            "backend": fw.fw_cfg.backend,
             "width": cfg.width,
             "height": cfg.height,
-            "frames": args.frames,
+            "sa": args.sa,
+            "refs": args.refs,
             "workers": workers,
+            "overhead_ms_per_frame": fw.scheduling_overhead_ms,
             "accuracy": accuracy,
             **profiler.to_dict(args.frames),
         }, indent=1))
         print(f"wrote profile JSON to {args.json}")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    _enable_protocol_journal(args)
-    if getattr(args, "backend", "sim") == "process":
-        return _cmd_profile_process(args)
-    from repro.util.profiling import PhaseProfiler
-
-    cfg = _codec_cfg(args)
-
-    def run_one(fw_cfg: FrameworkConfig) -> tuple[FevesFramework, PhaseProfiler]:
-        profiler = PhaseProfiler()
-        fw = FevesFramework(
-            get_platform(args.platform), cfg, fw_cfg, profiler=profiler
-        )
-        fw.run_model(args.frames)
-        if args.sanitize:
-            from repro.sanitizers import TimelineSanitizer
-
-            with profiler.phase("sanitizer"):
-                report = TimelineSanitizer.for_framework(fw).check_run(fw)
-                report.extend(TimelineSanitizer.check_protocols())
-            if not report.clean:
-                print(f"warning: sanitizer: {report.summary()}", file=sys.stderr)
-        return fw, profiler
-
-    # Fast path (rtol=0 keeps its decisions bit-identical to cold) vs the
-    # cold path with every optimization disabled — same model, same
-    # schedule, different host-side work.
-    fast_fw, fast_prof = run_one(FrameworkConfig(
-        lb_cache_rtol=0.0, lp_warm_start=True, char_cache=True, des_fast=True,
-    ))
-    cold_fw, cold_prof = run_one(FrameworkConfig(
-        lb_cache_rtol=0.0, lp_warm_start=False, char_cache=False, des_fast=False,
-    ))
-
-    def table(label: str, fw: FevesFramework, prof: PhaseProfiler) -> None:
-        rows = [
-            [r["phase"], r["calls"], f"{r['total_ms']:.2f}",
-             f"{r['ms_per_frame']:.3f}", f"{100 * r['share']:.1f}%"]
-            for r in prof.report(args.frames)
-        ]
-        print(format_table(
-            ["phase", "calls", "total ms", "ms/frame", "share"], rows,
-            title=(
-                f"{label}: {args.platform}, {args.frames} frames — "
-                f"LB overhead {fw.scheduling_overhead_ms:.3f} ms/frame"
-            ),
-        ))
-
-    table("fast (warm-start + caches + vectorized DES)", fast_fw, fast_prof)
-    print()
-    table("cold (all optimizations off)", cold_fw, cold_prof)
-    fast_ms = fast_fw.scheduling_overhead_ms
-    cold_ms = cold_fw.scheduling_overhead_ms
-    ratio = cold_ms / fast_ms if fast_ms > 0 else float("inf")
-    print(f"\nper-frame scheduling overhead: cold {cold_ms:.3f} ms -> "
-          f"fast {fast_ms:.3f} ms ({ratio:.1f}x)")
-    same = (
-        fast_fw.frame_times_ms() == cold_fw.frame_times_ms()
-    )
-    print(f"simulated timelines identical: {'yes' if same else 'NO'}")
-    if args.json:
-        import json
-        from pathlib import Path
-
-        Path(args.json).write_text(json.dumps({
-            "platform": args.platform,
-            "frames": args.frames,
-            "sa": args.sa,
-            "refs": args.refs,
-            "fast": {
-                "overhead_ms_per_frame": fast_ms,
-                **fast_prof.to_dict(args.frames),
-            },
-            "cold": {
-                "overhead_ms_per_frame": cold_ms,
-                **cold_prof.to_dict(args.frames),
-            },
-            "speedup": ratio,
-            "timelines_identical": same,
-        }, indent=1))
-        print(f"wrote profile JSON to {args.json}")
-    return 0 if same else 1
+    return rc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -809,15 +721,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.hw.trace_export import export_chrome_trace
 
-    cfg = _codec_cfg(args)
-    try:
-        fw = FevesFramework(
-            get_platform(args.platform),
-            cfg,
-            FrameworkConfig(faults=_fault_schedule(args)),
-        )
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
+    fw = _framework_from_args(args)
     fw.run_model(args.frames)
     n = export_chrome_trace(
         [r.timeline for r in fw.reports], args.out, fault_log=fw.fault_log
@@ -887,9 +791,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     for t in targets:
         if not t.exists():
             raise SystemExit(f"error: no such file or directory: {t}")
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise SystemExit(f"error: --jobs must be >= 1, got {jobs}")
 
     all_rules = {
         **LINT_RULES, **DATAFLOW_RULES, **CONCURRENCY_RULES,
@@ -918,7 +819,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             Path(args.summary_cache) if args.summary_cache else None
         )
         violations, errors = run_lint(
-            targets, only=only, timings=timings, jobs=jobs, store=store,
+            targets, only=only, timings=timings, store=store,
         )
     except Exception as exc:  # noqa: BLE001 - any crash is exit code 2
         print(f"internal analyzer error: {exc}", file=sys.stderr)
@@ -1110,15 +1011,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="per-phase breakdown of the scheduling overhead",
+        help="per-phase breakdown of the host-side time per frame",
         description=(
-            "Run the same model-mode encode twice — fast path (warm-start "
-            "LP, characterization caches, vectorized DES) and cold path "
-            "(every optimization disabled) — and attribute the host-side "
-            "per-frame overhead to its phases: Δ-bounds, LP build, LP "
-            "solve, distribution, transfer planning, and DES. Both runs "
-            "use an exact decision cache (rtol=0), so the simulated "
-            "timelines must be bit-identical; exit code 1 if they are not."
+            "Run one encode and attribute its host-side wall time to "
+            "phases. On the sim backend that is the scheduling overhead "
+            "of a model-mode run: Δ-bounds, LP build, LP solve, "
+            "distribution, transfer planning, and DES. On the process "
+            "backend it is a real parallel encode of a synthetic clip, "
+            "so the measured exec phases (ME+INT, SME, R*) join the "
+            "table, followed by the LP's predicted-vs-measured error."
         ),
     )
     prof.add_argument("--platform", default="SysHK", choices=list_platforms())
@@ -1126,15 +1027,15 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--refs", type=int, default=1)
     prof.add_argument("--frames", type=int, default=50)
     prof.add_argument("--backend", default="sim", choices=("sim", "process"),
-                     help="process = profile the measured exec phases of a "
-                          "real parallel encode instead of the scheduler")
+                     help="process = profile a real parallel encode, exec "
+                          "phases included")
     prof.add_argument("--workers", type=int, default=0,
                      help="process backend pool size (0 = one per CPU core)")
     prof.add_argument("--size", type=_parse_size, default=None, metavar="WxH",
-                     help="frame size for --backend process (default "
-                          "1920x1088)")
+                     help="frame size (default 1920x1088)")
     prof.add_argument("--sanitize", action="store_true",
-                      help="also run (and time) the timeline sanitizer")
+                      help="also run (and time) the sanitizer; exit 1 on "
+                           "violations")
     prof.add_argument("--json", metavar="PATH",
                       help="write the per-phase breakdown as JSON")
     prof.set_defaults(func=cmd_profile)
@@ -1208,10 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "skipped entirely")
     lint.add_argument("--summary", action="store_true",
                       help="print a per-rule timing/finding table to stderr")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="analyze files across N worker processes "
-                           "(default: 1; output is byte-identical for "
-                           "any N)")
     lint.set_defaults(func=cmd_lint)
 
     tr = sub.add_parser("trace", help="export a chrome://tracing JSON")

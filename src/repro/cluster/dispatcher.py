@@ -35,7 +35,6 @@ across ``PYTHONHASHSEED`` and node-insertion shuffles.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +57,10 @@ from repro.cluster.routing import RoutingPolicy, get_policy
 from repro.service.admission import REJECTED
 from repro.service.scheduler import RoundLPBatch, SchedulerConfig
 from repro.service.session import EncodingSession, StreamSpec
-from repro.sanitizers.protocols.journal import record as _journal
+from repro.sanitizers.protocols.journal import (
+    record as _journal,
+    sanitize_from_env,
+)
 
 #: Cluster-level stream states (:attr:`StreamState.state`).
 S_QUEUED, S_PLACED, S_REJECTED, S_STRANDED = (
@@ -527,7 +529,7 @@ class Cluster:
             node.service.finalize()
         self._metrics = ClusterMetrics.collect(self)
 
-        if os.environ.get("REPRO_SANITIZE", "").lower() in ("1", "strict"):
+        if sanitize_from_env():
             from repro.sanitizers import TimelineSanitizer
 
             TimelineSanitizer.check_cluster(self).raise_if_dirty()

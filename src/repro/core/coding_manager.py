@@ -386,11 +386,7 @@ class VideoCodingManager:
             probe_ops = {}
             _build.__exit__()
             with self.profiler.phase("des"):
-                records = self.sim.run(
-                    execute_thunks=ctx is not None,
-                    parallel_workers=self.fw_cfg.parallel_workers,
-                    fast=self.fw_cfg.des_fast,
-                )
+                records = self.sim.run(execute_thunks=ctx is not None)
             tau1 = float(tau1_op.end or 0.0)
             tau2 = float(tau2_op.end or 0.0)
             tau_tot = max(float(op.end or 0.0) for op in tail_ops + [tau2_op])
@@ -477,11 +473,7 @@ class VideoCodingManager:
         # ------------------------- run & harvest ----------------------------
         _build.__exit__()
         with self.profiler.phase("des"):
-            records = self.sim.run(
-                execute_thunks=ctx is not None,
-                parallel_workers=self.fw_cfg.parallel_workers,
-                fast=self.fw_cfg.des_fast,
-            )
+            records = self.sim.run(execute_thunks=ctx is not None)
         tau1 = float(tau1_op.end or 0.0)
         tau2 = float(tau2_op.end or 0.0)
         tau_tot = max(float(op.end or 0.0) for op in tail_ops + [tau2_op])

@@ -58,12 +58,8 @@ class FrameworkConfig:
         since the last LP solve, the previous decision is reused instead of
         re-solving — steady-state scheduling overhead drops to bookkeeping
         cost while any real load change (beyond the tolerance) still
-        triggers a fresh solve the same frame. 0 disables caching.
-    parallel_workers:
-        Real mode: run the codec kernels on this many threads, dispatching
-        each op when its DAG dependencies complete (NumPy releases the GIL,
-        so the collaborative execution is literally parallel). 0/1 =
-        serial; output is bit-identical either way.
+        triggers a fresh solve the same frame. 0 reuses a decision only when
+        re-solving is provably a no-op (bit-equal Ks, converged fixed point).
     enable_parking:
         Allow the balancer to take accelerators fully offline (see
         DESIGN.md → device parking). Disable to reproduce the paper's
@@ -87,22 +83,6 @@ class FrameworkConfig:
         MB rows per module granted to a re-admitted device whose
         characterization was cleared, so it re-measures online without
         the LP having to gamble on unknown speeds.
-    lp_warm_start:
-        Warm-start the per-frame LP: memoize HiGHS solves on the exact
-        bytes of the constraint system and reuse the previous decision
-        outright when every K parameter is bit-identical and the Δ fixed
-        point had converged. Exact by construction — results are
-        bit-identical to cold solves (see DESIGN.md → Performance);
-        disable only to benchmark the cold path.
-    char_cache:
-        Cache derived characterization products (K vectors, per-buffer
-        transfer-K tables, calibration fits) keyed on the
-        characterization version counter, which bumps on every
-        observation and invalidation — so a hit is provably current.
-    des_fast:
-        Use the index-based DES fast path (deque scheduling + vectorized
-        overlap validation). Event order and arithmetic are identical to
-        the reference loop; disable only to benchmark it.
     backend:
         ``"sim"`` (the DES) or ``"process"`` (really-parallel execution
         on a multiprocessing worker pool over shared-memory buffers; see
@@ -127,15 +107,11 @@ class FrameworkConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     min_rows_per_device: int = 0
     lb_cache_rtol: float = 0.02
-    parallel_workers: int = 0
     enable_parking: bool = True
     rstar_parallel: bool = False
     faults: FaultSchedule = field(default_factory=FaultSchedule)
     fault_detection_timeout_s: float = 0.040
     warmup_rows: int = 2
-    lp_warm_start: bool = True
-    char_cache: bool = True
-    des_fast: bool = True
     backend: str = "sim"
     exec_workers: int = 0
     calibrate: bool = True
@@ -169,7 +145,6 @@ class FrameworkConfig:
             check_range("sf_halo_rows", self.sf_halo_rows, 0, 64)
         check_range("min_rows_per_device", self.min_rows_per_device, 0, 8)
         check_range("lb_cache_rtol", self.lb_cache_rtol, 0.0, 0.5)
-        check_range("parallel_workers", self.parallel_workers, 0, 64)
         check_range(
             "fault_detection_timeout_s", self.fault_detection_timeout_s, 0.0, 10.0
         )

@@ -156,9 +156,7 @@ class LoadBalancer:
         # point is stationary: re-solving from the stored seed reproduces
         # the same rows and taus; see DESIGN.md → Performance).
         self._lp_converged = False
-        self.lp_cache: LPSolveCache | None = (
-            LPSolveCache() if fw_cfg.lp_warm_start else None
-        )
+        self.lp_cache = LPSolveCache()
         # Characterization-derived tables, keyed on perf.version (bumped
         # on every observation/invalidation — a version match proves the
         # cached values are current).
@@ -167,8 +165,7 @@ class LoadBalancer:
 
     def use_lp_cache(self, cache: LPSolveCache) -> None:
         """Adopt a shared solve cache (cross-session LP batching)."""
-        if self.fw_cfg.lp_warm_start:
-            self.lp_cache = cache
+        self.lp_cache = cache
 
     def note_live_set_change(self) -> None:
         """Invalidate per-frame caches after an eviction or re-admission.
@@ -291,11 +288,7 @@ class LoadBalancer:
             # Exact reuse (warm start): with bit-identical Ks and a
             # converged fixed point, re-solving provably reproduces the
             # cached decision — skipping the solve is not approximation.
-            if (
-                self.fw_cfg.lp_warm_start
-                and self._lp_converged
-                and np.array_equal(ks, self._cache_ks)
-            ):
+            if self._lp_converged and np.array_equal(ks, self._cache_ks):
                 return self._cache_decision
             if rtol > 0 and np.all(
                 np.abs(ks - self._cache_ks) <= rtol * np.abs(self._cache_ks)
@@ -583,8 +576,8 @@ class LoadBalancer:
         """One LP solve with Δ terms fixed. Returns (m, l, s, taus) or None.
 
         Splits into constraint build (:meth:`_build_lp`) and the HiGHS
-        call, separately attributed by the profiler; the solve goes
-        through :class:`LPSolveCache` when warm starting is enabled.
+        call (through :attr:`lp_cache`), separately attributed by the
+        profiler.
         """
         with self.profiler.phase("lp_build"):
             built = self._build_lp(
@@ -595,14 +588,7 @@ class LoadBalancer:
         c, a_ub, b_ub, a_eq, b_eq, bounds, taus_idx = built
         d = len(self.platform.devices)
         with self.profiler.phase("lp_solve"):
-            if self.lp_cache is not None:
-                x = self.lp_cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
-            else:
-                res = linprog(
-                    c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                    bounds=bounds, method="highs",
-                )
-                x = res.x if res.success else None
+            x = self.lp_cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
         if x is None:
             return None
         i_t1, i_t2, i_tt = taus_idx
@@ -620,8 +606,6 @@ class LoadBalancer:
         match proves each cached K equals what a fresh call would return.
         """
         sizes = self.sizes
-        if not self.fw_cfg.char_cache:
-            return lambda name, buf, dr: perf.k_transfer(name, buf, dr, sizes)
         ver = perf.version
         if self._kt_cache_version != ver:
             self._kt_cache.clear()

@@ -58,10 +58,8 @@ from repro.exec.shm import (
 from repro.hw.des import OpRecord
 from repro.hw.timeline import FrameTimeline
 from repro.hw.topology import Platform
+from repro.sanitizers.protocols.journal import sanitize_from_env
 from repro.util.profiling import PhaseProfiler
-
-#: Environment switch for the SAN-F shared-memory access journal.
-SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: Representative payload for the one-time transfer priors (bytes).
 _PRIOR_TRANSFER_BYTES = 1 << 20
@@ -94,11 +92,6 @@ def worker_group_sizes(n_devices: int, n_workers: int) -> list[int]:
 
 # One executed chunk: (module, device, row0, nrows, t0_abs, t1_abs).
 _Chunk = tuple[str, str, int, int, float, float]
-
-
-def sanitize_from_env() -> bool:
-    """Is the SAN-F journal requested via ``$REPRO_SANITIZE``?"""
-    return os.environ.get(SANITIZE_ENV, "").lower() not in ("", "0", "off")
 
 
 class ProcessBackend:

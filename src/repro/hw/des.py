@@ -113,50 +113,76 @@ class Simulator:
             raise ValueError(f"duplicate resource names: {names}")
         self.resources = list(resources)
 
-    def run(
-        self,
-        execute_thunks: bool = True,
-        parallel_workers: int = 0,
-        fast: bool = True,
-    ) -> list[OpRecord]:
+    def run(self, execute_thunks: bool = True) -> list[OpRecord]:
         """Schedule (and optionally execute) all issued ops.
 
         Returns op records sorted by start time. Raises ``RuntimeError`` on
         a dependency cycle (including cycles through resource ordering).
 
-        ``fast=True`` (default) runs the index-based scheduling loop:
-        integer adjacency lists and a deque replace per-op dict lookups
-        and the O(n) ``list.pop(0)``. The FIFO evaluation order and the
-        start/end arithmetic are exactly those of the reference loop
-        (``fast=False``), so schedules are bit-identical; the flag exists
-        for the equivalence suite and the cold-path benchmark.
-
-        ``parallel_workers`` > 1 executes the attached thunks on a thread
-        pool, dispatching each op the moment its dependencies complete —
-        the literal parallelism of the paper's collaborative execution
-        (NumPy releases the GIL inside its kernels). Results are identical
-        to serial execution because the dependency DAG fully orders every
-        data exchange.
+        Kahn's algorithm over integer adjacency lists with a FIFO ready
+        queue, so evaluation order — and with it thunk order and every
+        start/end float — is deterministic. ``tests/oracles.py`` keeps a
+        dict-based twin of this loop that the equivalence tests compare
+        against bit for bit.
         """
         ops: list[Op] = [op for r in self.resources for op in r.ops]
-        if fast:
-            preds_idx, succs_idx = self._evaluate_fast(
-                ops, execute_thunks, parallel_workers
-            )
-            if execute_thunks and parallel_workers > 1:
-                preds = {
-                    op: [ops[j] for j in preds_idx[k]] for k, op in enumerate(ops)
-                }
-                succs = {
-                    op: [ops[j] for j in succs_idx[k]] for k, op in enumerate(ops)
-                }
-                self._run_thunks_parallel(ops, preds, succs, parallel_workers)
-        else:
-            preds, succs = self._evaluate_reference(
-                ops, execute_thunks, parallel_workers
-            )
-            if execute_thunks and parallel_workers > 1:
-                self._run_thunks_parallel(ops, preds, succs, parallel_workers)
+        idx = {op: k for k, op in enumerate(ops)}
+        n = len(ops)
+        # Effective predecessors: explicit deps + previous op in the queue.
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for r in self.resources:
+            prev = -1
+            for op in r.ops:
+                k = idx[op]
+                lst = preds[k]
+                for d in op.deps:
+                    j = idx.get(d)
+                    if j is None:
+                        raise RuntimeError(
+                            f"op {op.label!r} depends on {d.label!r}, which is not "
+                            "issued on any resource of this simulator"
+                        )
+                    lst.append(j)
+                if prev >= 0:
+                    lst.append(prev)
+                prev = k
+
+        indeg = [len(ps) for ps in preds]
+        succs: list[list[int]] = [[] for _ in range(n)]
+        for k, ps in enumerate(preds):
+            for p in ps:
+                succs[p].append(k)
+
+        ends = [0.0] * n
+        ready = deque(k for k in range(n) if indeg[k] == 0)
+        done = 0
+        while ready:
+            k = ready.popleft()
+            op = ops[k]
+            t0 = 0.0
+            for p in preds[k]:
+                e = ends[p]
+                if e > t0:
+                    t0 = e
+            op.start = t0
+            end = t0 + op.duration
+            op.end = end
+            ends[k] = end
+            if execute_thunks and op.thunk is not None:
+                try:
+                    op.result = op.thunk(op)
+                except Exception as exc:
+                    if not op.fail_ok:
+                        raise
+                    op.error = exc
+            done += 1
+            for s in succs[k]:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    ready.append(s)
+        if done != n:
+            stuck = [op.label for op in ops if op.start is None][:8]
+            raise RuntimeError(f"dependency cycle involving ops: {stuck}")
 
         records = [
             OpRecord(
@@ -170,198 +196,6 @@ class Simulator:
         ]
         records.sort(key=lambda rec: (rec.start, rec.resource, rec.label))
         return records
-
-    def _evaluate_reference(
-        self, ops: list[Op], execute_thunks: bool, parallel_workers: int
-    ) -> tuple[dict[Op, list[Op]], dict[Op, list[Op]]]:
-        """Reference Kahn evaluation over per-op dicts (the slow path)."""
-        # Effective predecessor sets: explicit deps + previous op in queue.
-        preds: dict[Op, list[Op]] = {}
-        for r in self.resources:
-            for i, op in enumerate(r.ops):
-                p = list(op.deps)
-                if i > 0:
-                    p.append(r.ops[i - 1])
-                preds[op] = p
-        for op in ops:
-            for d in op.deps:
-                if d not in preds:
-                    raise RuntimeError(
-                        f"op {op.label!r} depends on {d.label!r}, which is not "
-                        "issued on any resource of this simulator"
-                    )
-
-        indeg = {op: len(preds[op]) for op in ops}
-        succs: dict[Op, list[Op]] = {op: [] for op in ops}
-        for op, ps in preds.items():
-            for p in ps:
-                succs[p].append(op)
-
-        # Kahn's algorithm; FIFO keeps evaluation deterministic.
-        serial_thunks = execute_thunks and parallel_workers <= 1
-        ready = [op for op in ops if indeg[op] == 0]
-        done = 0
-        while ready:
-            op = ready.pop(0)
-            t0 = max((p.end for p in preds[op]), default=0.0)
-            op.start = t0
-            op.end = t0 + op.duration
-            if serial_thunks and op.thunk is not None:
-                try:
-                    op.result = op.thunk(op)
-                except Exception as exc:
-                    if not op.fail_ok:
-                        raise
-                    op.error = exc
-            done += 1
-            for s in succs[op]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        if done != len(ops):
-            stuck = [op.label for op in ops if op.start is None][:8]
-            raise RuntimeError(f"dependency cycle involving ops: {stuck}")
-        return preds, succs
-
-    def _evaluate_fast(
-        self, ops: list[Op], execute_thunks: bool, parallel_workers: int
-    ) -> tuple[list[list[int]], list[list[int]]]:
-        """Index-based Kahn evaluation (the fast path).
-
-        Same traversal as :meth:`_evaluate_reference` — integer adjacency
-        lists built in the identical order, a deque for the FIFO ready
-        queue (``popleft`` ≡ ``pop(0)``), and a running max over plain
-        floats for start times — so every op gets the bit-identical
-        start/end and thunks fire in the identical order.
-        """
-        idx = {op: k for k, op in enumerate(ops)}
-        n = len(ops)
-        preds_idx: list[list[int]] = [[] for _ in range(n)]
-        for r in self.resources:
-            prev = -1
-            for op in r.ops:
-                k = idx[op]
-                lst = preds_idx[k]
-                for d in op.deps:
-                    j = idx.get(d)
-                    if j is None:
-                        raise RuntimeError(
-                            f"op {op.label!r} depends on {d.label!r}, which is not "
-                            "issued on any resource of this simulator"
-                        )
-                    lst.append(j)
-                if prev >= 0:
-                    lst.append(prev)
-                prev = k
-
-        indeg = [len(ps) for ps in preds_idx]
-        succs_idx: list[list[int]] = [[] for _ in range(n)]
-        for k, ps in enumerate(preds_idx):
-            for p in ps:
-                succs_idx[p].append(k)
-
-        serial_thunks = execute_thunks and parallel_workers <= 1
-        ends = [0.0] * n
-        ready = deque(k for k in range(n) if indeg[k] == 0)
-        done = 0
-        while ready:
-            k = ready.popleft()
-            op = ops[k]
-            t0 = 0.0
-            for p in preds_idx[k]:
-                e = ends[p]
-                if e > t0:
-                    t0 = e
-            op.start = t0
-            end = t0 + op.duration
-            op.end = end
-            ends[k] = end
-            if serial_thunks and op.thunk is not None:
-                try:
-                    op.result = op.thunk(op)
-                except Exception as exc:
-                    if not op.fail_ok:
-                        raise
-                    op.error = exc
-            done += 1
-            for s in succs_idx[k]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        if done != n:
-            stuck = [op.label for op in ops if op.start is None][:8]
-            raise RuntimeError(f"dependency cycle involving ops: {stuck}")
-        return preds_idx, succs_idx
-
-    def _run_thunks_parallel(
-        self,
-        ops: list[Op],
-        preds: dict[Op, list[Op]],
-        succs: dict[Op, list[Op]],
-        workers: int,
-    ) -> None:
-        """Execute thunks on a thread pool in dependency order.
-
-        Ops are dispatched as soon as every predecessor's thunk has
-        finished. Error semantics match the serial Kahn loop: a
-        ``fail_ok`` op's exception is captured on the op and its
-        successors still run; a fatal exception aborts the DAG — no new
-        op is submitted after it is observed, in-flight ops drain, and
-        the fatal error of the *earliest issued* failed op is raised
-        (deterministic regardless of thread completion order).
-        """
-        from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-
-        pending = {op: len(preds[op]) for op in ops}
-        order = {op: k for k, op in enumerate(ops)}
-        fatal: list[tuple[Op, BaseException]] = []
-        submitted = 0
-
-        def execute(op: Op) -> tuple[Op, BaseException | None]:
-            # Never raises: the worker reports the exception with its op so
-            # the drain loop can abort deterministically.
-            if op.thunk is not None:
-                try:
-                    op.result = op.thunk(op)
-                except Exception as exc:
-                    if not op.fail_ok:
-                        return op, exc
-                    op.error = exc
-            return op, None
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures: set[Future[tuple[Op, BaseException | None]]] = set()
-            for op in ops:
-                if pending[op] == 0:
-                    futures.add(pool.submit(execute, op))
-                    submitted += 1
-            while futures:
-                # The executor and every future it waits on are created
-                # and joined inside this call, so no fork can snapshot
-                # the wait mid-acquire; REP201's reachability chain here
-                # is a tail-name collision (generic run/encode names).
-                finished, futures = wait(futures, return_when=FIRST_COMPLETED)  # noqa: REP201
-                for fut in finished:
-                    op, exc = fut.result()
-                    if exc is not None:
-                        fatal.append((op, exc))
-                        continue
-                    if fatal:
-                        # Aborting: let in-flight work drain, submit nothing.
-                        continue
-                    for s in succs[op]:
-                        pending[s] -= 1
-                        if pending[s] == 0:
-                            futures.add(pool.submit(execute, s))
-                            submitted += 1
-        if fatal:
-            fatal.sort(key=lambda pair: order[pair[0]])
-            raise fatal[0][1]
-        if submitted != len(ops):
-            stuck = [op.label for op in ops if pending[op] > 0][:8]
-            raise RuntimeError(
-                f"thunk scheduling stalled; never-ready ops: {stuck}"
-            )
 
     def makespan(self) -> float:
         """End time of the last op (valid after :meth:`run`)."""
@@ -380,15 +214,11 @@ def validate_schedule(records: list[OpRecord]) -> None:
     Zero-duration ops (barriers) occupy no time and cannot overlap.
 
     :meth:`Simulator.run` emits records globally sorted by (start,
-    resource, label), so each resource's sub-sequence already arrives
-    sorted by start; the per-resource re-sort this function used to do on
-    every call was O(n log n) of pure waste on that path. Sortedness by
-    (start, end) is now *detected* in one vectorized pass and the stable
-    re-sort (``np.lexsort`` ≡ ``sorted`` with a (start, end) key) only
-    runs when the input really is unsorted, e.g. hand-built records in
-    tests. Overlaps are then found by one vectorized comparison of
-    consecutive intervals; the first offending pair raises with the same
-    message as the scalar loop did.
+    resource, label), so each resource's sub-sequence normally arrives
+    sorted by (start, end); that is detected in one vectorized pass and
+    the stable re-sort (``np.lexsort``) runs only on input that really
+    is unsorted, e.g. hand-built records in tests. Overlaps are found by
+    one vectorized comparison of consecutive intervals.
     """
     by_res: dict[str, list[OpRecord]] = {}
     for rec in records:

@@ -15,9 +15,8 @@ primitive are therefore hazardous:
   a lock created on the line above ``ProcessPoolExecutor(...)`` is
   copied into every child in whatever state it happens to be in.
 
-Thread pools are exempt: ``ThreadPoolExecutor`` shares the address
-space, so nothing is snapshotted (the DES backend's thread pool stays
-clean by design).
+Thread pools are exempt: their workers share the address space, so
+nothing is snapshotted.
 """
 
 from __future__ import annotations

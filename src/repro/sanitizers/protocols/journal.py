@@ -28,12 +28,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-#: Same switch as every other sanitizer layer.
+#: The one switch for every runtime sanitizer layer (SAN-A…G).
 SANITIZE_ENV = "REPRO_SANITIZE"
 
 
-def _env_on() -> bool:
-    return os.environ.get(SANITIZE_ENV, "").lower() in ("1", "strict")
+def sanitize_from_env() -> bool:
+    """Is runtime sanitizing requested via ``$REPRO_SANITIZE``?
+
+    Unset, empty, ``0`` and ``off`` mean no; any other value (``1``,
+    ``strict``, ``on``, …) means yes. Every layer that honours the
+    variable asks here, so no spelling can switch on only some of them.
+    """
+    return os.environ.get(SANITIZE_ENV, "").lower() not in ("", "0", "off")
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class ProtocolJournal:
 
     @property
     def active(self) -> bool:
-        return self._forced or _env_on()
+        return self._forced or sanitize_from_env()
 
     def enable(self) -> None:
         """Force journaling on regardless of the environment."""

@@ -1,32 +1,21 @@
-"""Parallel lint runner: every analysis layer over one file per task.
+"""Lint runner: every analysis layer over every file in scope.
 
-``repro lint --jobs N`` routes through :func:`run_lint`. The pipeline
-has a short serial prefix and an embarrassingly parallel body:
+``repro lint`` routes through :func:`run_lint`:
 
-1. **Serial**: collect the file list, build the merged dataflow unit
-   summaries (REP101's cross-module signatures) and the layer-4 call
-   graph (REP201 reachability, REP304 solve reachability) over *all*
-   modules — both are whole-scope artifacts a single file cannot
-   produce.
-2. **Parallel**: one task per file runs the per-line lint (REP0xx),
-   the dataflow rules (REP1xx), the concurrency rules (REP2xx) and the
-   protocol rules (REP3xx) against those shared artifacts.
+1. Collect the file list and build the whole-scope artifacts a single
+   file cannot produce: the merged dataflow unit summaries (REP101's
+   cross-module signatures) and the layer-4 call graph (REP201
+   reachability, REP304 solve reachability).
+2. Per file, run the per-line lint (REP0xx), the dataflow rules
+   (REP1xx), the concurrency rules (REP2xx) and the protocol rules
+   (REP3xx) against those artifacts.
 
-Determinism: task results are collected in input order (``Executor.
-map``), each file's findings depend only on (source, summaries, graph),
-and workers rebuild the shared artifacts from the exact same module
-list — so stdout is byte-identical for any ``--jobs`` value (pinned by
-``tests/sanitizers/test_lint_jobs.py``). ``jobs=1`` runs in-process
-with no pool and remains the default.
-
-Internal errors cross the process boundary as plain tuples (the frozen
-:class:`AnalyzerError` dataclass does not survive exception pickling)
-and are rebuilt in the parent.
+Each file's findings depend only on (source, summaries, graph) and are
+collected in input order, so the output is deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.sanitizers.concurrency import (
@@ -54,10 +43,8 @@ from repro.sanitizers.protocols import (
 #: (display, source) for every module in the lint scope.
 Modules = list[tuple[str, str]]
 
-#: One task's result: findings, errors as tuples, per-rule seconds.
-FileResult = tuple[
-    list[LintViolation], list[tuple[str, str, str, str]], dict[str, float]
-]
+#: One file's result: findings, internal errors, per-rule seconds.
+FileResult = tuple[list[LintViolation], list[AnalyzerError], dict[str, float]]
 
 
 def _layer_only(
@@ -109,7 +96,7 @@ def run_file(
 
     timings: dict[str, float] = {}
     violations: list[LintViolation] = []
-    err_tuples: list[tuple[str, str, str, str]] = []
+    errors: list[AnalyzerError] = []
 
     line_only = _layer_only(LINT_RULES, only)
     if line_only is None or line_only:
@@ -133,35 +120,8 @@ def run_file(
             **kwargs,
         )
         violations.extend(v)
-        err_tuples.extend(
-            (err.path, err.function, err.rule, err.detail) for err in e
-        )
-    return violations, err_tuples, timings
-
-
-# ---------------------------------------------------------------------------
-# Worker-side state for jobs > 1 (built once per worker process).
-
-_WORKER: dict[str, object] = {}
-
-
-def _init_worker(modules: Modules, only: list[str] | None) -> None:
-    summaries, graph = build_shared(modules)
-    _WORKER["sources"] = dict(modules)
-    _WORKER["summaries"] = summaries
-    _WORKER["graph"] = graph
-    _WORKER["only"] = only
-
-
-def _worker_task(display: str) -> FileResult:
-    sources: dict[str, str] = _WORKER["sources"]  # type: ignore[assignment]
-    return run_file(
-        display,
-        sources[display],
-        _WORKER["summaries"],  # type: ignore[arg-type]
-        _WORKER["graph"],      # type: ignore[arg-type]
-        _WORKER["only"],       # type: ignore[arg-type]
-    )
+        errors.extend(e)
+    return violations, errors, timings
 
 
 def run_lint(
@@ -169,43 +129,24 @@ def run_lint(
     *,
     only: list[str] | None = None,
     timings: dict[str, float] | None = None,
-    jobs: int = 1,
     store: SummaryStore | None = None,
 ) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Every lint layer over the targets, optionally across processes.
+    """Every lint layer over the targets.
 
-    ``only`` restricts to a rule subset (the CLI's ``--select``);
-    ``jobs`` > 1 fans the per-file work out over a process pool with
-    byte-identical findings. Returns ``(violations, errors)`` in file
-    order; the caller sorts and formats.
+    ``only`` restricts to a rule subset (the CLI's ``--select``).
+    Returns ``(violations, errors)`` in file order; the caller sorts and
+    formats. Per-rule seconds accumulate into ``timings`` when given.
     """
     modules = collect_modules(targets)
-    results: list[FileResult] = []
-    if jobs <= 1 or len(modules) <= 1:
-        summaries, graph = build_shared(modules, store=store)
-        for display, source in modules:
-            results.append(run_file(display, source, summaries, graph, only))
-    else:
-        if store is not None:
-            # Keep the cache warm even though workers rebuild their own.
-            build_shared(modules, store=store)
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(modules, only),
-        ) as pool:
-            results = list(
-                pool.map(_worker_task, [d for d, _ in modules])
-            )
-
+    summaries, graph = build_shared(modules, store=store)
     violations: list[LintViolation] = []
     errors: list[AnalyzerError] = []
-    for file_violations, err_tuples, file_timings in results:
-        violations.extend(file_violations)
-        errors.extend(
-            AnalyzerError(path=p, function=f, rule=r, detail=d)
-            for p, f, r, d in err_tuples
+    for display, source in modules:
+        file_violations, file_errors, file_timings = run_file(
+            display, source, summaries, graph, only
         )
+        violations.extend(file_violations)
+        errors.extend(file_errors)
         if timings is not None:
             for rule, dt in file_timings.items():
                 timings[rule] = timings.get(rule, 0.0) + dt

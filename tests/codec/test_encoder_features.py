@@ -123,41 +123,3 @@ class TestMotionStats:
         # tiny sub-pel minima; magnitudes stay small and many blocks are 0.
         assert stats.zero_fraction > 0.3
         assert stats.mean_magnitude < 2.0
-
-
-class TestParallelRealMode:
-    def test_parallel_output_identical(self):
-        from repro.core.config import FrameworkConfig
-        from repro.core.framework import FevesFramework
-        from repro.hw.presets import get_platform
-
-        clip = SyntheticSequence(width=128, height=96, seed=13).frames(4)
-        results = {}
-        for workers in (0, 3):
-            fw = FevesFramework(
-                get_platform("SysNFF"), CFG,
-                FrameworkConfig(compute="real", parallel_workers=workers),
-            )
-            results[workers] = fw.encode(clip)
-        for a, b in zip(results[0], results[3], strict=True):
-            assert a.encoded.bits == b.encoded.bits
-            np.testing.assert_array_equal(a.encoded.recon.y, b.encoded.recon.y)
-            np.testing.assert_array_equal(a.encoded.recon.v, b.encoded.recon.v)
-
-    def test_worker_bound_validated(self):
-        from repro.core.config import FrameworkConfig
-
-        with pytest.raises(ValueError):
-            FrameworkConfig(parallel_workers=100)
-
-    def test_parallel_thunk_exception_propagates(self):
-        from repro.hw.des import Op, Resource, Simulator
-
-        r = Resource("r")
-
-        def boom(op):
-            raise RuntimeError("kernel failed")
-
-        Op("a", r, 1.0, thunk=boom)
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            Simulator([r]).run(parallel_workers=2)

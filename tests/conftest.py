@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,8 @@ from repro.video.generator import SyntheticSequence
 def _schedule_sanitizer(monkeypatch):
     """Sanitize every timeline the suite produces (opt-in via env var).
 
-    With ``REPRO_SANITIZE=1`` (or ``strict``) in the environment, every
+    With ``REPRO_SANITIZE=1`` (or ``strict``; see
+    :func:`sanitize_from_env` for the spellings) in the environment, every
     :meth:`VideoCodingManager.run_frame` call anywhere in the suite gets
     its report checked against the schedule invariants (engine races, τ
     windows, conservation, faulted-device idleness) and fails the test on
@@ -26,8 +25,9 @@ def _schedule_sanitizer(monkeypatch):
     overlapping concurrent writes and barrier-ordered reads. Unset, this
     fixture is a no-op, so the plain tier-1 run is unaffected.
     """
-    mode = os.environ.get("REPRO_SANITIZE", "").lower()
-    if mode in ("", "0", "off"):
+    from repro.sanitizers.protocols.journal import JOURNAL, sanitize_from_env
+
+    if not sanitize_from_env():
         yield
         return
 
@@ -63,8 +63,6 @@ def _schedule_sanitizer(monkeypatch):
     # SAN-G: the env var switches the lifecycle journal on; replay each
     # test's journal against the protocol specs at teardown. The reset
     # keeps one test's objects from leaking obligations into the next.
-    from repro.sanitizers.protocols.journal import JOURNAL
-
     JOURNAL.reset()
     yield
     TimelineSanitizer.check_protocols(JOURNAL.drain()).raise_if_dirty()

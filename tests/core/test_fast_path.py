@@ -6,8 +6,8 @@ The end-to-end bit-identity of every optimization is property-tested in
 mechanisms — cache hits actually happen, version counters actually bump,
 live-set changes actually clear the per-frame caches — and the satellite
 bugfix: a fault-then-readmit run must make bit-identical decisions to a
-cold solver, which only holds if eviction/re-admission invalidates the
-warm-start state.
+cold solver (``tests/oracles.py``), which only holds if
+eviction/re-admission invalidates the warm-start state.
 """
 
 from __future__ import annotations
@@ -23,19 +23,19 @@ from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.noise import FaultEvent, FaultSchedule
 from repro.hw.presets import get_platform
 
+from oracles import make_cold
+
 CFG = CodecConfig(width=704, height=576)  # 4CIF keeps runs fast
 
-EXACT = dict(lb_cache_rtol=0.0, lp_warm_start=True, char_cache=True,
-             des_fast=True)
-COLD = dict(lb_cache_rtol=0.0, lp_warm_start=False, char_cache=False,
-            des_fast=False)
 
-
-def run(platform="SysHK", frames=8, faults=None, **fw_kwargs):
+def run(platform="SysHK", frames=8, faults=None, cold=False):
+    # rtol=0: decisions are reused only when provably identical.
     fw = FevesFramework(
         get_platform(platform), CFG,
-        FrameworkConfig(faults=faults or FaultSchedule(), **fw_kwargs),
+        FrameworkConfig(faults=faults or FaultSchedule(), lb_cache_rtol=0.0),
     )
+    if cold:
+        make_cold(fw)
     for _ in range(frames):
         fw.encode_next_inter()
     return fw
@@ -97,17 +97,13 @@ class TestLPSolveCache:
 
 class TestWarmStart:
     def test_steady_state_hits_the_cache(self):
-        fw = run(**EXACT)
-        cache = fw.balancer.lp_cache
-        assert cache is not None
-        assert cache.hits > 0, "steady state never reused an LP solve"
-
-    def test_cold_config_has_no_cache(self):
-        fw = run(frames=3, **COLD)
-        assert fw.balancer.lp_cache is None
+        fw = run()
+        assert fw.balancer.lp_cache.hits > 0, (
+            "steady state never reused an LP solve"
+        )
 
     def test_note_live_set_change_clears_warm_state(self):
-        fw = run(frames=6, **EXACT)
+        fw = run(frames=6)
         b = fw.balancer
         assert b._cache_decision is not None  # steady state reached
         b.note_live_set_change()
@@ -117,16 +113,12 @@ class TestWarmStart:
         assert b._seed is None
         assert b._lp_converged is False
 
-    def test_shared_cache_adoption_respects_flag(self):
+    def test_shared_cache_adoption(self):
         shared = LPSolveCache()
-        fast = LoadBalancer(get_platform("SysHK"), CFG,
-                            FrameworkConfig(**EXACT))
-        fast.use_lp_cache(shared)
-        assert fast.lp_cache is shared
-        cold = LoadBalancer(get_platform("SysHK"), CFG,
-                            FrameworkConfig(**COLD))
-        cold.use_lp_cache(shared)
-        assert cold.lp_cache is None  # warm start disabled: stays cold
+        b = LoadBalancer(get_platform("SysHK"), CFG, FrameworkConfig())
+        assert b.lp_cache is not shared
+        b.use_lp_cache(shared)
+        assert b.lp_cache is shared
 
 
 class TestCharacterizationVersioning:
@@ -151,7 +143,7 @@ class TestCharacterizationVersioning:
     def test_kt_cache_tracks_perf_version(self):
         perf = PerformanceCharacterization()
         perf.observe_transfer("GPU_K", "h2d", nbytes=1e9, seconds=1.0)
-        b = LoadBalancer(get_platform("SysHK"), CFG, FrameworkConfig(**EXACT))
+        b = LoadBalancer(get_platform("SysHK"), CFG, FrameworkConfig())
         k1 = b._kt_lookup(perf)("GPU_K", "rf", "h2d")
         assert k1 is not None and k1 > 0
         # alpha=1.0: a new observation replaces the estimate outright;
@@ -159,13 +151,6 @@ class TestCharacterizationVersioning:
         perf.observe_transfer("GPU_K", "h2d", nbytes=1e9, seconds=2.0)
         k2 = b._kt_lookup(perf)("GPU_K", "rf", "h2d")
         assert k2 == pytest.approx(2 * k1)
-
-    def test_kt_cache_disabled_without_flag(self):
-        perf = PerformanceCharacterization()
-        perf.observe_transfer("GPU_K", "h2d", nbytes=1e9, seconds=1.0)
-        b = LoadBalancer(get_platform("SysHK"), CFG, FrameworkConfig(**COLD))
-        assert b._kt_lookup(perf)("GPU_K", "rf", "h2d") is not None
-        assert b._kt_cache == {}  # nothing memoized on the cold path
 
 
 class TestFaultThenReadmit:
@@ -177,22 +162,22 @@ class TestFaultThenReadmit:
     ))
 
     def test_hang_readmit_bit_identical_to_cold_solver(self):
-        fast = run(frames=9, faults=self.HANG, **EXACT)
-        cold = run(frames=9, faults=self.HANG, **COLD)
+        fast = run(frames=9, faults=self.HANG)
+        cold = run(frames=9, faults=self.HANG, cold=True)
         assert decisions(fast) == decisions(cold)
         assert list(fast.fault_log) == list(cold.fault_log)
         # The fault actually happened (otherwise this test is vacuous)...
         assert any(e.evicted for e in fast.fault_log)
         assert any(e.readmitted for e in fast.fault_log)
-        # ...and the fast path actually engaged its caches.
-        assert fast.balancer.lp_cache is not None
+        # ...the fast path actually engaged its caches, the oracle none.
         assert fast.balancer.lp_cache.hits > 0
+        assert cold.balancer.lp_cache.hits == 0
 
     def test_dropout_bit_identical_to_cold_solver(self):
         faults = FaultSchedule(events=(
             FaultEvent(frame=3, device="GPU_K", kind="dropout"),
         ))
-        fast = run(frames=7, faults=faults, **EXACT)
-        cold = run(frames=7, faults=faults, **COLD)
+        fast = run(frames=7, faults=faults)
+        cold = run(frames=7, faults=faults, cold=True)
         assert decisions(fast) == decisions(cold)
         assert list(fast.fault_log) == list(cold.fault_log)

@@ -138,3 +138,26 @@ class TestReporting:
         fw = FevesFramework(get_platform("SysHK"), CFG)
         with pytest.raises(RuntimeError, match="nothing encoded"):
             fw.summary()
+
+
+class TestOptionSurface:
+    def test_config_fields_and_des_signature_are_pinned(self):
+        """Every independently settable option is listed here, so a knob
+        cannot be added (or a removed one return) without this changing."""
+        import dataclasses
+        import inspect
+
+        from repro.hw.des import Simulator
+
+        assert {f.name for f in dataclasses.fields(FrameworkConfig)} == {
+            "compute", "centric", "gop_size", "ewma_alpha",
+            "lp_delta_iterations", "sf_halo_rows", "noise",
+            "min_rows_per_device", "lb_cache_rtol", "enable_parking",
+            "rstar_parallel", "faults", "fault_detection_timeout_s",
+            "warmup_rows", "backend", "exec_workers", "calibrate",
+        }
+        assert str(inspect.signature(Simulator.run)) == (
+            "(self, execute_thunks: 'bool' = True) -> 'list[OpRecord]'"
+        )
+        with pytest.raises(TypeError):
+            FrameworkConfig(lp_warm_start=False)

@@ -154,29 +154,6 @@ class TestFailOk:
         assert b.result == "fine"
         assert (b.start, b.end) == (1.0, 3.0)
 
-    def test_parallel_fail_ok_captures_error(self):
-        r1, r2 = Resource("r1"), Resource("r2")
-
-        def boom(op):
-            raise RuntimeError("device lost")
-
-        a = Op("a", r1, 1.0, thunk=boom, fail_ok=True)
-        b = Op("b", r2, 1.0, thunk=lambda op: "fine")
-        Simulator([r1, r2]).run(parallel_workers=2)
-        assert isinstance(a.error, RuntimeError)
-        assert b.result == "fine"
-
-    def test_parallel_exception_propagates_by_default(self):
-        r = Resource("r")
-
-        def boom(op):
-            raise RuntimeError("device lost")
-
-        Op("a", r, 1.0, thunk=boom)
-        Op("b", r, 1.0, thunk=lambda op: None)
-        with pytest.raises(RuntimeError, match="device lost"):
-            Simulator([r]).run(parallel_workers=2)
-
     def test_error_cleared_on_success(self):
         r = Resource("r")
         a = Op("a", r, 1.0, thunk=lambda op: 7, fail_ok=True)
@@ -206,110 +183,3 @@ class TestReset:
             return [(x.label, x.start, x.end) for x in recs]
 
         assert build() == build()
-
-
-class TestParallelAbortSemantics:
-    """Regression suite for the thread-pool thunk runner.
-
-    The pool must preserve the serial Kahn loop's error semantics: a
-    fatal thunk aborts the DAG (nothing new dispatched, in-flight work
-    drains), the raised error is that of the *earliest issued* failed
-    op regardless of thread completion order, and fail_ok faults stay
-    op-level events whose successors still run. The original runner
-    kept submitting successors of ops that finished after a fatal
-    failure and raised whichever error a thread happened to report
-    first.
-    """
-
-    def test_fatal_error_is_earliest_issued(self):
-        # `a` is issued first but finishes last; the raised error must
-        # still be a's, not the fast-failing b's.
-        import time
-
-        r1, r2 = Resource("r1"), Resource("r2")
-
-        def slow_boom(op):
-            time.sleep(0.1)
-            raise RuntimeError("first-issued failure")
-
-        def fast_boom(op):
-            raise RuntimeError("later-issued failure")
-
-        Op("a", r1, 1.0, thunk=slow_boom)
-        Op("b", r2, 1.0, thunk=fast_boom)
-        with pytest.raises(RuntimeError, match="first-issued failure"):
-            Simulator([r1, r2]).run(parallel_workers=2)
-
-    def test_no_dispatch_after_fatal(self):
-        # `a` fails immediately; `slow` is already in flight and drains,
-        # but its successor `c` must never be dispatched — it would
-        # mutate shared encoder state mid-abort.
-        import time
-
-        r1, r2 = Resource("r1"), Resource("r2")
-
-        def boom(op):
-            raise RuntimeError("abort the DAG")
-
-        def slow_ok(op):
-            time.sleep(0.25)
-            return "drained"
-
-        Op("a", r1, 1.0, thunk=boom)
-        slow = Op("slow", r2, 1.0, thunk=slow_ok)
-        c = Op("c", r2, 1.0, deps=[slow], thunk=lambda op: "ran")
-        with pytest.raises(RuntimeError, match="abort the DAG"):
-            Simulator([r1, r2]).run(parallel_workers=2)
-        assert slow.result == "drained"  # in-flight work drains
-        assert c.result is None          # nothing new after the fatal
-
-    def test_fail_ok_successors_still_run(self):
-        r = Resource("r")
-
-        def boom(op):
-            raise RuntimeError("device lost")
-
-        a = Op("a", r, 1.0, thunk=boom, fail_ok=True)
-        b = Op("b", r, 1.0, deps=[a], thunk=lambda op: "recovered")
-        Simulator([r]).run(parallel_workers=2)
-        assert isinstance(a.error, RuntimeError)
-        assert b.result == "recovered"
-
-    def test_parallel_results_and_records_match_serial(self):
-        # Diamond DAG with value-passing thunks: the pool must produce
-        # the identical results and the identical schedule records.
-        def build_and_run(workers, fast):
-            r1, r2 = Resource("r1"), Resource("r2")
-            a = Op("a", r1, 1.0, thunk=lambda op: 10)
-            b = Op("b", r1, 2.0, deps=[a], thunk=lambda op: a.result + 1)
-            c = Op("c", r2, 0.5, deps=[a], thunk=lambda op: a.result + 2)
-            d = Op(
-                "d", r2, 1.0, deps=[b, c],
-                thunk=lambda op: b.result + c.result,
-            )
-            recs = Simulator([r1, r2]).run(
-                parallel_workers=workers, fast=fast
-            )
-            return [x.result for x in (a, b, c, d)], recs
-
-        ref_results, ref_recs = build_and_run(0, fast=True)
-        assert ref_results == [10, 11, 12, 23]
-        for workers in (2, 4):
-            for fast in (True, False):
-                results, recs = build_and_run(workers, fast=fast)
-                assert results == ref_results
-                assert recs == ref_recs
-
-    def test_parallel_stall_is_reported(self):
-        # A dependency cycle is caught by the scheduling passes before
-        # the pool runs; the pool's own stall check is exercised through
-        # the public API only by this never-ready construction being
-        # impossible — so drive the runner directly.
-        r = Resource("r")
-        a = Op("a", r, 1.0, thunk=lambda op: 1)
-        b = Op("b", r, 1.0, thunk=lambda op: 2)
-        sim = Simulator([r])
-        preds = {a: [], b: [a]}
-        succs = {a: [], b: []}  # broken: a never notifies b
-        with pytest.raises(RuntimeError, match="stalled"):
-            sim._run_thunks_parallel([a, b], preds, succs, workers=2)

@@ -1,15 +1,15 @@
-"""Fast DES evaluation vs the reference Kahn loop, and validate_schedule.
+"""``Simulator.run`` vs the reference Kahn loop, and validate_schedule.
 
-``Simulator.run(fast=True)`` (the default) evaluates the event graph with
-index-based adjacency and a deque ready-queue; ``fast=False`` keeps the
-original dict-based reference loop. Both must emit the same ops with the
-same float start/end times in the same record order, fault or no fault.
+``Simulator.run`` evaluates the event graph with index-based adjacency
+and a deque ready-queue; ``tests/oracles.py::reference_run`` is the
+dict-based textbook loop. Both must emit the same ops with the same
+float start/end times in the same record order, and fire thunks in the
+same order.
 
-``validate_schedule`` was rewritten to skip the unconditional re-sort
-when records are already in (start, end) order per resource — the common
-case, since the simulator emits them sorted. These tests pin that its
-observable behavior (what passes, what raises, and with which message)
-did not move.
+``validate_schedule`` skips the re-sort when records are already in
+(start, end) order per resource — the common case, since the simulator
+emits them sorted. These tests pin what passes, what raises, and with
+which message, on sorted and unsorted input alike.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import random
 import pytest
 
 from repro.hw.des import Op, OpRecord, Resource, Simulator, validate_schedule
+
+from oracles import reference_run
 
 
 def random_graph(seed: int, n_res: int = 3, n_ops: int = 24):
@@ -37,14 +39,14 @@ def random_graph(seed: int, n_res: int = 3, n_ops: int = 24):
     return resources
 
 
-def run_records(seed: int, fast: bool):
-    recs = Simulator(random_graph(seed)).run(fast=fast)
+def run_records(seed: int, run):
+    recs = run(Simulator(random_graph(seed)))
     return [(r.label, r.resource, r.category, r.start, r.end) for r in recs]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fast_matches_reference_on_random_dags(seed):
-    assert run_records(seed, fast=True) == run_records(seed, fast=False)
+    assert run_records(seed, Simulator.run) == run_records(seed, reference_run)
 
 
 def test_fast_matches_reference_with_thunks():
@@ -57,21 +59,21 @@ def test_fast_matches_reference_with_thunks():
         return Simulator([r1, r2]), order
 
     sim_fast, order_fast = build()
-    recs_fast = sim_fast.run(fast=True)
+    recs_fast = sim_fast.run()
     sim_ref, order_ref = build()
-    recs_ref = sim_ref.run(fast=False)
+    recs_ref = reference_run(sim_ref)
     assert order_fast == order_ref == ["a", "b", "c"]
     assert recs_fast == recs_ref
 
 
 def test_fast_detects_cycles_like_reference():
-    for fast in (True, False):
+    for run in (Simulator.run, reference_run):
         r1, r2 = Resource("r1"), Resource("r2")
         a = Op("a", r1, 1.0)
         b = Op("b", r2, 1.0, deps=[a])
         a.deps.append(b)
         with pytest.raises(RuntimeError, match="cycle"):
-            Simulator([r1, r2]).run(fast=fast)
+            run(Simulator([r1, r2]))
 
 
 def test_fast_start_end_are_python_floats():
@@ -80,7 +82,7 @@ def test_fast_start_end_are_python_floats():
     r = Resource("r")
     a = Op("a", r, 1.5)
     b = Op("b", r, 0.5)
-    Simulator([r]).run(fast=True)
+    Simulator([r]).run()
     for op in (a, b):
         assert type(op.start) is float
         assert type(op.end) is float

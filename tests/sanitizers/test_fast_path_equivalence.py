@@ -1,44 +1,35 @@
-"""Fast-path equivalence property: every optimization is bit-identical.
+"""Fast-path equivalence property: the scheduler is bit-identical to its oracle.
 
-The warm-start LP, the characterization caches, and the vectorized DES
-are pure performance work — with the rtol decision cache disabled
-(``lb_cache_rtol=0.0``) they must reproduce the cold path's output
-*exactly*: same timeline records (same floats), same distributions, same
-taus, same fault log. This property drives random platforms × codecs ×
-fault schedules through the cold configuration and through each
-optimization toggled individually (plus all together) and diffs the full
-run digests.
+The LP solve memo, the exact decision reuse, the version-keyed
+characterization tables and the index-based DES are pure performance
+work — with the rtol decision cache disabled (``lb_cache_rtol=0.0``)
+they must reproduce a cold scheduler's output *exactly*: same timeline
+records (same floats), same distributions, same taus, same fault log.
+This property drives random platforms × codecs × fault schedules through
+the production framework and through the cold twin built by
+``tests/oracles.py``, and diffs the full run digests.
 """
 
 from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.presets import get_platform
 
+from oracles import make_cold
 from test_property import framework_scenarios
 
-COLD = dict(lb_cache_rtol=0.0, lp_warm_start=False, char_cache=False,
-            des_fast=False)
 
-#: Each optimization alone, then all together.
-VARIANTS = (
-    ("lp_warm_start", dict(COLD, lp_warm_start=True)),
-    ("char_cache", dict(COLD, char_cache=True)),
-    ("des_fast", dict(COLD, des_fast=True)),
-    ("all", dict(COLD, lp_warm_start=True, char_cache=True, des_fast=True)),
-)
-
-
-def run_digest(platform_name, codec, faults, frames, fw_kwargs):
+def run_digest(platform_name, codec, faults, frames, cold=False):
     """Full bit-level digest of a run (None if faults killed every device)."""
     fw = FevesFramework(
         get_platform(platform_name), codec,
-        FrameworkConfig(faults=faults, **fw_kwargs),
+        FrameworkConfig(faults=faults, lb_cache_rtol=0.0),
     )
+    if cold:
+        make_cold(fw)
     try:
         for _ in range(frames):
             fw.encode_next_inter()
@@ -67,10 +58,9 @@ def run_digest(platform_name, codec, faults, frames, fw_kwargs):
 @given(framework_scenarios())
 def test_each_optimization_is_bit_identical_to_cold(scenario):
     platform_name, codec, faults, frames = scenario
-    cold = run_digest(platform_name, codec, faults, frames, COLD)
-    for name, kwargs in VARIANTS:
-        got = run_digest(platform_name, codec, faults, frames, kwargs)
-        assert got == cold, (
-            f"optimization {name!r} diverged from the cold path on "
-            f"{platform_name} with faults={faults.events}"
-        )
+    cold = run_digest(platform_name, codec, faults, frames, cold=True)
+    fast = run_digest(platform_name, codec, faults, frames)
+    assert fast == cold, (
+        f"fast path diverged from the cold oracle on {platform_name} "
+        f"with faults={faults.events}"
+    )

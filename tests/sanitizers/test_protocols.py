@@ -541,6 +541,46 @@ class TestSanGDynamic:
         report = check_events(events)
         assert report.clean, report.summary()
 
+    @pytest.mark.parametrize("value,on", [
+        ("1", True), ("strict", True), ("STRICT", True), ("on", True),
+        ("true", True), (None, False), ("", False), ("0", False),
+        ("off", False),
+    ])
+    def test_env_switch_reaches_every_layer(self, value, on, monkeypatch):
+        """``$REPRO_SANITIZE`` has one parser: a spelling switches the
+        SAN-F access journal, the SAN-G lifecycle journal and the
+        cluster's end-of-run check on together, or none of them."""
+        from repro.codec.config import CodecConfig
+        from repro.core.config import FrameworkConfig
+        from repro.exec.backend import ProcessBackend
+        from repro.hw.presets import get_platform
+        from repro.sanitizers import TimelineSanitizer
+        from repro.sanitizers.violations import SanitizerReport
+
+        if value is None:
+            monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SANITIZE", value)
+        monkeypatch.setattr(JOURNAL, "_forced", False)
+        checked = []
+        monkeypatch.setattr(
+            TimelineSanitizer, "check_cluster",
+            staticmethod(lambda c: checked.append(c) or SanitizerReport()),
+        )
+
+        backend = ProcessBackend(
+            get_platform("SysHK"), CodecConfig(width=64, height=48),
+            FrameworkConfig(compute="real", backend="process"),
+        )
+        cluster = Cluster(ClusterConfig(nodes=(NodeSpec("n0"),)))
+        cluster.run([StreamSpec("s0", n_frames=1, fps_target=25.0)])
+        try:
+            assert backend.sanitize is on                # SAN-F
+            assert JOURNAL.active is on                  # SAN-G
+            assert (checked == [cluster]) is on          # cluster check
+        finally:
+            JOURNAL.reset()
+
 
 # ---------------------------------------------------------------------------
 # 5. Agreement pins: one mutant per rule, caught by BOTH halves.
