@@ -37,15 +37,25 @@ machine-normalized:
 the fresh measurements as an artifact without a second run. ``--only``
 restricts the run to one section; ``--workers N`` caps the parallel
 sweep so 2-vCPU CI runners measure only what they can host.
+
+Every snapshot is stamped with the host that produced it (``host_cores``,
+``python``, ``numpy``). ``--write`` refuses to record a parallel point
+with more workers than the host has cores: such workers time-slice, so
+the "speedup" would measure the OS scheduler, not the backend — cap the
+sweep with ``--workers``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -122,22 +132,28 @@ def measure_service() -> dict:
     return {
         "benchmark": "multi-stream service smoke (shared LP cache)",
         "platform": "SysHK",
+        **host_stamp(),
         "workloads": {"saturated": saturated, "light": light},
     }
 
 
 def host_cores() -> int:
-    import os
-
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
 
 
-def _encoded_identical(ref_out: list, outcomes: list) -> bool:
-    import numpy as np
+def host_stamp() -> dict:
+    """What a reader needs to judge a snapshot's wall-clock numbers."""
+    return {
+        "host_cores": host_cores(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
+
+def _encoded_identical(ref_out: list, outcomes: list) -> bool:
     if len(ref_out) != len(outcomes):
         return False
     for r, o in zip(ref_out, outcomes, strict=True):
@@ -205,7 +221,7 @@ def measure_parallel(
             f"{cfg.num_ref_frames} RF"
         ),
         "n_frames": PARALLEL_FRAMES,
-        "host_cores": host_cores(),
+        **host_stamp(),
         "serial_fps": round(PARALLEL_FRAMES / serial_s, 3),
         "serial_wall_s": round(serial_s, 3),
         "workers": points,
@@ -315,15 +331,26 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     run_all = args.only is None
-    service = measure_service() if run_all or args.only == "service" else None
-    parallel = None
+    counts: tuple[int, ...] = ()
     if run_all or args.only == "parallel":
         counts = PARALLEL_WORKERS
         if args.workers:
             counts = tuple(w for w in PARALLEL_WORKERS if w <= args.workers)
             if not counts:
                 counts = (args.workers,)
-        parallel = measure_parallel(counts)
+        cores = host_cores()
+        oversubscribed = [w for w in counts if w > cores]
+        if args.write and oversubscribed:
+            print(
+                f"error: refusing to record workers={oversubscribed} on a "
+                f"{cores}-core host: more workers than cores time-slice, so "
+                "their speedup would measure the OS scheduler, not the "
+                f"backend. Re-run with --workers {cores}.",
+                file=sys.stderr,
+            )
+            return 2
+    service = measure_service() if run_all or args.only == "service" else None
+    parallel = measure_parallel(counts) if counts else None
 
     for point, v in (service or {"workloads": {}})["workloads"].items():
         misses = ", ".join(

@@ -33,13 +33,21 @@ def _mpps(benchmark, pixels: int) -> None:
     benchmark.extra_info["mpixel_per_s"] = pixels / 1e6 / benchmark.stats["mean"]
 
 
-def test_kernel_me_fsbm(benchmark, frames):
+@pytest.mark.parametrize("search_range", [4, 8, 16])
+def test_kernel_me_fsbm(benchmark, frames, search_range):
     ref, cur = frames
+    cfg = CodecConfig(width=W, height=H, search_range=search_range)
     result = benchmark(
-        motion_estimate_rows, cur.y, [ref.y], 0, CFG.mb_rows, CFG
+        motion_estimate_rows, cur.y, [ref.y], 0, cfg.mb_rows, cfg
     )
-    assert result.nrows == CFG.mb_rows
+    assert result.nrows == cfg.mb_rows
     _mpps(benchmark, W * H)
+    # The benchmark suite's codec.me.gsad_per_s formula (computed, not
+    # counted): pixels x (2*sr)^2 candidates x references, per second.
+    n_refs = 1
+    benchmark.extra_info["gsad_per_s"] = (
+        W * H * (2 * search_range) ** 2 * n_refs / benchmark.stats["mean"] / 1e9
+    )
 
 
 def test_kernel_interpolation(benchmark, frames):

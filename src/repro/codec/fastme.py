@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.frames import pad_plane
-from repro.codec.me import MotionField, _SAD_DTYPE
-from repro.codec.partitions import all_modes, partition_sads
+from repro.codec.me import MotionField
+from repro.codec.partitions import PartitionSadTree, all_modes
 from repro.codec.sad import strip_cell_sads
 
 #: Large diamond: centre + 8 points at L1 distance 2.
@@ -85,7 +85,7 @@ def diamond_search_rows(
         out.mvs[m.shape] = np.zeros((nrows, mb_cols, m.nparts, 2), dtype=np.int32)
         out.refs[m.shape] = np.zeros((nrows, mb_cols, m.nparts), dtype=np.int32)
         out.sads[m.shape] = np.full(
-            (nrows, mb_cols, m.nparts), np.iinfo(np.int64).max, dtype=_SAD_DTYPE
+            (nrows, mb_cols, m.nparts), np.iinfo(np.int64).max, dtype=np.int64
         )
     stats = FastMEStats(candidates_per_row=[0] * nrows)
     if nrows == 0:
@@ -173,9 +173,11 @@ def _commit_best(
 ) -> None:
     """Per partition, pick the best displacement among visited candidates."""
     offsets = list(visited.keys())
-    cells = np.stack([visited[k] for k in offsets])  # (n_vis, 4, 4)
+    tree = PartitionSadTree(len(offsets), 1)
+    tree.cells[:, 0] = [visited[k] for k in offsets]  # (n_vis, 4, 4)
+    tree.fill()
     for mode in modes:
-        psads = partition_sads(cells, mode).astype(_SAD_DTYPE)  # (n_vis, nparts)
+        psads = tree.sads[:, mode.span, 0]  # (n_vis, nparts)
         best_i = psads.argmin(axis=0)
         for p in range(mode.nparts):
             s = psads[best_i[p], p]

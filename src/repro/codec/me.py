@@ -9,8 +9,25 @@ constant "time per MB row" (the K^m parameters of Algorithm 2).
 
 The kernel is organized exactly like the optimized implementations in the
 paper's module library: one MB row at a time (the framework's distribution
-unit), with 4×4 cell-SAD reuse shared by all 7 partition modes, vectorized
-across the displacement batch and all MBs of the row.
+unit), vectorized across the horizontal displacements and all MBs of the
+row, with every intermediate at the width the data needs:
+
+1. ``|cur − ref|`` in ``uint8`` and 4×4 cell SADs in ``uint16``
+   (:func:`repro.codec.sad.strip_cell_sads_batch`);
+2. all 41 sub-partition SADs from one integer tree of pairwise adds
+   (:class:`repro.codec.partitions.PartitionSadTree`) — exact in ``uint16``
+   because the largest possible SAD, a 16×16 MB of all-0 against all-255,
+   is ``256 · 255 = 65 280 < 2¹⁶``;
+3. per ``(ref, dy)``, ``SAD · 2¹⁶ + dx_index`` as a ``uint32`` key whose
+   minimum over the ``dx`` axis is the row-minimum SAD *and* its smallest
+   ``dx``; the keys go into a ``(n_refs · (2·sr + 1), 41, mb_cols)`` table
+   ordered ref-major, then ``dy``;
+4. one first-minimum ``argmin`` over that table's SADs per MB row picks
+   the winner — earlier reference, then smaller ``dy``, then (already
+   inside the key) smaller ``dx``.
+
+:class:`MotionField` carries ``int64`` SADs and ``int32`` MVs/refs; the
+narrow types are widened once, when the field is assembled.
 """
 
 from __future__ import annotations
@@ -22,11 +39,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.frames import pad_plane
-from repro.codec.partitions import PartitionMode, all_modes, partition_sads
+from repro.codec.partitions import PartitionSadTree, all_modes, get_mode
 from repro.codec.sad import strip_cell_sads_batch
 
-#: dtype for stored SAD values (4×4 cells over 256-pel MBs fit easily).
-_SAD_DTYPE = np.int64
+#: Bits of a search key below the SAD: holds the ``dx`` index
+#: (``2 · search_range + 1 <= 513``), and 65 280 · 2¹⁶ still fits ``uint32``.
+_DX_BITS = 16
 
 
 @dataclass
@@ -47,19 +65,27 @@ class MotionField:
     sads: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     def check_consistent(self) -> None:
-        """Validate array shapes against the declared geometry."""
-        from repro.codec.partitions import get_mode
+        """Validate array shapes and dtypes against the declared geometry.
 
+        SME, the pickled worker results and the bitstream all rely on
+        ``sads`` being int64 and ``mvs``/``refs`` int32.
+        """
         for shape in self.mode_shapes:
             nparts = get_mode(shape).nparts
-            want_mv = (self.nrows, self.mb_cols, nparts, 2)
-            want_scalar = (self.nrows, self.mb_cols, nparts)
-            if self.mvs[shape].shape != want_mv:
-                raise ValueError(f"mvs[{shape}] shape {self.mvs[shape].shape} != {want_mv}")
-            if self.refs[shape].shape != want_scalar:
-                raise ValueError(f"refs[{shape}] bad shape")
-            if self.sads[shape].shape != want_scalar:
-                raise ValueError(f"sads[{shape}] bad shape")
+            scalar = (self.nrows, self.mb_cols, nparts)
+            for name, arr, want_shape, want_dtype in (
+                ("mvs", self.mvs[shape], scalar + (2,), np.int32),
+                ("refs", self.refs[shape], scalar, np.int32),
+                ("sads", self.sads[shape], scalar, np.int64),
+            ):
+                if arr.shape != want_shape:
+                    raise ValueError(
+                        f"{name}[{shape}] shape {arr.shape} != {want_shape}"
+                    )
+                if arr.dtype != want_dtype:
+                    raise ValueError(
+                        f"{name}[{shape}] dtype {arr.dtype} != {np.dtype(want_dtype)}"
+                    )
 
     def slice_rows(self, row0: int, nrows: int) -> "MotionField":
         """A sub-band view of this field covering ``[row0, row0 + nrows)``.
@@ -157,23 +183,9 @@ def motion_estimate_rows(
     n_refs = min(len(refs_y), cfg.num_ref_frames)
     modes = all_modes(cfg.enabled_partitions)
 
-    field_out = MotionField(
-        row0=row0,
-        nrows=nrows,
-        mb_cols=mb_cols,
-        mode_shapes=tuple(m.shape for m in modes),
-    )
-    for m in modes:
-        field_out.mvs[m.shape] = np.zeros((nrows, mb_cols, m.nparts, 2), dtype=np.int32)
-        field_out.refs[m.shape] = np.zeros((nrows, mb_cols, m.nparts), dtype=np.int32)
-        field_out.sads[m.shape] = np.full(
-            (nrows, mb_cols, m.nparts), np.iinfo(np.int64).max, dtype=_SAD_DTYPE
-        )
-    if nrows == 0:
-        return field_out
-
     padded_refs = []
-    for ref in refs_y[:n_refs]:
+    # An empty band reads no reference, so none is checked or padded.
+    for ref in refs_y[:n_refs] if nrows else []:
         if refs_prepadded:
             if ref.shape != (h + 2 * sr, w + 2 * sr):
                 raise ValueError(
@@ -185,13 +197,45 @@ def motion_estimate_rows(
                 raise ValueError(f"ref shape {ref.shape} != {(h, w)}")
             padded_refs.append(pad_plane(ref, sr))
 
-    for r in range(row0, row0 + nrows):
-        out_r = r - row0
+    ndx = 2 * sr + 1
+    tree = PartitionSadTree(ndx, mb_cols)
+    keys = np.empty(tree.sads.shape, dtype=np.uint32)
+    dx_index = np.arange(ndx, dtype=np.uint32)[:, None, None]
+    table = np.empty((n_refs * ndx,) + keys.shape[1:], dtype=np.uint32)
+    # Per MB row: the winning table entry (ref-major, then dy) and its key.
+    win_entry = np.empty((nrows,) + keys.shape[1:], dtype=np.intp)
+    win_key = np.empty(win_entry.shape, dtype=np.uint32)
+
+    for out_r in range(nrows):
+        r = row0 + out_r
         cur_strip = cur_y[r * MB_SIZE : (r + 1) * MB_SIZE, :]
         for ref_idx, ref_pad in enumerate(padded_refs):
             _search_row(
-                cur_strip, ref_pad, r, ref_idx, sr, modes, field_out, out_r
+                cur_strip, ref_pad, r, sr, tree, keys, dx_index,
+                table[ref_idx * ndx : (ref_idx + 1) * ndx],
             )
+        # First minimum of the SAD alone ⇒ earlier ref, then smaller dy; the
+        # dx bits only break ties inside one (ref, dy) entry.
+        np.argmin(table >> _DX_BITS, axis=0, out=win_entry[out_r])
+        win_key[out_r] = np.take_along_axis(table, win_entry[out_r][None], axis=0)[0]
+
+    # Widen once: [row, part, mb] search results -> MotionField's [row, mb, part].
+    sads = (win_key >> _DX_BITS).astype(np.int64)
+    dx = (win_key & ((1 << _DX_BITS) - 1)).astype(np.int32) - sr
+    dy = (win_entry % ndx).astype(np.int32) - sr
+    mvs = np.stack([dy, dx], axis=-1)
+    refs = (win_entry // ndx).astype(np.int32)
+    field_out = MotionField(
+        row0=row0,
+        nrows=nrows,
+        mb_cols=mb_cols,
+        mode_shapes=tuple(m.shape for m in modes),
+    )
+    for m in modes:
+        for dst, src in (
+            (field_out.sads, sads), (field_out.refs, refs), (field_out.mvs, mvs)
+        ):
+            dst[m.shape] = np.ascontiguousarray(np.moveaxis(src[:, m.span], 1, 2))
     return field_out
 
 
@@ -199,13 +243,17 @@ def _search_row(
     cur_strip: np.ndarray,
     ref_pad: np.ndarray,
     mb_row: int,
-    ref_idx: int,
     sr: int,
-    modes: list[PartitionMode],
-    out: MotionField,
-    out_r: int,
+    tree: PartitionSadTree,
+    keys: np.ndarray,
+    dx_index: np.ndarray,
+    table: np.ndarray,
 ) -> None:
-    """Exhaustive search of one MB row against one padded reference."""
+    """Exhaustive search of one MB row against one padded reference.
+
+    Fills ``table[dy_i]`` with the minimum search key over ``dx`` for each
+    vertical displacement ``dy_i - sr``; ``tree`` and ``keys`` are scratch.
+    """
     w = cur_strip.shape[1]
     # Padded strip containing every vertical displacement of this MB row:
     # padded coords of pixel row (mb_row*16 + dy) are offset by +sr.
@@ -214,21 +262,8 @@ def _search_row(
     windows = sliding_window_view(strip, (MB_SIZE, w))  # (2sr+1, 2sr+1, 16, W)
 
     for dy_i in range(2 * sr + 1):
-        cell = strip_cell_sads_batch(cur_strip, windows[dy_i])  # (ndx, mbc, 4, 4)
-        dy = dy_i - sr
-        for mode in modes:
-            psads = partition_sads(cell, mode).astype(_SAD_DTYPE)  # (ndx, mbc, nparts)
-            best_dx_i = psads.argmin(axis=0)  # (mbc, nparts) first-min ⇒ smaller dx
-            mbc, nparts = best_dx_i.shape
-            cols = np.arange(mbc)[:, None]
-            parts = np.arange(nparts)[None, :]
-            best_sad = psads[best_dx_i, cols, parts]
-            cur_best = out.sads[mode.shape][out_r]
-            improved = best_sad < cur_best  # strict ⇒ earlier ref/dy wins ties
-            if improved.any():
-                out.sads[mode.shape][out_r][improved] = best_sad[improved]
-                out.refs[mode.shape][out_r][improved] = ref_idx
-                out.mvs[mode.shape][out_r, :, :, 0][improved] = dy
-                out.mvs[mode.shape][out_r, :, :, 1][improved] = (
-                    best_dx_i[improved] - sr
-                )
+        strip_cell_sads_batch(cur_strip, windows[dy_i], out=tree.cells)
+        tree.fill()
+        np.left_shift(tree.sads, _DX_BITS, out=keys, dtype=np.uint32)
+        keys |= dx_index
+        np.min(keys, axis=0, out=table[dy_i])

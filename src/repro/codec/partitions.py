@@ -1,10 +1,19 @@
-"""MB partition-mode bookkeeping.
+"""MB partition-mode bookkeeping and the partition-SAD tree.
 
 H.264/AVC allows 7 inter partitionings of a 16×16 macroblock: 16×16, 16×8,
 8×16, 8×8, 8×4, 4×8 and 4×4 (paper §II). Each mode tiles the MB with
-``nparts`` equal rectangles. This module precomputes, for every mode, the
-membership of the sixteen 4×4 SAD cells in each sub-partition, so partition
-SADs are a single matrix product away from the cell-SAD grid.
+``nparts`` equal rectangles — 41 sub-partitions in all.
+
+Every sub-partition SAD is a sum of 4×4 cell SADs, and every shape is two
+tiles of a smaller one, so all 41 come from one integer *tree* of pairwise
+adds in which each partial sum is computed once::
+
+    4×4 ─┬─ 8×4 (cell rows paired)
+         └─ 4×8 (cell columns paired) ── 8×8 ─┬─ 16×8 ─── 16×16
+                                              └─ 8×16
+
+The root's worst case (all-0 against all-255) is ``256 · 255 = 65 280 < 2¹⁶``,
+so the whole tree is exact in ``uint16``.
 """
 
 from __future__ import annotations
@@ -15,6 +24,27 @@ from functools import lru_cache
 import numpy as np
 
 from repro.codec.config import MB_SIZE, PARTITION_MODES
+
+
+def _tiles(shape: tuple[int, int]) -> int:
+    """How many ``(h, w)`` rectangles tile one MB."""
+    return (MB_SIZE // shape[0]) * (MB_SIZE // shape[1])
+
+
+#: Sub-partitions per MB over all 7 modes — rows of a :class:`PartitionSadTree`.
+TOTAL_PARTS = sum(map(_tiles, PARTITION_MODES))
+
+#: Tree edges ``(child, parent, axis)``: the parent level is the child level
+#: with adjacent tiles paired along ``axis`` (1 = vertically, 2 = horizontally),
+#: listed so every child is filled before it is read.
+_TREE_EDGES = (
+    ((4, 4), (8, 4), 1),
+    ((4, 4), (4, 8), 2),
+    ((4, 8), (8, 8), 1),
+    ((8, 8), (16, 8), 1),
+    ((8, 8), (8, 16), 2),
+    ((16, 8), (16, 16), 2),
+)
 
 
 @dataclass(frozen=True)
@@ -30,16 +60,16 @@ class PartitionMode:
     origins:
         ``(nparts, 2)`` int array of each sub-partition's ``(y, x)`` pixel
         offset inside the MB, in raster order.
-    cell_matrix:
-        ``(nparts, 16)`` float matrix; row *p* has ones at the flattened
-        4×4-cell indices belonging to sub-partition *p*. For a cell-SAD grid
-        ``g`` of shape ``(..., 16)``, partition SADs are ``g @ cell_matrix.T``.
+    span:
+        This mode's rows in the 41-row partition axis of a
+        :class:`PartitionSadTree` (modes in canonical order, sub-partitions
+        in raster order within a mode).
     """
 
     shape: tuple[int, int]
     nparts: int
     origins: np.ndarray
-    cell_matrix: np.ndarray
+    span: slice
 
     @property
     def pixels(self) -> int:
@@ -57,14 +87,10 @@ def _build_mode(shape: tuple[int, int]) -> PartitionMode:
         [(ty * h, tx * w) for ty in range(tiles_y) for tx in range(tiles_x)],
         dtype=np.int32,
     )
-    cells_y, cells_x = h // 4, w // 4
-    mat = np.zeros((nparts, 16), dtype=np.float64)
-    for p, (oy, ox) in enumerate(origins):
-        cy0, cx0 = oy // 4, ox // 4
-        for cy in range(cy0, cy0 + cells_y):
-            for cx in range(cx0, cx0 + cells_x):
-                mat[p, cy * 4 + cx] = 1.0
-    return PartitionMode(shape=shape, nparts=nparts, origins=origins, cell_matrix=mat)
+    first = sum(map(_tiles, PARTITION_MODES[: PARTITION_MODES.index(shape)]))
+    return PartitionMode(
+        shape=shape, nparts=nparts, origins=origins, span=slice(first, first + nparts)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -82,14 +108,40 @@ def all_modes(
     return [get_mode(s) for s in PARTITION_MODES if s in enabled]
 
 
-def partition_sads(cell_sads: np.ndarray, mode: PartitionMode) -> np.ndarray:
-    """Aggregate cell SADs ``(..., 4, 4)`` into partition SADs ``(..., nparts)``."""
-    flat = cell_sads.reshape(*cell_sads.shape[:-2], 16)
-    return flat @ mode.cell_matrix.T
-
-
 def total_subpartitions(
     enabled: tuple[tuple[int, int], ...] = PARTITION_MODES
 ) -> int:
     """Total sub-partitions evaluated per MB (41 when all modes are on)."""
     return sum(m.nparts for m in all_modes(enabled))
+
+
+class PartitionSadTree:
+    """SADs of all 41 sub-partitions for a batch of displacements × MBs.
+
+    ``sads`` is ``(n_disp, 41, n_mbs)`` uint16 with the MB axis innermost,
+    so every add of :meth:`fill` streams contiguous runs; rows
+    ``get_mode(shape).span`` hold that mode's sub-partitions in raster
+    order. Write cell SADs through :attr:`cells`, then call :meth:`fill`.
+    """
+
+    def __init__(self, n_disp: int, n_mbs: int) -> None:
+        self.sads = np.empty((n_disp, TOTAL_PARTS, n_mbs), dtype=np.uint16)
+        # Each mode's rows as a [disp, tile_y, tile_x, mb] view of ``sads``.
+        self._levels = {
+            (h, w): self.sads[:, get_mode((h, w)).span].reshape(
+                n_disp, MB_SIZE // h, MB_SIZE // w, n_mbs
+            )
+            for h, w in PARTITION_MODES
+        }
+        #: ``(n_disp, n_mbs, 4, 4)`` view of the 4×4 level, the layout
+        #: :func:`repro.codec.sad.strip_cell_sads_batch` produces.
+        self.cells = self._levels[(4, 4)].transpose(0, 3, 1, 2)
+
+    def fill(self) -> None:
+        """Derive every coarser level from the 4×4 cells by pairwise adds."""
+        for child, parent, axis in _TREE_EDGES:
+            src = self._levels[child]
+            if axis == 1:
+                np.add(src[:, 0::2], src[:, 1::2], out=self._levels[parent])
+            else:
+                np.add(src[:, :, 0::2], src[:, :, 1::2], out=self._levels[parent])

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec.config import CodecConfig
+from repro.codec.config import PARTITION_MODES, CodecConfig
 from repro.codec.me import MotionField, motion_estimate_rows
 from repro.codec.frames import pad_plane
+
+from oracles import reference_fsbm
 
 
 def shifted(ref: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -16,6 +18,125 @@ def shifted(ref: np.ndarray, dy: int, dx: int) -> np.ndarray:
     pad = max(abs(dy), abs(dx))
     p = np.pad(ref, pad, mode="wrap")
     return p[pad + dy : pad + dy + h, pad + dx : pad + dx + w].copy()
+
+
+def assert_fields_identical(got: MotionField, want: MotionField) -> None:
+    """Field-by-field equality, dtypes included; ``got`` must self-check."""
+    got.check_consistent()
+    assert (got.row0, got.nrows, got.mb_cols) == (want.row0, want.nrows, want.mb_cols)
+    assert got.mode_shapes == want.mode_shapes
+    for shape in want.mode_shapes:
+        for name in ("sads", "refs", "mvs"):
+            a, b = getattr(got, name)[shape], getattr(want, name)[shape]
+            assert a.dtype == b.dtype, (name, shape)
+            np.testing.assert_array_equal(a, b, err_msg=f"{name}[{shape}]")
+
+
+@st.composite
+def fsbm_cases(draw):
+    """A small plane, 1-3 references and a search configuration."""
+    mb_cols = draw(st.integers(1, 6))  # widths 16..96
+    mb_rows = draw(st.integers(1, 3))
+    sr = draw(st.sampled_from([1, 4, 8, 16, 32]))
+    n_refs = draw(st.integers(1, 3))
+    extra = draw(st.sets(st.sampled_from(PARTITION_MODES[1:])))
+    cfg = CodecConfig(
+        width=16 * mb_cols, height=16 * mb_rows, search_range=sr,
+        num_ref_frames=n_refs,
+        enabled_partitions=tuple(
+            m for m in PARTITION_MODES if m == (16, 16) or m in extra
+        ),
+    )
+    row0 = draw(st.integers(0, mb_rows - 1))
+    nrows = draw(st.integers(0, mb_rows - row0))
+    # Few grey levels => many equal SADs => the tie-break order matters.
+    levels = draw(st.sampled_from([1, 2, 4, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = [
+        (rng.integers(0, levels, (cfg.height, cfg.width)) * (256 // levels)).astype(
+            np.uint8
+        )
+        for _ in range(n_refs + 1)
+    ]
+    return cfg, planes[0], planes[1:], row0, nrows, draw(st.booleans())
+
+
+class TestMatchesReferenceKernel:
+    @given(fsbm_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_identical_to_reference_fsbm(self, case):
+        cfg, cur, refs, row0, nrows, prepadded = case
+        if prepadded:
+            refs = [pad_plane(r, cfg.search_range) for r in refs]
+        got = motion_estimate_rows(cur, refs, row0, nrows, cfg, refs_prepadded=prepadded)
+        want = reference_fsbm(cur, refs, row0, nrows, cfg, refs_prepadded=prepadded)
+        assert_fields_identical(got, want)
+
+    def test_flat_plane_two_identical_refs(self):
+        """Every candidate ties: ref 0 and the first (dy, dx) must win."""
+        cfg = CodecConfig(width=48, height=32, search_range=4, num_ref_frames=2)
+        flat = np.full((32, 48), 90, dtype=np.uint8)
+        f = motion_estimate_rows(flat, [flat, flat.copy()], 0, 2, cfg)
+        for shape in f.mode_shapes:
+            assert (f.sads[shape] == 0).all()
+            assert (f.refs[shape] == 0).all()
+            assert (f.mvs[shape] == -4).all()
+        assert_fields_identical(f, reference_fsbm(flat, [flat, flat], 0, 2, cfg))
+
+    def test_coarsely_quantised_content(self, rng):
+        cfg = CodecConfig(width=96, height=48, search_range=8, num_ref_frames=3)
+        cur, *refs = [
+            (rng.integers(0, 3, (48, 96)) * 100).astype(np.uint8) for _ in range(4)
+        ]
+        assert_fields_identical(
+            motion_estimate_rows(cur, refs, 0, 3, cfg),
+            reference_fsbm(cur, refs, 0, 3, cfg),
+        )
+
+    @pytest.mark.parametrize("sr", [1, 16])
+    def test_worst_case_sad_does_not_overflow(self, sr):
+        """All-0 against all-255: 16x16 SAD = 65 280, exact in every mode."""
+        cfg = CodecConfig(width=32, height=16, search_range=sr)
+        cur = np.zeros((16, 32), dtype=np.uint8)
+        ref = np.full((16, 32), 255, dtype=np.uint8)
+        f = motion_estimate_rows(cur, [ref], 0, 1, cfg)
+        for h, w in f.mode_shapes:
+            assert (f.sads[(h, w)] == h * w * 255).all()
+            assert (f.mvs[(h, w)] == -sr).all()
+        assert f.sads[(16, 16)].max() == 65_280
+        assert_fields_identical(f, reference_fsbm(cur, [ref], 0, 1, cfg))
+
+
+class TestCheckConsistent:
+    def test_accepts_kernel_slice_and_merge_outputs(self, rng, cfg64):
+        ref = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        full = motion_estimate_rows(cur, [ref], 0, 4, cfg64)
+        full.check_consistent()
+        full.slice_rows(1, 2).check_consistent()
+        MotionField.merge([full.slice_rows(0, 1), full.slice_rows(1, 3)]).check_consistent()
+
+    @pytest.mark.parametrize(
+        "name,narrow", [("sads", np.uint16), ("sads", np.int32),
+                        ("mvs", np.int64), ("refs", np.intp)],
+    )
+    def test_rejects_wrong_dtype(self, rng, cfg64, name, narrow):
+        ref = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        f = motion_estimate_rows(ref, [ref], 0, 2, cfg64)
+        getattr(f, name)[(8, 8)] = getattr(f, name)[(8, 8)].astype(narrow)
+        with pytest.raises(ValueError, match=f"{name}.*dtype"):
+            f.check_consistent()
+        with pytest.raises(ValueError, match="dtype"):
+            f.slice_rows(0, 1).check_consistent()
+        with pytest.raises(ValueError, match="dtype"):
+            MotionField.merge([f.slice_rows(0, 1), f.slice_rows(1, 1)]).check_consistent()
+
+    def test_rejects_wrong_shape(self, rng, cfg64):
+        ref = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        f = motion_estimate_rows(ref, [ref], 0, 2, cfg64)
+        f.refs[(16, 16)] = f.refs[(16, 16)][:1]
+        with pytest.raises(ValueError, match="refs.*shape"):
+            f.check_consistent()
 
 
 @pytest.fixture

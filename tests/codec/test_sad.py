@@ -92,8 +92,39 @@ class TestBatch:
         windows = rng.integers(0, 256, (5, 16, 48), dtype=np.uint8)
         batch = strip_cell_sads_batch(cur, windows)
         assert batch.shape == (5, 3, 4, 4)
+        assert batch.dtype == np.uint16
         for k in range(5):
             np.testing.assert_array_equal(batch[k], strip_cell_sads(cur, windows[k]))
+            for mb in range(3):
+                want = naive_cell_sads(
+                    cur[:, 16 * mb : 16 * mb + 16], windows[k][:, 16 * mb : 16 * mb + 16]
+                )
+                np.testing.assert_array_equal(batch[k, mb], want)
+
+    def test_out_of_any_layout_is_filled(self, rng):
+        cur = rng.integers(0, 256, (16, 48), dtype=np.uint8)
+        windows = rng.integers(0, 256, (5, 16, 48), dtype=np.uint8)
+        out = np.zeros((5, 4, 4, 3), dtype=np.uint16).transpose(0, 3, 1, 2)
+        got = strip_cell_sads_batch(cur, windows, out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, strip_cell_sads_batch(cur, windows))
+
+    def test_extreme_difference_is_exact(self):
+        # uint8 abs-diff must not wrap: 0 vs 255 is 255 per pel, 4080 per cell.
+        cur = np.zeros((16, 32), dtype=np.uint8)
+        windows = np.full((2, 16, 32), 255, dtype=np.uint8)
+        for a, b in ((cur, windows), (windows[0], 255 - windows)):
+            np.testing.assert_array_equal(
+                strip_cell_sads_batch(a, b), np.full((2, 2, 4, 4), 16 * 255)
+            )
+
+    def test_requires_uint8(self, rng):
+        cur = rng.integers(0, 256, (16, 32), dtype=np.uint8)
+        windows = rng.integers(0, 256, (3, 16, 32), dtype=np.uint8)
+        with pytest.raises(ValueError, match="uint8"):
+            strip_cell_sads_batch(cur.astype(np.int32), windows)
+        with pytest.raises(ValueError, match="uint8"):
+            strip_cell_sads_batch(cur, windows.astype(np.int16))
 
     def test_incompatible_shapes(self, rng):
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ from collections.abc import Iterator
 
 import pytest
 
+from repro.codec.me import MotionField
+
 #: Hard per-test wall-clock ceiling. Generous: the slowest test here
 #: encodes a few 128x96 frames per worker count, well under a minute
 #: even on a loaded single-core CI runner.
@@ -42,3 +44,28 @@ def _wallclock_guard() -> Iterator[None]:
     finally:
         signal.alarm(0)
         signal.signal(sigalrm, previous)
+
+
+@pytest.fixture
+def checked_me_fields(monkeypatch: pytest.MonkeyPatch) -> Iterator[None]:
+    """Self-check every ME field the backend handles in a bit-identity test.
+
+    Each band a worker pickles back, and the field the host stitches from
+    them, must pass :meth:`MotionField.check_consistent` — shapes *and*
+    the public dtypes (``sads`` int64, ``mvs``/``refs`` int32) — so a
+    narrow kernel-internal dtype cannot reach SME or the bitstream.
+    """
+    merge = MotionField.merge
+    stitched = []
+
+    def checked_merge(parts: list[MotionField]) -> MotionField:
+        for part in parts:
+            part.check_consistent()
+        field = merge(parts)
+        field.check_consistent()
+        stitched.append(field)
+        return field
+
+    monkeypatch.setattr(MotionField, "merge", staticmethod(checked_merge))
+    yield
+    assert stitched, "no ME band went through MotionField.merge"

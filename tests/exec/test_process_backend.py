@@ -108,6 +108,7 @@ class TestBandMath:
 # bit-exactness
 
 
+@pytest.mark.usefixtures("checked_me_fields")
 class TestBitExactness:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_reference_across_worker_counts(

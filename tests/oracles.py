@@ -1,8 +1,8 @@
-"""Slow reference twins of the scheduling hot path, kept as test oracles.
+"""Slow reference twins of production hot paths, kept as test oracles.
 
-Production has one DES loop and one solve path; these are the
-straightforward versions the equivalence tests diff it against, bit for
-bit:
+Production has one DES loop, one solve path and one FSBM kernel; these are
+the straightforward versions the equivalence tests diff them against, bit
+for bit:
 
 - :func:`reference_run` — Kahn's algorithm over per-op dicts with a
   ``list.pop(0)`` ready queue, the textbook form of
@@ -10,11 +10,16 @@ bit:
 - :func:`make_cold` — turns a framework into a *cold* scheduler: every
   LP reaches HiGHS (no solve memo), every frame re-solves (no exact
   decision reuse), every transfer K is re-derived (no version-keyed
-  table), and the DES runs :func:`reference_run`.
+  table), and the DES runs :func:`reference_run`;
+- :func:`reference_fsbm` — full search as one wide-integer pass per
+  ``(row, ref, dy)``: int32 absolute differences, a multi-axis reduce to
+  4×4 cells, one float64 cell-membership matmul per partition mode
+  (:func:`reference_partition_sads`) and a strict ``<`` masked update of
+  the running best — the kernel :func:`motion_estimate_rows` replaced.
 
-Both are built only from what ``src/`` already exposes
-(:meth:`LoadBalancer.use_lp_cache`, instance attributes); nothing in
-``src/`` knows they exist.
+All are built only from what ``src/`` already exposes
+(:meth:`LoadBalancer.use_lp_cache`, instance attributes,
+``PartitionMode.origins``); nothing in ``src/`` knows they exist.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
+from repro.codec.config import MB_SIZE, CodecConfig
+from repro.codec.frames import pad_plane
+from repro.codec.me import MotionField
+from repro.codec.partitions import all_modes, get_mode
 from repro.core.framework import FevesFramework
 from repro.core.load_balancing import LPSolveCache
 from repro.hw.des import Op, OpRecord, Simulator
@@ -123,3 +132,83 @@ def make_cold(fw: FevesFramework) -> FevesFramework:
     sim = fw.manager.sim
     sim.run = lambda execute_thunks=True: reference_run(sim, execute_thunks)
     return fw
+
+
+def cell_membership(shape: tuple[int, int]) -> np.ndarray:
+    """``(nparts, 16)`` 0/1 matrix: which 4×4 cells each sub-partition covers."""
+    mode = get_mode(shape)
+    mat = np.zeros((mode.nparts, 16), dtype=np.float64)
+    for p, (oy, ox) in enumerate(mode.origins):
+        for cy in range(oy // 4, (oy + shape[0]) // 4):
+            for cx in range(ox // 4, (ox + shape[1]) // 4):
+                mat[p, cy * 4 + cx] = 1.0
+    return mat
+
+
+def reference_partition_sads(
+    cell_sads: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """Cell SADs ``(..., 4, 4)`` -> int64 partition SADs ``(..., nparts)``."""
+    flat = cell_sads.reshape(*cell_sads.shape[:-2], 16)
+    return (flat @ cell_membership(shape).T).astype(np.int64)
+
+
+def reference_fsbm(
+    cur_y: np.ndarray,
+    refs_y: list[np.ndarray],
+    row0: int,
+    nrows: int,
+    cfg: CodecConfig,
+    refs_prepadded: bool = False,
+) -> MotionField:
+    """Full-search ME of MB rows ``[row0, row0 + nrows)``, the slow way.
+
+    Same contract as :func:`repro.codec.me.motion_estimate_rows` on valid
+    input: ties break toward the earlier reference, then the smaller
+    ``dy``, then the smaller ``dx``.
+    """
+    w = cur_y.shape[1]
+    mb_cols = w // MB_SIZE
+    sr = cfg.search_range
+    modes = all_modes(cfg.enabled_partitions)
+    refs = refs_y[: cfg.num_ref_frames]
+    if not refs_prepadded:
+        refs = [pad_plane(ref, sr) for ref in refs]
+
+    out = MotionField(
+        row0=row0, nrows=nrows, mb_cols=mb_cols,
+        mode_shapes=tuple(m.shape for m in modes),
+    )
+    for m in modes:
+        out.mvs[m.shape] = np.zeros((nrows, mb_cols, m.nparts, 2), dtype=np.int32)
+        out.refs[m.shape] = np.zeros((nrows, mb_cols, m.nparts), dtype=np.int32)
+        out.sads[m.shape] = np.full(
+            (nrows, mb_cols, m.nparts), np.iinfo(np.int64).max, dtype=np.int64
+        )
+
+    for out_r in range(nrows):
+        y0 = (row0 + out_r) * MB_SIZE
+        cur = cur_y[y0 : y0 + MB_SIZE].astype(np.int32)
+        for ref_idx, ref_pad in enumerate(refs):
+            for dy in range(-sr, sr + 1):
+                rows = ref_pad[y0 + sr + dy : y0 + sr + dy + MB_SIZE].astype(np.int32)
+                # (ndx, 16, W): the reference strip at every dx.
+                shifted = np.stack([rows[:, k : k + w] for k in range(2 * sr + 1)])
+                cells = (
+                    np.abs(shifted - cur)
+                    .reshape(-1, 4, 4, mb_cols, 4, 4)
+                    .sum(axis=(2, 5))
+                    .transpose(0, 2, 1, 3)
+                )  # (ndx, mb_cols, 4, 4)
+                for m in modes:
+                    psads = reference_partition_sads(cells, m.shape)
+                    best_dx_i = psads.argmin(axis=0)  # first min => smaller dx
+                    best_sad = np.take_along_axis(psads, best_dx_i[None], axis=0)[0]
+                    improved = best_sad < out.sads[m.shape][out_r]  # strict
+                    out.sads[m.shape][out_r][improved] = best_sad[improved]
+                    out.refs[m.shape][out_r][improved] = ref_idx
+                    out.mvs[m.shape][out_r, :, :, 0][improved] = dy
+                    out.mvs[m.shape][out_r, :, :, 1][improved] = (
+                        best_dx_i[improved] - sr
+                    )
+    return out
