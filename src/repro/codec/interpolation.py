@@ -21,6 +21,7 @@ is what makes cross-device stitching of the SF legal.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.config import MB_SIZE
 from repro.codec.frames import pad_plane
@@ -146,6 +147,23 @@ def subpel_block(sf: np.ndarray, qy: int, qx: int, bh: int, bw: int) -> np.ndarr
     they must satisfy ``0 <= qy <= 4*(H - bh)`` (use :func:`clamp_qpos`).
     """
     return sf[qy : qy + 4 * bh : 4, qx : qx + 4 * bw : 4]
+
+
+def subpel_blocks(
+    sf: np.ndarray, qys: np.ndarray, qxs: np.ndarray, bh: int, bw: int
+) -> np.ndarray:
+    """Sample ``(bh, bw)`` blocks at arrays of quarter-pel positions.
+
+    The vectorized :func:`subpel_block`: ``qys``/``qxs`` are equally-shaped
+    integer arrays of (already clamped, see :func:`clamp_qpos`) top-left
+    positions and the result is ``qys.shape + (bh, bw)`` uint8. A sliding
+    window over the SF, subsampled to every fourth sample, makes "the block
+    at ``(qy, qx)``" one element of a view — no copy of the SF, which may
+    live in shared memory — so the gather takes one index pair per block
+    instead of one per pixel.
+    """
+    windows = sliding_window_view(sf, (4 * bh - 3, 4 * bw - 3))[:, :, ::4, ::4]
+    return windows[qys, qxs]
 
 
 def clamp_qpos(qy: int, qx: int, bh: int, bw: int, height: int, width: int) -> tuple[int, int]:

@@ -20,6 +20,7 @@ import numpy as np
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.entropy import se_len, ue_len
 from repro.codec.frames import YuvFrame
+from repro.codec.interpolation import subpel_blocks
 from repro.codec.partitions import get_mode
 from repro.codec.sme import SubpelField
 
@@ -84,14 +85,6 @@ def decide_modes(field: SubpelField, cfg: CodecConfig, qp: int) -> np.ndarray:
         costs.append(dist + lam * (mv_bits + ref_bits + mode_bits))
     cost = np.stack(costs, axis=0)
     return cost.argmin(axis=0)
-
-
-def _gather_sf_blocks(
-    sf: np.ndarray, qys: np.ndarray, qxs: np.ndarray, bh: int, bw: int
-) -> np.ndarray:
-    rows = qys[:, None] + 4 * np.arange(bh, dtype=np.int64)[None, :]
-    cols = qxs[:, None] + 4 * np.arange(bw, dtype=np.int64)[None, :]
-    return sf[rows[:, :, None], cols[:, None, :]]
 
 
 def _chroma_predict(
@@ -181,7 +174,7 @@ def build_prediction(
                 mask = prefs == ref
                 if not mask.any():
                     continue
-                blocks = _gather_sf_blocks(sfs[ref], qy[mask], qx[mask], bh, bw)
+                blocks = subpel_blocks(sfs[ref], qy[mask], qx[mask], bh, bw)
                 rows = base_y[mask][:, None] + np.arange(bh)[None, :]
                 cols = base_x[mask][:, None] + np.arange(bw)[None, :]
                 pred_y[rows[:, :, None], cols[:, None, :]] = blocks

@@ -33,6 +33,7 @@ narrow types are widened once, when the field is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,9 +43,35 @@ from repro.codec.frames import pad_plane
 from repro.codec.partitions import PartitionSadTree, all_modes, get_mode
 from repro.codec.sad import strip_cell_sads_batch
 
+if TYPE_CHECKING:
+    from repro.codec.sme import SubpelField
+
 #: Bits of a search key below the SAD: holds the ``dx`` index
 #: (``2 · search_range + 1 <= 513``), and 65 280 · 2¹⁶ still fits ``uint32``.
 _DX_BITS = 16
+
+
+def check_field_arrays(motion: MotionField | SubpelField, mv_name: str) -> None:
+    """Shapes and public dtypes of a motion field's per-mode arrays.
+
+    Shared by :class:`MotionField` (``mv_name="mvs"``) and
+    :class:`repro.codec.sme.SubpelField` (``"qmvs"``): vectors and ``refs``
+    are int32, ``sads`` int64, all indexed ``[row - row0, mb_col, part]``.
+    """
+    for shape in motion.mode_shapes:
+        scalar = (motion.nrows, motion.mb_cols, get_mode(shape).nparts)
+        for name, want_shape, want_dtype in (
+            (mv_name, scalar + (2,), np.int32),
+            ("refs", scalar, np.int32),
+            ("sads", scalar, np.int64),
+        ):
+            arr = getattr(motion, name)[shape]
+            if arr.shape != want_shape:
+                raise ValueError(f"{name}[{shape}] shape {arr.shape} != {want_shape}")
+            if arr.dtype != want_dtype:
+                raise ValueError(
+                    f"{name}[{shape}] dtype {arr.dtype} != {np.dtype(want_dtype)}"
+                )
 
 
 @dataclass
@@ -70,22 +97,7 @@ class MotionField:
         SME, the pickled worker results and the bitstream all rely on
         ``sads`` being int64 and ``mvs``/``refs`` int32.
         """
-        for shape in self.mode_shapes:
-            nparts = get_mode(shape).nparts
-            scalar = (self.nrows, self.mb_cols, nparts)
-            for name, arr, want_shape, want_dtype in (
-                ("mvs", self.mvs[shape], scalar + (2,), np.int32),
-                ("refs", self.refs[shape], scalar, np.int32),
-                ("sads", self.sads[shape], scalar, np.int64),
-            ):
-                if arr.shape != want_shape:
-                    raise ValueError(
-                        f"{name}[{shape}] shape {arr.shape} != {want_shape}"
-                    )
-                if arr.dtype != want_dtype:
-                    raise ValueError(
-                        f"{name}[{shape}] dtype {arr.dtype} != {np.dtype(want_dtype)}"
-                    )
+        check_field_arrays(self, "mvs")
 
     def slice_rows(self, row0: int, nrows: int) -> "MotionField":
         """A sub-band view of this field covering ``[row0, row0 + nrows)``.

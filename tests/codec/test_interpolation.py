@@ -11,6 +11,7 @@ from repro.codec.interpolation import (
     interpolate_plane,
     interpolate_rows,
     subpel_block,
+    subpel_blocks,
 )
 
 
@@ -116,3 +117,25 @@ class TestSampling:
         assert clamp_qpos(-3, 5, 8, 8, 32, 32) == (0, 5)
         assert clamp_qpos(4 * 30, 4 * 30, 8, 8, 32, 32) == (4 * 24, 4 * 24)
         assert clamp_qpos(10, 10, 8, 8, 32, 32) == (10, 10)
+
+    @pytest.mark.parametrize("bh,bw", [(16, 16), (8, 4), (4, 4)])
+    def test_subpel_blocks_matches_subpel_block(self, rng, bh, bw):
+        """All 16 phases, the clamp limits 0 and 4·(H − bh), any index shape."""
+        h, w = 32, 48
+        sf = rng.integers(0, 256, (4 * h, 4 * w), dtype=np.uint8)
+        top, left = 4 * (h - bh), 4 * (w - bw)
+        phases = [(20 + fy, 12 + fx) for fy in range(4) for fx in range(4)]
+        limits = [(0, 0), (0, left), (top, 0), (top, left), (top - 1, left - 1)]
+        qys, qxs = np.array(phases + limits).T
+        got = subpel_blocks(sf, qys, qxs, bh, bw)
+        assert got.dtype == np.uint8 and got.shape == (len(qys), bh, bw)
+        for blk, qy, qx in zip(got, qys, qxs):
+            np.testing.assert_array_equal(blk, subpel_block(sf, qy, qx, bh, bw))
+        # Index arrays of any (equal) shape; the SF itself is not copied.
+        stacked = subpel_blocks(sf, qys.reshape(3, 7), qxs.reshape(3, 7), bh, bw)
+        np.testing.assert_array_equal(stacked.reshape(got.shape), got)
+
+    def test_subpel_blocks_rejects_blocks_past_the_sf(self, rng):
+        sf = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        with pytest.raises(IndexError):
+            subpel_blocks(sf, np.array([4 * (16 - 8) + 4]), np.array([0]), 8, 8)

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from repro.codec.config import CodecConfig
+import repro.codec.sme as sme_module
+from repro.codec.config import PARTITION_MODES, CodecConfig
 from repro.codec.interpolation import interpolate_plane
-from repro.codec.me import motion_estimate_rows
+from repro.codec.me import MotionField, motion_estimate_rows
+from repro.codec.partitions import get_mode
 from repro.codec.sme import SubpelField, subpel_refine_rows
+
+from oracles import reference_sme
 
 
 @pytest.fixture
@@ -88,8 +94,6 @@ class TestRefinement:
         ref = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         me, sme = run_sme(cur, ref, cfg)
-        from repro.codec.partitions import get_mode
-
         for shape in sme.mode_shapes:
             mode = get_mode(shape)
             bh, bw = shape
@@ -159,3 +163,242 @@ class TestMultiRef:
         sme = subpel_refine_rows(cur, sfs, me, 0, 4, cfg)
         assert (sme.refs[(16, 16)] == 1).all()
         assert (sme.sads[(16, 16)] == 0).all()
+
+
+def assert_fields_identical(got: SubpelField, want: SubpelField) -> None:
+    """Field-by-field equality, dtypes included; ``got`` must self-check."""
+    got.check_consistent()
+    assert (got.row0, got.nrows, got.mb_cols) == (want.row0, want.nrows, want.mb_cols)
+    assert got.mode_shapes == want.mode_shapes
+    for shape in want.mode_shapes:
+        for name in ("sads", "refs", "qmvs"):
+            a, b = getattr(got, name)[shape], getattr(want, name)[shape]
+            assert a.dtype == b.dtype, (name, shape)
+            np.testing.assert_array_equal(a, b, err_msg=f"{name}[{shape}]")
+
+
+def random_me_field(
+    rng: np.random.Generator, cfg: CodecConfig, n_refs: int, reach: int
+) -> MotionField:
+    """A full-frame ME field with arbitrary MVs up to ``reach`` pels long.
+
+    SME only reads the field, so it need not come from a search — and a
+    synthetic one can point past every frame edge, which FSBM at a small
+    search range cannot.
+    """
+    shapes = tuple(m for m in PARTITION_MODES if m in cfg.enabled_partitions)
+    me = MotionField(
+        row0=0, nrows=cfg.mb_rows, mb_cols=cfg.mb_cols, mode_shapes=shapes
+    )
+    for shape in shapes:
+        dims = (cfg.mb_rows, cfg.mb_cols, get_mode(shape).nparts)
+        me.mvs[shape] = rng.integers(-reach, reach + 1, dims + (2,)).astype(np.int32)
+        me.refs[shape] = rng.integers(0, n_refs, dims).astype(np.int32)
+        me.sads[shape] = rng.integers(0, 65_281, dims).astype(np.int64)
+    me.check_consistent()
+    return me
+
+
+@st.composite
+def sme_cases(draw):
+    """A small plane, 1-3 SFs, an ME field and a band of it to refine."""
+    mb_cols = draw(st.integers(1, 6))  # widths 16..96
+    mb_rows = draw(st.integers(1, 6))
+    n_refs = draw(st.integers(1, 3))
+    extra = draw(st.sets(st.sampled_from(PARTITION_MODES[1:])))
+    cfg = CodecConfig(
+        width=16 * mb_cols, height=16 * mb_rows, search_range=4,
+        num_ref_frames=n_refs,
+        enabled_partitions=tuple(
+            m for m in PARTITION_MODES if m == (16, 16) or m in extra
+        ),
+        subpel=draw(st.sampled_from([True, True, True, False])),
+        subpel_metric=draw(st.sampled_from(["sad", "satd"])),
+    )
+    # Few grey levels => many equal costs => the tie-break order matters;
+    # one level is flat content (every candidate ties, the centre must win),
+    # two levels are 0 and 255 (the widest SADs).
+    levels = draw(st.sampled_from([1, 2, 4, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = [
+        (rng.integers(0, levels, (cfg.height, cfg.width)) * (255 // max(levels - 1, 1)))
+        .astype(np.uint8)
+        for _ in range(n_refs + 1)
+    ]
+    # Short MVs stay inside; long ones leave the frame on every edge, where
+    # the per-candidate clamp makes candidates coincide.
+    reach = draw(st.sampled_from([0, 2, 16 * max(mb_rows, mb_cols) + 8]))
+    me = random_me_field(rng, cfg, n_refs, reach)
+    # The ME field handed over may itself be a band (the process backend
+    # ships slices); the SME band is a sub-band of it, sometimes empty.
+    band = draw(st.sampled_from(["frame", "band", "band", "empty"]))
+    row0, nrows = 0, mb_rows
+    if band != "frame":
+        a, b = sorted(rng.integers(0, mb_rows + 1, 2))
+        me = me.slice_rows(a, max(b - a, 1) if a < mb_rows else 0)
+        row0, end = sorted(rng.integers(me.row0, me.row0 + me.nrows + 1, 2))
+        nrows = 0 if band == "empty" else max(end - row0, min(me.nrows, 1))
+        row0, nrows = int(min(row0, me.row0 + me.nrows - nrows)), int(nrows)
+    sfs = [interpolate_plane(p) for p in planes[1:]]
+    return planes[0], sfs, me, row0, nrows, cfg
+
+
+def check_matches_reference(case) -> None:
+    assert_fields_identical(subpel_refine_rows(*case), reference_sme(*case))
+
+
+class TestMatchesReferenceKernel:
+    @given(sme_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_identical_to_reference_sme(self, case):
+        check_matches_reference(case)
+
+    def test_centre_last_ring_mutant_is_killed(self, monkeypatch):
+        """The property must notice a ring whose ties no longer go to the centre."""
+        for name in ("_HALF_RING", "_QUARTER_RING"):
+            ring = getattr(sme_module, name)
+            monkeypatch.setattr(sme_module, name, np.roll(ring, -1, axis=0))
+        mutant_run = settings(
+            max_examples=80, deadline=None, derandomize=True, database=None,
+            phases=[Phase.generate],
+        )(given(sme_cases())(check_matches_reference))
+        with pytest.raises(AssertionError):
+            mutant_run()
+
+    @pytest.mark.parametrize("metric", ["sad", "satd"])
+    def test_flat_content_keeps_the_fullpel_mv(self, metric):
+        """Every candidate ties, so the centre — the clamped ME MV — wins."""
+        cfg = CodecConfig(width=64, height=48, num_ref_frames=2, subpel_metric=metric)
+        flat = np.full((48, 64), 90, dtype=np.uint8)
+        sfs = [interpolate_plane(flat), interpolate_plane(flat)]
+        me = random_me_field(np.random.default_rng(5), cfg, 2, reach=1)
+        got = subpel_refine_rows(flat, sfs, me, 0, 3, cfg)
+        assert_fields_identical(got, reference_sme(flat, sfs, me, 0, 3, cfg))
+        for shape in got.mode_shapes:
+            assert (got.sads[shape] == 0).all()
+            # Interior MBs: a one-pel MV leaves nothing to clamp.
+            np.testing.assert_array_equal(
+                got.qmvs[shape][1:-1, 1:-1], 4 * me.mvs[shape][1:-1, 1:-1]
+            )
+
+    def test_worst_case_sad_fits_uint16(self):
+        """All-0 against all-255: 16x16 SAD = 65 280, exact in every mode."""
+        cfg = CodecConfig(width=32, height=32)
+        cur = np.zeros((32, 32), dtype=np.uint8)
+        sf = np.full((128, 128), 255, dtype=np.uint8)
+        me = random_me_field(np.random.default_rng(0), cfg, 1, reach=40)
+        got = subpel_refine_rows(cur, [sf], me, 0, 2, cfg)
+        for bh, bw in got.mode_shapes:
+            assert (got.sads[(bh, bw)] == bh * bw * 255).all()
+        assert got.sads[(16, 16)].max() == 65_280
+        assert_fields_identical(got, reference_sme(cur, [sf], me, 0, 2, cfg))
+
+    def test_out_of_frame_mvs_on_every_edge(self, rng):
+        """MVs far past each edge clamp to the border position, per candidate."""
+        cfg = CodecConfig(width=64, height=48, num_ref_frames=1)
+        cur = rng.integers(0, 256, (48, 64), dtype=np.uint8)
+        sf = interpolate_plane(rng.integers(0, 256, (48, 64), dtype=np.uint8))
+        for dy, dx in ((-200, 0), (200, 0), (0, -200), (0, 200), (200, 200)):
+            me = random_me_field(rng, cfg, 1, reach=0)
+            for shape in me.mode_shapes:
+                me.mvs[shape][...] = (dy, dx)
+            got = subpel_refine_rows(cur, [sf], me, 0, 3, cfg)
+            assert_fields_identical(got, reference_sme(cur, [sf], me, 0, 3, cfg))
+
+
+class TestValidation:
+    def test_reference_without_an_sf(self, rng, cfg):
+        """A field naming reference 1 with one SF must not score garbage."""
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        sf = interpolate_plane(cur)
+        me = random_me_field(rng, cfg, 1, reach=2)
+        me.refs[(8, 8)][2, 1, 3] = 1
+        with pytest.raises(ValueError, match=r"refs\[\(8, 8\)\].*reference 1.*1 SF"):
+            subpel_refine_rows(cur, [sf], me, 0, 4, cfg)
+        # Only the refined band is read, so only it is checked.
+        subpel_refine_rows(cur, [sf], me, 0, 2, cfg).check_consistent()
+
+    def test_negative_reference(self, rng, cfg):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        me = random_me_field(rng, cfg, 1, reach=2)
+        me.refs[(16, 16)][0, 0, 0] = -1
+        with pytest.raises(ValueError, match="reference -1"):
+            subpel_refine_rows(cur, [interpolate_plane(cur)], me, 0, 4, cfg)
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (np.zeros((256, 255), dtype=np.uint8), r"sfs\[1\].*\(256, 255\)"),
+            (np.zeros((64, 64), dtype=np.uint8), r"sfs\[1\].*\(64, 64\)"),
+            (np.zeros((256, 256), dtype=np.int32), r"sfs\[1\].*int32"),
+        ],
+    )
+    def test_misshaped_sf(self, rng, cfg, bad, match):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        me = random_me_field(rng, cfg, 1, reach=2)
+        with pytest.raises(ValueError, match=match):
+            subpel_refine_rows(cur, [interpolate_plane(cur), bad], me, 0, 4, cfg)
+
+    def test_non_uint8_luma(self, rng, cfg):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        me = random_me_field(rng, cfg, 1, reach=2)
+        with pytest.raises(ValueError, match="uint8 luma"):
+            subpel_refine_rows(
+                cur.astype(np.int16), [interpolate_plane(cur)], me, 0, 4, cfg
+            )
+
+
+class TestCheckConsistent:
+    def test_accepts_kernel_and_merge_outputs(self, rng, cfg):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        sf = interpolate_plane(cur)
+        me = random_me_field(rng, cfg, 1, reach=3)
+        bands = [subpel_refine_rows(cur, [sf], me, r, n, cfg) for r, n in ((0, 1), (1, 3))]
+        for band in bands:
+            band.check_consistent()
+        SubpelField.merge(bands).check_consistent()
+        subpel_refine_rows(cur, [sf], me, 2, 0, cfg).check_consistent()
+
+    @pytest.mark.parametrize(
+        "name,narrow", [("sads", np.uint16), ("sads", np.int32),
+                        ("qmvs", np.int64), ("refs", np.intp)],
+    )
+    def test_rejects_wrong_dtype(self, rng, cfg, name, narrow):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        me = random_me_field(rng, cfg, 1, reach=3)
+        f = subpel_refine_rows(cur, [interpolate_plane(cur)], me, 0, 2, cfg)
+        getattr(f, name)[(8, 8)] = getattr(f, name)[(8, 8)].astype(narrow)
+        with pytest.raises(ValueError, match=f"{name}.*dtype"):
+            f.check_consistent()
+
+    def test_rejects_wrong_shape(self, rng, cfg):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        me = random_me_field(rng, cfg, 1, reach=3)
+        f = subpel_refine_rows(cur, [interpolate_plane(cur)], me, 0, 2, cfg)
+        f.qmvs[(16, 16)] = f.qmvs[(16, 16)][:1]
+        with pytest.raises(ValueError, match="qmvs.*shape"):
+            f.check_consistent()
+
+    def test_merge_rejects_mismatched_geometry(self, rng, cfg):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        sf = interpolate_plane(cur)
+        me = random_me_field(rng, cfg, 1, reach=3)
+        top = subpel_refine_rows(cur, [sf], me, 0, 2, cfg)
+        bottom = subpel_refine_rows(cur, [sf], me, 2, 2, cfg)
+        fewer = CodecConfig(
+            width=64, height=64, search_range=4,
+            enabled_partitions=((16, 16), (8, 8)),
+        )
+        other_modes = subpel_refine_rows(
+            cur, [sf], random_me_field(rng, fewer, 1, reach=3), 2, 2, fewer
+        )
+        with pytest.raises(ValueError, match="modes"):
+            SubpelField.merge([top, other_modes])
+        narrower = CodecConfig(width=48, height=64, search_range=4)
+        other_cols = subpel_refine_rows(
+            cur[:, :48], [interpolate_plane(cur[:, :48])],
+            random_me_field(rng, narrower, 1, reach=3), 2, 2, narrower,
+        )
+        with pytest.raises(ValueError, match="mb_cols=3"):
+            SubpelField.merge([top, other_cols])
+        SubpelField.merge([top, bottom]).check_consistent()

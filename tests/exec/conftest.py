@@ -17,6 +17,7 @@ from collections.abc import Iterator
 import pytest
 
 from repro.codec.me import MotionField
+from repro.codec.sme import SubpelField
 
 #: Hard per-test wall-clock ceiling. Generous: the slowest test here
 #: encodes a few 128x96 frames per worker count, well under a minute
@@ -46,6 +47,25 @@ def _wallclock_guard() -> Iterator[None]:
         signal.signal(sigalrm, previous)
 
 
+def _check_every_merge(
+    monkeypatch: pytest.MonkeyPatch, field_cls: type
+) -> list[object]:
+    """Self-check every band ``field_cls.merge`` receives and what it returns."""
+    merge = field_cls.merge
+    stitched: list[object] = []
+
+    def checked_merge(parts):
+        for part in parts:
+            part.check_consistent()
+        field = merge(parts)
+        field.check_consistent()
+        stitched.append(field)
+        return field
+
+    monkeypatch.setattr(field_cls, "merge", staticmethod(checked_merge))
+    return stitched
+
+
 @pytest.fixture
 def checked_me_fields(monkeypatch: pytest.MonkeyPatch) -> Iterator[None]:
     """Self-check every ME field the backend handles in a bit-identity test.
@@ -55,17 +75,19 @@ def checked_me_fields(monkeypatch: pytest.MonkeyPatch) -> Iterator[None]:
     the public dtypes (``sads`` int64, ``mvs``/``refs`` int32) — so a
     narrow kernel-internal dtype cannot reach SME or the bitstream.
     """
-    merge = MotionField.merge
-    stitched = []
-
-    def checked_merge(parts: list[MotionField]) -> MotionField:
-        for part in parts:
-            part.check_consistent()
-        field = merge(parts)
-        field.check_consistent()
-        stitched.append(field)
-        return field
-
-    monkeypatch.setattr(MotionField, "merge", staticmethod(checked_merge))
+    stitched = _check_every_merge(monkeypatch, MotionField)
     yield
     assert stitched, "no ME band went through MotionField.merge"
+
+
+@pytest.fixture
+def checked_sme_fields(monkeypatch: pytest.MonkeyPatch) -> Iterator[None]:
+    """The SME twin of :func:`checked_me_fields`.
+
+    Every worker-returned band and the stitched field must pass
+    :meth:`SubpelField.check_consistent` (``sads`` int64, ``qmvs``/``refs``
+    int32), so the kernel's uint16 costs cannot reach MC or the bitstream.
+    """
+    stitched = _check_every_merge(monkeypatch, SubpelField)
+    yield
+    assert stitched, "no SME band went through SubpelField.merge"

@@ -108,7 +108,7 @@ class TestBandMath:
 # bit-exactness
 
 
-@pytest.mark.usefixtures("checked_me_fields")
+@pytest.mark.usefixtures("checked_me_fields", "checked_sme_fields")
 class TestBitExactness:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_reference_across_worker_counts(

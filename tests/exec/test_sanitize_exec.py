@@ -80,7 +80,7 @@ def assert_identical(ref_out, fev_out):
 
 
 class TestSanFClean:
-    @pytest.mark.usefixtures("checked_me_fields")
+    @pytest.mark.usefixtures("checked_me_fields", "checked_sme_fields")
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_clean_at_worker_counts(self, frames, reference, workers):
         out, journal = encode_sanitized(frames, workers)
@@ -225,7 +225,7 @@ class TestSpawnSmoke:
         "spawn" not in multiprocessing.get_all_start_methods(),
         reason="platform has no spawn start method",
     )
-    @pytest.mark.usefixtures("checked_me_fields")
+    @pytest.mark.usefixtures("checked_me_fields", "checked_sme_fields")
     def test_spawn_backend_is_bit_identical(self, frames, reference,
                                             monkeypatch):
         monkeypatch.setenv(pool_mod.START_METHOD_ENV, "spawn")

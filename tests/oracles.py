@@ -15,7 +15,11 @@ for bit:
   ``(row, ref, dy)``: int32 absolute differences, a multi-axis reduce to
   4×4 cells, one float64 cell-membership matmul per partition mode
   (:func:`reference_partition_sads`) and a strict ``<`` masked update of
-  the running best — the kernel :func:`motion_estimate_rows` replaced.
+  the running best — the kernel :func:`motion_estimate_rows` replaced;
+- :func:`reference_sme` — sub-pel refinement one candidate at a time:
+  per-pixel fancy-index gathers from the SF, a boolean reference mask per
+  candidate, int32 SADs reduced to int64 and a strict ``<`` masked update
+  of the running best — the kernel :func:`subpel_refine_rows` replaced.
 
 All are built only from what ``src/`` already exposes
 (:meth:`LoadBalancer.use_lp_cache`, instance attributes,
@@ -31,6 +35,8 @@ from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.frames import pad_plane
 from repro.codec.me import MotionField
 from repro.codec.partitions import all_modes, get_mode
+from repro.codec.satd import block_metric
+from repro.codec.sme import SubpelField
 from repro.core.framework import FevesFramework
 from repro.core.load_balancing import LPSolveCache
 from repro.hw.des import Op, OpRecord, Simulator
@@ -212,3 +218,179 @@ def reference_fsbm(
                         best_dx_i[improved] - sr
                     )
     return out
+
+
+def _ring(step: int) -> list[tuple[int, int]]:
+    """Candidate offsets: the current position first, then its 8 neighbours."""
+    offs = [(dy, dx) for dy in (-step, 0, step) for dx in (-step, 0, step)]
+    offs.remove((0, 0))
+    return [(0, 0)] + offs
+
+
+#: Stage offsets in quarter-pel units: half-pel ring then quarter-pel ring.
+_HALF_RING = _ring(2)
+_QUARTER_RING = _ring(1)
+
+
+def _gather_blocks(
+    sf: np.ndarray, qys: np.ndarray, qxs: np.ndarray, bh: int, bw: int
+) -> np.ndarray:
+    """Gather ``(n, bh, bw)`` pixel blocks at quarter-pel positions."""
+    rows = qys[:, None] + 4 * np.arange(bh, dtype=np.int64)[None, :]
+    cols = qxs[:, None] + 4 * np.arange(bw, dtype=np.int64)[None, :]
+    return sf[rows[:, :, None], cols[:, None, :]]
+
+
+def _block_sads(cur_blocks: np.ndarray, cand_blocks: np.ndarray) -> np.ndarray:
+    """SADs between matching ``(n, bh, bw)`` block stacks."""
+    diff = cur_blocks.astype(np.int32) - cand_blocks.astype(np.int32)
+    return np.abs(diff).sum(axis=(1, 2)).astype(np.int64)
+
+
+def reference_sme(
+    cur_y: np.ndarray,
+    sfs: list[np.ndarray],
+    me_field: MotionField,
+    row0: int,
+    nrows: int,
+    cfg: CodecConfig,
+) -> SubpelField:
+    """Quarter-pel refinement of MB rows ``[row0, row0 + nrows)``, the slow way.
+
+    Same contract as :func:`repro.codec.sme.subpel_refine_rows` on valid
+    input — the kernel it replaced, verbatim.
+
+    Parameters
+    ----------
+    cur_y:
+        Current luma plane ``(H, W)``.
+    sfs:
+        One SF per reference frame (list index = reference index), each of
+        shape ``(4H, 4W)`` as produced by :mod:`repro.codec.interpolation`.
+    me_field:
+        Full-frame (or at least band-covering) ME output whose ``row0``/
+        ``nrows`` span includes the requested band.
+    row0, nrows:
+        Band of MB rows to refine (the framework's ``s`` distribution).
+
+    Returns
+    -------
+    :class:`SubpelField` for the band. When ``cfg.subpel`` is false the
+    full-pel MVs are returned scaled to quarter-pel units with their ME SADs
+    (ablation path).
+    """
+    h, w = cur_y.shape
+    mb_cols = w // MB_SIZE
+    if row0 < me_field.row0 or row0 + nrows > me_field.row0 + me_field.nrows:
+        raise ValueError(
+            f"SME band [{row0},{row0 + nrows}) not covered by ME band "
+            f"[{me_field.row0},{me_field.row0 + me_field.nrows})"
+        )
+    out = SubpelField(
+        row0=row0, nrows=nrows, mb_cols=mb_cols, mode_shapes=me_field.mode_shapes
+    )
+    for shape in me_field.mode_shapes:
+        nparts = get_mode(shape).nparts
+        out.qmvs[shape] = np.zeros((nrows, mb_cols, nparts, 2), dtype=np.int32)
+        out.refs[shape] = np.zeros((nrows, mb_cols, nparts), dtype=np.int32)
+        out.sads[shape] = np.zeros((nrows, mb_cols, nparts), dtype=np.int64)
+    if nrows == 0:
+        return out
+
+    n_refs = len(sfs)
+    for shape in me_field.mode_shapes:
+        mode = get_mode(shape)
+        bh, bw = shape
+        src = slice(row0 - me_field.row0, row0 - me_field.row0 + nrows)
+        mvs = me_field.mvs[shape][src]      # (nrows, mbc, nparts, 2)
+        refs = me_field.refs[shape][src]
+        sads = me_field.sads[shape][src]
+        out.refs[shape][:] = refs
+
+        # Flatten every sub-partition instance of the band.
+        rr, cc, pp = np.meshgrid(
+            np.arange(nrows), np.arange(mb_cols), np.arange(mode.nparts),
+            indexing="ij",
+        )
+        rr, cc, pp = rr.ravel(), cc.ravel(), pp.ravel()
+        oy = mode.origins[pp, 0]
+        ox = mode.origins[pp, 1]
+        base_y = (row0 + rr) * MB_SIZE + oy          # partition origin, pixels
+        base_x = cc * MB_SIZE + ox
+        cur_blocks = _stack_cur_blocks(cur_y, base_y, base_x, bh, bw)
+
+        flat_mv = mvs.reshape(-1, 2)
+        flat_ref = refs.ravel()
+        # Start at the full-pel position in quarter units.
+        best_q = 4 * flat_mv.astype(np.int64)
+        best_sad = sads.ravel().astype(np.int64).copy()
+
+        if cfg.subpel:
+            metric = block_metric(cfg.subpel_metric)
+            for ring in (_HALF_RING, _QUARTER_RING):
+                best_q, best_sad = _evaluate_ring(
+                    ring, best_q, cur_blocks, sfs, flat_ref,
+                    base_y, base_x, bh, bw, h, w, n_refs, metric,
+                )
+
+        out.qmvs[shape][rr, cc, pp] = best_q.astype(np.int32)
+        out.sads[shape][rr, cc, pp] = best_sad
+    return out
+
+
+def _stack_cur_blocks(
+    cur_y: np.ndarray, base_y: np.ndarray, base_x: np.ndarray, bh: int, bw: int
+) -> np.ndarray:
+    """Gather the current-frame blocks of every sub-partition instance."""
+    rows = base_y[:, None] + np.arange(bh, dtype=np.int64)[None, :]
+    cols = base_x[:, None] + np.arange(bw, dtype=np.int64)[None, :]
+    return cur_y[rows[:, :, None], cols[:, None, :]]
+
+
+def _evaluate_ring(
+    ring: list[tuple[int, int]],
+    centre_q: np.ndarray,
+    cur_blocks: np.ndarray,
+    sfs: list[np.ndarray],
+    flat_ref: np.ndarray,
+    base_y: np.ndarray,
+    base_x: np.ndarray,
+    bh: int,
+    bw: int,
+    height: int,
+    width: int,
+    n_refs: int,
+    metric=_block_sads,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one candidate ring around ``centre_q``; return best (qmv, sad).
+
+    Every candidate — including the centre — is scored on SF samples after
+    border clamping, so the SAD recorded for the winner always matches the
+    prediction MC will later build. Strict-improvement updates plus
+    centre-first ring order make ties resolve toward the smaller offset.
+    """
+    n = centre_q.shape[0]
+    best_q = np.empty_like(centre_q)
+    best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    first = True
+    for qdy_off, qdx_off in ring:
+        qy = 4 * base_y + centre_q[:, 0] + qdy_off
+        qx = 4 * base_x + centre_q[:, 1] + qdx_off
+        # Clamp block positions inside the SF (restricted-MV border policy).
+        qy = np.clip(qy, 0, 4 * (height - bh))
+        qx = np.clip(qx, 0, 4 * (width - bw))
+        sad_k = np.empty(n, dtype=np.int64)
+        for ref in range(n_refs):
+            mask = flat_ref == ref
+            if not mask.any():
+                continue
+            blocks = _gather_blocks(sfs[ref], qy[mask], qx[mask], bh, bw)
+            sad_k[mask] = metric(cur_blocks[mask], blocks)
+        eff_qdy = qy - 4 * base_y  # effective displacement after clamping
+        eff_qdx = qx - 4 * base_x
+        better = sad_k < best if not first else np.ones(n, dtype=bool)
+        best[better] = sad_k[better]
+        best_q[better, 0] = eff_qdy[better]
+        best_q[better, 1] = eff_qdx[better]
+        first = False
+    return best_q, best
