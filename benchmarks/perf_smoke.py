@@ -189,9 +189,7 @@ def measure_parallel(
     for workers in worker_counts:
         fw = FevesFramework(
             get_platform("SysHK"), cfg,
-            FrameworkConfig(
-                compute="real", backend="process", exec_workers=workers
-            ),
+            FrameworkConfig(backend="process", exec_workers=workers),
         )
         # The backend inherits $REPRO_SANITIZE; never journal shared-
         # memory accesses on the timed path (it would skew the points).

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Quickstart: collaboratively encode a synthetic clip with FEVES.
 
-Runs the framework in ``compute="real"`` mode on the SysHK preset
-(Haswell CPU + Kepler GPU, simulated): the actual NumPy H.264 inter-loop
+Calls ``FevesFramework.encode()`` on the SysHK preset (Haswell CPU +
+Kepler GPU, simulated): the actual NumPy H.264 inter-loop
 kernels execute, split across the devices by the adaptive LP, and the
 output is verified bit-exact against the sequential reference encoder.
 
@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import CodecConfig, FevesFramework, FrameworkConfig, get_platform
+from repro import CodecConfig, FevesFramework, get_platform
 from repro.codec.encoder import ReferenceEncoder
 from repro.report import format_table
 from repro.video import SyntheticSequence
@@ -26,9 +26,7 @@ def main() -> None:
 
     print(f"Encoding {len(clip)} frames of {cfg.width}x{cfg.height} "
           f"(SA {cfg.sa_side}x{cfg.sa_side}, {cfg.num_ref_frames} RFs) on SysHK…")
-    fw = FevesFramework(
-        get_platform("SysHK"), cfg, FrameworkConfig(compute="real")
-    )
+    fw = FevesFramework(get_platform("SysHK"), cfg)
     outcomes = fw.encode(clip)
 
     rows = []

@@ -230,7 +230,6 @@ def _framework_from_args(
             get_platform(args.platform),
             _codec_cfg(args),
             FrameworkConfig(
-                compute="real" if backend == "process" else "model",
                 backend=backend,
                 exec_workers=getattr(args, "workers", 0),
                 centric=getattr(args, "centric", "auto"),

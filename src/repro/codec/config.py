@@ -133,6 +133,12 @@ class CodecConfig:
         """Number of macroblock rows — the framework's unit of distribution."""
         return self.height // MB_SIZE
 
+    @property
+    def sf_halo_rows(self) -> int:
+        """Extra SF MB rows fetched above/below an SME band so vertical MV
+        components stay inside transferred data."""
+        return -(-(self.search_range + 1) // MB_SIZE)
+
     def qp_for(self, is_intra: bool) -> int:
         """QP used for a frame of the given slice type."""
         return self.qp_i if is_intra else self.qp_p

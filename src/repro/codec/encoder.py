@@ -25,7 +25,7 @@ from repro.codec.quality import frame_psnr
 from repro.codec.entropy import get_coder
 from repro.codec.residual import code_chroma_plane, code_luma_plane, reconstruct
 from repro.codec.slices import dbl_skip_luma_rows
-from repro.codec.sme import subpel_refine_rows
+from repro.codec.sme import SubpelField, subpel_refine_rows
 from repro.codec.syntax import FrameSyntax
 
 
@@ -56,21 +56,6 @@ class ResidualData:
     luma: "object"           # CodedPlane
     u: "object"              # CodedChromaPlane
     v: "object"              # CodedChromaPlane
-
-
-def encode_inter_residual(
-    cur: YuvFrame,
-    pred: YuvFrame,
-    qp: int,
-) -> tuple[YuvFrame, int, np.ndarray]:
-    """TQ/TQ⁻¹ the inter residual and reconstruct (shared with the framework).
-
-    Returns ``(recon_frame_before_dbl, residual_bits, luma_cnz4_grid)``.
-    Use :func:`encode_inter_residual_full` when the level arrays are needed
-    (bitstream serialization).
-    """
-    data = encode_inter_residual_full(cur, pred, qp)
-    return data.recon, data.bits, data.cnz4
 
 
 def encode_inter_residual_full(
@@ -123,6 +108,91 @@ def deblock_frame(
     )
 
 
+def encode_intra(
+    cur: YuvFrame, cfg: CodecConfig, index: int, keep_syntax: bool = False
+) -> EncodedFrame:
+    """Code one I frame: intra prediction + TQ/TQ⁻¹ → DBL.
+
+    The one host-intra path: the reference encoder and the framework's
+    (untimed) I frames both call it, then reset their reference store to
+    ``recon``.
+    """
+    result = intra_encode_frame(cur, cfg)
+    h, w = cur.y.shape
+    recon = deblock_frame(
+        result.recon,
+        np.zeros((h // 4, w // 4, 2), dtype=np.int32),
+        np.full((h // 4, w // 4), -1, dtype=np.int32),
+        result.cnz4,
+        np.ones((h // 4, w // 4), dtype=bool),
+        cfg.qp_i,
+        skip_luma_rows=dbl_skip_luma_rows(cfg),
+    )
+    return EncodedFrame(
+        index=index,
+        is_intra=True,
+        bits=result.bits,
+        psnr=frame_psnr(cur, recon),
+        recon=recon,
+        syntax=FrameSyntax(is_intra=True, intra=result) if keep_syntax else None,
+    )
+
+
+def encode_rstar(
+    cur: YuvFrame,
+    sme_field: SubpelField,
+    sfs: list[np.ndarray],
+    chroma: list[tuple[np.ndarray, np.ndarray]],
+    cfg: CodecConfig,
+    index: int,
+    keep_syntax: bool = False,
+) -> EncodedFrame:
+    """The R* block of one P frame: MC → TQ/TQ⁻¹ + entropy → DBL.
+
+    The paper maps this block to a single device, and it exists once:
+    the reference encoder, the sim backend's R* op thunk and the process
+    backend (on the host, after the τ2 barrier) all call it with the
+    merged SME field, which is why their outputs are bit-identical.
+    """
+    qp = cfg.qp_p
+    mc = motion_compensate(cur, sme_field, sfs, chroma, cfg, qp)
+    res = encode_inter_residual_full(
+        cur, mc.pred, qp, coder=get_coder(cfg.entropy_coder)
+    )
+    h, w = cur.y.shape
+    recon = deblock_frame(
+        res.recon, mc.mv4, mc.ref4, res.cnz4,
+        np.zeros((h // 4, w // 4), dtype=bool), qp,
+        skip_luma_rows=dbl_skip_luma_rows(cfg),
+    )
+    syntax = None
+    if keep_syntax:
+        syntax = FrameSyntax(
+            is_intra=False,
+            mode_idx=mc.mode_idx,
+            mv4=mc.mv4,
+            ref4=mc.ref4,
+            mode_shapes=sme_field.mode_shapes,
+            luma_levels=res.luma.levels,
+            u_ac=res.u.ac_levels,
+            u_dc=res.u.dc_levels,
+            v_ac=res.v.ac_levels,
+            v_dc=res.v.dc_levels,
+        )
+    return EncodedFrame(
+        index=index,
+        is_intra=False,
+        bits=res.bits + mc.header_bits,
+        psnr=frame_psnr(cur, recon),
+        recon=recon,
+        mode_histogram={
+            shape: int((mc.mode_idx == mode_i).sum())
+            for mode_i, shape in enumerate(sme_field.mode_shapes)
+        },
+        syntax=syntax,
+    )
+
+
 class ReferenceEncoder:
     """Sequential H.264/AVC inter-loop encoder (ground truth for FEVES)."""
 
@@ -149,16 +219,22 @@ class ReferenceEncoder:
         self.keep_syntax = keep_syntax
         self.gop_size = gop_size
         self.scene_cut_threshold = scene_cut_threshold
-        self.coder = get_coder(cfg.entropy_coder)
         self.store = ReferenceStore(max_refs=cfg.num_ref_frames)
         self._frame_index = 0
         self._prev_source_y: np.ndarray | None = None
         self.scene_cuts: list[int] = []
 
     def reset(self) -> None:
-        """Forget all references; the next frame is coded intra."""
+        """Forget all references; the next frame is coded intra.
+
+        Scene-cut state goes too: ``scene_cuts`` indexes the sequence
+        just ended, and its last source frame must not be compared with
+        the first frame of the next one.
+        """
         self.store = ReferenceStore(max_refs=self.cfg.num_ref_frames)
         self._frame_index = 0
+        self._prev_source_y = None
+        self.scene_cuts = []
 
     def encode_frame(self, cur: YuvFrame) -> EncodedFrame:
         """Encode the next frame (I if first of the GOP, P otherwise)."""
@@ -185,35 +261,14 @@ class ReferenceEncoder:
                 self.scene_cuts.append(idx)
         self._prev_source_y = cur.y
         if intra_now:
-            return self._encode_intra(cur, idx)
+            encoded = encode_intra(cur, self.cfg, idx, self.keep_syntax)
+            self.store.reset(encoded.recon)
+            return encoded
         return self._encode_inter(cur, idx)
-
-    def _encode_intra(self, cur: YuvFrame, idx: int) -> EncodedFrame:
-        result = intra_encode_frame(cur, self.cfg)
-        h, w = cur.y.shape
-        intra4 = np.ones((h // 4, w // 4), dtype=bool)
-        mv4 = np.zeros((h // 4, w // 4, 2), dtype=np.int32)
-        ref4 = np.full((h // 4, w // 4), -1, dtype=np.int32)
-        recon = deblock_frame(
-            result.recon, mv4, ref4, result.cnz4, intra4, self.cfg.qp_i,
-            skip_luma_rows=dbl_skip_luma_rows(self.cfg),
-        )
-        self.store.reset(recon)
-        syntax = FrameSyntax(is_intra=True, intra=result) if self.keep_syntax else None
-        return EncodedFrame(
-            index=idx,
-            is_intra=True,
-            bits=result.bits,
-            psnr=frame_psnr(cur, recon),
-            recon=recon,
-            syntax=syntax,
-        )
 
     def _encode_inter(self, cur: YuvFrame, idx: int) -> EncodedFrame:
         cfg = self.cfg
-        qp = cfg.qp_p
-        h, w = cur.y.shape
-        mb_rows = h // 16
+        mb_rows = cfg.mb_rows
 
         # INT: interpolate the newest RF (produced by the previous frame).
         self.store.push_sf(interpolate_plane(self.store.frames[0].y))
@@ -227,49 +282,13 @@ class ReferenceEncoder:
         )
         # SME refinement.
         sme_field = subpel_refine_rows(cur.y, sfs, me_field, 0, mb_rows, cfg)
-        # MC: mode decision + prediction.
-        mc = motion_compensate(
-            cur, sme_field, sfs, self.store.active_chroma(), cfg, qp
+        # R*: MC, TQ/TQ⁻¹, entropy accounting, DBL.
+        encoded = encode_rstar(
+            cur, sme_field, sfs, self.store.active_chroma(), cfg, idx,
+            self.keep_syntax,
         )
-        # TQ / TQ⁻¹ and reconstruction.
-        res = encode_inter_residual_full(cur, mc.pred, qp, coder=self.coder)
-        recon, res_bits, cnz4 = res.recon, res.bits, res.cnz4
-        # DBL.
-        intra4 = np.zeros((h // 4, w // 4), dtype=bool)
-        recon = deblock_frame(
-            recon, mc.mv4, mc.ref4, cnz4, intra4, qp,
-            skip_luma_rows=dbl_skip_luma_rows(cfg),
-        )
-
-        self.store.push(recon)
-
-        syntax = None
-        if self.keep_syntax:
-            syntax = FrameSyntax(
-                is_intra=False,
-                mode_idx=mc.mode_idx,
-                mv4=mc.mv4,
-                ref4=mc.ref4,
-                mode_shapes=sme_field.mode_shapes,
-                luma_levels=res.luma.levels,
-                u_ac=res.u.ac_levels,
-                u_dc=res.u.dc_levels,
-                v_ac=res.v.ac_levels,
-                v_dc=res.v.dc_levels,
-            )
-
-        hist: dict[tuple[int, int], int] = {}
-        for mode_i, shape in enumerate(sme_field.mode_shapes):
-            hist[shape] = int((mc.mode_idx == mode_i).sum())
-        return EncodedFrame(
-            index=idx,
-            is_intra=False,
-            bits=res_bits + mc.header_bits,
-            psnr=frame_psnr(cur, recon),
-            recon=recon,
-            mode_histogram=hist,
-            syntax=syntax,
-        )
+        self.store.push(encoded.recon)
+        return encoded
 
     def encode_sequence(self, frames: list[YuvFrame]) -> list[EncodedFrame]:
         """Encode a list of frames as one IPPP GOP."""

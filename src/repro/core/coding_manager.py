@@ -3,40 +3,41 @@
 Builds the Fig.-4 op DAG for one inter frame — per accelerator engine
 queues, the τ1/τ2 synchronization barriers, the R* block on its selected
 device — runs it on the DES, and harvests the measurements that feed the
-Performance Characterization. In ``compute="real"`` mode the ops carry
-thunks executing the actual NumPy codec kernels, and the barriers stitch
-the per-device bands back together, so the collaborative output can be
-compared bit-exactly against the reference encoder.
+Performance Characterization. Given a :class:`RealContext` (the
+framework's ``encode()`` path) the ops carry thunks executing the actual
+NumPy codec kernels, and the barriers stitch the per-device bands back
+together, so the collaborative output can be compared bit-exactly against
+the reference encoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from repro.codec.config import CodecConfig
-from repro.codec.encoder import (
-    EncodedFrame,
-    deblock_frame,
-    encode_inter_residual_full,
-)
-from repro.codec.entropy import get_coder
+from repro.codec.encoder import EncodedFrame, encode_rstar
 from repro.codec.frames import YuvFrame
 from repro.codec.interpolation import interpolate_rows
-from repro.codec.mc import motion_compensate
 from repro.codec.me import MotionField, motion_estimate_rows
-from repro.codec.quality import frame_psnr
+from repro.codec.slices import slice_bounds
 from repro.codec.sme import SubpelField, subpel_refine_rows
 from repro.core.config import FrameworkConfig
-from repro.core.data_access import TransferPlan
+from repro.core.data_access import TransferItem, TransferPlan
 from repro.core.load_balancing import LoadDecision
-from repro.core.perf_model import PerformanceCharacterization
+from repro.core.perf_model import PerformanceCharacterization, buffer_row_bytes
 from repro.hw.des import Op, Resource, Simulator
+from repro.hw.device import Device
+from repro.hw.interconnect import BufferSizes
 from repro.hw.timeline import FrameTimeline
 from repro.hw.topology import Platform
 from repro.util.profiling import PhaseProfiler
+
+#: Simulated watchdog time charged on the frame a dropout/hang is
+#: detected: the faulted device's engine stalls this long before its
+#: bands are redone on a survivor.
+FAULT_DETECTION_TIMEOUT_S = 0.040
 
 
 @dataclass
@@ -49,7 +50,6 @@ class RealContext:
     sfs_prev: list[np.ndarray]
     chroma: list[tuple[np.ndarray, np.ndarray]]
     cfg: CodecConfig
-    qp: int
     frame_index: int
     sf_bands: dict[int, np.ndarray] = field(default_factory=dict)
     me_bands: dict[int, MotionField] = field(default_factory=dict)
@@ -60,6 +60,47 @@ class RealContext:
     sfs: list[np.ndarray] = field(default_factory=list)
     encoded: EncodedFrame | None = None
 
+    # The steps the op thunks run, in DAG order (bands keyed by device index).
+
+    def interpolate_band(self, i: int, band: tuple[int, int]) -> None:
+        self.sf_bands[i] = interpolate_rows(
+            self.rf_new_y, band[0], band[1] - band[0]
+        )
+
+    def estimate_band(self, i: int, band: tuple[int, int]) -> None:
+        self.me_bands[i] = motion_estimate_rows(
+            self.cur.y, self.refs_y, band[0], band[1] - band[0], self.cfg
+        )
+
+    def stitch_tau1(self) -> None:
+        self.sf_new = np.concatenate(
+            [self.sf_bands[i] for i in sorted(self.sf_bands)], axis=0
+        )
+        self.sfs = [self.sf_new] + self.sfs_prev
+        self.me_field = MotionField.merge(
+            [self.me_bands[i] for i in sorted(self.me_bands)]
+        )
+
+    def refine_band(self, i: int, band: tuple[int, int]) -> None:
+        assert self.me_field is not None
+        self.sme_bands[i] = subpel_refine_rows(
+            self.cur.y, self.sfs, self.me_field, band[0], band[1] - band[0],
+            self.cfg,
+        )
+
+    def stitch_tau2(self) -> None:
+        self.sme_field = SubpelField.merge(
+            [self.sme_bands[i] for i in sorted(self.sme_bands)]
+        )
+
+    def run_rstar(self) -> None:
+        """The R* block on the merged SME field (after τ2); fills ``encoded``."""
+        assert self.sme_field is not None
+        self.encoded = encode_rstar(
+            self.cur, self.sme_field, self.sfs, self.chroma, self.cfg,
+            self.frame_index,
+        )
+
 
 @dataclass
 class FrameReport:
@@ -67,7 +108,9 @@ class FrameReport:
 
     ``faulted`` names the devices that died *during* this frame; their
     stall (detection timeout) plus host-side redo work is accounted in
-    ``fault_time_lost_s``.
+    ``fault_time_lost_s``. ``rf_on_host`` is set when slice-parallel R*
+    ran: the new RF was reassembled on the host, so no accelerator holds
+    it (Data Access Management must not assume the R* device does).
     """
 
     frame_index: int
@@ -81,6 +124,7 @@ class FrameReport:
     encoded: EncodedFrame | None = None
     faulted: tuple[str, ...] = ()
     fault_time_lost_s: float = 0.0
+    rf_on_host: bool = False
 
 
 class VideoCodingManager:
@@ -117,10 +161,9 @@ class VideoCodingManager:
         probe_rstar: bool = False,
         live: frozenset[str] | set[str] | None = None,
         faulted_now: frozenset[str] | set[str] = frozenset(),
-        fault_timeout_s: float = 0.0,
         fallback_device: str | None = None,
     ) -> FrameReport:
-        """Build, simulate and (optionally) really-execute one inter frame.
+        """Build, simulate and (given a ``ctx``) really execute one inter frame.
 
         Parameters
         ----------
@@ -128,7 +171,8 @@ class VideoCodingManager:
             Reference frames available to this frame's ME (ramps up to the
             configured count at the start of a GOP — paper Fig. 7(b)).
         ctx:
-            Real-compute context; ``None`` runs in model mode.
+            Real-compute context: the ops carry thunks that run the codec
+            kernels on it. ``None`` only advances the simulated clock.
         probe_rstar:
             Issue tiny 1-row R* probe ops on every non-selected device to
             bootstrap the Dijkstra mapping (initialization frame only).
@@ -139,8 +183,8 @@ class VideoCodingManager:
         faulted_now:
             Devices dying *during* this frame: the decision still assigns
             them rows, but instead of their kernels a detection stall
-            (category ``"fault"``, ``fault_timeout_s`` long) occupies
-            their compute engine, and their bands are redone on
+            (category ``"fault"``, :data:`FAULT_DETECTION_TIMEOUT_S` long)
+            occupies their compute engine, and their bands are redone on
             ``fallback_device`` — keyed by the original device index, so
             the band merge (and the real-mode bitstream) is unchanged.
         fallback_device:
@@ -148,332 +192,211 @@ class VideoCodingManager:
             ``faulted_now`` is non-empty.
         """
         self.sim.reset()
-        # The op-DAG build is timed as "des_build" up to each sim.run call
-        # (manual section because the build spans two exit points).
-        _build = self.profiler.phase("des_build")
-        _build.__enter__()
         cfg = self.codec_cfg
         noise = self.fw_cfg.noise
         devices = self.platform.devices
-        live_set = (
-            frozenset(d.name for d in devices) if live is None else frozenset(live)
-        )
-        faulted = frozenset(faulted_now)
-        live_eff = live_set - faulted
-        if rstar_device not in live_eff:
-            raise ValueError(
-                f"R* device {rstar_device!r} is not a live survivor this frame"
-            )
-        fb_dev = None
-        if faulted:
-            if fallback_device is None or fallback_device not in live_eff:
-                raise ValueError(
-                    "faulted_now requires a live fallback_device, got "
-                    f"{fallback_device!r}"
-                )
-            fb_dev = self.platform.device(fallback_device)
-
-        phase1: list[Op] = []
-        phase2: list[Op] = []
-        me_ops: dict[int, Op] = {}
-        int_ops: dict[int, Op] = {}
-        sme_ops: dict[int, Op] = {}
-        transfer_ops: list[tuple[Op, Any]] = []
+        transfer_ops: list[tuple[Op, TransferItem]] = []
         fault_ops: list[Op] = []  # stalls + redo work (never harvested)
-        redo_sme: list[tuple[int, tuple[int, int], int]] = []
 
-        def scale(dev_name: str) -> float:
+        def scale(dev: Device) -> float:
             # Load noise, active compute degradation, and the session's
             # multi-stream capacity share: all three are *measured* by the
             # characterization, never reported to it.
-            dev = self.platform.device(dev_name)
             fault = dev.fault_compute_scale * dev.share_scale
-            return noise.scale(frame_index, dev_name) * fault
+            return noise.scale(frame_index, dev.name) * fault
 
-        # ------------------------- phase 1 ----------------------------------
-        rf_ops: dict[str, Op] = {}
-        for i, dev in enumerate(devices):
-            name = dev.name
-            if name not in live_set:
-                continue
-            m_i = decision.m.rows[i]
-            l_i = decision.l.rows[i]
-            m_band = decision.m.band(i)
-            l_band = decision.l.band(i)
+        def xfer(dev: Device, item: TransferItem, deps: list[Op]) -> Op:
+            # The one TransferItem → Op builder (copy queue by direction).
+            op = Op(
+                label=f"{item.label}[{dev.name}]",
+                resource=dev.copy_h2d if item.direction == "h2d" else dev.copy_d2h,
+                duration=dev.transfer_s(item.nbytes, item.direction),
+                deps=deps,
+                category=item.direction,
+            )
+            transfer_ops.append((op, item))
+            return op
 
-            if name in faulted:
-                # The device dies mid-frame: its engine shows only the
-                # watchdog stall, and its phase-1 bands are redone on the
-                # fallback survivor once the fault is detected.
-                assert fb_dev is not None
-                stall = Op(
-                    label=f"FAULT[{name}]",
-                    resource=dev.compute,
-                    duration=fault_timeout_s,
-                    category="fault",
+        with self.profiler.phase("des_build"):
+            live_set = (
+                frozenset(d.name for d in devices) if live is None else frozenset(live)
+            )
+            faulted = frozenset(faulted_now)
+            live_eff = live_set - faulted
+            if rstar_device not in live_eff:
+                raise ValueError(
+                    f"R* device {rstar_device!r} is not a live survivor this frame"
                 )
-                phase1.append(stall)
-                fault_ops.append(stall)
-                if l_i > 0:
-                    redo_int = Op(
-                        label=f"INT-redo[{name}->{fb_dev.name}]",
-                        resource=fb_dev.compute,
-                        duration=fb_dev.spec.rates.int_row_s(cfg)
-                        * l_i
-                        * scale(fb_dev.name),
-                        deps=[stall],
-                        thunk=self._int_thunk(ctx, i, l_band) if ctx else None,
+            fb_dev = None
+            if faulted:
+                if fallback_device is None or fallback_device not in live_eff:
+                    raise ValueError(
+                        "faulted_now requires a live fallback_device, got "
+                        f"{fallback_device!r}"
                     )
-                    phase1.append(redo_int)
-                    fault_ops.append(redo_int)
-                if m_i > 0:
-                    redo_me = Op(
-                        label=f"ME-redo[{name}->{fb_dev.name}]",
-                        resource=fb_dev.compute,
-                        duration=fb_dev.spec.rates.me_row_s(cfg, active_refs)
-                        * m_i
-                        * scale(fb_dev.name),
-                        deps=[stall],
-                        thunk=self._me_thunk(ctx, i, m_band) if ctx else None,
-                    )
-                    phase1.append(redo_me)
-                    fault_ops.append(redo_me)
-                if decision.s.rows[i] > 0:
-                    redo_sme.append((i, decision.s.band(i), decision.s.rows[i]))
-                continue
+                fb_dev = self.platform.device(fallback_device)
 
-            cf_me_op: Op | None = None
-            if dev.is_accelerator:
-                for item in plan.for_device(name, phase=1):
+            # ------------------------- phase 1 ------------------------------
+            phase1: list[Op] = []
+            me_ops: dict[int, Op] = {}
+            int_ops: dict[int, Op] = {}
+            redo_sme: list[int] = []
+            for i, dev in enumerate(devices):
+                name = dev.name
+                if name not in live_set:
+                    continue
+                m_i = decision.m.rows[i]
+                l_i = decision.l.rows[i]
+                int_thunk = _thunk(
+                    ctx, RealContext.interpolate_band, i, decision.l.band(i)
+                )
+                me_thunk = _thunk(
+                    ctx, RealContext.estimate_band, i, decision.m.band(i)
+                )
+
+                if name in faulted:
+                    # The device dies mid-frame: its engine shows only the
+                    # watchdog stall, and its phase-1 bands are redone on the
+                    # fallback survivor once the fault is detected.
+                    stall = Op(
+                        label=f"FAULT[{name}]",
+                        resource=dev.compute,
+                        duration=FAULT_DETECTION_TIMEOUT_S,
+                        category="fault",
+                    )
+                    redone = [stall]
+                    fb_rates = fb_dev.spec.rates
+                    if l_i > 0:
+                        redone.append(_redo_op(
+                            "INT", dev, fb_dev,
+                            fb_rates.int_row_s(cfg) * l_i * scale(fb_dev),
+                            stall, int_thunk,
+                        ))
+                    if m_i > 0:
+                        redone.append(_redo_op(
+                            "ME", dev, fb_dev,
+                            fb_rates.me_row_s(cfg, active_refs) * m_i * scale(fb_dev),
+                            stall, me_thunk,
+                        ))
+                    phase1 += redone
+                    fault_ops += redone
+                    if decision.s.rows[i] > 0:
+                        redo_sme.append(i)
+                    continue
+
+                items = plan.for_device(name, phase=1) if dev.is_accelerator else ()
+                rf_op: Op | None = None
+                cf_me_op: Op | None = None
+                for item in items:
                     if item.direction != "h2d":
                         continue
-                    op = Op(
-                        label=f"{item.label}[{name}]",
-                        resource=dev.copy_h2d,
-                        duration=dev.transfer_s(item.nbytes, "h2d"),
-                        category="h2d",
-                    )
-                    transfer_ops.append((op, item))
+                    op = xfer(dev, item, [])
                     phase1.append(op)
                     if item.label == "RF":
-                        rf_ops[name] = op
+                        rf_op = op
                     if item.label == "CF->ME":
                         cf_me_op = op
-
-            if l_i > 0:
-                deps = [rf_ops[name]] if name in rf_ops else []
-                int_op = Op(
-                    label=f"INT[{name}]",
-                    resource=dev.compute,
-                    duration=dev.spec.rates.int_row_s(cfg) * l_i * scale(name),
-                    deps=deps,
-                    thunk=self._int_thunk(ctx, i, l_band) if ctx else None,
-                )
-                int_ops[i] = int_op
-                phase1.append(int_op)
-            if m_i > 0:
-                deps = [d for d in (rf_ops.get(name), cf_me_op) if d is not None]
-                me_op = Op(
-                    label=f"ME[{name}]",
-                    resource=dev.compute,
-                    duration=dev.spec.rates.me_row_s(cfg, active_refs)
-                    * m_i
-                    * scale(name),
-                    deps=deps,
-                    thunk=self._me_thunk(ctx, i, m_band) if ctx else None,
-                )
-                me_ops[i] = me_op
-                phase1.append(me_op)
-
-            if dev.is_accelerator:
-                for item in plan.for_device(name, phase=1):
+                if l_i > 0:
+                    int_ops[i] = Op(
+                        label=f"INT[{name}]",
+                        resource=dev.compute,
+                        duration=dev.spec.rates.int_row_s(cfg) * l_i * scale(dev),
+                        deps=[rf_op] if rf_op is not None else [],
+                        thunk=int_thunk,
+                    )
+                    phase1.append(int_ops[i])
+                if m_i > 0:
+                    me_ops[i] = Op(
+                        label=f"ME[{name}]",
+                        resource=dev.compute,
+                        duration=dev.spec.rates.me_row_s(cfg, active_refs)
+                        * m_i
+                        * scale(dev),
+                        deps=[d for d in (rf_op, cf_me_op) if d is not None],
+                        thunk=me_thunk,
+                    )
+                    phase1.append(me_ops[i])
+                for item in items:
                     if item.direction != "d2h":
                         continue
-                    if item.label.startswith("SF"):
-                        deps = [int_ops[i]] if i in int_ops else []
-                    else:  # MV->SME
-                        deps = [me_ops[i]] if i in me_ops else []
-                    op = Op(
-                        label=f"{item.label}[{name}]",
-                        resource=dev.copy_d2h,
-                        duration=dev.transfer_s(item.nbytes, "d2h"),
-                        deps=deps,
-                        category="d2h",
-                    )
-                    transfer_ops.append((op, item))
-                    phase1.append(op)
+                    # SF(RF)->host waits for INT, MV->SME for ME.
+                    src = int_ops if item.label.startswith("SF") else me_ops
+                    phase1.append(xfer(dev, item, [src[i]] if i in src else []))
 
-        tau1_op = Op(
-            label="tau1",
-            resource=self.host,
-            duration=0.0,
-            deps=list(phase1),
-            thunk=self._tau1_thunk(ctx, decision) if ctx else None,
-        )
-
-        # ------------------------- phase 2 ----------------------------------
-        assert fb_dev is not None or not redo_sme
-        for i, s_band, s_i in redo_sme:
-            redo_op = Op(
-                label=f"SME-redo[{devices[i].name}->{fb_dev.name}]",
-                resource=fb_dev.compute,
-                duration=fb_dev.spec.rates.sme_row_s(cfg) * s_i * scale(fb_dev.name),
-                deps=[tau1_op],
-                thunk=self._sme_thunk(ctx, i, s_band) if ctx else None,
+            tau1_op = Op(
+                label="tau1",
+                resource=self.host,
+                duration=0.0,
+                deps=list(phase1),
+                thunk=_thunk(ctx, RealContext.stitch_tau1),
             )
-            phase2.append(redo_op)
-            fault_ops.append(redo_op)
-        for i, dev in enumerate(devices):
-            name = dev.name
-            if name not in live_eff:
-                continue
-            s_i = decision.s.rows[i]
-            s_band = decision.s.band(i)
-            in_ops: list[Op] = [tau1_op]
-            if dev.is_accelerator:
-                for item in plan.for_device(name, phase=2):
+
+            # ------------------------- phase 2 ------------------------------
+            phase2: list[Op] = []
+            sme_ops: dict[int, Op] = {}
+            for i in redo_sme:
+                op = _redo_op(
+                    "SME", devices[i], fb_dev,
+                    fb_dev.spec.rates.sme_row_s(cfg)
+                    * decision.s.rows[i]
+                    * scale(fb_dev),
+                    tau1_op,
+                    _thunk(ctx, RealContext.refine_band, i, decision.s.band(i)),
+                )
+                phase2.append(op)
+                fault_ops.append(op)
+            for i, dev in enumerate(devices):
+                name = dev.name
+                if name not in live_eff:
+                    continue
+                s_i = decision.s.rows[i]
+                items = plan.for_device(name, phase=2) if dev.is_accelerator else ()
+                in_ops: list[Op] = [tau1_op]
+                for item in items:
                     if item.direction != "h2d":
                         continue
-                    op = Op(
-                        label=f"{item.label}[{name}]",
-                        resource=dev.copy_h2d,
-                        duration=dev.transfer_s(item.nbytes, "h2d"),
-                        deps=[tau1_op],
-                        category="h2d",
-                    )
-                    transfer_ops.append((op, item))
+                    op = xfer(dev, item, [tau1_op])
                     phase2.append(op)
                     if item.label in ("SF(RF)->SME", "MV->SME"):
                         in_ops.append(op)
-            if s_i > 0:
-                sme_op = Op(
-                    label=f"SME[{name}]",
-                    resource=dev.compute,
-                    duration=dev.spec.rates.sme_row_s(cfg) * s_i * scale(name),
-                    deps=in_ops,
-                    thunk=self._sme_thunk(ctx, i, s_band) if ctx else None,
-                )
-                sme_ops[i] = sme_op
-                phase2.append(sme_op)
-            if dev.is_accelerator:
-                for item in plan.for_device(name, phase=2):
-                    if item.direction != "d2h":
-                        continue
-                    deps = [sme_ops[i]] if i in sme_ops else [tau1_op]
-                    op = Op(
-                        label=f"{item.label}[{name}]",
-                        resource=dev.copy_d2h,
-                        duration=dev.transfer_s(item.nbytes, "d2h"),
-                        deps=deps,
-                        category="d2h",
+                if s_i > 0:
+                    sme_ops[i] = Op(
+                        label=f"SME[{name}]",
+                        resource=dev.compute,
+                        duration=dev.spec.rates.sme_row_s(cfg) * s_i * scale(dev),
+                        deps=in_ops,
+                        thunk=_thunk(
+                            ctx, RealContext.refine_band, i, decision.s.band(i)
+                        ),
                     )
-                    transfer_ops.append((op, item))
-                    phase2.append(op)
+                    phase2.append(sme_ops[i])
+                for item in items:
+                    if item.direction == "d2h":
+                        phase2.append(xfer(dev, item, [sme_ops.get(i, tau1_op)]))
 
-        tau2_op = Op(
-            label="tau2",
-            resource=self.host,
-            duration=0.0,
-            deps=list(phase2) + [tau1_op],
-            thunk=self._tau2_thunk(ctx, decision) if ctx else None,
-        )
-
-        # ------------------------- phase 3 ----------------------------------
-        if self._rstar_parallel_possible(ctx):
-            tail_ops, rstar_like_ops = self._build_parallel_rstar(
-                decision, rstar_device, tau2_op, transfer_ops, scale, live_eff
-            )
-            probe_ops = {}
-            _build.__exit__()
-            with self.profiler.phase("des"):
-                records = self.sim.run(execute_thunks=ctx is not None)
-            tau1 = float(tau1_op.end or 0.0)
-            tau2 = float(tau2_op.end or 0.0)
-            tau_tot = max(float(op.end or 0.0) for op in tail_ops + [tau2_op])
-            self._harvest(
-                perf, decision, me_ops, int_ops, sme_ops, transfer_ops,
-                rstar_like_ops, rstar_device, probe_ops, cfg,
-            )
-            timeline = FrameTimeline(
-                frame_index=frame_index, records=records,
-                tau1=tau1, tau2=tau2, tau_tot=tau_tot,
-            )
-            return FrameReport(
-                frame_index=frame_index, tau1=tau1, tau2=tau2,
-                tau_tot=tau_tot, timeline=timeline, decision=decision,
-                rstar_device=rstar_device, transfer_plan=plan,
-                encoded=ctx.encoded if ctx else None,
-                faulted=tuple(sorted(faulted)),
-                fault_time_lost_s=sum(op.duration for op in fault_ops),
+            tau2_op = Op(
+                label="tau2",
+                resource=self.host,
+                duration=0.0,
+                deps=phase2 + [tau1_op],
+                thunk=_thunk(ctx, RealContext.stitch_tau2),
             )
 
-        rstar_dev = self.platform.device(rstar_device)
-        rstar_deps: list[Op] = [tau2_op]
-        rstar_pre: list[Op] = []
-        if rstar_dev.is_accelerator:
-            for item in plan.for_device(rstar_device, phase=3):
-                if item.direction != "h2d":
-                    continue
-                op = Op(
-                    label=f"{item.label}[{rstar_device}]",
-                    resource=rstar_dev.copy_h2d,
-                    duration=rstar_dev.transfer_s(item.nbytes, "h2d"),
-                    deps=[tau2_op],
-                    category="h2d",
+            # ------------------------- phase 3 ------------------------------
+            rf_on_host = self._rstar_parallel_possible(ctx)
+            if rf_on_host:
+                tail_ops, rstar_obs = self._build_parallel_rstar(
+                    rstar_device, tau2_op, scale, live_eff
                 )
-                transfer_ops.append((op, item))
-                rstar_pre.append(op)
-        rstar_op = Op(
-            label=f"R*[{rstar_device}]",
-            resource=rstar_dev.compute,
-            duration=rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_device),
-            deps=rstar_deps + rstar_pre,
-            thunk=self._rstar_thunk(ctx) if ctx else None,
-        )
-        tail_ops: list[Op] = [rstar_op]
-        if rstar_dev.is_accelerator:
-            for item in plan.for_device(rstar_device, phase=3):
-                if item.direction != "d2h":
-                    continue
-                op = Op(
-                    label=f"{item.label}[{rstar_device}]",
-                    resource=rstar_dev.copy_d2h,
-                    duration=rstar_dev.transfer_s(item.nbytes, "d2h"),
-                    deps=[rstar_op],
-                    category="d2h",
-                )
-                transfer_ops.append((op, item))
-                tail_ops.append(op)
-        for i, dev in enumerate(devices):
-            if not dev.is_accelerator or dev.name == rstar_device:
-                continue
-            for item in plan.for_device(dev.name, phase=3):
-                op = Op(
-                    label=f"{item.label}[{dev.name}]",
-                    resource=dev.copy_h2d,
-                    duration=dev.transfer_s(item.nbytes, "h2d"),
-                    deps=[tau2_op],
-                    category="h2d",
-                )
-                transfer_ops.append((op, item))
-                tail_ops.append(op)
-
-        probe_ops: dict[str, Op] = {}
-        if probe_rstar:
-            for dev in devices:
-                if dev.name == rstar_device or dev.name not in live_eff:
-                    continue
-                probe_ops[dev.name] = Op(
-                    label=f"R*probe[{dev.name}]",
-                    resource=dev.compute,
-                    duration=dev.spec.rates.rstar_row_s(cfg) * scale(dev.name),
-                    deps=[tau2_op],
+            else:
+                tail_ops, rstar_obs = self._build_rstar(
+                    rstar_device, plan, tau2_op, xfer, scale, ctx,
+                    live_eff if probe_rstar else frozenset(),
                 )
 
         # ------------------------- run & harvest ----------------------------
-        _build.__exit__()
         with self.profiler.phase("des"):
-            records = self.sim.run(execute_thunks=ctx is not None)
+            records = self.sim.run()
         tau1 = float(tau1_op.end or 0.0)
         tau2 = float(tau2_op.end or 0.0)
         tau_tot = max(float(op.end or 0.0) for op in tail_ops + [tau2_op])
@@ -492,34 +415,33 @@ class VideoCodingManager:
                 perf.observe_compute(
                     dev.name, "sme", decision.s.rows[i], sme_ops[i].duration
                 )
-        perf.observe_rstar(rstar_device, rstar_op.duration)
-        for name, op in probe_ops.items():
-            perf.observe_rstar(name, op.duration * cfg.mb_rows)
+        for name, frame_s in rstar_obs:
+            perf.observe_rstar(name, frame_s)
         for op, item in transfer_ops:
             perf.observe_transfer(item.device, item.direction, item.nbytes, op.duration)
 
-        timeline = FrameTimeline(
-            frame_index=frame_index,
-            records=records,
-            tau1=tau1,
-            tau2=tau2,
-            tau_tot=tau_tot,
-        )
         return FrameReport(
             frame_index=frame_index,
             tau1=tau1,
             tau2=tau2,
             tau_tot=tau_tot,
-            timeline=timeline,
+            timeline=FrameTimeline(
+                frame_index=frame_index,
+                records=records,
+                tau1=tau1,
+                tau2=tau2,
+                tau_tot=tau_tot,
+            ),
             decision=decision,
             rstar_device=rstar_device,
             transfer_plan=plan,
             encoded=ctx.encoded if ctx else None,
             faulted=tuple(sorted(faulted)),
             fault_time_lost_s=sum(op.duration for op in fault_ops),
+            rf_on_host=rf_on_host,
         )
 
-    def _rstar_parallel_possible(self, ctx) -> bool:
+    def _rstar_parallel_possible(self, ctx: RealContext | None) -> bool:
         """Slice-parallel R* applies only in model mode with parallel DBL."""
         return (
             self.fw_cfg.rstar_parallel
@@ -529,21 +451,64 @@ class VideoCodingManager:
             and len(self.platform.devices) > 1
         )
 
+    def _build_rstar(
+        self, rstar_device, plan, tau2_op, xfer, scale, ctx, probe_on
+    ) -> tuple[list[Op], list[tuple[str, float]]]:
+        """The paper's R* block on its one device, plus the phase-3 traffic.
+
+        Returns ``(tail_ops, rstar_observations)``: the ops whose ends
+        bound τtot, and ``(device, full-frame R* seconds)`` measurements —
+        the block itself and, on the devices in ``probe_on``, 1-row probes
+        scaled to a frame (they run after τ2 but do not bound τtot).
+        """
+        cfg = self.codec_cfg
+        rstar_dev = self.platform.device(rstar_device)
+        items = (
+            plan.for_device(rstar_device, phase=3) if rstar_dev.is_accelerator else ()
+        )
+        rstar_deps = [tau2_op]
+        for item in items:
+            if item.direction == "h2d":
+                rstar_deps.append(xfer(rstar_dev, item, [tau2_op]))
+        rstar_op = Op(
+            label=f"R*[{rstar_device}]",
+            resource=rstar_dev.compute,
+            duration=rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_dev),
+            deps=rstar_deps,
+            thunk=_thunk(ctx, RealContext.run_rstar),
+        )
+        tail_ops = [rstar_op]
+        for item in items:
+            if item.direction == "d2h":
+                tail_ops.append(xfer(rstar_dev, item, [rstar_op]))
+        for dev in self.platform.devices:
+            if dev.is_accelerator and dev.name != rstar_device:
+                for item in plan.for_device(dev.name, phase=3):
+                    tail_ops.append(xfer(dev, item, [tau2_op]))
+        rstar_obs = [(rstar_device, rstar_op.duration)]
+        for dev in self.platform.devices:
+            if dev.name != rstar_device and dev.name in probe_on:
+                probe = Op(
+                    label=f"R*probe[{dev.name}]",
+                    resource=dev.compute,
+                    duration=dev.spec.rates.rstar_row_s(cfg) * scale(dev),
+                    deps=[tau2_op],
+                )
+                rstar_obs.append((dev.name, probe.duration * cfg.mb_rows))
+        return tail_ops, rstar_obs
+
     def _build_parallel_rstar(
-        self, decision, rstar_device, tau2_op, transfer_ops, scale, live_eff
-    ):
+        self, rstar_device, tau2_op, scale, live_eff
+    ) -> tuple[list[Op], list[tuple[str, float]]]:
         """Distribute the R* block per-slice across the devices.
 
         Each participating device processes whole slices: it receives the
         CF (full YUV), SF and MVs of its slice rows (unless it is the
         nominal R* device, which holds them from phase 2), runs
         MC+TQ+TQ⁻¹+DBL on them, and returns its piece of the new RF. The
-        reassembled RF lives on the host afterwards.
+        reassembled RF lives on the host afterwards. Same return contract
+        as :meth:`_build_rstar`, each partial block scaled to a frame.
         """
-        from repro.codec.slices import slice_bounds
-        from repro.core.perf_model import buffer_row_bytes
-        from repro.hw.interconnect import BufferSizes
-
         cfg = self.codec_cfg
         sizes = BufferSizes(width=cfg.width, height=cfg.height)
         bounds = slice_bounds(cfg.mb_rows, cfg.num_slices)
@@ -559,7 +524,7 @@ class VideoCodingManager:
             assignment.setdefault(order[k % len(order)], []).append(sl)
 
         tail_ops = []
-        rstar_like = []
+        rstar_obs = []
         for i, slices in assignment.items():
             dev = devices[i]
             rows = sum(b - a for a, b in slices)
@@ -585,10 +550,10 @@ class VideoCodingManager:
             comp = Op(
                 label=f"R*slice[{dev.name}]",
                 resource=dev.compute,
-                duration=dev.spec.rates.rstar_row_s(cfg) * rows * scale(dev.name),
+                duration=dev.spec.rates.rstar_row_s(cfg) * rows * scale(dev),
                 deps=[tau2_op] + pre,
             )
-            rstar_like.append((dev.name, rows, comp))
+            rstar_obs.append((dev.name, comp.duration * cfg.mb_rows / max(1, rows)))
             tail_ops.append(comp)
             if dev.is_accelerator:
                 out = Op(
@@ -601,129 +566,25 @@ class VideoCodingManager:
                     category="d2h",
                 )
                 tail_ops.append(out)
-        return tail_ops, rstar_like
-
-    def _harvest(
-        self, perf, decision, me_ops, int_ops, sme_ops, transfer_ops,
-        rstar_like, rstar_device, probe_ops, cfg,
-    ):
-        """Feed measurements for the parallel-R* variant."""
-        for i, dev in enumerate(self.platform.devices):
-            if i in me_ops:
-                perf.observe_compute(
-                    dev.name, "me", decision.m.rows[i], me_ops[i].duration
-                )
-            if i in int_ops:
-                perf.observe_compute(
-                    dev.name, "int", decision.l.rows[i], int_ops[i].duration
-                )
-            if i in sme_ops:
-                perf.observe_compute(
-                    dev.name, "sme", decision.s.rows[i], sme_ops[i].duration
-                )
-        for name, rows, op in rstar_like:
-            # Scale the partial block to a full-frame estimate.
-            perf.observe_rstar(name, op.duration * cfg.mb_rows / max(1, rows))
-        for op, item in transfer_ops:
-            perf.observe_transfer(
-                item.device, item.direction, item.nbytes, op.duration
-            )
-
-    # ------------------------- real-compute thunks ---------------------------
-
-    def _int_thunk(self, ctx: RealContext | None, i: int, band: tuple[int, int]):
-        assert ctx is not None
-
-        def thunk(_op: Op) -> None:
-            ctx.sf_bands[i] = interpolate_rows(ctx.rf_new_y, band[0], band[1] - band[0])
-
-        return thunk
-
-    def _me_thunk(self, ctx: RealContext | None, i: int, band: tuple[int, int]):
-        assert ctx is not None
-
-        def thunk(_op: Op) -> None:
-            ctx.me_bands[i] = motion_estimate_rows(
-                ctx.cur.y, ctx.refs_y, band[0], band[1] - band[0], ctx.cfg
-            )
-
-        return thunk
-
-    def _tau1_thunk(self, ctx: RealContext | None, decision: LoadDecision):
-        assert ctx is not None
-
-        def thunk(_op: Op) -> None:
-            ctx.sf_new = np.concatenate(
-                [ctx.sf_bands[i] for i in sorted(ctx.sf_bands)], axis=0
-            )
-            ctx.sfs = [ctx.sf_new] + ctx.sfs_prev
-            ctx.me_field = MotionField.merge(
-                [ctx.me_bands[i] for i in sorted(ctx.me_bands)]
-            )
-
-        return thunk
-
-    def _sme_thunk(self, ctx: RealContext | None, i: int, band: tuple[int, int]):
-        assert ctx is not None
-
-        def thunk(_op: Op) -> None:
-            assert ctx.me_field is not None
-            ctx.sme_bands[i] = subpel_refine_rows(
-                ctx.cur.y, ctx.sfs, ctx.me_field, band[0], band[1] - band[0], ctx.cfg
-            )
-
-        return thunk
-
-    def _tau2_thunk(self, ctx: RealContext | None, decision: LoadDecision):
-        assert ctx is not None
-
-        def thunk(_op: Op) -> None:
-            ctx.sme_field = SubpelField.merge(
-                [ctx.sme_bands[i] for i in sorted(ctx.sme_bands)]
-            )
-
-        return thunk
-
-    def _rstar_thunk(self, ctx: RealContext | None):
-        assert ctx is not None
-
-        def thunk(_op: Op) -> None:
-            execute_rstar(ctx)
-
-        return thunk
+        return tail_ops, rstar_obs
 
 
-def execute_rstar(ctx: RealContext) -> None:
-    """The R* block (MC → T/Q/T⁻¹/Q⁻¹ → entropy → DBL) on one context.
-
-    Shared by both execution backends: the sim backend calls it from the
-    R* op thunk, the process backend calls it directly on the host after
-    the τ2 barrier. Fills ``ctx.encoded``.
-    """
-    assert ctx.sme_field is not None
-    mc = motion_compensate(
-        ctx.cur, ctx.sme_field, ctx.sfs, ctx.chroma, ctx.cfg, ctx.qp
+def _redo_op(
+    tag: str, dev: Device, fb_dev: Device, seconds: float, dep: Op, thunk
+) -> Op:
+    """``dev``'s faulted band, redone on the fallback survivor ``fb_dev``."""
+    return Op(
+        label=f"{tag}-redo[{dev.name}->{fb_dev.name}]",
+        resource=fb_dev.compute,
+        duration=seconds,
+        deps=[dep],
+        thunk=thunk,
     )
-    res = encode_inter_residual_full(
-        ctx.cur, mc.pred, ctx.qp, coder=get_coder(ctx.cfg.entropy_coder)
-    )
-    recon, res_bits, cnz4 = res.recon, res.bits, res.cnz4
-    h, w = ctx.cur.y.shape
-    intra4 = np.zeros((h // 4, w // 4), dtype=bool)
-    from repro.codec.slices import dbl_skip_luma_rows
 
-    recon = deblock_frame(
-        recon, mc.mv4, mc.ref4, cnz4, intra4, ctx.qp,
-        skip_luma_rows=dbl_skip_luma_rows(ctx.cfg),
-    )
-    hist: dict[tuple[int, int], int] = {}
-    for mode_i, shape in enumerate(ctx.sme_field.mode_shapes):
-        hist[shape] = int((mc.mode_idx == mode_i).sum())
-    ctx.encoded = EncodedFrame(
-        index=ctx.frame_index,
-        is_intra=False,
-        bits=res_bits + mc.header_bits,
-        psnr=frame_psnr(ctx.cur, recon),
-        recon=recon,
-        mode_histogram=hist,
-    )
+
+def _thunk(ctx: RealContext | None, step, *args):
+    """``step(ctx, *args)`` as an op thunk; without a context there is
+    none, and the op only takes time."""
+    if ctx is None:
+        return None
+    return lambda _op: step(ctx, *args)

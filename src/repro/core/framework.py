@@ -12,9 +12,12 @@ Ties everything together:
    characterization, execute collaboratively, and fold the new
    measurements back in — adapting to load changes within one frame.
 
-Two run modes share this control loop: ``compute="model"`` advances only
-simulated time (1080p benchmark sweeps), ``compute="real"`` also executes
-the NumPy codec and returns bit-exact encoded frames.
+Two run modes share this control loop, and the method called selects
+between them: :meth:`FevesFramework.run_model` /
+:meth:`~FevesFramework.encode_next_inter` advance only simulated time
+(1080p benchmark sweeps, sim backend), :meth:`~FevesFramework.encode` /
+:meth:`~FevesFramework.encode_frame_at` also execute the NumPy codec and
+return bit-exact encoded frames (either backend).
 """
 
 from __future__ import annotations
@@ -22,12 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codec.config import CodecConfig
-import numpy as np
-
-from repro.codec.encoder import EncodedFrame, deblock_frame
+from repro.codec.encoder import EncodedFrame, encode_intra
 from repro.codec.frames import YuvFrame
-from repro.codec.intra import intra_encode_frame
-from repro.codec.quality import frame_psnr
 from repro.codec.gop import ReferenceStore
 from repro.core.coding_manager import FrameReport, RealContext, VideoCodingManager
 from repro.core.config import FrameworkConfig
@@ -225,8 +224,6 @@ class FevesFramework:
         and the accelerators' buffer state; all other frames run the
         collaborative inter loop.
         """
-        if self.fw_cfg.compute != "real":
-            raise RuntimeError('encode() requires FrameworkConfig(compute="real")')
         return [self.encode_frame_at(cur, f) for f, cur in enumerate(frames)]
 
     def encode_frame_at(self, cur: YuvFrame, index: int) -> FrameOutcome:
@@ -238,14 +235,24 @@ class FevesFramework:
         service layer uses this to interleave *really-executed* frames
         of many streams (process backend), the way
         :meth:`encode_next_inter` interleaves simulated ones.
+
+        An I frame is coded on the host, untimed, and starts a new GOP:
+        the reference window is discarded and, since the reconstructed RF
+        lives in host memory, every accelerator must refetch it and the
+        deferred-SF backlog is void (Data Access Management reset).
         """
-        if self.fw_cfg.compute != "real":
-            raise RuntimeError(
-                'encode_frame_at() requires FrameworkConfig(compute="real")'
-            )
         gop = self.fw_cfg.gop_size
         if index == 0 or (gop > 0 and index % gop == 0):
-            return self._encode_intra_host(cur, index)
+            encoded = encode_intra(cur, self.codec_cfg, index)
+            self._store.reset(encoded.recon)
+            self.dam.reset_after_intra()
+            self._frames_since_intra = 0
+            return FrameOutcome(report=_intra_report(), encoded=encoded)
+        if not self._store.frames:
+            raise RuntimeError(
+                f"encode_frame_at(index={index}) needs a reference, but this "
+                "framework has coded no I frame yet: encode index 0 first"
+            )
         return self._encode_inter(cur)
 
     # ------------------------- backend lifecycle ------------------------------
@@ -269,35 +276,6 @@ class FevesFramework:
     def accuracy_report(self):
         """The process backend's predicted-vs-measured report (else None)."""
         return getattr(self.manager, "accuracy", None)
-
-    def _encode_intra_host(self, cur: YuvFrame, index: int) -> FrameOutcome:
-        """Code an I frame on the host (untimed) and reset device state.
-
-        A new GOP discards the reference window: the reconstructed RF lives
-        in host memory, so every accelerator must refetch it and the
-        deferred-SF backlog is void (Data Access Management reset).
-        """
-        result = intra_encode_frame(cur, self.codec_cfg)
-        h, w = cur.y.shape
-        intra4 = np.ones((h // 4, w // 4), dtype=bool)
-        mv4 = np.zeros((h // 4, w // 4, 2), dtype=np.int32)
-        ref4 = np.full((h // 4, w // 4), -1, dtype=np.int32)
-        from repro.codec.slices import dbl_skip_luma_rows
-
-        recon = deblock_frame(result.recon, mv4, ref4, result.cnz4, intra4,
-                              self.codec_cfg.qp_i,
-                              skip_luma_rows=dbl_skip_luma_rows(self.codec_cfg))
-        self._store.reset(recon)
-        self.dam.reset_after_intra()
-        self._frames_since_intra = 0
-        encoded = EncodedFrame(
-            index=index,
-            is_intra=True,
-            bits=result.bits,
-            psnr=frame_psnr(cur, recon),
-            recon=recon,
-        )
-        return FrameOutcome(report=_intra_report(), encoded=encoded)
 
     # ------------------------- shared control loop ----------------------------
 
@@ -385,19 +363,14 @@ class FevesFramework:
             probe_rstar=is_init and n_devices > 1,
             live=live,
             faulted_now=newly_down,
-            fault_timeout_s=self.fw_cfg.fault_detection_timeout_s,
             fallback_device=(
                 self._fault_fallback(survivors) if newly_down else None
             ),
         )
         self.dam.commit(decision, self._rstar_device, live=survivors)
-        if (
-            self.fw_cfg.rstar_parallel
-            and self.codec_cfg.num_slices > 1
-            and not self.codec_cfg.deblock_across_slices
-        ):
-            # Parallel R*: the new RF is reassembled on the host, so no
-            # single accelerator holds it.
+        if report.rf_on_host:
+            # Slice-parallel R* ran: the new RF was reassembled on the
+            # host, so no single accelerator holds it.
             self.dam.rf_holder = None
 
         # --- fault lifecycle (after execution) ---------------------------
@@ -454,7 +427,6 @@ class FevesFramework:
             sfs_prev=list(sfs_prev),
             chroma=store.active_chroma(),
             cfg=self.codec_cfg,
-            qp=self.codec_cfg.qp_p,
             frame_index=idx,
         )
 

@@ -53,6 +53,16 @@ class LoadDecision:
         return dist.rows[device_index]
 
 
+#: Fixed-point iterations between the LP solve and the Δm/Δl
+#: (MS_BOUNDS/LS_BOUNDS) recomputation.
+LP_DELTA_ITERATIONS = 2
+
+#: MB rows per module granted to a live device with no characterization
+#: (start-up, or re-admitted after a fault cleared its measurements), so
+#: it re-measures online without the LP gambling on unknown speeds.
+WARMUP_ROWS = 2
+
+
 def _empty_extra() -> ExtraTransfers:
     return ExtraTransfers(segments=(), rows=0)
 
@@ -143,10 +153,7 @@ class LoadBalancer:
         self.fw_cfg = fw_cfg
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.sizes = BufferSizes(width=codec_cfg.width, height=codec_cfg.height)
-        if fw_cfg.sf_halo_rows is None:
-            self.halo = -(-(codec_cfg.search_range + 1) // 16)
-        else:
-            self.halo = fw_cfg.sf_halo_rows
+        self.halo = codec_cfg.sf_halo_rows
         self._cache_ks: np.ndarray | None = None
         self._cache_key: tuple | None = None
         self._cache_decision: LoadDecision | None = None
@@ -235,7 +242,7 @@ class LoadBalancer:
             are not yet characterized — start-up, or re-admitted after a
             fault cleared their measurements — are *warming*: the LP
             plans over the measured survivors only, and each warming
-            device is granted ``fw_cfg.warmup_rows`` rows per module so
+            device is granted :data:`WARMUP_ROWS` rows per module so
             it re-characterizes without risking the frame time.
         """
         devices = self.platform.devices
@@ -376,21 +383,20 @@ class LoadBalancer:
     ) -> tuple[Distribution, Distribution, Distribution]:
         """Carve warm-up rows for re-characterizing devices.
 
-        Each warming device takes ``fw_cfg.warmup_rows`` rows per module
+        Each warming device takes :data:`WARMUP_ROWS` rows per module
         from whichever device currently holds the most — a deliberate tiny
         probe workload (paper's initialization measurements, re-run online)
         that yields fresh K values next frame while bounding the damage a
         still-unknown device can do to τtot.
         """
-        want = self.fw_cfg.warmup_rows
-        if not warming_idx or want <= 0:
+        if not warming_idx:
             return m, l, s
         out = []
         for dist in (m, l, s):
             rows = list(dist.rows)
             for w in warming_idx:
                 donor = max(range(len(rows)), key=lambda i: rows[i])
-                grant = min(want, rows[donor] - 1)
+                grant = min(WARMUP_ROWS, rows[donor] - 1)
                 if grant <= 0:
                     continue
                 rows[donor] -= grant
@@ -427,7 +433,7 @@ class LoadBalancer:
         solution = None
         prev_rows: tuple | None = None
         converged = False
-        for _ in range(self.fw_cfg.lp_delta_iterations):
+        for _ in range(LP_DELTA_ITERATIONS):
             with self.profiler.phase("bounds"):
                 dm = [ms_bounds(m, s, i).rows for i in range(d)]
                 dl = [ls_bounds(l, s, i, self.halo).rows for i in range(d)]
@@ -788,8 +794,7 @@ class LoadBalancer:
         a_eq[2, 2 * d : 3 * d] = 1.0
         b_eq = np.array([n, n, n], dtype=float)
 
-        lo = float(self.fw_cfg.min_rows_per_device)
-        bounds = [(lo, float(n))] * (3 * d) + [(0.0, None)] * 3
+        bounds = [(0.0, float(n))] * (3 * d) + [(0.0, None)] * 3
         bounds += [(0.0, float(n))] * len(sigma_devs)
         # sorted(): `parked` is a set; the pinned bounds are disjoint so
         # order cannot change the LP, but deterministic iteration keeps

@@ -13,10 +13,9 @@ Timing discipline: the host anchors ``t=0`` at frame start; workers stamp
 their kernels with ``time.perf_counter()`` (machine-wide on Linux), so
 the assembled :class:`~repro.hw.timeline.FrameTimeline` holds measured,
 not simulated, intervals. Measured per-module spans feed
-``PerformanceCharacterization.observe_*`` (calibration mode) so the LP
-schedules subsequent frames from real rates; with ``calibrate=False`` the
-model rates are fed instead, making the accuracy report quantify the raw
-model error.
+``PerformanceCharacterization.observe_*`` so the LP schedules subsequent
+frames from real rates; the accuracy report compares its predictions with
+what was then measured.
 
 Transfers are identically zero here — shared memory *is* the bus — so
 the backend seeds the characterization's transfer estimates with the
@@ -37,7 +36,7 @@ from repro.codec.config import CodecConfig
 from repro.codec.frames import pad_plane
 from repro.codec.me import MotionField
 from repro.codec.sme import SubpelField
-from repro.core.coding_manager import FrameReport, RealContext, execute_rstar
+from repro.core.coding_manager import FrameReport, RealContext
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import TransferPlan
 from repro.core.load_balancing import LoadDecision
@@ -111,8 +110,6 @@ class ProcessBackend:
         profiler: PhaseProfiler | None = None,
         sanitize: bool | None = None,
     ) -> None:
-        if fw_cfg.compute != "real":
-            raise ValueError("the process backend requires compute='real'")
         self.platform = platform
         self.codec_cfg = codec_cfg
         self.fw_cfg = fw_cfg
@@ -218,14 +215,14 @@ class ProcessBackend:
         probe_rstar: bool = False,
         live: frozenset[str] | set[str] | None = None,
         faulted_now: frozenset[str] | set[str] = frozenset(),
-        fault_timeout_s: float = 0.0,
         fallback_device: str | None = None,
     ) -> FrameReport:
         """Execute one inter frame for real (same contract as the sim)."""
         if ctx is None:
             raise ValueError(
-                "the process backend has no model mode: pass a RealContext "
-                "(FrameworkConfig must use compute='real')"
+                "the process backend has no model mode: run_frame needs a "
+                "RealContext (call encode() / encode_frame_at(); run_model() "
+                "and encode_next_inter() need backend='sim')"
             )
         if faulted_now:
             raise ValueError(
@@ -340,7 +337,7 @@ class ProcessBackend:
         # ---- R* block on the host, attributed to the R* device ------------
         with self.profiler.phase("exec_rstar"):
             t_rstar0 = time.perf_counter()
-            execute_rstar(ctx)
+            ctx.run_rstar()
             rstar_s = time.perf_counter() - t_rstar0
         tau_tot = time.perf_counter() - t_frame0
 
@@ -352,8 +349,7 @@ class ProcessBackend:
             t_frame0, t_rstar0, rstar_s, tau1, tau2, tau_tot,
         )
         self._feed_characterization(
-            perf, decision, chunks, rstar_device, rstar_s,
-            active_refs, live_set, probe_rstar,
+            perf, decision, chunks, rstar_device, rstar_s, live_set, probe_rstar,
         )
         if decision.used_lp and decision.tau_tot_pred > 0:
             self.accuracy.add(
@@ -436,50 +432,16 @@ class ProcessBackend:
         chunks: list[_Chunk],
         rstar_device: str,
         rstar_s: float,
-        active_refs: int,
         live_set: frozenset[str],
         probe_rstar: bool,
     ) -> None:
-        """Close the loop: measured (or model) rates → the characterization.
+        """Close the loop: measured rates → the characterization.
 
         The per-(device, module) observation is the *span* from the first
         chunk start to the last chunk end — it includes pool queue wait,
         which is exactly the effective rate the LP must plan with when a
         group shares cores.
         """
-        cfg = self.codec_cfg
-        if not self.fw_cfg.calibrate:
-            # Uncalibrated mode: feed the model rates the simulator would
-            # have produced, so the accuracy report isolates model error.
-            for i, dev in enumerate(self.platform.devices):
-                if dev.name not in live_set:
-                    continue
-                rates = dev.spec.rates
-                for module, rows in (
-                    ("me", decision.m.rows[i]),
-                    ("int", decision.l.rows[i]),
-                    ("sme", decision.s.rows[i]),
-                ):
-                    if rows <= 0:
-                        continue
-                    row_s = (
-                        rates.me_row_s(cfg, active_refs)
-                        if module == "me"
-                        else rates.int_row_s(cfg)
-                        if module == "int"
-                        else rates.sme_row_s(cfg)
-                    )
-                    perf.observe_compute(dev.name, module, rows, row_s * rows)
-            perf.observe_rstar(
-                rstar_device,
-                self.platform.device(rstar_device).spec.rates.rstar_frame_s(cfg),
-            )
-            if probe_rstar:
-                for dev in self.platform.devices:
-                    if dev.name in live_set and dev.name != rstar_device:
-                        perf.observe_rstar(dev.name, dev.spec.rates.rstar_frame_s(cfg))
-            return
-
         span: dict[tuple[str, str], tuple[float, float]] = {}
         for module, name, _row0, _nrows, t0, t1 in chunks:
             key = (name, module)

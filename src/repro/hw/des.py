@@ -10,9 +10,9 @@ subject to dependencies.
 Because per-resource order is fixed at issue time, the schedule is fully
 determined: every op starts at the maximum of its dependencies' end times
 and the end of the previous op on its resource. :meth:`Simulator.run`
-evaluates the DAG in topological order, optionally executing attached
-Python thunks (the real NumPy computation in ``compute="real"`` mode) as
-each op "runs".
+evaluates the DAG in topological order, calling each op's Python thunk
+(the real NumPy computation, attached only by ``encode()``) as the op
+"runs"; an exception raised by a thunk propagates.
 """
 
 from __future__ import annotations
@@ -53,17 +53,11 @@ class Op:
         implicit previous-op-on-resource ordering).
     thunk:
         Optional callable performing the real computation; invoked once
-        when the op is evaluated, with the op itself as argument. Its
-        return value is stored in :attr:`result`.
+        when the op is evaluated, with the op itself as argument.
     category:
         Coarse tag (``"compute"`` / ``"h2d"`` / ``"d2h"`` / ``"fault"``)
         for reporting. ``"fault"`` marks stall intervals injected when a
         device dies mid-frame (watchdog/detection time).
-    fail_ok:
-        When True, an exception raised by the thunk is captured in
-        :attr:`error` instead of aborting the whole schedule — the fault
-        surfaces as an op-level event and downstream recovery ops still
-        run. When False (default) thunk exceptions propagate.
     """
 
     label: str
@@ -72,11 +66,8 @@ class Op:
     deps: list["Op"] = field(default_factory=list)
     thunk: Callable[["Op"], Any] | None = None
     category: str = "compute"
-    fail_ok: bool = False
     start: float | None = None
     end: float | None = None
-    result: Any = None
-    error: BaseException | None = None
 
     def __post_init__(self) -> None:
         if self.duration < 0:
@@ -113,8 +104,8 @@ class Simulator:
             raise ValueError(f"duplicate resource names: {names}")
         self.resources = list(resources)
 
-    def run(self, execute_thunks: bool = True) -> list[OpRecord]:
-        """Schedule (and optionally execute) all issued ops.
+    def run(self) -> list[OpRecord]:
+        """Schedule all issued ops, running the thunks they carry.
 
         Returns op records sorted by start time. Raises ``RuntimeError`` on
         a dependency cycle (including cycles through resource ordering).
@@ -168,13 +159,8 @@ class Simulator:
             end = t0 + op.duration
             op.end = end
             ends[k] = end
-            if execute_thunks and op.thunk is not None:
-                try:
-                    op.result = op.thunk(op)
-                except Exception as exc:
-                    if not op.fail_ok:
-                        raise
-                    op.error = exc
+            if op.thunk is not None:
+                op.thunk(op)
             done += 1
             for s in succs[k]:
                 indeg[s] -= 1

@@ -58,7 +58,6 @@ from repro.sanitizers.violations import SanitizerReport, Violation
 if TYPE_CHECKING:
     from repro.cluster.dispatcher import Cluster
     from repro.codec.config import CodecConfig
-    from repro.core.config import FrameworkConfig
     from repro.core.coding_manager import FrameReport
     from repro.core.framework import FevesFramework
     from repro.hw.des import OpRecord
@@ -147,24 +146,19 @@ class TimelineSanitizer:
     @classmethod
     def for_framework(cls, fw: FevesFramework) -> TimelineSanitizer:
         """Build a sanitizer matching a framework's exact configuration."""
-        return cls.for_config(fw.platform, fw.codec_cfg, fw.fw_cfg)
+        return cls.for_config(fw.platform, fw.codec_cfg)
 
     @classmethod
     def for_config(
         cls,
         platform: Platform,
         codec_cfg: CodecConfig,
-        fw_cfg: FrameworkConfig | None = None,
     ) -> TimelineSanitizer:
-        if fw_cfg is None or fw_cfg.sf_halo_rows is None:
-            halo = -(-(codec_cfg.search_range + 1) // 16)
-        else:
-            halo = fw_cfg.sf_halo_rows
         return cls(
             platform=platform,
             mb_rows=codec_cfg.mb_rows,
             sizes=BufferSizes(width=codec_cfg.width, height=codec_cfg.height),
-            halo=halo,
+            halo=codec_cfg.sf_halo_rows,
         )
 
     # ----------------------- class A: engine races ------------------------
@@ -822,12 +816,9 @@ def sanitize_frame_report(report: FrameReport, manager) -> SanitizerReport:
 
     Convenience hook for the pytest fixture: the
     :class:`~repro.core.coding_manager.VideoCodingManager` carries exactly
-    the platform/codec/framework configuration the report was produced
-    under.
+    the platform and codec configuration the report was produced under.
     """
-    san = TimelineSanitizer.for_config(
-        manager.platform, manager.codec_cfg, manager.fw_cfg
-    )
+    san = TimelineSanitizer.for_config(manager.platform, manager.codec_cfg)
     return san.check_report(report)
 
 

@@ -187,7 +187,6 @@ class EncodingSession:
             from repro.video.generator import SyntheticSequence
 
             fw_cfg = FrameworkConfig(
-                compute="real",
                 backend="process",
                 exec_workers=exec_workers,
                 faults=self.fault_view,

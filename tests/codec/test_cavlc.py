@@ -166,7 +166,7 @@ class TestEndToEnd:
         clip = SyntheticSequence(width=128, height=96, seed=43).frames(4)
         ref = ReferenceEncoder(cfg).encode_sequence(clip)
         fw = FevesFramework(get_platform("SysHK"), cfg,
-                            FrameworkConfig(compute="real"))
+                            FrameworkConfig())
         out = fw.encode(clip)
         for r, o in zip(ref, out, strict=True):
             assert o.encoded is not None and r.bits == o.encoded.bits

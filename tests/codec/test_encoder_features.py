@@ -64,6 +64,20 @@ class TestSceneCut:
         enc.encode_sequence(clip)
         assert enc.scene_cuts == []
 
+    def test_reset_forgets_scene_cut_state(self):
+        # scene_cuts indexes the sequence being coded, and frame 0 of the
+        # next one is never compared with the last frame of this one.
+        enc = ReferenceEncoder(CFG, scene_cut_threshold=20.0)
+        enc.encode_sequence(spliced_clip())
+        assert enc.scene_cuts == [3]
+        enc.reset()
+        assert enc.scene_cuts == [] and enc._prev_source_y is None
+        again = enc.encode_sequence(spliced_clip())
+        assert enc.scene_cuts == [3]
+        assert [f.is_intra for f in again] == [
+            True, False, False, True, False, False, False
+        ]
+
 
 class TestLossConcealment:
     def test_concealment_keeps_decoding(self):

@@ -70,7 +70,7 @@ class TestSatdInSme:
         clip = moving_objects_sequence(width=128, height=96, count=4, seed=7)
         ref = ReferenceEncoder(cfg).encode_sequence(clip)
         fw = FevesFramework(get_platform("SysHK"), cfg,
-                            FrameworkConfig(compute="real"))
+                            FrameworkConfig())
         out = fw.encode(clip)
         for r, o in zip(ref, out, strict=True):
             assert r.bits == o.encoded.bits

@@ -176,7 +176,7 @@ class TestEndToEnd:
         clip = SyntheticSequence(width=128, height=96, seed=3).frames(4)
         ref = ReferenceEncoder(cfg).encode_sequence(clip)
         fw = FevesFramework(get_platform("SysNFF"), cfg,
-                            FrameworkConfig(compute="real"))
+                            FrameworkConfig())
         out = fw.encode(clip)
         for r, o in zip(ref, out, strict=True):
             assert r.bits == o.encoded.bits

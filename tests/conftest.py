@@ -39,9 +39,7 @@ def _schedule_sanitizer(monkeypatch):
 
     def sanitized(self, *args, **kwargs):
         report = original(self, *args, **kwargs)
-        san = TimelineSanitizer.for_config(
-            self.platform, self.codec_cfg, self.fw_cfg
-        )
+        san = TimelineSanitizer.for_config(self.platform, self.codec_cfg)
         san.check_report(report).raise_if_dirty()
         return report
 

@@ -262,7 +262,7 @@ frames = SyntheticSequence(width=128, height=96, seed=13,
                            noise_sigma=1.5).frames(4)
 fw = FevesFramework(
     get_platform("SysHK"), cfg,
-    FrameworkConfig(compute="real", backend="process", exec_workers=workers),
+    FrameworkConfig(backend="process", exec_workers=workers),
 )
 with fw:
     outcomes = fw.encode(frames)

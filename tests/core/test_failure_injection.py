@@ -77,14 +77,6 @@ class TestLpFallbacks:
         # Heuristic still beats the equidistant init frame.
         assert out[-1].time_s < out[0].time_s
 
-    def test_min_rows_per_device_respected(self):
-        fw_cfg = FrameworkConfig(min_rows_per_device=2)
-        fw = FevesFramework(get_platform("SysNFF"), CFG, fw_cfg)
-        fw.run_model(6)
-        d = fw.reports[-1].decision
-        for dist in (d.m, d.l, d.s):
-            assert all(r >= 2 for r in dist.rows)
-
 
 class TestPathologicalNoise:
     def test_wild_jitter_never_breaks_the_loop(self):
@@ -138,7 +130,7 @@ class TestTinyGeometry:
         clip = SyntheticSequence(width=32, height=32, seed=1).frames(3)
         ref = ReferenceEncoder(cfg).encode_sequence(clip)
         fw = FevesFramework(
-            get_platform("SysHK"), cfg, FrameworkConfig(compute="real")
+            get_platform("SysHK"), cfg, FrameworkConfig()
         )
         out = fw.encode(clip)
         for r, o in zip(ref, out, strict=True):

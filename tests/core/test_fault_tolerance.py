@@ -6,6 +6,7 @@ import pytest
 from repro.codec.config import CodecConfig
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
+from repro.core.load_balancing import WARMUP_ROWS
 from repro.hw.noise import FaultEvent, FaultSchedule
 from repro.hw.presets import get_platform
 from repro.video.generator import SyntheticSequence
@@ -180,10 +181,10 @@ class TestHangRecovery:
         # re-admitted at frame 6 with no characterization: the decision
         # grants exactly the configured warm-up rows per module
         rep6 = fw.reports[5]
-        assert rep6.decision.m.rows[idx] == fw.fw_cfg.warmup_rows
-        assert rep6.decision.s.rows[idx] == fw.fw_cfg.warmup_rows
+        assert rep6.decision.m.rows[idx] == WARMUP_ROWS
+        assert rep6.decision.s.rows[idx] == WARMUP_ROWS
         # measured again, the device earns a real share afterwards
-        assert fw.reports[-1].decision.m.rows[idx] > fw.fw_cfg.warmup_rows
+        assert fw.reports[-1].decision.m.rows[idx] > WARMUP_ROWS
         assert fw.reports[-1].tau_tot == pytest.approx(
             fw.reports[2].tau_tot, rel=0.05
         )
@@ -225,8 +226,8 @@ class TestReadmissionSteadyState:
         assert 1 < r < frames
         idx = [d.name for d in fw.platform.devices].index("GPU_F2")
         grant = fw.reports[r - 1].decision
-        assert grant.m.rows[idx] == fw.fw_cfg.warmup_rows
-        assert grant.s.rows[idx] == fw.fw_cfg.warmup_rows
+        assert grant.m.rows[idx] == WARMUP_ROWS
+        assert grant.s.rows[idx] == WARMUP_ROWS
 
         clean = FevesFramework(get_platform("SysNFF"), CFG, FrameworkConfig())
         clean.run_model(frames)
@@ -319,7 +320,7 @@ class TestRealModeBitExact:
             fw = FevesFramework(
                 get_platform("SysNFF"),
                 cfg,
-                FrameworkConfig(compute="real", faults=faults),
+                FrameworkConfig(faults=faults),
             )
             return fw.encode(frames)
 

@@ -119,11 +119,6 @@ class TestReporting:
         with pytest.raises(ValueError):
             fw.run_model(0)
 
-    def test_encode_requires_real_mode(self):
-        fw = FevesFramework(get_platform("SysHK"), CFG)
-        with pytest.raises(RuntimeError, match="real"):
-            fw.encode([])
-
     def test_summary(self):
         fw, _ = run("SysHK", 10)
         s = fw.summary()
@@ -147,17 +142,136 @@ class TestOptionSurface:
         import dataclasses
         import inspect
 
-        from repro.hw.des import Simulator
+        from repro.hw.des import Op, Simulator
 
         assert {f.name for f in dataclasses.fields(FrameworkConfig)} == {
-            "compute", "centric", "gop_size", "ewma_alpha",
-            "lp_delta_iterations", "sf_halo_rows", "noise",
-            "min_rows_per_device", "lb_cache_rtol", "enable_parking",
-            "rstar_parallel", "faults", "fault_detection_timeout_s",
-            "warmup_rows", "backend", "exec_workers", "calibrate",
+            "centric", "gop_size", "ewma_alpha", "noise", "lb_cache_rtol",
+            "enable_parking", "rstar_parallel", "faults", "backend",
+            "exec_workers",
         }
-        assert str(inspect.signature(Simulator.run)) == (
-            "(self, execute_thunks: 'bool' = True) -> 'list[OpRecord]'"
+        assert str(inspect.signature(Simulator.run)) == "(self) -> 'list[OpRecord]'"
+        assert {f.name for f in dataclasses.fields(Op)} == {
+            "label", "resource", "duration", "deps", "thunk", "category",
+            "start", "end",
+        }
+        for removed in (
+            {"lp_warm_start": False}, {"compute": "real"}, {"calibrate": False},
+        ):
+            with pytest.raises(TypeError):
+                FrameworkConfig(**removed)
+
+    def test_plain_config_runs_both_modes(self):
+        """The mode is the method called: one default config serves
+        ``run_model()`` and a reference-exact ``encode()``, I frames at
+        ``gop_size`` boundaries included."""
+        import numpy as np
+
+        from repro.codec.encoder import ReferenceEncoder
+        from repro.video.generator import SyntheticSequence
+
+        cfg = CodecConfig(width=64, height=48, search_range=4, num_ref_frames=2)
+        frames = SyntheticSequence(width=64, height=48, seed=5).frames(5)
+        for gop in (0, 3):
+            fw_cfg = FrameworkConfig(gop_size=gop)
+            assert FevesFramework(
+                get_platform("SysHK"), cfg, fw_cfg
+            ).run_model(2)[-1].time_s > 0
+            out = FevesFramework(get_platform("SysHK"), cfg, fw_cfg).encode(frames)
+            ref = ReferenceEncoder(cfg, gop_size=gop).encode_sequence(frames)
+            for r, o in zip(ref, out, strict=True):
+                assert (r.is_intra, r.bits) == (o.encoded.is_intra, o.encoded.bits)
+                for plane in ("y", "u", "v"):
+                    np.testing.assert_array_equal(
+                        getattr(r.recon, plane), getattr(o.encoded.recon, plane)
+                    )
+
+    def test_process_backend_has_no_model_mode(self):
+        import glob
+
+        from repro.video.generator import SyntheticSequence
+
+        before = set(glob.glob("/dev/shm/repro_*"))
+        fw = FevesFramework(
+            get_platform("SysHK"),
+            CodecConfig(width=64, height=48, search_range=4),
+            FrameworkConfig(backend="process", exec_workers=1),
         )
-        with pytest.raises(TypeError):
-            FrameworkConfig(lp_warm_start=False)
+        with fw:
+            # Start pool and shared memory for real, then misuse the API.
+            fw.encode(SyntheticSequence(width=64, height=48, seed=5).frames(2))
+            assert fw.manager._pool is not None
+            with pytest.raises(ValueError, match="no model mode"):
+                fw.run_model(1)
+        assert fw.manager._pool is None and fw.manager._store is None
+        assert set(glob.glob("/dev/shm/repro_*")) == before
+
+    def test_inter_frame_before_any_intra_fails_by_name(self):
+        from repro.video.generator import SyntheticSequence
+
+        cfg = CodecConfig(width=64, height=48, search_range=4)
+        fw = FevesFramework(get_platform("SysHK"), cfg)
+        cur = SyntheticSequence(width=64, height=48, seed=5).frame(3)
+        with pytest.raises(RuntimeError, match=r"index=3.*no I frame"):
+            fw.encode_frame_at(cur, 3)
+        assert not fw.reports  # nothing was scheduled for the bad call
+
+
+class TestRstarParallelDecidedOnce:
+    """``dam.rf_holder`` is cleared only when the manager reports that
+    slice-parallel R* really ran (the what-if needs model mode and more
+    than one device); anywhere else the flag must change nothing."""
+
+    SLICED = dict(num_slices=2, deblock_across_slices=False)
+
+    @staticmethod
+    def _assert_flag_is_inert(on: FevesFramework, off: FevesFramework):
+        assert len(on.reports) == len(off.reports) > 2
+        for a, b in zip(on.reports, off.reports, strict=True):
+            assert not a.rf_on_host
+            assert (a.tau1, a.tau2, a.tau_tot) == (b.tau1, b.tau2, b.tau_tot)
+            assert a.transfer_plan.total_bytes("h2d") == (
+                b.transfer_plan.total_bytes("h2d")
+            )
+            assert not any(
+                r.label.startswith("R*slice") for r in a.timeline.records
+            )
+        assert on.dam.rf_holder == off.dam.rf_holder is not None
+
+    def test_real_mode_never_slices_rstar(self):
+        from repro.video.generator import SyntheticSequence
+
+        cfg = CodecConfig(width=64, height=64, search_range=4, **self.SLICED)
+        frames = SyntheticSequence(width=64, height=64, seed=5).frames(6)
+        fws = []
+        for flag in (True, False):
+            fw = FevesFramework(
+                get_platform("SysHK"), cfg,
+                FrameworkConfig(rstar_parallel=flag, centric="gpu"),
+            )
+            fw.encode(frames)
+            fws.append(fw)
+        self._assert_flag_is_inert(*fws)
+
+    def test_single_device_model_mode_never_slices_rstar(self):
+        cfg = CodecConfig(
+            width=1920, height=1088, search_range=16, **self.SLICED
+        )
+        fws = []
+        for flag in (True, False):
+            fw = FevesFramework(
+                get_platform("GPU_K"), cfg, FrameworkConfig(rstar_parallel=flag)
+            )
+            fw.run_model(5)
+            fws.append(fw)
+        self._assert_flag_is_inert(*fws)
+
+    def test_multi_device_model_mode_reports_rf_on_host(self):
+        cfg = CodecConfig(
+            width=1920, height=1088, search_range=16, **self.SLICED
+        )
+        fw = FevesFramework(
+            get_platform("SysNFF"), cfg, FrameworkConfig(rstar_parallel=True)
+        )
+        fw.run_model(3)
+        assert all(rep.rf_on_host for rep in fw.reports)
+        assert fw.dam.rf_holder is None

@@ -53,7 +53,7 @@ class TestFrameworkGop:
         ref = ReferenceEncoder(cfg, gop_size=4).encode_sequence(clip)
         fw = FevesFramework(
             get_platform("SysNFF"), cfg,
-            FrameworkConfig(compute="real", gop_size=4),
+            FrameworkConfig(gop_size=4),
         )
         out = fw.encode(clip)
         for r, o in zip(ref, out, strict=True):
@@ -66,7 +66,7 @@ class TestFrameworkGop:
     def test_accelerators_refetch_rf_after_refresh(self, cfg, clip):
         fw = FevesFramework(
             get_platform("SysHK"), cfg,
-            FrameworkConfig(compute="real", gop_size=4),
+            FrameworkConfig(gop_size=4),
         )
         fw.encode(clip)
         # Reports are inter frames in order: GOP1 has 3 P frames, then the
@@ -89,7 +89,7 @@ class TestFrameworkGop:
     def test_active_refs_ramp_restarts(self, cfg, clip):
         fw = FevesFramework(
             get_platform("SysHK"), cfg,
-            FrameworkConfig(compute="real", gop_size=4),
+            FrameworkConfig(gop_size=4),
         )
         out = fw.encode(clip)
         # ME durations: first P of each GOP uses 1 ref; second uses 2.

@@ -24,7 +24,7 @@ def encode_both(platform_name, cfg, frames, fw_kwargs=None):
     fw = FevesFramework(
         get_platform(platform_name),
         cfg,
-        FrameworkConfig(compute="real", **(fw_kwargs or {})),
+        FrameworkConfig(**(fw_kwargs or {})),
     )
     fev_out = fw.encode(frames)
     return ref_out, fev_out, fw

@@ -46,10 +46,7 @@ def encode_process(frames, workers, platform="SysHK", cfg=CFG, **fw_kwargs):
     fw = FevesFramework(
         get_platform(platform),
         cfg,
-        FrameworkConfig(
-            compute="real", backend="process", exec_workers=workers,
-            **fw_kwargs,
-        ),
+        FrameworkConfig(backend="process", exec_workers=workers, **fw_kwargs),
     )
     with fw:
         out = fw.encode(frames)
@@ -129,9 +126,7 @@ class TestBitExactness:
     def test_matches_simulated_real_mode(self, frames):
         # The sim backend in real mode is itself reference-exact; the two
         # backends must agree with each other frame for frame.
-        sim_fw = FevesFramework(
-            get_platform("SysHK"), CFG, FrameworkConfig(compute="real")
-        )
+        sim_fw = FevesFramework(get_platform("SysHK"), CFG)
         sim_out = sim_fw.encode(frames)
         out, _fw, _acc = encode_process(frames, 2)
         for s, p in zip(sim_out, out, strict=True):
@@ -173,7 +168,7 @@ class TestMeasurement:
                 assert r.end <= rep.tau2 + 1e-9
 
     def test_calibration_feeds_characterization(self, frames):
-        _out, fw, _acc = encode_process(frames, 2, calibrate=True)
+        _out, fw, _acc = encode_process(frames, 2)
         perf = fw.perf
         # Every device that got ME rows last frame holds a *measured*
         # (non-prior) per-row rate estimate.
@@ -190,20 +185,6 @@ class TestMeasurement:
         assert acc["makespan_error_mean"] >= 0.0
         assert acc["makespan_error_max"] >= acc["makespan_error_mean"]
         assert set(acc["phase_error_mean"]) <= {"tau1", "tau2", "tau_tot"}
-
-    def test_uncalibrated_mode_feeds_model_rates(self, frames):
-        # calibrate=False must seed the characterization from the device
-        # model, so predictions are machine-independent.
-        _out, fw, acc = encode_process(frames, 2, calibrate=False)
-        fed = 0
-        for dev in fw.platform.devices:
-            k = fw.perf.k_compute(dev.name, "int")
-            if k is not None and not fw.perf.is_prior(dev.name, "int"):
-                # Constant model rate in → constant EWMA out, exactly.
-                assert k == pytest.approx(dev.spec.rates.int_row_s(CFG))
-                fed += 1
-        assert fed > 0
-        assert acc["frames"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +220,17 @@ class TestLifecycle:
     def test_framework_close_is_idempotent(self, frames):
         fw = FevesFramework(
             get_platform("SysHK"), CFG,
-            FrameworkConfig(compute="real", backend="process", exec_workers=1),
+            FrameworkConfig(backend="process", exec_workers=1),
         )
         fw.encode(frames[:2])
         assert isinstance(fw.manager, ProcessBackend)
         fw.close()
         fw.close()
 
-    def test_backend_requires_real_compute(self):
-        with pytest.raises(ValueError, match="compute='real'"):
-            FrameworkConfig(backend="process")
-
     def test_backend_rejects_faults(self):
         faults = FaultSchedule([FaultEvent(frame=1, device="GPU_H", kind="dropout")])
         with pytest.raises(ValueError, match="fault"):
-            FrameworkConfig(compute="real", backend="process", faults=faults)
+            FrameworkConfig(backend="process", faults=faults)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -262,7 +239,7 @@ class TestLifecycle:
     def test_run_frame_requires_context(self):
         be = ProcessBackend(
             get_platform("SysHK"), CFG,
-            FrameworkConfig(compute="real", backend="process", exec_workers=1),
+            FrameworkConfig(backend="process", exec_workers=1),
         )
         with be, pytest.raises(ValueError, match="RealContext"):
             be.run_frame(

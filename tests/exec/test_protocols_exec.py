@@ -84,7 +84,7 @@ class TestProcessBackendClean:
             get_platform("SysHK"),
             CFG,
             FrameworkConfig(
-                compute="real", backend="process", exec_workers=2
+                backend="process", exec_workers=2
             ),
         )
         with fw:

@@ -56,7 +56,7 @@ def encode_sanitized(frames, workers, **fw_kwargs):
         get_platform("SysHK"),
         CFG,
         FrameworkConfig(
-            compute="real", backend="process", exec_workers=workers,
+            backend="process", exec_workers=workers,
             **fw_kwargs,
         ),
     )
@@ -100,7 +100,7 @@ class TestSanFClean:
             get_platform("SysHK"),
             CFG,
             FrameworkConfig(
-                compute="real", backend="process", exec_workers=2,
+                backend="process", exec_workers=2,
             ),
         )
         with fw:
@@ -233,7 +233,7 @@ class TestSpawnSmoke:
             get_platform("SysHK"),
             CFG,
             FrameworkConfig(
-                compute="real", backend="process", exec_workers=2,
+                backend="process", exec_workers=2,
             ),
         )
         with fw:

@@ -115,20 +115,26 @@ class TestThunks:
         assert order == ["a", "b"]
 
     def test_thunk_result_stored(self):
+        # The DES keeps no return value: a thunk is called once, with its
+        # op, and stores its own result (the manager's fill a RealContext).
         r = Resource("r")
-        a = Op("a", r, 1.0, thunk=lambda op: 42)
+        out = []
+        a = Op("a", r, 1.0, thunk=lambda op: out.append((op, 42)))
         Simulator([r]).run()
-        assert a.result == 42
+        assert out == [(a, 42)]
 
     def test_thunks_skipped_in_model_mode(self):
+        # Model mode is an op built without a thunk: it only takes time.
         r = Resource("r")
-        a = Op("a", r, 1.0, thunk=lambda op: 42)
-        Simulator([r]).run(execute_thunks=False)
-        assert a.result is None
+        a = Op("a", r, 1.0)
+        Simulator([r]).run()
+        assert a.thunk is None
         assert a.end == 1.0
 
 
 class TestFailOk:
+    """There is no ``fail_ok``: a thunk exception always propagates."""
+
     def test_serial_exception_propagates_by_default(self):
         r = Resource("r")
 
@@ -138,27 +144,6 @@ class TestFailOk:
         Op("a", r, 1.0, thunk=boom)
         with pytest.raises(RuntimeError, match="device lost"):
             Simulator([r]).run()
-
-    def test_serial_fail_ok_captures_error(self):
-        r = Resource("r")
-
-        def boom(op):
-            raise RuntimeError("device lost")
-
-        a = Op("a", r, 1.0, thunk=boom, fail_ok=True)
-        b = Op("b", r, 2.0, deps=[a], thunk=lambda op: "fine")
-        Simulator([r]).run()
-        assert isinstance(a.error, RuntimeError)
-        assert a.result is None
-        # downstream ops still execute: the fault is an event, not an abort
-        assert b.result == "fine"
-        assert (b.start, b.end) == (1.0, 3.0)
-
-    def test_error_cleared_on_success(self):
-        r = Resource("r")
-        a = Op("a", r, 1.0, thunk=lambda op: 7, fail_ok=True)
-        Simulator([r]).run()
-        assert a.error is None and a.result == 7
 
 
 class TestReset:

@@ -42,7 +42,7 @@ from repro.core.load_balancing import LPSolveCache
 from repro.hw.des import Op, OpRecord, Simulator
 
 
-def reference_run(sim: Simulator, execute_thunks: bool = True) -> list[OpRecord]:
+def reference_run(sim: Simulator) -> list[OpRecord]:
     """Dict-based Kahn evaluation of ``sim``'s issued ops."""
     ops: list[Op] = [op for r in sim.resources for op in r.ops]
     # Effective predecessor sets: explicit deps + previous op in queue.
@@ -75,13 +75,8 @@ def reference_run(sim: Simulator, execute_thunks: bool = True) -> list[OpRecord]
         t0 = max((p.end for p in preds[op]), default=0.0)
         op.start = t0
         op.end = t0 + op.duration
-        if execute_thunks and op.thunk is not None:
-            try:
-                op.result = op.thunk(op)
-            except Exception as exc:
-                if not op.fail_ok:
-                    raise
-                op.error = exc
+        if op.thunk is not None:
+            op.thunk(op)
         done += 1
         for s in succs[op]:
             indeg[s] -= 1
@@ -136,7 +131,7 @@ def make_cold(fw: FevesFramework) -> FevesFramework:
         lambda name, buf, dr: perf.k_transfer(name, buf, dr, balancer.sizes)
     )
     sim = fw.manager.sim
-    sim.run = lambda execute_thunks=True: reference_run(sim, execute_thunks)
+    sim.run = lambda: reference_run(sim)
     return fw
 
 

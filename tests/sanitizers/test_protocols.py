@@ -570,7 +570,7 @@ class TestSanGDynamic:
 
         backend = ProcessBackend(
             get_platform("SysHK"), CodecConfig(width=64, height=48),
-            FrameworkConfig(compute="real", backend="process"),
+            FrameworkConfig(backend="process"),
         )
         cluster = Cluster(ClusterConfig(nodes=(NodeSpec("n0"),)))
         cluster.run([StreamSpec("s0", n_frames=1, fps_target=25.0)])
