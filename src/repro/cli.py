@@ -768,58 +768,35 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.sanitizers.concurrency import CONCURRENCY_RULES
-    from repro.sanitizers.dataflow import DATAFLOW_RULES
-    from repro.sanitizers.dataflow.baseline import (
-        load_baseline,
-        split_findings,
-        write_baseline,
-    )
     from repro.sanitizers.dataflow.reporting import (
         format_json,
         format_sarif,
         format_text,
-        sort_violations,
     )
-    from repro.sanitizers.dataflow.summaries import SummaryStore
-    from repro.sanitizers.lint import LINT_RULES
-    from repro.sanitizers.protocols import PROTOCOL_RULES
-    from repro.sanitizers.runner import run_lint
+    from repro.sanitizers.runner import RULES, run_lint
 
     targets = [Path(p) for p in args.paths]
     for t in targets:
         if not t.exists():
             raise SystemExit(f"error: no such file or directory: {t}")
 
-    all_rules = {
-        **LINT_RULES, **DATAFLOW_RULES, **CONCURRENCY_RULES,
-        **PROTOCOL_RULES,
-    }
-    only = None
+    selected = list(RULES)
     if args.select:
-        prefixes = [
+        prefixes = tuple(
             p.strip().upper() for p in args.select.split(",") if p.strip()
-        ]
-        only = sorted(
-            r for r in all_rules if any(r.startswith(p) for p in prefixes)
         )
-        if not only:
+        selected = [r for r in RULES if r.startswith(prefixes)]
+        if not selected:
             raise SystemExit(
                 f"error: --select {args.select!r} matches no rule "
-                f"(known: {', '.join(sorted(all_rules))})"
+                f"(known: {', '.join(RULES)})"
             )
 
+    # Exit codes: 0 clean, 1 findings, 2 internal analyzer error — so CI
+    # can tell "code has findings" from "the linter broke".
     timings: dict[str, float] = {}
-
-    # Exit codes: 0 clean, 1 unbaselined findings, 2 internal analyzer
-    # error — so CI can tell "code has findings" from "the linter broke".
     try:
-        store = SummaryStore(
-            Path(args.summary_cache) if args.summary_cache else None
-        )
-        violations, errors = run_lint(
-            targets, only=only, timings=timings, store=store,
-        )
+        violations, errors = run_lint(targets, selected, timings)
     except Exception as exc:  # noqa: BLE001 - any crash is exit code 2
         print(f"internal analyzer error: {exc}", file=sys.stderr)
         return 2
@@ -827,50 +804,25 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for err in errors:
             print(f"internal analyzer error: {err}", file=sys.stderr)
         return 2
-    violations = sort_violations(violations)
 
     if args.summary:
-        counts: dict[str, int] = {}
-        for v in violations:
-            counts[v.rule] = counts.get(v.rule, 0) + 1
-        print("rule      time        findings", file=sys.stderr)
-        for rule in sorted(timings):
-            n = (
-                sum(c for r, c in counts.items() if r.startswith("REP0"))
-                if rule == "REP0xx"
-                else counts.get(rule, 0)
-            )
+        # Rule rows (a shared pass is one row, e.g. REP00x) count their
+        # findings; the shared steps (parse/summaries/graph/cfg) have none.
+        print("step      time        findings", file=sys.stderr)
+        for step in sorted(timings):
+            n = sum(v.rule.startswith(step.rstrip("x")) for v in violations)
             print(
-                f"{rule:<8}  {timings[rule] * 1e3:>8.1f} ms  {n:>6}",
+                f"{step:<9} {timings[step] * 1e3:>8.1f} ms  "
+                f"{n if step.startswith('REP') else '':>6}",
                 file=sys.stderr,
             )
 
-    if args.write_baseline:
-        baseline_path = Path(args.baseline)
-        write_baseline(violations, baseline_path)
-        print(
-            f"wrote {len(violations)} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baselined: list = []
-    if not args.no_baseline:
-        baseline_path = Path(args.baseline)
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"internal analyzer error: bad baseline: {exc}",
-                  file=sys.stderr)
-            return 2
-        violations, baselined = split_findings(violations, baseline)
-
-    if only is not None:
-        all_rules = {r: d for r, d in all_rules.items() if r in only}
     if args.format == "json":
         print(format_json(violations))
     elif args.format == "sarif":
-        print(format_sarif(violations, all_rules))
+        print(format_sarif(
+            violations, {r: RULES[r].description for r in selected}
+        ))
     else:
         text = format_text(violations)
         if text:
@@ -882,17 +834,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
             parts = ", ".join(f"{r}×{n}" for r, n in sorted(by_rule.items()))
             print(f"{len(violations)} violation(s) ({parts})", file=sys.stderr)
         else:
-            checked = ", ".join(sorted(all_rules))
-            print(f"clean ({checked})")
-        if baselined:
-            print(
-                f"{len(baselined)} baselined finding(s) suppressed",
-                file=sys.stderr,
-            )
+            print(f"clean ({', '.join(selected)})")
     return 1 if violations else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sanitizers.runner import RULES
+
     ap = argparse.ArgumentParser(
         prog="repro", description="FEVES reproduction toolkit"
     )
@@ -1064,50 +1012,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="repo-specific static checks (REP001-004, REP101-104, "
              "REP201-204, REP301-304)",
         description=(
-            "AST lint with simulator-specific rules: REP001 no wall-clock "
-            "reads in hw/ and core/ simulation paths; REP002 no exact "
-            "==/!= against float literals; REP003 no Device fault/share "
-            "state mutated outside its API; REP004 no unguarded division "
-            "by rates/bandwidths that can be zero under faults. Dataflow "
-            "rules (CFG + abstract interpretation): REP101 unit mismatch "
-            "in rate/time/row/byte arithmetic; REP102 unordered set "
-            "iteration leaking into event/candidate ordering; REP103 "
-            "engine/slot acquired but not released on every path; REP104 "
-            "measurement paths mutating framework/device state. "
-            "Concurrency rules (interprocedural, process backend): REP201 "
-            "fork-unsafe primitive before/inside the pool initializer; "
-            "REP202 task payload carries shared bulk data instead of "
-            "scalar coordinates; REP203 shared-memory write escapes its "
-            "(row0, nrows) band; REP204 τ1/τ2 phase ordering broken. "
-            "Protocol rules (typestate over the lifecycle specs): REP301 "
-            "object lifecycle violates its protocol state machine; "
-            "REP302 clock rewound or cross-assigned between domains; "
-            "REP303 dequeued stream can exit without place/park/reject; "
-            "REP304 live-set mutated without note_live_set_change before "
-            "the next solve. Suppress per line with '# noqa: REPxxx'. "
-            "Exit codes: 0 clean, 1 unbaselined findings, 2 internal "
-            "analyzer error."
+            "Repo-specific static rules, one table and one driver "
+            "(repro.sanitizers.runner): "
+            + "; ".join(f"{r.id} {r.description}" for r in RULES.values())
+            + ". Suppress per line with '# noqa: REPxxx'. Exit codes: "
+            "0 clean, 1 findings, 2 internal analyzer error."
         ),
     )
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")
     lint.add_argument("--format", default="text",
                       choices=("text", "json", "sarif"))
-    lint.add_argument("--baseline", default=".repro-lint-baseline.json",
-                      help="findings baseline file (default: %(default)s)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report all findings, ignoring the baseline")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="write current findings to the baseline and exit 0")
-    lint.add_argument("--summary-cache", default=None,
-                      help="JSON cache for inter-procedural unit summaries "
-                           "(keyed on source hash; safe to cache in CI)")
     lint.add_argument("--select", default=None, metavar="PREFIXES",
                       help="comma-separated rule prefixes to run (e.g. "
                            "'REP2' or 'REP103,REP2'); other rules are "
                            "skipped entirely")
     lint.add_argument("--summary", action="store_true",
-                      help="print a per-rule timing/finding table to stderr")
+                      help="print a per-step timing/finding table to stderr")
     lint.set_defaults(func=cmd_lint)
 
     tr = sub.add_parser("trace", help="export a chrome://tracing JSON")

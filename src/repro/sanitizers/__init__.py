@@ -1,17 +1,17 @@
-"""Three-layer analysis subsystem: sanitizer, AST lint, dataflow lint.
+"""Five-layer analysis subsystem: one dynamic sanitizer, four static layers.
 
-Layer 1 (:mod:`repro.sanitizers.timeline`) is a dynamic race/invariant
-checker for DES timelines and LP outputs; layer 2
-(:mod:`repro.sanitizers.lint`) is a static per-line AST lint with
-repo-specific rules; layer 3 (:mod:`repro.sanitizers.dataflow`) is a
-CFG + abstract-interpretation engine for flow-sensitive rules (unit
-mismatches, iteration-order determinism, resource safety, measurement
-purity). Layers 2 and 3 both run under ``repro lint``.
+Layer 1 (:mod:`repro.sanitizers.timeline`) is the dynamic race/invariant
+checker for DES timelines, LP outputs and the runtime journals (SAN-A…G).
+Layers 2–5 are static and run under ``repro lint`` from one rule table
+and one driver (:mod:`repro.sanitizers.runner`): per-line AST rules
+(:mod:`repro.sanitizers.lint`, REP00x), CFG + abstract-interpretation
+dataflow rules (:mod:`repro.sanitizers.dataflow`, REP1xx), concurrency
+rules for the process backend (:mod:`repro.sanitizers.concurrency`,
+REP2xx) and lifecycle/protocol rules (:mod:`repro.sanitizers.protocols`,
+REP3xx). Importing this package loads only the dynamic layer.
 """
 
-from repro.sanitizers.dataflow import DATAFLOW_RULES, analyze_paths
-from repro.sanitizers.lint import LINT_RULES, LintViolation, lint_paths
-from repro.sanitizers.timeline import TimelineSanitizer, sanitize_frame_report
+from repro.sanitizers.timeline import TimelineSanitizer
 from repro.sanitizers.violations import (
     SCHED_RULES,
     SanitizerReport,
@@ -20,15 +20,9 @@ from repro.sanitizers.violations import (
 )
 
 __all__ = [
-    "DATAFLOW_RULES",
-    "LINT_RULES",
-    "LintViolation",
-    "analyze_paths",
-    "lint_paths",
     "SCHED_RULES",
     "SanitizerReport",
     "ScheduleViolationError",
     "TimelineSanitizer",
     "Violation",
-    "sanitize_frame_report",
 ]

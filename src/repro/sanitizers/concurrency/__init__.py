@@ -26,183 +26,6 @@ The dynamic cross-check is SAN-F (the shared-memory access journal in
 :mod:`repro.exec.shm` + :meth:`TimelineSanitizer.check_exec`): the
 static rules prove the shape, the journal verifies real interleavings.
 
-Scoping/`select`/`only` semantics, ``# noqa: REPxxx`` and the findings
-baseline all match the dataflow layer: ``select`` *forces* rules onto
-any file (the crash-free property test), ``only`` *restricts* within
-scope (the CLI's ``--select``).
+The rule table and the driver that runs them are
+:mod:`repro.sanitizers.runner`.
 """
-
-from __future__ import annotations
-
-import ast
-import re
-import time
-from pathlib import Path
-
-from repro.sanitizers.concurrency.bands import BandConfinementRule
-from repro.sanitizers.concurrency.callgraph import CallGraph, build_graph
-from repro.sanitizers.concurrency.forksafety import ForkSafetyRule
-from repro.sanitizers.concurrency.payload import PayloadRule
-from repro.sanitizers.concurrency.phases import PhaseOrderRule
-from repro.sanitizers.dataflow.engine import AnalyzerError, Emitter
-from repro.sanitizers.lint import LintViolation, _noqa_codes, iter_python_files
-
-CONCURRENCY_RULES: dict[str, str] = {
-    "REP201": "fork-unsafe primitive before/inside the pool initializer",
-    "REP202": "task submission payload carries shared bulk data",
-    "REP203": "shared-memory write escapes its (row0, nrows) band",
-    "REP204": "τ1/τ2 phase ordering broken (staging/barrier/SME)",
-}
-
-#: Where each rule is meaningful. REP201 watches every module the pool
-#: machinery can execute (fork inherits all of them); the payload/band/
-#: phase contracts are specific to the process-pool code in exec/.
-RULE_SCOPES: dict[str, re.Pattern[str]] = {
-    "REP201": re.compile(r"repro/(exec|hw|service)/"),
-    "REP202": re.compile(r"repro/exec/"),
-    "REP203": re.compile(r"repro/exec/"),
-    "REP204": re.compile(r"repro/exec/"),
-}
-
-
-def _make_rule(rule: str):
-    if rule == "REP201":
-        return ForkSafetyRule()
-    if rule == "REP202":
-        return PayloadRule()
-    if rule == "REP203":
-        return BandConfinementRule()
-    if rule == "REP204":
-        return PhaseOrderRule()
-    raise ValueError(f"unknown concurrency rule {rule!r}")
-
-
-def rules_for_path(display: str) -> list[str]:
-    posix = display.replace("\\", "/")
-    return [
-        rule
-        for rule in sorted(CONCURRENCY_RULES)
-        if RULE_SCOPES[rule].search(posix)
-    ]
-
-
-def analyze_source(
-    source: str,
-    display: str,
-    *,
-    graph: CallGraph | None = None,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-    timings: dict[str, float] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Run the scoped (or selected) concurrency rules over one module.
-
-    ``graph`` carries the interprocedural facts; when omitted a graph
-    over just this module is built (single-file analysis).
-    """
-    rules = select if select is not None else rules_for_path(display)
-    if only is not None:
-        rules = [r for r in rules if r in only]
-    if not rules:
-        return [], []
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError:
-        return [], []  # the per-line lint already reports REP000
-    if graph is None:
-        graph = build_graph([(display, tree)])
-    noqa = _noqa_codes(source)
-
-    violations: list[LintViolation] = []
-    errors: list[AnalyzerError] = []
-    for rule in rules:
-        t0 = time.perf_counter()
-        emitter = Emitter(rule=rule, display=display)
-        try:
-            _make_rule(rule).run(tree, display, graph, emitter)
-        except AnalyzerError as exc:
-            errors.append(exc)
-        except RecursionError as exc:
-            errors.append(AnalyzerError(
-                path=display, function="<module>", rule=rule,
-                detail=f"recursion limit: {exc}",
-            ))
-        except Exception as exc:  # noqa: BLE001 - surfaced as exit code 2
-            errors.append(AnalyzerError(
-                path=display, function="<module>", rule=rule,
-                detail=f"{type(exc).__name__}: {exc}",
-            ))
-        if timings is not None:
-            timings[rule] = (
-                timings.get(rule, 0.0) + time.perf_counter() - t0
-            )
-        for v in emitter.findings:
-            codes = noqa.get(v.line, frozenset())
-            if codes is None or v.rule in codes:
-                continue
-            violations.append(v)
-    violations.sort(key=lambda v: (v.line, v.col, v.rule))
-    return violations, errors
-
-
-def analyze_file(
-    path: Path,
-    root: Path | None = None,
-    *,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    display = str(path.relative_to(root)) if root else str(path)
-    return analyze_source(path.read_text(), display, select=select, only=only)
-
-
-def analyze_paths(
-    targets: list[Path],
-    *,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-    timings: dict[str, float] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Two-pass concurrency lint over files/directories.
-
-    Pass 1 parses everything and assembles one call graph spanning all
-    analyzed modules (so a pool initializer in ``pool.py`` pulls the
-    helpers it calls anywhere into REP201's reachable set); pass 2 runs
-    the rules per file against that graph.
-    """
-    modules: list[tuple[str, ast.Module, str]] = []
-    for target in targets:
-        for path in iter_python_files(target):
-            try:
-                source = path.read_text()
-            except (OSError, UnicodeDecodeError):
-                continue
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue
-            modules.append((str(path), tree, source))
-    graph = build_graph([(d, t) for d, t, _s in modules])
-
-    violations: list[LintViolation] = []
-    errors: list[AnalyzerError] = []
-    for display, _tree, source in modules:
-        v, e = analyze_source(
-            source, display, graph=graph, select=select, only=only,
-            timings=timings,
-        )
-        violations.extend(v)
-        errors.extend(e)
-    return violations, errors
-
-
-__all__ = [
-    "CONCURRENCY_RULES",
-    "RULE_SCOPES",
-    "CallGraph",
-    "analyze_source",
-    "analyze_file",
-    "analyze_paths",
-    "build_graph",
-    "rules_for_path",
-]

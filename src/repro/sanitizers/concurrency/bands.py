@@ -26,12 +26,12 @@ from __future__ import annotations
 import ast
 from typing import Any
 
-from repro.sanitizers.concurrency.callgraph import call_name
-from repro.sanitizers.dataflow.cfg import build_cfg
+from repro.sanitizers.concurrency.callgraph import CallGraph, call_name
 from repro.sanitizers.dataflow.engine import (
     Emitter,
     FunctionContext,
-    run_analysis,
+    FunctionNode,
+    Module,
 )
 
 RULE = "REP203"
@@ -94,7 +94,7 @@ def _lin_mul(a: Lin | None, b: Lin | None) -> Lin | None:
 class _LinEnv:
     """Sequential evaluation environment for one function body."""
 
-    def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+    def __init__(self, fn: FunctionNode) -> None:
         self.bindings: dict[str, Lin] = {}
         for a in (
             list(fn.args.posonlyargs)
@@ -197,128 +197,102 @@ def _row_slice(slice_node: ast.expr) -> ast.Slice | None:
 
 
 # --------------------------------------------------------------------------
-# the rule
+# worker-side: the symbolic confinement proof (a whole-module pass)
 
 
-class BandConfinementRule:
-    """Worker-side symbolic proof + host-side CFG window check."""
+def check_band_workers(
+    module: Module, graph: CallGraph | None, emitters: dict[str, Emitter]
+) -> None:
+    """Prove every band task's shared writes stay inside its band."""
+    emitter = emitters[RULE]
+    for _qualname, fn in module.functions:
+        params = {
+            a.arg
+            for a in list(fn.args.posonlyargs) + list(fn.args.args)
+            + list(fn.args.kwonlyargs)
+        }
+        if all(p in params for p in BAND_PARAMS):
+            _walk_worker(fn.body, _LinEnv(fn), set(), emitter)
 
-    rule = RULE
 
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: object,
-        emitter: Emitter,
-    ) -> None:
-        from repro.sanitizers.dataflow.engine import iter_functions
+def _walk_worker(
+    body: list[ast.stmt],
+    env: _LinEnv,
+    aliases: set[str],
+    emitter: Emitter,
+) -> None:
+    for stmt in body:
+        if isinstance(
+            stmt,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+        ):
+            continue
+        if isinstance(stmt, ast.Assign):
+            for t in stmt.targets:
+                if isinstance(t, ast.Name):
+                    if _is_shm_base(stmt.value, aliases):
+                        aliases.add(t.id)
+                    else:
+                        aliases.discard(t.id)
+                env.assign(t, stmt.value)
+        for target, slice_node in _shm_slice_writes(stmt, aliases):
+            _check_write(target, slice_node, env, emitter)
+        for attr in ("body", "orelse", "finalbody"):
+            inner = getattr(stmt, attr, None)
+            if isinstance(inner, list):
+                _walk_worker(
+                    [s for s in inner if isinstance(s, ast.stmt)],
+                    env, aliases, emitter,
+                )
+        for handler in getattr(stmt, "handlers", []) or []:
+            _walk_worker(handler.body, env, aliases, emitter)
 
-        for qualname, fn in iter_functions(tree):
-            params = {
-                a.arg
-                for a in list(fn.args.posonlyargs) + list(fn.args.args)
-                + list(fn.args.kwonlyargs)
-            }
-            if all(p in params for p in BAND_PARAMS):
-                self._check_worker(fn, emitter)
-            analysis = _HostWriteWindowAnalysis()
-            ctx = FunctionContext(
-                fn=fn, qualname=qualname, module_path=display, summaries={}
-            )
-            cfg = build_cfg(fn, qualname=qualname)
-            run_analysis(cfg, analysis, ctx, emitter)
 
-    # ---------------------- worker-side confinement ----------------------
-
-    def _check_worker(
-        self, fn: ast.FunctionDef | ast.AsyncFunctionDef, emitter: Emitter
-    ) -> None:
-        env = _LinEnv(fn)
-        aliases: set[str] = set()
-        self._walk_worker(fn.body, env, aliases, emitter)
-
-    def _walk_worker(
-        self,
-        body: list[ast.stmt],
-        env: _LinEnv,
-        aliases: set[str],
-        emitter: Emitter,
-    ) -> None:
-        for stmt in body:
-            if isinstance(
-                stmt,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                continue
-            if isinstance(stmt, ast.Assign):
-                for t in stmt.targets:
-                    if isinstance(t, ast.Name):
-                        if _is_shm_base(stmt.value, aliases):
-                            aliases.add(t.id)
-                        else:
-                            aliases.discard(t.id)
-                    env.assign(t, stmt.value)
-            for target, slice_node in _shm_slice_writes(stmt, aliases):
-                self._check_write(target, slice_node, env, emitter)
-            for attr in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, attr, None)
-                if isinstance(inner, list):
-                    self._walk_worker(
-                        [s for s in inner if isinstance(s, ast.stmt)],
-                        env, aliases, emitter,
-                    )
-            for handler in getattr(stmt, "handlers", []) or []:
-                self._walk_worker(handler.body, env, aliases, emitter)
-
-    def _check_write(
-        self,
-        target: ast.Subscript,
-        slice_node: ast.expr,
-        env: _LinEnv,
-        emitter: Emitter,
-    ) -> None:
-        rows = _row_slice(slice_node)
-        if rows is None or rows.step is not None:
-            emitter.emit(
-                target,
-                "worker-side store into shared memory without a plain "
-                "row slice; cannot prove it stays inside the "
-                "(row0, nrows) band",
-            )
-            return
-        if rows.lower is None or rows.upper is None:
-            emitter.emit(
-                target,
-                "worker-side store spans the whole shared plane; the "
-                "band contract requires [k*row0 : k*(row0+nrows)]",
-            )
-            return
-        lo, hi = env.eval(rows.lower), env.eval(rows.upper)
-        if lo is None or hi is None:
-            emitter.emit(
-                target,
-                "worker-side shared-memory write bounds are not linear "
-                "in (row0, nrows); confinement is unprovable",
-            )
-            return
-        if not _band_confined(lo, hi):
-            emitter.emit(
-                target,
-                "worker-side shared-memory write escapes its "
-                "(row0, nrows) band: bounds must be "
-                "k*row0(+c) : k*(row0+nrows)(+c)",
-            )
+def _check_write(
+    target: ast.Subscript,
+    slice_node: ast.expr,
+    env: _LinEnv,
+    emitter: Emitter,
+) -> None:
+    rows = _row_slice(slice_node)
+    if rows is None or rows.step is not None:
+        emitter.emit(
+            target,
+            "worker-side store into shared memory without a plain "
+            "row slice; cannot prove it stays inside the "
+            "(row0, nrows) band",
+        )
+        return
+    if rows.lower is None or rows.upper is None:
+        emitter.emit(
+            target,
+            "worker-side store spans the whole shared plane; the "
+            "band contract requires [k*row0 : k*(row0+nrows)]",
+        )
+        return
+    lo, hi = env.eval(rows.lower), env.eval(rows.upper)
+    if lo is None or hi is None:
+        emitter.emit(
+            target,
+            "worker-side shared-memory write bounds are not linear "
+            "in (row0, nrows); confinement is unprovable",
+        )
+        return
+    if not _band_confined(lo, hi):
+        emitter.emit(
+            target,
+            "worker-side shared-memory write escapes its "
+            "(row0, nrows) band: bounds must be "
+            "k*row0(+c) : k*(row0+nrows)(+c)",
+        )
 
 
 # --------------------------------------------------------------------------
 # host-side: no shared write while submitted work is uncollected
 
 
-class _HostWriteWindowAnalysis:
+class HostWriteWindowAnalysis:
     """May-analysis: ``True`` = a submit may be pending, unbarriered."""
-
-    rule = RULE
 
     def initial_state(self, ctx: FunctionContext) -> bool:
         return False

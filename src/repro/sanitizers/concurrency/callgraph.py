@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.sanitizers.dataflow.engine import Module
 
 #: Constructors that start a worker pool. The distinction matters:
 #: only *process* pools fork/spawn, so only they make pre-existing
@@ -68,12 +72,16 @@ class CallGraph:
     initializers: set[str] = field(default_factory=set)
     #: (module, qualname) of functions that construct a process pool
     pool_builders: set[tuple[str, str]] = field(default_factory=set)
+    #: memo of :meth:`tails_reaching` (the graph is read-only once built)
+    _reaching: dict[str, frozenset[str]] = field(
+        default_factory=dict, repr=False
+    )
 
-    def add_module(self, display: str, tree: ast.Module) -> None:
-        from repro.sanitizers.dataflow.engine import iter_functions
-
-        for qualname, fn in iter_functions(tree):
-            info = FunctionInfo(module=display, qualname=qualname, node=fn)
+    def add_module(self, module: Module) -> None:
+        for qualname, fn in module.functions:
+            info = FunctionInfo(
+                module=module.display, qualname=qualname, node=fn
+            )
             self.by_tail.setdefault(fn.name, []).append(info)
             callees: set[str] = set()
             for node in ast.walk(fn):
@@ -86,7 +94,7 @@ class CallGraph:
             self.calls[info.key] = callees
         # Module-level pool construction (rare but legal) still registers
         # its initializer.
-        for node in ast.walk(tree):
+        for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 self._note_pool_call(node, None)
 
@@ -120,12 +128,33 @@ class CallGraph:
                 frontier.extend(self.by_tail.get(tail, []))
         return seen
 
+    def tails_reaching(self, target: str) -> frozenset[str]:
+        """Call tails that may transitively reach a ``target`` call.
 
-def build_graph(modules: list[tuple[str, ast.Module]]) -> CallGraph:
-    """Assemble the graph over every (display, tree) pair, sorted."""
+        Reverse reachability over the tail-name edges: start from every
+        function that calls ``target`` (or is named it) and walk callers
+        until fixpoint. Over-approximates by tail-name collision — the
+        right direction for a staleness lint (REP304).
+        """
+        if target not in self._reaching:
+            reaching = {target}
+            grew = True
+            while grew:
+                grew = False
+                for key in sorted(self.calls):
+                    tail = key[1].rsplit(".", 1)[-1]
+                    if tail not in reaching and self.calls[key] & reaching:
+                        reaching.add(tail)
+                        grew = True
+            self._reaching[target] = frozenset(reaching)
+        return self._reaching[target]
+
+
+def build_graph(modules: list[Module]) -> CallGraph:
+    """Assemble the graph over every module, sorted by display path."""
     graph = CallGraph()
-    for display, tree in sorted(modules, key=lambda m: m[0]):
-        graph.add_module(display, tree)
+    for module in sorted(modules, key=lambda m: m.display):
+        graph.add_module(module)
     for infos in graph.by_tail.values():
         infos.sort(key=lambda i: i.key)
     return graph

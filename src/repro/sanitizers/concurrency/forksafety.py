@@ -28,7 +28,7 @@ from repro.sanitizers.concurrency.callgraph import (
     CallGraph,
     call_name,
 )
-from repro.sanitizers.dataflow.engine import Emitter
+from repro.sanitizers.dataflow.engine import Emitter, Module
 
 RULE = "REP201"
 
@@ -66,86 +66,76 @@ def _blocking_calls(node: ast.AST) -> list[tuple[ast.Call, str]]:
     return out
 
 
-class ForkSafetyRule:
+def check_fork_safety(
+    module: Module, graph: CallGraph, emitters: dict[str, Emitter]
+) -> None:
     """Whole-module pass (needs the interprocedural graph)."""
+    emitter = emitters[RULE]
+    _check_module_level(module.tree, emitter)
+    reachable = graph.reachable_from_initializers()
+    for qualname, fn in module.functions:
+        if (module.display, qualname) in reachable:
+            _check_initializer_body(fn, qualname, emitter)
+        if (module.display, qualname) in graph.pool_builders:
+            _check_pre_fork(fn, emitter)
 
-    rule = RULE
 
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: CallGraph,
-        emitter: Emitter,
-    ) -> None:
-        self._check_module_level(tree, emitter)
-        reachable = graph.reachable_from_initializers()
-        for qualname, fn in self._functions(tree):
-            if (display, qualname) in reachable:
-                self._check_initializer_body(fn, qualname, emitter)
-            if (display, qualname) in graph.pool_builders:
-                self._check_pre_fork(fn, emitter)
-
-    @staticmethod
-    def _functions(tree: ast.Module):
-        from repro.sanitizers.dataflow.engine import iter_functions
-
-        return iter_functions(tree)
-
-    def _check_module_level(self, tree: ast.Module, emitter: Emitter) -> None:
-        """Hazard constructors executed at import time."""
-        for stmt in tree.body:
-            if isinstance(
-                stmt,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                continue
-            for call, tail in _hazard_calls(stmt):
-                emitter.emit(
-                    call,
-                    f"module-level {tail}() is snapshotted into every "
-                    "forked worker in an arbitrary state; create it "
-                    "after the pool, or per-process in the initializer "
-                    "via spawn",
-                )
-
-    def _check_initializer_body(
-        self, fn: ast.AST, qualname: str, emitter: Emitter
-    ) -> None:
-        """Hazards inside (or reachable from) a pool initializer."""
-        for call, tail in _hazard_calls(fn):
+def _check_module_level(tree: ast.Module, emitter: Emitter) -> None:
+    """Hazard constructors executed at import time."""
+    for stmt in tree.body:
+        if isinstance(
+            stmt,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+        ):
+            continue
+        for call, tail in _hazard_calls(stmt):
             emitter.emit(
                 call,
-                f"{tail}() runs inside the pool initializer "
-                f"(via {qualname}); a forked child must not create "
-                "threads/locks/handles while inherited state is live",
-            )
-        for call, tail in _blocking_calls(fn):
-            emitter.emit(
-                call,
-                f"blocking .{tail}() runs inside the pool initializer "
-                f"(via {qualname}) and can deadlock against a lock "
-                "snapshotted mid-acquire by fork",
+                f"module-level {tail}() is snapshotted into every "
+                "forked worker in an arbitrary state; create it "
+                "after the pool, or per-process in the initializer "
+                "via spawn",
             )
 
-    def _check_pre_fork(self, fn: ast.AST, emitter: Emitter) -> None:
-        """Hazards created lexically before the process pool is built."""
-        pool_line: int | None = None
-        for n in ast.walk(fn):
-            if (
-                isinstance(n, ast.Call)
-                and call_name(n.func) in PROCESS_POOL_TAILS
-            ):
-                line = getattr(n, "lineno", 0)
-                pool_line = line if pool_line is None else min(pool_line, line)
-        if pool_line is None:
-            return
-        for call, tail in _hazard_calls(fn):
-            if getattr(call, "lineno", 0) < pool_line:
-                emitter.emit(
-                    call,
-                    f"{tail}() created before the process pool forks "
-                    "(line "
-                    f"{pool_line}); the child inherits it in an "
-                    "unknown state — construct it after the pool",
-                )
+
+def _check_initializer_body(
+    fn: ast.AST, qualname: str, emitter: Emitter
+) -> None:
+    """Hazards inside (or reachable from) a pool initializer."""
+    for call, tail in _hazard_calls(fn):
+        emitter.emit(
+            call,
+            f"{tail}() runs inside the pool initializer "
+            f"(via {qualname}); a forked child must not create "
+            "threads/locks/handles while inherited state is live",
+        )
+    for call, tail in _blocking_calls(fn):
+        emitter.emit(
+            call,
+            f"blocking .{tail}() runs inside the pool initializer "
+            f"(via {qualname}) and can deadlock against a lock "
+            "snapshotted mid-acquire by fork",
+        )
+
+
+def _check_pre_fork(fn: ast.AST, emitter: Emitter) -> None:
+    """Hazards created lexically before the process pool is built."""
+    pool_line: int | None = None
+    for n in ast.walk(fn):
+        if (
+            isinstance(n, ast.Call)
+            and call_name(n.func) in PROCESS_POOL_TAILS
+        ):
+            line = getattr(n, "lineno", 0)
+            pool_line = line if pool_line is None else min(pool_line, line)
+    if pool_line is None:
+        return
+    for call, tail in _hazard_calls(fn):
+        if getattr(call, "lineno", 0) < pool_line:
+            emitter.emit(
+                call,
+                f"{tail}() created before the process pool forks "
+                "(line "
+                f"{pool_line}); the child inherits it in an "
+                "unknown state — construct it after the pool",
+            )

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import ast
 
-from repro.sanitizers.concurrency.callgraph import call_name, dotted_root
-from repro.sanitizers.dataflow.engine import Emitter
+from repro.sanitizers.concurrency.callgraph import (
+    CallGraph,
+    call_name,
+    dotted_root,
+)
+from repro.sanitizers.dataflow.engine import Emitter, Module
 
 RULE = "REP202"
 
@@ -63,136 +67,131 @@ def _annotation_is_array(node: ast.expr | None) -> bool:
     return "ndarray" in text or "SharedMemory" in text
 
 
-class PayloadRule:
+def check_payloads(
+    module: Module, graph: CallGraph | None, emitters: dict[str, Emitter]
+) -> None:
     """Per-function taint pass; no interprocedural state needed."""
+    emitter = emitters[RULE]
+    for _qualname, fn in module.functions:
+        _check_function(fn, emitter)
+    _check_body(module.tree.body, set(), emitter)
 
-    rule = RULE
 
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: object,
-        emitter: Emitter,
-    ) -> None:
-        from repro.sanitizers.dataflow.engine import iter_functions
+def _check_function(fn: ast.AST, emitter: Emitter) -> None:
+    tainted: set[str] = set()
+    args = getattr(fn, "args", None)
+    if args is not None:
+        for a in (
+            list(args.posonlyargs) + list(args.args)
+            + list(args.kwonlyargs)
+        ):
+            if _annotation_is_array(a.annotation):
+                tainted.add(a.arg)
+    _check_body(getattr(fn, "body", []), tainted, emitter)
 
-        for _qualname, fn in iter_functions(tree):
-            self._check_function(fn, emitter)
-        self._check_body(tree.body, set(), emitter)
 
-    def _check_function(self, fn: ast.AST, emitter: Emitter) -> None:
-        tainted: set[str] = set()
-        args = getattr(fn, "args", None)
-        if args is not None:
-            for a in (
-                list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)
-            ):
-                if _annotation_is_array(a.annotation):
-                    tainted.add(a.arg)
-        self._check_body(getattr(fn, "body", []), tainted, emitter)
-
-    def _check_body(
-        self, body: list[ast.stmt], tainted: set[str], emitter: Emitter
-    ) -> None:
-        for stmt in body:
-            if isinstance(
-                stmt,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                continue  # nested scopes are visited on their own
-            self._track_assignments(stmt, tainted)
-            for call in self._submit_calls(stmt):
-                self._check_submit(call, tainted, emitter)
-            for attr in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, attr, None)
-                if isinstance(inner, list):
-                    self._check_body(
-                        [s for s in inner if isinstance(s, ast.stmt)],
-                        tainted,
-                        emitter,
-                    )
-            for handler in getattr(stmt, "handlers", []) or []:
-                self._check_body(handler.body, tainted, emitter)
-
-    def _track_assignments(self, stmt: ast.stmt, tainted: set[str]) -> None:
-        pairs: list[tuple[ast.expr, ast.expr]] = []
-        if isinstance(stmt, ast.Assign):
-            pairs = [(t, stmt.value) for t in stmt.targets]
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            pairs = [(stmt.target, stmt.value)]
-        elif isinstance(stmt, ast.AugAssign):
-            pairs = [(stmt.target, stmt.value)]
-        for target, value in pairs:
-            if isinstance(target, ast.Name):
-                if _is_tainted_expr(value, tainted):
-                    tainted.add(target.id)
-                else:
-                    tainted.discard(target.id)
-
-    @staticmethod
-    def _submit_calls(stmt: ast.stmt) -> list[ast.Call]:
-        out = []
-        for n in ast.walk(stmt):
-            if (
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and (
-                    n.func.attr in SUBMIT_TAILS
-                    or n.func.attr.startswith("submit_")
+def _check_body(
+    body: list[ast.stmt], tainted: set[str], emitter: Emitter
+) -> None:
+    for stmt in body:
+        if isinstance(
+            stmt,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+        ):
+            continue  # nested scopes are visited on their own
+        _track_assignments(stmt, tainted)
+        for call in _submit_calls(stmt):
+            _check_submit(call, tainted, emitter)
+        for attr in ("body", "orelse", "finalbody"):
+            inner = getattr(stmt, attr, None)
+            if isinstance(inner, list):
+                _check_body(
+                    [s for s in inner if isinstance(s, ast.stmt)],
+                    tainted,
+                    emitter,
                 )
-            ):
-                out.append(n)
-        return out
+        for handler in getattr(stmt, "handlers", []) or []:
+            _check_body(handler.body, tainted, emitter)
 
-    def _check_submit(
-        self, call: ast.Call, tainted: set[str], emitter: Emitter
-    ) -> None:
-        assert isinstance(call.func, ast.Attribute)
-        payload = list(call.args)
-        if call.func.attr in SUBMIT_TAILS and payload:
-            head, payload = payload[0], payload[1:]
-            # The callable slot still smuggles data if it is a closure.
-            self._check_closure(head, tainted, emitter)
-        for arg in payload:
-            self._check_closure(arg, tainted, emitter)
-            if _is_tainted_expr(arg, tainted):
-                emitter.emit(
-                    arg,
-                    f"{call.func.attr}() payload {ast.unparse(arg)} "
-                    "carries shared bulk data across the process "
-                    "boundary; pass (row0, nrows) coordinates and read "
-                    "the segment worker-side",
-                )
-        for kw in call.keywords:
-            if kw.arg is None:
-                continue
-            if _is_tainted_expr(kw.value, tainted):
-                emitter.emit(
-                    kw.value,
-                    f"{call.func.attr}() keyword {kw.arg!r} carries "
-                    "shared bulk data across the process boundary; "
-                    "pass coordinates instead",
-                )
 
-    @staticmethod
-    def _check_closure(
-        node: ast.expr, tainted: set[str], emitter: Emitter
-    ) -> None:
-        if not isinstance(node, ast.Lambda):
+def _track_assignments(stmt: ast.stmt, tainted: set[str]) -> None:
+    pairs: list[tuple[ast.expr, ast.expr]] = []
+    if isinstance(stmt, ast.Assign):
+        pairs = [(t, stmt.value) for t in stmt.targets]
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        pairs = [(stmt.target, stmt.value)]
+    elif isinstance(stmt, ast.AugAssign):
+        pairs = [(stmt.target, stmt.value)]
+    for target, value in pairs:
+        if isinstance(target, ast.Name):
+            if _is_tainted_expr(value, tainted):
+                tainted.add(target.id)
+            else:
+                tainted.discard(target.id)
+
+
+def _submit_calls(stmt: ast.stmt) -> list[ast.Call]:
+    out = []
+    for n in ast.walk(stmt):
+        if (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and (
+                n.func.attr in SUBMIT_TAILS
+                or n.func.attr.startswith("submit_")
+            )
+        ):
+            out.append(n)
+    return out
+
+
+def _check_submit(
+    call: ast.Call, tainted: set[str], emitter: Emitter
+) -> None:
+    assert isinstance(call.func, ast.Attribute)
+    payload = list(call.args)
+    if call.func.attr in SUBMIT_TAILS and payload:
+        head, payload = payload[0], payload[1:]
+        # The callable slot still smuggles data if it is a closure.
+        _check_closure(head, tainted, emitter)
+    for arg in payload:
+        _check_closure(arg, tainted, emitter)
+        if _is_tainted_expr(arg, tainted):
+            emitter.emit(
+                arg,
+                f"{call.func.attr}() payload {ast.unparse(arg)} "
+                "carries shared bulk data across the process "
+                "boundary; pass (row0, nrows) coordinates and read "
+                "the segment worker-side",
+            )
+    for kw in call.keywords:
+        if kw.arg is None:
+            continue
+        if _is_tainted_expr(kw.value, tainted):
+            emitter.emit(
+                kw.value,
+                f"{call.func.attr}() keyword {kw.arg!r} carries "
+                "shared bulk data across the process boundary; "
+                "pass coordinates instead",
+            )
+
+
+def _check_closure(
+    node: ast.expr, tainted: set[str], emitter: Emitter
+) -> None:
+    if not isinstance(node, ast.Lambda):
+        return
+    bound = {a.arg for a in node.args.args}
+    for n in ast.walk(node.body):
+        if (
+            isinstance(n, ast.Name)
+            and n.id in tainted
+            and n.id not in bound
+        ):
+            emitter.emit(
+                node,
+                f"lambda closes over shared array {n.id!r}; the "
+                "pickled closure copies it into the worker — pass "
+                "coordinates instead",
+            )
             return
-        bound = {a.arg for a in node.args.args}
-        for n in ast.walk(node.body):
-            if (
-                isinstance(n, ast.Name)
-                and n.id in tainted
-                and n.id not in bound
-            ):
-                emitter.emit(
-                    node,
-                    f"lambda closes over shared array {n.id!r}; the "
-                    "pickled closure copies it into the worker — pass "
-                    "coordinates instead",
-                )
-                return

@@ -25,14 +25,8 @@ from typing import Any
 
 from repro.sanitizers.concurrency.bands import BARRIER_TAILS, _shm_slice_writes
 from repro.sanitizers.concurrency.callgraph import call_name
-from repro.sanitizers.dataflow.cfg import build_cfg
-from repro.sanitizers.dataflow.engine import (
-    Emitter,
-    FunctionContext,
-    run_analysis,
-)
+from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
 
-RULE = "REP204"
 
 #: (staged: must, pending_p1: may, function_stages: static fact)
 State = tuple[bool, bool, bool]
@@ -68,8 +62,6 @@ def _stages_somewhere(fn: ast.AST) -> bool:
 
 
 class PhaseOrderAnalysis:
-    rule = RULE
-
     def initial_state(self, ctx: FunctionContext) -> State:
         stages = ctx.fn is not None and _stages_somewhere(ctx.fn)
         return (False, False, stages)
@@ -134,23 +126,3 @@ class PhaseOrderAnalysis:
         exceptional: bool,
     ) -> None:
         return None
-
-
-class PhaseOrderRule:
-    rule = RULE
-
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: object,
-        emitter: Emitter,
-    ) -> None:
-        from repro.sanitizers.dataflow.engine import iter_functions
-
-        for qualname, fn in iter_functions(tree):
-            ctx = FunctionContext(
-                fn=fn, qualname=qualname, module_path=display, summaries={}
-            )
-            cfg = build_cfg(fn, qualname=qualname)
-            run_analysis(cfg, PhaseOrderAnalysis(), ctx, emitter)

@@ -1,12 +1,13 @@
-"""Dataflow lint: CFG + abstract interpretation behind ``repro lint``.
+"""Dataflow lint (layer 3): CFG + abstract interpretation.
 
-This package is lint layer 3 (see DESIGN.md): function-level CFGs
-(:mod:`cfg`), a worklist fixpoint solver (:mod:`engine`), and four
-rules that need flow information a per-line AST walk cannot provide:
+Function-level CFGs (:mod:`cfg`), a worklist fixpoint solver
+(:mod:`engine`), and four rules that need flow information a per-line
+AST walk cannot provide:
 
 REP101
     Unit/dimension mismatch on rates, bandwidths, times, rows and
-    bytes (:mod:`units`), seeded from the measurement-API signatures.
+    bytes (:mod:`units`), seeded from the measurement-API signatures
+    and the whole-scope summaries (:mod:`summaries`).
 REP102
     Unordered ``set`` iteration exposed to order-sensitive consumers —
     DES event insertion, heap tie-breaks, LP candidate ordering
@@ -18,211 +19,6 @@ REP104
     Measurement-path purity: characterization code must not mutate
     framework or device state (:mod:`purity`).
 
-Each rule runs only where it is meaningful (``RULE_SCOPES``); pass
-``select`` to force rules onto any file (the crash-free property test
-does).  ``# noqa: REPxxx`` suppression and the findings baseline are
-shared with the per-line lint.
+The rule table and the driver that runs them are
+:mod:`repro.sanitizers.runner`; :mod:`reporting` formats the findings.
 """
-
-from __future__ import annotations
-
-import ast
-import re
-import time
-from pathlib import Path
-
-from repro.sanitizers.dataflow.cfg import build_cfg, build_module_cfg
-from repro.sanitizers.dataflow.determinism import DeterminismAnalysis
-from repro.sanitizers.dataflow.engine import (
-    AnalyzerError,
-    Emitter,
-    FunctionAnalysis,
-    FunctionContext,
-    iter_functions,
-    run_analysis,
-)
-from repro.sanitizers.dataflow.purity import PurityAnalysis
-from repro.sanitizers.dataflow.resources import ResourceAnalysis
-from repro.sanitizers.dataflow.summaries import SummaryStore
-from repro.sanitizers.dataflow.units import (
-    BUILTIN_SIGNATURES,
-    UnitAnalysis,
-    unit_str,
-)
-from repro.sanitizers.lint import LintViolation, _noqa_codes, iter_python_files
-
-DATAFLOW_RULES: dict[str, str] = {
-    "REP101": "unit mismatch in rate/bandwidth/time/row/byte arithmetic",
-    "REP102": "unordered set iteration leaks into event/candidate ordering",
-    "REP103": "engine/slot acquired but not released on every path",
-    "REP104": "measurement path mutates framework/device state",
-}
-
-#: Where each rule is meaningful. Paths are matched posix-style.
-RULE_SCOPES: dict[str, re.Pattern[str]] = {
-    "REP101": re.compile(r"repro/(hw|core)/"),
-    "REP102": re.compile(r"repro/(hw|core|service)/"),
-    "REP103": re.compile(r"repro/(hw|core|service|exec)/"),
-    "REP104": re.compile(r"repro/(hw/calibration|core/analysis)\.py$"),
-}
-
-
-def _make_analysis(rule: str) -> FunctionAnalysis:
-    if rule == "REP101":
-        return UnitAnalysis()
-    if rule == "REP102":
-        return DeterminismAnalysis()
-    if rule == "REP103":
-        return ResourceAnalysis()
-    if rule == "REP104":
-        return PurityAnalysis()
-    raise ValueError(f"unknown dataflow rule {rule!r}")
-
-
-def rules_for_path(display: str) -> list[str]:
-    posix = display.replace("\\", "/")
-    return [
-        rule
-        for rule in sorted(DATAFLOW_RULES)
-        if RULE_SCOPES[rule].search(posix)
-    ]
-
-
-def analyze_source(
-    source: str,
-    display: str,
-    *,
-    summaries: dict[str, str] | None = None,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-    timings: dict[str, float] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Run the scoped (or selected) dataflow rules over one module.
-
-    Returns ``(violations, internal_errors)``; a rule crashing on one
-    function is recorded as an :class:`AnalyzerError` and the remaining
-    functions/rules still run. ``select`` *forces* rules regardless of
-    scope; ``only`` *restricts* the scoped set (the CLI's ``--select``).
-    With ``timings``, per-rule wall time is accumulated into the dict.
-    """
-    rules = select if select is not None else rules_for_path(display)
-    if only is not None:
-        rules = [r for r in rules if r in only]
-    if not rules:
-        return [], []
-    if summaries is None:
-        # Single-file analysis still gets the builtin signature seeds.
-        summaries = {n: unit_str(u) for n, u in BUILTIN_SIGNATURES.items()}
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError:
-        return [], []  # the per-line lint already reports REP000
-    noqa = _noqa_codes(source)
-    units: list[tuple[FunctionContext, object]] = []
-    module_ctx = FunctionContext(
-        fn=None,
-        qualname="<module>",
-        module_path=display,
-        summaries=summaries or {},
-    )
-    units.append((module_ctx, tree))
-    for qualname, fn in iter_functions(tree):
-        units.append(
-            (
-                FunctionContext(
-                    fn=fn,
-                    qualname=qualname,
-                    module_path=display,
-                    summaries=summaries or {},
-                ),
-                fn,
-            )
-        )
-
-    violations: list[LintViolation] = []
-    errors: list[AnalyzerError] = []
-    for rule in rules:
-        t0 = time.perf_counter()
-        analysis = _make_analysis(rule)
-        emitter = Emitter(rule=rule, display=display)
-        for ctx, node in units:
-            try:
-                cfg = (
-                    build_module_cfg(node, name=display)  # type: ignore[arg-type]
-                    if ctx.fn is None
-                    else build_cfg(ctx.fn, qualname=ctx.qualname)
-                )
-                run_analysis(cfg, analysis, ctx, emitter)
-            except AnalyzerError as exc:
-                errors.append(exc)
-        if timings is not None:
-            timings[rule] = timings.get(rule, 0.0) + time.perf_counter() - t0
-        for v in emitter.findings:
-            codes = noqa.get(v.line, frozenset())
-            if codes is None or v.rule in codes:
-                continue
-            violations.append(v)
-    violations.sort(key=lambda v: (v.line, v.col, v.rule))
-    return violations, errors
-
-
-def analyze_file(
-    path: Path,
-    root: Path | None = None,
-    *,
-    summaries: dict[str, str] | None = None,
-    select: list[str] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    display = str(path.relative_to(root)) if root else str(path)
-    return analyze_source(
-        path.read_text(), display, summaries=summaries, select=select
-    )
-
-
-def analyze_paths(
-    targets: list[Path],
-    *,
-    store: SummaryStore | None = None,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-    timings: dict[str, float] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Two-pass dataflow lint over files/directories.
-
-    Pass 1 builds (or reuses from the cache) per-module unit summaries;
-    pass 2 analyzes every file against the merged summary table.
-    """
-    store = store if store is not None else SummaryStore()
-    files: list[tuple[Path, str]] = []
-    for target in targets:
-        for path in iter_python_files(target):
-            try:
-                source = path.read_text()
-            except (OSError, UnicodeDecodeError):
-                continue
-            files.append((path, source))
-            store.add_module(str(path), source)
-    merged = store.merged()
-    store.save()
-
-    violations: list[LintViolation] = []
-    errors: list[AnalyzerError] = []
-    for path, source in files:
-        v, e = analyze_source(
-            source, str(path), summaries=merged, select=select,
-            only=only, timings=timings,
-        )
-        violations.extend(v)
-        errors.extend(e)
-    return violations, errors
-
-
-__all__ = [
-    "DATAFLOW_RULES",
-    "RULE_SCOPES",
-    "AnalyzerError",
-    "analyze_source",
-    "analyze_file",
-    "analyze_paths",
-    "rules_for_path",
-]

@@ -72,8 +72,6 @@ def _annotation_is_set(ann: ast.expr | None) -> bool:
 class DeterminismAnalysis:
     """REP102 dataflow rule (see module docstring)."""
 
-    rule = "REP102"
-
     def initial_state(self, ctx: FunctionContext) -> State:
         tainted: set[str] = set()
         fn = ctx.fn

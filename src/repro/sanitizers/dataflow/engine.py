@@ -8,9 +8,10 @@ collector because transfer functions re-run as states grow.
 
 The solver is deliberately defensive: states must be *plain comparable
 values* (dicts/frozensets), iteration is capped as a termination
-backstop against non-monotone transfer bugs, and any exception escaping
-an analysis is wrapped in :class:`AnalyzerError` so ``repro lint`` can
-report an internal-error exit code instead of a stack trace.
+backstop against non-monotone transfer bugs. An exception escaping an
+analysis is the driver's business (:mod:`repro.sanitizers.runner` turns
+it into an :class:`AnalyzerError` so ``repro lint`` can report an
+internal-error exit code instead of a stack trace).
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.sanitizers.dataflow.cfg import CFG, Element
 from repro.sanitizers.lint import LintViolation
+
+if TYPE_CHECKING:
+    from repro.sanitizers.concurrency.callgraph import CallGraph
+
+FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,7 @@ class AnalyzerError(Exception):
 
 
 class Emitter:
-    """Deduplicating finding collector for one function analysis."""
+    """Deduplicating finding collector for one rule over one module."""
 
     def __init__(self, rule: str, display: str) -> None:
         self.rule = rule
@@ -68,19 +74,27 @@ class Emitter:
 
 
 @dataclass
+class Module:
+    """One parsed source file, as every rule sees it."""
+
+    display: str
+    source: str
+    tree: ast.Module
+    functions: list[tuple[str, FunctionNode]]  # iter_functions(tree)
+
+
+@dataclass
 class FunctionContext:
     """Everything a rule can see about the function under analysis."""
 
-    fn: ast.FunctionDef | ast.AsyncFunctionDef | None
+    fn: FunctionNode | None  # None: the module's top-level statements
     qualname: str
-    module_path: str  # posix-style display path of the module
     summaries: dict[str, str]  # callable name -> unit repr (REP101)
+    graph: CallGraph | None = None  # whole-scope call graph (REP304)
 
 
 class FunctionAnalysis(Protocol):
-    """Interface one REP1xx rule implements."""
-
-    rule: str
+    """Interface of a rule solved over each function's CFG."""
 
     def initial_state(self, ctx: FunctionContext) -> Any: ...
 
@@ -105,36 +119,7 @@ def run_analysis(
     ctx: FunctionContext,
     emitter: Emitter,
 ) -> None:
-    """Solve one analysis over one CFG to fixpoint.
-
-    Exceptions raised by the rule are re-raised as :class:`AnalyzerError`.
-    """
-    try:
-        _run(cfg, analysis, ctx, emitter)
-    except AnalyzerError:
-        raise
-    except RecursionError as exc:  # deep ASTs: report, don't crash the run
-        raise AnalyzerError(
-            path=ctx.module_path,
-            function=ctx.qualname,
-            rule=analysis.rule,
-            detail=f"recursion limit: {exc}",
-        ) from exc
-    except Exception as exc:
-        raise AnalyzerError(
-            path=ctx.module_path,
-            function=ctx.qualname,
-            rule=analysis.rule,
-            detail=f"{type(exc).__name__}: {exc}",
-        ) from exc
-
-
-def _run(
-    cfg: CFG,
-    analysis: FunctionAnalysis,
-    ctx: FunctionContext,
-    emitter: Emitter,
-) -> None:
+    """Solve one analysis over one CFG to fixpoint."""
     succs: dict[int, list[tuple[int, str]]] = {bid: [] for bid in cfg.blocks}
     for e in cfg.edges:
         succs[e.src].append((e.dst, e.kind))
@@ -194,11 +179,9 @@ def _run(
         )
 
 
-def iter_functions(
-    tree: ast.Module,
-) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+def iter_functions(tree: ast.Module) -> list[tuple[str, FunctionNode]]:
     """Every function/method in a module with a dotted qualname."""
-    out: list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]] = []
+    out: list[tuple[str, FunctionNode]] = []
 
     def walk(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):

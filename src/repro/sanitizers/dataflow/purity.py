@@ -93,8 +93,6 @@ def _root_name(node: ast.expr) -> str | None:
 class PurityAnalysis:
     """REP104 dataflow rule (see module docstring)."""
 
-    rule = "REP104"
-
     def initial_state(self, ctx: FunctionContext) -> State:
         env: dict[str, str] = {}
         fn = ctx.fn

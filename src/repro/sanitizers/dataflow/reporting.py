@@ -1,9 +1,10 @@
 """Lint output formats: text, stable JSON, and SARIF 2.1.0.
 
-JSON output is a top-level list sorted by (path, line, rule) so
-baselines and CI artifacts diff cleanly across runs.  SARIF is the
-minimal subset GitHub code scanning ingests: one run, one driver, rule
-metadata from the rule tables, one result per finding.
+Findings arrive already sorted by (path, line, rule, col) from the
+driver (:mod:`repro.sanitizers.runner`), so JSON output — a top-level
+list — and CI artifacts diff cleanly across runs.  SARIF is the minimal
+subset GitHub code scanning ingests: one run, one driver, rule metadata
+from the rule table, one result per finding.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ import json
 from repro.sanitizers.lint import LintViolation
 
 
-def sort_violations(violations: list[LintViolation]) -> list[LintViolation]:
-    return sorted(violations, key=lambda v: (v.path, v.line, v.rule, v.col))
-
-
 def format_text(violations: list[LintViolation]) -> str:
-    return "\n".join(str(v) for v in sort_violations(violations))
+    return "\n".join(str(v) for v in violations)
 
 
 def format_json(violations: list[LintViolation]) -> str:
@@ -30,7 +27,7 @@ def format_json(violations: list[LintViolation]) -> str:
             "col": v.col,
             "message": v.message,
         }
-        for v in sort_violations(violations)
+        for v in violations
     ]
     return json.dumps(payload, indent=1)
 
@@ -56,7 +53,7 @@ def format_sarif(
                 }
             ],
         }
-        for v in sort_violations(violations)
+        for v in violations
     ]
     log = {
         "$schema": (

@@ -104,8 +104,6 @@ def _receiver_key(call: ast.Call) -> str | None:
 class ResourceAnalysis:
     """REP103 dataflow rule (see module docstring)."""
 
-    rule = "REP103"
-
     def initial_state(self, ctx: FunctionContext) -> State:
         return frozenset()
 

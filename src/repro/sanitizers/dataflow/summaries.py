@@ -1,4 +1,4 @@
-"""Inter-procedural unit summaries with an on-disk cache.
+"""Inter-procedural unit summaries.
 
 REP101 resolves calls it cannot see into by *summary*: a per-module map
 from function/method name to the unit of its return value.  Summaries
@@ -8,20 +8,20 @@ the builtin signature table only — which is enough to type the
 measurement API (``k_compute`` → s/row, ``transfer_s`` → s, …) without
 a whole-program fixpoint.
 
-The store persists as JSON keyed by source SHA-256 so CI can cache it:
-an unchanged module's summary is reused without re-parsing, a changed
-one is re-inferred.  Name collisions across modules with *different*
-units are dropped to unknown — a wrong summary is worse than none.
+Name collisions across modules with *different* units are dropped to
+unknown — a wrong summary is worse than none.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from pathlib import Path
 
-from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
+from repro.sanitizers.dataflow.engine import (
+    Emitter,
+    FunctionContext,
+    FunctionNode,
+    Module,
+)
 from repro.sanitizers.dataflow.units import (
     BUILTIN_SIGNATURES,
     UnitAnalysis,
@@ -29,17 +29,8 @@ from repro.sanitizers.dataflow.units import (
     unit_str,
 )
 
-CACHE_VERSION = 1
 
-
-def _source_sha(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _infer_return_unit(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    base: dict[str, str],
-) -> str | None:
+def _infer_return_unit(fn: FunctionNode, base: dict[str, str]) -> str | None:
     """Unit of a function's return value, if consistently inferable."""
     if fn.name in base:
         # Builtin signatures are ground truth; don't let a naming
@@ -49,9 +40,7 @@ def _infer_return_unit(
     if named is not None:
         return unit_str(named)
     analysis = UnitAnalysis()
-    ctx = FunctionContext(
-        fn=fn, qualname=fn.name, module_path="<summary>", summaries=base
-    )
+    ctx = FunctionContext(fn=fn, qualname=fn.name, summaries=base)
     env = analysis.initial_state(ctx)
     sink = Emitter(rule="REP101", display="<summary>")  # findings discarded
     units = set()
@@ -78,79 +67,21 @@ def summarize_module(tree: ast.Module) -> dict[str, str]:
     return out
 
 
-class SummaryStore:
-    """Per-module summaries with an optional JSON cache file."""
-
-    def __init__(self, cache_path: Path | None = None) -> None:
-        self.cache_path = cache_path
-        self._by_module: dict[str, dict[str, str]] = {}
-        self._shas: dict[str, str] = {}
-        self._cache: dict[str, dict[str, object]] = {}
-        if cache_path is not None and cache_path.exists():
-            try:
-                raw = json.loads(cache_path.read_text(encoding="utf-8"))
-                if raw.get("version") == CACHE_VERSION:
-                    self._cache = raw.get("modules", {})
-            except (OSError, ValueError):
-                self._cache = {}
-
-    def add_module(self, display: str, source: str) -> None:
-        """Summarize one module, reusing the cache when the sha matches."""
-        sha = _source_sha(source)
-        cached = self._cache.get(display)
-        if cached is not None and cached.get("sha") == sha:
-            functions = cached.get("functions")
-            if isinstance(functions, dict):
-                self._by_module[display] = {
-                    str(k): str(v) for k, v in functions.items()
-                }
-                self._shas[display] = sha
-                return
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            self._by_module[display] = {}
-            self._shas[display] = sha
-            return
-        self._by_module[display] = summarize_module(tree)
-        self._shas[display] = sha
-
-    def merged(self) -> dict[str, str]:
-        """Global name -> unit table: builtins + all modules, conflicts out."""
-        builtins = {name: unit_str(u) for name, u in BUILTIN_SIGNATURES.items()}
-        merged = dict(builtins)
-        conflicted: set[str] = set()
-        for display in sorted(self._by_module):
-            for name, unit in self._by_module[display].items():
-                if name in conflicted or name in builtins:
-                    continue  # builtin signatures always win
-                prior = merged.get(name)
-                if prior is None:
-                    merged[name] = unit
-                elif prior != unit:
-                    # Same name, different units across modules: a wrong
-                    # summary is worse than none.
-                    conflicted.add(name)
-                    del merged[name]
-        return merged
-
-    def save(self) -> None:
-        if self.cache_path is None:
-            return
-        payload = {
-            "version": CACHE_VERSION,
-            "modules": {
-                display: {
-                    "sha": self._shas[display],
-                    "functions": dict(
-                        sorted(self._by_module[display].items())
-                    ),
-                }
-                for display in sorted(self._by_module)
-            },
-        }
-        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        self.cache_path.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+def build_summaries(modules: list[Module]) -> dict[str, str]:
+    """Global name -> unit table: builtins + all modules, conflicts out."""
+    builtins = {name: unit_str(u) for name, u in BUILTIN_SIGNATURES.items()}
+    merged = dict(builtins)
+    conflicted: set[str] = set()
+    for module in sorted(modules, key=lambda m: m.display):
+        for name, unit in summarize_module(module.tree).items():
+            if name in conflicted or name in builtins:
+                continue  # builtin signatures always win
+            prior = merged.get(name)
+            if prior is None:
+                merged[name] = unit
+            elif prior != unit:
+                # Same name, different units across modules: a wrong
+                # summary is worse than none.
+                conflicted.add(name)
+                del merged[name]
+    return merged

@@ -86,7 +86,7 @@ def unit_str(u: Unit | None) -> str:
 
 
 def parse_unit(text: str) -> Unit | None:
-    """Inverse of :func:`unit_str` (for the summary cache)."""
+    """Inverse of :func:`unit_str` (summaries carry units as strings)."""
     if text == "?":
         return None
     if text == "1":
@@ -191,8 +191,6 @@ def _lookup(name: str, env: dict[str, Unit | None]) -> Unit | None:
 
 class UnitAnalysis:
     """REP101 dataflow rule (see module docstring)."""
-
-    rule = "REP101"
 
     # -- lattice --------------------------------------------------------
 

@@ -1,7 +1,9 @@
-"""Repo-specific static AST lint (``repro lint``).
+"""Per-line AST rules of ``repro lint`` (layer 2), plus what every layer
+shares: the finding record, ``# noqa`` parsing and file discovery.
 
 Four rules encode conventions of this simulator that generic linters
-cannot know:
+cannot know; one visitor pass serves whichever of them the driver
+(:mod:`repro.sanitizers.runner`) selected for the file:
 
 REP001
     No wall-clock reads (``time.time``/``perf_counter``/``monotonic``/
@@ -37,8 +39,14 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-LINT_RULES: dict[str, str] = {
+if TYPE_CHECKING:
+    from repro.sanitizers.concurrency.callgraph import CallGraph
+    from repro.sanitizers.dataflow.engine import Emitter, Module
+
+#: What each per-line rule reports — also its rule-table description.
+MESSAGES: dict[str, str] = {
     "REP001": "wall-clock read inside simulation code (use the DES clock)",
     "REP002": "exact ==/!= comparison against a float literal",
     "REP003": "Device fault/share scaling mutated outside hw/device.py",
@@ -60,8 +68,6 @@ _WALL_CLOCK_ATTRS = frozenset(
 _PROTECTED_DEVICE_ATTRS = frozenset(
     {"fault_compute_scale", "fault_copy_scale", "share_scale"}
 )
-_SIM_PATH_RE = re.compile(r"repro/(hw|core)/")
-_DEVICE_API_RE = re.compile(r"repro/hw/device\.py$")
 _RATE_NAME_RE = re.compile(r"(?:^|_)(bw|bandwidth|rate|rates|fps|speed|speeds)(?:_|$)")
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?", re.I)
 
@@ -80,7 +86,7 @@ class LintViolation:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
-def _noqa_codes(source: str) -> dict[int, frozenset[str] | None]:
+def noqa_codes(source: str) -> dict[int, frozenset[str] | None]:
     """Line → suppressed rule codes (``None`` = blanket ``# noqa``)."""
     out: dict[int, frozenset[str] | None] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):
@@ -120,42 +126,22 @@ def _names_in(node: ast.expr) -> set[str]:
     return found
 
 
-class _FileLinter(ast.NodeVisitor):
-    def __init__(self, path: Path, display: str, source: str) -> None:
-        self.path = path
-        self.display = display
-        self.noqa = _noqa_codes(source)
-        posix = path.as_posix()
-        self.in_sim_path = _SIM_PATH_RE.search(posix) is not None
-        self.is_device_module = _DEVICE_API_RE.search(posix) is not None
-        self.violations: list[LintViolation] = []
+class _LineRules(ast.NodeVisitor):
+    def __init__(self, emitters: dict[str, Emitter]) -> None:
+        self.emitters = emitters
         # Stack of per-function guard scopes for REP004: names that appear
         # in any conditional/assert test within the enclosing function are
         # considered guarded anywhere in it (control flow is not tracked —
         # the rule asks for a *visible* guard, not a proven one).
         self._guard_stack: list[set[str]] = [set()]
 
-    # ------------------------------------------------------------------
-
-    def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        codes = self.noqa.get(line, frozenset())
-        if codes is None or rule in codes:
-            return
-        self.violations.append(
-            LintViolation(
-                rule=rule,
-                path=self.display,
-                line=line,
-                col=getattr(node, "col_offset", 0) + 1,
-                message=LINT_RULES[rule],
-            )
-        )
+    def _emit(self, rule: str, node: ast.AST) -> None:
+        self.emitters[rule].emit(node, MESSAGES[rule])
 
     # ----------------------------- REP001 -----------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self.in_sim_path:
+        if "REP001" in self.emitters:
             dotted = _dotted(node.func)
             if (
                 dotted
@@ -163,14 +149,14 @@ class _FileLinter(ast.NodeVisitor):
                 and dotted.split(".", 1)[0] == "time"
                 and dotted.rsplit(".", 1)[-1] in _WALL_CLOCK_ATTRS
             ):
-                self._emit("REP001", node, LINT_RULES["REP001"])
+                self._emit("REP001", node)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self.in_sim_path and node.module == "time":
+        if "REP001" in self.emitters and node.module == "time":
             for alias in node.names:
                 if alias.name in _WALL_CLOCK_ATTRS:
-                    self._emit("REP001", node, LINT_RULES["REP001"])
+                    self._emit("REP001", node)
                     break
         self.generic_visit(node)
 
@@ -179,11 +165,15 @@ class _FileLinter(ast.NodeVisitor):
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left, *node.comparators]
         for op, (_lhs, rhs) in zip(node.ops, zip(operands, operands[1:], strict=False), strict=False):
-            if isinstance(op, (ast.Eq, ast.NotEq)) and any(
-                isinstance(x, ast.Constant) and isinstance(x.value, float)
-                for x in (_lhs, rhs)
+            if (
+                "REP002" in self.emitters
+                and isinstance(op, (ast.Eq, ast.NotEq))
+                and any(
+                    isinstance(x, ast.Constant) and isinstance(x.value, float)
+                    for x in (_lhs, rhs)
+                )
             ):
-                self._emit("REP002", node, LINT_RULES["REP002"])
+                self._emit("REP002", node)
                 break
         self.generic_visit(node)
 
@@ -191,11 +181,11 @@ class _FileLinter(ast.NodeVisitor):
 
     def _check_protected_target(self, target: ast.expr) -> None:
         if (
-            not self.is_device_module
+            "REP003" in self.emitters
             and isinstance(target, ast.Attribute)
             and target.attr in _PROTECTED_DEVICE_ATTRS
         ):
-            self._emit("REP003", target, LINT_RULES["REP003"])
+            self._emit("REP003", target)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -252,37 +242,22 @@ class _FileLinter(ast.NodeVisitor):
         return False
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
+        if "REP004" in self.emitters and isinstance(
+            node.op, (ast.Div, ast.FloorDiv, ast.Mod)
+        ):
             dotted = _dotted(node.right)
             if dotted is not None:
                 tail = dotted.rsplit(".", 1)[-1]
                 if _RATE_NAME_RE.search(tail) and not self._is_guarded(node.right):
-                    self._emit("REP004", node, LINT_RULES["REP004"])
+                    self._emit("REP004", node)
         self.generic_visit(node)
 
 
-def lint_source(source: str, path: Path, display: str | None = None) -> list[LintViolation]:
-    """Lint one module's source text; returns violations sorted by line."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            LintViolation(
-                rule="REP000",
-                path=display or str(path),
-                line=exc.lineno or 0,
-                col=(exc.offset or 0),
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    linter = _FileLinter(path, display or str(path), source)
-    linter.visit(tree)
-    return sorted(linter.violations, key=lambda v: (v.line, v.col, v.rule))
-
-
-def lint_file(path: Path, root: Path | None = None) -> list[LintViolation]:
-    display = str(path.relative_to(root)) if root else str(path)
-    return lint_source(path.read_text(), path, display)
+def check_lines(
+    module: Module, graph: CallGraph | None, emitters: dict[str, Emitter]
+) -> None:
+    """One visitor pass serving every selected REP00x rule."""
+    _LineRules(emitters).visit(module.tree)
 
 
 def iter_python_files(target: Path) -> list[Path]:
@@ -296,20 +271,10 @@ def iter_python_files(target: Path) -> list[Path]:
     )
 
 
-def lint_paths(targets: list[Path]) -> list[LintViolation]:
-    """Lint every ``.py`` under the targets (files or directories)."""
-    out: list[LintViolation] = []
-    for target in targets:
-        for path in iter_python_files(target):
-            out.extend(lint_file(path))
-    return out
-
-
 __all__ = [
-    "LINT_RULES",
+    "MESSAGES",
     "LintViolation",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
+    "check_lines",
     "iter_python_files",
+    "noqa_codes",
 ]

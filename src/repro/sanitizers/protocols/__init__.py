@@ -30,196 +30,8 @@ check_protocols`): instrumented classes journal lifecycle events under
 (SAN-G1 illegal transition / clock regression, SAN-G2 unmet
 obligation / missing shutdown).
 
-Scoping/``select``/``only`` semantics, ``# noqa: REPxxx`` and the
-findings baseline all match the dataflow and concurrency layers.
-Rule-module imports are lazy so importing this package (which the
-instrumented runtime classes do transitively via :mod:`journal`) does
-not pull the analysis engine.
+The rule table and the driver that runs them are
+:mod:`repro.sanitizers.runner`; importing this package (which the
+instrumented runtime classes do, for :mod:`journal`) pulls in none of
+the analysis code.
 """
-
-from __future__ import annotations
-
-import ast
-import re
-import time
-from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.sanitizers.dataflow.engine import AnalyzerError
-    from repro.sanitizers.lint import LintViolation
-
-PROTOCOL_RULES: dict[str, str] = {
-    "REP301": "object lifecycle violates its protocol state machine",
-    "REP302": "clock rewound or cross-assigned between clock domains",
-    "REP303": "dequeued stream can exit without place/park/reject",
-    "REP304": "live-set mutated without note_live_set_change before solve",
-}
-
-#: Where each rule is meaningful. Lifecycles live wherever tracked
-#: classes are constructed or driven; clocks in the DES tiers; queue
-#: conservation in the dispatch/admission tiers; cache invalidation in
-#: the framework core.
-RULE_SCOPES: dict[str, re.Pattern[str]] = {
-    "REP301": re.compile(r"repro/(service|cluster|exec|core)/"),
-    "REP302": re.compile(r"repro/(service|cluster|core)/"),
-    "REP303": re.compile(r"repro/(service|cluster)/"),
-    "REP304": re.compile(r"repro/core/"),
-}
-
-
-def _make_rule(rule: str):
-    # Lazy imports: see module docstring.
-    if rule == "REP301":
-        from repro.sanitizers.protocols.typestate import TypestateRule
-
-        return TypestateRule()
-    if rule == "REP302":
-        from repro.sanitizers.protocols.clocks import ClockRule
-
-        return ClockRule()
-    if rule == "REP303":
-        from repro.sanitizers.protocols.conservation import ConservationRule
-
-        return ConservationRule()
-    if rule == "REP304":
-        from repro.sanitizers.protocols.invalidation import InvalidationRule
-
-        return InvalidationRule()
-    raise ValueError(f"unknown protocol rule {rule!r}")
-
-
-def rules_for_path(display: str) -> list[str]:
-    posix = display.replace("\\", "/")
-    return [
-        rule
-        for rule in sorted(PROTOCOL_RULES)
-        if RULE_SCOPES[rule].search(posix)
-    ]
-
-
-def analyze_source(
-    source: str,
-    display: str,
-    *,
-    graph: object | None = None,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-    timings: dict[str, float] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Run the scoped (or selected) protocol rules over one module.
-
-    ``graph`` carries the layer-4 call graph (REP304's solve
-    reachability); when omitted a graph over just this module is built.
-    """
-    from repro.sanitizers.dataflow.engine import AnalyzerError, Emitter
-    from repro.sanitizers.lint import _noqa_codes
-
-    rules = select if select is not None else rules_for_path(display)
-    if only is not None:
-        rules = [r for r in rules if r in only]
-    if not rules:
-        return [], []
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError:
-        return [], []  # the per-line lint already reports REP000
-    if graph is None:
-        from repro.sanitizers.concurrency.callgraph import build_graph
-
-        graph = build_graph([(display, tree)])
-    noqa = _noqa_codes(source)
-
-    violations: list[LintViolation] = []
-    errors: list[AnalyzerError] = []
-    for rule in rules:
-        t0 = time.perf_counter()
-        emitter = Emitter(rule=rule, display=display)
-        try:
-            _make_rule(rule).run(tree, display, graph, emitter)
-        except AnalyzerError as exc:
-            errors.append(exc)
-        except RecursionError as exc:
-            errors.append(AnalyzerError(
-                path=display, function="<module>", rule=rule,
-                detail=f"recursion limit: {exc}",
-            ))
-        except Exception as exc:  # noqa: BLE001 - surfaced as exit code 2
-            errors.append(AnalyzerError(
-                path=display, function="<module>", rule=rule,
-                detail=f"{type(exc).__name__}: {exc}",
-            ))
-        if timings is not None:
-            timings[rule] = (
-                timings.get(rule, 0.0) + time.perf_counter() - t0
-            )
-        for v in emitter.findings:
-            codes = noqa.get(v.line, frozenset())
-            if codes is None or v.rule in codes:
-                continue
-            violations.append(v)
-    violations.sort(key=lambda v: (v.line, v.col, v.rule))
-    return violations, errors
-
-
-def analyze_file(
-    path: Path,
-    root: Path | None = None,
-    *,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    display = str(path.relative_to(root)) if root else str(path)
-    return analyze_source(path.read_text(), display, select=select, only=only)
-
-
-def analyze_paths(
-    targets: list[Path],
-    *,
-    select: list[str] | None = None,
-    only: list[str] | None = None,
-    timings: dict[str, float] | None = None,
-) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Two-pass protocol lint over files/directories.
-
-    Pass 1 parses everything and assembles one call graph spanning all
-    analyzed modules (so REP304's solve-reachability sees cross-module
-    edges); pass 2 runs the rules per file against that graph.
-    """
-    from repro.sanitizers.concurrency.callgraph import build_graph
-    from repro.sanitizers.lint import iter_python_files
-
-    modules: list[tuple[str, ast.Module, str]] = []
-    for target in targets:
-        for path in iter_python_files(target):
-            try:
-                source = path.read_text()
-            except (OSError, UnicodeDecodeError):
-                continue
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue
-            modules.append((str(path), tree, source))
-    graph = build_graph([(d, t) for d, t, _s in modules])
-
-    violations: list[LintViolation] = []
-    errors: list[AnalyzerError] = []
-    for display, _tree, source in modules:
-        v, e = analyze_source(
-            source, display, graph=graph, select=select, only=only,
-            timings=timings,
-        )
-        violations.extend(v)
-        errors.extend(e)
-    return violations, errors
-
-
-__all__ = [
-    "PROTOCOL_RULES",
-    "RULE_SCOPES",
-    "analyze_source",
-    "analyze_file",
-    "analyze_paths",
-    "rules_for_path",
-]

@@ -28,15 +28,8 @@ from __future__ import annotations
 import ast
 from typing import Any
 
-from repro.sanitizers.dataflow.cfg import build_cfg
-from repro.sanitizers.dataflow.engine import (
-    Emitter,
-    FunctionContext,
-    iter_functions,
-    run_analysis,
-)
+from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
 
-RULE = "REP302"
 
 #: Attribute names treated as simulated clocks.
 CLOCK_ATTRS = frozenset({"now"})
@@ -75,8 +68,6 @@ def _clock_refs(expr: ast.expr) -> list[str]:
 
 
 class ClockAnalysis:
-    rule = RULE
-
     #: Stateless pass: the lattice is a single point. (Not ``None`` —
     #: the engine uses ``None`` as its unvisited sentinel.)
     def initial_state(self, ctx: FunctionContext) -> tuple:
@@ -171,21 +162,3 @@ class ClockAnalysis:
         exceptional: bool,
     ) -> None:
         return None
-
-
-class ClockRule:
-    rule = RULE
-
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: object,
-        emitter: Emitter,
-    ) -> None:
-        for qualname, fn in iter_functions(tree):
-            ctx = FunctionContext(
-                fn=fn, qualname=qualname, module_path=display, summaries={}
-            )
-            cfg = build_cfg(fn, qualname=qualname)
-            run_analysis(cfg, ClockAnalysis(), ctx, emitter)

@@ -27,21 +27,10 @@ from __future__ import annotations
 import ast
 from typing import Any
 
-from repro.sanitizers.dataflow.cfg import (
-    IterElem,
-    TestElem,
-    WithElem,
-    build_cfg,
-)
-from repro.sanitizers.dataflow.engine import (
-    Emitter,
-    FunctionContext,
-    iter_functions,
-    run_analysis,
-)
+from repro.sanitizers.dataflow.cfg import IterElem, TestElem, WithElem
+from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
 from repro.sanitizers.protocols.spec import SPEC_BY_NAME
 
-RULE = "REP303"
 
 #: Method names that take an element off a queue.
 DEQUEUE_METHODS = frozenset({"popleft", "pop"})
@@ -112,8 +101,6 @@ def _iter_calls(node: ast.AST):
 
 
 class ConservationAnalysis:
-    rule = RULE
-
     def initial_state(self, ctx: FunctionContext) -> State:
         return ()
 
@@ -171,21 +158,3 @@ class ConservationAnalysis:
                 "stream (dispose of it on every branch, or peek before "
                 "popping)",
             )
-
-
-class ConservationRule:
-    rule = RULE
-
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: object,
-        emitter: Emitter,
-    ) -> None:
-        for qualname, fn in iter_functions(tree):
-            ctx = FunctionContext(
-                fn=fn, qualname=qualname, module_path=display, summaries={}
-            )
-            cfg = build_cfg(fn, qualname=qualname)
-            run_analysis(cfg, ConservationAnalysis(), ctx, emitter)

@@ -25,21 +25,10 @@ from __future__ import annotations
 import ast
 from typing import Any
 
-from repro.sanitizers.concurrency.callgraph import CallGraph, call_name
-from repro.sanitizers.dataflow.cfg import (
-    IterElem,
-    TestElem,
-    WithElem,
-    build_cfg,
-)
-from repro.sanitizers.dataflow.engine import (
-    Emitter,
-    FunctionContext,
-    iter_functions,
-    run_analysis,
-)
+from repro.sanitizers.concurrency.callgraph import call_name
+from repro.sanitizers.dataflow.cfg import IterElem, TestElem, WithElem
+from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
 
-RULE = "REP304"
 
 #: Subscript-store base tails treated as live-set bookkeeping.
 LIVE_TAILS = frozenset({"_live", "live"})
@@ -92,37 +81,7 @@ def _iter_calls(node: ast.AST):
         stack.extend(reversed(list(ast.iter_child_nodes(cur))))
 
 
-def solve_reaching_tails(graph: object) -> frozenset[str]:
-    """Call tails that may transitively reach a ``solve`` call.
-
-    Reverse reachability over the layer-4 tail-name call graph: start
-    from every function that calls ``solve`` (or is named ``solve``),
-    and walk callers until fixpoint. Over-approximates by tail-name
-    collision — the right direction for a staleness lint.
-    """
-    if not isinstance(graph, CallGraph):
-        return frozenset({SOLVE_TAIL})
-    reaching = {SOLVE_TAIL}
-    grew = True
-    while grew:
-        grew = False
-        for key in sorted(graph.calls):
-            _, qualname = key
-            tail = qualname.rsplit(".", 1)[-1]
-            if tail in reaching:
-                continue
-            if graph.calls[key] & reaching:
-                reaching.add(tail)
-                grew = True
-    return frozenset(reaching)
-
-
 class InvalidationAnalysis:
-    rule = RULE
-
-    def __init__(self, barriers: frozenset[str]) -> None:
-        self.barriers = barriers
-
     def initial_state(self, ctx: FunctionContext) -> State:
         return ()
 
@@ -134,14 +93,17 @@ class InvalidationAnalysis:
         node: ast.AST,
         pending: set[tuple[int, int]],
         emit: Emitter,
+        ctx: FunctionContext,
     ) -> None:
+        # Every call that may transitively reach a solve is a barrier.
+        barriers = ctx.graph.tails_reaching(SOLVE_TAIL)
         for call in _iter_calls(node):
             name = call_name(call.func)
             if name is None:
                 continue
             if name == INVALIDATE_TAIL:
                 pending.clear()
-            elif name in self.barriers and pending:
+            elif name in barriers and pending:
                 emit.emit(
                     call,
                     f"{name}() may reach a solve while a live-set "
@@ -171,17 +133,17 @@ class InvalidationAnalysis:
     ) -> State:
         pending = set(state)
         if isinstance(elem, TestElem):
-            self._apply_calls(elem.expr, pending, emit)
+            self._apply_calls(elem.expr, pending, emit, ctx)
         elif isinstance(elem, IterElem):
-            self._apply_calls(elem.iterable, pending, emit)
+            self._apply_calls(elem.iterable, pending, emit, ctx)
         elif isinstance(elem, WithElem):
-            self._apply_calls(elem.context, pending, emit)
+            self._apply_calls(elem.context, pending, emit, ctx)
         elif isinstance(
             elem, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             pass
         elif isinstance(elem, ast.AST):
-            self._apply_calls(elem, pending, emit)
+            self._apply_calls(elem, pending, emit, ctx)
             self._apply_stores(elem, pending)
         return tuple(sorted(pending))
 
@@ -203,22 +165,3 @@ class InvalidationAnalysis:
                 "note_live_set_change() — the balancer's next solve "
                 "serves a decision for the old live set",
             )
-
-
-class InvalidationRule:
-    rule = RULE
-
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: object,
-        emitter: Emitter,
-    ) -> None:
-        barriers = solve_reaching_tails(graph)
-        for qualname, fn in iter_functions(tree):
-            ctx = FunctionContext(
-                fn=fn, qualname=qualname, module_path=display, summaries={}
-            )
-            cfg = build_cfg(fn, qualname=qualname)
-            run_analysis(cfg, InvalidationAnalysis(barriers), ctx, emitter)

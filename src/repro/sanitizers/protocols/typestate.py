@@ -36,17 +36,10 @@ from repro.sanitizers.dataflow.cfg import (
     IterElem,
     TestElem,
     WithElem,
-    build_cfg,
 )
-from repro.sanitizers.dataflow.engine import (
-    Emitter,
-    FunctionContext,
-    iter_functions,
-    run_analysis,
-)
+from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
 from repro.sanitizers.protocols.spec import CLASS_SPECS
 
-RULE = "REP301"
 
 #: tracked dotted name -> (class name, frozenset of possible states)
 State = tuple[tuple[str, tuple[str, frozenset[str]]], ...]
@@ -97,8 +90,6 @@ def _constructed_class(value: ast.expr) -> str | None:
 
 
 class TypestateAnalysis:
-    rule = RULE
-
     def initial_state(self, ctx: FunctionContext) -> State:
         return ()
 
@@ -223,21 +214,3 @@ class TypestateAnalysis:
         # through returns/attributes); SAN-G2's require_terminal covers
         # it from the journal side.
         return None
-
-
-class TypestateRule:
-    rule = RULE
-
-    def run(
-        self,
-        tree: ast.Module,
-        display: str,
-        graph: object,
-        emitter: Emitter,
-    ) -> None:
-        for qualname, fn in iter_functions(tree):
-            ctx = FunctionContext(
-                fn=fn, qualname=qualname, module_path=display, summaries={}
-            )
-            cfg = build_cfg(fn, qualname=qualname)
-            run_analysis(cfg, TypestateAnalysis(), ctx, emitter)

@@ -1,156 +1,385 @@
-"""Lint runner: every analysis layer over every file in scope.
+"""The rule table and the one driver behind ``repro lint``.
 
-``repro lint`` routes through :func:`run_lint`:
+Every static rule is one :class:`Rule` row of :data:`RULES`: its id, a
+one-line description, the path scope it is meaningful in, the
+whole-scope artifact it reads (``"summaries"``: the merged unit
+signatures, ``"graph"``: the call graph, or nothing) and how it runs —
+an ``analysis`` solved over every function's CFG by the layer-3 engine,
+a whole-module ``run`` pass, or (REP203) one of each.
 
-1. Collect the file list and build the whole-scope artifacts a single
-   file cannot produce: the merged dataflow unit summaries (REP101's
-   cross-module signatures) and the layer-4 call graph (REP201
-   reachability, REP304 solve reachability).
-2. Per file, run the per-line lint (REP0xx), the dataflow rules
-   (REP1xx), the concurrency rules (REP2xx) and the protocol rules
-   (REP3xx) against those artifacts.
-
-Each file's findings depend only on (source, summaries, graph) and are
-collected in input order, so the output is deterministic.
+:func:`run_lint` (files/directories) and :func:`analyze` (one source
+string) share one driver: each file is read and parsed once, only the
+artifacts the selected rows declare are built, and each module gets one
+pass over its functions — one CFG and one :class:`FunctionContext` per
+function, every applicable analysis solved over it. ``# noqa``
+filtering, the crash-to-:class:`AnalyzerError` policy and the sort
+order live here and nowhere else. Findings depend only on (sources,
+selected rows), so the output is deterministic.
 """
 
 from __future__ import annotations
 
+import ast
+import os
+import re
+import time
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.sanitizers.concurrency import (
-    CONCURRENCY_RULES,
-    analyze_source as analyze_concurrency,
+from repro.sanitizers.concurrency.bands import (
+    HostWriteWindowAnalysis,
+    check_band_workers,
 )
 from repro.sanitizers.concurrency.callgraph import CallGraph, build_graph
-from repro.sanitizers.dataflow import (
-    DATAFLOW_RULES,
-    analyze_source as analyze_dataflow,
+from repro.sanitizers.concurrency.forksafety import check_fork_safety
+from repro.sanitizers.concurrency.payload import check_payloads
+from repro.sanitizers.concurrency.phases import PhaseOrderAnalysis
+from repro.sanitizers.dataflow.cfg import build_cfg, build_module_cfg
+from repro.sanitizers.dataflow.determinism import DeterminismAnalysis
+from repro.sanitizers.dataflow.engine import (
+    AnalyzerError,
+    Emitter,
+    FunctionAnalysis,
+    FunctionContext,
+    Module,
+    iter_functions,
+    run_analysis,
 )
-from repro.sanitizers.dataflow.engine import AnalyzerError
-from repro.sanitizers.dataflow.summaries import SummaryStore
+from repro.sanitizers.dataflow.purity import PurityAnalysis
+from repro.sanitizers.dataflow.resources import ResourceAnalysis
+from repro.sanitizers.dataflow.summaries import build_summaries
+from repro.sanitizers.dataflow.units import UnitAnalysis
 from repro.sanitizers.lint import (
-    LINT_RULES,
+    MESSAGES,
     LintViolation,
+    check_lines,
     iter_python_files,
-    lint_source,
+    noqa_codes,
 )
-from repro.sanitizers.protocols import (
-    PROTOCOL_RULES,
-    analyze_source as analyze_protocols,
-)
+from repro.sanitizers.protocols.clocks import ClockAnalysis
+from repro.sanitizers.protocols.conservation import ConservationAnalysis
+from repro.sanitizers.protocols.invalidation import InvalidationAnalysis
+from repro.sanitizers.protocols.typestate import TypestateAnalysis
 
-#: (display, source) for every module in the lint scope.
-Modules = list[tuple[str, str]]
-
-#: One file's result: findings, internal errors, per-rule seconds.
-FileResult = tuple[list[LintViolation], list[AnalyzerError], dict[str, float]]
+#: A whole-module pass: ``(module, graph, emitters of the selected rows)``.
+ModulePass = Callable[[Module, CallGraph | None, dict[str, Emitter]], None]
 
 
-def _layer_only(
-    rules: dict[str, str], only: list[str] | None
-) -> list[str] | None:
-    return None if only is None else [r for r in rules if r in only]
+@dataclass(frozen=True)
+class Rule:
+    """One row of the rule table."""
+
+    id: str
+    description: str
+    scope: re.Pattern[str]  # searched in the posix display path
+    needs: str | None = None  # "summaries" | "graph"
+    analysis: Callable[[], FunctionAnalysis] | None = None
+    run: ModulePass | None = None
+    #: also solve ``analysis`` over the module's top-level statements
+    toplevel: bool = False
 
 
-def collect_modules(targets: list[Path]) -> Modules:
-    modules: Modules = []
-    for target in targets:
-        for path in iter_python_files(target):
-            try:
-                source = path.read_text()
-            except (OSError, UnicodeDecodeError):
-                continue
-            modules.append((str(path), source))
-    return modules
+def _in(*packages: str) -> re.Pattern[str]:
+    return re.compile(rf"repro/({'|'.join(packages)})/")
 
 
-def build_shared(
-    modules: Modules, store: SummaryStore | None = None
-) -> tuple[dict[str, str], CallGraph]:
-    """The whole-scope artifacts every per-file task reads."""
-    import ast
+_EXEC = _in("exec")
 
-    store = store if store is not None else SummaryStore()
-    trees: list[tuple[str, ast.Module]] = []
-    for display, source in modules:
-        store.add_module(display, source)
-        try:
-            trees.append((display, ast.parse(source, filename=display)))
-        except SyntaxError:
-            continue
-    merged = store.merged()
-    store.save()
-    return merged, build_graph(trees)
+RULES: dict[str, Rule] = {
+    rule.id: rule
+    for rule in (
+        # Layer 2, per-line AST rules: one visitor pass serves all four.
+        Rule("REP001", MESSAGES["REP001"], _in("hw", "core"), run=check_lines),
+        Rule("REP002", MESSAGES["REP002"], re.compile(""), run=check_lines),
+        Rule(
+            "REP003",
+            MESSAGES["REP003"],
+            re.compile(r"^(?!.*repro/hw/device\.py$)"),
+            run=check_lines,
+        ),
+        Rule("REP004", MESSAGES["REP004"], re.compile(""), run=check_lines),
+        # Layer 3, dataflow.
+        Rule(
+            "REP101",
+            "unit mismatch in rate/bandwidth/time/row/byte arithmetic",
+            _in("hw", "core"),
+            needs="summaries",
+            analysis=UnitAnalysis,
+            toplevel=True,
+        ),
+        Rule(
+            "REP102",
+            "unordered set iteration leaks into event/candidate ordering",
+            _in("hw", "core", "service"),
+            analysis=DeterminismAnalysis,
+            toplevel=True,
+        ),
+        Rule(
+            "REP103",
+            "engine/slot acquired but not released on every path",
+            _in("hw", "core", "service", "exec"),
+            analysis=ResourceAnalysis,
+            toplevel=True,
+        ),
+        Rule(
+            "REP104",
+            "measurement path mutates framework/device state",
+            re.compile(r"repro/(hw/calibration|core/analysis)\.py$"),
+            analysis=PurityAnalysis,
+            toplevel=True,
+        ),
+        # Layer 4, concurrency. REP201 watches every module the pool
+        # machinery can execute (fork inherits all of them); the
+        # payload/band/phase contracts are specific to exec/.
+        Rule(
+            "REP201",
+            "fork-unsafe primitive before/inside the pool initializer",
+            _in("exec", "hw", "service"),
+            needs="graph",
+            run=check_fork_safety,
+        ),
+        Rule(
+            "REP202",
+            "task submission payload carries shared bulk data",
+            _EXEC,
+            run=check_payloads,
+        ),
+        Rule(
+            "REP203",
+            "shared-memory write escapes its (row0, nrows) band",
+            _EXEC,
+            analysis=HostWriteWindowAnalysis,
+            run=check_band_workers,
+        ),
+        Rule(
+            "REP204",
+            "τ1/τ2 phase ordering broken (staging/barrier/SME)",
+            _EXEC,
+            analysis=PhaseOrderAnalysis,
+        ),
+        # Layer 5, protocols. Lifecycles live wherever tracked classes
+        # are constructed or driven; clocks in the DES tiers; queue
+        # conservation in the dispatch/admission tiers; cache
+        # invalidation in the framework core.
+        Rule(
+            "REP301",
+            "object lifecycle violates its protocol state machine",
+            _in("service", "cluster", "exec", "core"),
+            analysis=TypestateAnalysis,
+        ),
+        Rule(
+            "REP302",
+            "clock rewound or cross-assigned between clock domains",
+            _in("service", "cluster", "core"),
+            analysis=ClockAnalysis,
+        ),
+        Rule(
+            "REP303",
+            "dequeued stream can exit without place/park/reject",
+            _in("service", "cluster"),
+            analysis=ConservationAnalysis,
+        ),
+        Rule(
+            "REP304",
+            "live-set mutated without note_live_set_change before solve",
+            _in("core"),
+            needs="graph",
+            analysis=InvalidationAnalysis,
+        ),
+    )
+}
 
 
-def run_file(
-    display: str,
-    source: str,
+def rules_in_scope(display: str, rules: list[str] | None = None) -> list[str]:
+    """Ids of ``rules`` (default: the whole table) whose scope matches."""
+    posix = display.replace("\\", "/")
+    return [
+        rule
+        for rule in (RULES if rules is None else rules)
+        if RULES[rule].scope.search(posix)
+    ]
+
+
+@contextmanager
+def _timed(timings: dict[str, float], key: str) -> Iterator[None]:
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
+def _guarded(
+    errors: list[AnalyzerError],
+    where: tuple[str, str, str],
+    call: Callable[..., None],
+    *args: object,
+) -> None:
+    """The one crash policy: a rule that raises becomes an
+    :class:`AnalyzerError` at ``where`` = (path, function, rule) and the
+    remaining functions/rules still run."""
+    try:
+        call(*args)
+    except RecursionError as exc:  # deep ASTs: report, don't crash the run
+        errors.append(AnalyzerError(*where, f"recursion limit: {exc}"))
+    except Exception as exc:  # noqa: BLE001 - surfaced as exit code 2
+        errors.append(AnalyzerError(*where, f"{type(exc).__name__}: {exc}"))
+
+
+def _check_module(
+    module: Module,
+    rows: list[Rule],
     summaries: dict[str, str],
-    graph: CallGraph,
-    only: list[str] | None,
-) -> FileResult:
-    """All four analysis layers over one module."""
-    import time
+    graph: CallGraph | None,
+    timings: dict[str, float],
+    errors: list[AnalyzerError],
+) -> list[LintViolation]:
+    """Every selected row over one module; findings after ``# noqa``."""
+    display = module.display
+    emitters = {row.id: Emitter(row.id, display) for row in rows}
 
-    timings: dict[str, float] = {}
-    violations: list[LintViolation] = []
+    # Whole-module passes; rows sharing one (the REP00x visitor) run it
+    # once and are timed together (``REP00x``).
+    passes: dict[ModulePass, list[str]] = {}
+    for row in rows:
+        if row.run is not None:
+            passes.setdefault(row.run, []).append(row.id)
+    for run, ids in passes.items():
+        label = ids[0] if len(ids) == 1 else os.path.commonprefix(ids) + "x"
+        with _timed(timings, label):
+            _guarded(
+                errors, (display, "<module>", label),
+                run, module, graph, emitters,
+            )
+
+    # The per-function pass: one CFG, every applicable analysis.
+    solvers = [
+        (row, row.analysis()) for row in rows if row.analysis is not None
+    ]
+    units = list(module.functions) if solvers else []
+    if any(row.toplevel for row, _ in solvers):
+        units.insert(0, ("<module>", None))
+    for qualname, fn in units:
+        with _timed(timings, "cfg"):
+            cfg = (
+                build_module_cfg(module.tree, name=display)
+                if fn is None
+                else build_cfg(fn, qualname=qualname)
+            )
+        ctx = FunctionContext(fn, qualname, summaries, graph)
+        for row, analysis in solvers:
+            if fn is None and not row.toplevel:
+                continue
+            with _timed(timings, row.id):
+                _guarded(
+                    errors, (display, qualname, row.id),
+                    run_analysis, cfg, analysis, ctx, emitters[row.id],
+                )
+
+    found = [v for emitter in emitters.values() for v in emitter.findings]
+    if not found:
+        return found
+    noqa = noqa_codes(module.source)
+    kept: list[LintViolation] = []
+    for v in found:
+        codes = noqa.get(v.line, frozenset())
+        if codes is not None and v.rule not in codes:
+            kept.append(v)
+    return kept
+
+
+def _lint(
+    sources: list[tuple[str, str, list[str]]],
+    timings: dict[str, float] | None = None,
+    unreadable: list[LintViolation] | None = None,
+) -> tuple[list[LintViolation], list[AnalyzerError]]:
+    """The driver: ``(display, source, rule ids to run on it)`` triples
+    in, sorted findings out. ``unreadable`` seeds the findings with the
+    files that never became a source string.
+    """
+    timings = {} if timings is None else timings
+    findings = list(unreadable or ())
     errors: list[AnalyzerError] = []
+    work: list[tuple[Module, list[Rule]]] = []
+    for display, source, rules in sources:
+        with _timed(timings, "parse"):
+            try:
+                tree = ast.parse(source, filename=display)
+            except SyntaxError as exc:
+                findings.append(LintViolation(
+                    "REP000", display, exc.lineno or 0, exc.offset or 0,
+                    f"syntax error: {exc.msg}",
+                ))
+                continue
+            module = Module(display, source, tree, iter_functions(tree))
+        work.append((module, [RULES[rule] for rule in rules]))
 
-    line_only = _layer_only(LINT_RULES, only)
-    if line_only is None or line_only:
-        t0 = time.perf_counter()
-        found = lint_source(source, Path(display))
-        if line_only is not None:
-            found = [v for v in found if v.rule in line_only]
-        violations.extend(found)
-        timings["REP0xx"] = time.perf_counter() - t0
+    # Whole-scope artifacts span every parsed module (a summary or call
+    # edge may come from a file no selected rule is scoped to), but are
+    # built only if some selected row reads them.
+    modules = [module for module, _rows in work]
+    needs = {row.needs for _module, rows in work for row in rows}
+    summaries: dict[str, str] = {}
+    graph = None
+    if "summaries" in needs:
+        with _timed(timings, "summaries"):
+            summaries = build_summaries(modules)
+    if "graph" in needs:
+        with _timed(timings, "graph"):
+            graph = build_graph(modules)
 
-    for analyze, rules, kwargs in (
-        (analyze_dataflow, DATAFLOW_RULES, {"summaries": summaries}),
-        (analyze_concurrency, CONCURRENCY_RULES, {"graph": graph}),
-        (analyze_protocols, PROTOCOL_RULES, {"graph": graph}),
-    ):
-        v, e = analyze(
-            source,
-            display,
-            only=_layer_only(rules, only),
-            timings=timings,
-            **kwargs,
+    for module, rows in work:
+        findings += _check_module(
+            module, rows, summaries, graph, timings, errors
         )
-        violations.extend(v)
-        errors.extend(e)
-    return violations, errors, timings
+    findings.sort(key=lambda v: (v.path, v.line, v.rule, v.col))
+    return findings, errors
 
 
 def run_lint(
     targets: list[Path],
-    *,
-    only: list[str] | None = None,
+    rules: list[str] | None = None,
     timings: dict[str, float] | None = None,
-    store: SummaryStore | None = None,
 ) -> tuple[list[LintViolation], list[AnalyzerError]]:
-    """Every lint layer over the targets.
+    """Lint every ``.py`` under the targets (files or directories).
 
-    ``only`` restricts to a rule subset (the CLI's ``--select``).
-    Returns ``(violations, errors)`` in file order; the caller sorts and
-    formats. Per-rule seconds accumulate into ``timings`` when given.
+    ``rules`` names the table rows to run (default: all of them, the
+    CLI's ``--select`` otherwise); each runs on the files its scope
+    matches. Returns ``(findings, internal_errors)``, findings sorted by
+    (path, line, rule, col). A file that cannot be read or parsed is a
+    ``REP000`` finding, not a skipped file. Seconds per rule and per
+    shared step (``parse``/``summaries``/``graph``/``cfg``) accumulate
+    into ``timings`` when given.
     """
-    modules = collect_modules(targets)
-    summaries, graph = build_shared(modules, store=store)
-    violations: list[LintViolation] = []
-    errors: list[AnalyzerError] = []
-    for display, source in modules:
-        file_violations, file_errors, file_timings = run_file(
-            display, source, summaries, graph, only
-        )
-        violations.extend(file_violations)
-        errors.extend(file_errors)
-        if timings is not None:
-            for rule, dt in file_timings.items():
-                timings[rule] = timings.get(rule, 0.0) + dt
-    return violations, errors
+    sources: list[tuple[str, str, list[str]]] = []
+    unreadable: list[LintViolation] = []
+    for target in targets:
+        for path in iter_python_files(target):
+            display = str(path)
+            try:
+                source = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                unreadable.append(LintViolation(
+                    "REP000", display, 0, 0, f"unreadable file: {exc}"
+                ))
+                continue
+            sources.append((display, source, rules_in_scope(display, rules)))
+    return _lint(sources, timings, unreadable)
 
 
-__all__ = ["collect_modules", "build_shared", "run_file", "run_lint"]
+def analyze(
+    source: str, display: str, rules: list[str] | None = None
+) -> tuple[list[LintViolation], list[AnalyzerError]]:
+    """Lint one module's source text under the display path ``display``.
+
+    ``rules=None`` runs the rows whose scope matches the path; a list
+    runs exactly those rows, in or out of scope. Summaries and the call
+    graph span just this module.
+    """
+    picked = rules_in_scope(display) if rules is None else list(rules)
+    return _lint([(display, source, picked)])
+
+
+__all__ = ["RULES", "Rule", "analyze", "rules_in_scope", "run_lint"]

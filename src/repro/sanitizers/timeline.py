@@ -811,20 +811,8 @@ class TimelineSanitizer:
         return out
 
 
-def sanitize_frame_report(report: FrameReport, manager) -> SanitizerReport:
-    """Sanitize one report with a sanitizer derived from its manager.
-
-    Convenience hook for the pytest fixture: the
-    :class:`~repro.core.coding_manager.VideoCodingManager` carries exactly
-    the platform and codec configuration the report was produced under.
-    """
-    san = TimelineSanitizer.for_config(manager.platform, manager.codec_cfg)
-    return san.check_report(report)
-
-
 __all__ = [
     "TimelineSanitizer",
     "SanitizerReport",
     "Violation",
-    "sanitize_frame_report",
 ]

@@ -327,7 +327,7 @@ def _run_lint(hash_seed: str) -> tuple[int, str]:
     out = subprocess.run(
         [
             sys.executable, "-m", "repro", "lint",
-            "--select", "REP2", "--format", "json", "--no-baseline",
+            "--select", "REP2", "--format", "json",
             "src/repro/exec",
         ],
         capture_output=True,
@@ -361,7 +361,7 @@ def _run_lint3(hash_seed: str) -> tuple[int, str]:
     out = subprocess.run(
         [
             sys.executable, "-m", "repro", "lint",
-            "--select", "REP3", "--format", "json", "--no-baseline",
+            "--select", "REP3", "--format", "json",
             "src/repro/cluster", "src/repro/service", "src/repro/core",
         ],
         capture_output=True,

@@ -161,21 +161,21 @@ class TestSanFCatchesMutant:
     def test_static_twin_agrees(self):
         # The *same* mutant source fails REP203: the extended write's
         # upper bound is not provably inside the (row0, nrows) band.
-        from repro.sanitizers.concurrency import analyze_source
+        from repro.sanitizers.runner import analyze
 
         src = textwrap.dedent(inspect.getsource(_overlapping_int_task))
-        violations, errors = analyze_source(
-            src, "src/repro/exec/mutant.py", select=["REP203"]
+        violations, errors = analyze(
+            src, "src/repro/exec/mutant.py", rules=["REP203"]
         )
         assert not errors
         assert any(v.rule == "REP203" for v in violations)
 
     def test_clean_int_task_source_passes(self):
-        from repro.sanitizers.concurrency import analyze_source
+        from repro.sanitizers.runner import analyze
 
         src = textwrap.dedent(inspect.getsource(pool_mod.int_task))
-        violations, errors = analyze_source(
-            src, "src/repro/exec/pool.py", select=["REP203"]
+        violations, errors = analyze(
+            src, "src/repro/exec/pool.py", rules=["REP203"]
         )
         assert not errors
         assert not violations, [str(v) for v in violations]

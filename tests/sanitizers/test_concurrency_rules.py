@@ -12,20 +12,111 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.sanitizers.concurrency import (
-    CONCURRENCY_RULES,
-    analyze_paths,
-    analyze_source,
-    rules_for_path,
-)
+from repro.sanitizers.runner import RULES, analyze, rules_in_scope, run_lint
+
+CONCURRENCY_RULES = [r for r in RULES if r.startswith("REP2")]
 
 REPO = Path(__file__).resolve().parents[2]
 EXEC_PATH = "src/repro/exec/fake_module.py"
 
+# Seeded mutants as (display path, source); test_kill_matrix.py runs each
+# of them under every rule in the table.
+MUTANTS = {
+    "rep201_module_level_lock": (EXEC_PATH, """\
+import threading
+
+_LOCK = threading.Lock()
+"""),
+    "rep201_initializer_reaches_thread": (EXEC_PATH, """\
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
+def _helper():
+    t = threading.Thread(target=print)
+    t.start()
+
+def _attach_worker(layout):
+    _helper()
+
+def build_pool():
+    return ProcessPoolExecutor(
+        max_workers=2, initializer=_attach_worker
+    )
+"""),
+    "rep201_lock_before_fork": (EXEC_PATH, """\
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
+def _attach_worker(layout):
+    pass
+
+def build_pool():
+    lock = threading.Lock()
+    return ProcessPoolExecutor(
+        max_workers=2, initializer=_attach_worker
+    )
+"""),
+    "rep202_bulk_payloads": (EXEC_PATH, """\
+import numpy as np
+
+def submit_all(pool, store, row0, nrows):
+    frame = store.view("cur")
+    buf = np.zeros((4, 4))
+    pool.submit(work, frame)
+    pool.submit(work, buf)
+    pool.submit(lambda: frame.sum())
+"""),
+    "rep203_write_past_band": (EXEC_PATH, """\
+def int_task(row0, nrows):
+    px = 64
+    lo = px * row0
+    hi = px * (row0 + nrows) + px
+    _VIEWS["sf0"][lo:hi, :] = 1
+"""),
+    "rep203_whole_plane_write": (EXEC_PATH, """\
+def int_task(row0, nrows):
+    _VIEWS["sf0"][:, :] = 0
+"""),
+    "rep203_host_write_after_submit": (EXEC_PATH, """\
+def run_frame(pool, store):
+    futs = [pool.submit(task, 0, 4)]
+    store.view("cur")[:, :] = 0
+    for f in futs:
+        f.result()
+"""),
+    "rep204_sme_before_tau1": (EXEC_PATH, """\
+def run_frame(pool):
+    futs = [pool.submit_me(0, 4)]
+    pool.submit_sme(0, 4)
+    for f in futs:
+        f.result()
+"""),
+    "rep204_staging_after_submit": (EXEC_PATH, """\
+def run_frame(pool, store):
+    futs = [pool.submit_int(0, 4)]
+    store.view("cur")[:, :] = 0
+    for f in futs:
+        f.result()
+"""),
+    "rep204_sf_read_before_barrier": (EXEC_PATH, """\
+def run_frame(pool, store):
+    futs = [pool.submit_int(0, 4)]
+    sf = store.view("sf0")
+    for f in futs:
+        f.result()
+    return sf
+"""),
+}
+
+
+def rules_for_path(path: str) -> list[str]:
+    return rules_in_scope(path, CONCURRENCY_RULES)
+
 
 def run(source: str, *, only=None, path: str = EXEC_PATH):
-    violations, errors = analyze_source(
-        textwrap.dedent(source), path, only=only
+    """The concurrency rules in scope for ``path``, or just ``only``."""
+    violations, errors = analyze(
+        textwrap.dedent(source), path, rules=only or rules_for_path(path)
     )
     assert not errors, errors
     return violations
@@ -35,41 +126,23 @@ def rules_hit(source: str, **kw) -> list[str]:
     return [v.rule for v in run(source, **kw)]
 
 
+def mutant_hits(name: str, **kw) -> list[str]:
+    path, source = MUTANTS[name]
+    return rules_hit(source, path=path, **kw)
+
+
 # ---------------------------------------------------------------------------
 # REP201 — fork safety
 
 
 class TestForkSafety:
     def test_module_level_lock_is_flagged(self):
-        assert "REP201" in rules_hit(
-            """\
-            import threading
-
-            _LOCK = threading.Lock()
-            """
-        )
+        assert "REP201" in mutant_hits("rep201_module_level_lock")
 
     def test_initializer_reachable_thread_is_flagged(self):
         # The Thread lives two calls away from the initializer; only the
         # interprocedural call graph can see it.
-        assert "REP201" in rules_hit(
-            """\
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            def _helper():
-                t = threading.Thread(target=print)
-                t.start()
-
-            def _attach_worker(layout):
-                _helper()
-
-            def build_pool():
-                return ProcessPoolExecutor(
-                    max_workers=2, initializer=_attach_worker
-                )
-            """
-        )
+        assert "REP201" in mutant_hits("rep201_initializer_reaches_thread")
 
     def test_lock_in_unreachable_helper_is_clean(self):
         assert not rules_hit(
@@ -94,21 +167,7 @@ class TestForkSafety:
         )
 
     def test_lock_created_before_fork_is_flagged(self):
-        assert "REP201" in rules_hit(
-            """\
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            def _attach_worker(layout):
-                pass
-
-            def build_pool():
-                lock = threading.Lock()
-                return ProcessPoolExecutor(
-                    max_workers=2, initializer=_attach_worker
-                )
-            """
-        )
+        assert "REP201" in mutant_hits("rep201_lock_before_fork")
 
     def test_lock_created_after_pool_is_clean(self):
         assert not rules_hit(
@@ -135,19 +194,8 @@ class TestForkSafety:
 
 
 class TestPayloadHygiene:
-    MUTANT = """\
-        import numpy as np
-
-        def submit_all(pool, store, row0, nrows):
-            frame = store.view("cur")
-            buf = np.zeros((4, 4))
-            pool.submit(work, frame)
-            pool.submit(work, buf)
-            pool.submit(lambda: frame.sum())
-    """
-
     def test_bulk_payloads_are_flagged(self):
-        hits = run(self.MUTANT, only=["REP202"])
+        hits = run(MUTANTS["rep202_bulk_payloads"][1], only=["REP202"])
         assert [v.rule for v in hits] == ["REP202"] * 3
         assert [v.line for v in hits] == [6, 7, 8]
 
@@ -167,23 +215,10 @@ class TestPayloadHygiene:
 
 class TestBandConfinement:
     def test_write_past_the_band_is_flagged(self):
-        assert "REP203" in rules_hit(
-            """\
-            def int_task(row0, nrows):
-                px = 64
-                lo = px * row0
-                hi = px * (row0 + nrows) + px
-                _VIEWS["sf0"][lo:hi, :] = 1
-            """
-        )
+        assert "REP203" in mutant_hits("rep203_write_past_band")
 
     def test_whole_plane_write_is_flagged(self):
-        assert "REP203" in rules_hit(
-            """\
-            def int_task(row0, nrows):
-                _VIEWS["sf0"][:, :] = 0
-            """
-        )
+        assert "REP203" in mutant_hits("rep203_whole_plane_write")
 
     def test_confined_band_write_is_clean(self):
         assert not rules_hit(
@@ -199,15 +234,8 @@ class TestBandConfinement:
         )
 
     def test_host_write_after_submit_is_flagged(self):
-        assert "REP203" in rules_hit(
-            """\
-            def run_frame(pool, store):
-                futs = [pool.submit(task, 0, 4)]
-                store.view("cur")[:, :] = 0
-                for f in futs:
-                    f.result()
-            """,
-            only=["REP203"],
+        assert "REP203" in mutant_hits(
+            "rep203_host_write_after_submit", only=["REP203"]
         )
 
     def test_host_write_before_submit_is_clean(self):
@@ -229,40 +257,18 @@ class TestBandConfinement:
 
 class TestPhaseOrdering:
     def test_sme_submitted_before_tau1_is_flagged(self):
-        assert "REP204" in rules_hit(
-            """\
-            def run_frame(pool):
-                futs = [pool.submit_me(0, 4)]
-                pool.submit_sme(0, 4)
-                for f in futs:
-                    f.result()
-            """,
-            only=["REP204"],
+        assert "REP204" in mutant_hits(
+            "rep204_sme_before_tau1", only=["REP204"]
         )
 
     def test_staging_after_phase1_submit_is_flagged(self):
-        assert "REP204" in rules_hit(
-            """\
-            def run_frame(pool, store):
-                futs = [pool.submit_int(0, 4)]
-                store.view("cur")[:, :] = 0
-                for f in futs:
-                    f.result()
-            """,
-            only=["REP204"],
+        assert "REP204" in mutant_hits(
+            "rep204_staging_after_submit", only=["REP204"]
         )
 
     def test_sf_read_before_barrier_is_flagged(self):
-        assert "REP204" in rules_hit(
-            """\
-            def run_frame(pool, store):
-                futs = [pool.submit_int(0, 4)]
-                sf = store.view("sf0")
-                for f in futs:
-                    f.result()
-                return sf
-            """,
-            only=["REP204"],
+        assert "REP204" in mutant_hits(
+            "rep204_sf_read_before_barrier", only=["REP204"]
         )
 
     def test_correctly_ordered_frame_is_clean(self):
@@ -328,7 +334,7 @@ class TestMachinery:
                 t.start()
             """
         ))
-        violations, errors = analyze_paths([tmp_path])
+        violations, errors = run_lint([tmp_path], CONCURRENCY_RULES)
         assert not errors
         assert any(
             v.rule == "REP201" and v.path.endswith("b.py")
@@ -338,15 +344,14 @@ class TestMachinery:
     def test_crash_free_over_the_repo(self):
         # Every rule must run to completion on every module we ship —
         # forced out of scope so e.g. hw/ code meets the exec/ rules.
-        select = sorted(CONCURRENCY_RULES)
         for root in (REPO / "src", REPO / "tests"):
             for path in sorted(root.rglob("*.py")):
-                _, errors = analyze_source(
-                    path.read_text(), str(path), select=select
+                _, errors = analyze(
+                    path.read_text(), str(path), rules=CONCURRENCY_RULES
                 )
                 assert not errors, (path, errors)
 
     def test_src_tree_is_clean(self):
-        violations, errors = analyze_paths([REPO / "src"])
+        violations, errors = run_lint([REPO / "src"], CONCURRENCY_RULES)
         assert not errors, errors
         assert not violations, [str(v) for v in violations]

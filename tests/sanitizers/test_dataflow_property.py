@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.sanitizers.dataflow import DATAFLOW_RULES, analyze_file, analyze_paths
 from repro.sanitizers.lint import iter_python_files
+from repro.sanitizers.runner import RULES, analyze, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -22,26 +22,26 @@ ALL_FILES = [
     for p in iter_python_files(REPO_ROOT / tree)
 ]
 
-ALL_RULES = sorted(DATAFLOW_RULES)
+ALL_RULES = [r for r in RULES if r.startswith("REP1")]
 
 
 @pytest.mark.parametrize(
     "path", ALL_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT))
 )
 def test_analyzer_is_crash_free_on(path: Path):
-    violations, errors = analyze_file(
-        path, root=REPO_ROOT, select=ALL_RULES
+    violations, errors = analyze(
+        path.read_text(), str(path.relative_to(REPO_ROOT)), rules=ALL_RULES
     )
     assert errors == [], "\n".join(str(e) for e in errors)
     # Findings are allowed here (rules are forced out of scope); they
     # just must be well-formed.
     for v in violations:
-        assert v.rule in DATAFLOW_RULES
+        assert v.rule in ALL_RULES
         assert v.line >= 0 and v.col >= 0 and v.message
 
 
 def test_scoped_run_over_src_is_clean():
-    violations, errors = analyze_paths([REPO_ROOT / "src"])
+    violations, errors = run_lint([REPO_ROOT / "src"], ALL_RULES)
     assert errors == []
     assert violations == [], "\n".join(str(v) for v in violations)
 
@@ -60,9 +60,7 @@ def test_fixpoint_terminates_on_pathological_loops():
     lines.append(f"{indent}return 0")
     source = "\n".join(lines) + "\n"
 
-    from repro.sanitizers.dataflow import analyze_source
-
-    violations, errors = analyze_source(
-        source, "src/repro/hw/fake_deep.py", select=ALL_RULES
+    violations, errors = analyze(
+        source, "src/repro/hw/fake_deep.py", rules=ALL_RULES
     )
     assert errors == []

@@ -7,11 +7,9 @@ documentation of what each rule means.
 
 import textwrap
 
-from repro.sanitizers.dataflow import (
-    DATAFLOW_RULES,
-    analyze_source,
-    rules_for_path,
-)
+from repro.sanitizers.runner import RULES, analyze, rules_in_scope
+
+DATAFLOW_RULES = {r: RULES[r].description for r in RULES if r.startswith("REP1")}
 
 HW_PATH = "src/repro/hw/fake_module.py"
 CORE_PATH = "src/repro/core/fake_module.py"
@@ -20,10 +18,120 @@ CALIB_PATH = "src/repro/hw/calibration.py"
 EXEC_PATH = "src/repro/exec/fake_module.py"
 OUTSIDE_PATH = "src/repro/util/fake_module.py"
 
+# Seeded mutants as (display path, source); test_kill_matrix.py runs each
+# of them under every rule in the table.
+MUTANTS = {
+    "rep101_seconds_plus_rows": (HW_PATH, """\
+def f(transfer_s: float, mb_rows: int) -> float:
+    return transfer_s + mb_rows
+"""),
+    "rep101_rows_per_second_into_bytes": (CORE_PATH, """\
+def f(plan, mb_rows, tau_s):
+    plan.nbytes = mb_rows / tau_s
+"""),
+    "rep101_mismatch_through_assignment": (CORE_PATH, """\
+def f(mb_rows, duration_s):
+    speed = mb_rows / duration_s   # rows/s, fine
+    total_bytes = speed            # rows/s stored as bytes: bug
+    return total_bytes
+"""),
+    "rep101_min_mixing_units": (HW_PATH, """\
+def f(tau_s, mb_rows):
+    return min(tau_s, mb_rows)
+"""),
+    "rep102_for_loop_over_set": (HW_PATH, """\
+def schedule(events):
+    pending = {e.key for e in events}
+    out = []
+    for key in pending:
+        out.append(key)
+    return out
+"""),
+    "rep102_set_annotated_parameter": (CORE_PATH, """\
+def pick(survivors: frozenset[str]):
+    return {name: len(name) for name in survivors}
+"""),
+    "rep102_list_of_set": (SERVICE_PATH, """\
+def f(xs):
+    s = set(xs)
+    return list(s)
+"""),
+    "rep102_popitem": (HW_PATH, """\
+def f(d):
+    item = d.popitem()
+    for x in item:
+        use(x)
+    return item
+"""),
+    "rep103_early_return": (HW_PATH, """\
+def run_op(dev, op):
+    dev.acquire_engine(op.engine)
+    if op.rows <= 0:
+        return None
+    result = execute(dev, op)
+    dev.release_engine(op.engine)
+    return result
+"""),
+    "rep103_exception_path": (HW_PATH, """\
+def run_op(dev, op):
+    dev.acquire_engine(op.engine)
+    result = execute(dev, op)
+    dev.release_engine(op.engine)
+    return result
+"""),
+    "rep103_release_of_other": (HW_PATH, """\
+def f(a, b):
+    a.acquire()
+    b.release()
+    return done()
+"""),
+    "rep103_shm_never_released": (EXEC_PATH, """\
+def make(nbytes):
+    seg = SharedMemory(create=True, size=nbytes)
+    fill(seg.buf)
+"""),
+    "rep103_shm_exception_before_close": (EXEC_PATH, """\
+def make(nbytes):
+    seg = SharedMemory(create=True, size=nbytes)
+    fill(seg.buf)
+    seg.close()
+    seg.unlink()
+"""),
+    "rep103_shm_close_of_other": (EXEC_PATH, """\
+def swap(other, nbytes):
+    seg = SharedMemory(create=True, size=nbytes)
+    other.close()
+    other.unlink()
+"""),
+    "rep104_attribute_store": (CALIB_PATH, """\
+def characterize(framework, reports):
+    framework.rstar_device = None   # mutates the framework: bug
+    return summarize(reports)
+"""),
+    "rep104_mutator_call": (CALIB_PATH, """\
+def measure(device, rows):
+    device.apply_fault(0.5)
+    return device.transfer_s(rows, "h2d")
+"""),
+}
+
+
+def mutant(name: str):
+    """A hoisted mutant in ``run``'s (source, path) argument order."""
+    path, source = MUTANTS[name]
+    return source, path
+
+
+def rules_for_path(path: str) -> list[str]:
+    return rules_in_scope(path, list(DATAFLOW_RULES))
+
 
 def run(source: str, path: str, select=None):
-    violations, errors = analyze_source(
-        textwrap.dedent(source), path, select=select
+    """The dataflow rules in scope for ``path`` (or exactly ``select``)."""
+    violations, errors = analyze(
+        textwrap.dedent(source),
+        path,
+        rules=rules_for_path(path) if select is None else select,
     )
     assert errors == []
     return violations
@@ -35,18 +143,10 @@ def rules_hit(source: str, path: str, select=None):
 
 class TestREP101Units:
     def test_seconds_plus_rows_is_caught(self):
-        src = """
-        def f(transfer_s: float, mb_rows: int) -> float:
-            return transfer_s + mb_rows
-        """
-        assert "REP101" in rules_hit(src, HW_PATH)
+        assert "REP101" in rules_hit(*mutant("rep101_seconds_plus_rows"))
 
     def test_rows_per_second_into_bytes_field_is_caught(self):
-        src = """
-        def f(plan, mb_rows, tau_s):
-            plan.nbytes = mb_rows / tau_s
-        """
-        assert "REP101" in rules_hit(src, CORE_PATH)
+        assert "REP101" in rules_hit(*mutant("rep101_rows_per_second_into_bytes"))
 
     def test_consistent_arithmetic_is_clean(self):
         src = """
@@ -65,13 +165,7 @@ class TestREP101Units:
         assert rules_hit(src, HW_PATH) == set()
 
     def test_mismatch_flows_through_assignment(self):
-        src = """
-        def f(mb_rows, duration_s):
-            speed = mb_rows / duration_s   # rows/s, fine
-            total_bytes = speed            # rows/s stored as bytes: bug
-            return total_bytes
-        """
-        assert "REP101" in rules_hit(src, CORE_PATH)
+        assert "REP101" in rules_hit(*mutant("rep101_mismatch_through_assignment"))
 
     def test_branches_that_disagree_degrade_to_unknown(self):
         # One arm leaves `x` as seconds, the other as rows: after the
@@ -97,11 +191,7 @@ class TestREP101Units:
         assert rules_hit(src, CORE_PATH) == set()
 
     def test_min_mixing_units_is_caught(self):
-        src = """
-        def f(tau_s, mb_rows):
-            return min(tau_s, mb_rows)
-        """
-        assert "REP101" in rules_hit(src, HW_PATH)
+        assert "REP101" in rules_hit(*mutant("rep101_min_mixing_units"))
 
     def test_out_of_scope_path_is_silent(self):
         src = """
@@ -114,15 +204,7 @@ class TestREP101Units:
 
 class TestREP102Determinism:
     def test_for_loop_over_set_is_caught(self):
-        src = """
-        def schedule(events):
-            pending = {e.key for e in events}
-            out = []
-            for key in pending:
-                out.append(key)
-            return out
-        """
-        assert "REP102" in rules_hit(src, HW_PATH)
+        assert "REP102" in rules_hit(*mutant("rep102_for_loop_over_set"))
 
     def test_sorted_iteration_is_clean(self):
         src = """
@@ -136,19 +218,10 @@ class TestREP102Determinism:
         assert rules_hit(src, HW_PATH) == set()
 
     def test_set_annotated_parameter_is_tracked(self):
-        src = """
-        def pick(survivors: frozenset[str]):
-            return {name: len(name) for name in survivors}
-        """
-        assert "REP102" in rules_hit(src, CORE_PATH)
+        assert "REP102" in rules_hit(*mutant("rep102_set_annotated_parameter"))
 
     def test_list_conversion_of_set_is_caught(self):
-        src = """
-        def f(xs):
-            s = set(xs)
-            return list(s)
-        """
-        assert "REP102" in rules_hit(src, SERVICE_PATH)
+        assert "REP102" in rules_hit(*mutant("rep102_list_of_set"))
 
     def test_set_rebuild_and_membership_are_clean(self):
         src = """
@@ -168,14 +241,7 @@ class TestREP102Determinism:
         assert rules_hit(src, HW_PATH) == set()
 
     def test_popitem_result_is_tainted(self):
-        src = """
-        def f(d):
-            item = d.popitem()
-            for x in item:
-                use(x)
-            return item
-        """
-        assert "REP102" in rules_hit(src, HW_PATH)
+        assert "REP102" in rules_hit(*mutant("rep102_popitem"))
 
     def test_reassignment_with_ordered_value_clears_taint(self):
         src = """
@@ -190,29 +256,13 @@ class TestREP102Determinism:
 
 class TestREP103Resources:
     def test_early_return_leaks_engine(self):
-        src = """
-        def run_op(dev, op):
-            dev.acquire_engine(op.engine)
-            if op.rows <= 0:
-                return None
-            result = execute(dev, op)
-            dev.release_engine(op.engine)
-            return result
-        """
-        found = run(src, HW_PATH)
+        found = run(*mutant("rep103_early_return"))
         assert any(v.rule == "REP103" for v in found)
 
     def test_exception_path_leak_is_caught(self):
         # execute() may raise between acquire and release; REP103 must
         # see the exceptional exit even though the return path is fine.
-        src = """
-        def run_op(dev, op):
-            dev.acquire_engine(op.engine)
-            result = execute(dev, op)
-            dev.release_engine(op.engine)
-            return result
-        """
-        found = [v for v in run(src, HW_PATH) if v.rule == "REP103"]
+        found = [v for v in run(*mutant("rep103_exception_path")) if v.rule == "REP103"]
         assert found
         assert "exception path" in found[0].message
 
@@ -236,13 +286,7 @@ class TestREP103Resources:
         assert rules_hit(src, HW_PATH) == set()
 
     def test_release_of_other_resource_does_not_clear(self):
-        src = """
-        def f(a, b):
-            a.acquire()
-            b.release()
-            return done()
-        """
-        found = [v for v in run(src, HW_PATH) if v.rule == "REP103"]
+        found = [v for v in run(*mutant("rep103_release_of_other")) if v.rule == "REP103"]
         assert found
 
     def test_both_paths_release_is_clean(self):
@@ -272,25 +316,13 @@ class TestREP103SharedMemory:
     """
 
     def test_segment_never_released_is_caught(self):
-        src = """
-        def make(nbytes):
-            seg = SharedMemory(create=True, size=nbytes)
-            fill(seg.buf)
-        """
-        found = [v for v in run(src, EXEC_PATH) if v.rule == "REP103"]
+        found = [v for v in run(*mutant("rep103_shm_never_released")) if v.rule == "REP103"]
         assert found
         assert "'seg'" in found[0].message
 
     def test_exception_between_create_and_close_is_caught(self):
         # fill() may raise before the releases run.
-        src = """
-        def make(nbytes):
-            seg = SharedMemory(create=True, size=nbytes)
-            fill(seg.buf)
-            seg.close()
-            seg.unlink()
-        """
-        found = [v for v in run(src, EXEC_PATH) if v.rule == "REP103"]
+        found = [v for v in run(*mutant("rep103_shm_exception_before_close")) if v.rule == "REP103"]
         assert found
         assert "exception path" in found[0].message
 
@@ -325,13 +357,7 @@ class TestREP103SharedMemory:
         assert rules_hit(src, EXEC_PATH) == set()
 
     def test_close_of_other_segment_does_not_clear(self):
-        src = """
-        def swap(other, nbytes):
-            seg = SharedMemory(create=True, size=nbytes)
-            other.close()
-            other.unlink()
-        """
-        found = [v for v in run(src, EXEC_PATH) if v.rule == "REP103"]
+        found = [v for v in run(*mutant("rep103_shm_close_of_other")) if v.rule == "REP103"]
         assert found
 
     def test_exec_package_is_in_rep103_scope(self):
@@ -343,20 +369,10 @@ class TestREP103SharedMemory:
 
 class TestREP104Purity:
     def test_attribute_store_on_parameter_is_caught(self):
-        src = """
-        def characterize(framework, reports):
-            framework.rstar_device = None   # mutates the framework: bug
-            return summarize(reports)
-        """
-        assert "REP104" in rules_hit(src, CALIB_PATH)
+        assert "REP104" in rules_hit(*mutant("rep104_attribute_store"))
 
     def test_mutator_call_on_device_is_caught(self):
-        src = """
-        def measure(device, rows):
-            device.apply_fault(0.5)
-            return device.transfer_s(rows, "h2d")
-        """
-        assert "REP104" in rules_hit(src, CALIB_PATH)
+        assert "REP104" in rules_hit(*mutant("rep104_mutator_call"))
 
     def test_building_local_accumulators_is_clean(self):
         src = """
@@ -406,9 +422,11 @@ class TestSuppressionAndScoping:
         assert "REP101" in rules_hit(src, OUTSIDE_PATH, select=["REP101"])
 
     def test_syntax_error_is_silent_here(self):
-        # REP000 is the per-line lint's job; dataflow must not crash.
-        violations, errors = analyze_source("def f(:\n", HW_PATH)
-        assert violations == [] and errors == []
+        # REP000 is the driver's job (test_lint.py pins it); the dataflow
+        # rules must neither crash nor report.
+        violations, errors = analyze("def f(:\n", HW_PATH)
+        assert not {v.rule for v in violations} & set(DATAFLOW_RULES)
+        assert errors == []
 
     def test_every_rule_has_a_description(self):
         assert set(DATAFLOW_RULES) == {"REP101", "REP102", "REP103", "REP104"}

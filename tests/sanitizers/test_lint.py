@@ -7,15 +7,41 @@ from pathlib import Path
 
 import pytest
 
-from repro.sanitizers.lint import (
-    LINT_RULES,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
+from repro.sanitizers.runner import RULES, analyze, rules_in_scope, run_lint
 
 SIM_PATH = Path("src/repro/hw/fake_module.py")
 OTHER_PATH = Path("src/repro/report/fake_module.py")
+
+LINT_RULES = [r for r in RULES if r.startswith("REP00")]
+
+# Seeded mutants as (display path, source); test_kill_matrix.py runs each
+# of them under every rule in the table.
+MUTANTS = {
+    "rep001_time_call": (SIM_PATH, "import time\nt0 = time.perf_counter()\n"),
+    "rep001_from_import": (SIM_PATH, "from time import perf_counter\n"),
+    "rep002_eq_float": (SIM_PATH, "ok = x == 0.0\n"),
+    "rep002_noteq_float": (OTHER_PATH, "ok = t != 1.5\n"),
+    "rep003_assignment": (SIM_PATH, "dev.fault_compute_scale = 2.0\n"),
+    "rep003_augmented": (OTHER_PATH, "dev.share_scale *= 0.5\n"),
+    "rep004_bare_division": (SIM_PATH, "def f(bw):\n    return nbytes / bw\n"),
+    "rep004_attribute_rate": (
+        SIM_PATH, "def f(spec):\n    return 1.0 / spec.h2d_rate\n",
+    ),
+}
+
+
+def lint_source(source, path):
+    """The per-line rules in scope for ``path`` over one snippet."""
+    violations, errors = analyze(
+        source, str(path), rules=rules_in_scope(str(path), LINT_RULES)
+    )
+    assert not errors, errors
+    return violations
+
+
+def mutant_rules(name):
+    path, source = MUTANTS[name]
+    return rules_of(lint_source(source, path))
 
 
 def rules_of(violations):
@@ -24,12 +50,10 @@ def rules_of(violations):
 
 class TestRep001WallClock:
     def test_time_call_in_sim_path_fires(self):
-        src = "import time\nt0 = time.perf_counter()\n"
-        assert "REP001" in rules_of(lint_source(src, SIM_PATH))
+        assert "REP001" in mutant_rules("rep001_time_call")
 
     def test_from_import_fires(self):
-        src = "from time import perf_counter\n"
-        assert "REP001" in rules_of(lint_source(src, SIM_PATH))
+        assert "REP001" in mutant_rules("rep001_from_import")
 
     def test_outside_sim_paths_is_allowed(self):
         src = "import time\nt0 = time.perf_counter()\n"
@@ -49,10 +73,10 @@ class TestRep001WallClock:
 
 class TestRep002FloatEquality:
     def test_eq_against_float_literal_fires(self):
-        assert "REP002" in rules_of(lint_source("ok = x == 0.0\n", SIM_PATH))
+        assert "REP002" in mutant_rules("rep002_eq_float")
 
     def test_noteq_fires(self):
-        assert "REP002" in rules_of(lint_source("ok = t != 1.5\n", OTHER_PATH))
+        assert "REP002" in mutant_rules("rep002_noteq_float")
 
     def test_integer_literal_is_allowed(self):
         assert lint_source("ok = n == 0\n", SIM_PATH) == []
@@ -63,12 +87,10 @@ class TestRep002FloatEquality:
 
 class TestRep003DeviceMutation:
     def test_assignment_outside_device_module_fires(self):
-        src = "dev.fault_compute_scale = 2.0\n"
-        assert "REP003" in rules_of(lint_source(src, SIM_PATH))
+        assert "REP003" in mutant_rules("rep003_assignment")
 
     def test_augmented_assignment_fires(self):
-        src = "dev.share_scale *= 0.5\n"
-        assert "REP003" in rules_of(lint_source(src, OTHER_PATH))
+        assert "REP003" in mutant_rules("rep003_augmented")
 
     def test_device_module_itself_is_allowed(self):
         src = "self.fault_copy_scale = 1.0\n"
@@ -81,12 +103,10 @@ class TestRep003DeviceMutation:
 
 class TestRep004UnguardedDivision:
     def test_bare_division_by_rate_fires(self):
-        src = "def f(bw):\n    return nbytes / bw\n"
-        assert "REP004" in rules_of(lint_source(src, SIM_PATH))
+        assert "REP004" in mutant_rules("rep004_bare_division")
 
     def test_attribute_rate_fires(self):
-        src = "def f(spec):\n    return 1.0 / spec.h2d_rate\n"
-        assert "REP004" in rules_of(lint_source(src, SIM_PATH))
+        assert "REP004" in mutant_rules("rep004_attribute_rate")
 
     def test_if_guard_suppresses(self):
         src = (
@@ -146,9 +166,10 @@ class TestHarness:
         (tmp_path / "repro" / "hw" / "__pycache__" / "junk.py").write_text(
             "x == 0.0\n"
         )
-        out = lint_paths([tmp_path])
+        out, errors = run_lint([tmp_path])
+        assert not errors
         assert rules_of(out) == {"REP001"}
-        assert lint_file(bad)[0].rule == "REP001"
+        assert run_lint([bad])[0][0].rule == "REP001"
 
     def test_rule_table_is_complete(self):
         assert set(LINT_RULES) == {"REP001", "REP002", "REP003", "REP004"}
@@ -158,7 +179,8 @@ class TestRepoIsClean:
     def test_src_tree_is_lint_clean(self):
         root = Path(__file__).resolve().parents[2] / "src"
         assert root.is_dir()
-        violations = lint_paths([root])
+        violations, errors = run_lint([root], LINT_RULES)
+        assert not errors, errors
         assert violations == [], "\n".join(str(v) for v in violations)
 
 

@@ -1,11 +1,16 @@
-"""CLI behavior of ``repro lint``: formats, baseline workflow, exit codes."""
+"""CLI behavior of ``repro lint``: formats, selection, exit codes, and the
+structure pins of the one-table/one-driver design."""
 
+import argparse
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.sanitizers import runner
+from repro.sanitizers.dataflow import summaries
 
 BUGGY = (
     "def schedule(events):\n"
@@ -38,10 +43,7 @@ def tree(tmp_path: Path) -> Path:
 
 
 def lint(tree: Path, *extra: str) -> int:
-    baseline = tree / "baseline.json"
-    return main(
-        ["lint", "--baseline", str(baseline), *extra, str(tree / "src")]
-    )
+    return main(["lint", *extra, str(tree / "src")])
 
 
 class TestExitCodes:
@@ -55,11 +57,27 @@ class TestExitCodes:
         assert "clean" in out
         assert "REP101" in out and "REP104" in out  # dataflow rules ran
 
-    def test_internal_error_exit_2(self, tree):
-        # A corrupt baseline is an analyzer-infrastructure failure, not
+    def test_internal_error_exit_2(self, tree, monkeypatch, capsys):
+        # A rule that crashes is an analyzer-infrastructure failure, not
         # a lint finding: distinct exit code so CI can tell them apart.
-        (tree / "baseline.json").write_text('{"version": 99}')
+        def boom(*_args):
+            raise RuntimeError("seeded crash")
+
+        monkeypatch.setattr(runner.DeterminismAnalysis, "transfer", boom)
         assert lint(tree) == 2
+        err = capsys.readouterr().err
+        assert "internal analyzer error in REP102" in err
+        assert "seeded crash" in err
+
+    def test_unreadable_file_is_a_finding_not_clean(self, tree, capsys):
+        # A .py the linter cannot decode used to drop out silently and the
+        # run printed "clean"; it is a REP000 finding like a syntax error.
+        (tree / "src" / "repro" / "hw" / "sched.py").write_text(CLEAN)
+        (tree / "src" / "repro" / "hw" / "binary.py").write_bytes(b"\xff\xfe")
+        assert lint(tree, "--format", "json") == 1
+        (finding,) = json.loads(capsys.readouterr().out)
+        assert finding["rule"] == "REP000"
+        assert finding["path"].endswith("binary.py")
 
 
 class TestFormats:
@@ -89,31 +107,6 @@ class TestFormats:
         loc = result["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"].endswith("sched.py")
         assert loc["region"]["startLine"] >= 1
-
-
-class TestBaselineWorkflow:
-    def test_write_then_lint_is_clean(self, tree, capsys):
-        assert lint(tree, "--write-baseline") == 0
-        baseline = json.loads((tree / "baseline.json").read_text())
-        assert baseline["version"] == 1
-        assert baseline["findings"]
-        # With the baseline in place the same findings no longer fail.
-        assert lint(tree) == 0
-        assert "baselined finding(s) suppressed" in capsys.readouterr().err
-
-    def test_new_finding_still_fails_with_baseline(self, tree):
-        assert lint(tree, "--write-baseline") == 0
-        extra = tree / "src" / "repro" / "hw" / "new_bug.py"
-        extra.write_text(BUGGY)
-        assert lint(tree) == 1
-
-    def test_no_baseline_flag_reports_everything(self, tree):
-        assert lint(tree, "--write-baseline") == 0
-        assert lint(tree, "--no-baseline") == 1
-
-    def test_missing_baseline_file_is_empty_baseline(self, tree):
-        assert not (tree / "baseline.json").exists()
-        assert lint(tree) == 1
 
 
 class TestSelectAndSummary:
@@ -176,30 +169,56 @@ class TestSelectAndSummary:
         assert lint(exec_tree, "--select", "REP2") == 0
 
 
-class TestSummaryCache:
-    def test_cache_is_written_and_reused(self, tree):
-        cache = tree / "cache.json"
-        assert lint(tree, "--summary-cache", str(cache)) == 1
-        assert cache.exists()
-        first = json.loads(cache.read_text())
-        assert first["version"] == 1
-        # Second run with an unchanged tree reuses the entries (same
-        # shas) and must produce identical results.
-        assert lint(tree, "--summary-cache", str(cache)) == 1
-        assert json.loads(cache.read_text()) == first
+class TestStructure:
+    """Pins of the one-table/one-driver design (ISSUE 16)."""
 
-    def test_cache_invalidates_on_source_change(self, tree):
-        cache = tree / "cache.json"
-        assert lint(tree, "--summary-cache", str(cache)) == 1
-        mod = tree / "src" / "repro" / "hw" / "sched.py"
-        first = json.loads(cache.read_text())
-        (sha_entry,) = [
-            m["sha"] for k, m in first["modules"].items() if "sched" in k
+    def test_one_parse_per_file_one_cfg_per_function(self, tree, monkeypatch):
+        hw = tree / "src" / "repro" / "hw"
+        (hw / "two.py").write_text("def a():\n    pass\n\ndef b():\n    pass\n")
+        (tree / "src" / "repro" / "exec").mkdir()
+        (tree / "src" / "repro" / "exec" / "task.py").write_text(EXEC_BUGGY)
+        parses, cfgs = [], []
+        real_parse, real_cfg = ast.parse, runner.build_cfg
+
+        def counting_parse(source, *args, **kw):
+            parses.append(kw.get("filename"))
+            return real_parse(source, *args, **kw)
+
+        def counting_cfg(fn, qualname=None):
+            cfgs.append(qualname)
+            return real_cfg(fn, qualname=qualname)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(runner, "build_cfg", counting_cfg)
+        violations, errors = runner.run_lint([tree / "src"])
+        assert not errors
+        assert {v.rule for v in violations} == {"REP102", "REP203"}
+        assert len(parses) == 3
+        assert sorted(cfgs) == ["a", "b", "int_task", "schedule"]
+
+    def test_select_builds_only_the_artifacts_it_reads(self, tree, monkeypatch):
+        def forbidden(*_args, **_kw):
+            raise AssertionError("artifact built for a rule that never reads it")
+
+        monkeypatch.setattr(summaries, "summarize_module", forbidden)
+        assert lint(tree, "--select", "REP2") == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(runner, "build_graph", forbidden)
+        assert lint(tree, "--select", "REP1") == 1
+
+    def test_option_surface(self):
+        (sub,) = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
         ]
-        mod.write_text(CLEAN)
-        assert lint(tree, "--summary-cache", str(cache)) == 0
-        second = json.loads(cache.read_text())
-        (sha2,) = [
-            m["sha"] for k, m in second["modules"].items() if "sched" in k
-        ]
-        assert sha2 != sha_entry
+        options = {
+            s for a in sub.choices["lint"]._actions for s in a.option_strings
+        }
+        assert options == {"--format", "--select", "--summary", "-h", "--help"}
+
+    @pytest.mark.parametrize("flag", ["--baseline", "--summary-cache"])
+    def test_removed_flags_are_rejected(self, tree, flag):
+        with pytest.raises(SystemExit) as exc:
+            lint(tree, flag, "x")
+        assert exc.value.code == 2

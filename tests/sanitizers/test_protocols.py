@@ -22,11 +22,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, NodeSpec
 from repro.cluster.node import DOWN, Node
-from repro.sanitizers.protocols import (
-    PROTOCOL_RULES,
-    analyze_source,
-    rules_for_path,
-)
+from repro.sanitizers.runner import RULES, analyze, rules_in_scope, run_lint
 from repro.sanitizers.protocols.journal import JOURNAL
 from repro.sanitizers.protocols.monitor import check_events
 from repro.sanitizers.protocols.spec import (
@@ -43,11 +39,108 @@ from repro.service.session import StreamSpec
 
 CLUSTER_PATH = "src/repro/cluster/fake_module.py"
 CORE_PATH = "src/repro/core/fake_module.py"
+EXEC_PATH = "src/repro/exec/fake_module.py"
+
+# Seeded mutants as (display path, source); test_kill_matrix.py runs each
+# of them under every rule in the table.
+MUTANTS = {
+    "rep301_step_after_retire": (CLUSTER_PATH, """\
+from repro.cluster.node import Node
+
+def shutdown_one(spec, stream, t):
+    node = Node(spec)
+    node.offer(stream, t)
+    node.retire(t, "down")
+    node.step()
+"""),
+    "rep301_retire_on_one_branch": (CLUSTER_PATH, """\
+from repro.cluster.node import Node
+
+def maybe_retire(spec, t, flaky):
+    node = Node(spec)
+    if flaky:
+        node.retire(t, "down")
+    node.step()
+"""),
+    "rep301_view_after_close": (EXEC_PATH, """\
+from repro.exec.shm import SharedFrameStore
+
+def leak(layout):
+    store = SharedFrameStore(layout)
+    store.close()
+    return store.view("orig")
+"""),
+    "rep301_unlink_before_close": (EXEC_PATH, """\
+from multiprocessing.shared_memory import SharedMemory
+
+def teardown(name):
+    seg = SharedMemory(name=name)
+    seg.unlink()
+    seg.close()
+"""),
+    "rep302_rewind": (CLUSTER_PATH, """\
+class EncodingService:
+    def hurry(self, t):
+        self.now = self.now - 5.0
+"""),
+    "rep302_cross_domain": (CLUSTER_PATH, """\
+class Dispatcher:
+    def sync(self, node):
+        self.now = node.service.now
+"""),
+    "rep302_bare_reset": (CLUSTER_PATH, """\
+class EncodingService:
+    def restart(self):
+        self.now = 0.0
+"""),
+    "rep303_pop_with_bailing_branch": (CLUSTER_PATH, """\
+class Dispatcher:
+    def drain(self, t):
+        while self.queue:
+            head = self.queue.popleft()
+            node = self.pick(head)
+            if node is None:
+                return 0
+            self._place(head, node, t)
+        return 1
+"""),
+    "rep304_mutation_then_solve": (CORE_PATH, """\
+class FevesFramework:
+    def readmit(self, name):
+        self._live[name] = True
+        return self.balancer.solve(self.perf)
+"""),
+    "rep304_mutation_escapes": (CORE_PATH, """\
+class FevesFramework:
+    def evict(self, name):
+        self._live[name] = False
+"""),
+    "rep304_transitive_reach": (CORE_PATH, """\
+class FevesFramework:
+    def _decide(self):
+        return self.balancer.solve(self.perf)
+
+    def _replan(self):
+        return self._decide()
+
+    def readmit(self, name):
+        self._live[name] = True
+        return self._replan()
+"""),
+}
+
+
+PROTOCOL_RULES = [r for r in RULES if r.startswith("REP3")]
+
+
+def rules_for_path(path: str) -> list[str]:
+    return rules_in_scope(path, PROTOCOL_RULES)
 
 
 def run(source: str, *, only=None, path: str = CLUSTER_PATH):
-    violations, errors = analyze_source(
-        textwrap.dedent(source), path, only=only
+    """The protocol rules in scope for ``path``, or just ``only``."""
+    violations, errors = analyze(
+        textwrap.dedent(source), path, rules=only or rules_for_path(path)
     )
     assert not errors, errors
     return violations
@@ -55,6 +148,11 @@ def run(source: str, *, only=None, path: str = CLUSTER_PATH):
 
 def rules_hit(source: str, **kw) -> list[str]:
     return [v.rule for v in run(source, **kw)]
+
+
+def mutant_hits(name: str) -> list[str]:
+    path, source = MUTANTS[name]
+    return rules_hit(source, path=path)
 
 
 @pytest.fixture
@@ -206,32 +304,12 @@ class TestShippedSpecs:
 
 class TestRep301Typestate:
     def test_step_after_retire_is_flagged(self):
-        assert "REP301" in rules_hit(
-            """\
-            from repro.cluster.node import Node
-
-            def shutdown_one(spec, stream, t):
-                node = Node(spec)
-                node.offer(stream, t)
-                node.retire(t, "down")
-                node.step()
-            """
-        )
+        assert "REP301" in mutant_hits("rep301_step_after_retire")
 
     def test_retire_then_step_on_one_branch_only(self):
         # The violating path goes through the if-branch; the join must
         # keep the 'retired' possibility alive (may-analysis).
-        assert "REP301" in rules_hit(
-            """\
-            from repro.cluster.node import Node
-
-            def maybe_retire(spec, t, flaky):
-                node = Node(spec)
-                if flaky:
-                    node.retire(t, "down")
-                node.step()
-            """
-        )
+        assert "REP301" in mutant_hits("rep301_retire_on_one_branch")
 
     def test_step_before_retire_is_clean(self):
         assert not rules_hit(
@@ -247,30 +325,10 @@ class TestRep301Typestate:
         )
 
     def test_view_after_close_is_flagged(self):
-        assert "REP301" in rules_hit(
-            """\
-            from repro.exec.shm import SharedFrameStore
-
-            def leak(layout):
-                store = SharedFrameStore(layout)
-                store.close()
-                return store.view("orig")
-            """,
-            path="src/repro/exec/fake_module.py",
-        )
+        assert "REP301" in mutant_hits("rep301_view_after_close")
 
     def test_unlink_before_close_is_flagged(self):
-        assert "REP301" in rules_hit(
-            """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            def teardown(name):
-                seg = SharedMemory(name=name)
-                seg.unlink()
-                seg.close()
-            """,
-            path="src/repro/exec/fake_module.py",
-        )
+        assert "REP301" in mutant_hits("rep301_unlink_before_close")
 
     def test_close_then_unlink_is_clean(self):
         assert not rules_hit(
@@ -282,28 +340,16 @@ class TestRep301Typestate:
                 seg.close()
                 seg.unlink()
             """,
-            path="src/repro/exec/fake_module.py",
+            path=EXEC_PATH,
         )
 
 
 class TestRep302Clocks:
     def test_rewind_is_flagged(self):
-        assert "REP302" in rules_hit(
-            """\
-            class EncodingService:
-                def hurry(self, t):
-                    self.now = self.now - 5.0
-            """
-        )
+        assert "REP302" in mutant_hits("rep302_rewind")
 
     def test_cross_domain_assignment_is_flagged(self):
-        assert "REP302" in rules_hit(
-            """\
-            class Dispatcher:
-                def sync(self, node):
-                    self.now = node.service.now
-            """
-        )
+        assert "REP302" in mutant_hits("rep302_cross_domain")
 
     def test_monotone_pull_is_clean(self):
         assert not rules_hit(
@@ -324,30 +370,12 @@ class TestRep302Clocks:
         )
 
     def test_bare_reset_outside_init_is_flagged(self):
-        assert "REP302" in rules_hit(
-            """\
-            class EncodingService:
-                def restart(self):
-                    self.now = 0.0
-            """
-        )
+        assert "REP302" in mutant_hits("rep302_bare_reset")
 
 
 class TestRep303Conservation:
     def test_pop_with_bailing_branch_is_flagged(self):
-        assert "REP303" in rules_hit(
-            """\
-            class Dispatcher:
-                def drain(self, t):
-                    while self.queue:
-                        head = self.queue.popleft()
-                        node = self.pick(head)
-                        if node is None:
-                            return 0
-                        self._place(head, node, t)
-                    return 1
-            """
-        )
+        assert "REP303" in mutant_hits("rep303_pop_with_bailing_branch")
 
     def test_peek_then_pop_is_clean(self):
         # The shipped drain shape: decide on the head first, pop only
@@ -385,25 +413,10 @@ class TestRep303Conservation:
 
 class TestRep304Invalidation:
     def test_mutation_then_solve_is_flagged(self):
-        assert "REP304" in rules_hit(
-            """\
-            class FevesFramework:
-                def readmit(self, name):
-                    self._live[name] = True
-                    return self.balancer.solve(self.perf)
-            """,
-            path=CORE_PATH,
-        )
+        assert "REP304" in mutant_hits("rep304_mutation_then_solve")
 
     def test_mutation_escaping_function_is_flagged(self):
-        assert "REP304" in rules_hit(
-            """\
-            class FevesFramework:
-                def evict(self, name):
-                    self._live[name] = False
-            """,
-            path=CORE_PATH,
-        )
+        assert "REP304" in mutant_hits("rep304_mutation_escapes")
 
     def test_invalidate_between_is_clean(self):
         assert not rules_hit(
@@ -419,21 +432,7 @@ class TestRep304Invalidation:
 
     def test_transitive_reach_to_solve_is_flagged(self):
         # The solve sits two calls away; only the call graph sees it.
-        assert "REP304" in rules_hit(
-            """\
-            class FevesFramework:
-                def _decide(self):
-                    return self.balancer.solve(self.perf)
-
-                def _replan(self):
-                    return self._decide()
-
-                def readmit(self, name):
-                    self._live[name] = True
-                    return self._replan()
-            """,
-            path=CORE_PATH,
-        )
+        assert "REP304" in mutant_hits("rep304_transitive_reach")
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +733,7 @@ class TestShippedSourcesClean:
     def test_package_lints_clean(self, pkg):
         from pathlib import Path
 
-        from repro.sanitizers.protocols import analyze_paths
-
         root = Path(__file__).resolve().parents[2] / "src" / "repro" / pkg
-        violations, errors = analyze_paths([root])
+        violations, errors = run_lint([root], PROTOCOL_RULES)
         assert not errors, errors
         assert violations == [], [str(v) for v in violations]
