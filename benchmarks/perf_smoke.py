@@ -48,6 +48,7 @@ sweep with ``--workers``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -169,6 +170,21 @@ def _encoded_identical(ref_out: list, outcomes: list) -> bool:
     return True
 
 
+@contextlib.contextmanager
+def unsanitized():
+    """Clear ``$REPRO_SANITIZE`` for a measured block.
+
+    Store and pool workers read the variable when they start; journaling
+    shared-memory accesses on a timed path would skew the points.
+    """
+    saved = os.environ.pop("REPRO_SANITIZE", None)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            os.environ["REPRO_SANITIZE"] = saved
+
+
 def measure_parallel(
     worker_counts: tuple[int, ...] = PARALLEL_WORKERS
 ) -> dict:
@@ -191,10 +207,7 @@ def measure_parallel(
             get_platform("SysHK"), cfg,
             FrameworkConfig(backend="process", exec_workers=workers),
         )
-        # The backend inherits $REPRO_SANITIZE; never journal shared-
-        # memory accesses on the timed path (it would skew the points).
-        fw.manager.sanitize = False
-        with fw:
+        with unsanitized(), fw:
             t0 = time.perf_counter()
             outcomes = fw.encode(frames)
             wall_s = time.perf_counter() - t0

@@ -24,7 +24,9 @@ import pytest
 from conftest import RESULTS_DIR
 from repro.cluster import Cluster, ClusterConfig, NodeSpec
 from repro.report import format_table
+from repro.sanitizers import TimelineSanitizer
 from repro.service import build_workload
+from repro.util.journal import sanitize_from_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = REPO_ROOT / "BENCH_FLEET.json"
@@ -61,6 +63,10 @@ def fleet_point(n_nodes: int, arrival_rate: float) -> dict:
     t0 = time.perf_counter()
     m = cluster.run(wl)
     wall_s = time.perf_counter() - t0
+    if sanitize_from_env():
+        # The runtime only journals; under $REPRO_SANITIZE (CI's
+        # fleet-smoke job) this sweep is who raises on a dirty fleet.
+        TimelineSanitizer.check_cluster(cluster).raise_if_dirty()
     hit_rates = [c["hit_rate"] for c in m.lp_cache.values()]
     return {
         "nodes": n_nodes,

@@ -15,6 +15,7 @@ Exposes the library's main entry points without writing Python::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -23,6 +24,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.presets import get_platform, list_platforms
 from repro.report import ascii_series, format_table
+from repro.util.journal import JOURNAL, SANITIZE_ENV, sanitize_from_env
 
 
 def _parse_fault_spec(flag: str, spec: str, kind: str, want_param: bool):
@@ -173,24 +175,15 @@ def cmd_platforms(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _enable_protocol_journal(args: argparse.Namespace) -> None:
-    """Switch the SAN-G lifecycle journal on for a ``--sanitize`` run."""
-    if getattr(args, "sanitize", False):
-        from repro.sanitizers.protocols.journal import JOURNAL
+def _sanitize_exit(check) -> int:
+    """The sanitizer epilogue of every command: 0 if off or clean.
 
-        JOURNAL.reset()
-        JOURNAL.enable()
-
-
-def _sanitize_exit(args: argparse.Namespace, check) -> int:
-    """The ``--sanitize`` epilogue of every command: 0 if off or clean.
-
-    ``check(TimelineSanitizer)`` returns the command's own report (run,
-    service, cluster or shared-memory journal); the SAN-G protocol replay
-    is appended, the summary and the first 20 violations are printed,
-    and the exit code is 1 when anything was found.
+    Runs under ``$REPRO_SANITIZE`` (which is all ``--sanitize`` sets, see
+    :func:`main`). ``check(TimelineSanitizer)`` returns the command's own
+    report; the SAN-G protocol replay is appended, the summary and the
+    first 20 violations are printed, and a dirty report exits 1.
     """
-    if not args.sanitize:
+    if not sanitize_from_env():
         return 0
     from repro.sanitizers import TimelineSanitizer
 
@@ -202,49 +195,39 @@ def _sanitize_exit(args: argparse.Namespace, check) -> int:
     return 0 if report.clean else 1
 
 
-def _check_framework(san, fw: FevesFramework):
-    """Sanitizer report of one framework run, whichever backend ran it."""
-    if fw.fw_cfg.backend != "process":
-        return san.for_framework(fw).check_run(fw)
-    from repro.sanitizers.violations import SanitizerReport
+def _or_exit(build):
+    """``build()``, with what the user got wrong as a one-line error.
 
-    report = SanitizerReport()
-    for f, entries in sorted(fw.manager.exec_journal.items()):
-        report.extend(san.check_exec(entries, frame=f))
-    return report
+    An unknown platform or device, ``--headroom 0``, ``--max-nodes 0``, a
+    malformed ``--submit``, faults on the process backend, a typo'd
+    ``$REPRO_EXEC_START_METHOD``/``$REPRO_EXEC_TIMEOUT_S`` — each is the
+    ``KeyError``/``ValueError`` of a parser or constructor, and none may
+    reach the user as a traceback.
+    """
+    try:
+        return build()
+    except KeyError as exc:
+        raise SystemExit(f"error: {exc.args[0]}") from None
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _framework_from_args(
     args: argparse.Namespace, profiler=None
 ) -> FevesFramework:
-    """The framework ``run``/``profile``/``trace`` drive, on either backend.
-
-    Everything the user can get wrong here — an unknown device in a
-    fault spec, faults on the process backend, a typo'd
-    ``$REPRO_EXEC_START_METHOD``/``$REPRO_EXEC_TIMEOUT_S`` (validated
-    eagerly at backend construction) — exits with a one-line error.
-    """
-    backend = getattr(args, "backend", "sim")
-    try:
-        fw = FevesFramework(
-            get_platform(args.platform),
-            _codec_cfg(args),
-            FrameworkConfig(
-                backend=backend,
-                exec_workers=getattr(args, "workers", 0),
-                centric=getattr(args, "centric", "auto"),
-                rstar_parallel=getattr(args, "rstar_parallel", False),
-                faults=_fault_schedule(args),
-            ),
-            profiler=profiler,
-        )
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    if backend == "process" and getattr(args, "sanitize", False):
-        fw.manager.sanitize = True
-    return fw
+    """The framework ``run``/``profile``/``trace`` drive, on either backend."""
+    return _or_exit(lambda: FevesFramework(
+        get_platform(args.platform),
+        _codec_cfg(args),
+        FrameworkConfig(
+            backend=getattr(args, "backend", "sim"),
+            exec_workers=getattr(args, "workers", 0),
+            centric=getattr(args, "centric", "auto"),
+            rstar_parallel=getattr(args, "rstar_parallel", False),
+            faults=_fault_schedule(args),
+        ),
+        profiler=profiler,
+    ))
 
 
 def _synthetic_clip(cfg: CodecConfig, n_frames: int) -> list:
@@ -257,12 +240,11 @@ def _synthetic_clip(cfg: CodecConfig, n_frames: int) -> list:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _enable_protocol_journal(args)
     fw = _framework_from_args(args)
     drive = _run_process if fw.fw_cfg.backend == "process" else _run_model
     with fw:
         ok = drive(args, fw)
-    return _sanitize_exit(args, lambda san: _check_framework(san, fw)) or (
+    return _sanitize_exit(lambda san: san.for_framework(fw).check_run(fw)) or (
         0 if ok else 1
     )
 
@@ -370,7 +352,7 @@ def _run_process(args: argparse.Namespace, fw: FevesFramework) -> bool:
           f"-> {speedup:.2f}x")
     print(f"  bit-identical to serial: {'yes' if identical else 'NO'}")
     _print_accuracy(fw.accuracy_report().summary())
-    if args.sanitize:
+    if sanitize_from_env():
         journal = fw.manager.exec_journal
         print(f"  shared-memory journal: "
               f"{sum(len(e) for e in journal.values())} records, "
@@ -402,46 +384,34 @@ def _serve_workload(args: argparse.Namespace) -> list:
                 f"--submit: scripted submissions define their own stream "
                 f"count and arrival times"
             )
-        try:
-            return parse_submit_specs(args.submit)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-    try:
-        return build_workload(
-            n_streams=args.streams if args.streams is not None else 4,
-            n_frames=args.frames,
-            fps_target=args.fps,
-            deadline_class=args.deadline_class,
-            mix=args.mix,
-            arrival_rate=(
-                args.arrival_rate if args.arrival_rate is not None else 0.0
-            ),
-            seed=args.seed,
-            search_range=args.sa // 2,
-            num_ref_frames=args.refs,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+        return _or_exit(lambda: parse_submit_specs(args.submit))
+    return _or_exit(lambda: build_workload(
+        n_streams=args.streams if args.streams is not None else 4,
+        n_frames=args.frames,
+        fps_target=args.fps,
+        deadline_class=args.deadline_class,
+        mix=args.mix,
+        arrival_rate=(
+            args.arrival_rate if args.arrival_rate is not None else 0.0
+        ),
+        seed=args.seed,
+        search_range=args.sa // 2,
+        num_ref_frames=args.refs,
+    ))
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import EncodingService, ServiceConfig
 
-    _enable_protocol_journal(args)
     faults = _fault_schedule(args)
     workload = _serve_workload(args)
-    try:
-        service = EncodingService(
-            ServiceConfig(
-                platform=args.platform,
-                headroom=args.headroom,
-                max_queue=args.max_queue,
-                faults=faults,
-            )
-        )
-        metrics = service.run(workload)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
+    service = _or_exit(lambda: EncodingService(ServiceConfig(
+        platform=args.platform,
+        headroom=args.headroom,
+        max_queue=args.max_queue,
+        faults=faults,
+    )))
+    metrics = service.run(workload)
 
     rows = []
     for m in metrics.streams:
@@ -492,7 +462,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         n = service.export_trace(args.trace)
         print(f"wrote {n} trace events ({len(metrics.streams)} stream pids) "
               f"to {args.trace}")
-    return _sanitize_exit(args, lambda san: san.check_service(service))
+    return _sanitize_exit(lambda san: san.check_service(service))
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -504,12 +474,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         parse_node_fault_specs,
     )
 
-    _enable_protocol_journal(args)
     workload = _serve_workload(args)
-    try:
-        node_faults = parse_node_fault_specs(args.node_fault or [])
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    node_faults = _or_exit(
+        lambda: parse_node_fault_specs(args.node_fault or [])
+    )
     platforms = [p.strip() for p in args.platforms.split(",") if p.strip()]
     if not platforms:
         raise SystemExit("error: --platforms must name at least one platform")
@@ -537,25 +505,19 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             f"error: --node-fault names unknown node(s) "
             f"{', '.join(unknown)}; the fleet has {', '.join(sorted(known))}"
         )
-    autoscale = AutoscaleConfig(
-        enabled=args.autoscale,
-        max_nodes=args.max_nodes,
-        template=tuple(platforms),
-        p99_slo_ms=args.p99_slo,
-    )
-    try:
-        cluster = Cluster(
-            ClusterConfig(
-                nodes=specs,
-                policy=args.policy,
-                global_queue=args.global_queue,
-                node_faults=node_faults,
-                autoscale=autoscale,
-            )
-        )
-        metrics = cluster.run(workload)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
+    cluster = _or_exit(lambda: Cluster(ClusterConfig(
+        nodes=specs,
+        policy=args.policy,
+        global_queue=args.global_queue,
+        node_faults=node_faults,
+        autoscale=AutoscaleConfig(
+            enabled=args.autoscale,
+            max_nodes=args.max_nodes,
+            template=tuple(platforms),
+            p99_slo_ms=args.p99_slo,
+        ),
+    )))
+    metrics = cluster.run(workload)
 
     rows = []
     for n in metrics.nodes:
@@ -619,13 +581,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.trace:
         n = cluster.export_trace(args.trace)
         print(f"wrote {n} trace events (node-namespaced pids) to {args.trace}")
-    return _sanitize_exit(args, lambda san: san.check_cluster(cluster))
+    return _sanitize_exit(lambda san: san.check_cluster(cluster))
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.util.profiling import PhaseProfiler
 
-    _enable_protocol_journal(args)
     profiler = PhaseProfiler()
     fw = _framework_from_args(args, profiler=profiler)
     cfg = fw.codec_cfg
@@ -638,9 +599,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     accuracy = fw.accuracy_report().summary() if process else {}
     workers = fw.manager.workers if process else 0
     rc = 0
-    if args.sanitize:
+    if sanitize_from_env():
         with profiler.phase("sanitizer"):
-            rc = _sanitize_exit(args, lambda san: _check_framework(san, fw))
+            rc = _sanitize_exit(
+                lambda san: san.for_framework(fw).check_run(fw)
+            )
 
     rows = [
         [r["phase"], r["calls"], f"{r['total_ms']:.2f}",
@@ -1044,7 +1007,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if not getattr(args, "sanitize", False):
+        return args.func(args)
+    # --sanitize is REPRO_SANITIZE=1 for this one command: the variable
+    # is what every layer (and every pool worker, fork or spawn) asks.
+    # Restoring it and dropping the journal keeps an in-process caller's
+    # later runs unjournaled and releases the objects the journal pins.
+    prior = os.environ.get(SANITIZE_ENV)
+    os.environ[SANITIZE_ENV] = "1"
+    JOURNAL.reset()
+    try:
+        return args.func(args)
+    finally:
+        JOURNAL.reset()
+        if prior is None:
+            del os.environ[SANITIZE_ENV]
+        else:
+            os.environ[SANITIZE_ENV] = prior
 
 
 if __name__ == "__main__":

@@ -4,22 +4,23 @@ The autoscaler observes the cluster at every dispatch tick (simulated
 time only — no wall clock) and reacts:
 
 **Scale out** when pressure is *sustained*: the global dispatch queue
-has been at or above ``queue_high`` for ``sustain_ticks`` consecutive
-ticks, or the rolling realtime-class p99 frame latency has exceeded
-``p99_slo_ms`` for that long. A new node is provisioned from the cyclic
-``template`` platform list and joins on the fleet clock.
+has been at or above :data:`QUEUE_HIGH` for :data:`SUSTAIN_TICKS`
+consecutive ticks, or the realtime-class p99 frame latency over the last
+:data:`P99_WINDOW` frames has exceeded ``p99_slo_ms`` for that long. A
+new node is provisioned from the cyclic ``template`` platform list and
+joins on the fleet clock.
 
 **Scale in** when the fleet has been *sustainedly idle*: the global
-queue empty and aggregate normalized load below ``idle_low`` for
-``idle_ticks`` consecutive ticks. Only nodes the autoscaler itself added
-are drained (LIFO — most recently provisioned first), so an operator's
-baseline fleet is never shrunk; draining re-routes any sessions through
+queue empty and aggregate normalized load below :data:`IDLE_LOW` for
+:data:`IDLE_TICKS` consecutive ticks. Only nodes the autoscaler itself
+added are drained, so an operator's baseline fleet is never shrunk and
+the last live node never goes; draining re-routes any sessions through
 the usual node-drain fault path.
 
-Both directions honor a ``cooldown_ticks`` refractory period so one
-burst cannot thrash the fleet, and the fleet size stays inside
-``[min_nodes, max_nodes]``. All decisions read deterministic cluster
-state, so autoscaled runs stay bit-reproducible.
+Both directions honor a :data:`COOLDOWN_TICKS` refractory period so one
+burst cannot thrash the fleet, and the fleet never grows past
+``max_nodes``. All decisions read deterministic cluster state, so
+autoscaled runs stay bit-reproducible.
 """
 
 from __future__ import annotations
@@ -29,39 +30,29 @@ from dataclasses import dataclass
 
 from repro.service.metrics import latency_percentiles_ms
 
+#: The thresholds of the module docstring. Constants, not options: the
+#: scaler is one reactive policy, and only what ``repro fleet`` exposes
+#: (:class:`AutoscaleConfig`) is an operator's decision.
+QUEUE_HIGH, SUSTAIN_TICKS = 4, 3
+P99_WINDOW = 64
+IDLE_LOW, IDLE_TICKS = 0.25, 50
+COOLDOWN_TICKS = 10
+
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
-    """Autoscaler tunables (see module docstring for semantics)."""
+    """What an operator decides: on/off, ceiling, template, SLO."""
 
     enabled: bool = False
-    min_nodes: int = 1
     max_nodes: int = 8
     template: tuple[str, ...] = ("SysHK",)
-    queue_high: int = 4
-    sustain_ticks: int = 3
     p99_slo_ms: float | None = None
-    p99_window: int = 64
-    idle_low: float = 0.25
-    idle_ticks: int = 50
-    cooldown_ticks: int = 10
 
     def __post_init__(self) -> None:
-        if self.min_nodes < 1:
-            raise ValueError(f"min_nodes must be >= 1, got {self.min_nodes}")
-        if self.max_nodes < self.min_nodes:
-            raise ValueError(
-                f"max_nodes ({self.max_nodes}) must be >= min_nodes "
-                f"({self.min_nodes})"
-            )
+        if self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if not self.template:
             raise ValueError("template must name at least one platform")
-        if self.queue_high < 1:
-            raise ValueError(f"queue_high must be >= 1, got {self.queue_high}")
-        if self.sustain_ticks < 1:
-            raise ValueError(
-                f"sustain_ticks must be >= 1, got {self.sustain_ticks}"
-            )
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ class Autoscaler:
         self._idle_ticks = 0
         self._cooldown = 0
         self._template_i = 0
-        self._recent_rt_ms: deque[float] = deque(maxlen=cfg.p99_window)
+        self._recent_rt_s: deque[float] = deque(maxlen=P99_WINDOW)
         self.events: list[ScaleEvent] = []
 
     # ------------------------------------------------------------------
@@ -101,12 +92,12 @@ class Autoscaler:
     def observe_frame(self, deadline_class: str, latency_s: float) -> None:
         """Feed one completed frame into the rolling p99 window."""
         if deadline_class == "realtime":
-            self._recent_rt_ms.append(latency_s * 1e3)
+            self._recent_rt_s.append(latency_s)
 
     def realtime_p99_ms(self) -> float | None:
-        if not self._recent_rt_ms:
+        if not self._recent_rt_s:
             return None
-        return latency_percentiles_ms(list(self._recent_rt_ms))["p99"]
+        return latency_percentiles_ms(list(self._recent_rt_s))["p99"]
 
     def next_platform(self) -> str:
         """Cyclic pick from the provisioning template."""
@@ -137,50 +128,45 @@ class Autoscaler:
             and p99 is not None
             and p99 > cfg.p99_slo_ms
         )
-        pressured = queue_depth >= cfg.queue_high or breach
+        pressured = queue_depth >= QUEUE_HIGH or breach
         if pressured:
             self._pressure_ticks += 1
             self._idle_ticks = 0
         else:
             self._pressure_ticks = 0
 
-        idle = queue_depth == 0 and load < cfg.idle_low
+        idle = queue_depth == 0 and load < IDLE_LOW
         if idle:
             self._idle_ticks += 1
         else:
             self._idle_ticks = 0
 
         if (
-            self._pressure_ticks >= cfg.sustain_ticks
+            self._pressure_ticks >= SUSTAIN_TICKS
             and n_nodes < cfg.max_nodes
             and self._cooldown == 0
         ):
             self._pressure_ticks = 0
-            self._cooldown = cfg.cooldown_ticks
+            self._cooldown = COOLDOWN_TICKS
             reason = (
                 f"realtime p99 {p99:.1f} ms > SLO {cfg.p99_slo_ms:.1f} ms"
                 if breach and p99 is not None and cfg.p99_slo_ms is not None
-                else f"queue depth >= {cfg.queue_high} for "
-                f"{cfg.sustain_ticks} ticks"
+                else f"queue depth >= {QUEUE_HIGH} for {SUSTAIN_TICKS} ticks"
             )
             return SCALE_UP, reason
 
         if (
-            self._idle_ticks >= cfg.idle_ticks
+            self._idle_ticks >= IDLE_TICKS
             and n_scaled > 0
-            and n_nodes > cfg.min_nodes
+            and n_nodes > 1
             and self._cooldown == 0
         ):
             self._idle_ticks = 0
-            self._cooldown = cfg.cooldown_ticks
+            self._cooldown = COOLDOWN_TICKS
             return SCALE_DOWN, (
-                f"queue empty and load < {cfg.idle_low:g} for "
-                f"{cfg.idle_ticks} ticks"
+                f"queue empty and load < {IDLE_LOW:g} for {IDLE_TICKS} ticks"
             )
         return HOLD, "steady"
-
-    def record(self, event: ScaleEvent) -> None:
-        self.events.append(event)
 
 
 __all__ = [

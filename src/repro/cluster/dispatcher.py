@@ -36,7 +36,7 @@ across ``PYTHONHASHSEED`` and node-insertion shuffles.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.cluster.autoscale import (
@@ -54,13 +54,15 @@ from repro.cluster.faults import (
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import DOWN, DRAINED, UP, Node, NodeSpec
 from repro.cluster.routing import RoutingPolicy, get_policy
+from repro.hw.trace_export import export_stream_traces
 from repro.service.admission import REJECTED
-from repro.service.scheduler import RoundLPBatch, SchedulerConfig
+from repro.service.scheduler import RoundLPBatch
+from repro.service.service import stream_traces
 from repro.service.session import EncodingSession, StreamSpec
-from repro.sanitizers.protocols.journal import (
-    record as _journal,
-    sanitize_from_env,
-)
+from repro.util.journal import record as _journal
+
+#: Safety valve against a runaway fleet loop.
+MAX_TICKS = 1_000_000
 
 #: Cluster-level stream states (:attr:`StreamState.state`).
 S_QUEUED, S_PLACED, S_REJECTED, S_STRANDED = (
@@ -117,17 +119,8 @@ class StreamState:
 
     def continuation(self, at_s: float) -> StreamSpec:
         """Spec for the remaining frames, arriving at the eviction time."""
-        spec = self.spec
-        return StreamSpec(
-            stream_id=spec.stream_id,
-            fps_target=spec.fps_target,
-            n_frames=self.frames_remaining,
-            deadline_class=spec.deadline_class,
-            arrival_s=at_s,
-            width=spec.width,
-            height=spec.height,
-            search_range=spec.search_range,
-            num_ref_frames=spec.num_ref_frames,
+        return replace(
+            self.spec, n_frames=self.frames_remaining, arrival_s=at_s
         )
 
 
@@ -139,19 +132,13 @@ class ClusterConfig:
     more (it only ever drains its own additions). ``global_queue`` bounds
     the dispatch queue for *new arrivals* — evicted survivors being
     re-routed are never dropped, they may transiently overflow it.
-    ``share_lp_cache`` hands every node of the same platform class one
-    shared LP solve cache (byte-exact memoization, so results are
-    unchanged; see DESIGN.md → Performance).
     """
 
     nodes: tuple[NodeSpec, ...] = ()
     policy: str = "least-loaded"
     global_queue: int = 64
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     node_faults: NodeFaultSchedule = field(default_factory=NodeFaultSchedule)
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
-    share_lp_cache: bool = True
-    max_ticks: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not self.nodes:
@@ -163,8 +150,6 @@ class ClusterConfig:
             raise ValueError(
                 f"global_queue must be >= 0, got {self.global_queue}"
             )
-        if self.max_ticks < 1:
-            raise ValueError(f"max_ticks must be >= 1, got {self.max_ticks}")
 
 
 class Dispatcher:
@@ -307,19 +292,13 @@ class Cluster:
 
     # ------------------------------------------------------------------
 
-    def _lp_batch_for(self, platform: str) -> RoundLPBatch | None:
-        """One shared LP solve cache per platform class (if enabled)."""
-        if not self.cfg.share_lp_cache:
-            return None
-        if platform not in self._lp_batches:
-            self._lp_batches[platform] = RoundLPBatch()
-        return self._lp_batches[platform]
-
     def _add_node(self, spec: NodeSpec, start_s: float) -> Node:
+        # Nodes of one platform class share one LP solve cache: its keys
+        # are the full constraint bytes, so sharing cannot change a
+        # result (DESIGN.md → Performance).
         node = Node(
             spec,
-            scheduler=self.cfg.scheduler,
-            lp_batch=self._lp_batch_for(spec.platform),
+            lp_batch=self._lp_batches.setdefault(spec.platform, RoundLPBatch()),
             start_s=start_s,
             index=len(self.nodes),
         )
@@ -409,7 +388,7 @@ class Cluster:
                 max_queue=template.max_queue,
             )
             node = self._add_node(spec, start_s=t)
-            self.autoscaler.record(ScaleEvent(
+            self.autoscaler.events.append(ScaleEvent(
                 at_s=t, action="add", node_id=node.node_id,
                 platform=platform, reason=reason,
             ))
@@ -419,7 +398,7 @@ class Cluster:
             victim = min(
                 scaled, key=lambda n: (n.n_running + n.n_queued, -n.index)
             )
-            self.autoscaler.record(ScaleEvent(
+            self.autoscaler.events.append(ScaleEvent(
                 at_s=t, action="drain", node_id=victim.node_id,
                 platform=victim.platform, reason=reason,
             ))
@@ -451,10 +430,8 @@ class Cluster:
         faults = self.cfg.node_faults
         while True:
             self.ticks += 1
-            if self.ticks > self.cfg.max_ticks:
-                raise RuntimeError(
-                    f"cluster exceeded max_ticks={self.cfg.max_ticks}"
-                )
+            if self.ticks > MAX_TICKS:
+                raise RuntimeError(f"cluster exceeded {MAX_TICKS} ticks")
 
             t_arr = pending[i].arrival_s if i < len(pending) else None
             t_fault = faults.next_at_s()
@@ -528,11 +505,6 @@ class Cluster:
         for node in self.nodes:
             node.service.finalize()
         self._metrics = ClusterMetrics.collect(self)
-
-        if sanitize_from_env():
-            from repro.sanitizers import TimelineSanitizer
-
-            TimelineSanitizer.check_cluster(self).raise_if_dirty()
         return self._metrics
 
     # ------------------------------------------------------------------
@@ -558,27 +530,15 @@ class Cluster:
         ``k``'s sessions occupy the pid block ``1000·(k+1)+1 …``, via the
         existing stream-trace union exporter.
         """
-        from repro.hw.trace_export import StreamTrace, export_stream_traces
-
-        traces = []
-        for node in self.nodes:
-            for j, session in enumerate(node.service.sessions, start=1):
-                frames = [
-                    (session.framework.reports[r.index - 1].timeline, r.start_s)
-                    for r in session.records
-                ]
-                traces.append(
-                    StreamTrace(
-                        pid=1000 * (node.index + 1) + j,
-                        name=(
-                            f"{node.node_id}/{session.stream_id} "
-                            f"({session.spec.deadline_class}, "
-                            f"{session.spec.fps_target:g} fps)"
-                        ),
-                        frames=frames,
-                        fault_log=session.framework.fault_log,
-                    )
-                )
+        traces = [
+            trace
+            for node in self.nodes
+            for trace in stream_traces(
+                node.service.sessions,
+                pid0=1000 * (node.index + 1),
+                prefix=f"{node.node_id}/",
+            )
+        ]
         return export_stream_traces(traces, path)
 
 

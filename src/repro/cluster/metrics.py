@@ -10,11 +10,10 @@ is already inside each node's ServiceMetrics.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.service.metrics import latency_percentiles_ms, per_class_summary
+from repro.service.metrics import frame_stats, per_class_summary, percentiles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.cluster.dispatcher import Cluster
@@ -38,20 +37,7 @@ class NodeMetrics:
     admission: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "platform": self.platform,
-            "state": self.state,
-            "joined_s": self.joined_s,
-            "retired_s": self.retired_s,
-            "rounds": self.rounds,
-            "frames": self.frames,
-            "sessions": self.sessions,
-            "p99_ms": self.p99_ms,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "device_utilization": dict(self.device_utilization),
-            "admission": dict(self.admission),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -85,22 +71,10 @@ class ClusterMetrics:
     @classmethod
     def collect(cls, cluster: "Cluster") -> "ClusterMetrics":
         node_rows: list[NodeMetrics] = []
-        all_lat: list[float] = []
-        missable = 0
-        missed = 0
-        frames_encoded = 0
         all_sessions = []
         for node in cluster.nodes:
             m = node.service.metrics
-            frames = sum(sm.frames for sm in m.streams)
-            frames_encoded += frames
             all_sessions.extend(node.service.sessions)
-            for s in node.service.sessions:
-                for r in s.records:
-                    all_lat.append(r.latency_s)
-                    if not math.isinf(r.deadline_s):
-                        missable += 1
-                        missed += int(r.missed)
             node_rows.append(NodeMetrics(
                 node_id=node.node_id,
                 platform=node.platform,
@@ -108,7 +82,7 @@ class ClusterMetrics:
                 joined_s=node.joined_s,
                 retired_s=node.retired_s,
                 rounds=m.rounds,
-                frames=frames,
+                frames=sum(sm.frames for sm in m.streams),
                 sessions=len(m.streams),
                 p99_ms=m.p99_ms,
                 deadline_miss_rate=m.deadline_miss_rate,
@@ -122,9 +96,8 @@ class ClusterMetrics:
             key = "done" if st.done else st.state
             stream_counts[key] = stream_counts.get(key, 0) + 1
             waits.append(st.queue_wait_s)
-        wait_pct = latency_percentiles_ms(waits)  # values in "ms of seconds"
-
-        lat = latency_percentiles_ms(all_lat)
+        wait_pct = percentiles(waits)
+        stats = frame_stats(r for s in all_sessions for r in s.records)
         lp_cache = {
             platform: {
                 "hits": batch.hits,
@@ -141,29 +114,22 @@ class ClusterMetrics:
             n_nodes_live=len(cluster.live_nodes()),
             nodes=tuple(node_rows),
             classes=per_class_summary(all_sessions),
-            p50_ms=lat["p50"],
-            p95_ms=lat["p95"],
-            p99_ms=lat["p99"],
-            deadline_miss_rate=(missed / missable) if missable else 0.0,
+            p50_ms=stats["p50_ms"],
+            p95_ms=stats["p95_ms"],
+            p99_ms=stats["p99_ms"],
+            deadline_miss_rate=stats["deadline_miss_rate"],
             streams=stream_counts,
-            frames_encoded=frames_encoded,
+            frames_encoded=sum(row.frames for row in node_rows),
             peak_concurrent=cluster.peak_concurrent,
             reroutes=cluster.reroutes,
             evicted_sessions=cluster.evicted_sessions,
             node_faults=len(cluster.node_fault_log),
-            queue_wait_p50_s=wait_pct["p50"] / 1e3,
-            queue_wait_p95_s=wait_pct["p95"] / 1e3,
+            queue_wait_p50_s=wait_pct["p50"],
+            queue_wait_p95_s=wait_pct["p95"],
             queue_wait_max_s=max(waits, default=0.0),
             dispatch=dict(cluster.dispatcher.counts),
             autoscale_events=tuple(
-                {
-                    "at_s": e.at_s,
-                    "action": e.action,
-                    "node_id": e.node_id,
-                    "platform": e.platform,
-                    "reason": e.reason,
-                }
-                for e in cluster.autoscaler.events
+                asdict(e) for e in cluster.autoscaler.events
             ),
             lp_cache=lp_cache,
         )

@@ -17,16 +17,15 @@ service's own code path, a single-node fleet is bit-identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.hw.noise import FaultSchedule
 from repro.service.admission import ADMITTED, QUEUED, REJECTED
-from repro.service.scheduler import RoundLPBatch, SchedulerConfig
+from repro.service.scheduler import RoundLPBatch
 from repro.service.service import EncodingService, ServiceConfig
 from repro.service.session import RUNNING
 from repro.service.session import QUEUED as SESSION_QUEUED
 from repro.service.session import EncodingSession, StreamSpec
-from repro.sanitizers.protocols.journal import record as _journal
+from repro.util.journal import record as _journal
 
 #: Node lifecycle states.
 UP, DOWN, DRAINED = "up", "down", "drained"
@@ -44,11 +43,6 @@ class NodeSpec:
     platform: str = "SysHK"
     headroom: float = 1.0
     max_queue: int = 8
-    faults: FaultSchedule = field(default_factory=FaultSchedule)
-    #: Execution backend of the node's service: "sim" simulates frame
-    #: times; "process" really encodes on a local worker pool.
-    backend: str = "sim"
-    exec_workers: int = 0
 
     def __post_init__(self) -> None:
         if not self.node_id:
@@ -61,7 +55,6 @@ class Node:
     def __init__(
         self,
         spec: NodeSpec,
-        scheduler: SchedulerConfig | None = None,
         lp_batch: RoundLPBatch | None = None,
         start_s: float = 0.0,
         index: int = 0,
@@ -73,10 +66,6 @@ class Node:
                 platform=spec.platform,
                 headroom=spec.headroom,
                 max_queue=spec.max_queue,
-                faults=spec.faults,
-                scheduler=scheduler or SchedulerConfig(),
-                backend=spec.backend,
-                exec_workers=spec.exec_workers,
             ),
             lp_batch=lp_batch,
         )
@@ -118,11 +107,13 @@ class Node:
     def idle(self) -> bool:
         return self.n_running == 0 and self.n_queued == 0
 
+    def _live(self) -> frozenset[str]:
+        """Devices live in the round this node would run next."""
+        return self.service.live_devices(self.service.rounds + 1)
+
     def committed_fraction(self) -> float:
         """Platform fraction promised to this node's running sessions."""
-        svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
-        return svc.admission.committed_fraction(live)
+        return self.service.admission.committed_fraction(self._live())
 
     def load(self) -> float:
         """Committed fraction normalized by the admission headroom."""
@@ -130,36 +121,19 @@ class Node:
 
     def demand_fraction(self, spec: StreamSpec) -> float:
         """Model-estimated fraction of *this node* the stream needs."""
-        svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
-        return svc.capacity.demand_fraction(spec, live)
+        return self.service.capacity.demand_fraction(spec, self._live())
 
     def fps_capacity(self, spec: StreamSpec) -> float:
         """Sustainable fps for streams of this shape on this node."""
-        svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
-        return svc.capacity.fps_capacity(
-            spec.codec_config(), spec.num_ref_frames, live
+        return self.service.capacity.fps_capacity(
+            spec.codec_config(), spec.num_ref_frames, self._live()
         )
 
     # ------------------------------------------------------------------
 
     def has_room(self, spec: StreamSpec) -> bool:
-        """Would an offer land (admit or queue) rather than reject?
-
-        Approximates :meth:`AdmissionController.has_room` without
-        materializing a session: admission fits a newcomer while its
-        demand fraction still fits under the headroom and nobody is
-        waiting; otherwise the bounded node queue must have a free slot.
-        """
-        adm = self.service.admission
-        svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
-        if not adm.queue:
-            demand = adm.capacity.demand_fraction(spec, live)
-            if adm.committed_fraction(live) + demand <= adm.headroom + 1e-9:
-                return True
-        return len(adm.queue) < adm.max_queue
+        """Would an offer land (admit or queue) rather than reject?"""
+        return self.service.admission.has_room(spec, self._live())
 
     def offer(self, spec: StreamSpec, now: float) -> tuple[EncodingSession, str]:
         """Submit a routed stream to this node's admission controller.
@@ -172,8 +146,7 @@ class Node:
         svc = self.service
         svc.now = max(svc.now, now)
         _journal(self, "offer", svc.now, detail=spec.stream_id)
-        live = svc.live_devices(svc.rounds + 1)
-        session = svc.submit(spec, live)
+        session = svc.submit(spec, self._live())
         if session.state == RUNNING:
             return session, ADMITTED
         if session.state == SESSION_QUEUED:
@@ -238,8 +211,7 @@ class Node:
         self.state = state
         self.retired_s = now
         _journal(self, "retire", max(now, self.service.now), detail=self.node_id)
-        # A retired process-backed node must not leak worker pools or
-        # shared-memory segments (no-op for sim sessions).
+        # Sessions torn off mid-stream never reach their own close().
         self.service.close()
 
 

@@ -29,6 +29,7 @@ from repro.core.distribution import Distribution, round_preserving_sum
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.interconnect import BufferSizes
 from repro.hw.topology import Platform
+from repro.util.journal import record as _journal
 from repro.util.profiling import PhaseProfiler
 
 
@@ -185,8 +186,6 @@ class LoadBalancer:
         cache stays — its keys are the full constraint bytes, which
         already encode the live set.
         """
-        from repro.sanitizers.protocols.journal import record as _journal
-
         _journal(self, "invalidate")
         self._cache_ks = None
         self._cache_key = None
@@ -251,8 +250,6 @@ class LoadBalancer:
         )
         if not live_set:
             raise ValueError("no live devices to distribute over")
-        from repro.sanitizers.protocols.journal import record as _journal
-
         _journal(self, "solve", detail=",".join(sorted(live_set)))
         live_idx = [i for i, dev in enumerate(devices) if dev.name in live_set]
         ready_idx = [i for i in live_idx if self._characterized(perf, devices[i])]

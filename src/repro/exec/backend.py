@@ -57,7 +57,6 @@ from repro.exec.shm import (
 from repro.hw.des import OpRecord
 from repro.hw.timeline import FrameTimeline
 from repro.hw.topology import Platform
-from repro.sanitizers.protocols.journal import sanitize_from_env
 from repro.util.profiling import PhaseProfiler
 
 #: Representative payload for the one-time transfer priors (bytes).
@@ -108,7 +107,6 @@ class ProcessBackend:
         codec_cfg: CodecConfig,
         fw_cfg: FrameworkConfig,
         profiler: PhaseProfiler | None = None,
-        sanitize: bool | None = None,
     ) -> None:
         self.platform = platform
         self.codec_cfg = codec_cfg
@@ -119,10 +117,10 @@ class ProcessBackend:
         # Validate both env knobs here, at construction: a typo'd
         # $REPRO_EXEC_START_METHOD / $REPRO_EXEC_TIMEOUT_S must fail
         # with a named token before any frame (or fork) happens.
-        self.start_method = resolve_start_method()
+        resolve_start_method()
         self.task_timeout_s = task_timeout_from_env()
-        self.sanitize = sanitize_from_env() if sanitize is None else sanitize
-        #: SAN-F: per-frame shared-memory access journal (host + workers).
+        #: SAN-F: per-frame shared-memory access journal (host + workers);
+        #: stays empty unless store and pool start under $REPRO_SANITIZE.
         self.exec_journal: dict[int, list[AccessRecord]] = {}
         self._store: SharedFrameStore | None = None
         self._pool: KernelPool | None = None
@@ -133,13 +131,9 @@ class ProcessBackend:
     def _ensure_started(self) -> tuple[SharedFrameStore, KernelPool]:
         if self._store is None or self._pool is None:
             with self.profiler.phase("exec_start"):
-                store = SharedFrameStore(self.codec_cfg, sanitize=self.sanitize)
+                store = SharedFrameStore(self.codec_cfg)
                 try:
-                    pool = KernelPool(
-                        self.workers, store.layout(), self.codec_cfg,
-                        start_method=self.start_method,
-                        sanitize=self.sanitize,
-                    )
+                    pool = KernelPool(self.workers, store.layout(), self.codec_cfg)
                 except BaseException:
                     store.close()
                     raise
@@ -341,8 +335,9 @@ class ProcessBackend:
             rstar_s = time.perf_counter() - t_rstar0
         tau_tot = time.perf_counter() - t_frame0
 
-        if self.sanitize:
-            self.exec_journal[frame_index] = store.drain_journal() + journal
+        entries = store.drain_journal() + journal
+        if entries:
+            self.exec_journal[frame_index] = entries
 
         timeline = self._build_timeline(
             frame_index, chunks, rstar_device,

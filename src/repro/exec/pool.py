@@ -12,11 +12,12 @@ On Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which is machine-wide,
 so worker timestamps are directly comparable with the host's frame-start
 anchor; the backend clamps defensively on platforms where they are not.
 
-Under sanitization (SAN-F) every task additionally returns its
-shared-memory :class:`~repro.exec.shm.AccessRecord` entries — built from
-the *same* bounds the actual reads/writes use, so the journal cannot
-drift from the access it describes — and the backend hands the merged
-per-frame journal to ``TimelineSanitizer.check_exec``.
+A worker that starts under ``$REPRO_SANITIZE`` (SAN-F; inherited by fork
+and spawn alike) additionally returns its shared-memory
+:class:`~repro.exec.shm.AccessRecord` entries with every task — built
+from the *same* bounds the actual reads/writes use, so the journal
+cannot drift from the access it describes — and the backend keeps the
+merged per-frame journal for ``TimelineSanitizer.check_exec``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.codec.config import MB_SIZE, CodecConfig
-from repro.sanitizers.protocols.journal import record as _proto_journal
 from repro.codec.interpolation import interpolate_rows
 from repro.codec.me import MotionField, motion_estimate_rows
 from repro.codec.sme import SubpelField, subpel_refine_rows
@@ -42,6 +42,7 @@ from repro.exec.shm import (
     AccessRecord,
     Layout,
 )
+from repro.util.journal import record as _proto_journal, sanitize_from_env
 
 #: Environment override for the pool start method ("fork"/"spawn"/...).
 START_METHOD_ENV = "REPRO_EXEC_START_METHOD"
@@ -59,13 +60,11 @@ _CFG: CodecConfig | None = None
 _SANITIZE: bool = False
 
 
-def _attach_worker(
-    layout: Layout, cfg: CodecConfig, sanitize: bool = False
-) -> None:
+def _attach_worker(layout: Layout, cfg: CodecConfig) -> None:
     """Pool initializer: map every shared slot into this worker."""
     global _CFG, _SANITIZE
     _CFG = cfg
-    _SANITIZE = sanitize
+    _SANITIZE = sanitize_from_env()
     for key, (name, shape) in layout.items():
         seg = shared_memory.SharedMemory(name=name)
         _SEGMENTS[key] = seg
@@ -183,11 +182,6 @@ def resolve_start_method(requested: str | None = None) -> str:
     return chosen
 
 
-def default_start_method() -> str:
-    """``fork`` where available (cheap, inherits nothing we rely on)."""
-    return resolve_start_method()
-
-
 def task_timeout_from_env() -> float:
     """The validated per-task timeout in seconds (positive finite float)."""
     raw = os.environ.get(TASK_TIMEOUT_ENV)
@@ -215,33 +209,22 @@ class KernelPool:
     whose only job is to keep the submit API typed per kernel and to make
     shutdown explicit (``close()``): the pool lives for a whole encode,
     not per frame, so worker start-up and segment attachment are paid
-    once.
-
-    Both environment knobs (``$REPRO_EXEC_START_METHOD``,
-    ``$REPRO_EXEC_TIMEOUT_S``) are validated here, at construction, so a
-    typo fails with a named token instead of a deep pool/runtime error
-    frames later.
+    once. The start method comes from ``$REPRO_EXEC_START_METHOD``
+    (validated: a typo fails here with a named token, not deep inside
+    ``multiprocessing``).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        layout: Layout,
-        cfg: CodecConfig,
-        start_method: str | None = None,
-        sanitize: bool = False,
-    ) -> None:
+    def __init__(self, workers: int, layout: Layout, cfg: CodecConfig) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.workers = workers
-        self.start_method = resolve_start_method(start_method)
-        self.task_timeout_s = task_timeout_from_env()
+        self.start_method = resolve_start_method()
         ctx = multiprocessing.get_context(self.start_method)
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=ctx,
             initializer=_attach_worker,
-            initargs=(layout, cfg, sanitize),
+            initargs=(layout, cfg),
         )
         _proto_journal(self, "create")
 

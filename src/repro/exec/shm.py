@@ -28,12 +28,12 @@ every worker sees the whole padded plane, a superset of any Δ window.
 
 That discipline is machine-checked from both sides: statically by the
 REP203/REP204 concurrency lint, and dynamically by the SAN-F access
-journal — with ``sanitize=True`` (the process backend enables it under
-``REPRO_SANITIZE``) every host-side access is recorded as an
-:class:`AccessRecord` and worker tasks return their own records, so
-:meth:`TimelineSanitizer.check_exec` can verify pairwise disjointness
-of concurrent writes and the barrier ordering of every read on a real
-parallel run.
+journal — a store created while ``$REPRO_SANITIZE`` is set (it asks
+:func:`~repro.util.journal.sanitize_from_env` once, at construction)
+records every host-side access as an :class:`AccessRecord` and worker
+tasks return their own records, so :meth:`TimelineSanitizer.check_exec`
+can verify pairwise disjointness of concurrent writes and the barrier
+ordering of every read on a real parallel run.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.codec.config import MB_SIZE, CodecConfig
-from repro.sanitizers.protocols.journal import record as _proto_journal
+from repro.util.journal import record as _proto_journal, sanitize_from_env
 
 #: Every slot stores 8-bit samples.
 SLOT_DTYPE = np.uint8
@@ -116,9 +116,9 @@ class SharedFrameStore:
     propagates (the REP103 acquire/release discipline).
     """
 
-    def __init__(self, cfg: CodecConfig, sanitize: bool = False) -> None:
+    def __init__(self, cfg: CodecConfig) -> None:
         self.cfg = cfg
-        self.sanitize = sanitize
+        self._sanitize = sanitize_from_env()
         self.journal: list[AccessRecord] = []
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._shapes: dict[str, tuple[int, int]] = {}
@@ -166,7 +166,7 @@ class SharedFrameStore:
         phase: int,
     ) -> None:
         """Journal one host-side access (no-op unless sanitizing)."""
-        if self.sanitize:
+        if self._sanitize:
             self.journal.append(
                 AccessRecord(segment, row0, row1, kind, task, phase)
             )
@@ -175,7 +175,7 @@ class SharedFrameStore:
         self, segment: str, kind: str, task: str, phase: int
     ) -> None:
         """Journal a whole-plane host access of one slot."""
-        if self.sanitize:
+        if self._sanitize:
             rows = self._shapes[segment][0]
             self.record(segment, 0, rows, kind, task, phase)
 

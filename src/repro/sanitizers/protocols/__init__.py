@@ -3,8 +3,9 @@
 Lifecycle/protocol rules over the runtime stack's stateful objects,
 built on the layer-3 CFG/worklist engine and the layer-4 call graph.
 The rules compile from the declarative specs in :mod:`spec` — the same
-declarations the SAN-G runtime monitor (:mod:`journal` + :mod:`monitor`)
-replays, so the static and dynamic halves cannot drift:
+declarations the SAN-G runtime monitor (:mod:`monitor`, replaying the
+events of :mod:`repro.util.journal`) checks, so the static and dynamic
+halves cannot drift:
 
 REP301
     Object-lifecycle typestate: no ``step()`` after ``retire()``, no
@@ -31,7 +32,7 @@ check_protocols`): instrumented classes journal lifecycle events under
 obligation / missing shutdown).
 
 The rule table and the driver that runs them are
-:mod:`repro.sanitizers.runner`; importing this package (which the
-instrumented runtime classes do, for :mod:`journal`) pulls in none of
-the analysis code.
+:mod:`repro.sanitizers.runner`. Nothing at runtime imports this package:
+the instrumented classes record into :mod:`repro.util.journal`, and the
+dependency runs from here to there.
 """

@@ -2,7 +2,7 @@
 
 The monitor compiles each :class:`~repro.sanitizers.protocols.spec.
 ProtocolSpec` into a per-object replay checker and walks one journal
-(:class:`~repro.sanitizers.protocols.journal.ProtocolEvent` stream) in
+(:class:`~repro.util.journal.ProtocolEvent` stream) in
 sequence order. Two rules:
 
 SAN-G1
@@ -28,7 +28,7 @@ held to ``require_terminal``.
 
 from __future__ import annotations
 
-from repro.sanitizers.protocols.journal import ProtocolEvent
+from repro.util.journal import ProtocolEvent
 from repro.sanitizers.protocols.spec import (
     CLASS_SPECS,
     ON_CHANGE,

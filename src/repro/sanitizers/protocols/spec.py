@@ -19,9 +19,8 @@ Specs validate eagerly at construction (so a malformed spec fails at
 import, not mid-analysis) with named-token errors: ``unknown state``,
 ``duplicate transition``, ``unreachable terminal``.
 
-This module is dependency-free on purpose — the runtime journal and the
-instrumented service/cluster/exec classes may import it without pulling
-the analysis stack.
+This module has no imports of its own on purpose: the lint rules and the
+replay monitor both import it, and it needs neither.
 """
 
 from __future__ import annotations

@@ -53,7 +53,9 @@ from typing import TYPE_CHECKING
 from repro.core.bounds import ls_bounds, ms_bounds
 from repro.core.perf_model import buffer_row_bytes
 from repro.hw.interconnect import BufferSizes
+from repro.sanitizers.protocols.monitor import check_events
 from repro.sanitizers.violations import SanitizerReport, Violation
+from repro.util.journal import JOURNAL
 
 if TYPE_CHECKING:
     from repro.cluster.dispatcher import Cluster
@@ -482,8 +484,16 @@ class TimelineSanitizer:
         transfers during τ1 (``SF(RF-1)->SME``). Pairs interrupted by an
         intra refresh, a fault event, or parking are skipped — those
         legitimately reset the backlog.
+
+        A process-backed framework has measured timelines and no modelled
+        transfers, so its check is SAN-F over the shared-memory journal
+        the backend kept (empty unless it ran under ``REPRO_SANITIZE``).
         """
         out = SanitizerReport()
+        if fw.fw_cfg.backend == "process":
+            for f, entries in sorted(fw.manager.exec_journal.items()):
+                out.extend(self.check_exec(entries, frame=f))
+            return out
         if not fw.reports:
             return out   # never encoded (e.g. a rejected session)
         eventful = {
@@ -672,9 +682,9 @@ class TimelineSanitizer:
     def check_protocols(events: list | None = None) -> SanitizerReport:
         """Class-G lifecycle/protocol discipline on the runtime journal.
 
-        ``events`` is a list of :class:`~repro.sanitizers.protocols.
-        journal.ProtocolEvent` (the stream instrumented classes emit
-        under ``REPRO_SANITIZE``); when omitted, the global journal is
+        ``events`` is a list of :class:`~repro.util.journal.
+        ProtocolEvent` (the stream instrumented classes emit under
+        ``REPRO_SANITIZE``); when omitted, the global journal is
         drained. The events are replayed against the declarative specs
         in :mod:`repro.sanitizers.protocols.spec` — the same
         declarations the REP301–REP304 static rules compile from:
@@ -688,9 +698,6 @@ class TimelineSanitizer:
         invalidation in between, or a ``require_terminal`` object
         (kernel pool, frame store) never shut down by teardown.
         """
-        from repro.sanitizers.protocols.journal import JOURNAL
-        from repro.sanitizers.protocols.monitor import check_events
-
         if events is None:
             events = JOURNAL.drain()
         return check_events(events)

@@ -13,7 +13,7 @@ plus aggregate latency/deadline/utilization metrics
 
 from repro.service.admission import AdmissionController, CapacityModel
 from repro.service.metrics import ServiceMetrics, StreamMetrics, per_class_summary
-from repro.service.scheduler import CoScheduler, SchedulerConfig
+from repro.service.scheduler import CoScheduler
 from repro.service.service import EncodingService, ServiceConfig
 from repro.service.session import (
     DEADLINE_CLASSES,
@@ -37,7 +37,6 @@ __all__ = [
     "EncodingSession",
     "FrameRecord",
     "STREAM_MIXES",
-    "SchedulerConfig",
     "ServiceConfig",
     "ServiceMetrics",
     "StreamMetrics",

@@ -95,7 +95,7 @@ class AdmissionController:
         self.running: list[EncodingSession] = []
         self.queue: deque[EncodingSession] = deque()
         self.counts: dict[str, int] = {
-            ADMITTED: 0, QUEUED: 0, REJECTED: 0, "completed": 0,
+            ADMITTED: 0, QUEUED: 0, REJECTED: 0, "completed": 0, "evicted": 0,
         }
 
     # ------------------------------------------------------------------
@@ -114,9 +114,9 @@ class AdmissionController:
         return sum(self.session_fraction(s, live) for s in self.running)
 
     def _fits(
-        self, session: EncodingSession, live: frozenset[str] | set[str] | None
+        self, spec: StreamSpec, live: frozenset[str] | set[str] | None
     ) -> bool:
-        demand = self.capacity.demand_fraction(session.spec, live)
+        demand = self.capacity.demand_fraction(spec, live)
         return self.committed_fraction(live) + demand <= self.headroom + 1e-9
 
     # ------------------------------------------------------------------
@@ -133,7 +133,7 @@ class AdmissionController:
         otherwise a small stream would overtake a larger queued one and
         could starve it indefinitely.
         """
-        if not self.queue and self._fits(session, live):
+        if not self.queue and self._fits(session.spec, live):
             session.admit(now)
             self.running.append(session)
             self.counts[ADMITTED] += 1
@@ -160,7 +160,7 @@ class AdmissionController:
         admitted: list[EncodingSession] = []
         while self.queue:
             head = self.queue[0]
-            if not self.running or self._fits(head, live):
+            if not self.running or self._fits(head.spec, live):
                 self.queue.popleft()
                 head.admit(now)
                 self.running.append(head)
@@ -178,10 +178,10 @@ class AdmissionController:
     # ------------------------------------------------------------------
 
     def has_room(
-        self, session: EncodingSession, live: frozenset[str] | set[str] | None
+        self, spec: StreamSpec, live: frozenset[str] | set[str] | None
     ) -> bool:
         """Would :meth:`offer` do anything other than reject right now?"""
-        if not self.queue and self._fits(session, live):
+        if not self.queue and self._fits(spec, live):
             return True
         return len(self.queue) < self.max_queue
 
@@ -199,5 +199,5 @@ class AdmissionController:
         queued = list(self.queue)
         self.running.clear()
         self.queue.clear()
-        self.counts["evicted"] = self.counts.get("evicted", 0) + len(running)
+        self.counts["evicted"] += len(running)
         return running, queued

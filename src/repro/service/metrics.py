@@ -12,15 +12,16 @@ sessions time-share an engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.service.session import EncodingSession
+from repro.service.session import EncodingSession, FrameRecord
 
 
-def latency_percentiles_ms(latencies_s: list[float]) -> dict[str, float]:
-    """p50/p95/p99 of a latency sample, in milliseconds.
+def percentiles(sample: list[float], scale: float = 1.0) -> dict[str, float]:
+    """p50/p95/p99 of ``sample``, in its own unit times ``scale``.
 
     Interpolation is pinned to numpy's ``method="linear"`` (percentile
     ``q`` maps to fractional order statistic ``(n-1)·q/100``, linearly
@@ -30,50 +31,57 @@ def latency_percentiles_ms(latencies_s: list[float]) -> dict[str, float]:
     empty sample reports 0.0 for every percentile; a single sample
     reports that value for all three.
     """
-    if not latencies_s:
+    if not sample:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    arr = np.asarray(latencies_s, dtype=float) * 1e3
+    arr = np.asarray(sample, dtype=float) * scale
     return {
-        "p50": float(np.percentile(arr, 50, method="linear")),
-        "p95": float(np.percentile(arr, 95, method="linear")),
-        "p99": float(np.percentile(arr, 99, method="linear")),
+        f"p{q}": float(np.percentile(arr, q, method="linear"))
+        for q in (50, 95, 99)
+    }
+
+
+def latency_percentiles_ms(latencies_s: list[float]) -> dict[str, float]:
+    """p50/p95/p99 of a latency sample in seconds, in milliseconds."""
+    return percentiles(latencies_s, scale=1e3)
+
+
+def frame_stats(records: Iterable[FrameRecord]) -> dict[str, float]:
+    """The latency/deadline fold of any set of frame records, in one pass.
+
+    ``{frames, p50_ms, p95_ms, p99_ms, deadline_miss_rate}`` — the
+    headline numbers of a stream, a class, a service or a fleet alike.
+    The miss rate is over frames that *have* a deadline: background
+    frames never miss, and a sample with none reports 0.0.
+    """
+    latencies: list[float] = []
+    missable = missed = 0
+    for r in records:
+        latencies.append(r.latency_s)
+        if not math.isinf(r.deadline_s):
+            missable += 1
+            missed += r.missed
+    pct = latency_percentiles_ms(latencies)
+    return {
+        "frames": len(latencies),
+        "p50_ms": pct["p50"],
+        "p95_ms": pct["p95"],
+        "p99_ms": pct["p99"],
+        "deadline_miss_rate": missed / missable if missable else 0.0,
     }
 
 
 def per_class_summary(sessions: list[EncodingSession]) -> dict[str, dict]:
-    """Latency/deadline headline numbers per deadline class.
+    """:func:`frame_stats` per deadline class, over every session's frames.
 
-    Aggregates every frame record of every session, keyed by the
-    session's deadline class, into ``{class: {frames, p50_ms, p95_ms,
-    p99_ms, deadline_miss_rate}}``. Classes with no encoded frames are
-    omitted; background frames (no deadline) report a 0.0 miss rate.
-    Shared by the service snapshot and the cluster layer, where per-class
-    SLOs drive routing and autoscaling decisions.
+    Classes with no encoded frames are omitted. Shared by the service
+    snapshot and the cluster layer, where per-class SLOs drive routing
+    and autoscaling decisions.
     """
-    lat: dict[str, list[float]] = {}
-    missable: dict[str, int] = {}
-    missed: dict[str, int] = {}
+    by_class: dict[str, list[FrameRecord]] = {}
     for s in sessions:
-        klass = s.spec.deadline_class
-        for r in s.records:
-            lat.setdefault(klass, []).append(r.latency_s)
-            if not math.isinf(r.deadline_s):
-                missable[klass] = missable.get(klass, 0) + 1
-                missed[klass] = missed.get(klass, 0) + int(r.missed)
-    out: dict[str, dict] = {}
-    for klass in sorted(lat):
-        pct = latency_percentiles_ms(lat[klass])
-        n_missable = missable.get(klass, 0)
-        out[klass] = {
-            "frames": len(lat[klass]),
-            "p50_ms": pct["p50"],
-            "p95_ms": pct["p95"],
-            "p99_ms": pct["p99"],
-            "deadline_miss_rate": (
-                missed.get(klass, 0) / n_missable if n_missable else 0.0
-            ),
-        }
-    return out
+        if s.records:
+            by_class.setdefault(s.spec.deadline_class, []).extend(s.records)
+    return {klass: frame_stats(by_class[klass]) for klass in sorted(by_class)}
 
 
 @dataclass(frozen=True)
@@ -96,13 +104,7 @@ class StreamMetrics:
     @classmethod
     def from_session(cls, session: EncodingSession) -> "StreamMetrics":
         recs = session.records
-        lat = latency_percentiles_ms([r.latency_s for r in recs])
-        missable = [r for r in recs if not math.isinf(r.deadline_s)]
-        miss = (
-            sum(1 for r in missable if r.missed) / len(missable)
-            if missable
-            else 0.0
-        )
+        stats = frame_stats(recs)
         achieved = 0.0
         if recs and session.admitted_s is not None:
             span = recs[-1].end_s - session.admitted_s
@@ -114,30 +116,17 @@ class StreamMetrics:
             fps_target=session.spec.fps_target,
             state=session.state,
             frames=len(recs),
-            p50_ms=lat["p50"],
-            p95_ms=lat["p95"],
-            p99_ms=lat["p99"],
-            deadline_miss_rate=miss,
+            p50_ms=stats["p50_ms"],
+            p95_ms=stats["p95_ms"],
+            p99_ms=stats["p99_ms"],
+            deadline_miss_rate=stats["deadline_miss_rate"],
             achieved_fps=achieved,
             wait_s=session.wait_s,
             fault_events=sum(1 for e in session.framework.fault_log if e.eventful),
         )
 
     def to_dict(self) -> dict:
-        return {
-            "stream_id": self.stream_id,
-            "deadline_class": self.deadline_class,
-            "fps_target": self.fps_target,
-            "state": self.state,
-            "frames": self.frames,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "achieved_fps": self.achieved_fps,
-            "wait_s": self.wait_s,
-            "fault_events": self.fault_events,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -167,19 +156,12 @@ class ServiceMetrics:
         admission_counts: dict[str, int],
     ) -> "ServiceMetrics":
         streams = tuple(StreamMetrics.from_session(s) for s in sessions)
-        all_lat: list[float] = []
-        missable = 0
-        missed = 0
+        stats = frame_stats(r for s in sessions for r in s.records)
         busy: dict[str, float] = {}
         for s in sessions:
             for r in s.records:
-                all_lat.append(r.latency_s)
-                if not math.isinf(r.deadline_s):
-                    missable += 1
-                    missed += int(r.missed)
                 for res, t in r.busy_device_s.items():
                     busy[res] = busy.get(res, 0.0) + t
-        lat = latency_percentiles_ms(all_lat)
         # Per-device utilization: fold a device's engines (compute + copy)
         # into the compute-engine figure most dashboards care about.
         util = {
@@ -192,10 +174,10 @@ class ServiceMetrics:
             duration_s=duration_s,
             rounds=rounds,
             streams=streams,
-            p50_ms=lat["p50"],
-            p95_ms=lat["p95"],
-            p99_ms=lat["p99"],
-            deadline_miss_rate=(missed / missable) if missable else 0.0,
+            p50_ms=stats["p50_ms"],
+            p95_ms=stats["p95_ms"],
+            p99_ms=stats["p99_ms"],
+            deadline_miss_rate=stats["deadline_miss_rate"],
             admission=dict(admission_counts),
             device_utilization=util,
             fault_events=sum(m.fault_events for m in streams),

@@ -11,42 +11,29 @@ fps), ``class_weight`` comes from the stream's deadline class
 (realtime > standard > background), and the *slack boost* bends capacity
 toward streams about to miss:
 
-    boost(r) = clamp(2 − r, boost_min, boost_max)
+    boost(r) = clamp(2 − r, BOOST_MIN, BOOST_MAX)
 
 with ``r`` the slack ratio — time remaining until the next frame's
 deadline, in frame periods. A stream whose deadline is imminent (r → 0)
 doubles its weight; one already past its deadline (r < 0) grows up to
-``boost_max``; one comfortably ahead (r ≥ 2, and background streams with
-no deadline at all) floors at ``boost_min``. Shares are the normalized
-weights, floored at ``min_share`` so no active stream is starved
-outright; a single active stream always receives exactly 1.0.
+:data:`BOOST_MAX`; one comfortably ahead (r ≥ 2, and background streams
+with no deadline at all) floors at :data:`BOOST_MIN`. Shares are the
+normalized weights, floored at :data:`MIN_SHARE` so no active stream is
+starved outright; a single active stream always receives exactly 1.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.load_balancing import LPSolveCache
 from repro.service.session import EncodingSession
 
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Co-scheduler tunables (see module docstring for the formula)."""
-
-    boost_min: float = 0.25
-    boost_max: float = 4.0
-    min_share: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not 0 < self.boost_min <= self.boost_max:
-            raise ValueError(
-                f"need 0 < boost_min <= boost_max, got "
-                f"{self.boost_min}/{self.boost_max}"
-            )
-        if not 0 < self.min_share <= 1.0:
-            raise ValueError(f"min_share must be in (0, 1], got {self.min_share}")
+#: The coefficients of the module docstring. Constants, not options: a
+#: heuristic with fixed coefficients is one policy others can be
+#: compared against.
+BOOST_MIN, BOOST_MAX = 0.25, 4.0
+MIN_SHARE = 0.02
 
 
 class RoundLPBatch:
@@ -67,8 +54,10 @@ class RoundLPBatch:
     solves whenever the co-scheduler grants equal shares.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.cache = LPSolveCache(max_entries=max_entries)
+    def __init__(self) -> None:
+        # Sized for every session of a platform class at once: four
+        # times a balancer's private cache.
+        self.cache = LPSolveCache(max_entries=4096)
 
     def attach(self, session: EncodingSession) -> None:
         """Point one session's balancer at the shared solve cache."""
@@ -90,18 +79,15 @@ class RoundLPBatch:
 class CoScheduler:
     """Partitions platform capacity across active sessions each round."""
 
-    def __init__(self, cfg: SchedulerConfig | None = None) -> None:
-        self.cfg = cfg or SchedulerConfig()
-
     def boost(self, slack_ratio: float) -> float:
-        return max(self.cfg.boost_min, min(self.cfg.boost_max, 2.0 - slack_ratio))
+        return max(BOOST_MIN, min(BOOST_MAX, 2.0 - slack_ratio))
 
     def weight(self, session: EncodingSession, now: float) -> float:
         spec = session.spec
         demand = spec.fps_target * spec.codec_config().mb_rows
         deadline = session.deadline_for(session.next_capture_s())
         if math.isinf(deadline):
-            slack_ratio = math.inf  # no deadline: boost floors at boost_min
+            slack_ratio = math.inf  # no deadline: boost floors at BOOST_MIN
         else:
             slack_ratio = (deadline - now) / spec.period_s
         return spec.klass.weight * demand * self.boost(slack_ratio)
@@ -119,9 +105,7 @@ class CoScheduler:
         total = sum(weights.values())
         shares = {sid: w / total for sid, w in weights.items()}
         # Starvation floor, then one renormalization pass (approximate by
-        # design: with min_share ≪ 1/n the floor rarely binds).
-        floored = {
-            sid: max(self.cfg.min_share, sh) for sid, sh in shares.items()
-        }
+        # design: with MIN_SHARE ≪ 1/n the floor rarely binds).
+        floored = {sid: max(MIN_SHARE, sh) for sid, sh in shares.items()}
         norm = sum(floored.values())
         return {sid: sh / norm for sid, sh in floored.items()}

@@ -38,10 +38,14 @@ from pathlib import Path
 
 from repro.hw.noise import FaultSchedule
 from repro.hw.presets import get_platform
+from repro.hw.trace_export import StreamTrace, export_stream_traces
 from repro.service.admission import AdmissionController, CapacityModel
 from repro.service.metrics import ServiceMetrics
-from repro.service.scheduler import CoScheduler, RoundLPBatch, SchedulerConfig
+from repro.service.scheduler import CoScheduler, RoundLPBatch
 from repro.service.session import EncodingSession, StreamSpec
+
+#: Safety valve against a runaway event loop.
+MAX_ROUNDS = 100_000
 
 
 @dataclass
@@ -63,26 +67,21 @@ class ServiceConfig:
     faults:
         Device-fault schedule indexed by *service round* (not per-stream
         frame index). All sessions observe each fault simultaneously.
-    scheduler:
-        Co-scheduler weighting knobs.
-    max_rounds:
-        Safety valve against runaway loops (raise RuntimeError beyond).
+    backend, exec_workers:
+        ``"process"`` makes every session really encode on a worker pool
+        (``exec_workers`` processes) that the service owns and releases.
     """
 
     platform: str = "SysHK"
     headroom: float = 1.0
     max_queue: int = 8
     faults: FaultSchedule = field(default_factory=FaultSchedule)
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    max_rounds: int = 100_000
     backend: str = "sim"
     exec_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.headroom <= 0:
             raise ValueError(f"headroom must be > 0, got {self.headroom}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.backend not in ("sim", "process"):
             raise ValueError(
                 f"backend must be 'sim' or 'process', got {self.backend!r}"
@@ -127,7 +126,7 @@ class EncodingService:
             headroom=self.cfg.headroom,
             max_queue=self.cfg.max_queue,
         )
-        self.scheduler = CoScheduler(self.cfg.scheduler)
+        self.scheduler = CoScheduler()
         # The LP solve cache may be shared across services (cluster nodes
         # of the same platform class hand every node one batch).
         self.lp_batch = lp_batch if lp_batch is not None else RoundLPBatch()
@@ -149,10 +148,8 @@ class EncodingService:
     def begin_round(self) -> frozenset[str]:
         """Guard the round budget and return the live device set."""
         round_idx = self.rounds + 1
-        if round_idx > self.cfg.max_rounds:
-            raise RuntimeError(
-                f"service exceeded max_rounds={self.cfg.max_rounds}"
-            )
+        if round_idx > MAX_ROUNDS:
+            raise RuntimeError(f"service exceeded {MAX_ROUNDS} rounds")
         return self.live_devices(round_idx)
 
     def submit(self, spec: StreamSpec, live: frozenset[str]) -> EncodingSession:
@@ -276,24 +273,26 @@ class EncodingService:
         instant events — a device dropout is visible simultaneously in
         every stream's row. Returns the number of duration events.
         """
-        from repro.hw.trace_export import StreamTrace, export_stream_traces
+        return export_stream_traces(stream_traces(self.sessions), path)
 
-        traces = []
-        for pid, session in enumerate(self.sessions, start=1):
-            frames = [
-                (session.framework.reports[r.index - 1].timeline, r.start_s)
-                for r in session.records
-            ]
-            traces.append(
-                StreamTrace(
-                    pid=pid,
-                    name=(
-                        f"{session.stream_id} "
-                        f"({session.spec.deadline_class}, "
-                        f"{session.spec.fps_target:g} fps)"
-                    ),
-                    frames=frames,
-                    fault_log=session.framework.fault_log,
-                )
-            )
-        return export_stream_traces(traces, path)
+
+def stream_traces(
+    sessions: list[EncodingSession], pid0: int = 0, prefix: str = ""
+) -> list[StreamTrace]:
+    """Trace material of ``sessions``: pids ``pid0 + 1 …``, names
+    ``prefix`` + stream id (the cluster namespaces both per node)."""
+    return [
+        StreamTrace(
+            pid=pid0 + j,
+            name=(
+                f"{prefix}{s.stream_id} "
+                f"({s.spec.deadline_class}, {s.spec.fps_target:g} fps)"
+            ),
+            frames=[
+                (s.framework.reports[r.index - 1].timeline, r.start_s)
+                for r in s.records
+            ],
+            fault_log=s.framework.fault_log,
+        )
+        for j, s in enumerate(sessions, start=1)
+    ]

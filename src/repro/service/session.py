@@ -22,6 +22,7 @@ the deadline-miss metrics measure.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 
 from repro.codec.config import CodecConfig
@@ -29,7 +30,8 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework, FrameOutcome
 from repro.hw.noise import FaultEvent, FaultSchedule
 from repro.hw.presets import get_platform
-from repro.sanitizers.protocols.journal import record as _journal
+from repro.util.journal import record as _journal
+from repro.video.generator import SyntheticSequence
 
 
 @dataclass(frozen=True)
@@ -179,28 +181,22 @@ class EncodingSession:
         exec_workers: int = 0,
     ) -> None:
         self.spec = spec
-        self.backend = backend
         self.fault_view = SessionFaultView(faults or FaultSchedule())
+        self._source: SyntheticSequence | None = None
         if backend == "process":
-            import zlib
-
-            from repro.video.generator import SyntheticSequence
-
-            fw_cfg = FrameworkConfig(
-                backend="process",
-                exec_workers=exec_workers,
-                faults=self.fault_view,
-            )
-            self._source: SyntheticSequence | None = SyntheticSequence(
+            self._source = SyntheticSequence(
                 width=spec.width,
                 height=spec.height,
                 seed=zlib.crc32(spec.stream_id.encode()) & 0x7FFFFFFF,
             )
-        else:
-            fw_cfg = FrameworkConfig(faults=self.fault_view)
-            self._source = None
         self.framework = FevesFramework(
-            get_platform(platform_name), spec.codec_config(), fw_cfg
+            get_platform(platform_name),
+            spec.codec_config(),
+            FrameworkConfig(
+                backend=backend,
+                exec_workers=exec_workers,
+                faults=self.fault_view,
+            ),
         )
         self._intra_done = False
         self.state = QUEUED

@@ -1,26 +1,32 @@
-"""Runtime lifecycle journal: the event stream SAN-G replays.
+"""The sanitize switch and the runtime lifecycle journal it gates.
 
-Instrumented classes (sessions, nodes, the dispatcher, the shared frame
-store, the kernel pool, the load balancer) call :func:`record` at each
-lifecycle transition; under ``REPRO_SANITIZE`` (or an explicit
-:meth:`ProtocolJournal.enable`) the event is appended to the global
-:data:`JOURNAL`, and :meth:`TimelineSanitizer.check_protocols` replays
-the stream against the declarative specs in
-:mod:`repro.sanitizers.protocols.spec`.
+- :func:`sanitize_from_env` is the one predicate over ``$REPRO_SANITIZE``.
+  Nothing else in ``src/`` reads the variable and nothing takes a
+  ``sanitize`` argument: the shared frame store and the kernel pool's
+  worker initializer ask it once when they start, the journal asks per
+  record, and ``repro … --sanitize`` sets the variable for one command.
+- Instrumented classes (sessions, nodes, the dispatcher, the shared frame
+  store, the kernel pool, the load balancer) call :func:`record` at each
+  lifecycle transition; while the predicate holds, the event is appended
+  to the global :data:`JOURNAL`, and ``TimelineSanitizer.check_protocols``
+  replays the stream against the declarative protocol specs (SAN-G).
+  The runtime journals, the analysis package checks: imports point from
+  there to here, never back.
 
-Design constraints:
+Properties the callers rely on:
 
-- **Zero repro imports.** The hot runtime modules (and forked/spawned
-  pool workers) import this file; it must not pull the analysis stack
-  or any numpy-heavy module.
+- **No imports of its own** beyond ``os`` and ``dataclasses``: it sits
+  below every runtime layer, so ``core/`` imports it at module level
+  without a cycle. (Importing it still runs ``repro/__init__.py`` first,
+  like any submodule — a leaf, not a lightweight entry point.)
 - **Determinism.** Object labels are assigned in first-recorded order
   (``Node#0``, ``Node#1`` …) and sequence numbers are dense, so a
   deterministic run produces a byte-identical journal across
   ``PYTHONHASHSEED`` (pinned by the determinism regression tests).
   Strong references are kept for labeled objects so ``id()`` reuse can
   never alias two objects to one label.
-- **Near-zero cost when off.** ``record`` is a single env check when
-  sanitizing is disabled.
+- **One env read per record.** With the variable unset, ``record`` is
+  that read and a return.
 """
 
 from __future__ import annotations
@@ -72,20 +78,6 @@ class ProtocolJournal:
         self._labels: dict[int, str] = {}
         self._keep: list[object] = []  # pin ids against reuse
         self._counts: dict[str, int] = {}
-        self._forced = False
-
-    # -- switches ------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        return self._forced or sanitize_from_env()
-
-    def enable(self) -> None:
-        """Force journaling on regardless of the environment."""
-        self._forced = True
-
-    def disable(self) -> None:
-        self._forced = False
 
     def reset(self) -> None:
         """Drop every event and label (test isolation)."""
@@ -111,7 +103,7 @@ class ProtocolJournal:
     def record(
         self, obj: object, event: str, clock: float = 0.0, detail: str = ""
     ) -> None:
-        if not self.active:
+        if not sanitize_from_env():
             return
         self._events.append(
             ProtocolEvent(

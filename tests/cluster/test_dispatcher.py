@@ -137,7 +137,6 @@ class TestAutoscale:
             nodes=nodes,
             autoscale=AutoscaleConfig(
                 enabled=True, max_nodes=4, template=("SysHK",),
-                queue_high=2, sustain_ticks=2, cooldown_ticks=1,
             ),
         )
         cluster = Cluster(cfg)
@@ -157,10 +156,7 @@ class TestAutoscale:
         )
         cfg = ClusterConfig(
             nodes=nodes,
-            autoscale=AutoscaleConfig(
-                enabled=True, max_nodes=4, queue_high=2,
-                sustain_ticks=2, cooldown_ticks=1,
-            ),
+            autoscale=AutoscaleConfig(enabled=True, max_nodes=4),
         )
         cluster = Cluster(cfg)
         cluster.run(wl)
@@ -180,13 +176,6 @@ class TestSharedLpCache:
         cluster, m = run_fleet(wl, platforms=("SysHK", "SysHK"))
         assert set(m.lp_cache) == {"SysHK"}
         assert m.lp_cache["SysHK"]["hits"] > 0
-
-    def test_cache_sharing_can_be_disabled(self):
-        wl = build_workload(4, n_frames=3, fps_target=25.0)
-        cluster, m = run_fleet(
-            wl, platforms=("SysHK", "SysHK"), share_lp_cache=False
-        )
-        assert m.lp_cache == {}
 
 
 class TestMetrics:

@@ -22,15 +22,19 @@ def _schedule_sanitizer(monkeypatch):
     the first violation. Process-backend frames get the SAN-F treatment
     instead: the backend journals every shared-memory access (the env
     var switches the journal on) and the frame's journal is checked for
-    overlapping concurrent writes and barrier-ordered reads. Unset, this
-    fixture is a no-op, so the plain tier-1 run is unaffected.
+    overlapping concurrent writes and barrier-ordered reads. Every
+    :meth:`Cluster.run` gets the fleet pass (SAN-E, plus A–D per node) —
+    the runtime only journals, so raising on a dirty fleet is this
+    fixture's job. Unset, this fixture is a no-op, so the plain tier-1
+    run is unaffected.
     """
-    from repro.sanitizers.protocols.journal import JOURNAL, sanitize_from_env
+    from repro.util.journal import JOURNAL, sanitize_from_env
 
     if not sanitize_from_env():
         yield
         return
 
+    from repro.cluster import Cluster
     from repro.core.coding_manager import VideoCodingManager
     from repro.exec.backend import ProcessBackend
     from repro.sanitizers import TimelineSanitizer
@@ -57,6 +61,15 @@ def _schedule_sanitizer(monkeypatch):
         return report
 
     monkeypatch.setattr(ProcessBackend, "run_frame", exec_sanitized)
+
+    cluster_original = Cluster.run
+
+    def cluster_sanitized(self, workload):
+        metrics = cluster_original(self, workload)
+        TimelineSanitizer.check_cluster(self).raise_if_dirty()
+        return metrics
+
+    monkeypatch.setattr(Cluster, "run", cluster_sanitized)
 
     # SAN-G: the env var switches the lifecycle journal on; replay each
     # test's journal against the protocol specs at teardown. The reset

@@ -392,11 +392,9 @@ from repro.cluster import (
     Cluster, ClusterConfig, NodeFaultEvent, NodeFaultSchedule, NodeSpec,
 )
 from repro.sanitizers import TimelineSanitizer
-from repro.sanitizers.protocols.journal import JOURNAL
 from repro.service import build_workload
+from repro.util.journal import JOURNAL
 
-JOURNAL.reset()
-JOURNAL.enable()
 wl = build_workload(
     5, n_frames=3, mix="conference", arrival_rate=25.0, seed=9
 )
@@ -419,6 +417,7 @@ def _run_protocol_journal(hash_seed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = SRC
+    env["REPRO_SANITIZE"] = "1"
     out = subprocess.run(
         [sys.executable, "-c", PROTOCOL_RUNNER],
         capture_output=True,

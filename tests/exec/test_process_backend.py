@@ -213,7 +213,7 @@ class TestLifecycle:
         # The deliberate use-after-close above is exactly what SAN-G1
         # exists to catch; keep it out of the strict-mode teardown check
         # (tests/exec/test_protocols_exec.py pins that it IS caught).
-        from repro.sanitizers.protocols.journal import JOURNAL
+        from repro.util.journal import JOURNAL
 
         JOURNAL.drain()
 

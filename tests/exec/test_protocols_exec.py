@@ -17,8 +17,8 @@ from repro.core.framework import FevesFramework
 from repro.exec.shm import SharedFrameStore
 from repro.hw.presets import get_platform
 from repro.sanitizers import TimelineSanitizer
-from repro.sanitizers.protocols.journal import JOURNAL
 from repro.sanitizers.protocols.monitor import check_events
+from repro.util.journal import JOURNAL
 from repro.video.generator import SyntheticSequence
 
 pytestmark = pytest.mark.timeout_guarded
@@ -27,11 +27,10 @@ CFG = CodecConfig(width=128, height=96, search_range=8, num_ref_frames=2)
 
 
 @pytest.fixture
-def journal():
+def journal(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     JOURNAL.reset()
-    JOURNAL.enable()
     yield JOURNAL
-    JOURNAL.disable()
     JOURNAL.reset()
 
 

@@ -2,7 +2,7 @@
 
 The static layer (REP201-REP204) proves the *shape* of the process
 backend is race-free; SAN-F verifies the *actual interleavings*: under
-``sanitize`` every worker task journals the byte-row intervals it read
+``$REPRO_SANITIZE`` every worker task journals the byte-row intervals it read
 and wrote (built from the same bounds the accesses use), and
 ``TimelineSanitizer.check_exec`` proves concurrent writes are pairwise
 disjoint and every read is covered by strictly-earlier-phase writes.
@@ -27,6 +27,7 @@ from repro.codec.interpolation import interpolate_rows
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.exec import pool as pool_mod
+from repro.exec.backend import ProcessBackend
 from repro.exec.pool import KernelPool, resolve_start_method, task_timeout_from_env
 from repro.exec.shm import PHASE_P1
 from repro.hw.presets import get_platform
@@ -51,7 +52,8 @@ def reference(frames):
     return ReferenceEncoder(CFG).encode_sequence(frames)
 
 
-def encode_sanitized(frames, workers, **fw_kwargs):
+def encode_sanitized(frames, workers, monkeypatch, **fw_kwargs):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     fw = FevesFramework(
         get_platform("SysHK"),
         CFG,
@@ -60,7 +62,6 @@ def encode_sanitized(frames, workers, **fw_kwargs):
             **fw_kwargs,
         ),
     )
-    fw.manager.sanitize = True
     with fw:
         out = fw.encode(frames)
     return out, dict(fw.manager.exec_journal)
@@ -82,8 +83,9 @@ def assert_identical(ref_out, fev_out):
 class TestSanFClean:
     @pytest.mark.usefixtures("checked_me_fields", "checked_sme_fields")
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_clean_at_worker_counts(self, frames, reference, workers):
-        out, journal = encode_sanitized(frames, workers)
+    def test_clean_at_worker_counts(self, frames, reference, workers,
+                                    monkeypatch):
+        out, journal = encode_sanitized(frames, workers, monkeypatch)
         assert_identical(reference, out)
         # Frame 0 is intra (no parallel phase); every inter frame must
         # have journaled its staging, phase-1 and phase-2 accesses.
@@ -145,7 +147,7 @@ class TestSanFCatchesMutant:
         monkeypatch.setenv(pool_mod.START_METHOD_ENV, "fork")
         monkeypatch.setattr(pool_mod, "int_task", _overlapping_int_task)
         try:
-            _, journal = encode_sanitized(frames, workers=4)
+            _, journal = encode_sanitized(frames, 4, monkeypatch)
         except ScheduleViolationError as exc:
             # Under REPRO_SANITIZE=strict the autouse fixture checks the
             # journal per frame and flags the overlap before we can.
@@ -201,19 +203,21 @@ class TestEnvValidation:
     def test_invalid_timeout_named_eagerly(self, monkeypatch, bad):
         monkeypatch.setenv(pool_mod.TASK_TIMEOUT_ENV, bad)
         with pytest.raises(ValueError) as exc:
-            KernelPool(1, {}, CFG)
+            ProcessBackend(
+                get_platform("SysHK"), CFG, FrameworkConfig(backend="process")
+            )
         assert "$REPRO_EXEC_TIMEOUT_S" in str(exc.value)
         assert repr(bad) in str(exc.value)
 
     def test_valid_overrides_are_applied(self, monkeypatch):
         monkeypatch.setenv(pool_mod.TASK_TIMEOUT_ENV, "2.5")
         assert task_timeout_from_env() == 2.5
-        pool = KernelPool(1, {}, CFG)
-        try:
-            assert pool.task_timeout_s == 2.5
+        backend = ProcessBackend(
+            get_platform("SysHK"), CFG, FrameworkConfig(backend="process")
+        )
+        assert backend.task_timeout_s == 2.5
+        with KernelPool(1, {}, CFG) as pool:
             assert pool.start_method == resolve_start_method()
-        finally:
-            pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig, NodeSpec
 from repro.cluster.node import DOWN, Node
 from repro.sanitizers.runner import RULES, analyze, rules_in_scope, run_lint
-from repro.sanitizers.protocols.journal import JOURNAL
 from repro.sanitizers.protocols.monitor import check_events
 from repro.sanitizers.protocols.spec import (
     CLASS_SPECS,
@@ -36,6 +35,7 @@ from repro.sanitizers.protocols.spec import (
     Transition,
 )
 from repro.service.session import StreamSpec
+from repro.util.journal import JOURNAL, sanitize_from_env
 
 CLUSTER_PATH = "src/repro/cluster/fake_module.py"
 CORE_PATH = "src/repro/core/fake_module.py"
@@ -156,12 +156,11 @@ def mutant_hits(name: str) -> list[str]:
 
 
 @pytest.fixture
-def journal():
-    """Force the lifecycle journal on for one test, drained at exit."""
+def journal(monkeypatch):
+    """Switch the lifecycle journal on for one test, dropped at exit."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     JOURNAL.reset()
-    JOURNAL.enable()
     yield JOURNAL
-    JOURNAL.disable()
     JOURNAL.reset()
 
 
@@ -517,7 +516,7 @@ class TestSanGDynamic:
                 StreamSpec(f"s{i}", n_frames=2, fps_target=25.0), t=0.0
             )
         assert cluster.dispatcher.depth > 0
-        from repro.sanitizers.protocols.journal import record as _journal
+        from repro.util.journal import record as _journal
 
         d = cluster.dispatcher
         head = d.queue.popleft()
@@ -546,37 +545,26 @@ class TestSanGDynamic:
         ("off", False),
     ])
     def test_env_switch_reaches_every_layer(self, value, on, monkeypatch):
-        """``$REPRO_SANITIZE`` has one parser: a spelling switches the
-        SAN-F access journal, the SAN-G lifecycle journal and the
-        cluster's end-of-run check on together, or none of them."""
+        """``$REPRO_SANITIZE`` has one parser and no second switch: a
+        spelling turns the predicate, the SAN-F access journal of a
+        store started under it and the SAN-G lifecycle journal on
+        together, or none of them."""
         from repro.codec.config import CodecConfig
-        from repro.core.config import FrameworkConfig
-        from repro.exec.backend import ProcessBackend
-        from repro.hw.presets import get_platform
-        from repro.sanitizers import TimelineSanitizer
-        from repro.sanitizers.violations import SanitizerReport
+        from repro.exec.shm import PHASE_STAGE, SharedFrameStore
 
         if value is None:
             monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         else:
             monkeypatch.setenv("REPRO_SANITIZE", value)
-        monkeypatch.setattr(JOURNAL, "_forced", False)
-        checked = []
-        monkeypatch.setattr(
-            TimelineSanitizer, "check_cluster",
-            staticmethod(lambda c: checked.append(c) or SanitizerReport()),
-        )
-
-        backend = ProcessBackend(
-            get_platform("SysHK"), CodecConfig(width=64, height=48),
-            FrameworkConfig(backend="process"),
-        )
-        cluster = Cluster(ClusterConfig(nodes=(NodeSpec("n0"),)))
-        cluster.run([StreamSpec("s0", n_frames=1, fps_target=25.0)])
+        JOURNAL.reset()
         try:
-            assert backend.sanitize is on                # SAN-F
-            assert JOURNAL.active is on                  # SAN-G
-            assert (checked == [cluster]) is on          # cluster check
+            assert sanitize_from_env() is on
+            with SharedFrameStore(CodecConfig(width=64, height=48)) as store:
+                store.record_full("cur", "w", "host.stage", PHASE_STAGE)
+                assert bool(store.drain_journal()) is on     # SAN-F
+            cluster = Cluster(ClusterConfig(nodes=(NodeSpec("n0"),)))
+            cluster.run([StreamSpec("s0", n_frames=1, fps_target=25.0)])
+            assert bool(JOURNAL.snapshot()) is on            # SAN-G
         finally:
             JOURNAL.reset()
 
@@ -650,7 +638,7 @@ class TestAgreement:
             cluster.dispatcher.submit(
                 StreamSpec(f"s{i}", n_frames=2, fps_target=25.0), t=0.0
             )
-        from repro.sanitizers.protocols.journal import record as _journal
+        from repro.util.journal import record as _journal
 
         d = cluster.dispatcher
         head = d.queue.popleft()

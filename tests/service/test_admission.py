@@ -119,6 +119,26 @@ class TestAdmissionController:
             n_degraded += 1
         assert n_degraded < n_full
 
+    def test_has_room_predicts_offer(self, capacity):
+        # has_room takes the spec (a router asks before any session
+        # exists) and must agree with what offer() then does.
+        ctrl = AdmissionController(capacity, headroom=1.0, max_queue=1)
+        outcomes = []
+        for i in range(12):
+            spec = StreamSpec(f"s{i}", fps_target=30.0)
+            room = ctrl.has_room(spec, None)
+            outcomes.append(ctrl.offer(EncodingSession(spec, "SysHK"), 0.0))
+            assert room == (outcomes[-1] != REJECTED)
+        assert {ADMITTED, QUEUED, REJECTED} == set(outcomes)
+
+    def test_count_schema_does_not_depend_on_history(self, capacity):
+        ctrl = AdmissionController(capacity)
+        fresh = dict(ctrl.counts)
+        assert fresh["evicted"] == 0
+        ctrl.offer(make_session("a"), 0.0)
+        ctrl.evict_all()
+        assert set(ctrl.counts) == set(fresh) and ctrl.counts["evicted"] == 1
+
     def test_parameter_validation(self, capacity):
         with pytest.raises(ValueError, match="headroom"):
             AdmissionController(capacity, headroom=0)

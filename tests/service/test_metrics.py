@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.metrics import latency_percentiles_ms
+import math
+
+from repro.service.metrics import (
+    frame_stats,
+    latency_percentiles_ms,
+    per_class_summary,
+    percentiles,
+)
 from repro.service.scheduler import RoundLPBatch
 from repro.service.service import EncodingService, ServiceConfig
-from repro.service.session import StreamSpec
+from repro.service.session import FrameRecord, StreamSpec
 
 
 class TestLatencyPercentiles:
@@ -52,6 +59,79 @@ class TestLatencyPercentiles:
     def test_identical_samples_degenerate(self):
         got = latency_percentiles_ms([0.025] * 7)
         assert got == {"p50": 25.0, "p95": 25.0, "p99": 25.0}
+
+
+def frame(latency_s, deadline_s=math.inf):
+    """A record captured at t=0 that completes after ``latency_s``."""
+    return FrameRecord(
+        index=1, round=1, capture_s=0.0, start_s=0.0, end_s=latency_s,
+        deadline_s=deadline_s, share=1.0, tau_s=latency_s,
+    )
+
+
+class TestFrameStats:
+    """The one latency/deadline fold behind ``StreamMetrics``,
+    ``ServiceMetrics``, ``per_class_summary`` and ``ClusterMetrics``."""
+
+    def test_empty_sample(self):
+        assert frame_stats([]) == {
+            "frames": 0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
+            "deadline_miss_rate": 0.0,
+        }
+
+    def test_single_sample(self):
+        got = frame_stats([frame(0.040, deadline_s=0.030)])
+        assert got["frames"] == 1
+        assert got["p50_ms"] == got["p99_ms"] == pytest.approx(40.0)
+        assert got["deadline_miss_rate"] == 1.0
+
+    def test_background_only_never_misses(self):
+        got = frame_stats(frame(lat) for lat in (0.5, 1.5, 2.5))
+        assert got["frames"] == 3
+        assert got["p50_ms"] == pytest.approx(1500.0)
+        assert got["deadline_miss_rate"] == 0.0   # nothing missable
+
+    def test_miss_rate_is_over_frames_with_a_deadline(self):
+        records = [
+            frame(0.010, deadline_s=0.040), frame(0.050, deadline_s=0.040),
+            frame(9.0),                       # background: not missable
+        ]
+        assert frame_stats(records)["deadline_miss_rate"] == 0.5
+
+    def test_agrees_with_every_metrics_view(self):
+        service = EncodingService(ServiceConfig(platform="SysHK", headroom=4.0))
+        m = service.run([
+            StreamSpec("rt", n_frames=4, deadline_class="realtime"),
+            StreamSpec("bg", n_frames=3, deadline_class="background"),
+        ])
+        by_id = {s.stream_id: s for s in service.sessions}
+        for sm in m.streams:
+            want = frame_stats(by_id[sm.stream_id].records)
+            assert (sm.frames, sm.p95_ms, sm.deadline_miss_rate) == (
+                want["frames"], want["p95_ms"], want["deadline_miss_rate"]
+            )
+        everything = frame_stats(
+            r for s in service.sessions for r in s.records
+        )
+        assert (m.p50_ms, m.p99_ms, m.deadline_miss_rate) == (
+            everything["p50_ms"], everything["p99_ms"],
+            everything["deadline_miss_rate"],
+        )
+        assert m.classes == per_class_summary(service.sessions) == {
+            "background": frame_stats(by_id["bg"].records),
+            "realtime": frame_stats(by_id["rt"].records),
+        }
+
+    def test_queue_waits_stay_in_seconds(self):
+        # The unscaled call the cluster's queue-wait tails use: no
+        # x1e3 / 1e3 round trip, so a wait comes back bit-exact.
+        assert percentiles([0.1, 0.3]) == pytest.approx(
+            {"p50": 0.2, "p95": 0.29, "p99": 0.298}
+        )
+        assert percentiles([0.123456789]) == {
+            "p50": 0.123456789, "p95": 0.123456789, "p99": 0.123456789,
+        }
+        assert percentiles([]) == latency_percentiles_ms([])
 
 
 class TestSharedLPCache:

@@ -246,6 +246,12 @@ class TestFleetCli:
         metrics = json.loads(mpath.read_text())
         assert metrics["n_nodes"] == 2
         assert len(metrics["nodes"]) == 2
+        # One admission schema on every node, whatever its history.
+        for node in metrics["nodes"]:
+            assert set(node["admission"]) == {
+                "admitted", "queued", "rejected", "completed", "evicted",
+            }
+            assert node["admission"]["evicted"] == 0
         trace = json.loads(tpath.read_text())
         pids = {e["pid"] for e in trace["traceEvents"]}
         assert pids and all(p >= 1001 for p in pids)
@@ -289,3 +295,57 @@ class TestFleetCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "autoscale: " in out and " add " in out
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv,why", [
+        (["serve", "--headroom", "0"], "headroom must be > 0"),
+        (["fleet", "--max-nodes", "0"], "max_nodes must be >= 1"),
+        (["fleet", "--max-queue", "-1"], "max_queue must be >= 0"),
+        (["fleet", "--global-queue", "-1"], "global_queue must be >= 0"),
+    ], ids=["headroom", "max-nodes", "max-queue", "global-queue"])
+    def test_config_errors_exit_with_one_line(self, argv, why):
+        """A number a config rejects is a usage error, not a traceback:
+        the ``ValueError`` becomes ``SystemExit("error: …")``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith("error: ")
+        assert why in str(exc.value)
+
+
+class TestSanitizeFlagIsScoped:
+    """``--sanitize`` is ``REPRO_SANITIZE=1`` for one command: when
+    ``main`` returns — or raises — the variable is back to what it was
+    and a later library run in the same process journals nothing."""
+
+    @staticmethod
+    def library_run_journals_nothing():
+        from repro.service import EncodingService, ServiceConfig, StreamSpec
+        from repro.util.journal import JOURNAL, sanitize_from_env
+
+        assert not sanitize_from_env()
+        EncodingService(ServiceConfig()).run([StreamSpec("x", n_frames=3)])
+        return len(JOURNAL) == 0 and not JOURNAL._keep
+
+    def test_clean_exit_restores_the_switch(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert main(
+            ["serve", "--streams", "1", "--frames", "2", "--sanitize"]
+        ) == 0
+        assert "schedule sanitizer: clean" in capsys.readouterr().out
+        assert self.library_run_journals_nothing()
+
+    def test_error_exit_restores_the_switch(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        with pytest.raises(SystemExit, match="error: "):
+            main(["serve", "--headroom", "0", "--sanitize"])
+        assert self.library_run_journals_nothing()
+
+    def test_prior_value_survives(self, monkeypatch):
+        import os
+
+        monkeypatch.setenv("REPRO_SANITIZE", "off")
+        assert main(
+            ["serve", "--streams", "1", "--frames", "2", "--sanitize"]
+        ) == 0
+        assert os.environ["REPRO_SANITIZE"] == "off"
