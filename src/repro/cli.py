@@ -200,15 +200,17 @@ def _or_exit(build):
 
     An unknown platform or device, ``--headroom 0``, ``--max-nodes 0``, a
     malformed ``--submit``, faults on the process backend, a typo'd
-    ``$REPRO_EXEC_START_METHOD``/``$REPRO_EXEC_TIMEOUT_S`` — each is the
-    ``KeyError``/``ValueError`` of a parser or constructor, and none may
-    reach the user as a traceback.
+    ``$REPRO_EXEC_START_METHOD``/``$REPRO_EXEC_TIMEOUT_S``, ``encode --qp
+    99`` — each is the ``KeyError``/``ValueError`` of a parser or
+    constructor; a missing or unwritable file is an ``OSError``; a
+    truncated or garbage ``.fevs`` is the decoder's ``ValueError`` or
+    ``EOFError``. None may reach the user as a traceback.
     """
     try:
         return build()
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}") from None
-    except ValueError as exc:
+    except (ValueError, OSError, EOFError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 
@@ -699,16 +701,17 @@ def cmd_encode(args: argparse.Namespace) -> int:
     from repro.video.yuv import read_yuv420
 
     w, h = args.size
-    frames = read_yuv420(args.input, w, h, args.frames)
+    # The config before the pixels: a bad --size/--sa/--refs/--qp is named
+    # by the validator, not by a NumPy reshape inside the reader.
+    cfg = _or_exit(lambda: CodecConfig(
+        width=w, height=h, search_range=args.sa // 2, num_ref_frames=args.refs,
+        entropy_coder=args.coder,
+    ).with_qp(args.qp))
+    frames = _or_exit(lambda: read_yuv420(args.input, w, h, args.frames))
     if not frames:
         print(f"error: no complete {w}x{h} frames in {args.input}", file=sys.stderr)
         return 1
-    cfg = CodecConfig(
-        width=w, height=h, search_range=args.sa // 2, num_ref_frames=args.refs,
-        qp_i=args.qp - 1 if args.qp > 0 else 0, qp_p=args.qp,
-        entropy_coder=args.coder,
-    )
-    stats = write_stream(args.out, frames, cfg)
+    stats = _or_exit(lambda: write_stream(args.out, frames, cfg))
     s = summarize(stats)
     print(f"encoded {s.n_frames} frames -> {args.out}")
     print(f"  total {s.total_bits / 8000:.1f} kB, "
@@ -721,8 +724,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     from repro.codec.stream import read_stream
     from repro.video.yuv import write_yuv420
 
-    cfg, frames = read_stream(args.input)
-    write_yuv420(args.out, frames)
+    cfg, frames = _or_exit(lambda: read_stream(args.input))
+    _or_exit(lambda: write_yuv420(args.out, frames))
     print(f"decoded {len(frames)} frames of {cfg.width}x{cfg.height} "
           f"-> {args.out}")
     return 0

@@ -21,15 +21,14 @@ shown in Fig. 1 of the FEVES paper:
 from repro.codec.config import CodecConfig
 from repro.codec.decoder import SequenceDecoder
 from repro.codec.encoder import EncodedFrame, ReferenceEncoder
-from repro.codec.frames import FrameGeometry, YuvFrame
+from repro.codec.frames import YuvFrame
 from repro.codec.ratecontrol import RateControlledEncoder, RateController
-from repro.codec.stats import SequenceStats, motion_stats, rd_sweep, summarize
+from repro.codec.stats import SequenceStats, rd_sweep, summarize
 from repro.codec.stream import StreamEncoder, read_stream, write_stream
 
 __all__ = [
     "CodecConfig",
     "EncodedFrame",
-    "FrameGeometry",
     "RateControlledEncoder",
     "RateController",
     "ReferenceEncoder",
@@ -37,7 +36,6 @@ __all__ = [
     "SequenceStats",
     "StreamEncoder",
     "YuvFrame",
-    "motion_stats",
     "rd_sweep",
     "read_stream",
     "summarize",

@@ -1,4 +1,4 @@
-"""Bjøntegaard-Delta metrics (BD-rate / BD-PSNR).
+"""Bjøntegaard-Delta rate metric (BD-rate).
 
 The standard tool for comparing two encoders' R-D curves (VCEG-M33): fit a
 cubic polynomial to each curve in (log-rate, PSNR) space and integrate the
@@ -43,21 +43,3 @@ def bd_rate(anchor: list[RdPoint], test: list[RdPoint]) -> float:
     int_a = (fa.integ()(hi) - fa.integ()(lo)) / (hi - lo)
     int_t = (ft.integ()(hi) - ft.integ()(lo)) / (hi - lo)
     return (10.0 ** (int_t - int_a) - 1.0) * 100.0
-
-
-def bd_psnr(anchor: list[RdPoint], test: list[RdPoint]) -> float:
-    """Average PSNR difference (dB) of ``test`` vs ``anchor`` at equal rate.
-
-    Positive = the test encoder is better.
-    """
-    ra, pa = _prepare(anchor)
-    rt, pt = _prepare(test)
-    lo = max(ra.min(), rt.min())
-    hi = min(ra.max(), rt.max())
-    if hi <= lo:
-        raise ValueError("R-D curves do not overlap in rate")
-    fa = np.polynomial.polynomial.Polynomial.fit(ra, pa, 3)
-    ft = np.polynomial.polynomial.Polynomial.fit(rt, pt, 3)
-    int_a = (fa.integ()(hi) - fa.integ()(lo)) / (hi - lo)
-    int_t = (ft.integ()(hi) - ft.integ()(lo)) / (hi - lo)
-    return float(int_t - int_a)

@@ -53,10 +53,6 @@ class BitReader:
         self._data = data
         self._pos = 0  # bit position
 
-    @property
-    def bits_read(self) -> int:
-        return self._pos
-
     def read_bit(self) -> int:
         byte_i, bit_i = divmod(self._pos, 8)
         if byte_i >= len(self._data):

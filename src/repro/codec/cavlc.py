@@ -197,8 +197,6 @@ def _decode_coeffs(r: BitReader, n_coeffs: int) -> np.ndarray:
 class CavlcCoder:
     """Coefficient coder with the CAVLC structure (see module docstring)."""
 
-    name = "cavlc"
-
     def write_block(self, w: BitWriter, block: np.ndarray) -> None:
         _encode_coeffs(w, zigzag_scan(np.asarray(block, dtype=np.int64)), 16)
 

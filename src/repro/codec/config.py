@@ -11,7 +11,7 @@ co-located position, i.e. ``search_range = SA_side // 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.util.validation import check_multiple_of, check_range
 
@@ -53,10 +53,6 @@ class CodecConfig:
     subpel_metric:
         Distortion metric for the SME candidate search: ``"sad"`` (paper)
         or ``"satd"`` (Hadamard-domain, better RD at ~3× the arithmetic).
-    lambda_mode:
-        Lagrangian multiplier weighting MV/mode rate against distortion in
-        mode decision; ``None`` derives the standard
-        ``0.85 * 2**((QP - 12) / 3)``.
     entropy_coder:
         Residual coefficient coder: ``"lite"`` (vectorized CAVLC-lite,
         default) or ``"cavlc"`` (CAVLC-structured: trailing ones +
@@ -83,7 +79,6 @@ class CodecConfig:
     )
     subpel: bool = True
     subpel_metric: str = "sad"
-    lambda_mode: float | None = None
     entropy_coder: str = "lite"
     num_slices: int = 1
     deblock_across_slices: bool = True
@@ -139,12 +134,15 @@ class CodecConfig:
         components stay inside transferred data."""
         return -(-(self.search_range + 1) // MB_SIZE)
 
-    def qp_for(self, is_intra: bool) -> int:
-        """QP used for a frame of the given slice type."""
-        return self.qp_i if is_intra else self.qp_p
+    def with_qp(self, qp: int) -> "CodecConfig":
+        """This configuration at P-slice QP ``qp`` — one rung of a QP
+        ladder. Everything but the two QPs is held fixed; the I slice
+        sits one step below the P slices (VCEG: 27 / 28)."""
+        check_range("qp", qp, 0, 51)
+        return replace(self, qp_i=max(0, qp - 1), qp_p=qp)
 
     def lambda_for(self, qp: int) -> float:
-        """Mode-decision Lagrangian for the given QP."""
-        if self.lambda_mode is not None:
-            return self.lambda_mode
+        """Mode-decision Lagrangian for the given QP: the standard
+        ``0.85 * 2**((QP - 12) / 3)``, weighting MV/mode rate against
+        distortion."""
         return 0.85 * 2.0 ** ((qp - 12) / 3.0)

@@ -4,7 +4,7 @@ H.264 Baseline uses Exp-Golomb for header/MV syntax and CAVLC for residual
 coefficients. We implement Exp-Golomb exactly; for coefficients we use a
 simplified but fully decodable "CAVLC-lite" scheme (documented in DESIGN.md):
 zig-zag scan, ``ue(total_coeffs)``, then per non-zero coefficient
-``se(level)`` followed by ``ue(run_before)``. Bit counts therefore track the
+``ue(run_before)`` followed by ``se(level)``. Bit counts therefore track the
 real coder's behaviour (few large low-frequency levels cheap, dense blocks
 expensive) without the nC-context VLC tables.
 
@@ -105,54 +105,53 @@ def zigzag_unscan(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def write_block(w: BitWriter, block: np.ndarray) -> None:
-    """Encode one 4×4 level block (CAVLC-lite)."""
-    scanned = zigzag_scan(np.asarray(block, dtype=np.int64))
-    nz = np.nonzero(scanned)[0]
+def _write_levels(w: BitWriter, vec: np.ndarray) -> None:
+    """Encode one scanned level vector (16 zig-zag levels or 4 chroma DCs)."""
+    nz = np.nonzero(vec)[0]
     write_ue(w, len(nz))
     prev = -1
     for idx in nz:
         write_ue(w, int(idx - prev - 1))  # run of zeros before this coeff
-        write_se(w, int(scanned[idx]))
+        write_se(w, int(vec[idx]))
         prev = idx
 
 
-def read_block(r: BitReader) -> np.ndarray:
-    """Decode one 4×4 level block written by :func:`write_block`."""
+def _read_levels(r: BitReader, n: int) -> np.ndarray:
+    """Decode a length-``n`` level vector written by :func:`_write_levels`."""
     total = read_ue(r)
-    if total > 16:
+    if total > n:
         raise ValueError(f"invalid total_coeffs {total}")
-    vec = np.zeros(16, dtype=np.int64)
+    vec = np.zeros(n, dtype=np.int64)
     pos = -1
     for _ in range(total):
         run = read_ue(r)
         pos += run + 1
-        if pos > 15:
+        if pos >= n:
             raise ValueError("coefficient index out of block")
         level = read_se(r)
         if abs(level) > 1 << 30:
             raise ValueError("coefficient level out of range")
         vec[pos] = level
-    return zigzag_unscan(vec)
+    return vec
 
 
-def block_bits(blocks: np.ndarray) -> np.ndarray:
-    """Exact CAVLC-lite bit cost of each block in a ``(n, 4, 4)`` stack.
+def _levels_bits(vecs: np.ndarray) -> np.ndarray:
+    """Exact bit cost of each row of an ``(m, n)`` stack of level vectors.
 
-    Vectorized equivalent of writing each block with :func:`write_block` and
-    measuring — used for rate accounting without materializing a bitstream.
+    Vectorized equivalent of writing each row with :func:`_write_levels`
+    and measuring — rate accounting without materializing a bitstream.
     """
-    scanned = zigzag_scan(np.asarray(blocks, dtype=np.int64))  # (n, 16)
-    nz = scanned != 0
+    m, n = vecs.shape
+    nz = vecs != 0
     total = nz.sum(axis=1)
     bits = ue_len(total).astype(np.int64)
     # level bits
-    bits += np.where(nz, se_len(scanned), 0).sum(axis=1)
+    bits += np.where(nz, se_len(vecs), 0).sum(axis=1)
     # run bits: gaps between consecutive nonzero scan positions
-    idx = np.arange(16)[None, :]
+    idx = np.arange(n)[None, :]
     prev_nz = np.where(nz, idx, -10_000)
     prev_best = np.maximum.accumulate(
-        np.concatenate([np.full((scanned.shape[0], 1), -1), prev_nz[:, :-1]], axis=1),
+        np.concatenate([np.full((m, 1), -1), prev_nz[:, :-1]], axis=1),
         axis=1,
     )
     runs = np.where(nz, idx - prev_best - 1, 0)
@@ -161,71 +160,39 @@ def block_bits(blocks: np.ndarray) -> np.ndarray:
 
 
 class LiteCoder:
-    """The default CAVLC-lite coefficient coder as a pluggable object."""
+    """The default CAVLC-lite coefficient coder.
 
-    name = "lite"
+    A 4×4 block is its 16 zig-zag levels, a chroma-DC group its 4 levels
+    in raster order; both go through the same three length-``n`` routines.
+    """
 
     def write_block(self, w: BitWriter, block: np.ndarray) -> None:
-        write_block(w, block)
+        _write_levels(w, zigzag_scan(np.asarray(block, dtype=np.int64)))
 
     def read_block(self, r: BitReader) -> np.ndarray:
-        return read_block(r)
+        return zigzag_unscan(_read_levels(r, 16))
 
     def write_chroma_dc(self, w: BitWriter, dc: np.ndarray) -> None:
-        write_chroma_dc(w, dc)
+        _write_levels(w, np.asarray(dc, dtype=np.int64).reshape(-1))
 
     def read_chroma_dc(self, r: BitReader) -> np.ndarray:
-        return read_chroma_dc(r)
+        return _read_levels(r, 4).reshape(2, 2)
 
     def block_bits(self, blocks: np.ndarray) -> np.ndarray:
-        return block_bits(blocks)
+        """Bit cost of each block of an ``(n, 4, 4)`` stack."""
+        return _levels_bits(zigzag_scan(np.asarray(blocks, dtype=np.int64)))
 
     def chroma_dc_bits(self, dcs: np.ndarray) -> int:
-        total = 0
-        for dc in np.asarray(dcs, dtype=np.int64).reshape(-1, 2, 2):
-            w = BitWriter()
-            write_chroma_dc(w, dc)
-            total += w.bit_count
-        return total
+        """Total bit cost of the ``(nmb, 2, 2)`` chroma-DC level groups."""
+        return int(_levels_bits(np.asarray(dcs, dtype=np.int64).reshape(-1, 4)).sum())
 
 
 def get_coder(name: str):
     """Coefficient-coder factory: ``"lite"`` or ``"cavlc"``."""
-    if name == "lite":
-        return LiteCoder()
     if name == "cavlc":
         from repro.codec.cavlc import CavlcCoder
 
         return CavlcCoder()
-    raise ValueError(f"unknown entropy coder {name!r}; expected lite|cavlc")
-
-
-def write_chroma_dc(w: BitWriter, dc: np.ndarray) -> None:
-    """Encode a 2×2 chroma-DC level block."""
-    flat = np.asarray(dc, dtype=np.int64).reshape(-1)
-    nz = np.nonzero(flat)[0]
-    write_ue(w, len(nz))
-    prev = -1
-    for idx in nz:
-        write_ue(w, int(idx - prev - 1))
-        write_se(w, int(flat[idx]))
-        prev = idx
-
-
-def read_chroma_dc(r: BitReader) -> np.ndarray:
-    """Decode a 2×2 chroma-DC block written by :func:`write_chroma_dc`."""
-    total = read_ue(r)
-    if total > 4:
-        raise ValueError(f"invalid chroma-DC count {total}")
-    flat = np.zeros(4, dtype=np.int64)
-    pos = -1
-    for _ in range(total):
-        run = read_ue(r)
-        pos += run + 1
-        if pos > 3:
-            raise ValueError("chroma-DC index out of block")
-        level = read_se(r)
-        if abs(level) > 1 << 30:
-            raise ValueError("chroma-DC level out of range")
-        flat[pos] = level
-    return flat.reshape(2, 2)
+    if name != "lite":
+        raise ValueError(f"unknown entropy coder {name!r}; expected lite|cavlc")
+    return LiteCoder()

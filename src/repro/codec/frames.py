@@ -1,69 +1,10 @@
-"""Frame containers and macroblock geometry.
-
-The framework distributes work in units of macroblock (MB) rows; this module
-provides the geometry arithmetic (row ↔ pixel ranges) used by every codec
-kernel and by the Data Access Management block when it sizes transfers.
-"""
+"""Frame container (4:2:0 planes) and edge-replicating plane padding."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.codec.config import MB_SIZE
-from repro.util.validation import check_multiple_of
-
-
-@dataclass(frozen=True)
-class FrameGeometry:
-    """Luma/chroma dimensions of a 4:2:0 frame, in pixels and MB units."""
-
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        check_multiple_of("width", self.width, MB_SIZE)
-        check_multiple_of("height", self.height, MB_SIZE)
-
-    @property
-    def mb_cols(self) -> int:
-        return self.width // MB_SIZE
-
-    @property
-    def mb_rows(self) -> int:
-        return self.height // MB_SIZE
-
-    @property
-    def chroma_width(self) -> int:
-        return self.width // 2
-
-    @property
-    def chroma_height(self) -> int:
-        return self.height // 2
-
-    def luma_row_slice(self, mb_row: int) -> slice:
-        """Pixel-row slice of the luma plane covered by one MB row."""
-        self._check_row(mb_row)
-        return slice(mb_row * MB_SIZE, (mb_row + 1) * MB_SIZE)
-
-    def luma_rows_slice(self, row0: int, nrows: int) -> slice:
-        """Pixel-row slice covered by ``nrows`` MB rows starting at ``row0``."""
-        self._check_row(row0)
-        if nrows < 0 or row0 + nrows > self.mb_rows:
-            raise ValueError(
-                f"rows [{row0}, {row0 + nrows}) out of range 0..{self.mb_rows}"
-            )
-        return slice(row0 * MB_SIZE, (row0 + nrows) * MB_SIZE)
-
-    def chroma_rows_slice(self, row0: int, nrows: int) -> slice:
-        """Chroma-plane pixel-row slice for ``nrows`` MB rows (4:2:0 ⇒ 8 px/row)."""
-        lu = self.luma_rows_slice(row0, nrows)
-        return slice(lu.start // 2, lu.stop // 2)
-
-    def _check_row(self, mb_row: int) -> None:
-        if not 0 <= mb_row < self.mb_rows:
-            raise ValueError(f"mb_row {mb_row} out of range 0..{self.mb_rows - 1}")
 
 
 @dataclass
@@ -86,11 +27,6 @@ class YuvFrame:
                 "chroma planes must be half-size of luma: "
                 f"y={self.y.shape} u={self.u.shape} v={self.v.shape}"
             )
-
-    @property
-    def geometry(self) -> FrameGeometry:
-        h, w = self.y.shape
-        return FrameGeometry(width=w, height=h)
 
     def copy(self) -> "YuvFrame":
         return YuvFrame(self.y.copy(), self.u.copy(), self.v.copy())
@@ -117,13 +53,3 @@ def pad_plane(plane: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return plane.copy()
     return np.pad(plane, pad, mode="edge")
-
-
-def mb_view(plane: np.ndarray, mb_row: int, mb_col: int, size: int = MB_SIZE) -> np.ndarray:
-    """Read-only view of one macroblock from a plane."""
-    r0, c0 = mb_row * size, mb_col * size
-    if r0 + size > plane.shape[0] or c0 + size > plane.shape[1]:
-        raise ValueError(
-            f"MB ({mb_row},{mb_col}) size {size} exceeds plane {plane.shape}"
-        )
-    return plane[r0 : r0 + size, c0 : c0 + size]

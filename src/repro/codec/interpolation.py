@@ -140,39 +140,19 @@ def interpolate_rows(y: np.ndarray, row0: int, nrows: int) -> np.ndarray:
     return _interp_core(strip, band_h, w)
 
 
-def subpel_block(sf: np.ndarray, qy: int, qx: int, bh: int, bw: int) -> np.ndarray:
-    """Sample a ``(bh, bw)`` pixel block at quarter-pel position ``(qy, qx)``.
-
-    ``(qy, qx)`` are quarter-pel coordinates of the block's top-left sample;
-    they must satisfy ``0 <= qy <= 4*(H - bh)`` (use :func:`clamp_qpos`).
-    """
-    return sf[qy : qy + 4 * bh : 4, qx : qx + 4 * bw : 4]
-
-
 def subpel_blocks(
     sf: np.ndarray, qys: np.ndarray, qxs: np.ndarray, bh: int, bw: int
 ) -> np.ndarray:
     """Sample ``(bh, bw)`` blocks at arrays of quarter-pel positions.
 
-    The vectorized :func:`subpel_block`: ``qys``/``qxs`` are equally-shaped
-    integer arrays of (already clamped, see :func:`clamp_qpos`) top-left
-    positions and the result is ``qys.shape + (bh, bw)`` uint8. A sliding
-    window over the SF, subsampled to every fourth sample, makes "the block
-    at ``(qy, qx)``" one element of a view — no copy of the SF, which may
-    live in shared memory — so the gather takes one index pair per block
-    instead of one per pixel.
+    ``qys``/``qxs`` are equally-shaped integer arrays of quarter-pel
+    top-left positions, already clamped to ``0 <= qy <= 4*(H - bh)`` (our SF
+    covers exactly the frame, so SME and MC clamp identically — restricted-MV
+    behaviour at frame borders, see DESIGN.md substitutions), and the result
+    is ``qys.shape + (bh, bw)`` uint8. A sliding window over the SF,
+    subsampled to every fourth sample, makes "the block at ``(qy, qx)``" one
+    element of a view — no copy of the SF, which may live in shared memory —
+    so the gather takes one index pair per block instead of one per pixel.
     """
     windows = sliding_window_view(sf, (4 * bh - 3, 4 * bw - 3))[:, :, ::4, ::4]
     return windows[qys, qxs]
-
-
-def clamp_qpos(qy: int, qx: int, bh: int, bw: int, height: int, width: int) -> tuple[int, int]:
-    """Clamp a quarter-pel block position so the block fits inside the SF.
-
-    H.264 allows unrestricted MVs; our SF covers exactly the frame, so both
-    SME candidate evaluation and MC prediction clamp identically (restricted-
-    MV behaviour at frame borders — see DESIGN.md substitutions).
-    """
-    qy = max(0, min(qy, 4 * (height - bh)))
-    qx = max(0, min(qx, 4 * (width - bw)))
-    return qy, qx

@@ -72,19 +72,6 @@ class IntraFrameResult:
     i4_modes: np.ndarray | None = None     # (n_mb, 16) per-block I4 modes
 
 
-def _dc_predict(recon: np.ndarray, r0: int, c0: int, size: int) -> int:
-    """DC predictor from reconstructed top/left neighbours (128 fallback)."""
-    acc: list[np.ndarray] = []
-    if r0 > 0:
-        acc.append(recon[r0 - 1, c0 : c0 + size])
-    if c0 > 0:
-        acc.append(recon[r0 : r0 + size, c0 - 1])
-    if not acc:
-        return 128
-    samples = np.concatenate(acc)
-    return int((samples.astype(np.int64).sum() + len(samples) // 2) // len(samples))
-
-
 def intra_encode_frame(cur: YuvFrame, cfg: CodecConfig) -> IntraFrameResult:
     """Encode one I frame.
 

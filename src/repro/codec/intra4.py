@@ -26,7 +26,6 @@ import numpy as np
 #: Implemented Intra_4x4 modes.
 I4_V, I4_H, I4_DC, I4_DDL, I4_DDR = 0, 1, 2, 3, 4
 N_I4_MODES = 5
-I4_MODE_NAMES = ("V", "H", "DC", "DDL", "DDR")
 
 #: Bits to signal a non-MPM mode (alphabet of N_I4_MODES − 1 remainders).
 REM_BITS = 2

@@ -17,7 +17,6 @@ import numpy as np
 
 #: Mode indices.
 MODE_V, MODE_H, MODE_DC, MODE_PLANE = 0, 1, 2, 3
-MODE_NAMES = ("V", "H", "DC", "Plane")
 
 
 def available_modes(has_top: bool, has_left: bool) -> list[int]:

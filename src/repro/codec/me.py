@@ -33,7 +33,7 @@ narrow types are widened once, when the field is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,6 +45,8 @@ from repro.codec.sad import strip_cell_sads_batch
 
 if TYPE_CHECKING:
     from repro.codec.sme import SubpelField
+
+_Field = TypeVar("_Field", "MotionField", "SubpelField")
 
 #: Bits of a search key below the SAD: holds the ``dx`` index
 #: (``2 · search_range + 1 <= 513``), and 65 280 · 2¹⁶ still fits ``uint32``.
@@ -72,6 +74,43 @@ def check_field_arrays(motion: MotionField | SubpelField, mv_name: str) -> None:
                 raise ValueError(
                     f"{name}[{shape}] dtype {arr.dtype} != {np.dtype(want_dtype)}"
                 )
+
+
+def merge_field_bands(parts: list[_Field], mv_name: str) -> _Field:
+    """Stitch row bands of one field type (from different devices) into one.
+
+    Shared, like :func:`check_field_arrays`, by :class:`MotionField`
+    (``mv_name="mvs"``) and :class:`repro.codec.sme.SubpelField`
+    (``"qmvs"``). Bands must be contiguous and non-overlapping once sorted
+    by ``row0`` and agree on ``mb_cols`` and ``mode_shapes``.
+    """
+    if not parts:
+        raise ValueError("nothing to merge")
+    parts = sorted(parts, key=lambda p: p.row0)
+    first = parts[0]
+    row = first.row0
+    for p in parts:
+        if p.row0 != row:
+            raise ValueError(f"bands not contiguous at row {row} (got {p.row0})")
+        if (p.mb_cols, p.mode_shapes) != (first.mb_cols, first.mode_shapes):
+            raise ValueError(
+                f"band at row {p.row0} has mb_cols={p.mb_cols}, modes "
+                f"{p.mode_shapes}; expected {first.mb_cols}, {first.mode_shapes}"
+            )
+        row += p.nrows
+    merged = type(first)(
+        row0=first.row0,
+        nrows=row - first.row0,
+        mb_cols=first.mb_cols,
+        mode_shapes=first.mode_shapes,
+    )
+    for name in (mv_name, "refs", "sads"):
+        arrays = getattr(merged, name)
+        for shape in first.mode_shapes:
+            arrays[shape] = np.concatenate(
+                [getattr(p, name)[shape] for p in parts], axis=0
+            )
+    return merged
 
 
 @dataclass
@@ -126,30 +165,10 @@ class MotionField:
     def merge(parts: list["MotionField"]) -> "MotionField":
         """Stitch row-band results (from different devices) into one field.
 
-        Bands must be contiguous and non-overlapping once sorted by ``row0``;
-        this is how the Video Coding Manager reassembles the per-device ME
+        This is how the Video Coding Manager reassembles the per-device ME
         outputs after the MV device-to-host transfers.
         """
-        if not parts:
-            raise ValueError("nothing to merge")
-        parts = sorted(parts, key=lambda p: p.row0)
-        row = parts[0].row0
-        for p in parts:
-            if p.row0 != row:
-                raise ValueError(f"bands not contiguous at row {row} (got {p.row0})")
-            row += p.nrows
-        first = parts[0]
-        merged = MotionField(
-            row0=first.row0,
-            nrows=sum(p.nrows for p in parts),
-            mb_cols=first.mb_cols,
-            mode_shapes=first.mode_shapes,
-        )
-        for shape in first.mode_shapes:
-            merged.mvs[shape] = np.concatenate([p.mvs[shape] for p in parts], axis=0)
-            merged.refs[shape] = np.concatenate([p.refs[shape] for p in parts], axis=0)
-            merged.sads[shape] = np.concatenate([p.sads[shape] for p in parts], axis=0)
-        return merged
+        return merge_field_bands(parts, "mvs")
 
 
 def motion_estimate_rows(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from repro.codec.frames import YuvFrame
 
@@ -33,30 +32,3 @@ def frame_psnr(a: YuvFrame, b: YuvFrame) -> dict[str, float]:
         "u": psnr(a.u, b.u),
         "v": psnr(a.v, b.v),
     }
-
-
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 8, peak: float = 255.0) -> float:
-    """Structural similarity index (mean SSIM, uniform window).
-
-    The standard Wang et al. formulation with a ``window``×``window`` box
-    filter; returns a value in (−1, 1], 1.0 for identical planes.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if window < 2 or window > min(a.shape):
-        raise ValueError(f"window {window} invalid for planes of {a.shape}")
-    x = a.astype(np.float64)
-    y = b.astype(np.float64)
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
-    mu_x = uniform_filter(x, window)
-    mu_y = uniform_filter(y, window)
-    xx = uniform_filter(x * x, window) - mu_x * mu_x
-    yy = uniform_filter(y * y, window) - mu_y * mu_y
-    xy = uniform_filter(x * y, window) - mu_x * mu_y
-    num = (2 * mu_x * mu_y + c1) * (2 * xy + c2)
-    den = (mu_x**2 + mu_y**2 + c1) * (xx + yy + c2)
-    # Crop the border where the window leaves the plane.
-    half = window // 2
-    s = (num / den)[half:-half or None, half:-half or None]
-    return float(s.mean())

@@ -74,14 +74,3 @@ def v_matrix(qp: int) -> np.ndarray:
     """4×4 rescale multiplier matrix for the given QP."""
     check_range("qp", qp, 0, 51)
     return V_TABLE[qp % 6][POS_CLASS]
-
-
-def quant_step(qp: int) -> float:
-    """Effective quantizer step size Qstep(QP) ≈ 0.625 · 2^(QP/6).
-
-    Used by tests to bound reconstruction error: the TQ→TQ⁻¹ round trip
-    must not deviate from the input by more than about one step.
-    """
-    check_range("qp", qp, 0, 51)
-    base = (0.625, 0.6875, 0.8125, 0.875, 1.0, 1.125)
-    return base[qp % 6] * (1 << (qp // 6))

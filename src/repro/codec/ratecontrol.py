@@ -72,11 +72,6 @@ class RateController:
         """QP to use for the next P frame."""
         return self._qp
 
-    @property
-    def buffer_fullness(self) -> float:
-        """Signed buffer deviation in frame budgets (0 = on target)."""
-        return self._buffer_bits / self.frame_budget
-
     def update(self, frame_bits: int) -> int:
         """Record a coded frame; returns the QP for the next frame.
 
@@ -142,26 +137,11 @@ class RateControlledEncoder:
         self._enc = ReferenceEncoder(cfg, gop_size=gop_size)
         self.qp_history: list[int] = []
 
-    def _cfg_with_qp(self, qp: int) -> CodecConfig:
-        c = self.base_cfg
-        return CodecConfig(
-            width=c.width,
-            height=c.height,
-            search_range=c.search_range,
-            num_ref_frames=c.num_ref_frames,
-            qp_i=max(0, qp - 1),
-            qp_p=qp,
-            enabled_partitions=c.enabled_partitions,
-            subpel=c.subpel,
-            lambda_mode=c.lambda_mode,
-            entropy_coder=c.entropy_coder,
-        )
-
     def encode_frame(self, frame: YuvFrame) -> EncodedFrame:
         """Encode one frame at the controller's current QP."""
         qp = self.controller.qp
         self.qp_history.append(qp)
-        self._enc.cfg = self._cfg_with_qp(qp)
+        self._enc.cfg = self.base_cfg.with_qp(qp)
         encoded = self._enc.encode_frame(frame)
         self.controller.update(encoded.bits)
         return encoded

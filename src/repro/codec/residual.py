@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec.entropy import block_bits, se_len, ue_len
+from repro.codec.entropy import get_coder
 from repro.codec.quant import chroma_qp
 from repro.codec.transform import (
     blocks_to_plane,
@@ -65,19 +65,16 @@ def code_luma_plane(
 ) -> CodedPlane:
     """TQ + TQ⁻¹ + rate accounting for a luma residual plane.
 
-    ``coder`` is an optional coefficient coder (see
-    :func:`repro.codec.entropy.get_coder`); ``None`` uses the vectorized
-    CAVLC-lite accounting.
+    ``coder`` is the coefficient coder that prices the levels (see
+    :func:`repro.codec.entropy.get_coder`); ``None`` means CAVLC-lite.
     """
+    coder = coder or get_coder("lite")
     h, w = residual.shape
     blocks = plane_to_blocks(residual.astype(np.int64))
     coeffs = forward_transform(blocks)
     levels = quantize(coeffs, qp, intra)
     recon = decode_luma_levels(levels, h, w, qp)
-    if coder is None or coder.name == "lite":
-        bits = int(block_bits(levels).sum())
-    else:
-        bits = int(coder.block_bits(levels).sum())
+    bits = int(coder.block_bits(levels).sum())
     cnz4 = (levels != 0).any(axis=(1, 2)).reshape(h // 4, w // 4)
     return CodedPlane(recon_residual=recon, bits=bits, cnz4=cnz4, levels=levels)
 
@@ -90,24 +87,6 @@ class CodedChromaPlane:
     bits: int
     ac_levels: np.ndarray
     dc_levels: np.ndarray
-
-
-def _chroma_dc_bits(dc_levels: np.ndarray) -> int:
-    """CAVLC-lite cost of the ``(nmb, 2, 2)`` chroma-DC level blocks."""
-    flat = dc_levels.reshape(-1, 4)
-    nz = flat != 0
-    total = nz.sum(axis=1)
-    bits = ue_len(total).astype(np.int64)
-    bits += np.where(nz, se_len(flat), 0).sum(axis=1)
-    idx = np.arange(4)[None, :]
-    prev_nz = np.where(nz, idx, -10_000)
-    prev_best = np.maximum.accumulate(
-        np.concatenate([np.full((flat.shape[0], 1), -1), prev_nz[:, :-1]], axis=1),
-        axis=1,
-    )
-    runs = np.where(nz, idx - prev_best - 1, 0)
-    bits += np.where(nz, ue_len(np.maximum(runs, 0)), 0).sum(axis=1)
-    return int(bits.sum())
 
 
 def decode_chroma_levels(
@@ -143,6 +122,7 @@ def code_chroma_plane(
     an 8×8 region, i.e. a 2×2 group of 4×4 blocks whose DC coefficients go
     through the Hadamard/quant side path.
     """
+    coder = coder or get_coder("lite")
     qp = chroma_qp(luma_qp)
     h, w = residual.shape
     if h % 8 or w % 8:
@@ -166,12 +146,7 @@ def code_chroma_plane(
     ac_levels[:, 0, 0] = 0
 
     recon = decode_chroma_levels(ac_levels, dc_levels, h, w, luma_qp)
-    if coder is None or coder.name == "lite":
-        bits = int(block_bits(ac_levels).sum()) + _chroma_dc_bits(dc_levels)
-    else:
-        bits = int(coder.block_bits(ac_levels).sum()) + coder.chroma_dc_bits(
-            dc_levels
-        )
+    bits = int(coder.block_bits(ac_levels).sum()) + coder.chroma_dc_bits(dc_levels)
     return CodedChromaPlane(
         recon_residual=recon, bits=bits, ac_levels=ac_levels, dc_levels=dc_levels
     )

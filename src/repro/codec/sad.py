@@ -25,13 +25,6 @@ from repro.codec.config import MB_SIZE
 CELLS = MB_SIZE // 4
 
 
-def sad(a: np.ndarray, b: np.ndarray) -> int:
-    """Plain SAD between two equally-shaped uint8 blocks."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
-
-
 def strip_cell_sads_batch(
     cur_strip: np.ndarray, ref_windows: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -95,10 +88,3 @@ def strip_cell_sads(cur_strip: np.ndarray, ref_strip: np.ndarray) -> np.ndarray:
             f"strip shape mismatch: {cur_strip.shape} vs {ref_strip.shape}"
         )
     return strip_cell_sads_batch(cur_strip, ref_strip[None])[0]
-
-
-def block_sad_grid(cur_block: np.ndarray, ref_block: np.ndarray) -> np.ndarray:
-    """4×4-cell SAD grid ``(4, 4)`` for a single MB pair (test helper)."""
-    if cur_block.shape != (MB_SIZE, MB_SIZE) or ref_block.shape != (MB_SIZE, MB_SIZE):
-        raise ValueError("blocks must be 16x16")
-    return strip_cell_sads(cur_block, ref_block)[0]

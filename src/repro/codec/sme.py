@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.interpolation import subpel_blocks
-from repro.codec.me import MotionField, check_field_arrays
+from repro.codec.me import MotionField, check_field_arrays, merge_field_bands
 from repro.codec.partitions import get_mode
 from repro.codec.satd import block_metric, sad_blocks
 
@@ -85,31 +85,7 @@ class SubpelField:
     @staticmethod
     def merge(parts: list["SubpelField"]) -> "SubpelField":
         """Stitch contiguous row bands (cross-device reassembly)."""
-        if not parts:
-            raise ValueError("nothing to merge")
-        parts = sorted(parts, key=lambda p: p.row0)
-        first = parts[0]
-        row = first.row0
-        for p in parts:
-            if p.row0 != row:
-                raise ValueError(f"bands not contiguous at row {row} (got {p.row0})")
-            if (p.mb_cols, p.mode_shapes) != (first.mb_cols, first.mode_shapes):
-                raise ValueError(
-                    f"band at row {p.row0} has mb_cols={p.mb_cols}, modes "
-                    f"{p.mode_shapes}; expected {first.mb_cols}, {first.mode_shapes}"
-                )
-            row += p.nrows
-        out = SubpelField(
-            row0=first.row0,
-            nrows=sum(p.nrows for p in parts),
-            mb_cols=first.mb_cols,
-            mode_shapes=first.mode_shapes,
-        )
-        for shape in first.mode_shapes:
-            out.qmvs[shape] = np.concatenate([p.qmvs[shape] for p in parts], axis=0)
-            out.refs[shape] = np.concatenate([p.refs[shape] for p in parts], axis=0)
-            out.sads[shape] = np.concatenate([p.sads[shape] for p in parts], axis=0)
-        return out
+        return merge_field_bands(parts, "qmvs")
 
 
 def subpel_refine_rows(

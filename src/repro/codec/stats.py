@@ -56,34 +56,6 @@ def summarize(frames: list[EncodedFrame]) -> SequenceStats:
 
 
 @dataclass(frozen=True)
-class MotionStats:
-    """Statistics of a decoded/encoded motion field (quarter-pel units)."""
-
-    mean_magnitude: float
-    max_magnitude: float
-    zero_fraction: float
-    ref_histogram: dict[int, int]
-
-
-def motion_stats(mv4, ref4) -> MotionStats:
-    """Summarize per-4×4-block MV (``(H/4, W/4, 2)``) and ref grids."""
-    import numpy as np
-
-    mv = np.asarray(mv4, dtype=np.float64)
-    mags = np.sqrt((mv**2).sum(axis=-1))
-    refs = np.asarray(ref4).ravel()
-    hist: dict[int, int] = {}
-    for r in np.unique(refs):
-        hist[int(r)] = int((refs == r).sum())
-    return MotionStats(
-        mean_magnitude=float(mags.mean()),
-        max_magnitude=float(mags.max()),
-        zero_fraction=float((mags == 0).mean()),
-        ref_histogram=hist,
-    )
-
-
-@dataclass(frozen=True)
 class RdPoint:
     """One rate/distortion operating point."""
 
@@ -100,17 +72,7 @@ def rd_sweep(
     """Encode the sequence at several QPs (VCEG-style R-D curve)."""
     points: list[RdPoint] = []
     for qp in qps:
-        cfg = CodecConfig(
-            width=base_cfg.width,
-            height=base_cfg.height,
-            search_range=base_cfg.search_range,
-            num_ref_frames=base_cfg.num_ref_frames,
-            qp_i=max(0, qp - 1),
-            qp_p=qp,
-            enabled_partitions=base_cfg.enabled_partitions,
-            subpel=base_cfg.subpel,
-        )
-        out = ReferenceEncoder(cfg).encode_sequence(frames)
+        out = ReferenceEncoder(base_cfg.with_qp(qp)).encode_sequence(frames)
         stats = summarize(out)
         points.append(RdPoint(qp=qp, bits=stats.total_bits, psnr_y=stats.mean_psnr_y))
     return points

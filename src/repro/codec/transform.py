@@ -100,16 +100,6 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     return ((y + 128) >> 8).astype(np.int64)
 
 
-def tq(blocks: np.ndarray, qp: int, intra: bool = False) -> np.ndarray:
-    """TQ: forward transform + quantization of ``(n, 4, 4)`` residuals."""
-    return quantize(forward_transform(blocks), qp, intra)
-
-
-def itq(levels: np.ndarray, qp: int) -> np.ndarray:
-    """TQ⁻¹: dequantization + inverse transform back to residuals."""
-    return inverse_transform(dequantize(levels, qp))
-
-
 def hadamard2x2(dc: np.ndarray) -> np.ndarray:
     """2×2 Hadamard used for chroma DC (its own inverse up to scale 4)."""
     h = np.array([[1, 1], [1, -1]], dtype=np.int64)

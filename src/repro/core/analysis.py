@@ -1,4 +1,4 @@
-"""Performance analysis: utilization, efficiency and convergence diagnostics.
+"""Performance analysis: utilization, efficiency and communication volume.
 
 Post-processing over :class:`FrameReport` sequences — the numbers a systems
 paper's evaluation section is built from:
@@ -7,7 +7,7 @@ paper's evaluation section is built from:
 - parallel efficiency against the *ideal aggregate* bound (every
   distributable module perfectly split across devices, R\\* on the fastest
   one, zero transfer cost);
-- convergence: how many frames the load balancer needs to settle.
+- mean per-frame bytes moved in each direction.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ class UtilizationSummary:
     def compute_utilization(self, device: str) -> float:
         """Busy fraction of a device's compute engine."""
         return self.per_resource.get(f"{device}.compute", 0.0)
-
-    def busiest(self) -> tuple[str, float]:
-        if not self.per_resource:
-            return ("", 0.0)
-        name = max(self.per_resource, key=lambda k: self.per_resource[k])
-        return name, self.per_resource[name]
 
 
 def utilization_summary(
@@ -110,19 +104,6 @@ def parallel_efficiency(
     if bound <= 0:
         raise ValueError("ideal bound must be positive")
     return measured_fps / bound
-
-
-def convergence_frame(frame_times_s: list[float], rel_tol: float = 0.02) -> int:
-    """First 1-based frame index from which times stay within ``rel_tol``
-    of the final steady value (-1 if the trace never settles)."""
-    if not frame_times_s:
-        raise ValueError("empty trace")
-    steady = frame_times_s[-1]
-    for i, t in enumerate(frame_times_s):
-        tail = frame_times_s[i:]
-        if all(abs(x - steady) <= rel_tol * steady for x in tail):
-            return i + 1
-    return -1
 
 
 def communication_volume(reports: list[FrameReport], skip: int = 2) -> dict[str, float]:

@@ -108,11 +108,6 @@ def round_preserving_sum(fractions: np.ndarray, total: int) -> tuple[int, ...]:
     return tuple(int(x) for x in out)
 
 
-def overlap_rows(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Length of the intersection of two half-open row intervals."""
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
 def missing_segments(
     need: tuple[int, int], have: tuple[int, int]
 ) -> list[tuple[int, int]]:

@@ -49,10 +49,6 @@ class LoadDecision:
     tau_tot_pred: float = 0.0
     used_lp: bool = False
 
-    def rows_for(self, module: str, device_index: int) -> int:
-        dist = {"me": self.m, "int": self.l, "sme": self.s}[module]
-        return dist.rows[device_index]
-
 
 #: Fixed-point iterations between the LP solve and the Δm/Δl
 #: (MS_BOUNDS/LS_BOUNDS) recomputation.

@@ -221,32 +221,3 @@ class PerformanceCharacterization:
         if bw is None:
             return None
         return buffer_row_bytes(buf, sizes) / bw
-
-    def ready_for_lp(
-        self, device_names: list[str], accel_names: list[str]
-    ) -> bool:
-        """True when every K the LP needs has at least one measurement."""
-        for name in device_names:
-            st = self._devices.get(name)
-            if st is None:
-                return False
-            for module in COMPUTE_MODULES:
-                if module not in st.k_compute:
-                    return False
-        for name in accel_names:
-            st = self._devices.get(name)
-            if st is None or "h2d" not in st.bw or "d2h" not in st.bw:
-                return False
-        return True
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """Flat copy of every estimate (for logging/EXPERIMENTS.md)."""
-        out: dict[str, dict[str, float]] = {}
-        for name, st in self._devices.items():
-            d: dict[str, float] = {f"k_{m}": v for m, v in st.k_compute.items()}
-            if st.rstar_frame_s is not None:
-                d["rstar_frame_s"] = st.rstar_frame_s
-            for direction, bw in st.bw.items():
-                d[f"bw_{direction}"] = bw
-            out[name] = d
-        return out

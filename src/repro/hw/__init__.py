@@ -17,11 +17,9 @@ single- vs dual-copy-engine concurrency between kernels and transfers.
 - :mod:`repro.hw.noise` — load-fluctuation injection (paper Fig. 7).
 """
 
-from repro.hw.calibration import ModuleTiming, calibrate_device, measure_link
 from repro.hw.des import Op, Resource, Simulator
 from repro.hw.device import Device, DeviceSpec
 from repro.hw.interconnect import LinkSpec
-from repro.hw.memory import device_footprint, validate_platform_memory
 from repro.hw.presets import get_platform, list_platforms, multi_gpu_platform
 from repro.hw.rates import ModuleRates
 from repro.hw.topology import Platform
@@ -32,17 +30,12 @@ __all__ = [
     "DeviceSpec",
     "LinkSpec",
     "ModuleRates",
-    "ModuleTiming",
     "Op",
     "Platform",
     "Resource",
     "Simulator",
-    "calibrate_device",
-    "device_footprint",
     "export_chrome_trace",
     "get_platform",
     "list_platforms",
-    "measure_link",
     "multi_gpu_platform",
-    "validate_platform_memory",
 ]

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any
 
-import numpy as np
-
 
 @dataclass
 class Resource:
@@ -192,44 +190,3 @@ class Simulator:
         """Discard all issued ops, keeping the resources."""
         for r in self.resources:
             r.reset()
-
-
-def validate_schedule(records: list[OpRecord]) -> None:
-    """Assert no two ops overlap on the same resource (test helper).
-
-    Zero-duration ops (barriers) occupy no time and cannot overlap.
-
-    :meth:`Simulator.run` emits records globally sorted by (start,
-    resource, label), so each resource's sub-sequence normally arrives
-    sorted by (start, end); that is detected in one vectorized pass and
-    the stable re-sort (``np.lexsort``) runs only on input that really
-    is unsorted, e.g. hand-built records in tests. Overlaps are found by
-    one vectorized comparison of consecutive intervals.
-    """
-    by_res: dict[str, list[OpRecord]] = {}
-    for rec in records:
-        if rec.duration > 0:
-            by_res.setdefault(rec.resource, []).append(rec)
-    eps = 1e-12
-    for name, recs in by_res.items():
-        if len(recs) < 2:
-            continue
-        starts = np.array([r.start for r in recs])
-        ends = np.array([r.end for r in recs])
-        ds = np.diff(starts)
-        in_order = bool(
-            np.all((ds > 0) | ((ds == 0) & (np.diff(ends) >= 0)))
-        )
-        if not in_order:
-            order = np.lexsort((ends, starts))
-            starts = starts[order]
-            ends = ends[order]
-            recs = [recs[i] for i in order]
-        bad = np.nonzero(starts[1:] < ends[:-1] - eps)[0]
-        if bad.size:
-            i = int(bad[0])
-            a, b = recs[i], recs[i + 1]
-            raise AssertionError(
-                f"overlap on {name}: {a.label}[{a.start:.6f},{a.end:.6f}] vs "
-                f"{b.label}[{b.start:.6f},{b.end:.6f}]"
-            )

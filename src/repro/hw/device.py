@@ -18,17 +18,12 @@ from repro.hw.rates import ModuleRates
 
 @dataclass(frozen=True)
 class DeviceSpec:
-    """Static description of one processing device.
-
-    ``memory_bytes`` is the accelerator's local memory (None = unmodelled;
-    CPUs use host DRAM and are never capacity-checked).
-    """
+    """Static description of one processing device."""
 
     name: str
     kind: str  # "cpu" | "gpu"
     rates: ModuleRates
     link: LinkSpec | None = None
-    memory_bytes: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("cpu", "gpu"):

@@ -59,6 +59,10 @@ class LinkSpec:
         return self.latency_s + nbytes / (bw * 1e9)
 
 
+#: Bytes per sub-partition motion vector: int16 dy, dx + ref byte + flags.
+MV_BYTES_PER_PART = 6
+
+
 @dataclass(frozen=True)
 class BufferSizes:
     """Bytes moved per MB row for each inter-loop buffer (paper Fig. 5).
@@ -70,7 +74,6 @@ class BufferSizes:
 
     width: int
     height: int
-    mv_bytes_per_part: int = 6  # int16 dy, dx + ref byte + flags
 
     @property
     def cf_row(self) -> int:
@@ -100,4 +103,4 @@ class BufferSizes:
     @property
     def mv_row(self) -> int:
         """Motion-vector bytes per MB row (41 sub-partitions per MB)."""
-        return (self.width // 16) * 41 * self.mv_bytes_per_part
+        return (self.width // 16) * 41 * MV_BYTES_PER_PART

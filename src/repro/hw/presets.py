@@ -26,6 +26,8 @@ ME+INT+SME ≈ 90 % of single-device inter-loop time, R* ≈ 10 %.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.hw.device import DeviceSpec
 from repro.hw.interconnect import LinkSpec
 from repro.hw.rates import ModuleRates
@@ -63,7 +65,6 @@ GPU_F = DeviceSpec(
     kind="gpu",
     rates=_rates(me_ms=24.0, int_ms=3.7, sme_ms=5.5, rstar_ms=3.7),
     link=LinkSpec(h2d_gbps=5.5, d2h_gbps=5.0, latency_s=15e-6, copy_engines=1),
-    memory_bytes=1.5 * 2**30,   # GTX 580: 1.5 GiB
 )
 
 GPU_K = DeviceSpec(
@@ -71,21 +72,13 @@ GPU_K = DeviceSpec(
     kind="gpu",
     rates=_rates(me_ms=11.0, int_ms=1.5, sme_ms=2.5, rstar_ms=2.0),
     link=LinkSpec(h2d_gbps=10.0, d2h_gbps=9.0, latency_s=8e-6, copy_engines=2),
-    memory_bytes=3 * 2**30,     # GTX 780 Ti: 3 GiB
 )
 
 
 def _gpu_variant(spec: DeviceSpec, name: str) -> DeviceSpec:
     """A same-silicon copy of a GPU spec under a different name."""
-    return DeviceSpec(
-        name=name, kind=spec.kind, rates=spec.rates, link=spec.link,
-        memory_bytes=spec.memory_bytes,
-    )
+    return replace(spec, name=name)
 
-
-DEVICE_SPECS: dict[str, DeviceSpec] = {
-    s.name: s for s in (CPU_N, CPU_H, GPU_F, GPU_K)
-}
 
 _PLATFORM_BUILDERS = {
     # Single-device "platforms" (baselines of Fig. 6).
@@ -142,13 +135,3 @@ def multi_gpu_platform(
     return Platform(
         name=name or f"Sys{n_gpus}x{gpu.name}", specs=specs
     )
-
-
-def get_device_spec(name: str) -> DeviceSpec:
-    """Look up a single device spec by name."""
-    try:
-        return DEVICE_SPECS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown device {name!r}; available: {sorted(DEVICE_SPECS)}"
-        ) from None

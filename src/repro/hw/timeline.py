@@ -32,12 +32,6 @@ class FaultLogEntry:
         """True when something fault-related happened this frame."""
         return bool(self.evicted or self.readmitted or self.time_lost_s > 0)
 
-    def reason_for(self, device: str) -> str | None:
-        for name, why in self.reasons:
-            if name == device:
-                return why
-        return None
-
     def to_dict(self) -> dict:
         """JSON-friendly representation (for trace export)."""
         return {
@@ -90,13 +84,6 @@ class FrameTimeline:
             return 0.0
         return self.busy_time(resource) / self.tau_tot
 
-    def by_category(self) -> dict[str, float]:
-        """Total simulated seconds per op category (compute/h2d/d2h)."""
-        out: dict[str, float] = {}
-        for r in self.records:
-            out[r.category] = out.get(r.category, 0.0) + r.duration
-        return out
-
     def gantt_text(self, width: int = 72) -> str:
         """ASCII Gantt chart of the frame (one line per resource)."""
         if not self.records or self.tau_tot <= 0:
@@ -131,11 +118,6 @@ class EncodingTrace:
     def add(self, timeline: FrameTimeline) -> None:
         self.timelines.append(timeline)
         self.frame_times_s.append(timeline.tau_tot)
-
-    @property
-    def inter_frame_times_s(self) -> list[float]:
-        """Times of inter frames only (frame 0 is intra in IPPP)."""
-        return self.frame_times_s
 
     def mean_fps(self, skip: int = 0) -> float:
         """Mean frames/second over frames ``skip:`` (skip warm-up frames)."""

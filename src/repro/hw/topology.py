@@ -57,7 +57,3 @@ class Platform:
             if d.name == name:
                 return d
         raise KeyError(f"no device named {name!r} in platform {self.name!r}")
-
-    def fresh(self) -> "Platform":
-        """A new instance with clean DES resources (same specs)."""
-        return Platform(name=self.name, specs=list(self.specs))

@@ -1,7 +1,7 @@
 """Dataflow lint (layer 3): CFG + abstract interpretation.
 
 Function-level CFGs (:mod:`cfg`), a worklist fixpoint solver
-(:mod:`engine`), and four rules that need flow information a per-line
+(:mod:`engine`), and three rules that need flow information a per-line
 AST walk cannot provide:
 
 REP101
@@ -15,9 +15,6 @@ REP102
 REP103
     Engine/slot acquire without a release on every CFG path, including
     exception edges (:mod:`resources`).
-REP104
-    Measurement-path purity: characterization code must not mutate
-    framework or device state (:mod:`purity`).
 
 The rule table and the driver that runs them are
 :mod:`repro.sanitizers.runner`; :mod:`reporting` formats the findings.

@@ -12,9 +12,9 @@ Dimensions are abstract: TIME, ROW and BYTE exponents (frames and MBs
 are treated as dimensionless counts; scale prefixes like µs vs s are one
 dimension — scale bugs are out of scope).  A value's unit comes from,
 in order: the dataflow environment, the inter-procedural summary table
-(seeded from the signatures in ``hw/rates.py``, ``hw/interconnect.py``,
-``hw/calibration.py`` and ``core/perf_model.py``, then extended by
-per-module summaries), and naming conventions.  Unknown units are
+(seeded from the signatures in ``hw/rates.py``, ``hw/interconnect.py``
+and ``core/perf_model.py``, then extended by per-module summaries), and
+naming conventions.  Unknown units are
 silent — only a *known-vs-known* disagreement between non-dimensionless
 units is a finding, which keeps the rule quiet on untyped code.
 """

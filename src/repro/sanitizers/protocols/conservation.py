@@ -30,6 +30,7 @@ from typing import Any
 from repro.sanitizers.dataflow.cfg import IterElem, TestElem, WithElem
 from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
 from repro.sanitizers.protocols.spec import SPEC_BY_NAME
+from repro.sanitizers.protocols.typestate import _iter_calls
 
 
 #: Method names that take an element off a queue.
@@ -84,20 +85,6 @@ def _is_queue_receiver(node: ast.expr) -> bool:
     return tail is not None and (
         tail in QUEUE_TAILS or tail.endswith("queue")
     )
-
-
-def _iter_calls(node: ast.AST):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(
-            cur,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-        ) and cur is not node:
-            continue
-        if isinstance(cur, ast.Call):
-            yield cur
-        stack.extend(reversed(list(ast.iter_child_nodes(cur))))
 
 
 class ConservationAnalysis:

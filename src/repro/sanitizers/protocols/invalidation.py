@@ -28,6 +28,7 @@ from typing import Any
 from repro.sanitizers.concurrency.callgraph import call_name
 from repro.sanitizers.dataflow.cfg import IterElem, TestElem, WithElem
 from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
+from repro.sanitizers.protocols.typestate import _iter_calls
 
 
 #: Subscript-store base tails treated as live-set bookkeeping.
@@ -65,20 +66,6 @@ def _live_store(target: ast.expr) -> bool:
         return False
     tail = _tail(target.value)
     return tail is not None and tail in LIVE_TAILS
-
-
-def _iter_calls(node: ast.AST):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(
-            cur,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-        ) and cur is not node:
-            continue
-        if isinstance(cur, ast.Call):
-            yield cur
-        stack.extend(reversed(list(ast.iter_child_nodes(cur))))
 
 
 class InvalidationAnalysis:

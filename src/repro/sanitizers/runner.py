@@ -47,7 +47,6 @@ from repro.sanitizers.dataflow.engine import (
     iter_functions,
     run_analysis,
 )
-from repro.sanitizers.dataflow.purity import PurityAnalysis
 from repro.sanitizers.dataflow.resources import ResourceAnalysis
 from repro.sanitizers.dataflow.summaries import build_summaries
 from repro.sanitizers.dataflow.units import UnitAnalysis
@@ -121,13 +120,6 @@ RULES: dict[str, Rule] = {
             "engine/slot acquired but not released on every path",
             _in("hw", "core", "service", "exec"),
             analysis=ResourceAnalysis,
-            toplevel=True,
-        ),
-        Rule(
-            "REP104",
-            "measurement path mutates framework/device state",
-            re.compile(r"repro/(hw/calibration|core/analysis)\.py$"),
-            analysis=PurityAnalysis,
             toplevel=True,
         ),
         # Layer 4, concurrency. REP201 watches every module the pool

@@ -1,10 +1,9 @@
-"""Shared utilities: validation, timing, and lightweight logging."""
+"""Shared utilities: validation, timing, profiling and the protocol journal."""
 
 from repro.util.timing import WallTimer
 from repro.util.validation import (
     check_multiple_of,
     check_positive,
-    check_power_of_two,
     check_range,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "WallTimer",
     "check_multiple_of",
     "check_positive",
-    "check_power_of_two",
     "check_range",
 ]

@@ -7,8 +7,6 @@ than deep inside a vectorized kernel.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 def check_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
@@ -26,17 +24,3 @@ def check_multiple_of(name: str, value: int, base: int) -> None:
     """Raise ``ValueError`` unless ``value`` is a positive multiple of ``base``."""
     if value <= 0 or value % base != 0:
         raise ValueError(f"{name} must be a positive multiple of {base}, got {value!r}")
-
-
-def check_power_of_two(name: str, value: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is a positive power of two."""
-    if value <= 0 or (value & (value - 1)) != 0:
-        raise ValueError(f"{name} must be a positive power of two, got {value!r}")
-
-
-def check_type(name: str, value: Any, expected: type) -> None:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )

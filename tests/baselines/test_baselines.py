@@ -51,8 +51,7 @@ class TestEquidistant:
 
     def test_feves_beats_equidistant_with_cpu(self):
         """The headline ablation: adaptive LP vs static equal split."""
-        p = get_platform("SysNFF")
-        eq = run_equidistant(p.fresh(), CFG, 8, include_cpu=True)
+        eq = run_equidistant(get_platform("SysNFF"), CFG, 8, include_cpu=True)
         fw = FevesFramework(get_platform("SysNFF"), CFG, FrameworkConfig())
         fw.run_model(8)
         assert fw.steady_state_fps() > 1.2 * eq.steady_state_fps()

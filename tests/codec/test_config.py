@@ -1,5 +1,7 @@
 """CodecConfig validation and derived quantities."""
 
+import dataclasses
+
 import pytest
 
 from repro.codec.config import MB_SIZE, PARTITION_MODES, CodecConfig
@@ -62,19 +64,32 @@ class TestDerived:
         assert cfg.mb_rows == 68
         assert cfg.mb_rows * MB_SIZE == 1088
 
-    def test_qp_for_slice_types(self):
-        cfg = CodecConfig(qp_i=27, qp_p=28)
-        assert cfg.qp_for(True) == 27
-        assert cfg.qp_for(False) == 28
+    def test_with_qp_changes_only_the_two_qps(self):
+        """A QP ladder is a ladder only if everything but QP is held
+        fixed: from a config with *every* field off its default, each
+        other field survives; the I slice sits one step below, floored."""
+        base = CodecConfig(
+            width=64, height=48, search_range=5, num_ref_frames=3,
+            qp_i=11, qp_p=13, enabled_partitions=((16, 16), (8, 8)),
+            subpel=False, subpel_metric="satd", entropy_coder="cavlc",
+            num_slices=2, deblock_across_slices=False,
+        )
+        defaults = CodecConfig()
+        assert all(
+            getattr(base, f.name) != getattr(defaults, f.name)
+            for f in dataclasses.fields(CodecConfig)
+        )
+        rung = base.with_qp(30)
+        assert (rung.qp_i, rung.qp_p) == (29, 30)
+        assert dataclasses.replace(rung, qp_i=11, qp_p=13) == base
+        assert base.with_qp(0).qp_i == 0
+        with pytest.raises(ValueError, match="qp must be in"):
+            base.with_qp(52)
 
     def test_lambda_standard_formula(self):
         cfg = CodecConfig()
         assert cfg.lambda_for(12) == pytest.approx(0.85)
         assert cfg.lambda_for(18) == pytest.approx(0.85 * 4)
-
-    def test_lambda_override(self):
-        cfg = CodecConfig(lambda_mode=3.5)
-        assert cfg.lambda_for(40) == 3.5
 
     def test_frozen(self):
         cfg = CodecConfig()

@@ -7,7 +7,6 @@ import pytest
 from repro.codec.config import CodecConfig
 from repro.codec.decoder import SequenceDecoder
 from repro.codec.encoder import ReferenceEncoder
-from repro.codec.stats import motion_stats
 from repro.codec.stream import StreamEncoder
 from repro.video.generator import SyntheticSequence
 
@@ -122,18 +121,18 @@ class TestMotionStats:
         out = enc.encode_sequence(clip)
         syn = out[2].syntax
         assert syn is not None and syn.mv4 is not None
-        stats = motion_stats(syn.mv4, syn.ref4)
-        assert stats.mean_magnitude > 4.0   # ~3 px pan = 12 qpel
-        assert stats.zero_fraction < 0.5
-        assert sum(stats.ref_histogram.values()) == (96 // 4) * (128 // 4)
+        mags = np.hypot(syn.mv4[..., 0], syn.mv4[..., 1])
+        assert mags.mean() > 4.0   # ~3 px pan = 12 qpel
+        assert (mags == 0).mean() < 0.5
+        assert syn.ref4.shape == (96 // 4, 128 // 4)
 
     def test_static_scene_zero_motion(self):
         f = SyntheticSequence(width=128, height=96, seed=3, noise_sigma=0).frame(0)
         enc = ReferenceEncoder(CFG, keep_syntax=True)
         enc.encode_frame(f)
         out = enc.encode_frame(f.copy())
-        stats = motion_stats(out.syntax.mv4, out.syntax.ref4)
+        mags = np.hypot(out.syntax.mv4[..., 0], out.syntax.mv4[..., 1])
         # The reference is the quantized+deblocked recon, so SME may find
         # tiny sub-pel minima; magnitudes stay small and many blocks are 0.
-        assert stats.zero_fraction > 0.3
-        assert stats.mean_magnitude < 2.0
+        assert (mags == 0).mean() > 0.3
+        assert mags.mean() < 2.0

@@ -6,23 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import written_block_bits, written_chroma_dc_bits
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.entropy import (
     ZIGZAG_4X4,
-    block_bits,
-    read_block,
-    read_chroma_dc,
+    LiteCoder,
+    get_coder,
     read_se,
     read_ue,
     se_len,
     ue_len,
-    write_block,
-    write_chroma_dc,
     write_se,
     write_ue,
     zigzag_scan,
     zigzag_unscan,
 )
+
+_lite = LiteCoder()
+block_bits, write_block, read_block = _lite.block_bits, _lite.write_block, _lite.read_block
+write_chroma_dc, read_chroma_dc = _lite.write_chroma_dc, _lite.read_chroma_dc
 
 levels = st.integers(min_value=-512, max_value=512)
 
@@ -123,3 +125,67 @@ class TestChromaDC:
         write_chroma_dc(w, dc)
         r = BitReader(w.to_bytes())
         np.testing.assert_array_equal(read_chroma_dc(r), dc)
+
+
+def level_stacks(*shape):
+    """Stacks of level blocks of one ``shape``: all-zero, a single ±1,
+    sparse small levels, dense large magnitudes (past CAVLC's escape)."""
+    n = int(np.prod(shape))
+
+    @st.composite
+    def single(draw):
+        flat = np.zeros(n, dtype=np.int64)
+        flat[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 1]))
+        return flat.reshape(1, *shape)
+
+    return st.one_of(
+        st.just(np.zeros((2, *shape), dtype=np.int64)),
+        single(),
+        arrays(np.int64, (4, *shape),
+               elements=st.sampled_from([0, 0, 0, 0, 1, -1, 2, -9])),
+        arrays(np.int64, (3, *shape),
+               elements=st.integers(-40_000, 40_000).filter(bool)),
+    )
+
+
+@pytest.mark.parametrize("name", ["lite", "cavlc"])
+class TestAccountingEqualsWriteAndCount:
+    """Both coders' rate accounting against the write-and-count oracle —
+    every frame's ``EncodedFrame.bits`` is a sum of these — and the
+    ``write → read`` round trip, for 4×4 blocks and 2×2 chroma-DC groups."""
+
+    @given(level_stacks(4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_block_bits(self, name, blocks):
+        coder = get_coder(name)
+        np.testing.assert_array_equal(
+            coder.block_bits(blocks), written_block_bits(coder, blocks)
+        )
+
+    @given(level_stacks(2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_chroma_dc_bits(self, name, dcs):
+        coder = get_coder(name)
+        assert coder.chroma_dc_bits(dcs) == written_chroma_dc_bits(coder, dcs)
+
+    @given(level_stacks(4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_block_roundtrip(self, name, blocks):
+        coder = get_coder(name)
+        w = BitWriter()
+        for block in blocks:
+            coder.write_block(w, block)
+        r = BitReader(w.to_bytes())
+        for block in blocks:
+            np.testing.assert_array_equal(coder.read_block(r), block)
+
+    @given(level_stacks(2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_chroma_dc_roundtrip(self, name, dcs):
+        coder = get_coder(name)
+        w = BitWriter()
+        for dc in dcs:
+            coder.write_chroma_dc(w, dc)
+        r = BitReader(w.to_bytes())
+        for dc in dcs:
+            np.testing.assert_array_equal(coder.read_chroma_dc(r), dc)

@@ -1,48 +1,9 @@
-"""Frame containers and geometry arithmetic."""
+"""Frame container and plane padding."""
 
 import numpy as np
 import pytest
 
-from repro.codec.frames import FrameGeometry, YuvFrame, mb_view, pad_plane
-
-
-class TestFrameGeometry:
-    def test_basic_properties(self):
-        g = FrameGeometry(width=352, height=288)
-        assert g.mb_cols == 22
-        assert g.mb_rows == 18
-        assert g.chroma_width == 176
-        assert g.chroma_height == 144
-
-    def test_alignment_required(self):
-        with pytest.raises(ValueError):
-            FrameGeometry(width=350, height=288)
-
-    def test_luma_row_slice(self):
-        g = FrameGeometry(width=64, height=64)
-        assert g.luma_row_slice(0) == slice(0, 16)
-        assert g.luma_row_slice(3) == slice(48, 64)
-
-    def test_luma_row_slice_out_of_range(self):
-        g = FrameGeometry(width=64, height=64)
-        with pytest.raises(ValueError):
-            g.luma_row_slice(4)
-        with pytest.raises(ValueError):
-            g.luma_row_slice(-1)
-
-    def test_luma_rows_slice_band(self):
-        g = FrameGeometry(width=64, height=96)
-        assert g.luma_rows_slice(1, 3) == slice(16, 64)
-        assert g.luma_rows_slice(0, 0) == slice(0, 0)
-
-    def test_luma_rows_slice_overflow(self):
-        g = FrameGeometry(width=64, height=96)
-        with pytest.raises(ValueError):
-            g.luma_rows_slice(4, 3)
-
-    def test_chroma_rows_slice_half_resolution(self):
-        g = FrameGeometry(width=64, height=96)
-        assert g.chroma_rows_slice(1, 2) == slice(8, 24)
+from repro.codec.frames import YuvFrame, pad_plane
 
 
 class TestYuvFrame:
@@ -74,9 +35,6 @@ class TestYuvFrame:
         g.y[0, 0] = 7
         assert f.y[0, 0] == 128
 
-    def test_geometry(self):
-        assert YuvFrame.blank(64, 48).geometry == FrameGeometry(width=64, height=48)
-
 
 class TestPadPlane:
     def test_zero_pad_copies(self):
@@ -95,15 +53,3 @@ class TestPadPlane:
     def test_negative_pad_rejected(self):
         with pytest.raises(ValueError):
             pad_plane(np.zeros((4, 4), dtype=np.uint8), -1)
-
-
-class TestMbView:
-    def test_view_not_copy(self):
-        plane = np.zeros((32, 32), dtype=np.uint8)
-        v = mb_view(plane, 1, 1)
-        v[0, 0] = 42
-        assert plane[16, 16] == 42
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mb_view(np.zeros((32, 32), dtype=np.uint8), 2, 0)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import clamp_qpos, subpel_block
 from repro.codec.interpolation import (
     PAD,
-    clamp_qpos,
     interpolate_plane,
     interpolate_rows,
-    subpel_block,
     subpel_blocks,
 )
 

@@ -7,8 +7,16 @@ import pytest
 
 from repro.codec.frames import YuvFrame
 from repro.codec.gop import ReferenceStore
-from repro.codec.intra import _dc_predict, intra_encode_frame
+from repro.codec.intra import intra_encode_frame
+from repro.codec.intra_pred import MODE_DC, predict_block
 from repro.codec.quality import frame_psnr, mse, psnr
+
+
+def _dc_predict(recon, r0, c0, size):
+    """The (uniform) value of the DC prediction at (r0, c0)."""
+    pred = predict_block(recon, r0, c0, size, MODE_DC)
+    assert (pred == pred[0, 0]).all()
+    return int(pred[0, 0])
 
 
 class TestDcPredict:

@@ -9,7 +9,7 @@ from repro.codec.config import PARTITION_MODES, CodecConfig
 from repro.codec.me import MotionField, motion_estimate_rows
 from repro.codec.frames import pad_plane
 
-from oracles import reference_fsbm
+from oracles import reference_fsbm, sad
 
 
 def shifted(ref: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -188,8 +188,6 @@ class TestFullSearchExactness:
         ref = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         f = motion_estimate_rows(cur, [ref], 0, 4, cfg64)
-        from repro.codec.sad import sad
-
         for r in range(4):
             for c in range(4):
                 zero_sad = sad(
@@ -255,6 +253,23 @@ class TestBandsAndMerge:
         c = motion_estimate_rows(cur, [ref], 2, 1, cfg64)
         with pytest.raises(ValueError, match="contiguous"):
             MotionField.merge([a, c])
+
+    def test_merge_rejects_other_geometry(self, rng, cfg64):
+        """A band from another configuration — narrower, or with fewer
+        partition modes — is named, not concatenated."""
+        ref = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        top = motion_estimate_rows(ref, [ref], 0, 2, cfg64)
+        narrower = CodecConfig(width=48, height=64, search_range=cfg64.search_range)
+        other_cols = motion_estimate_rows(ref[:, :48], [ref[:, :48]], 2, 2, narrower)
+        with pytest.raises(ValueError, match="mb_cols=3"):
+            MotionField.merge([top, other_cols])
+        fewer = CodecConfig(
+            width=64, height=64, search_range=cfg64.search_range,
+            enabled_partitions=((16, 16), (8, 8)),
+        )
+        other_modes = motion_estimate_rows(ref, [ref], 2, 2, fewer)
+        with pytest.raises(ValueError, match="modes"):
+            MotionField.merge([top, other_modes])
 
     def test_merge_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Rate control: buffer model and closed-loop bitrate tracking."""
 
+import numpy as np
 import pytest
 
 from repro.codec.config import CodecConfig
@@ -38,7 +39,7 @@ class TestController:
             target_bps=100_000, fps=25, initial_qp=30, buffer_frames=4
         )
         rc.update(int(100 * rc.frame_budget))  # giant I frame
-        assert abs(rc.buffer_fullness) <= 4.0
+        assert abs(rc._buffer_bits) <= 4.0 * rc.frame_budget
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +90,33 @@ class TestClosedLoop:
         rich_out = rich.encode_sequence(clip[:12])
         poor_out = poor.encode_sequence(clip[:12])
         assert rich_out[-1].psnr["y"] > poor_out[-1].psnr["y"]
+
+    def test_ladder_holds_everything_but_qp(self, clip):
+        """From a 2-slice CAVLC base the inner encoder's config differs
+        from the base in the two QPs only, so every frame is what the
+        reference encoder produces when driven over the logged QP path."""
+        import dataclasses
+
+        from repro.codec.encoder import ReferenceEncoder
+
+        base = CodecConfig(
+            width=128, height=96, search_range=4, subpel_metric="satd",
+            entropy_coder="cavlc", num_slices=2, deblock_across_slices=False,
+        )
+        enc = RateControlledEncoder(base, target_bps=150_000, fps=25.0)
+        out = enc.encode_sequence(clip[:4])
+        inner = enc._enc.cfg
+        assert dataclasses.replace(inner, qp_i=base.qp_i, qp_p=base.qp_p) == base
+
+        ref = ReferenceEncoder(base)
+        for qp, got in zip(enc.qp_history, out, strict=True):
+            ref.cfg = base.with_qp(qp)
+            want = ref.encode_frame(clip[got.index])
+            assert (got.bits, got.mode_histogram) == (want.bits, want.mode_histogram)
+            for plane in "yuv":
+                np.testing.assert_array_equal(
+                    getattr(got.recon, plane), getattr(want.recon, plane)
+                )
 
     def test_gop_refresh_supported(self, clip):
         cfg = CodecConfig(width=128, height=96, search_range=8)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec.bitstream import BitWriter
-from repro.codec.entropy import write_block
-from repro.codec.quant import chroma_qp, quant_step
+from oracles import quant_step, written_block_bits, written_chroma_dc_bits
+from repro.codec.entropy import get_coder
+from repro.codec.quant import chroma_qp
 from repro.codec.residual import (
     code_chroma_plane,
     code_luma_plane,
@@ -41,10 +41,7 @@ class TestLumaPlane:
     def test_bits_match_actual_writing(self, rng):
         res = rng.integers(-60, 61, (16, 32)).astype(np.int64)
         coded = code_luma_plane(res, 24, False)
-        w = BitWriter()
-        for block in coded.levels:
-            write_block(w, block)
-        assert coded.bits == w.bit_count
+        assert coded.bits == written_block_bits(get_coder("lite"), coded.levels).sum()
 
     def test_levels_raster_order(self):
         res = np.zeros((8, 8), dtype=np.int64)
@@ -80,6 +77,17 @@ class TestChromaPlane:
         res = rng.integers(-90, 91, (16, 32)).astype(np.int64)
         coded = code_chroma_plane(res, 28, intra=False)
         assert coded.dc_levels.shape == ((16 // 8) * (32 // 8), 2, 2)
+
+    @pytest.mark.parametrize("name", ["lite", "cavlc"])
+    def test_bits_match_actual_writing(self, rng, name):
+        """AC blocks and the DC side path, priced by the coder in use."""
+        coder = get_coder(name)
+        res = rng.integers(-90, 91, (16, 32)).astype(np.int64)
+        coded = code_chroma_plane(res, 24, False, coder=coder)
+        assert coded.bits == (
+            written_block_bits(coder, coded.ac_levels).sum()
+            + written_chroma_dc_bits(coder, coded.dc_levels)
+        )
 
     def test_alignment_required(self):
         with pytest.raises(ValueError):

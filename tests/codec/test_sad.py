@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.codec.sad import (
-    block_sad_grid,
-    sad,
-    strip_cell_sads,
-    strip_cell_sads_batch,
-)
+from oracles import sad
+from repro.codec.sad import strip_cell_sads, strip_cell_sads_batch
 
 u8 = st.integers(min_value=0, max_value=255)
 
@@ -131,17 +127,4 @@ class TestBatch:
             strip_cell_sads_batch(
                 rng.integers(0, 256, (16, 32), dtype=np.uint8),
                 rng.integers(0, 256, (3, 16, 48), dtype=np.uint8),
-            )
-
-
-class TestBlockSadGrid:
-    def test_matches_naive(self, rng):
-        a = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        b = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        np.testing.assert_array_equal(block_sad_grid(a, b), naive_cell_sads(a, b))
-
-    def test_requires_16x16(self):
-        with pytest.raises(ValueError):
-            block_sad_grid(
-                np.zeros((8, 8), dtype=np.uint8), np.zeros((8, 8), dtype=np.uint8)
             )

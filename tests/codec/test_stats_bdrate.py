@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codec.bdrate import bd_psnr, bd_rate
+from repro.codec.bdrate import bd_rate
 from repro.codec.config import CodecConfig
 from repro.codec.encoder import ReferenceEncoder
 from repro.codec.stats import RdPoint, rd_sweep, summarize
@@ -64,18 +64,15 @@ class TestBdMetrics:
     def test_identical_curves_zero(self):
         a = self._curve()
         assert bd_rate(a, self._curve()) == pytest.approx(0.0, abs=1e-6)
-        assert bd_psnr(a, self._curve()) == pytest.approx(0.0, abs=1e-9)
 
     def test_rate_scale_detected(self):
         a = self._curve()
         worse = self._curve(rate_scale=1.10)  # +10% rate at equal PSNR
         assert bd_rate(a, worse) == pytest.approx(10.0, rel=0.02)
-        assert bd_psnr(a, worse) < 0
 
     def test_psnr_offset_detected(self):
         a = self._curve()
         better = self._curve(offset_db=0.5)
-        assert bd_psnr(a, better) == pytest.approx(0.5, rel=0.02)
         assert bd_rate(a, better) < 0
 
     def test_requires_four_points(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.codec.quant import quant_step
+from oracles import quant_step
 from repro.codec.transform import (
     CF,
     blocks_to_plane,
@@ -16,11 +16,19 @@ from repro.codec.transform import (
     forward_transform,
     hadamard2x2,
     inverse_transform,
-    itq,
     plane_to_blocks,
     quantize,
-    tq,
 )
+
+
+def tq(blocks, qp, intra=False):
+    """TQ: forward transform + quantization of ``(n, 4, 4)`` residuals."""
+    return quantize(forward_transform(blocks), qp, intra)
+
+
+def itq(levels, qp):
+    """TQ⁻¹: dequantization + inverse transform back to residuals."""
+    return inverse_transform(dequantize(levels, qp))
 
 resid = st.integers(min_value=-255, max_value=255)
 

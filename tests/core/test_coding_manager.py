@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import validate_schedule
 from repro.baselines.oracle import ground_truth_perf
 from repro.codec.config import CodecConfig
 from repro.core.coding_manager import VideoCodingManager
@@ -9,7 +10,6 @@ from repro.core.config import FrameworkConfig
 from repro.core.data_access import DataAccessManager
 from repro.core.load_balancing import LoadBalancer
 from repro.core.perf_model import PerformanceCharacterization
-from repro.hw.des import validate_schedule
 from repro.hw.interconnect import BufferSizes
 from repro.hw.presets import get_platform
 
@@ -156,10 +156,14 @@ class TestMeasurements:
         assert perf.k_compute("GPU_K", "me") == pytest.approx(want, rel=1e-9)
 
     def test_ready_for_lp_after_init_frame(self):
+        """One initialization frame measures every K the LP needs."""
         platform, _, perf, _ = run_one_frame("SysNFF", frame_index=1)
-        names = [d.name for d in platform.devices]
-        accel = [d.name for d in platform.gpus]
-        assert perf.ready_for_lp(names, accel)
+        for dev in platform.devices:
+            for module in ("me", "int", "sme"):
+                assert perf.k_compute(dev.name, module) is not None
+        for gpu in platform.gpus:
+            for direction in ("h2d", "d2h"):
+                assert perf.bandwidth(gpu.name, direction) is not None
 
 
 class TestNoise:

@@ -40,7 +40,7 @@ from repro.codec.config import CodecConfig
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.noise import FaultEvent, FaultSchedule
-from repro.hw.presets import get_device_spec
+from repro.hw.presets import CPU_N, GPU_F
 from repro.hw.topology import Platform
 from repro.hw.trace_export import export_chrome_trace
 
@@ -49,12 +49,11 @@ from repro.hw.trace_export import export_chrome_trace
 # configuration (paper convention: accelerators first, then CPU).
 from repro.hw.presets import _gpu_variant  # same-silicon rename helper
 
-gpu = get_device_spec("GPU_F")
 entries = [
-    ("GPU_F", gpu),
-    ("GPU_F2", _gpu_variant(gpu, "GPU_F2")),
-    ("GPU_F3", _gpu_variant(gpu, "GPU_F3")),
-    ("CPU_N", get_device_spec("CPU_N")),
+    ("GPU_F", GPU_F),
+    ("GPU_F2", _gpu_variant(GPU_F, "GPU_F2")),
+    ("GPU_F3", _gpu_variant(GPU_F, "GPU_F3")),
+    ("CPU_N", CPU_N),
 ]
 shuffled = list(entries)
 random.Random(shuffle_seed).shuffle(shuffled)

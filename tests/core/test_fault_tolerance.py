@@ -291,7 +291,7 @@ class TestFaultLog:
         )
         ev4 = fw.fault_log[3]
         assert ev4.evicted == ("GPU_F2",)
-        assert "hang at frame 4" in (ev4.reason_for("GPU_F2") or "")
+        assert "hang at frame 4" in dict(ev4.reasons).get("GPU_F2", "")
         assert ev4.time_lost_s > 0
         ev6 = fw.fault_log[5]
         assert ev6.readmitted == ("GPU_F2",)

@@ -160,6 +160,19 @@ class TestOptionSurface:
             with pytest.raises(TypeError):
                 FrameworkConfig(**removed)
 
+    def test_codec_config_fields_are_pinned(self):
+        """The codec's twelve, each with a CLI flag, benchmark or example
+        that sets it (DESIGN.md "Option surface")."""
+        import dataclasses
+
+        assert {f.name for f in dataclasses.fields(CodecConfig)} == {
+            "width", "height", "search_range", "num_ref_frames", "qp_i",
+            "qp_p", "enabled_partitions", "subpel", "subpel_metric",
+            "entropy_coder", "num_slices", "deblock_across_slices",
+        }
+        with pytest.raises(TypeError):
+            CodecConfig(lambda_mode=3.5)
+
     def test_plain_config_runs_both_modes(self):
         """The mode is the method called: one default config serves
         ``run_model()`` and a reference-exact ``encode()``, I frames at

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import validate_schedule
 from repro.codec.config import CodecConfig
 from repro.core.bounds import ExtraTransfers, ls_bounds, ms_bounds
 from repro.core.coding_manager import VideoCodingManager
@@ -18,7 +19,6 @@ from repro.core.data_access import DataAccessManager
 from repro.core.distribution import Distribution, round_preserving_sum
 from repro.core.load_balancing import LoadDecision
 from repro.core.perf_model import PerformanceCharacterization
-from repro.hw.des import validate_schedule
 from repro.hw.interconnect import BufferSizes
 from repro.hw.presets import get_platform
 

@@ -76,25 +76,29 @@ class TestTransferObservation:
 
 class TestReadiness:
     def test_ready_requires_all_modules_and_links(self):
+        """The balancer plans with the LP only once every K it needs has a
+        measurement: all three modules on every device, both directions
+        of every accelerator's link."""
+        from repro.codec.config import CodecConfig
+        from repro.core.config import FrameworkConfig
+        from repro.core.load_balancing import LoadBalancer
+        from repro.hw.presets import get_platform
+
+        cfg = CodecConfig(width=1920, height=1088)
+        balancer = LoadBalancer(get_platform("SysHK"), cfg, FrameworkConfig())
         p = PerformanceCharacterization()
-        assert not p.ready_for_lp(["c", "g"], ["g"])
-        for dev in ("c", "g"):
+
+        def used_lp():
+            return balancer.solve(p, "GPU_K", {"GPU_K": False}, {"GPU_K": 0}).used_lp
+
+        assert not used_lp()
+        for dev in ("CPU_H", "GPU_K"):
             for mod in ("me", "int", "sme"):
                 p.observe_compute(dev, mod, 1, 0.01)
-        assert not p.ready_for_lp(["c", "g"], ["g"])  # link missing
-        p.observe_transfer("g", "h2d", 1e6, 1e-3)
-        p.observe_transfer("g", "d2h", 1e6, 1e-3)
-        assert p.ready_for_lp(["c", "g"], ["g"])
-
-    def test_snapshot_contains_estimates(self):
-        p = PerformanceCharacterization()
-        p.observe_compute("d", "me", 2, 0.01)
-        p.observe_rstar("d", 0.002)
-        p.observe_transfer("d", "h2d", 1e6, 1e-3)
-        snap = p.snapshot()
-        assert snap["d"]["k_me"] == pytest.approx(0.005)
-        assert snap["d"]["rstar_frame_s"] == pytest.approx(0.002)
-        assert "bw_h2d" in snap["d"]
+        assert not used_lp()  # link missing
+        p.observe_transfer("GPU_K", "h2d", 1e6, 1e-3)
+        p.observe_transfer("GPU_K", "d2h", 1e6, 1e-3)
+        assert used_lp()
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
@@ -160,7 +164,7 @@ class TestInvalidate:
         p = self._measured()
         p.invalidate("dev", keep_prior=False)
         assert p.k_compute("dev", "me") is None
-        assert not p.ready_for_lp(["dev"], ["dev"])
+        assert p.bandwidth("dev", "h2d") is None
 
     def test_invalidate_unknown_device_is_noop(self):
         p = PerformanceCharacterization()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hw.des import Op, Resource, Simulator, validate_schedule
+from oracles import validate_schedule
+from repro.hw.des import Op, Resource, Simulator
 
 
 class TestScheduling:

@@ -18,9 +18,9 @@ import random
 
 import pytest
 
-from repro.hw.des import Op, OpRecord, Resource, Simulator, validate_schedule
+from repro.hw.des import Op, OpRecord, Resource, Simulator
 
-from oracles import reference_run
+from oracles import reference_run, validate_schedule
 
 
 def random_graph(seed: int, n_res: int = 3, n_ops: int = 24):

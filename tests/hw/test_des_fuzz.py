@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.des import Op, Resource, Simulator, validate_schedule
+from oracles import validate_schedule
+from repro.hw.des import Op, Resource, Simulator
 
 
 @st.composite

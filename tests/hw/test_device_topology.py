@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw.device import Device, DeviceSpec
 from repro.hw.interconnect import LinkSpec
-from repro.hw.presets import CPU_N, GPU_F, GPU_K, get_device_spec, get_platform, list_platforms
+from repro.hw.presets import CPU_N, GPU_F, GPU_K, get_platform, list_platforms
 from repro.hw.rates import ModuleRates
 from repro.hw.topology import Platform
 
@@ -64,10 +64,6 @@ class TestPlatform:
         with pytest.raises(KeyError):
             get_platform("SysXYZ")
 
-    def test_unknown_device(self):
-        with pytest.raises(KeyError):
-            get_device_spec("GPU_Z")
-
     def test_sysnff_layout(self):
         p = get_platform("SysNFF")
         assert [d.name for d in p.devices] == ["GPU_F", "GPU_F2", "CPU_N"]
@@ -91,8 +87,8 @@ class TestPlatform:
             p.device("GPU_F")
 
     def test_fresh_creates_new_resources(self):
-        p = get_platform("SysHK")
-        q = p.fresh()
+        """Every ``get_platform`` call builds its own DES resources."""
+        p, q = get_platform("SysHK"), get_platform("SysHK")
         assert p.devices[0].compute is not q.devices[0].compute
 
 

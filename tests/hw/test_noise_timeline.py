@@ -188,10 +188,6 @@ class TestTimeline:
         tl = self._timeline()
         assert tl.utilization("gpu.compute") == pytest.approx(0.5)
 
-    def test_by_category(self):
-        cats = self._timeline().by_category()
-        assert cats == pytest.approx({"compute": 2.0, "h2d": 0.5, "d2h": 0.2})
-
     def test_gantt_text_renders(self):
         text = self._timeline().gantt_text(width=40)
         assert "gpu.compute" in text and "#" in text and ">" in text

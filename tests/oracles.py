@@ -19,7 +19,19 @@ for bit:
 - :func:`reference_sme` — sub-pel refinement one candidate at a time:
   per-pixel fancy-index gathers from the SF, a boolean reference mask per
   candidate, int32 SADs reduced to int64 and a strict ``<`` masked update
-  of the running best — the kernel :func:`subpel_refine_rows` replaced.
+  of the running best — the kernel :func:`subpel_refine_rows` replaced;
+- :func:`quant_step` — the nominal Qstep(QP) that TQ→TQ⁻¹ round-trip
+  error is bounded by;
+- :func:`sad` — plain int32 SAD of two blocks, the reference the cell-SAD
+  kernels and FSBM results are checked against;
+- :func:`subpel_block` / :func:`clamp_qpos` — one block at one clamped
+  quarter-pel position, the scalar form of
+  :func:`repro.codec.interpolation.subpel_blocks`;
+- :func:`written_block_bits` / :func:`written_chroma_dc_bits` — rate
+  accounting by writing every block with the coder and counting, which
+  both coders' ``block_bits`` / ``chroma_dc_bits`` must equal;
+- :func:`validate_schedule` — no two ops overlap on one resource, the
+  plain check DES and orchestration tests hold every timeline to.
 
 All are built only from what ``src/`` already exposes
 (:meth:`LoadBalancer.use_lp_cache`, instance attributes,
@@ -31,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
+from repro.codec.bitstream import BitWriter
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.frames import pad_plane
 from repro.codec.me import MotionField
@@ -215,6 +228,57 @@ def reference_fsbm(
     return out
 
 
+def quant_step(qp: int) -> float:
+    """Effective quantizer step size Qstep(QP) ≈ 0.625 · 2^(QP/6).
+
+    Bounds reconstruction error in tests: the TQ→TQ⁻¹ round trip must not
+    deviate from the input by more than about one step.
+    """
+    base = (0.625, 0.6875, 0.8125, 0.875, 1.0, 1.125)
+    return base[qp % 6] * (1 << (qp // 6))
+
+
+def sad(a: np.ndarray, b: np.ndarray) -> int:
+    """Plain SAD between two equally-shaped uint8 blocks."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
+
+
+def subpel_block(sf: np.ndarray, qy: int, qx: int, bh: int, bw: int) -> np.ndarray:
+    """Sample a ``(bh, bw)`` pixel block at quarter-pel position ``(qy, qx)``.
+
+    ``(qy, qx)`` are quarter-pel coordinates of the block's top-left sample;
+    they must satisfy ``0 <= qy <= 4*(H - bh)`` (use :func:`clamp_qpos`).
+    """
+    return sf[qy : qy + 4 * bh : 4, qx : qx + 4 * bw : 4]
+
+
+def clamp_qpos(qy: int, qx: int, bh: int, bw: int, height: int, width: int) -> tuple[int, int]:
+    """Clamp a quarter-pel block position so the block fits inside the SF."""
+    qy = max(0, min(qy, 4 * (height - bh)))
+    qx = max(0, min(qx, 4 * (width - bw)))
+    return qy, qx
+
+
+def _written_bits(write, item: np.ndarray) -> int:
+    w = BitWriter()
+    write(w, item)
+    return w.bit_count
+
+
+def written_block_bits(coder, blocks: np.ndarray) -> np.ndarray:
+    """Per-block cost of an ``(n, 4, 4)`` level stack: write each, count."""
+    return np.array(
+        [_written_bits(coder.write_block, b) for b in blocks], dtype=np.int64
+    )
+
+
+def written_chroma_dc_bits(coder, dcs: np.ndarray) -> int:
+    """Total cost of ``(nmb, 2, 2)`` chroma-DC groups: write each, count."""
+    return sum(_written_bits(coder.write_chroma_dc, dc) for dc in dcs)
+
+
 def _ring(step: int) -> list[tuple[int, int]]:
     """Candidate offsets: the current position first, then its 8 neighbours."""
     offs = [(dy, dx) for dy in (-step, 0, step) for dx in (-step, 0, step)]
@@ -389,3 +453,44 @@ def _evaluate_ring(
         best_q[better, 1] = eff_qdx[better]
         first = False
     return best_q, best
+
+
+def validate_schedule(records: list[OpRecord]) -> None:
+    """Assert no two ops overlap on the same resource.
+
+    Zero-duration ops (barriers) occupy no time and cannot overlap.
+
+    :meth:`Simulator.run` emits records globally sorted by (start,
+    resource, label), so each resource's sub-sequence normally arrives
+    sorted by (start, end); that is detected in one vectorized pass and
+    the stable re-sort (``np.lexsort``) runs only on input that really
+    is unsorted, e.g. hand-built records in tests. Overlaps are found by
+    one vectorized comparison of consecutive intervals.
+    """
+    by_res: dict[str, list[OpRecord]] = {}
+    for rec in records:
+        if rec.duration > 0:
+            by_res.setdefault(rec.resource, []).append(rec)
+    eps = 1e-12
+    for name, recs in by_res.items():
+        if len(recs) < 2:
+            continue
+        starts = np.array([r.start for r in recs])
+        ends = np.array([r.end for r in recs])
+        ds = np.diff(starts)
+        in_order = bool(
+            np.all((ds > 0) | ((ds == 0) & (np.diff(ends) >= 0)))
+        )
+        if not in_order:
+            order = np.lexsort((ends, starts))
+            starts = starts[order]
+            ends = ends[order]
+            recs = [recs[i] for i in order]
+        bad = np.nonzero(starts[1:] < ends[:-1] - eps)[0]
+        if bad.size:
+            i = int(bad[0])
+            a, b = recs[i], recs[i + 1]
+            raise AssertionError(
+                f"overlap on {name}: {a.label}[{a.start:.6f},{a.end:.6f}] vs "
+                f"{b.label}[{b.start:.6f},{b.end:.6f}]"
+            )

@@ -14,7 +14,6 @@ DATAFLOW_RULES = {r: RULES[r].description for r in RULES if r.startswith("REP1")
 HW_PATH = "src/repro/hw/fake_module.py"
 CORE_PATH = "src/repro/core/fake_module.py"
 SERVICE_PATH = "src/repro/service/fake_module.py"
-CALIB_PATH = "src/repro/hw/calibration.py"
 EXEC_PATH = "src/repro/exec/fake_module.py"
 OUTSIDE_PATH = "src/repro/util/fake_module.py"
 
@@ -102,16 +101,6 @@ def swap(other, nbytes):
     seg = SharedMemory(create=True, size=nbytes)
     other.close()
     other.unlink()
-"""),
-    "rep104_attribute_store": (CALIB_PATH, """\
-def characterize(framework, reports):
-    framework.rstar_device = None   # mutates the framework: bug
-    return summarize(reports)
-"""),
-    "rep104_mutator_call": (CALIB_PATH, """\
-def measure(device, rows):
-    device.apply_fault(0.5)
-    return device.transfer_s(rows, "h2d")
 """),
 }
 
@@ -367,37 +356,6 @@ class TestREP103SharedMemory:
         assert "REP101" not in rules_for_path(EXEC_PATH)
 
 
-class TestREP104Purity:
-    def test_attribute_store_on_parameter_is_caught(self):
-        assert "REP104" in rules_hit(*mutant("rep104_attribute_store"))
-
-    def test_mutator_call_on_device_is_caught(self):
-        assert "REP104" in rules_hit(*mutant("rep104_mutator_call"))
-
-    def test_building_local_accumulators_is_clean(self):
-        src = """
-        def summarize(reports):
-            acc = {}
-            for rep in reports:
-                for rec in rep.records:
-                    acc.setdefault(rec.resource, []).append(rec.duration)
-            out = {}
-            for key, values in acc.items():
-                out[key] = sum(values) / len(values)
-            return out
-        """
-        assert rules_hit(src, CALIB_PATH) == set()
-
-    def test_rule_only_runs_on_measurement_modules(self):
-        src = """
-        def mutate(framework):
-            framework.state = 1
-        """
-        assert "REP104" not in rules_hit(src, CORE_PATH)
-        assert "REP104" in rules_for_path(CALIB_PATH)
-        assert "REP104" in rules_for_path("src/repro/core/analysis.py")
-
-
 class TestSuppressionAndScoping:
     def test_noqa_suppresses_dataflow_finding(self):
         src = """
@@ -429,5 +387,5 @@ class TestSuppressionAndScoping:
         assert errors == []
 
     def test_every_rule_has_a_description(self):
-        assert set(DATAFLOW_RULES) == {"REP101", "REP102", "REP103", "REP104"}
+        assert set(DATAFLOW_RULES) == {"REP101", "REP102", "REP103"}
         assert all(DATAFLOW_RULES[r] for r in DATAFLOW_RULES)

@@ -1,7 +1,7 @@
 """The static half of the mutation kill-matrix (ROADMAP item 4).
 
 Every seeded mutant hoisted into ``MUTANTS`` by the four rule test
-modules is analysed under *all 16* rules, forced regardless of scope,
+modules is analysed under *all 15* rules, forced regardless of scope,
 and the resulting ``mutant -> rules that fire`` table is committed in
 DESIGN.md. A rule that fires only on its own mutants is orthogonal; a
 mutant caught by several rows names an overlap. The table is data for

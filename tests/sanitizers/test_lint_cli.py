@@ -55,7 +55,7 @@ class TestExitCodes:
         assert lint(tree) == 0
         out = capsys.readouterr().out
         assert "clean" in out
-        assert "REP101" in out and "REP104" in out  # dataflow rules ran
+        assert "REP101" in out and "REP103" in out  # dataflow rules ran
 
     def test_internal_error_exit_2(self, tree, monkeypatch, capsys):
         # A rule that crashes is an analyzer-infrastructure failure, not
@@ -99,7 +99,7 @@ class TestFormats:
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert {
-            "REP001", "REP101", "REP102", "REP103", "REP104",
+            "REP001", "REP101", "REP102", "REP103",
             "REP201", "REP202", "REP203", "REP204",
         } <= rule_ids
         result = run["results"][0]

@@ -313,6 +313,48 @@ class TestBadNumbers:
         assert why in str(exc.value)
 
 
+class TestEncodeDecodeErrors:
+    """``encode``/``decode`` fed a bad number, a bad size or a bad file end
+    in one ``error:`` line and a non-zero status — never a traceback (any
+    exception other than ``SystemExit`` fails these)."""
+
+    @pytest.fixture
+    def yuv(self, tmp_path):
+        path = tmp_path / "in.yuv"
+        write_yuv420(path, moving_objects_sequence(width=64, height=48, count=2, seed=2))
+        return path
+
+    @pytest.mark.parametrize("argv,why", [
+        (["{yuv}", "--size", "64x48", "--qp", "99"], "qp must be in"),
+        (["{yuv}", "--size", "64x48", "--sa", "0"], "search_range must be in"),
+        (["{yuv}", "--size", "64x48", "--refs", "0"], "num_ref_frames must be in"),
+        (["{yuv}", "--size", "65x64"], "width must be a positive multiple of 16"),
+        (["missing.yuv", "--size", "64x48"], "missing.yuv"),
+    ], ids=["qp", "sa", "refs", "unaligned-size", "missing-input"])
+    def test_encode(self, yuv, tmp_path, argv, why):
+        argv = [arg.format(yuv=yuv) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", *argv, "--out", str(tmp_path / "o.fevs")])
+        assert str(exc.value).startswith("error: ") and why in str(exc.value)
+
+    @pytest.mark.parametrize("damage,why", [
+        (lambda data: data[: len(data) // 2], "truncated"),
+        (lambda data: bytes(range(256)) * 4, "truncated"),
+        (None, "missing.fevs"),
+    ], ids=["truncated", "garbage", "missing-input"])
+    def test_decode(self, yuv, tmp_path, damage, why):
+        stream = tmp_path / "missing.fevs"
+        if damage is not None:
+            good = tmp_path / "good.fevs"
+            assert main(["encode", str(yuv), "--size", "64x48",
+                         "--out", str(good), "--sa", "8"]) == 0
+            stream = tmp_path / "bad.fevs"
+            stream.write_bytes(damage(good.read_bytes()))
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", str(stream), "--out", str(tmp_path / "r.yuv")])
+        assert str(exc.value).startswith("error: ") and why in str(exc.value)
+
+
 class TestSanitizeFlagIsScoped:
     """``--sanitize`` is ``REPRO_SANITIZE=1`` for one command: when
     ``main`` returns — or raises — the variable is back to what it was

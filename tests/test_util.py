@@ -8,9 +8,7 @@ from repro.util.timing import WallTimer
 from repro.util.validation import (
     check_multiple_of,
     check_positive,
-    check_power_of_two,
     check_range,
-    check_type,
 )
 
 
@@ -37,18 +35,6 @@ class TestValidation:
             check_multiple_of("w", 0, 16)
         with pytest.raises(ValueError):
             check_multiple_of("w", -16, 16)
-
-    def test_check_power_of_two(self):
-        for good in (1, 2, 64, 1024):
-            check_power_of_two("n", good)
-        for bad in (0, 3, 12, -4):
-            with pytest.raises(ValueError):
-                check_power_of_two("n", bad)
-
-    def test_check_type(self):
-        check_type("s", "abc", str)
-        with pytest.raises(TypeError, match="s must be int"):
-            check_type("s", "abc", int)
 
 
 class TestWallTimer:
