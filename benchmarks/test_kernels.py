@@ -104,9 +104,10 @@ def test_kernel_deblock(benchmark, frames):
 def test_kernel_relative_costs(frames):
     """Sanity: FSBM still costs more than INT or TQ at ``sr=8``.
 
-    It no longer dominates a frame: since the uint8/uint16 FSBM kernel, ME,
-    SME and the R* block are the same order of magnitude (DESIGN.md
-    "Performance: the SME kernel").
+    It no longer dominates a frame: since the uint8/uint16 FSBM kernel, ME
+    and SME are the same order of magnitude, and since the whole-plane DBL
+    and int16/int32 TQ the R* block is a fraction of either, most of it MC
+    (DESIGN.md "Performance: the R* block").
     """
     import time
 

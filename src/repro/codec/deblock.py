@@ -1,15 +1,30 @@
-"""DBL: H.264/AVC in-loop deblocking filter.
+"""DBL: H.264/AVC in-loop deblocking filter, every edge of a direction at once.
 
-Implements boundary-strength derivation and the normal (bS 1–3) and strong
-(bS 4) edge filters with the standard α/β/tc0 tables. Edges are processed
-in spec order — vertical edges left→right then horizontal edges top→bottom,
-each operating on already-filtered samples — but each edge is filtered
-vectorized across its whole length, so the cost is ~(W+H)/4 vector ops per
-plane instead of per-pixel Python.
+Boundary strengths (bS) of all edges of the 4×4-block grid come from two
+whole-grid expressions per frame (:func:`boundary_strengths`), shared by
+Y, U and V. A plane is filtered in two passes — all vertical edges, then
+all horizontal edges, the order of the per-edge kernel this replaced
+(``tests/oracles.py::reference_deblock_plane``) — on an int16 copy (no
+intermediate exceeds ``8 · 255 + 4``) whose taps, for *all* edges of a
+direction, are the strided views ``a[4 + j : L - 3 + j : 4]``, ``j = -4 … 3``.
 
-The paper assigns DBL to a single device precisely because of the
-neighbouring-MB dependencies this ordering creates; the sequential-edge
-structure here mirrors that constraint.
+Edges must be filtered one after another only where one reads what an
+earlier one wrote. Chroma edges read ``p1 p0 q0 q1`` and write ``p0 q0``,
+four samples apart: none does. A luma edge *k* sees the writes of edge
+*k − 1* only, and only on its p side::
+
+    column       4k-4   4k-3   4k-2   4k-1 | 4k     4k+1   4k+2   4k+3
+    tap of k     p3     p2     p1     p0   | q0     q1     q2     q3
+    k-1 writes   q0′    q1′    q2′ (bS 4 only)
+
+bS 4 occurs on macroblock edges only, so two strong edges are never
+adjacent and every chain ends after one link: a strong edge's q side and
+a normal edge's q1′ are functions of unfiltered samples (q1′ is clipped
+to ``tc0``, not ``tc``; its on/off test reads p1, which only a strong
+neighbour moves). Four phases per direction, each over every edge at
+once, reproduce the sequential result: :func:`_filter_luma`. The paper
+maps DBL to one device because of these neighbouring-MB dependencies;
+here they order the phases, not the edges.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.codec.frames import YuvFrame
 from repro.codec.quant import chroma_qp
 from repro.util.validation import check_range
 
@@ -80,140 +96,180 @@ class BlockInfo:
             raise ValueError("inconsistent BlockInfo array shapes")
 
 
-def boundary_strength(
-    info: BlockInfo, axis: int, edge_idx: int, mb_edge: bool
+#: ``tc0`` looked up by bS itself (rows 0 and 4 are never read unmasked).
+_TC0_BY_BS = TC0_TABLE[[0, 0, 1, 2, 2]].astype(np.int16)
+
+
+def _strengths_across_columns(
+    mv: np.ndarray, ref: np.ndarray, cnz: np.ndarray, intra: np.ndarray
 ) -> np.ndarray:
-    """bS along one edge of the 4×4-block grid.
+    """bS between horizontally adjacent blocks: ``(rows, cols − 1)`` uint8."""
+    moved = (np.abs(mv[:, 1:] - mv[:, :-1]) >= 4).any(axis=-1)
+    bs = ((ref[:, 1:] != ref[:, :-1]) | moved).astype(np.uint8)
+    bs[cnz[:, 1:] | cnz[:, :-1]] = 2
+    either_intra = intra[:, 1:] | intra[:, :-1]
+    bs[either_intra] = 3
+    # Every fourth grid line is a macroblock edge: intra there is bS 4.
+    bs[:, 3::4][either_intra[:, 3::4]] = 4
+    return bs
 
-    Parameters
-    ----------
-    axis:
-        0 for a horizontal edge (between block rows), 1 for vertical.
-    edge_idx:
-        Index of the *q*-side block row/column (edge lies between
-        ``edge_idx - 1`` and ``edge_idx``).
-    mb_edge:
-        Whether this edge coincides with a macroblock boundary (affects the
-        intra bS: 4 at MB edges, 3 inside).
 
-    Returns
-    -------
-    int32 array of bS values along the edge (length = perpendicular size).
+def boundary_strengths(
+    info: BlockInfo, skip_luma_rows: frozenset[int] = frozenset()
+) -> tuple[np.ndarray, np.ndarray]:
+    """bS of every edge of the 4×4-block grid, as two uint8 grids.
+
+    ``bs_v[r, k - 1]`` is the vertical edge between block columns ``k − 1``
+    and ``k`` in block row ``r`` (shape ``(H/4, W/4 − 1)``); ``bs_h[k - 1, c]``
+    the horizontal edge between block rows ``k − 1`` and ``k`` (shape
+    ``(H/4 − 1, W/4)``). 4 = intra at a macroblock edge, 3 = intra inside,
+    2 = coded coefficients, 1 = different reference or an MV component
+    ≥ 1 pel apart, 0 = not filtered. Horizontal edges on a luma pixel row
+    in ``skip_luma_rows`` get 0 (see :func:`deblock_plane`).
     """
-    if axis == 0:
-        p = (slice(edge_idx - 1, edge_idx), slice(None))
-        q = (slice(edge_idx, edge_idx + 1), slice(None))
-        squeeze = 0
-    else:
-        p = (slice(None), slice(edge_idx - 1, edge_idx))
-        q = (slice(None), slice(edge_idx, edge_idx + 1))
-        squeeze = 1
-    intra_pq = info.intra[p] | info.intra[q]
-    cnz_pq = info.cnz[p] | info.cnz[q]
-    ref_diff = info.ref[p] != info.ref[q]
-    mv_diff = (np.abs(info.mv[p] - info.mv[q]) >= 4).any(axis=-1)
-    bs = np.zeros_like(intra_pq, dtype=np.int32)
-    bs[ref_diff | mv_diff] = 1
-    bs[cnz_pq] = 2
-    bs[intra_pq] = 4 if mb_edge else 3
-    return np.squeeze(bs, axis=squeeze)
+    bs_v = _strengths_across_columns(info.mv, info.ref, info.cnz, info.intra)
+    bs_h = _strengths_across_columns(
+        info.mv.swapaxes(0, 1), info.ref.T, info.cnz.T, info.intra.T
+    ).T
+    for row in skip_luma_rows:
+        if row % 4 == 0 and 0 < row // 4 <= bs_h.shape[0]:
+            bs_h[row // 4 - 1] = 0
+    return bs_v, bs_h
 
 
-def _clip3(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _clip3(lo: np.ndarray | int, hi: np.ndarray | int, x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _filter_edge_luma(
-    lines: np.ndarray, bs: np.ndarray, qp: int
-) -> np.ndarray:
-    """Filter one luma edge.
+def _filter_chroma(
+    taps: list[np.ndarray], bs: np.ndarray, alpha: int, beta: int, tc0: np.ndarray
+) -> None:
+    """Filter all chroma edges of one direction in place: ``taps`` are the
+    write-through views ``p1 p0 q0 q1`` of every edge, ``bs`` its strength
+    per sample, ``tc0`` the bS → tc0 row of this QP."""
+    p1, p0, q0, q1 = taps
+    filt = (
+        (bs > 0)
+        & (np.abs(p0 - q0) < alpha)
+        & (np.abs(p1 - p0) < beta)
+        & (np.abs(q1 - q0) < beta)
+    )
+    tc = tc0[bs] + 1
+    delta = _clip3(-tc, tc, ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3)
+    p0n = _clip3(0, 255, p0 + delta)
+    q0n = _clip3(0, 255, q0 - delta)
+    strong = bs == 4
+    if strong.any():
+        np.copyto(p0n, (2 * p1 + p0 + q1 + 2) >> 2, where=strong)
+        np.copyto(q0n, (2 * q1 + q0 + p1 + 2) >> 2, where=strong)
+    np.copyto(p0, p0n, where=filt)
+    np.copyto(q0, q0n, where=filt)
 
-    ``lines`` has shape ``(n, 8)`` — for each of the *n* positions along the
-    edge, samples ``p3 p2 p1 p0 q0 q1 q2 q3`` perpendicular to it. Returns
-    the filtered lines (same shape). ``bs`` has shape ``(n,)``.
+
+def _strong_side(
+    s3: np.ndarray, s2: np.ndarray, s1: np.ndarray, s0: np.ndarray,
+    o0: np.ndarray, o1: np.ndarray, strong: np.ndarray, wide: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """The bS 4 filter on one side of the edges: samples ``s0 … s3`` of
+    that side (``s0`` at the edge), ``o0 o1`` of the other, written to the
+    ``out`` views of ``s0 s1 s2`` — three taps where ``wide``, else ``s0``."""
+    s0n = np.where(wide, (s2 + 2 * s1 + 2 * s0 + 2 * o0 + o1 + 4) >> 3,
+                   (2 * s1 + s0 + o1 + 2) >> 2)
+    s1n = (s2 + s1 + s0 + o0 + 2) >> 2
+    s2n = (2 * s3 + 3 * s2 + s1 + s0 + o0 + 4) >> 3
+    np.copyto(out[0], s0n, where=strong)
+    np.copyto(out[1], s1n, where=wide)
+    np.copyto(out[2], s2n, where=wide)
+
+
+def _filter_luma(
+    taps: list[np.ndarray], bs: np.ndarray, alpha: int, beta: int, tc0: np.ndarray
+) -> None:
+    """Filter all luma edges of one direction in place, in dependency order.
+
+    ``taps`` are the write-through views ``p3 … q3`` of every edge. Phases
+    A and D are skipped without a bS 4 edge, i.e. on every P frame.
     """
-    check_range("qp", qp, 0, 51)
-    idx = int(np.clip(qp, 0, 51))
-    alpha = int(ALPHA_TABLE[idx])
-    beta = int(BETA_TABLE[idx])
-    s = lines.astype(np.int32)
-    p3, p2, p1, p0 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    q0, q1, q2, q3 = s[:, 4], s[:, 5], s[:, 6], s[:, 7]
+    p3, p2, p1, p0, q0, q1, q2, q3 = taps
+    # A and B overwrite q0 q1; C and D still need them unfiltered. Everything
+    # else read before phase A is unfiltered too (p0 is written last, by
+    # its own edge).
+    q0_in, q1_in = q0.copy(), q1.copy()
+    gap = np.abs(p0 - q0_in)
+    on = (bs > 0) & (gap < alpha) & (np.abs(q1_in - q0_in) < beta)  # but for p1
+    aq = np.abs(q2 - q0_in) < beta
+    mid = (p0 + q0_in + 1) >> 1
+    tc0 = tc0[bs]
+    strong = bs == 4
+    any_strong = bool(strong.any())
 
-    filt = (
-        (bs > 0)
-        & (np.abs(p0 - q0) < alpha)
-        & (np.abs(p1 - p0) < beta)
-        & (np.abs(q1 - q0) < beta)
-    )
+    if any_strong:
+        # A — q0′ q1′ q2′ of strong edges: no strong neighbour, so p1 and
+        # every other input is unfiltered.
+        strong &= on & (np.abs(p1 - p0) < beta)
+        small_gap = strong & (gap < (alpha >> 2) + 2)
+        _strong_side(q3, q2, q1_in, q0_in, p0, p1, strong, small_gap & aq, (q0, q1, q2))
+
+    # Only a strong neighbour's q2′ (phase A) moves an edge's p1 before the
+    # edge itself does: the on/off test of the normal edges is final now.
+    normal = on & (np.abs(p1 - p0) < beta) & (bs < 4)
+
+    # B — q1′ of normal edges: clipped to tc0, it needs neither ap nor tc.
+    dq1 = _clip3(-tc0, tc0, (q2 + mid - 2 * q1_in) >> 1)
+    np.copyto(q1, q1_in + dq1, where=normal & aq)
+
+    # C — p1′ p0′ q0′ of normal edges: p2 is the previous edge's final q1′.
     ap = np.abs(p2 - p0) < beta
-    aq = np.abs(q2 - q0) < beta
-    out = s.copy()
+    tc = tc0 + ap + aq
+    delta = _clip3(-tc, tc, ((q0_in - p0) * 4 + (p1 - q1_in) + 4) >> 3)
+    dp1 = _clip3(-tc0, tc0, (p2 + mid - 2 * p1) >> 1)
+    p0n = _clip3(0, 255, p0 + delta)
+    np.copyto(p1, p1 + dp1, where=normal & ap)
+    np.copyto(p0, p0n, where=normal)
+    np.copyto(q0, _clip3(0, 255, q0_in - delta), where=normal)
 
-    # --- normal filter (bS 1..3) ------------------------------------------
-    normal = filt & (bs < 4)
-    if normal.any():
-        tc0 = TC0_TABLE[np.clip(bs, 1, 3) - 1, idx]
-        tc = tc0 + ap.astype(np.int32) + aq.astype(np.int32)
-        delta = _clip3(-tc, tc, ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3)
-        p0n = np.clip(p0 + delta, 0, 255)
-        q0n = np.clip(q0 - delta, 0, 255)
-        dp1 = _clip3(-tc0, tc0, (p2 + ((p0 + q0 + 1) >> 1) - 2 * p1) >> 1)
-        dq1 = _clip3(-tc0, tc0, (q2 + ((p0 + q0 + 1) >> 1) - 2 * q1) >> 1)
-        out[:, 3] = np.where(normal, p0n, out[:, 3])
-        out[:, 4] = np.where(normal, q0n, out[:, 4])
-        out[:, 2] = np.where(normal & ap, p1 + dp1, out[:, 2])
-        out[:, 5] = np.where(normal & aq, q1 + dq1, out[:, 5])
-
-    # --- strong filter (bS 4) ----------------------------------------------
-    strong = filt & (bs == 4)
-    if strong.any():
-        small_gap = np.abs(p0 - q0) < ((alpha >> 2) + 2)
-        sp = strong & small_gap & ap
-        wq = strong & small_gap & aq
-        p0s = (p2 + 2 * p1 + 2 * p0 + 2 * q0 + q1 + 4) >> 3
-        p1s = (p2 + p1 + p0 + q0 + 2) >> 2
-        p2s = (2 * p3 + 3 * p2 + p1 + p0 + q0 + 4) >> 3
-        q0s = (q2 + 2 * q1 + 2 * q0 + 2 * p0 + p1 + 4) >> 3
-        q1s = (q2 + q1 + q0 + p0 + 2) >> 2
-        q2s = (2 * q3 + 3 * q2 + q1 + q0 + p0 + 4) >> 3
-        p0w = (2 * p1 + p0 + q1 + 2) >> 2
-        q0w = (2 * q1 + q0 + p1 + 2) >> 2
-        out[:, 3] = np.where(sp, p0s, np.where(strong, p0w, out[:, 3]))
-        out[:, 2] = np.where(sp, p1s, out[:, 2])
-        out[:, 1] = np.where(sp, p2s, out[:, 1])
-        out[:, 4] = np.where(wq, q0s, np.where(strong, q0w, out[:, 4]))
-        out[:, 5] = np.where(wq, q1s, out[:, 5])
-        out[:, 6] = np.where(wq, q2s, out[:, 6])
-
-    return np.clip(out, 0, 255)
+    if any_strong:
+        # D — p0′ p1′ p2′ of strong edges: p3 p2 are the previous edge's
+        # final q0′ q1′ (and ap, from phase C, already saw that p2).
+        _strong_side(p3, p2, p1, p0, q0_in, q1_in, strong, small_gap & ap, (p0, p1, p2))
 
 
-def _filter_edge_chroma(lines: np.ndarray, bs: np.ndarray, qp: int) -> np.ndarray:
-    """Filter one chroma edge: ``lines`` is ``(n, 4)`` = ``p1 p0 q0 q1``."""
-    idx = int(np.clip(chroma_qp(qp), 0, 51))
-    alpha = int(ALPHA_TABLE[idx])
-    beta = int(BETA_TABLE[idx])
-    s = lines.astype(np.int32)
-    p1, p0, q0, q1 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    filt = (
-        (bs > 0)
-        & (np.abs(p0 - q0) < alpha)
-        & (np.abs(p1 - p0) < beta)
-        & (np.abs(q1 - q0) < beta)
-    )
-    out = s.copy()
-    normal = filt & (bs < 4)
-    if normal.any():
-        tc = TC0_TABLE[np.clip(bs, 1, 3) - 1, idx] + 1
-        delta = _clip3(-tc, tc, ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3)
-        out[:, 1] = np.where(normal, np.clip(p0 + delta, 0, 255), out[:, 1])
-        out[:, 2] = np.where(normal, np.clip(q0 - delta, 0, 255), out[:, 2])
-    strong = filt & (bs == 4)
-    if strong.any():
-        out[:, 1] = np.where(strong, (2 * p1 + p0 + q1 + 2) >> 2, out[:, 1])
-        out[:, 2] = np.where(strong, (2 * q1 + q0 + p1 + 2) >> 2, out[:, 2])
-    return np.clip(out, 0, 255)
+def _filter_plane(
+    plane: np.ndarray, bs_v: np.ndarray, bs_h: np.ndarray, qp: int, chroma: bool
+) -> np.ndarray:
+    """Filter one plane given the luma-grid strengths of its frame."""
+    check_range("qp", qp, 0, 51)
+    if plane.dtype != np.uint8 or plane.ndim != 2:
+        raise ValueError(
+            f"plane must be a 2-D uint8 array, got {plane.dtype} {plane.shape}"
+        )
+    h, w = plane.shape
+    if h % 4 or w % 4:
+        raise ValueError(f"plane {plane.shape} not 4x4-aligned")
+    # One chroma sample spans two luma samples: a chroma 4×4 edge is every
+    # second luma grid line, and one luma block covers 2 chroma samples.
+    per_block = 2 if chroma else 4
+    if (bs_v.shape[0] * per_block, bs_h.shape[1] * per_block) != (h, w):
+        raise ValueError(
+            f"BlockInfo grid {(bs_v.shape[0], bs_h.shape[1])} does not cover "
+            f"{'chroma' if chroma else 'luma'} plane {plane.shape} "
+            f"(expected {(h // per_block, w // per_block)})"
+        )
+    if chroma:
+        bs_v, bs_h = bs_v[:, 1::2], bs_h[1::2]
+        reach, index, filt = 2, chroma_qp(qp), _filter_chroma
+    else:
+        reach, index, filt = 4, qp, _filter_luma
+    alpha, beta = int(ALPHA_TABLE[index]), int(BETA_TABLE[index])
+    tc0 = _TC0_BY_BS[:, index]
+    a = plane.astype(np.int16)
+    offsets = range(-reach, reach)
+    filt([a[:, 4 + j : w - 3 + j : 4] for j in offsets],
+         np.repeat(bs_v, per_block, axis=0), alpha, beta, tc0)
+    filt([a[4 + j : h - 3 + j : 4] for j in offsets],
+         np.repeat(bs_h, per_block, axis=1), alpha, beta, tc0)
+    return a.astype(np.uint8)
 
 
 def deblock_plane(
@@ -223,64 +279,39 @@ def deblock_plane(
     chroma: bool = False,
     skip_luma_rows: frozenset[int] = frozenset(),
 ) -> np.ndarray:
-    """Deblock one plane in place-order: vertical edges, then horizontal.
+    """Deblock one plane: all vertical edges, then all horizontal edges.
 
-    Parameters
-    ----------
-    plane:
-        uint8 luma ``(H, W)`` or chroma ``(H/2, W/2)`` plane.
-    info:
-        Per-4×4-luma-block metadata (chroma reuses the co-located luma bS).
-    qp:
-        Slice QP (chroma QP derived internally when ``chroma``).
-    skip_luma_rows:
-        Luma pixel rows whose horizontal edge is not filtered — the slice
-        boundaries when ``deblock_across_slices`` is off, which is what
-        makes the filter slice-parallel.
-
-    Returns
-    -------
-    Filtered plane (uint8 copy).
+    ``plane`` is a uint8 luma ``(H, W)`` or chroma ``(H/2, W/2)`` plane,
+    4×4-aligned; ``info`` the per-4×4-luma-block metadata on the
+    ``(H/4, W/4)`` grid (chroma reuses the co-located luma bS); ``qp`` the
+    slice QP (chroma QP derived internally when ``chroma``).
+    ``skip_luma_rows`` are luma pixel rows whose horizontal edge is not
+    filtered — the slice boundaries when ``deblock_across_slices`` is off,
+    which is what makes the filter slice-parallel. Returns a uint8 copy.
     """
-    out = plane.astype(np.int32).copy()
-    h, w = out.shape
-    # Chroma: one chroma sample = 2 luma samples; chroma block edges every
-    # 4 chroma px ⇒ every 8 luma px ⇒ every 2nd luma 4×4-grid line, and one
-    # luma grid line spans 2 chroma samples.
-    grid_step = 2 if chroma else 1
-    samples_per_block = 2 if chroma else 4
-    taps = 2 if chroma else 4
+    bs_v, bs_h = boundary_strengths(info, skip_luma_rows)
+    return _filter_plane(plane, bs_v, bs_h, qp, chroma)
 
-    # Vertical edges (filter across columns), left to right.
-    for bx in range(1, w // 4):
-        gx = bx * grid_step
-        mb_edge = (gx % 4) == 0
-        bs = boundary_strength(info, axis=1, edge_idx=gx, mb_edge=mb_edge)
-        # Expand bS from block granularity to sample rows.
-        bs_rows = np.repeat(bs, samples_per_block)[:h]
-        x0 = bx * 4
-        cols = out[:, x0 - taps : x0 + taps]
-        if chroma:
-            filtered = _filter_edge_chroma(cols, bs_rows, qp)
-        else:
-            filtered = _filter_edge_luma(cols, bs_rows, qp)
-        out[:, x0 - taps : x0 + taps] = filtered
 
-    # Horizontal edges (filter across rows), top to bottom.
-    for by in range(1, h // 4):
-        gy = by * grid_step
-        luma_row = by * 4 * (2 if chroma else 1)
-        if luma_row in skip_luma_rows:
-            continue  # slice boundary with cross-slice filtering disabled
-        mb_edge = (gy % 4) == 0
-        bs = boundary_strength(info, axis=0, edge_idx=gy, mb_edge=mb_edge)
-        bs_cols = np.repeat(bs, samples_per_block)[:w]
-        y0 = by * 4
-        rows = out[y0 - taps : y0 + taps, :].T
-        if chroma:
-            filtered = _filter_edge_chroma(rows, bs_cols, qp)
-        else:
-            filtered = _filter_edge_luma(rows, bs_cols, qp)
-        out[y0 - taps : y0 + taps, :] = filtered.T
+def deblock_frame(
+    recon: YuvFrame,
+    mv4: np.ndarray,
+    ref4: np.ndarray,
+    cnz4: np.ndarray,
+    intra4: np.ndarray,
+    qp: int,
+    skip_luma_rows: frozenset[int] = frozenset(),
+) -> YuvFrame:
+    """Apply DBL to all three planes, deriving the bS grids once.
 
-    return out.astype(np.uint8)
+    The one frame-level DBL, for encoder, decoder and both backends.
+    ``skip_luma_rows`` carries the slice boundaries when cross-slice
+    filtering is disabled (see :mod:`repro.codec.slices`).
+    """
+    info = BlockInfo(mv=mv4, ref=ref4, cnz=cnz4, intra=intra4)
+    bs_v, bs_h = boundary_strengths(info, skip_luma_rows)
+    return YuvFrame(
+        _filter_plane(recon.y, bs_v, bs_h, qp, chroma=False),
+        _filter_plane(recon.u, bs_v, bs_h, qp, chroma=True),
+        _filter_plane(recon.v, bs_v, bs_h, qp, chroma=True),
+    )

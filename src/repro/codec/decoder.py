@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.codec.bitstream import BitReader
 from repro.codec.config import MB_SIZE, CodecConfig
-from repro.codec.deblock import BlockInfo, deblock_plane
+from repro.codec.deblock import deblock_frame
 from repro.codec.frames import YuvFrame
 from repro.codec.gop import ReferenceStore
 from repro.codec.interpolation import interpolate_plane
@@ -33,6 +33,7 @@ from repro.codec.syntax import (
     read_frame,
     read_sequence_header,
 )
+from repro.codec.transform import MAX_LEVEL
 
 
 class SequenceDecoder:
@@ -52,6 +53,9 @@ class SequenceDecoder:
         """Decode one frame packet and return the reconstructed frame."""
         r = BitReader(packet)
         is_intra, parsed = read_frame(r, self.cfg)
+        for name in ("luma_levels", "u_ac", "u_dc", "v_ac", "v_dc"):
+            if np.abs(getattr(parsed, name)).max(initial=0) > MAX_LEVEL:
+                raise ValueError(f"{name}: coefficient level outside ±{MAX_LEVEL}")
         self._frames_decoded += 1
         if is_intra:
             assert isinstance(parsed, ParsedIntraFrame)
@@ -141,8 +145,9 @@ class SequenceDecoder:
         intra4 = np.ones((h // 4, w // 4), dtype=bool)
         mv4 = np.zeros((h // 4, w // 4, 2), dtype=np.int32)
         ref4 = np.full((h // 4, w // 4), -1, dtype=np.int32)
-        recon = self._deblock(
-            YuvFrame(recon_y, recon_u, recon_v), mv4, ref4, cnz4, intra4, qp
+        recon = deblock_frame(
+            YuvFrame(recon_y, recon_u, recon_v), mv4, ref4, cnz4, intra4, qp,
+            skip_luma_rows=dbl_skip_luma_rows(cfg),
         )
         self.store.reset(recon)
         return recon
@@ -190,23 +195,9 @@ class SequenceDecoder:
         )
         cnz4 = (p.luma_levels != 0).any(axis=(1, 2)).reshape(h // 4, w // 4)
         intra4 = np.zeros((h // 4, w // 4), dtype=bool)
-        recon = self._deblock(recon, mv4, ref4, cnz4, intra4, qp)
+        recon = deblock_frame(
+            recon, mv4, ref4, cnz4, intra4, qp,
+            skip_luma_rows=dbl_skip_luma_rows(cfg),
+        )
         self.store.push(recon)
         return recon
-
-    def _deblock(
-        self,
-        recon: YuvFrame,
-        mv4: np.ndarray,
-        ref4: np.ndarray,
-        cnz4: np.ndarray,
-        intra4: np.ndarray,
-        qp: int,
-    ) -> YuvFrame:
-        info = BlockInfo(mv=mv4, ref=ref4, cnz=cnz4, intra=intra4)
-        skip = dbl_skip_luma_rows(self.cfg)
-        return YuvFrame(
-            deblock_plane(recon.y, info, qp, chroma=False, skip_luma_rows=skip),
-            deblock_plane(recon.u, info, qp, chroma=True, skip_luma_rows=skip),
-            deblock_plane(recon.v, info, qp, chroma=True, skip_luma_rows=skip),
-        )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.codec.config import CodecConfig
-from repro.codec.deblock import BlockInfo, deblock_plane
+from repro.codec.deblock import deblock_frame
 from repro.codec.frames import YuvFrame
 from repro.codec.gop import ReferenceStore
 from repro.codec.interpolation import interpolate_plane
@@ -65,12 +65,10 @@ def encode_inter_residual_full(
     coder=None,
 ) -> ResidualData:
     """TQ/TQ⁻¹ the inter residual, keeping all syntax elements."""
-    res_y = cur.y.astype(np.int64) - pred.y.astype(np.int64)
-    res_u = cur.u.astype(np.int64) - pred.u.astype(np.int64)
-    res_v = cur.v.astype(np.int64) - pred.v.astype(np.int64)
-    coded_y = code_luma_plane(res_y, qp, intra=False, coder=coder)
-    coded_u = code_chroma_plane(res_u, qp, intra=False, coder=coder)
-    coded_v = code_chroma_plane(res_v, qp, intra=False, coder=coder)
+    # uint8 − uint8 is 9 bits: the residual is formed at TQ's own width.
+    coded_y = code_luma_plane(cur.y.astype(np.int16) - pred.y, qp, False, coder)
+    coded_u = code_chroma_plane(cur.u.astype(np.int16) - pred.u, qp, False, coder)
+    coded_v = code_chroma_plane(cur.v.astype(np.int16) - pred.v, qp, False, coder)
     recon = YuvFrame(
         reconstruct(pred.y, coded_y.recon_residual),
         reconstruct(pred.u, coded_u.recon_residual),
@@ -80,31 +78,6 @@ def encode_inter_residual_full(
     return ResidualData(
         recon=recon, bits=bits, cnz4=coded_y.cnz4,
         luma=coded_y, u=coded_u, v=coded_v,
-    )
-
-
-def deblock_frame(
-    recon: YuvFrame,
-    mv4: np.ndarray,
-    ref4: np.ndarray,
-    cnz4: np.ndarray,
-    intra4: np.ndarray,
-    qp: int,
-    skip_luma_rows: frozenset[int] = frozenset(),
-) -> YuvFrame:
-    """Apply DBL to all three planes (shared with the framework's R* path).
-
-    ``skip_luma_rows`` carries the slice boundaries when cross-slice
-    filtering is disabled (see :mod:`repro.codec.slices`).
-    """
-    info = BlockInfo(mv=mv4, ref=ref4, cnz=cnz4, intra=intra4)
-    return YuvFrame(
-        deblock_plane(recon.y, info, qp, chroma=False,
-                      skip_luma_rows=skip_luma_rows),
-        deblock_plane(recon.u, info, qp, chroma=True,
-                      skip_luma_rows=skip_luma_rows),
-        deblock_plane(recon.v, info, qp, chroma=True,
-                      skip_luma_rows=skip_luma_rows),
     )
 
 

@@ -140,23 +140,28 @@ def _levels_bits(vecs: np.ndarray) -> np.ndarray:
 
     Vectorized equivalent of writing each row with :func:`_write_levels`
     and measuring — rate accounting without materializing a bitstream.
+    The ue index of every syntax element of a row — ``total_coeffs``, then
+    per scan position the zero run before it and its level mapped se → ue,
+    both 0 where the level is 0 — goes through one length pass; what the
+    zero-level positions contributed (one bit each) is taken out again.
     """
     m, n = vecs.shape
     nz = vecs != 0
     total = nz.sum(axis=1)
-    bits = ue_len(total).astype(np.int64)
-    # level bits
-    bits += np.where(nz, se_len(vecs), 0).sum(axis=1)
-    # run bits: gaps between consecutive nonzero scan positions
-    idx = np.arange(n)[None, :]
-    prev_nz = np.where(nz, idx, -10_000)
-    prev_best = np.maximum.accumulate(
-        np.concatenate([np.full((m, 1), -1), prev_nz[:, :-1]], axis=1),
-        axis=1,
-    )
-    runs = np.where(nz, idx - prev_best - 1, 0)
-    bits += np.where(nz, ue_len(np.maximum(runs, 0)), 0).sum(axis=1)
-    return bits
+    idx = np.arange(n)
+    # Scan index of the last non-zero level at or before each position.
+    last = np.maximum.accumulate(np.where(nz, idx, -1), axis=1)
+    k = np.empty((m, 2 * n + 1), dtype=np.int64)
+    k[:, 0] = total
+    runs, levels = k[:, 1 : n + 1], k[:, n + 1 :]
+    runs[:, 0] = 0
+    np.subtract(idx[1:] - 1, last[:, :-1], out=runs[:, 1:])
+    runs *= nz
+    mag = np.abs(vecs)
+    np.subtract(mag + mag, vecs > 0, out=levels)  # se → ue: 2|v| − [v > 0]
+    # ue_len(k) = 2·⌊log2(k + 1)⌋ + 1 = 2e − 1 where k + 1 = f · 2^e, ½ ≤ f < 1.
+    e = np.frexp(k + 1)[1]
+    return 2 * e.sum(axis=1) - (2 * n + 1) - 2 * (n - total)
 
 
 class LiteCoder:

@@ -22,7 +22,7 @@ MF_TABLE = np.array(
         [8192, 3355, 5243],
         [7282, 2893, 4559],
     ],
-    dtype=np.int64,
+    dtype=np.int32,
 )
 
 #: V[qp % 6][pos_class] — dequantization (rescaling) multipliers.
@@ -35,7 +35,7 @@ V_TABLE = np.array(
         [16, 25, 20],
         [18, 29, 23],
     ],
-    dtype=np.int64,
+    dtype=np.int32,
 )
 
 #: Position-class matrix: 0 for (even,even), 1 for (odd,odd), 2 mixed.
@@ -46,7 +46,7 @@ POS_CLASS = np.array(
         [0, 2, 0, 2],
         [2, 1, 2, 1],
     ],
-    dtype=np.int64,
+    dtype=np.intp,
 )
 
 #: Chroma QP for luma QP 30..51 (identity below 30) — Table 8-15 of the spec.

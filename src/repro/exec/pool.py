@@ -28,6 +28,7 @@ import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import shared_memory
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from repro.exec.shm import (
     Layout,
 )
 from repro.util.journal import record as _proto_journal, sanitize_from_env
+
+if TYPE_CHECKING:
+    from multiprocessing.sharedctypes import Synchronized
 
 #: Environment override for the pool start method ("fork"/"spawn"/...).
 START_METHOD_ENV = "REPRO_EXEC_START_METHOD"
@@ -60,11 +64,24 @@ _CFG: CodecConfig | None = None
 _SANITIZE: bool = False
 
 
-def _attach_worker(layout: Layout, cfg: CodecConfig) -> None:
-    """Pool initializer: map every shared slot into this worker."""
+def _attach_worker(
+    layout: Layout, cfg: CodecConfig, slot: Synchronized | None
+) -> None:
+    """Pool initializer: map every shared slot, take a CPU if handed a ``slot``.
+
+    ``slot`` counts the workers that have attached so far; the k-th one
+    pins itself to the k-th CPU this process may run on (see
+    :class:`KernelPool` for when and why).
+    """
     global _CFG, _SANITIZE
     _CFG = cfg
     _SANITIZE = sanitize_from_env()
+    if slot is not None:
+        with slot.get_lock():
+            k = slot.value
+            slot.value = k + 1
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
     for key, (name, shape) in layout.items():
         seg = shared_memory.SharedMemory(name=name)
         _SEGMENTS[key] = seg
@@ -212,6 +229,17 @@ class KernelPool:
     once. The start method comes from ``$REPRO_EXEC_START_METHOD``
     (validated: a typo fails here with a named token, not deep inside
     ``multiprocessing``).
+
+    A pool at least as wide as the machine pins worker k to CPU k (mod the
+    CPUs this process may use). A phase is a burst of a few tens of
+    milliseconds between two sleeps, shorter than the scheduler's balancing
+    interval: workers woken together onto one CPU stay stacked there, every
+    frame, until the pool closes, and the phase runs at half speed — on
+    some runs and not on others (measured on a 2-CPU guest: both workers on
+    one CPU for a whole clip, task CPU time half its wall time, +25–45 ms
+    per CIF frame). One worker per CPU is the only placement such a pool
+    can want, so it takes it; a narrower pool shares the machine with
+    whatever else runs there and leaves placement to the scheduler.
     """
 
     def __init__(self, workers: int, layout: Layout, cfg: CodecConfig) -> None:
@@ -220,11 +248,16 @@ class KernelPool:
         self.workers = workers
         self.start_method = resolve_start_method()
         ctx = multiprocessing.get_context(self.start_method)
+        slot = None
+        if hasattr(os, "sched_setaffinity") and workers >= len(
+            os.sched_getaffinity(0)
+        ):
+            slot = ctx.Value("i", 0)
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=ctx,
             initializer=_attach_worker,
-            initargs=(layout, cfg),
+            initargs=(layout, cfg, slot),
         )
         _proto_journal(self, "create")
 

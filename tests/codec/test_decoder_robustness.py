@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec.bitstream import BitWriter
 from repro.codec.config import CodecConfig
 from repro.codec.decoder import SequenceDecoder
+from repro.codec.encoder import ReferenceEncoder
 from repro.codec.stream import StreamEncoder
+from repro.codec.syntax import write_frame
+from repro.codec.transform import MAX_LEVEL
 from repro.video.generator import moving_objects_sequence
 
 CFG = CodecConfig(width=64, height=48, search_range=4, num_ref_frames=1)
@@ -77,3 +81,29 @@ class TestCorruptInput:
             np.testing.assert_array_equal(stats1.recon.y, rec1.y)
         except RuntimeError:
             pytest.skip("reference window advanced by failed parse")
+
+
+class TestLevelRange:
+    """TQ⁻¹ works in int32: the decoder admits levels within ±MAX_LEVEL only
+    (the coefficient coders themselves carry any 31-bit level)."""
+
+    @staticmethod
+    def packet_with(level: int, field: str) -> tuple[CodecConfig, bytes]:
+        cfg = CodecConfig(width=32, height=32, search_range=4, num_ref_frames=1)
+        clip = moving_objects_sequence(width=32, height=32, count=1, seed=4)
+        syntax = ReferenceEncoder(cfg, keep_syntax=True).encode_frame(clip[0]).syntax
+        getattr(syntax.intra, field).flat[0] = level
+        w = BitWriter()
+        write_frame(w, syntax, cfg=cfg)
+        return cfg, w.to_bytes()
+
+    @pytest.mark.parametrize("field", ["luma_levels", "u_ac", "u_dc", "v_ac", "v_dc"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_level_past_the_bound_is_rejected(self, field, sign):
+        cfg, packet = self.packet_with(sign * (MAX_LEVEL + 1), field)
+        with pytest.raises(ValueError, match=f"{field}: coefficient level outside"):
+            SequenceDecoder(cfg).decode_packet(packet)
+
+    def test_level_at_the_bound_decodes(self):
+        cfg, packet = self.packet_with(-MAX_LEVEL, "luma_levels")
+        assert SequenceDecoder(cfg).decode_packet(packet).y.shape == (32, 32)

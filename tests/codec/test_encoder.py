@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    reference_code_chroma_plane,
+    reference_code_luma_plane,
+    reference_deblock_plane,
+)
 from repro.codec.config import CodecConfig
-from repro.codec.encoder import ReferenceEncoder
+from repro.codec.deblock import BlockInfo
+from repro.codec.encoder import ReferenceEncoder, encode_rstar
+from repro.codec.entropy import get_coder
 from repro.codec.frames import YuvFrame
+from repro.codec.interpolation import interpolate_plane
+from repro.codec.mc import motion_compensate
+from repro.codec.me import motion_estimate_rows
+from repro.codec.sme import subpel_refine_rows
 from repro.video.generator import SyntheticSequence
 
 
@@ -99,3 +110,65 @@ class TestMultiReference:
         assert len(enc.store.frames) == min(
             small_cfg.num_ref_frames, len(small_sequence)
         )
+
+
+class TestRstarMatchesOracleComposition:
+    """``encode_rstar`` on the benchmark suite's two encode configs against
+    MC → int64-einsum TQ pricing every block → per-edge DBL."""
+
+    @pytest.mark.parametrize("search_range, n_refs", [(4, 2), (16, 1)])
+    def test_bits_recon_cnz_and_levels(self, search_range, n_refs):
+        cfg = CodecConfig(
+            width=352, height=288, search_range=search_range, num_ref_frames=n_refs
+        )
+        seq = SyntheticSequence(width=352, height=288, seed=17)
+        # Source frames stand in for reconstructions: R* only needs references.
+        refs = [seq.frame(n_refs - 1 - k) for k in range(n_refs)]  # newest first
+        cur = seq.frame(n_refs)
+        sfs = [interpolate_plane(r.y) for r in refs]
+        chroma = [(r.u, r.v) for r in refs]
+        me = motion_estimate_rows(cur.y, [r.y for r in refs], 0, cfg.mb_rows, cfg)
+        sme = subpel_refine_rows(cur.y, sfs, me, 0, cfg.mb_rows, cfg)
+
+        got = encode_rstar(cur, sme, sfs, chroma, cfg, 1, keep_syntax=True)
+
+        qp, coder = cfg.qp_p, get_coder(cfg.entropy_coder)
+        mc = motion_compensate(cur, sme, sfs, chroma, cfg, qp)
+        planes = {
+            "y": reference_code_luma_plane(
+                cur.y.astype(np.int64) - mc.pred.y.astype(np.int64), qp, False, coder
+            ),
+            **{
+                c: reference_code_chroma_plane(
+                    getattr(cur, c).astype(np.int64)
+                    - getattr(mc.pred, c).astype(np.int64), qp, False, coder,
+                )
+                for c in "uv"
+            },
+        }
+        info = BlockInfo(
+            mv=mc.mv4, ref=mc.ref4, cnz=planes["y"].cnz4,
+            intra=np.zeros_like(planes["y"].cnz4),
+        )
+        assert got.bits == sum(p.bits for p in planes.values()) + mc.header_bits
+        for c in "yuv":
+            pre_dbl = np.clip(
+                getattr(mc.pred, c).astype(np.int64) + planes[c].recon_residual, 0, 255
+            ).astype(np.uint8)
+            np.testing.assert_array_equal(
+                getattr(got.recon, c),
+                reference_deblock_plane(pre_dbl, info, qp, chroma=c != "y"),
+            )
+        syn = got.syntax
+        np.testing.assert_array_equal(
+            (syn.luma_levels != 0).any(axis=(1, 2)).reshape(72, 88), planes["y"].cnz4
+        )
+        for mine, theirs in (
+            (syn.luma_levels, planes["y"].levels),
+            (syn.u_ac, planes["u"].ac_levels), (syn.u_dc, planes["u"].dc_levels),
+            (syn.v_ac, planes["v"].ac_levels), (syn.v_dc, planes["v"].dc_levels),
+        ):
+            np.testing.assert_array_equal(mine, theirs)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        # Not a vacuous frame: blocks are coded and DBL moved samples.
+        assert planes["y"].cnz4.any() and got.bits > mc.header_bits + 9_504

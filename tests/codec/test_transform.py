@@ -1,4 +1,5 @@
-"""TQ/TQ⁻¹: transform algebra and quantization round-trip bounds."""
+"""TQ/TQ⁻¹: transform algebra, quantization round-trip bounds, the int16/int32
+butterflies against the int64 matrix forms, and the widths that makes exact."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import quant_step
-from repro.codec.transform import (
+import repro.codec.transform as transform_module
+from oracles import (
     CF,
+    CI2,
+    quant_step,
+    reference_chroma_dc_dequantize,
+    reference_chroma_dc_quantize,
+    reference_dequantize,
+    reference_forward_transform,
+    reference_hadamard2x2,
+    reference_inverse_transform,
+    reference_quantize,
+)
+from repro.codec.quant import mf_matrix, v_matrix
+from repro.codec.transform import (
+    MAX_LEVEL,
     blocks_to_plane,
     chroma_dc_dequantize,
     chroma_dc_quantize,
@@ -29,6 +43,7 @@ def tq(blocks, qp, intra=False):
 def itq(levels, qp):
     """TQ⁻¹: dequantization + inverse transform back to residuals."""
     return inverse_transform(dequantize(levels, qp))
+
 
 resid = st.integers(min_value=-255, max_value=255)
 
@@ -71,6 +86,24 @@ class TestCoreTransform:
         for k in range(3):
             np.testing.assert_array_equal(w[k], CF @ x[k] @ CF.T)
 
+    def test_a_plane_is_its_own_block_stack(self, rng):
+        """Plane layout: coefficient (i, j) of block (r, c) at (4r+i, 4c+j);
+        leading axes stack planes, so ``(n, 4, 4)`` is n one-block planes."""
+        plane = rng.integers(-255, 256, (12, 20)).astype(np.int16)
+        w = forward_transform(plane)
+        np.testing.assert_array_equal(
+            plane_to_blocks(w), forward_transform(plane_to_blocks(plane))
+        )
+        for qp in (0, 27, 51):
+            z = quantize(w, qp, True)
+            np.testing.assert_array_equal(
+                plane_to_blocks(z), quantize(plane_to_blocks(w), qp, True)
+            )
+            np.testing.assert_array_equal(
+                plane_to_blocks(inverse_transform(dequantize(z, qp))),
+                itq(plane_to_blocks(z), qp),
+            )
+
     def test_inverse_without_quant_recovers_input(self, rng):
         """IT(T(x)) with no quantization must reproduce x exactly.
 
@@ -82,6 +115,36 @@ class TestCoreTransform:
         x = rng.integers(-255, 255, (8, 4, 4)).astype(np.int64)
         recon = itq(tq(x, qp=0), qp=0)
         assert np.abs(recon - x).max() <= 1
+
+    def test_dtypes_are_the_stated_widths(self, rng):
+        x = rng.integers(-255, 256, (8, 12))
+        w = forward_transform(x)
+        z = quantize(w, 20, False)
+        assert (w.dtype, z.dtype) == (np.int16, np.int32)
+        assert dequantize(z, 20).dtype == np.int32
+        assert inverse_transform(dequantize(z, 20)).dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "residual, match",
+        [
+            (np.full((16, 16), 40000), "outside ±255"),
+            (np.full((4, 4), -256, dtype=np.int16), "outside ±255"),
+            (np.full((4, 4), 256, dtype=np.uint16), "outside ±255"),
+            (np.zeros((4, 4), dtype=np.float64), "integer array, got float64"),
+            (np.zeros((6, 8), dtype=np.int64), "not 4x4-aligned"),
+            (np.zeros((2, 4, 6), dtype=np.int64), "not 4x4-aligned"),
+            (np.zeros(16, dtype=np.int64), "not 4x4-aligned"),
+        ],
+    )
+    def test_rejects_what_int16_would_wrap(self, residual, match):
+        """The int64 einsum took all of these (recon 40 000 for the first)."""
+        with pytest.raises(ValueError, match=match):
+            forward_transform(residual)
+
+    def test_full_range_residual_accepted_at_any_integer_width(self):
+        for dtype in (np.int16, np.int32, np.int64):
+            x = np.array([[255, -255] * 2] * 4, dtype=dtype)
+            assert forward_transform(x).dtype == np.int16
 
 
 class TestQuantization:
@@ -113,8 +176,8 @@ class TestQuantization:
         w = forward_transform(x)
         intra = np.abs(quantize(w, 28, intra=True)).sum()
         inter = np.abs(quantize(w, 28, intra=False)).sum()
-        assert intra >= inter  # larger f rounds more magnitudes up? no: f widens
         # The intra offset (2^qbits/3) is *larger*, so it rounds up more often.
+        assert intra >= inter
 
     def test_quantize_sign_symmetry(self, rng):
         x = rng.integers(-200, 200, (4, 4, 4)).astype(np.int64)
@@ -132,7 +195,7 @@ class TestQuantization:
         with pytest.raises(ValueError):
             tq(x, qp=52)
         with pytest.raises(ValueError):
-            inverse_transform(dequantize(x.astype(np.int32), -1))
+            itq(x.astype(np.int32), -1)
 
 
 class TestChromaDC:
@@ -157,3 +220,147 @@ class TestChromaDC:
         recon = chroma_dc_dequantize(hadamard2x2(z), qp)
         bound = 4 * (32 * quant_step(qp) + 32)
         assert np.abs(recon - 4 * dc).max() <= bound
+
+
+# --- The butterflies against the matrix forms they replaced ----------------
+
+
+def check_tq_matches_reference(x: np.ndarray, qp: int, intra: bool) -> None:
+    """Every stage of TQ → TQ⁻¹ on an ``(n, 4, 4)`` stack, value for value."""
+    w = forward_transform(x)
+    np.testing.assert_array_equal(w, reference_forward_transform(x))
+    z = quantize(w, qp, intra)
+    np.testing.assert_array_equal(z, reference_quantize(w.astype(np.int64), qp, intra))
+    d = dequantize(z, qp)
+    np.testing.assert_array_equal(d, reference_dequantize(z, qp))
+    np.testing.assert_array_equal(inverse_transform(d), reference_inverse_transform(d))
+
+
+def check_dc_matches_reference(dc: np.ndarray, qp: int, intra: bool) -> None:
+    """The chroma-DC side path on ``(n, 2, 2)`` int16 groups of block DCs."""
+    t = hadamard2x2(dc)
+    np.testing.assert_array_equal(t, reference_hadamard2x2(dc))
+    z = chroma_dc_quantize(t, qp, intra)
+    np.testing.assert_array_equal(
+        z, reference_chroma_dc_quantize(t.astype(np.int64), qp, intra)
+    )
+    np.testing.assert_array_equal(
+        chroma_dc_dequantize(hadamard2x2(z), qp),
+        reference_chroma_dc_dequantize(reference_hadamard2x2(z), qp),
+    )
+
+
+#: The 32 residual blocks ±255 · sign(Cf[i]) ⊗ sign(Cf[j]): each drives one
+#: coefficient to its largest possible magnitude.
+WORST_BLOCKS = np.array(
+    [s * 255 * np.outer(np.sign(CF[i]), np.sign(CF[j]))
+     for i in range(4) for j in range(4) for s in (1, -1)]
+)
+
+
+class TestMatchesReferenceKernel:
+    @given(arrays(np.int64, (6, 4, 4), elements=resid),
+           st.integers(0, 51), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_tq_identical_to_reference(self, x, qp, intra):
+        check_tq_matches_reference(x, qp, intra)
+
+    @given(arrays(np.int16, (5, 2, 2), elements=st.integers(-4080, 4080)),
+           st.integers(0, 51), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_chroma_dc_identical_to_reference(self, dc, qp, intra):
+        check_dc_matches_reference(dc, qp, intra)
+
+    def test_narrow_quantiser_mutant_is_killed(self, mutant):
+        """The quantiser multiply left in int16 must not survive the pins."""
+        wide = ".astype(np.int32)"
+
+        def edit(source: str) -> str:
+            assert source.count(wide) == 1
+            return source.replace(wide, ".astype(np.int16)")
+
+        mutant(transform_module, "_quantize", edit)
+        with pytest.raises(AssertionError):
+            check_tq_matches_reference(WORST_BLOCKS, 0, False)
+        with pytest.raises(AssertionError):
+            check_dc_matches_reference(np.full((1, 2, 2), 4080, np.int16), 0, False)
+
+
+class TestWidths:
+    """Worst cases of every stage, exhaustively over QP, intra and inter.
+
+    The maxima are derived from the tables with Python integers (no
+    sampling), so "fits" is a proof, not an observation.
+    """
+
+    #: max |W[i, j]| = 255 · Σ|Cf[i]| · Σ|Cf[j]|.
+    MAX_W = 255 * np.outer(np.abs(CF).sum(axis=1), np.abs(CF).sum(axis=1)).astype(object)
+    #: Growth of the inverse butterflies: out = |Ci2|ᵀ · in · |Ci2| at most.
+    ABS_CI2 = np.abs(CI2).astype(object)
+
+    def inverse_peak(self, deq: np.ndarray) -> int:
+        return int((self.ABS_CI2.T @ deq @ self.ABS_CI2).max()) + 128
+
+    def test_forward_side_fits_int16(self):
+        w = forward_transform(WORST_BLOCKS)
+        assert np.abs(w).max(axis=0).tolist() == self.MAX_W.tolist()
+        assert self.MAX_W.max() == 9_180 < 2**15
+        # Chroma DC: the Hadamard of four block DCs of ±16 · 255.
+        dc = hadamard2x2(np.full((1, 2, 2), 4_080, dtype=np.int16))
+        assert dc.dtype == np.int16 and dc.max() == 16_320 < 2**15
+
+    def test_worst_case_blocks_match_the_reference_at_every_qp(self):
+        for qp in range(52):
+            for intra in (False, True):
+                check_tq_matches_reference(WORST_BLOCKS, qp, intra)
+                check_dc_matches_reference(
+                    np.array([[[4080, 4080], [4080, 4080]],
+                              [[4080, -4080], [-4080, 4080]]], dtype=np.int16),
+                    qp, intra,
+                )
+
+    def test_quantiser_and_inverse_fit_int32(self):
+        peak = dict(product=0, level=0, dc_product=0, dc_level=0, rescaled=0, inverse=0)
+        for qp in range(52):
+            mf, v = mf_matrix(qp).astype(object), v_matrix(qp).astype(object)
+            for intra in (False, True):
+                qbits = 15 + qp // 6
+                f = (1 << qbits) // (3 if intra else 6)
+                product = self.MAX_W * mf + f
+                level = product >> qbits
+                deq = (level * v) << (qp // 6)
+                f_dc = (1 << (qbits + 1)) // (3 if intra else 6)
+                dc_product = 4 * self.MAX_W[0, 0] * mf[0, 0] + f_dc
+                dc_level = dc_product >> (qbits + 1)
+                # Decoder side: Hadamard of four DC levels, rescaled, placed
+                # at (0, 0) of the block's rescaled AC coefficients.
+                deq_c = deq.copy()
+                deq_c[0, 0] = (4 * dc_level * v[0, 0] << (qp // 6)) >> 1
+                for key, value in (
+                    ("product", product.max()), ("level", level.max()),
+                    ("dc_product", dc_product), ("dc_level", dc_level),
+                    ("rescaled", max(deq.max(), deq_c.max())),
+                    ("inverse", max(self.inverse_peak(deq), self.inverse_peak(deq_c))),
+                ):
+                    peak[key] = max(peak[key], int(value))
+        assert peak == dict(
+            product=56_272_762, level=1_632, dc_product=219_498_645,
+            dc_level=3_264, rescaled=66_560, inverse=1_151_104,
+        )
+        assert max(peak.values()) < 2**31
+        assert max(peak["level"], peak["dc_level"]) <= MAX_LEVEL
+
+    def test_any_level_the_decoder_admits_stays_inside_int32(self):
+        """±MAX_LEVEL everywhere, which no encoder emits, at every QP."""
+        for qp in range(52):
+            v = v_matrix(qp).astype(object)
+            deq = (MAX_LEVEL * v) << (qp // 6)
+            deq_c = deq.copy()
+            deq_c[0, 0] = (4 * MAX_LEVEL * v[0, 0] << (qp // 6)) >> 1
+            assert max(self.inverse_peak(deq), self.inverse_peak(deq_c)) < 2**31
+        levels = np.full((4, 4), MAX_LEVEL, dtype=np.int32)
+        levels[1::2] *= -1
+        np.testing.assert_array_equal(
+            inverse_transform(dequantize(levels, 51)),
+            reference_inverse_transform(reference_dequantize(levels[None], 51))[0],
+        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,21 @@ def random_frame(rng: np.random.Generator, width: int, height: int) -> YuvFrame:
         u=rng.integers(0, 256, (height // 2, width // 2), dtype=np.uint8),
         v=rng.integers(0, 256, (height // 2, width // 2), dtype=np.uint8),
     )
+
+
+@pytest.fixture
+def mutant(monkeypatch):
+    """Install a seeded mutant: ``mutant(module, name, edit)`` swaps
+    ``module.name`` for the function its source defines after ``edit``
+    (``str -> str``, which asserts that what it edits is still there), so a
+    kernel needs no seam for the test that shows its property kills one."""
+
+    def install(module, name: str, edit) -> None:
+        source = inspect.getsource(getattr(module, name))
+        mutated = edit(source)
+        assert mutated != source
+        namespace: dict = {}
+        exec(mutated, vars(module), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return install

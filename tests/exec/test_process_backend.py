@@ -11,6 +11,8 @@ signal instead of simulated times.
 from __future__ import annotations
 
 import glob
+import os
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.codec.encoder import ReferenceEncoder
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.exec.backend import ProcessBackend, split_band, worker_group_sizes
+from repro.exec.pool import KernelPool
 from repro.exec.shm import SharedFrameStore, slot_specs
 from repro.hw.noise import FaultEvent, FaultSchedule
 from repro.hw.presets import get_platform
@@ -246,6 +249,55 @@ class TestLifecycle:
                 frame_index=1, decision=None, rstar_device="GPU_H",
                 plan=None, active_refs=1, perf=None, ctx=None,
             )
+
+
+# ---------------------------------------------------------------------------
+# worker placement: a pool as wide as the machine takes one CPU per worker
+
+
+def _where() -> tuple[int, frozenset[int]]:
+    """Runs in a worker; sleeps so that one worker cannot serve every probe."""
+    time.sleep(0.05)
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
+)
+class TestWorkerPlacement:
+    @pytest.fixture
+    def two_cpus(self):
+        """Confine the test to two CPUs, so the pool sizes below mean the
+        same on every host."""
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip("needs two CPUs")
+        pair = sorted(allowed)[:2]
+        os.sched_setaffinity(0, pair)
+        try:
+            yield pair
+        finally:
+            os.sched_setaffinity(0, allowed)
+
+    @staticmethod
+    def placement(workers: int) -> dict[int, frozenset[int]]:
+        with SharedFrameStore(CFG) as store, KernelPool(
+            workers, store.layout(), CFG
+        ) as pool:
+            futs = [pool._executor().submit(_where) for _ in range(4 * workers)]
+            return dict(f.result() for f in futs)
+
+    def test_full_width_pool_gives_each_worker_its_own_cpu(self, two_cpus):
+        placed = self.placement(2)
+        assert sorted(map(sorted, placed.values())) == [[c] for c in two_cpus]
+
+    def test_wider_pool_wraps_around(self, two_cpus):
+        placed = self.placement(3)
+        assert all(len(cpus) == 1 for cpus in placed.values())
+        assert {c for cpus in placed.values() for c in cpus} == set(two_cpus)
+
+    def test_narrower_pool_is_left_to_the_scheduler(self, two_cpus):
+        assert set(self.placement(1).values()) == {frozenset(two_cpus)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,18 @@ for bit:
   per-pixel fancy-index gathers from the SF, a boolean reference mask per
   candidate, int32 SADs reduced to int64 and a strict ``<`` masked update
   of the running best — the kernel :func:`subpel_refine_rows` replaced;
+- :func:`reference_deblock_plane` — DBL one edge at a time, left→right
+  then top→bottom, each edge a ``boundary_strength`` call and a
+  ``_filter_edge_luma`` / ``_filter_edge_chroma`` call on int32 lines that
+  read what the previous edge wrote — the kernel the whole-plane phases of
+  :func:`repro.codec.deblock.deblock_plane` replaced;
+- :func:`reference_forward_transform` / :func:`reference_inverse_transform`
+  / :func:`reference_hadamard2x2` and the ``reference_*`` quantisers — TQ
+  and TQ⁻¹ as int64 matrix products (three-operand ``einsum``) over
+  ``(n, 4, 4)`` stacks, with :func:`reference_code_luma_plane` /
+  :func:`reference_code_chroma_plane` pricing *every* block — what the
+  int16/int32 butterflies of :mod:`repro.codec.transform` and the
+  coded-blocks-only rate of :mod:`repro.codec.residual` replaced;
 - :func:`quant_step` — the nominal Qstep(QP) that TQ→TQ⁻¹ round-trip
   error is bounded by;
 - :func:`sad` — plain int32 SAD of two blocks, the reference the cell-SAD
@@ -45,14 +57,20 @@ from scipy.optimize import linprog
 
 from repro.codec.bitstream import BitWriter
 from repro.codec.config import MB_SIZE, CodecConfig
+from repro.codec.deblock import ALPHA_TABLE, BETA_TABLE, TC0_TABLE, BlockInfo
+from repro.codec.entropy import get_coder
 from repro.codec.frames import pad_plane
 from repro.codec.me import MotionField
 from repro.codec.partitions import all_modes, get_mode
+from repro.codec.quant import chroma_qp, mf_matrix, v_matrix
+from repro.codec.residual import CodedChromaPlane, CodedPlane
 from repro.codec.satd import block_metric
 from repro.codec.sme import SubpelField
+from repro.codec.transform import blocks_to_plane, plane_to_blocks
 from repro.core.framework import FevesFramework
 from repro.core.load_balancing import LPSolveCache
 from repro.hw.des import Op, OpRecord, Simulator
+from repro.util.validation import check_range
 
 
 def reference_run(sim: Simulator) -> list[OpRecord]:
@@ -494,3 +512,389 @@ def validate_schedule(records: list[OpRecord]) -> None:
                 f"overlap on {name}: {a.label}[{a.start:.6f},{a.end:.6f}] vs "
                 f"{b.label}[{b.start:.6f},{b.end:.6f}]"
             )
+
+
+# --- DBL: the per-edge kernel of PRs ≤ 18, verbatim ---------------------------
+
+
+def boundary_strength(
+    info: BlockInfo, axis: int, edge_idx: int, mb_edge: bool
+) -> np.ndarray:
+    """bS along one edge of the 4×4-block grid.
+
+    Parameters
+    ----------
+    axis:
+        0 for a horizontal edge (between block rows), 1 for vertical.
+    edge_idx:
+        Index of the *q*-side block row/column (edge lies between
+        ``edge_idx - 1`` and ``edge_idx``).
+    mb_edge:
+        Whether this edge coincides with a macroblock boundary (affects the
+        intra bS: 4 at MB edges, 3 inside).
+
+    Returns
+    -------
+    int32 array of bS values along the edge (length = perpendicular size).
+    """
+    if axis == 0:
+        p = (slice(edge_idx - 1, edge_idx), slice(None))
+        q = (slice(edge_idx, edge_idx + 1), slice(None))
+        squeeze = 0
+    else:
+        p = (slice(None), slice(edge_idx - 1, edge_idx))
+        q = (slice(None), slice(edge_idx, edge_idx + 1))
+        squeeze = 1
+    intra_pq = info.intra[p] | info.intra[q]
+    cnz_pq = info.cnz[p] | info.cnz[q]
+    ref_diff = info.ref[p] != info.ref[q]
+    mv_diff = (np.abs(info.mv[p] - info.mv[q]) >= 4).any(axis=-1)
+    bs = np.zeros_like(intra_pq, dtype=np.int32)
+    bs[ref_diff | mv_diff] = 1
+    bs[cnz_pq] = 2
+    bs[intra_pq] = 4 if mb_edge else 3
+    return np.squeeze(bs, axis=squeeze)
+
+
+def _clip3(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _filter_edge_luma(
+    lines: np.ndarray, bs: np.ndarray, qp: int
+) -> np.ndarray:
+    """Filter one luma edge.
+
+    ``lines`` has shape ``(n, 8)`` — for each of the *n* positions along the
+    edge, samples ``p3 p2 p1 p0 q0 q1 q2 q3`` perpendicular to it. Returns
+    the filtered lines (same shape). ``bs`` has shape ``(n,)``.
+    """
+    check_range("qp", qp, 0, 51)
+    idx = int(np.clip(qp, 0, 51))
+    alpha = int(ALPHA_TABLE[idx])
+    beta = int(BETA_TABLE[idx])
+    s = lines.astype(np.int32)
+    p3, p2, p1, p0 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    q0, q1, q2, q3 = s[:, 4], s[:, 5], s[:, 6], s[:, 7]
+
+    filt = (
+        (bs > 0)
+        & (np.abs(p0 - q0) < alpha)
+        & (np.abs(p1 - p0) < beta)
+        & (np.abs(q1 - q0) < beta)
+    )
+    ap = np.abs(p2 - p0) < beta
+    aq = np.abs(q2 - q0) < beta
+    out = s.copy()
+
+    # --- normal filter (bS 1..3) ------------------------------------------
+    normal = filt & (bs < 4)
+    if normal.any():
+        tc0 = TC0_TABLE[np.clip(bs, 1, 3) - 1, idx]
+        tc = tc0 + ap.astype(np.int32) + aq.astype(np.int32)
+        delta = _clip3(-tc, tc, ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3)
+        p0n = np.clip(p0 + delta, 0, 255)
+        q0n = np.clip(q0 - delta, 0, 255)
+        dp1 = _clip3(-tc0, tc0, (p2 + ((p0 + q0 + 1) >> 1) - 2 * p1) >> 1)
+        dq1 = _clip3(-tc0, tc0, (q2 + ((p0 + q0 + 1) >> 1) - 2 * q1) >> 1)
+        out[:, 3] = np.where(normal, p0n, out[:, 3])
+        out[:, 4] = np.where(normal, q0n, out[:, 4])
+        out[:, 2] = np.where(normal & ap, p1 + dp1, out[:, 2])
+        out[:, 5] = np.where(normal & aq, q1 + dq1, out[:, 5])
+
+    # --- strong filter (bS 4) ----------------------------------------------
+    strong = filt & (bs == 4)
+    if strong.any():
+        small_gap = np.abs(p0 - q0) < ((alpha >> 2) + 2)
+        sp = strong & small_gap & ap
+        wq = strong & small_gap & aq
+        p0s = (p2 + 2 * p1 + 2 * p0 + 2 * q0 + q1 + 4) >> 3
+        p1s = (p2 + p1 + p0 + q0 + 2) >> 2
+        p2s = (2 * p3 + 3 * p2 + p1 + p0 + q0 + 4) >> 3
+        q0s = (q2 + 2 * q1 + 2 * q0 + 2 * p0 + p1 + 4) >> 3
+        q1s = (q2 + q1 + q0 + p0 + 2) >> 2
+        q2s = (2 * q3 + 3 * q2 + q1 + q0 + p0 + 4) >> 3
+        p0w = (2 * p1 + p0 + q1 + 2) >> 2
+        q0w = (2 * q1 + q0 + p1 + 2) >> 2
+        out[:, 3] = np.where(sp, p0s, np.where(strong, p0w, out[:, 3]))
+        out[:, 2] = np.where(sp, p1s, out[:, 2])
+        out[:, 1] = np.where(sp, p2s, out[:, 1])
+        out[:, 4] = np.where(wq, q0s, np.where(strong, q0w, out[:, 4]))
+        out[:, 5] = np.where(wq, q1s, out[:, 5])
+        out[:, 6] = np.where(wq, q2s, out[:, 6])
+
+    return np.clip(out, 0, 255)
+
+
+def _filter_edge_chroma(lines: np.ndarray, bs: np.ndarray, qp: int) -> np.ndarray:
+    """Filter one chroma edge: ``lines`` is ``(n, 4)`` = ``p1 p0 q0 q1``."""
+    idx = int(np.clip(chroma_qp(qp), 0, 51))
+    alpha = int(ALPHA_TABLE[idx])
+    beta = int(BETA_TABLE[idx])
+    s = lines.astype(np.int32)
+    p1, p0, q0, q1 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    filt = (
+        (bs > 0)
+        & (np.abs(p0 - q0) < alpha)
+        & (np.abs(p1 - p0) < beta)
+        & (np.abs(q1 - q0) < beta)
+    )
+    out = s.copy()
+    normal = filt & (bs < 4)
+    if normal.any():
+        tc = TC0_TABLE[np.clip(bs, 1, 3) - 1, idx] + 1
+        delta = _clip3(-tc, tc, ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3)
+        out[:, 1] = np.where(normal, np.clip(p0 + delta, 0, 255), out[:, 1])
+        out[:, 2] = np.where(normal, np.clip(q0 - delta, 0, 255), out[:, 2])
+    strong = filt & (bs == 4)
+    if strong.any():
+        out[:, 1] = np.where(strong, (2 * p1 + p0 + q1 + 2) >> 2, out[:, 1])
+        out[:, 2] = np.where(strong, (2 * q1 + q0 + p1 + 2) >> 2, out[:, 2])
+    return np.clip(out, 0, 255)
+
+
+def reference_deblock_plane(
+    plane: np.ndarray,
+    info: BlockInfo,
+    qp: int,
+    chroma: bool = False,
+    skip_luma_rows: frozenset[int] = frozenset(),
+) -> np.ndarray:
+    """The per-edge DBL kernel :func:`repro.codec.deblock.deblock_plane` replaced.
+
+    Deblock one plane in place-order: vertical edges, then horizontal —
+    one ``boundary_strength`` and one ``_filter_edge_*`` call per edge, each
+    edge reading what the previous one wrote.
+
+    Parameters
+    ----------
+    plane:
+        uint8 luma ``(H, W)`` or chroma ``(H/2, W/2)`` plane.
+    info:
+        Per-4×4-luma-block metadata (chroma reuses the co-located luma bS).
+    qp:
+        Slice QP (chroma QP derived internally when ``chroma``).
+    skip_luma_rows:
+        Luma pixel rows whose horizontal edge is not filtered — the slice
+        boundaries when ``deblock_across_slices`` is off, which is what
+        makes the filter slice-parallel.
+
+    Returns
+    -------
+    Filtered plane (uint8 copy).
+    """
+    out = plane.astype(np.int32).copy()
+    h, w = out.shape
+    # Chroma: one chroma sample = 2 luma samples; chroma block edges every
+    # 4 chroma px ⇒ every 8 luma px ⇒ every 2nd luma 4×4-grid line, and one
+    # luma grid line spans 2 chroma samples.
+    grid_step = 2 if chroma else 1
+    samples_per_block = 2 if chroma else 4
+    taps = 2 if chroma else 4
+
+    # Vertical edges (filter across columns), left to right.
+    for bx in range(1, w // 4):
+        gx = bx * grid_step
+        mb_edge = (gx % 4) == 0
+        bs = boundary_strength(info, axis=1, edge_idx=gx, mb_edge=mb_edge)
+        # Expand bS from block granularity to sample rows.
+        bs_rows = np.repeat(bs, samples_per_block)[:h]
+        x0 = bx * 4
+        cols = out[:, x0 - taps : x0 + taps]
+        if chroma:
+            filtered = _filter_edge_chroma(cols, bs_rows, qp)
+        else:
+            filtered = _filter_edge_luma(cols, bs_rows, qp)
+        out[:, x0 - taps : x0 + taps] = filtered
+
+    # Horizontal edges (filter across rows), top to bottom.
+    for by in range(1, h // 4):
+        gy = by * grid_step
+        luma_row = by * 4 * (2 if chroma else 1)
+        if luma_row in skip_luma_rows:
+            continue  # slice boundary with cross-slice filtering disabled
+        mb_edge = (gy % 4) == 0
+        bs = boundary_strength(info, axis=0, edge_idx=gy, mb_edge=mb_edge)
+        bs_cols = np.repeat(bs, samples_per_block)[:w]
+        y0 = by * 4
+        rows = out[y0 - taps : y0 + taps, :].T
+        if chroma:
+            filtered = _filter_edge_chroma(rows, bs_cols, qp)
+        else:
+            filtered = _filter_edge_luma(rows, bs_cols, qp)
+        out[y0 - taps : y0 + taps, :] = filtered.T
+
+    return out.astype(np.uint8)
+
+
+# --- TQ/TQ⁻¹: the int64 matrix (einsum) forms of PRs ≤ 18, verbatim -------------
+
+#: Forward core-transform matrix.
+CF = np.array(
+    [[1, 1, 1, 1], [2, 1, -1, -2], [1, -1, -1, 1], [1, -2, 2, -1]],
+    dtype=np.int64,
+)
+
+#: Inverse core-transform matrix scaled by 2 (so it stays integral);
+#: the inverse pass compensates with an extra >>1 folded into the >>6.
+CI2 = np.array(
+    [[2, 2, 2, 2], [2, 1, -1, -2], [2, -2, -2, 2], [1, -2, 2, -1]],
+    dtype=np.int64,
+)
+
+
+def reference_forward_transform(blocks: np.ndarray) -> np.ndarray:
+    """Core transform of ``(n, 4, 4)`` residual blocks (int64 coefficients)."""
+    x = blocks.astype(np.int64)
+    return np.einsum("ij,njk,lk->nil", CF, x, CF)
+
+
+def reference_inverse_transform(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse core transform with standard rounding: ``(·// + 32) >> 6``.
+
+    Uses the doubled inverse matrix ``CI2`` (integral ½ factors), which
+    contributes a factor 4 compensated by shifting 8 instead of 6.
+    """
+    w = coeffs.astype(np.int64)
+    y = np.einsum("ji,njk,kl->nil", CI2, w, CI2)
+    return ((y + 128) >> 8).astype(np.int64)
+
+
+def reference_hadamard2x2(dc: np.ndarray) -> np.ndarray:
+    """2×2 Hadamard used for chroma DC (its own inverse up to scale 4)."""
+    h = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    return np.einsum("ij,njk,kl->nil", h, dc.astype(np.int64), h)
+
+
+def reference_quantize(coeffs: np.ndarray, qp: int, intra: bool) -> np.ndarray:
+    """Quantize transformed coefficients.
+
+    ``f`` is the standard dead-zone offset: ``2**qbits / 3`` for intra and
+    ``2**qbits / 6`` for inter blocks.
+    """
+    check_range("qp", qp, 0, 51)
+    qbits = 15 + qp // 6
+    f = (1 << qbits) // (3 if intra else 6)
+    mf = mf_matrix(qp)
+    mag = (np.abs(coeffs) * mf + f) >> qbits
+    return (np.sign(coeffs) * mag).astype(np.int32)
+
+
+def reference_dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
+    """Rescale quantized levels back to coefficient magnitude."""
+    check_range("qp", qp, 0, 51)
+    v = v_matrix(qp)
+    return (levels.astype(np.int64) * v) << (qp // 6)
+
+
+def reference_chroma_dc_quantize(dc: np.ndarray, qp: int, intra: bool) -> np.ndarray:
+    """Quantize Hadamard-transformed 2×2 chroma DC values."""
+    check_range("qp", qp, 0, 51)
+    qbits = 15 + qp // 6 + 1
+    f = (1 << qbits) // (3 if intra else 6)
+    mf00 = mf_matrix(qp)[0, 0]
+    mag = (np.abs(dc) * mf00 + f) >> qbits
+    return (np.sign(dc) * mag).astype(np.int32)
+
+
+def reference_chroma_dc_dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
+    """Rescale inverse-Hadamard'd chroma-DC levels.
+
+    Returns values at the *dequantized-coefficient* scale expected by
+    :func:`reference_inverse_transform` (4× the forward-transform output, like
+    :func:`reference_dequantize` for AC coefficients) — insert the result at the
+    (0,0) position of the dequantized block before the inverse transform.
+    """
+    check_range("qp", qp, 0, 51)
+    v00 = v_matrix(qp)[0, 0]
+    return (levels.astype(np.int64) * v00 * (1 << (qp // 6))) >> 1
+
+
+def reference_decode_luma_levels(
+    levels: np.ndarray, height: int, width: int, qp: int
+) -> np.ndarray:
+    """Decoder-side TQ⁻¹ of a luma plane's level blocks (raster order)."""
+    recon_blocks = reference_inverse_transform(reference_dequantize(levels, qp))
+    return blocks_to_plane(recon_blocks, height, width).astype(np.int32)
+
+
+def reference_code_luma_plane(
+    residual: np.ndarray, qp: int, intra: bool, coder=None
+) -> CodedPlane:
+    """TQ + TQ⁻¹ + rate accounting for a luma residual plane.
+
+    ``coder`` is the coefficient coder that prices the levels (see
+    :func:`repro.codec.entropy.get_coder`); ``None`` means CAVLC-lite.
+    """
+    coder = coder or get_coder("lite")
+    h, w = residual.shape
+    blocks = plane_to_blocks(residual.astype(np.int64))
+    coeffs = reference_forward_transform(blocks)
+    levels = reference_quantize(coeffs, qp, intra)
+    recon = reference_decode_luma_levels(levels, h, w, qp)
+    bits = int(coder.block_bits(levels).sum())
+    cnz4 = (levels != 0).any(axis=(1, 2)).reshape(h // 4, w // 4)
+    return CodedPlane(recon_residual=recon, bits=bits, cnz4=cnz4, levels=levels)
+
+
+def reference_decode_chroma_levels(
+    ac_levels: np.ndarray,
+    dc_levels: np.ndarray,
+    height: int,
+    width: int,
+    luma_qp: int,
+) -> np.ndarray:
+    """Decoder-side TQ⁻¹ of a chroma plane (AC blocks + 2×2 DC Hadamard).
+
+    ``ac_levels`` are ``(n, 4, 4)`` blocks in raster order with zero DC;
+    ``dc_levels`` are ``(n_mb, 2, 2)`` per-MB quantized DC groups.
+    """
+    qp = chroma_qp(luma_qp)
+    by, bx = height // 4, width // 4
+    deq = reference_dequantize(ac_levels, qp)
+    dc_recon = reference_chroma_dc_dequantize(reference_hadamard2x2(dc_levels), qp)
+    dc_back = (
+        dc_recon.reshape(by // 2, bx // 2, 2, 2).transpose(0, 2, 1, 3).reshape(by, bx)
+    )
+    deq[:, 0, 0] = dc_back.reshape(-1)
+    recon_blocks = reference_inverse_transform(deq)
+    return blocks_to_plane(recon_blocks, height, width).astype(np.int32)
+
+
+def reference_code_chroma_plane(
+    residual: np.ndarray, luma_qp: int, intra: bool, coder=None
+) -> CodedChromaPlane:
+    """TQ + TQ⁻¹ for a chroma residual plane with the 2×2 DC Hadamard pass.
+
+    ``residual`` is the full chroma plane ``(H/2, W/2)``; one MB contributes
+    an 8×8 region, i.e. a 2×2 group of 4×4 blocks whose DC coefficients go
+    through the Hadamard/quant side path.
+    """
+    coder = coder or get_coder("lite")
+    qp = chroma_qp(luma_qp)
+    h, w = residual.shape
+    if h % 8 or w % 8:
+        raise ValueError(f"chroma plane {residual.shape} not 8x8-aligned")
+    blocks = plane_to_blocks(residual.astype(np.int64))
+    coeffs = reference_forward_transform(blocks)
+
+    # DC side path: group per MB (2×2 neighbouring blocks).
+    by, bx = h // 4, w // 4
+    dc_grid = coeffs[:, 0, 0].reshape(by, bx)
+    dc_mb = (
+        dc_grid.reshape(by // 2, 2, bx // 2, 2).transpose(0, 2, 1, 3).reshape(-1, 2, 2)
+    )
+    dc_t = reference_hadamard2x2(dc_mb)
+    dc_levels = reference_chroma_dc_quantize(dc_t, qp, intra)
+
+    # AC path: zero the DC before quantization.
+    ac_coeffs = coeffs.copy()
+    ac_coeffs[:, 0, 0] = 0
+    ac_levels = reference_quantize(ac_coeffs, qp, intra)
+    ac_levels[:, 0, 0] = 0
+
+    recon = reference_decode_chroma_levels(ac_levels, dc_levels, h, w, luma_qp)
+    bits = int(coder.block_bits(ac_levels).sum()) + coder.chroma_dc_bits(dc_levels)
+    return CodedChromaPlane(
+        recon_residual=recon, bits=bits, ac_levels=ac_levels, dc_levels=dc_levels
+    )
