@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codec.config import MB_SIZE, CodecConfig
-from repro.codec.frames import pad_plane
-from repro.codec.me import MotionField
+from repro.codec.me import MotionField, padded_references
 from repro.codec.partitions import PartitionSadTree, all_modes
-from repro.codec.sad import strip_cell_sads
+from repro.codec.sad import StripCellSads
 
 #: Large diamond: centre + 8 points at L1 distance 2.
 LDSP = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -70,12 +69,10 @@ def diamond_search_rows(
     :func:`repro.codec.me.motion_estimate_rows`) plus workload statistics.
     MVs are bounded by ``cfg.search_range`` like FSBM's.
     """
-    h, w = cur_y.shape
-    mb_cols = w // MB_SIZE
+    padded = padded_references(cur_y, refs_y, row0, nrows, cfg)
+    mb_cols = cur_y.shape[1] // MB_SIZE
     sr = cfg.search_range
-    n_refs = min(len(refs_y), cfg.num_ref_frames)
     modes = all_modes(cfg.enabled_partitions)
-    padded = [pad_plane(ref, sr) for ref in refs_y[:n_refs]]
 
     out = MotionField(
         row0=row0, nrows=nrows, mb_cols=mb_cols,
@@ -88,26 +85,23 @@ def diamond_search_rows(
             (nrows, mb_cols, m.nparts), np.iinfo(np.int64).max, dtype=np.int64
         )
     stats = FastMEStats(candidates_per_row=[0] * nrows)
-    if nrows == 0:
-        return out, stats
+    kernel = StripCellSads(1, MB_SIZE)
 
     for r in range(row0, row0 + nrows):
         out_r = r - row0
         cur_strip = cur_y[r * MB_SIZE : (r + 1) * MB_SIZE, :]
         for c in range(mb_cols):
-            cur_mb = cur_strip[:, c * MB_SIZE : (c + 1) * MB_SIZE]
+            kernel.set_current(cur_strip[:, c * MB_SIZE : (c + 1) * MB_SIZE])
             for ref_idx, ref_pad in enumerate(padded):
                 visited: dict[tuple[int, int], np.ndarray] = {}
-                n_evals = _search_mb(
-                    cur_mb, ref_pad, r, c, sr, visited
-                )
+                n_evals = _search_mb(kernel, ref_pad, r, c, sr, visited)
                 stats.candidates_per_row[out_r] += n_evals
                 _commit_best(out, out_r, c, ref_idx, visited, modes)
     return out, stats
 
 
 def _cells_at(
-    cur_mb: np.ndarray,
+    kernel: StripCellSads,
     ref_pad: np.ndarray,
     mb_row: int,
     mb_col: int,
@@ -115,15 +109,15 @@ def _cells_at(
     dy: int,
     dx: int,
 ) -> np.ndarray:
-    """4×4 cell SADs of one MB at one displacement (padded reference)."""
+    """4×4 cell SADs of the kernel's MB at one displacement (padded reference)."""
     y0 = mb_row * MB_SIZE + sr + dy
     x0 = mb_col * MB_SIZE + sr + dx
     ref_mb = ref_pad[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
-    return strip_cell_sads(cur_mb, ref_mb)[0]
+    return kernel.cell_sads(ref_mb[None])[:, :, 0, 0]
 
 
 def _search_mb(
-    cur_mb: np.ndarray,
+    kernel: StripCellSads,
     ref_pad: np.ndarray,
     mb_row: int,
     mb_col: int,
@@ -135,7 +129,7 @@ def _search_mb(
     def evaluate(dy: int, dx: int) -> int:
         key = (dy, dx)
         if key not in visited:
-            visited[key] = _cells_at(cur_mb, ref_pad, mb_row, mb_col, sr, dy, dx)
+            visited[key] = _cells_at(kernel, ref_pad, mb_row, mb_col, sr, dy, dx)
         return int(visited[key].sum())
 
     cy, cx = 0, 0
@@ -174,13 +168,13 @@ def _commit_best(
     """Per partition, pick the best displacement among visited candidates."""
     offsets = list(visited.keys())
     tree = PartitionSadTree(len(offsets), 1)
-    tree.cells[:, 0] = [visited[k] for k in offsets]  # (n_vis, 4, 4)
+    tree.cells[..., 0] = np.stack([visited[k] for k in offsets], axis=-1)
     tree.fill()
     for mode in modes:
-        psads = tree.sads[:, mode.span, 0]  # (n_vis, nparts)
-        best_i = psads.argmin(axis=0)
+        psads = tree.sads[mode.span, :, 0]  # (nparts, n_vis)
+        best_i = psads.argmin(axis=1)
         for p in range(mode.nparts):
-            s = psads[best_i[p], p]
+            s = psads[p, best_i[p]]
             if s < out.sads[mode.shape][out_r, c, p]:
                 out.sads[mode.shape][out_r, c, p] = s
                 out.refs[mode.shape][out_r, c, p] = ref_idx

@@ -10,21 +10,25 @@ constant "time per MB row" (the K^m parameters of Algorithm 2).
 The kernel is organized exactly like the optimized implementations in the
 paper's module library: one MB row at a time (the framework's distribution
 unit), vectorized across the horizontal displacements and all MBs of the
-row, with every intermediate at the width the data needs:
+row, with every intermediate at the width the data needs and every pel of a
+displaced reference strip read once:
 
-1. ``|cur − ref|`` in ``uint8`` and 4×4 cell SADs in ``uint16``
-   (:func:`repro.codec.sad.strip_cell_sads_batch`);
+1. 4×4 cell SADs as ``Σ cur + Σ ref − 2·Σ min(cur, ref)`` in ``uint16``
+   (:class:`repro.codec.sad.StripCellSads`): ``Σ cur`` is folded once per MB
+   row, ``Σ ref`` is read from one 4×4 box-sum table per reference
+   (:func:`repro.codec.sad.box_sums` over the band's padded rows, relaid
+   once per ``(MB row, reference)`` strip), and ``minimum`` is the only
+   pass over the ``(2·sr + 1, 16, W)`` window batch;
 2. all 41 sub-partition SADs from one integer tree of pairwise adds
-   (:class:`repro.codec.partitions.PartitionSadTree`) — exact in ``uint16``
-   because the largest possible SAD, a 16×16 MB of all-0 against all-255,
-   is ``256 · 255 = 65 280 < 2¹⁶``;
-3. per ``(ref, dy)``, ``SAD · 2¹⁶ + dx_index`` as a ``uint32`` key whose
-   minimum over the ``dx`` axis is the row-minimum SAD *and* its smallest
-   ``dx``; the keys go into a ``(n_refs · (2·sr + 1), 41, mb_cols)`` table
-   ordered ref-major, then ``dy``;
-4. one first-minimum ``argmin`` over that table's SADs per MB row picks
-   the winner — earlier reference, then smaller ``dy``, then (already
-   inside the key) smaller ``dx``.
+   (:class:`repro.codec.partitions.PartitionSadTree`), partition-major —
+   exact in ``uint16`` because the largest possible SAD, a 16×16 MB of
+   all-0 against all-255, is ``256 · 255 = 65 280 < 2¹⁶``;
+3. per ``(ref, dy)``, ``SAD · 2¹⁶ + (ref · (2·sr + 1) + dy_index)`` as a
+   ``uint32`` key — the low bits are one scalar — folded into a running
+   elementwise minimum per ``dx``;
+4. per MB row, one first-minimum ``argmin`` over ``dx`` picks the winner:
+   lexicographic ``(SAD, ref, dy, dx)``, i.e. earlier reference, then
+   smaller ``dy``, then smaller ``dx``.
 
 :class:`MotionField` carries ``int64`` SADs and ``int32`` MVs/refs; the
 narrow types are widened once, when the field is assembled.
@@ -41,16 +45,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.frames import pad_plane
 from repro.codec.partitions import PartitionSadTree, all_modes, get_mode
-from repro.codec.sad import strip_cell_sads_batch
+from repro.codec.sad import CELLS, StripCellSads, box_sums
 
 if TYPE_CHECKING:
     from repro.codec.sme import SubpelField
 
 _Field = TypeVar("_Field", "MotionField", "SubpelField")
 
-#: Bits of a search key below the SAD: holds the ``dx`` index
-#: (``2 · search_range + 1 <= 513``), and 65 280 · 2¹⁶ still fits ``uint32``.
-_DX_BITS = 16
+#: Bits of a search key below the SAD: they hold ``ref · (2·sr + 1) + dy_index``
+#: (below ``16 · 513 = 8 208`` by :class:`CodecConfig`'s range checks), and
+#: ``65 280 · 2¹⁶ + 8 207`` still fits ``uint32``.
+_TAG_BITS = 16
 
 
 def check_field_arrays(motion: MotionField | SubpelField, mv_name: str) -> None:
@@ -171,6 +176,47 @@ class MotionField:
         return merge_field_bands(parts, "mvs")
 
 
+def padded_references(
+    cur_y: np.ndarray,
+    refs_y: list[np.ndarray],
+    row0: int,
+    nrows: int,
+    cfg: CodecConfig,
+    refs_prepadded: bool = False,
+) -> list[np.ndarray]:
+    """Validate one search call; return the padded references its band reads.
+
+    The argument contract of :func:`motion_estimate_rows`, shared with
+    :func:`repro.codec.fastme.diamond_search_rows`: an MB-aligned uint8
+    plane, a band inside it, at least one reference, and each of the first
+    ``cfg.num_ref_frames`` references a uint8 plane of the raw or (with
+    ``refs_prepadded``) the padded shape. Raw references come back
+    replicate-padded by ``cfg.search_range``. An empty band reads no
+    reference, so none is checked or padded.
+    """
+    h, w = cur_y.shape
+    if h % MB_SIZE or w % MB_SIZE:
+        raise ValueError(f"plane {cur_y.shape} not MB-aligned")
+    if cur_y.dtype != np.uint8:
+        raise ValueError(f"uint8 samples required, got cur={cur_y.dtype}")
+    mb_rows = h // MB_SIZE
+    if not 0 <= row0 < mb_rows or nrows < 0 or row0 + nrows > mb_rows:
+        raise ValueError(f"band [{row0}, {row0 + nrows}) outside 0..{mb_rows}")
+    if not refs_y:
+        raise ValueError("at least one reference frame required")
+    sr = cfg.search_range
+    what = "pre-padded ref" if refs_prepadded else "ref"
+    want = (h + 2 * sr, w + 2 * sr) if refs_prepadded else (h, w)
+    padded_refs = []
+    for ref in refs_y[: cfg.num_ref_frames] if nrows else []:
+        if ref.dtype != np.uint8:
+            raise ValueError(f"uint8 samples required, got ref={ref.dtype}")
+        if ref.shape != want:
+            raise ValueError(f"{what} shape {ref.shape} != {want}")
+        padded_refs.append(ref if refs_prepadded else pad_plane(ref, sr))
+    return padded_refs
+
+
 def motion_estimate_rows(
     cur_y: np.ndarray,
     refs_y: list[np.ndarray],
@@ -202,60 +248,57 @@ def motion_estimate_rows(
     sub-partition. Ties break toward the earlier reference, then the
     smaller ``dy``, then the smaller ``dx`` (deterministic full search).
     """
-    h, w = cur_y.shape
-    if h % MB_SIZE or w % MB_SIZE:
-        raise ValueError(f"plane {cur_y.shape} not MB-aligned")
-    mb_rows, mb_cols = h // MB_SIZE, w // MB_SIZE
-    if not 0 <= row0 < mb_rows or nrows < 0 or row0 + nrows > mb_rows:
-        raise ValueError(f"band [{row0}, {row0 + nrows}) outside 0..{mb_rows}")
-    if not refs_y:
-        raise ValueError("at least one reference frame required")
+    padded_refs = padded_references(cur_y, refs_y, row0, nrows, cfg, refs_prepadded)
+    w = cur_y.shape[1]
+    mb_cols = w // MB_SIZE
     sr = cfg.search_range
-    n_refs = min(len(refs_y), cfg.num_ref_frames)
     modes = all_modes(cfg.enabled_partitions)
 
-    padded_refs = []
-    # An empty band reads no reference, so none is checked or padded.
-    for ref in refs_y[:n_refs] if nrows else []:
-        if refs_prepadded:
-            if ref.shape != (h + 2 * sr, w + 2 * sr):
-                raise ValueError(
-                    f"pre-padded ref shape {ref.shape} != {(h + 2 * sr, w + 2 * sr)}"
-                )
-            padded_refs.append(ref)
-        else:
-            if ref.shape != (h, w):
-                raise ValueError(f"ref shape {ref.shape} != {(h, w)}")
-            padded_refs.append(pad_plane(ref, sr))
-
     ndx = 2 * sr + 1
+    kernel = StripCellSads(ndx, w)
     tree = PartitionSadTree(ndx, mb_cols)
     keys = np.empty(tree.sads.shape, dtype=np.uint32)
-    dx_index = np.arange(ndx, dtype=np.uint32)[:, None, None]
-    table = np.empty((n_refs * ndx,) + keys.shape[1:], dtype=np.uint32)
-    # Per MB row: the winning table entry (ref-major, then dy) and its key.
-    win_entry = np.empty((nrows,) + keys.shape[1:], dtype=np.intp)
-    win_key = np.empty(win_entry.shape, dtype=np.uint32)
+    # Minimum key over every (ref, dy) searched so far, per dx.
+    best = np.empty(tree.sads.shape, dtype=np.uint32)
+    # One strip of a box-sum table, relaid [box row, cell_col, dx, mb]: the
+    # cells of vertical displacement dy_i are rows dy_i, dy_i + 4, ... of it.
+    strip_sums = np.empty((2 * sr + MB_SIZE - 3, CELLS, ndx, mb_cols), dtype=np.uint16)
+    # Per MB row: the winning dx index and its key.
+    win_dx = np.empty((nrows, len(best), mb_cols), dtype=np.intp)
+    win_key = np.empty(win_dx.shape, dtype=np.uint32)
+
+    # Box sums of the padded rows the band reads, one table per reference.
+    band = slice(row0 * MB_SIZE, (row0 + nrows) * MB_SIZE + 2 * sr)
+    boxes = [box_sums(ref_pad[band]) for ref_pad in padded_refs]
 
     for out_r in range(nrows):
-        r = row0 + out_r
-        cur_strip = cur_y[r * MB_SIZE : (r + 1) * MB_SIZE, :]
-        for ref_idx, ref_pad in enumerate(padded_refs):
-            _search_row(
-                cur_strip, ref_pad, r, sr, tree, keys, dx_index,
-                table[ref_idx * ndx : (ref_idx + 1) * ndx],
-            )
-        # First minimum of the SAD alone ⇒ earlier ref, then smaller dy; the
-        # dx bits only break ties inside one (ref, dy) entry.
-        np.argmin(table >> _DX_BITS, axis=0, out=win_entry[out_r])
-        win_key[out_r] = np.take_along_axis(table, win_entry[out_r][None], axis=0)[0]
+        # The MB row's first pel row — padded row of dy = -sr — in its band
+        # and in the plane.
+        band_top = out_r * MB_SIZE
+        top = band.start + band_top
+        kernel.set_current(cur_y[top : top + MB_SIZE])
+        best.fill(np.iinfo(np.uint32).max)
+        for ref_idx, (ref_pad, box) in enumerate(zip(padded_refs, boxes)):
+            # windows[dy, dx] is the reference strip displaced by (dy - sr, dx - sr).
+            windows = sliding_window_view(ref_pad[top : top + MB_SIZE + 2 * sr], (MB_SIZE, w))
+            # Cell (mb, cell_col) at dx reads box column dx + 16·mb + 4·cell_col.
+            columns = sliding_window_view(box[band_top : band_top + len(strip_sums)], ndx, axis=1)
+            strip_sums[...] = columns[:, ::4].reshape(-1, mb_cols, CELLS, ndx).transpose(0, 2, 3, 1)
+            for dy_i in range(ndx):
+                kernel.cell_sads(windows[dy_i], strip_sums[dy_i : dy_i + MB_SIZE : 4], tree.cells)
+                tree.fill()
+                np.left_shift(tree.sads, _TAG_BITS, out=keys, dtype=np.uint32)
+                keys |= np.uint32(ref_idx * ndx + dy_i)
+                np.minimum(best, keys, out=best)
+        # First minimum over dx of keys ordered (SAD, ref, dy).
+        np.argmin(best, axis=1, out=win_dx[out_r])
+        np.min(best, axis=1, out=win_key[out_r])
 
     # Widen once: [row, part, mb] search results -> MotionField's [row, mb, part].
-    sads = (win_key >> _DX_BITS).astype(np.int64)
-    dx = (win_key & ((1 << _DX_BITS) - 1)).astype(np.int32) - sr
-    dy = (win_entry % ndx).astype(np.int32) - sr
-    mvs = np.stack([dy, dx], axis=-1)
-    refs = (win_entry // ndx).astype(np.int32)
+    sads = (win_key >> _TAG_BITS).astype(np.int64)
+    tag = (win_key & ((1 << _TAG_BITS) - 1)).astype(np.int32)
+    mvs = np.stack([tag % ndx - sr, win_dx.astype(np.int32) - sr], axis=-1)
+    refs = tag // ndx
     field_out = MotionField(
         row0=row0,
         nrows=nrows,
@@ -268,33 +311,3 @@ def motion_estimate_rows(
         ):
             dst[m.shape] = np.ascontiguousarray(np.moveaxis(src[:, m.span], 1, 2))
     return field_out
-
-
-def _search_row(
-    cur_strip: np.ndarray,
-    ref_pad: np.ndarray,
-    mb_row: int,
-    sr: int,
-    tree: PartitionSadTree,
-    keys: np.ndarray,
-    dx_index: np.ndarray,
-    table: np.ndarray,
-) -> None:
-    """Exhaustive search of one MB row against one padded reference.
-
-    Fills ``table[dy_i]`` with the minimum search key over ``dx`` for each
-    vertical displacement ``dy_i - sr``; ``tree`` and ``keys`` are scratch.
-    """
-    w = cur_strip.shape[1]
-    # Padded strip containing every vertical displacement of this MB row:
-    # padded coords of pixel row (mb_row*16 + dy) are offset by +sr.
-    strip = ref_pad[mb_row * MB_SIZE : mb_row * MB_SIZE + MB_SIZE + 2 * sr, :]
-    # windows[dy, dx] is the reference strip displaced by (dy - sr, dx - sr).
-    windows = sliding_window_view(strip, (MB_SIZE, w))  # (2sr+1, 2sr+1, 16, W)
-
-    for dy_i in range(2 * sr + 1):
-        strip_cell_sads_batch(cur_strip, windows[dy_i], out=tree.cells)
-        tree.fill()
-        np.left_shift(tree.sads, _DX_BITS, out=keys, dtype=np.uint32)
-        keys |= dx_index
-        np.min(keys, axis=0, out=table[dy_i])

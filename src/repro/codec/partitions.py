@@ -13,7 +13,9 @@ adds in which each partial sum is computed once::
                                               └─ 8×16
 
 The root's worst case (all-0 against all-255) is ``256 · 255 = 65 280 < 2¹⁶``,
-so the whole tree is exact in ``uint16``.
+so the whole tree is exact in ``uint16``. The tree is stored partition-major,
+``(41, n_disp, n_mbs)``: a level is a block of whole rows, so pairing its
+tiles adds runs of ``n_disp · n_mbs`` contiguous sums.
 """
 
 from __future__ import annotations
@@ -35,15 +37,15 @@ def _tiles(shape: tuple[int, int]) -> int:
 TOTAL_PARTS = sum(map(_tiles, PARTITION_MODES))
 
 #: Tree edges ``(child, parent, axis)``: the parent level is the child level
-#: with adjacent tiles paired along ``axis`` (1 = vertically, 2 = horizontally),
+#: with adjacent tiles paired along ``axis`` (0 = vertically, 1 = horizontally),
 #: listed so every child is filled before it is read.
 _TREE_EDGES = (
-    ((4, 4), (8, 4), 1),
-    ((4, 4), (4, 8), 2),
-    ((4, 8), (8, 8), 1),
-    ((8, 8), (16, 8), 1),
-    ((8, 8), (8, 16), 2),
-    ((16, 8), (16, 16), 2),
+    ((4, 4), (8, 4), 0),
+    ((4, 4), (4, 8), 1),
+    ((4, 8), (8, 8), 0),
+    ((8, 8), (16, 8), 0),
+    ((8, 8), (8, 16), 1),
+    ((16, 8), (16, 16), 1),
 )
 
 
@@ -118,30 +120,30 @@ def total_subpartitions(
 class PartitionSadTree:
     """SADs of all 41 sub-partitions for a batch of displacements × MBs.
 
-    ``sads`` is ``(n_disp, 41, n_mbs)`` uint16 with the MB axis innermost,
-    so every add of :meth:`fill` streams contiguous runs; rows
-    ``get_mode(shape).span`` hold that mode's sub-partitions in raster
-    order. Write cell SADs through :attr:`cells`, then call :meth:`fill`.
+    ``sads`` is ``(41, n_disp, n_mbs)`` uint16, partition-major, so every
+    add of :meth:`fill` streams whole rows; rows ``get_mode(shape).span``
+    hold that mode's sub-partitions in raster order. Write cell SADs
+    through :attr:`cells`, then call :meth:`fill`.
     """
 
     def __init__(self, n_disp: int, n_mbs: int) -> None:
-        self.sads = np.empty((n_disp, TOTAL_PARTS, n_mbs), dtype=np.uint16)
-        # Each mode's rows as a [disp, tile_y, tile_x, mb] view of ``sads``.
+        self.sads = np.empty((TOTAL_PARTS, n_disp, n_mbs), dtype=np.uint16)
+        # Each mode's rows as a [tile_y, tile_x, disp, mb] view of ``sads``.
         self._levels = {
-            (h, w): self.sads[:, get_mode((h, w)).span].reshape(
-                n_disp, MB_SIZE // h, MB_SIZE // w, n_mbs
+            (h, w): self.sads[get_mode((h, w)).span].reshape(
+                MB_SIZE // h, MB_SIZE // w, n_disp, n_mbs
             )
             for h, w in PARTITION_MODES
         }
-        #: ``(n_disp, n_mbs, 4, 4)`` view of the 4×4 level, the layout
-        #: :func:`repro.codec.sad.strip_cell_sads_batch` produces.
-        self.cells = self._levels[(4, 4)].transpose(0, 3, 1, 2)
+        #: ``(4, 4, n_disp, n_mbs)`` view of the 4×4 level — the cell-major
+        #: layout :class:`repro.codec.sad.StripCellSads` produces.
+        self.cells = self._levels[(4, 4)]
 
     def fill(self) -> None:
         """Derive every coarser level from the 4×4 cells by pairwise adds."""
         for child, parent, axis in _TREE_EDGES:
             src = self._levels[child]
-            if axis == 1:
-                np.add(src[:, 0::2], src[:, 1::2], out=self._levels[parent])
+            if axis == 0:
+                np.add(src[0::2], src[1::2], out=self._levels[parent])
             else:
-                np.add(src[:, :, 0::2], src[:, :, 1::2], out=self._levels[parent])
+                np.add(src[:, 0::2], src[:, 1::2], out=self._levels[parent])

@@ -7,12 +7,19 @@ of the sixteen 4×4 cells of a macroblock once per displacement, then obtain
 any of the 41 sub-partition SADs (1+2+2+4+8+8+16 across the 7 modes) as sums
 of cell SADs (:class:`repro.codec.partitions.PartitionSadTree`).
 
-Every intermediate lives at the width the data needs. ``|a − b|`` of two
-``uint8`` samples is ``max(a, b) − min(a, b)``, which never leaves
-``uint8``; a 4×4 cell SAD is at most ``16 · 255 = 4 080`` and the largest
-sum built from cells — a whole 16×16 MB, all-0 against all-255 — is
-``256 · 255 = 65 280 < 2¹⁶``, so ``uint16`` is exact for every partition
-shape and any search range.
+The cell SAD itself is taken apart once more: ``|a − b| = a + b − 2·min(a, b)``,
+so ``SAD = A + B − 2·M`` with ``A = Σ cur``, ``B = Σ ref`` and
+``M = Σ min(cur, ref)`` over the cell, and only M depends on the pairing. A is
+one fold of the current strip, B a 4×4 box sum of the reference
+(:func:`box_sums`: one table per reference serves every displacement), and
+``minimum`` the single pass over the displaced pels (:class:`StripCellSads`).
+
+Every intermediate lives at the width the data needs. A cell sum of ``uint8``
+samples is at most ``16 · 255 = 4 080`` and ``2·M ≤ 8 160``, so A, B and 2·M
+are exact in ``uint16``; ``B − 2·M`` may wrap below zero, but the arithmetic
+is modulo 2¹⁶ and the SAD lies in ``[0, 4 080]``, so adding A lands on it.
+Cell arrays are *cell-major*, ``[cell_row, cell_col, disp, mb]`` — the 4×4
+level of the partition tree, which the kernel writes into directly.
 """
 
 from __future__ import annotations
@@ -24,67 +31,117 @@ from repro.codec.config import MB_SIZE
 #: Number of 4×4 cells per MB side.
 CELLS = MB_SIZE // 4
 
+#: One in each ``uint16`` lane of a ``uint64``: multiplying by it leaves the
+#: sum of the four lanes in the top lane.
+_LANE_SUM = 0x0001_0001_0001_0001
 
-def strip_cell_sads_batch(
-    cur_strip: np.ndarray, ref_windows: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Cell SADs for one MB row at a batch of displacements.
 
-    Parameters
-    ----------
-    cur_strip:
-        ``(16, W)`` uint8 current strip.
-    ref_windows:
-        ``(n_disp, 16, W)`` uint8 displaced reference strips (usually a
-        sliding-window view — no copy).
-    out:
-        Optional ``(n_disp, mb_cols, 4, 4)`` uint16 destination of any
-        memory layout (FSBM passes :attr:`PartitionSadTree.cells`).
+def box_sums(plane: np.ndarray) -> np.ndarray:
+    """4×4 box sums of a uint8 plane at every position.
 
-    Returns
-    -------
-    ndarray ``(n_disp, mb_cols, 4, 4)`` uint16, indexed
-    ``[disp, mb, cell_row, cell_col]``.
+    ``(H, W)`` uint8 → ``(H − 3, W − 3)`` uint16 with
+    ``out[y, x] = plane[y : y + 4, x : x + 4].sum()`` (at most 4 080).
     """
-    n, h, w = ref_windows.shape
-    if (h, w) != cur_strip.shape or h != MB_SIZE or w % MB_SIZE != 0:
-        raise ValueError(
-            f"incompatible shapes cur={cur_strip.shape} windows={ref_windows.shape}"
-        )
-    if cur_strip.dtype != np.uint8 or ref_windows.dtype != np.uint8:
-        raise ValueError(
-            f"uint8 samples required, got cur={cur_strip.dtype} "
-            f"windows={ref_windows.dtype}"
-        )
-    mb_cols = w // MB_SIZE
-    ad = np.maximum(ref_windows, cur_strip)
-    ad -= np.minimum(ref_windows, cur_strip)
-    # Four pel rows -> one cell row: widen once, then contiguous slice-adds.
-    pel_rows = ad.reshape(n, CELLS, 4, w)
-    rows = pel_rows[:, :, 0].astype(np.uint16)
-    rows += pel_rows[:, :, 1]
-    rows += pel_rows[:, :, 2]
-    rows += pel_rows[:, :, 3]
-    # Four pel columns -> one cell column; quads is [disp, cy, mb, cx, pel].
-    quads = rows.reshape(n, CELLS, mb_cols, CELLS, 4)
-    cells = quads[..., 0] + quads[..., 1]
-    cells += quads[..., 2]
-    cells += quads[..., 3]
-    cells = cells.transpose(0, 2, 1, 3)
-    if out is None:
-        return cells
-    out[...] = cells
+    rows = plane[:-3].astype(np.uint16)
+    for k in (1, 2, 3):
+        rows += plane[k : plane.shape[0] - 3 + k]
+    out = rows[:, :-3].copy()
+    for k in (1, 2, 3):
+        out += rows[:, k : rows.shape[1] - 3 + k]
     return out
 
 
-def strip_cell_sads(cur_strip: np.ndarray, ref_strip: np.ndarray) -> np.ndarray:
-    """4×4-cell SADs ``(mb_cols, 4, 4)`` for one MB row at one displacement.
+def fold_cells(
+    pels: np.ndarray,
+    weight: int = 1,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+    lanes: np.ndarray | None = None,
+) -> np.ndarray:
+    """``weight`` (1 or 2) × the sum of every 4×4 cell of a batch of strips.
 
-    ``cur_strip`` and ``ref_strip`` are ``(16, W)`` uint8 strips; the result
-    is indexed ``[mb, cell_row, cell_col]``.
+    ``(n, 16, W)`` uint8 → cell-major ``(4, 4, n, W / 16)`` uint16. ``out``
+    and the scratch arrays ``rows`` (``(4, n, W)`` uint16) and ``lanes``
+    (``out``'s shape, uint64) are allocated when not passed.
+
+    Four pel rows fold into one with a widening copy and three adds. The four
+    pel columns of a cell are then the ``uint16`` lanes of one ``uint64`` and
+    a single multiply sums them: a lane is at most ``4 · 255 = 1 020``, so no
+    partial sum, even doubled, carries into the next lane, and the sum is
+    symmetric in the lanes, so byte order does not matter.
     """
-    if cur_strip.shape != ref_strip.shape:
-        raise ValueError(
-            f"strip shape mismatch: {cur_strip.shape} vs {ref_strip.shape}"
-        )
-    return strip_cell_sads_batch(cur_strip, ref_strip[None])[0]
+    n, _, w = pels.shape
+    cells = (CELLS, CELLS, n, w // MB_SIZE)
+    rows = np.empty((CELLS, n, w), dtype=np.uint16) if rows is None else rows
+    lanes = np.empty(cells, dtype=np.uint64) if lanes is None else lanes
+    out = np.empty(cells, dtype=np.uint16) if out is None else out
+    # [pel row of the cell, cell_row, n, x]
+    pel_rows = pels.reshape(n, CELLS, 4, w).transpose(2, 1, 0, 3)
+    np.copyto(rows, pel_rows[0])
+    for k in (1, 2, 3):
+        np.add(rows, pel_rows[k], out=rows)
+    # [cell_row, cell_col, n, mb]: one uint64 per cell, its four column sums.
+    quads = rows.view(np.uint64).reshape(CELLS, n, -1, CELLS).transpose(0, 3, 1, 2)
+    np.multiply(quads, np.uint64(weight * _LANE_SUM), out=lanes)
+    return np.right_shift(lanes, 48, out=out, casting="unsafe")
+
+
+class StripCellSads:
+    """Cell SADs of one current MB-row strip at batches of displacements.
+
+    The one cell-SAD kernel: :meth:`set_current` folds A once per strip;
+    :meth:`cell_sads` makes the ``minimum`` pass over ``n_disp`` displaced
+    reference strips, folds it to 2·M and combines ``B − 2·M + A``. The
+    window-sized ``minimum`` buffer and the fold's scratch are allocated
+    once, here.
+    """
+
+    def __init__(self, n_disp: int, width: int) -> None:
+        if width % MB_SIZE:
+            raise ValueError(f"strip width {width} not MB-aligned")
+        cells = (CELLS, CELLS, n_disp, width // MB_SIZE)
+        self._min = np.empty((n_disp, MB_SIZE, width), dtype=np.uint8)
+        self._rows = np.empty((CELLS, n_disp, width), dtype=np.uint16)
+        self._lanes = np.empty(cells, dtype=np.uint64)
+        self._cur_sums = np.empty(cells, dtype=np.uint16)
+
+    def set_current(self, cur_strip: np.ndarray) -> None:
+        """Take the ``(16, W)`` uint8 current strip and fold its cell sums."""
+        if cur_strip.shape != self._min.shape[1:]:
+            raise ValueError(
+                f"strip shape mismatch: {cur_strip.shape} vs {self._min.shape[1:]}"
+            )
+        if cur_strip.dtype != np.uint8:
+            raise ValueError(f"uint8 samples required, got cur={cur_strip.dtype}")
+        self._cur = cur_strip
+        self._cur_sums[...] = fold_cells(cur_strip[None])
+
+    def cell_sads(
+        self,
+        ref_windows: np.ndarray,
+        ref_sums: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Cell SADs of the current strip against ``ref_windows``.
+
+        ``ref_windows`` is ``(n_disp, 16, W)`` uint8 (usually a sliding-window
+        view — no copy); ``ref_sums`` its cell sums B, cell-major uint16 in
+        any memory layout — FSBM reads them from its box-sum tables, and
+        they are folded from the windows when omitted. Returns (in ``out``,
+        when given: FSBM passes :attr:`PartitionSadTree.cells`)
+        ``(4, 4, n_disp, mb_cols)`` uint16, ``[cell_row, cell_col, disp, mb]``.
+        """
+        if ref_windows.shape != self._min.shape:
+            raise ValueError(
+                f"incompatible shapes windows={ref_windows.shape} "
+                f"kernel={self._min.shape}"
+            )
+        if ref_windows.dtype != np.uint8:
+            raise ValueError(f"uint8 samples required, got windows={ref_windows.dtype}")
+        if ref_sums is None:
+            ref_sums = fold_cells(ref_windows, rows=self._rows, lanes=self._lanes)
+        np.minimum(ref_windows, self._cur, out=self._min)
+        out = fold_cells(self._min, 2, out, self._rows, self._lanes)
+        # Modulo 2**16: B - 2M may wrap, adding A lands in [0, 4080].
+        np.subtract(ref_sums, out, out=out)
+        return np.add(out, self._cur_sums, out=out)

@@ -18,8 +18,8 @@ sub-partition of the band *and* the ring's 9 candidates:
    blocks from a strided-window view of the SF, one index pair per block —
    into a ``(9, n, bh, bw)`` uint8 stack (the instances are grouped by
    reference once per mode, so each SF serves one contiguous run);
-3. SAD at the width the data needs, as in FSBM: ``maximum − minimum`` in
-   uint8, summed in uint16 (at most ``256 · 255 = 65 280``);
+3. SAD at the width the data needs: ``maximum − minimum`` in uint8, summed
+   in uint16 (at most ``256 · 255 = 65 280``);
 4. one first-minimum ``argmin`` over the candidate axis — the centre is
    candidate 0, so ties resolve toward the smaller refinement — and the
    winner's *clamped* displacement.

@@ -95,3 +95,41 @@ class TestWorkloadProperty:
         field, stats = diamond_search_rows(ref, [ref], 1, 0, cfg)
         assert field.nrows == 0
         assert stats.total == 0
+
+
+class TestSharesTheFsbmContract:
+    """Bad arguments are named by the helper both searches validate through,
+    not swallowed (no reference) or left to die inside the cell kernel."""
+
+    @pytest.mark.parametrize(
+        "shape,refs_like,row0,nrows,message",
+        [
+            ((64, 64), [], 0, 2, "at least one reference frame required"),
+            ((60, 64), [(60, 64)], 0, 2, "not MB-aligned"),
+            ((64, 64), [(64, 64)], 3, 3, r"band \[3, 6\) outside 0\.\.4"),
+            ((64, 64), [(16, 16)], 0, 2, r"ref shape \(16, 16\) != \(64, 64\)"),
+            ((64, 64), [(64, 64), (64, 48)], 0, 0, None),  # empty band: no ref read
+        ],
+    )
+    def test_same_errors_as_full_search(
+        self, rng, cfg, shape, refs_like, row0, nrows, message
+    ):
+        cur = rng.integers(0, 256, shape, dtype=np.uint8)
+        refs = [rng.integers(0, 256, s, dtype=np.uint8) for s in refs_like]
+        if message is None:
+            field, stats = diamond_search_rows(cur, refs, row0, nrows, cfg)
+            assert field.nrows == stats.total == 0
+            assert motion_estimate_rows(cur, refs, row0, nrows, cfg).nrows == 0
+            return
+        with pytest.raises(ValueError, match=message):
+            diamond_search_rows(cur, refs, row0, nrows, cfg)
+        with pytest.raises(ValueError, match=message):
+            motion_estimate_rows(cur, refs, row0, nrows, cfg)
+
+    def test_samples_must_be_uint8(self, rng, cfg):
+        cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        for search in (diamond_search_rows, motion_estimate_rows):
+            with pytest.raises(ValueError, match="uint8 samples required.*int32"):
+                search(cur.astype(np.int32), [cur], 0, 1, cfg)
+            with pytest.raises(ValueError, match="uint8 samples required.*int16"):
+                search(cur, [cur.astype(np.int16)], 0, 1, cfg)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.codec import me as me_module
 from repro.codec.config import PARTITION_MODES, CodecConfig
 from repro.codec.me import MotionField, motion_estimate_rows
 from repro.codec.frames import pad_plane
@@ -37,7 +38,7 @@ def fsbm_cases(draw):
     """A small plane, 1-3 references and a search configuration."""
     mb_cols = draw(st.integers(1, 6))  # widths 16..96
     mb_rows = draw(st.integers(1, 3))
-    sr = draw(st.sampled_from([1, 4, 8, 16, 32]))
+    sr = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 16, 32]))
     n_refs = draw(st.integers(1, 3))
     extra = draw(st.sets(st.sampled_from(PARTITION_MODES[1:])))
     cfg = CodecConfig(
@@ -105,6 +106,168 @@ class TestMatchesReferenceKernel:
             assert (f.mvs[(h, w)] == -sr).all()
         assert f.sads[(16, 16)].max() == 65_280
         assert_fields_identical(f, reference_fsbm(cur, [ref], 0, 1, cfg))
+
+
+class TestKeyWidths:
+    """The search key is ``SAD · 2¹⁶ + (ref · (2·sr + 1) + dy_index)`` in uint32."""
+
+    def test_key_bounds_follow_from_the_config_limits(self):
+        max_refs, max_sr = 16, 256
+        CodecConfig(num_ref_frames=max_refs, search_range=max_sr)  # accepted
+        for beyond in ({"num_ref_frames": max_refs + 1}, {"search_range": max_sr + 1}):
+            with pytest.raises(ValueError):
+                CodecConfig(**beyond)
+        tags = max_refs * (2 * max_sr + 1)  # one per (ref, dy)
+        assert tags == 16 * 513 == 8_208 < 2**me_module._TAG_BITS
+        assert 65_280 * 2**me_module._TAG_BITS + tags - 1 < 2**32
+
+    def test_worst_sad_with_the_largest_tag_in_use(self):
+        """All-0 against all-255 in the last of 16 references: every key is
+        65 280 · 2¹⁶ + tag, the winner's the first tag, nothing wraps."""
+        cfg = CodecConfig(width=16, height=16, search_range=2, num_ref_frames=16)
+        cur = np.zeros((16, 16), dtype=np.uint8)
+        refs = [np.full((16, 16), 255, dtype=np.uint8)] * 16
+        f = motion_estimate_rows(cur, refs, 0, 1, cfg)
+        assert f.sads[(16, 16)][0, 0, 0] == 65_280
+        assert f.refs[(16, 16)][0, 0, 0] == 0
+        assert tuple(f.mvs[(16, 16)][0, 0, 0]) == (-2, -2)
+        # A perfect match in the last reference at the last (dy, dx) — the
+        # largest tag — still wins.
+        last = np.full((20, 20), 255, dtype=np.uint8)
+        last[4:, 4:] = 0
+        padded = [pad_plane(r, 2) for r in refs[:-1]] + [last]
+        f = motion_estimate_rows(cur, padded, 0, 1, cfg, refs_prepadded=True)
+        assert f.sads[(16, 16)][0, 0, 0] == 0
+        assert f.refs[(16, 16)][0, 0, 0] == 15
+        assert tuple(f.mvs[(16, 16)][0, 0, 0]) == (2, 2)
+
+
+def planted(copies, size: int = 48) -> np.ndarray:
+    """A bright plane with the dark pattern of :func:`centre_mb` copied to
+    each displacement ``(dy, dx)`` from the centre MB of a 3×3-MB frame."""
+    plane = np.full((size, size), 255, dtype=np.uint8)
+    for dy, dx in copies:
+        plane[16 + dy : 32 + dy, 16 + dx : 32 + dx] = centre_mb()
+    return plane
+
+
+def centre_mb() -> np.ndarray:
+    return np.random.default_rng(7).integers(0, 64, (16, 16), dtype=np.uint8)
+
+
+class TestTieBreakOrder:
+    """Equal SADs on constructed planes, winner derived by hand.
+
+    The current frame is bright except its centre MB, a dark random
+    pattern; each reference is bright except exact copies of that pattern.
+    Every sub-partition of the centre MB has SAD 0 at each copy and a
+    large SAD anywhere else, so the copies tie and only the order decides.
+    """
+
+    CFG = CodecConfig(width=48, height=48, search_range=8, num_ref_frames=2)
+
+    def winner(self, *refs_copies):
+        refs = [planted(copies) for copies in refs_copies]
+        # Looked up at call time: the mutant tests below run these cases too.
+        f = me_module.motion_estimate_rows(planted([(0, 0)]), refs, 1, 1, self.CFG)
+        assert_fields_identical(
+            f, reference_fsbm(planted([(0, 0)]), refs, 1, 1, self.CFG)
+        )
+        won = set()
+        for shape in f.mode_shapes:
+            assert (f.sads[shape][0, 1] == 0).all()
+            for p in range(f.sads[shape].shape[2]):
+                won.add((int(f.refs[shape][0, 1, p]), *map(int, f.mvs[shape][0, 1, p])))
+        assert len(won) == 1
+        return won.pop()
+
+    def test_two_dx_of_one_row(self):
+        assert self.winner([(0, -8), (0, 8)]) == (0, 0, -8)
+
+    def test_two_dy(self):
+        assert self.winner([(-8, 0), (8, 0)]) == (0, -8, 0)
+
+    def test_two_references(self):
+        """The earlier reference wins although the later one's copy sits at
+        a smaller dy and a smaller dx."""
+        assert self.winner([(3, 5)], [(-2, -4)]) == (0, 3, 5)
+
+    def test_smaller_dy_beats_smaller_dx(self):
+        assert self.winner([(8, -8), (-8, 8)]) == (0, -8, 8)
+
+
+def check_matches_reference(case) -> None:
+    """The property of :class:`TestMatchesReferenceKernel`, looking the kernel
+    up at call time so that an installed mutant is what runs."""
+    cfg, cur, refs, row0, nrows, prepadded = case
+    if prepadded:
+        refs = [pad_plane(r, cfg.search_range) for r in refs]
+    got = me_module.motion_estimate_rows(
+        cur, refs, row0, nrows, cfg, refs_prepadded=prepadded
+    )
+    want = reference_fsbm(cur, refs, row0, nrows, cfg, refs_prepadded=prepadded)
+    assert_fields_identical(got, want)
+
+
+class TestMutantsAreKilled:
+    """The equivalence property must notice each piece of the order broken."""
+
+    @staticmethod
+    def property_fails() -> None:
+        run = settings(
+            max_examples=60, deadline=None, derandomize=True, database=None,
+            phases=[Phase.generate],
+        )(given(fsbm_cases())(check_matches_reference))
+        with pytest.raises(AssertionError):
+            run()
+
+    @staticmethod
+    def swap(*pairs: tuple[str, str]):
+        def edit(source: str) -> str:
+            for old, new in pairs:
+                assert source.count(old) == 1, old
+                source = source.replace(old, new)
+            return source
+
+        return edit
+
+    def test_unmutated_property_holds(self):
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            self.property_fails()
+
+    def test_box_table_read_one_column_late(self, mutant):
+        mutant(me_module, "motion_estimate_rows", self.swap(
+            ("columns[:, ::4]", "np.roll(columns, -1, axis=1)[:, ::4]"),
+        ))
+        self.property_fails()
+
+    def test_last_minimum_over_dx(self, mutant):
+        mutant(me_module, "motion_estimate_rows", self.swap((
+            "np.argmin(best, axis=1, out=win_dx[out_r])",
+            "win_dx[out_r] = ndx - 1 - np.argmin(best[:, ::-1], axis=1)",
+        )))
+        self.property_fails()
+        with pytest.raises(AssertionError):
+            TestTieBreakOrder().test_two_dx_of_one_row()
+
+    def test_key_carrying_dx_reduced_over_ref_and_dy(self, mutant):
+        """The parent's key, the new reduction: ``(SAD, dx)`` ordered keys
+        whose running minimum forgets which ``(ref, dy)`` it came from."""
+        mutant(me_module, "motion_estimate_rows", self.swap((
+            "keys |= np.uint32(ref_idx * ndx + dy_i)",
+            "keys |= np.arange(ndx, dtype=np.uint32)[:, None]",
+        )))
+        self.property_fails()
+
+    def test_references_folded_newest_last(self, mutant):
+        mutant(me_module, "motion_estimate_rows", self.swap(
+            ("np.uint32(ref_idx * ndx + dy_i)",
+             "np.uint32((len(padded_refs) - 1 - ref_idx) * ndx + dy_i)"),
+            ("refs = tag // ndx", "refs = len(padded_refs) - 1 - tag // ndx"),
+        ))
+        self.property_fails()
+        with pytest.raises(AssertionError):
+            TestTieBreakOrder().test_two_references()
 
 
 class TestCheckConsistent:

@@ -19,9 +19,9 @@ def tree_sads(cells: np.ndarray, shape) -> np.ndarray:
     """``(..., 4, 4)`` cell SADs -> ``(..., nparts)`` through the tree."""
     batch = cells.reshape(-1, 4, 4)
     tree = PartitionSadTree(len(batch), 1)
-    tree.cells[:, 0] = batch
+    tree.cells[..., 0] = np.moveaxis(batch, 0, -1)
     tree.fill()
-    got = tree.sads[:, get_mode(shape).span, 0]
+    got = tree.sads[get_mode(shape).span, :, 0].T
     return got.reshape(*cells.shape[:-2], -1)
 
 
@@ -132,10 +132,11 @@ class TestAggregation:
     def test_tree_matches_matmul_oracle(self, rng, shape):
         # Full 4x4-cell range (16 * 255), displacement x MB batch.
         tree = PartitionSadTree(7, 5)
+        assert tree.sads.shape == (TOTAL_PARTS, 7, 5)
         cells = rng.integers(0, 4081, (7, 5, 4, 4)).astype(np.uint16)
-        tree.cells[...] = cells
+        tree.cells[...] = cells.transpose(2, 3, 0, 1)
         tree.fill()
-        got = tree.sads[:, get_mode(shape).span].transpose(0, 2, 1)
+        got = tree.sads[get_mode(shape).span].transpose(1, 2, 0)
         assert got.dtype == np.uint16
         np.testing.assert_array_equal(got, reference_partition_sads(cells, shape))
 

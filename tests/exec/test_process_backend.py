@@ -19,6 +19,8 @@ import pytest
 
 from repro.codec.config import CodecConfig
 from repro.codec.encoder import ReferenceEncoder
+from repro.codec.frames import pad_plane
+from repro.codec.me import MotionField, motion_estimate_rows
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.exec.backend import ProcessBackend, split_band, worker_group_sizes
@@ -142,6 +144,31 @@ class TestBitExactness:
         ref = ReferenceEncoder(CFG, gop_size=3).encode_sequence(frames)
         out, _fw, _acc = encode_process(frames, 2, gop_size=3)
         assert_identical(ref, out)
+
+
+class TestMeTaskBands:
+    def test_bands_stitch_to_the_full_frame(self):
+        """``me_task`` builds its box-sum tables per band: bands of 1, 2 and
+        5 MB rows, stitched, are the field of one full-frame search."""
+        cfg = CodecConfig(width=64, height=128, search_range=4, num_ref_frames=2)
+        cur, *refs = (f.y for f in SyntheticSequence(
+            width=64, height=128, seed=5, noise_sigma=1.5).frames(3))
+        full = motion_estimate_rows(cur, refs, 0, cfg.mb_rows, cfg)
+        with SharedFrameStore(cfg) as store, KernelPool(2, store.layout(), cfg) as pool:
+            store.view("cur")[:] = cur
+            for k, ref in enumerate(refs):
+                store.view(f"ref{k}")[:] = pad_plane(ref, cfg.search_range)
+            futures = [pool.submit_me(row0, nrows, 2) for row0, nrows in
+                       ((0, 1), (1, 2), (3, 5))]
+            bands = [f.result(timeout=60)[0] for f in futures]
+        stitched = MotionField.merge(bands)
+        stitched.check_consistent()
+        assert (stitched.row0, stitched.nrows) == (0, cfg.mb_rows)
+        for shape in full.mode_shapes:
+            for name in ("sads", "refs", "mvs"):
+                np.testing.assert_array_equal(
+                    getattr(stitched, name)[shape], getattr(full, name)[shape]
+                )
 
 
 # ---------------------------------------------------------------------------

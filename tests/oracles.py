@@ -16,6 +16,10 @@ for bit:
   4×4 cells, one float64 cell-membership matmul per partition mode
   (:func:`reference_partition_sads`) and a strict ``<`` masked update of
   the running best — the kernel :func:`motion_estimate_rows` replaced;
+- :func:`reference_strip_cell_sads_batch` — 4×4 cell SADs the direct way,
+  ``maximum − minimum`` over the window batch and six adds per cell — the
+  kernel :class:`repro.codec.sad.StripCellSads` (``Σcur + Σref − 2·Σmin``)
+  replaced, moved here verbatim;
 - :func:`reference_sme` — sub-pel refinement one candidate at a time:
   per-pixel fancy-index gathers from the SF, a boolean reference mask per
   candidate, int32 SADs reduced to int64 and a strict ``<`` masked update
@@ -64,6 +68,7 @@ from repro.codec.me import MotionField
 from repro.codec.partitions import all_modes, get_mode
 from repro.codec.quant import chroma_qp, mf_matrix, v_matrix
 from repro.codec.residual import CodedChromaPlane, CodedPlane
+from repro.codec.sad import CELLS
 from repro.codec.satd import block_metric
 from repro.codec.sme import SubpelField
 from repro.codec.transform import blocks_to_plane, plane_to_blocks
@@ -243,6 +248,58 @@ def reference_fsbm(
                     out.mvs[m.shape][out_r, :, :, 1][improved] = (
                         best_dx_i[improved] - sr
                     )
+    return out
+
+
+def reference_strip_cell_sads_batch(
+    cur_strip: np.ndarray, ref_windows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Cell SADs for one MB row at a batch of displacements.
+
+    Parameters
+    ----------
+    cur_strip:
+        ``(16, W)`` uint8 current strip.
+    ref_windows:
+        ``(n_disp, 16, W)`` uint8 displaced reference strips (usually a
+        sliding-window view — no copy).
+    out:
+        Optional ``(n_disp, mb_cols, 4, 4)`` uint16 destination of any
+        memory layout.
+
+    Returns
+    -------
+    ndarray ``(n_disp, mb_cols, 4, 4)`` uint16, indexed
+    ``[disp, mb, cell_row, cell_col]``.
+    """
+    n, h, w = ref_windows.shape
+    if (h, w) != cur_strip.shape or h != MB_SIZE or w % MB_SIZE != 0:
+        raise ValueError(
+            f"incompatible shapes cur={cur_strip.shape} windows={ref_windows.shape}"
+        )
+    if cur_strip.dtype != np.uint8 or ref_windows.dtype != np.uint8:
+        raise ValueError(
+            f"uint8 samples required, got cur={cur_strip.dtype} "
+            f"windows={ref_windows.dtype}"
+        )
+    mb_cols = w // MB_SIZE
+    ad = np.maximum(ref_windows, cur_strip)
+    ad -= np.minimum(ref_windows, cur_strip)
+    # Four pel rows -> one cell row: widen once, then contiguous slice-adds.
+    pel_rows = ad.reshape(n, CELLS, 4, w)
+    rows = pel_rows[:, :, 0].astype(np.uint16)
+    rows += pel_rows[:, :, 1]
+    rows += pel_rows[:, :, 2]
+    rows += pel_rows[:, :, 3]
+    # Four pel columns -> one cell column; quads is [disp, cy, mb, cx, pel].
+    quads = rows.reshape(n, CELLS, mb_cols, CELLS, 4)
+    cells = quads[..., 0] + quads[..., 1]
+    cells += quads[..., 2]
+    cells += quads[..., 3]
+    cells = cells.transpose(0, 2, 1, 3)
+    if out is None:
+        return cells
+    out[...] = cells
     return out
 
 
