@@ -11,10 +11,18 @@ execution). Two modes per platform:
 - ``jittered``— 5% execution-time noise defeats the rtol decision cache,
   bounding overhead when decisions can't be reused.
 
-The regression gate on these numbers is ``BENCHMARK.json``'s
+Milliseconds depend on the host; *LP solves per frame* (``LPSolveCache``
+misses, i.e. HiGHS calls) do not, so the re-solve column is gated on
+that: two Δ iterations of the all-active subset and nothing else on the
+paper's platforms — the parked subsets are ruled out by their τtot floor
+before HiGHS sees them. The 3- and 4-GPU rows are reported, not asserted
+(the floor prunes most of 2^3 subsets, little of leave-one-out).
+
+The regression gate on the milliseconds is ``BENCHMARK.json``'s
 ``sched_steady`` / ``sched_jitter`` ``host_ms_per_frame``; that the
 scheduler's shortcuts change no decision is a tier-1 oracle test
-(``tests/sanitizers/test_fast_path_equivalence.py``), not a benchmark.
+(``tests/sanitizers/test_fast_path_equivalence.py``,
+``test_pruning_equivalence.py``), not a benchmark.
 """
 
 import pytest
@@ -23,29 +31,39 @@ from repro.codec.config import CodecConfig
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.noise import GaussianJitter, NoiseModel
-from repro.hw.presets import get_platform
+from repro.hw.presets import get_platform, multi_gpu_platform
 from repro.report import format_table
 
 CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
 
+#: The paper's platforms (asserted on) and two wider ones (reported).
+PAPER_PLATFORMS = ("SysNF", "SysNFF", "SysHK")
+WIDE_PLATFORMS = {"3xGPU_F+CPU_N": 3, "4xGPU_F+CPU_N": 4}
+
 
 def run_model(platform: str, n: int = 50, fw_cfg: FrameworkConfig | None = None):
-    fw = FevesFramework(get_platform(platform), CFG, fw_cfg or FrameworkConfig())
+    built = (
+        multi_gpu_platform(WIDE_PLATFORMS[platform])
+        if platform in WIDE_PLATFORMS else get_platform(platform)
+    )
+    fw = FevesFramework(built, CFG, fw_cfg or FrameworkConfig())
     fw.run_model(n)
     return fw
 
 
-def overhead_ms(platform: str, n: int = 50, fw_cfg: FrameworkConfig | None = None):
-    return run_model(platform, n, fw_cfg).scheduling_overhead_ms
+def overhead(platform: str, n: int = 50, fw_cfg: FrameworkConfig | None = None):
+    """``(scheduling ms, LP solves)`` per inter frame."""
+    fw = run_model(platform, n, fw_cfg)
+    return fw.scheduling_overhead_ms, fw.balancer.lp_cache.misses / n
 
 
 @pytest.fixture(scope="module")
 def overheads():
     out = {}
-    for platform in ("SysNF", "SysNFF", "SysHK"):
+    for platform in (*PAPER_PLATFORMS, *WIDE_PLATFORMS):
         out[platform] = {
-            "steady": overhead_ms(platform),
-            "jittered": overhead_ms(
+            "steady": overhead(platform),
+            "jittered": overhead(
                 platform,
                 fw_cfg=FrameworkConfig(
                     noise=NoiseModel(jitter=GaussianJitter(sigma=0.05))
@@ -56,15 +74,17 @@ def overheads():
 
 
 def test_overhead_table(overheads, emit, benchmark):
-    benchmark.pedantic(overhead_ms, args=("SysHK", 20), rounds=2, iterations=1)
-    rows = [
-        [p, f"{v['steady']:.3f}", f"{v['jittered']:.3f}"]
-        for p, v in overheads.items()
-    ]
+    benchmark.pedantic(overhead, args=("SysHK", 20), rounds=2, iterations=1)
+    rows = []
+    for p, v in overheads.items():
+        (steady_ms, steady_lps), (jitter_ms, jitter_lps) = v["steady"], v["jittered"]
+        rows.append([p, f"{steady_ms:.3f}", f"{steady_lps:.2f}",
+                     f"{jitter_ms:.3f}", f"{jitter_lps:.2f}"])
     emit(
         "overhead",
         format_table(
-            ["platform", "steady ms", "5% jitter ms"],
+            ["platform", "steady ms", "LP solves/frame",
+             "5% jitter ms", "LP solves/frame"],
             rows,
             title="Scheduling overhead per inter frame (paper claim: < 2 ms)",
         ),
@@ -73,8 +93,18 @@ def test_overhead_table(overheads, emit, benchmark):
 
 def test_steady_state_under_2ms(overheads, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for p, v in overheads.items():
-        assert v["steady"] < 2.0, f"{p}: {v['steady']:.2f} ms"
+    for p in PAPER_PLATFORMS:
+        ms, _ = overheads[p]["steady"]
+        assert ms < 2.0, f"{p}: {ms:.2f} ms"
+
+
+def test_resolve_every_frame_costs_two_lp_solves(overheads, benchmark):
+    """Host-independent gate on the re-solve column: the all-active
+    subset's two Δ iterations, no parked subset (SysNFF read 3.9)."""
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    for p in PAPER_PLATFORMS:
+        _, solves = overheads[p]["jittered"]
+        assert solves <= 2.1, f"{p}: {solves:.2f} LP solves per frame"
 
 
 def test_overhead_much_smaller_than_frame_time(overheads, benchmark):
@@ -83,4 +113,4 @@ def test_overhead_much_smaller_than_frame_time(overheads, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     fw = run_model("SysHK", 10)
     frame_ms = fw.frame_times_ms()[-1]
-    assert overheads["SysHK"]["steady"] < 0.2 * frame_ms
+    assert overheads["SysHK"]["steady"][0] < 0.2 * frame_ms

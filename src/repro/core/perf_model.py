@@ -94,6 +94,7 @@ class PerformanceCharacterization:
         self.version = 0
 
     def _state(self, device: str) -> _DeviceState:
+        """The record an ``observe_*`` writes to; queries must not create one."""
         return self._devices.setdefault(device, _DeviceState())
 
     def _blend(self, st: _DeviceState, key: str, old: float | None, new: float) -> float:
@@ -199,15 +200,18 @@ class PerformanceCharacterization:
 
     def k_compute(self, device: str, module: str) -> float | None:
         """Seconds per MB row for a module on a device (None if unmeasured)."""
-        return self._state(device).k_compute.get(module)
+        st = self._devices.get(device)
+        return st.k_compute.get(module) if st is not None else None
 
     def rstar_frame_s(self, device: str) -> float | None:
         """Measured R* block seconds on a device."""
-        return self._state(device).rstar_frame_s
+        st = self._devices.get(device)
+        return st.rstar_frame_s if st is not None else None
 
     def bandwidth(self, device: str, direction: str) -> float | None:
         """Estimated link bandwidth (bytes/s) of a device in a direction."""
-        return self._state(device).bw.get(direction)
+        st = self._devices.get(device)
+        return st.bw.get(direction) if st is not None else None
 
     def k_transfer(
         self, device: str, buf: str, direction: str, sizes: BufferSizes

@@ -86,6 +86,13 @@ class TestLPSolveCache:
         cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)  # miss again
         assert cache.misses == 3 and cache.hits == 0
 
+    @pytest.mark.parametrize("max_entries", [0, -1])
+    def test_a_table_that_can_hold_nothing_is_rejected(self, max_entries):
+        # FIFO eviction pops before it inserts: an empty table has nothing
+        # to pop (a bare StopIteration on the first miss).
+        with pytest.raises(ValueError, match="max_entries"):
+            LPSolveCache(max_entries=max_entries)
+
     def test_infeasible_cached_as_none(self):
         cache = LPSolveCache()
         c, a_ub, _, a_eq, b_eq, bounds = self.tiny_lp()

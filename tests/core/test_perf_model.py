@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.baselines.oracle import ground_truth_perf
+from repro.codec.config import CodecConfig
+from repro.core.config import FrameworkConfig
+from repro.core.load_balancing import LoadBalancer
 from repro.core.perf_model import PerformanceCharacterization, buffer_row_bytes
 from repro.hw.interconnect import BufferSizes
+from repro.hw.presets import get_platform
 
 SIZES = BufferSizes(width=1920, height=1088)
 
@@ -171,3 +176,31 @@ class TestInvalidate:
         p.invalidate("ghost", keep_prior=True)
         p.invalidate("ghost", keep_prior=False)
         assert p.k_compute("ghost", "me") is None
+
+
+class TestQueriesDoNotMutate:
+    """A read must leave what ``version`` describes as it was."""
+
+    def test_unknown_device_gets_no_record(self):
+        p = PerformanceCharacterization()
+        p.observe_compute("dev", "me", 1, 0.01)
+        before = (p.version, set(p._devices))
+        assert p.k_compute("dve", "me") is None  # a misspelt name
+        assert p.rstar_frame_s("dve") is None
+        assert p.bandwidth("dve", "h2d") is None
+        assert p.k_transfer("dve", "sf", "h2d", SIZES) is None
+        assert not p.is_prior("dve", "me")
+        assert (p.version, set(p._devices)) == before
+
+    def test_dropped_device_stays_absent_after_a_solve(self):
+        platform = get_platform("SysNFF")
+        cfg = CodecConfig(width=704, height=576)
+        perf = ground_truth_perf(platform, cfg)
+        perf.invalidate("GPU_F2", keep_prior=False)  # "forget the device entirely"
+        version = perf.version
+        decision = LoadBalancer(platform, cfg, FrameworkConfig()).solve(
+            perf, "GPU_F", {"GPU_F": False, "GPU_F2": True}, {"GPU_F": 0, "GPU_F2": 0}
+        )
+        assert decision.used_lp  # the probe of GPU_F2 ran; it is warming
+        assert "GPU_F2" not in perf._devices
+        assert perf.version == version

@@ -10,7 +10,10 @@ for bit:
 - :func:`make_cold` — turns a framework into a *cold* scheduler: every
   LP reaches HiGHS (no solve memo), every frame re-solves (no exact
   decision reuse), every transfer K is re-derived (no version-keyed
-  table), and the DES runs :func:`reference_run`;
+  table), every activity subset is solved (:func:`solve_every_subset`:
+  τtot floor ≡ 0, nothing pruned), and the DES runs :func:`reference_run`;
+  :func:`log_subsets` records which subsets a balancer solved, each with
+  its floor, for the pruning tests to hold against the LP optimum;
 - :func:`reference_fsbm` — full search as one wide-integer pass per
   ``(row, ref, dy)``: int32 absolute differences, a multi-axis reduce to
   4×4 cells, one float64 cell-membership matmul per partition mode
@@ -148,6 +151,30 @@ class PassThroughLPCache(LPSolveCache):
         return res.x if res.success else None
 
 
+def solve_every_subset(balancer) -> None:
+    """Switch subset pruning off: a τtot floor of 0 rules nothing out."""
+    balancer._tau_floor = lambda perf, rstar_device, active: 0.0
+
+
+def log_subsets(balancer, log: list) -> None:
+    """Append ``(parked ∪ dead, result, floor)`` per activity subset solved.
+
+    ``floor`` is the class's ``_tau_floor`` at solve time, whatever an
+    instance attribute (:func:`solve_every_subset`) answers in the loop.
+    """
+    inner = balancer._solve_with_fixed_point
+    devices = balancer.platform.devices
+
+    def logged(perf, rstar_device, needs_rf, sigma_r_prev, parked):
+        result = inner(perf, rstar_device, needs_rf, sigma_r_prev, parked)
+        active = [dev for i, dev in enumerate(devices) if i not in parked]
+        floor = type(balancer)._tau_floor(balancer, perf, rstar_device, active)
+        log.append((parked, result, floor))
+        return result
+
+    balancer._solve_with_fixed_point = logged
+
+
 def make_cold(fw: FevesFramework) -> FevesFramework:
     """Strip every scheduling shortcut from ``fw`` (in place).
 
@@ -166,6 +193,7 @@ def make_cold(fw: FevesFramework) -> FevesFramework:
     balancer._kt_lookup = lambda perf: (
         lambda name, buf, dr: perf.k_transfer(name, buf, dr, balancer.sizes)
     )
+    solve_every_subset(balancer)
     sim = fw.manager.sim
     sim.run = lambda: reference_run(sim)
     return fw

@@ -32,15 +32,12 @@ FAST_SETTINGS = settings(
 )
 
 
-@st.composite
-def framework_scenarios(draw):
-    platform_name = draw(st.sampled_from(PLATFORMS))
-    codec = draw(st.sampled_from(CODECS))
-    platform = get_platform(platform_name)
+def fault_events(draw, device_names) -> list[FaultEvent]:
+    """0–2 faults of any kind on frames 2–5, one per (frame, device)."""
     events = []
     n_faults = draw(st.integers(min_value=0, max_value=2))
     for _ in range(n_faults):
-        device = draw(st.sampled_from([d.name for d in platform.devices]))
+        device = draw(st.sampled_from(device_names))
         kind = draw(st.sampled_from(("dropout", "hang", "degrade", "copy_fail")))
         frame = draw(st.integers(min_value=2, max_value=5))
         if kind == "hang":
@@ -60,6 +57,15 @@ def framework_scenarios(draw):
         seen = {(e.frame, e.device) for e in events[:-1]}
         if (events[-1].frame, events[-1].device) in seen:
             events.pop()
+    return events
+
+
+@st.composite
+def framework_scenarios(draw):
+    platform_name = draw(st.sampled_from(PLATFORMS))
+    codec = draw(st.sampled_from(CODECS))
+    platform = get_platform(platform_name)
+    events = fault_events(draw, [d.name for d in platform.devices])
     frames = draw(st.integers(min_value=3, max_value=7))
     return platform_name, codec, FaultSchedule(events=tuple(events)), frames
 
