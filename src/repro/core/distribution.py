@@ -10,6 +10,7 @@ defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,36 +77,37 @@ def round_preserving_sum(fractions: np.ndarray, total: int) -> tuple[int, ...]:
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    frac = np.atleast_1d(np.asarray(fractions, dtype=np.float64))
-    if frac.size == 0:
+    frac: list[float] = np.asarray(fractions, dtype=np.float64).ravel().tolist()
+    n = len(frac)
+    if n == 0:
         if total != 0:
             raise ValueError(f"cannot distribute {total} rows over zero devices")
         return ()
-    if (frac < -1e-6).any():
+    if any(f < -1e-6 for f in frac):
         raise ValueError(f"negative fractions: {frac}")
-    frac = np.clip(frac, 0.0, None)
     if total == 0:
-        return (0,) * len(frac)
-    if len(frac) == 1:
+        return (0,) * n
+    if n == 1:
         return (total,)
-    s = frac.sum()
+    frac = [0.0 if f < 0.0 else f for f in frac]
+    s = 0.0
+    for f in frac:  # left to right, as NumPy adds fewer than eight values
+        s += f
     if s == 0:
-        return tuple(Distribution.equidistant(total, len(frac)).rows)
-    with np.errstate(invalid="ignore", over="ignore"):
-        frac = frac * (total / s)
-    if not np.isfinite(frac).all():  # guard subnormal inputs overflowing
-        return tuple(Distribution.equidistant(total, len(frac)).rows)
-    floor = np.floor(frac).astype(int)
+        return Distribution.equidistant(total, n).rows
+    scale = total / s
+    frac = [f * scale for f in frac]
+    if not all(math.isfinite(f) for f in frac):  # guard subnormal inputs overflowing
+        return Distribution.equidistant(total, n).rows
+    out = [math.floor(f) for f in frac]
     # Float error can make the scaled sum land a hair above ``total``;
     # floors then already cover it and there is nothing left to hand out.
-    short = max(0, total - int(floor.sum()))
-    # Stable sort: equal remainders go to the lower device index, keeping
-    # the rounded vector deterministic across numpy versions.
-    order = np.argsort(-(frac - floor), kind="stable")
-    out = floor.copy()
+    short = max(0, total - sum(out))
+    # Stable sort: equal remainders go to the lower device index.
+    order = sorted(range(n), key=lambda i: out[i] - frac[i])
     for k in range(short):
-        out[order[k % len(out)]] += 1
-    return tuple(int(x) for x in out)
+        out[order[k % n]] += 1
+    return tuple(out)
 
 
 def missing_segments(

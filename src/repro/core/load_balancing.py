@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from itertools import combinations as _combinations
 
 import numpy as np
-from scipy.optimize import linprog
+
+try:  # the one import site of the bindings; scipy.optimize has no public path to them
+    import scipy.optimize._highspy._core as _hs
+except ImportError as exc:  # pragma: no cover - depends on the installed SciPy
+    raise ImportError(
+        "repro.core.load_balancing needs SciPy >= 1.15 (HiGHS through the "
+        "highspy bindings it ships as scipy.optimize._highspy._core)"
+    ) from exc
 
 from repro.codec.config import CodecConfig
 from repro.core.bounds import ExtraTransfers, ls_bounds, ms_bounds, sf_remainder_segments
@@ -71,17 +78,38 @@ def _empty_extra() -> ExtraTransfers:
     return ExtraTransfers(segments=(), rows=0)
 
 
+#: How far off a bound or a row ``linprog`` let an optimum be (``_check_result``).
+RESIDUAL_TOL = float(np.sqrt(1e-9) * 10)
+
+
+def _new_highs() -> "_hs._Highs":
+    """A HiGHS instance with the options ``linprog(method="highs")`` sets."""
+    highs = _hs._Highs()
+    for option, value in (
+        ("presolve", "on"),
+        ("simplex_strategy", int(_hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+        ("highs_debug_level", int(_hs.HighsDebugLevel.kHighsDebugLevelNone)),
+        ("log_to_console", False),
+        ("output_flag", False),
+    ):
+        if highs.setOptionValue(option, value) != _hs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {option}={value!r}")
+    return highs
+
+
 class LPSolveCache:
     """Exact-keyed memo of HiGHS solves — the warm-start fast path.
 
     The per-frame LP changes only through its K-parameter coefficients;
     in steady state (and between the Δ fixed-point iterations once the
     fixed point is reached) consecutive solves receive byte-identical
-    constraint systems. The cache keys on the exact bytes of every array
-    entering :func:`scipy.optimize.linprog` plus the bounds tuple, so a
+    constraint systems. The cache keys on the exact bytes of the LP, so a
     hit returns precisely what the cold solve would have returned (HiGHS
-    is deterministic) — bit-identical by construction, no tolerance
-    involved.
+    is deterministic) — bit-identical by construction, no tolerance.
+
+    A miss goes straight to HiGHS, on one persistent instance per cache
+    (:func:`_new_highs`); ``passModel`` drops the previous basis and
+    solution, so no answer depends on what the instance solved before.
 
     One instance may be shared across balancers: the service layer hands
     every session the same cache, which batches the structurally
@@ -93,7 +121,7 @@ class LPSolveCache:
     infeasibility is as wasteful as re-solving.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "_table")
+    __slots__ = ("max_entries", "hits", "misses", "_table", "_highs")
 
     def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 1:
@@ -102,6 +130,7 @@ class LPSolveCache:
         self.hits = 0
         self.misses = 0
         self._table: dict[tuple, np.ndarray | None] = {}
+        self._highs = _new_highs()
 
     def solve(
         self,
@@ -112,30 +141,74 @@ class LPSolveCache:
         b_eq: np.ndarray,
         bounds: list[tuple],
     ) -> np.ndarray | None:
+        """``argmin c·x`` s.t. ``a_ub x ≤ b_ub``, ``a_eq x = b_eq``, one
+        ``(low, high)`` per variable in ``bounds`` (``None``: open). Returns a
+        read-only ``x`` shared by later hits, ``None`` without a proven optimum.
+        """
         key = (
-            a_ub.shape,
-            c.tobytes(),
-            a_ub.tobytes(),
-            b_ub.tobytes(),
-            a_eq.tobytes(),
-            b_eq.tobytes(),
-            tuple(bounds),
+            a_ub.shape, c.tobytes(), a_ub.tobytes(), b_ub.tobytes(),
+            a_eq.tobytes(), b_eq.tobytes(), tuple(bounds),
         )
         if key in self._table:
             self.hits += 1
             return self._table[key]
         self.misses += 1
-        res = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=bounds, method="highs",
-        )
-        x: np.ndarray | None = None
-        if res.success:
-            x = res.x
-            x.setflags(write=False)  # shared across hits — must stay frozen
+        x = self._cold_solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
         if len(self._table) >= self.max_entries:
             self._table.pop(next(iter(self._table)))  # FIFO eviction
         self._table[key] = x
+        return x
+
+    def _cold_solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray | None:
+        """One HiGHS run, with what ``linprog`` checked around the same call.
+
+        Before: NaN or ±inf in an array is a ``ValueError`` (HiGHS takes a
+        NaN cost and answers). After: anything but ``kOptimal`` — infeasible,
+        unbounded, ``kError`` from ``passModel`` or ``run`` — is ``None``, and
+        so is an "optimum" off a bound or a row by more than ``RESIDUAL_TOL``.
+        """
+        for name, arr in zip(
+            ("c", "a_ub", "b_ub", "a_eq", "b_eq"), (c, a_ub, b_ub, a_eq, b_eq), strict=True
+        ):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"LP input {name} must not contain inf or nan")
+        n_ub = len(b_ub)
+        lo = np.array([-np.inf if low is None else low for low, _ in bounds])
+        hi = np.array([np.inf if high is None else high for _, high in bounds])
+        # Rows as HiGHS wants them: lower ≤ a x ≤ upper, matrix column-wise.
+        upper = np.concatenate((b_ub, b_eq))
+        lower = np.concatenate((np.full(n_ub, -np.inf), b_eq))
+        by_col = np.vstack((a_ub, a_eq)).T
+        col, row = np.nonzero(by_col)
+        start = np.zeros(len(c) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=len(c)), out=start[1:])
+        lp = _hs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+        lp.a_matrix_.format_ = _hs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = row.astype(np.int32)
+        lp.a_matrix_.value_ = by_col[col, row]
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lo, hi
+        lp.row_lower_, lp.row_upper_ = lower, upper
+        highs = self._highs
+        if (
+            highs.passModel(lp) == _hs.HighsStatus.kError
+            or highs.run() == _hs.HighsStatus.kError
+            or highs.getModelStatus() != _hs.HighsModelStatus.kOptimal
+        ):
+            return None
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        slack = upper - np.array(solution.row_value)
+        if not (
+            (x >= lo - RESIDUAL_TOL).all()
+            and (x <= hi + RESIDUAL_TOL).all()
+            and (slack[:n_ub] >= -RESIDUAL_TOL).all()
+            and (np.abs(slack[n_ub:]) <= RESIDUAL_TOL).all()
+        ):  # written so that a NaN anywhere fails
+            return None
+        x.setflags(write=False)  # shared across hits — must stay frozen
         return x
 
     @property

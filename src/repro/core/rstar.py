@@ -13,8 +13,8 @@ whole block belongs on the fastest one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 from repro.codec.config import CodecConfig
 from repro.hw.interconnect import BufferSizes
@@ -79,28 +79,30 @@ def select_rstar_device(
     sizes = BufferSizes(width=cfg.width, height=cfg.height)
     payload = float(sizes.rf_frame) * 2.0  # residual + partial reconstruction
 
-    g = nx.DiGraph()
-    g.add_node("src")
-    g.add_node("sink")
-    prev_nodes: list[tuple[str, str]] = []
-    for si, (stage, share) in enumerate(RSTAR_STAGES):
-        nodes = [(stage, d) for d in devices]
-        for stage_d in nodes:
-            _, d = stage_d
-            stage_cost = rstar_estimates[d] * share
-            if si == 0:
-                g.add_edge("src", stage_d, weight=stage_cost)
-            else:
-                for prev in prev_nodes:
-                    _, pd = prev
-                    w = stage_cost + _migration_cost(platform, pd, d, payload)
-                    g.add_edge(prev, stage_d, weight=w)
-        prev_nodes = nodes
-    for stage_d in prev_nodes:
-        g.add_edge(stage_d, "sink", weight=0.0)
-
-    length, path = nx.single_source_dijkstra(g, "src", "sink", weight="weight")
-    stage_path = tuple(n for n in path if n not in ("src", "sink"))
+    # Nodes are (stage index, device index), each joined to every node of the
+    # next stage; equal distances pop in push order: lowest device index first.
+    push_order = count()
+    heap = [
+        (rstar_estimates[d] * RSTAR_STAGES[0][1], next(push_order), 0, k, ())
+        for k, d in enumerate(devices)
+    ]
+    heapify(heap)
+    settled: set[tuple[int, int]] = set()
+    while True:
+        length, _, si, k, on_path = heappop(heap)
+        if (si, k) in settled:
+            continue  # reached earlier by a path at most as long
+        settled.add((si, k))
+        on_path += (k,)
+        if si == len(RSTAR_STAGES) - 1:
+            break
+        share = RSTAR_STAGES[si + 1][1]
+        for j, d in enumerate(devices):
+            w = rstar_estimates[d] * share + _migration_cost(platform, devices[k], d, payload)
+            heappush(heap, (length + w, next(push_order), si + 1, j, on_path))
+    stage_path = tuple(
+        (stage, devices[k]) for (stage, _), k in zip(RSTAR_STAGES, on_path, strict=True)
+    )
 
     # Collapse to one device (the paper's single-device assignment): the
     # device carrying the largest share of stage time along the path.

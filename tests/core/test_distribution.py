@@ -11,6 +11,8 @@ from repro.core.distribution import (
     round_preserving_sum,
 )
 
+from oracles import reference_round_preserving_sum
+
 
 class TestDistribution:
     def test_sum_enforced(self):
@@ -125,6 +127,64 @@ class TestRounding:
         a = round_preserving_sum(np.array(fracs), total)
         b = round_preserving_sum(np.array(fracs), total)
         assert a == b
+
+
+class TestMatchesTheNumpyRounding:
+    """Python floats, NumPy's operations: same rows, same ties, same errors.
+
+    NumPy adds fewer than eight float64 left to right, as the loop does; from
+    eight entries on its sum is blocked, so the two may differ in the last
+    place of the scale there — no platform has eight devices, and the
+    property stops at seven.
+    """
+
+    FRACTIONS = st.lists(
+        st.one_of(
+            st.floats(min_value=-1e-7, max_value=100),
+            st.sampled_from((0.0, -0.0, 0.25, 0.5, 17.0, 22.5, 68.0, 5e-324, 1e-310, 1e300)),
+        ),
+        min_size=0, max_size=7,
+    )
+
+    @given(FRACTIONS, st.integers(min_value=0, max_value=200))
+    @settings(max_examples=400, deadline=None)
+    def test_same_rows(self, fracs, total):
+        if not fracs and total:
+            return  # both raise; pinned below
+        assert round_preserving_sum(np.array(fracs), total) == (
+            reference_round_preserving_sum(np.array(fracs), total)
+        )
+
+    @pytest.mark.parametrize("fracs, total", [
+        ([1.0, -1e-5], 5), ([], 5), ([1.0, 2.0], -1), ([np.nan, -1.0], 3),
+    ])
+    def test_same_refusals(self, fracs, total):
+        for fn in (round_preserving_sum, reference_round_preserving_sum):
+            with pytest.raises(ValueError):
+                fn(np.array(fracs), total)
+
+    @pytest.mark.parametrize("fracs", [[np.nan, 1.0, 2.0], [np.inf, 1.0], [1e308, 1e308, 1.0]])
+    def test_same_fallback_on_non_finite_scaling(self, fracs):
+        with np.errstate(all="ignore"):
+            want = reference_round_preserving_sum(np.array(fracs), 68)
+        assert round_preserving_sum(np.array(fracs), 68) == want
+
+    def test_lp_slices_and_lists_are_taken_alike(self):
+        x = np.array([9.0, 20.25, 30.5, 17.25, 1.0, 2.0])
+        assert round_preserving_sum(x[1:4], 68) == round_preserving_sum([20.25, 30.5, 17.25], 68)
+        assert round_preserving_sum(x[1:4], 68) == reference_round_preserving_sum(x[1:4], 68)
+
+    def test_last_remainder_first_mutant_is_killed(self, mutant):
+        import repro.core.distribution as module
+
+        def unstable(source: str) -> str:
+            old = "sorted(range(n), key=lambda i: out[i] - frac[i])"
+            assert source.count(old) == 1
+            return source.replace(old, "sorted(range(n), key=lambda i: (out[i] - frac[i], -i))")
+
+        mutant(module, "round_preserving_sum", unstable)
+        fracs = np.array([1.0, 1.0, 1.0])
+        assert module.round_preserving_sum(fracs, 4) != reference_round_preserving_sum(fracs, 4)
 
 
 def overlap_rows(a, b):

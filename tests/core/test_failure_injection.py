@@ -1,8 +1,11 @@
 """Failure injection and extreme operating points."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro.core.load_balancing as lb
 from repro.codec.config import CodecConfig
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
@@ -57,25 +60,126 @@ class TestExtremeAsymmetry:
         assert fw.steady_state_fps() >= 0.8 * solo_cpu.steady_state_fps()
 
 
+def tiny_lp():
+    # minimize x  s.t.  x >= 0.5,  x + y = 1;  optimum (0.5, 0.5)
+    return dict(
+        c=np.array([1.0, 0.0]),
+        a_ub=np.array([[-1.0, 0.0]]), b_ub=np.array([-0.5]),
+        a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
+        bounds=[(0.0, None), (0.0, None)],
+    )
+
+
+class FailsOnce:
+    """A HiGHS instance whose next ``method`` call returns ``kError``."""
+
+    def __init__(self, highs, method):
+        self._highs, self._method, self.failed = highs, method, False
+
+    def __getattr__(self, name):
+        if name == self._method and not self.failed:
+            self.failed = True
+            return lambda *args: lb._hs.HighsStatus.kError
+        return getattr(self._highs, name)
+
+
 class TestLpFallbacks:
-    def test_heuristic_fallback_on_lp_failure(self, monkeypatch):
-        """If linprog dies, the speed-proportional heuristic takes over."""
-        import repro.core.load_balancing as lb
+    """What ``linprog`` used to decide around HiGHS, now ``_cold_solve``'s."""
 
-        def broken_linprog(*args, **kwargs):
-            class R:
-                success = False
-                x = None
-            return R()
-
-        monkeypatch.setattr(lb, "linprog", broken_linprog)
+    def run_syshk(self, frames=6):
         fw = FevesFramework(get_platform("SysHK"), CFG, FrameworkConfig())
-        out = fw.run_model(6)
+        return fw, fw.run_model(frames)
+
+    def assert_heuristic_took_over(self, fw, out):
         for dist in (fw.reports[-1].decision.m, fw.reports[-1].decision.s):
             assert sum(dist.rows) == 68
         assert not fw.reports[-1].decision.used_lp
         # Heuristic still beats the equidistant init frame.
         assert out[-1].time_s < out[0].time_s
+
+    def test_heuristic_fallback_on_lp_failure(self, monkeypatch):
+        """If the solver dies, the speed-proportional heuristic takes over."""
+        monkeypatch.setattr(lb.LPSolveCache, "_cold_solve", lambda self, *lp: None)
+        self.assert_heuristic_took_over(*self.run_syshk())
+
+    @pytest.mark.parametrize("breakage", ["infeasible", "unbounded"])
+    def test_an_lp_without_optimum_falls_back_and_is_cached(self, monkeypatch, breakage):
+        """HiGHS itself says no: Σm = −n with m ≥ 0, or τtot maximised."""
+        build = lb.LoadBalancer._build_lp
+
+        def broken(self, *args):
+            c, a_ub, b_ub, a_eq, b_eq, bounds, taus = build(self, *args)
+            if breakage == "infeasible":
+                return c, a_ub, b_ub, a_eq, -b_eq, bounds, taus
+            return -c, a_ub, b_ub, a_eq, b_eq, bounds, taus
+
+        monkeypatch.setattr(lb.LoadBalancer, "_build_lp", broken)
+        fw, out = self.run_syshk()
+        self.assert_heuristic_took_over(fw, out)
+        cache = fw.balancer.lp_cache
+        assert cache.misses > 0 and set(cache._table.values()) == {None}
+
+    @pytest.mark.parametrize("method", ["passModel", "run"])
+    def test_a_highs_error_is_none_and_the_instance_recovers(self, method):
+        cache = lb.LPSolveCache()
+        cache._highs = FailsOnce(cache._highs, method)
+        lp = tiny_lp()
+        assert cache.solve(**lp) is None
+        assert cache._highs.failed
+        assert cache.solve(**lp) is None and cache.hits == 1  # cached like any None
+        x = cache.solve(**{**lp, "b_ub": np.array([-0.25])})
+        np.testing.assert_array_equal(x, [0.25, 0.75])
+
+    @pytest.mark.parametrize("name", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_input_raises_naming_the_array(self, name, bad):
+        lp = tiny_lp()
+        lp[name] = lp[name].copy()
+        lp[name].flat[0] = bad
+        cache = lb.LPSolveCache()
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            cache.solve(**lp)
+        assert cache.solve(**tiny_lp())[0] == 0.5  # nothing cached, nothing stuck
+
+    def test_highs_alone_would_answer_a_nan_cost(self, mutant):
+        """Why the check exists: without it the solver returns a point."""
+        mutant(lb, "LPSolveCache", drop_the_finite_check)
+        x = lb.LPSolveCache().solve(**{**tiny_lp(), "c": np.array([np.nan, 0.0])})
+        assert x is not None and np.isfinite(x).all()
+
+    @pytest.mark.parametrize("point, accepted", [
+        ((0.5, 0.5), True),
+        ((0.5 - lb.RESIDUAL_TOL / 2, 0.5 + lb.RESIDUAL_TOL), True),
+        ((1.0 + 2 * lb.RESIDUAL_TOL, -2 * lb.RESIDUAL_TOL), False),       # y below its bound
+        ((0.5 - 2 * lb.RESIDUAL_TOL, 0.5 + 2 * lb.RESIDUAL_TOL), False),  # x >= 0.5 missed
+        ((0.5, 0.5 + 2 * lb.RESIDUAL_TOL), False),                        # x + y = 1 missed
+        ((0.5, np.nan), False),
+    ])
+    def test_an_optimum_outside_the_lp_is_a_failure(self, point, accepted):
+        """``linprog``'s residual test: ``kOptimal`` alone is not an answer."""
+        cache = lb.LPSolveCache()
+        real = cache._highs
+
+        class Planted:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def getSolution(self):
+                x, y = point
+                return SimpleNamespace(col_value=[x, y], row_value=[-x, x + y])
+
+        cache._highs = Planted()
+        x = cache.solve(**tiny_lp())
+        if accepted:
+            np.testing.assert_array_equal(x, point)
+        else:
+            assert x is None
+
+
+def drop_the_finite_check(source: str) -> str:
+    check = "if not np.isfinite(arr).all():"
+    assert source.count(check) == 1
+    return source.replace(check, "if False:")
 
 
 class TestPathologicalNoise:

@@ -14,6 +14,14 @@ for bit:
   τtot floor ≡ 0, nothing pruned), and the DES runs :func:`reference_run`;
   :func:`log_subsets` records which subsets a balancer solved, each with
   its floor, for the pruning tests to hold against the LP optimum;
+- :func:`reference_select_rstar_device` — the R* mapping as a ``networkx``
+  stage/device graph and ``single_source_dijkstra``, moved here verbatim
+  when :func:`repro.core.rstar.select_rstar_device` took the same path with
+  ``heapq`` (``networkx`` is a ``dev`` extra, imported on first use);
+- :func:`reference_round_preserving_sum` — largest-remainder rounding as
+  NumPy ``clip`` / ``sum`` / ``floor`` / stable ``argsort`` calls, moved
+  here verbatim when :func:`repro.core.distribution.round_preserving_sum`
+  took the same IEEE operations to Python floats;
 - :func:`reference_fsbm` — full search as one wide-integer pass per
   ``(row, ref, dy)``: int32 absolute differences, a multi-axis reduce to
   4×4 cells, one float64 cell-membership matmul per partition mode
@@ -75,9 +83,13 @@ from repro.codec.sad import CELLS
 from repro.codec.satd import block_metric
 from repro.codec.sme import SubpelField
 from repro.codec.transform import blocks_to_plane, plane_to_blocks
+from repro.core.distribution import Distribution
 from repro.core.framework import FevesFramework
 from repro.core.load_balancing import LPSolveCache
+from repro.core.rstar import RSTAR_STAGES, RStarDecision, _migration_cost
 from repro.hw.des import Op, OpRecord, Simulator
+from repro.hw.interconnect import BufferSizes
+from repro.hw.topology import Platform
 from repro.util.validation import check_range
 
 
@@ -140,7 +152,8 @@ def reference_run(sim: Simulator) -> list[OpRecord]:
 
 
 class PassThroughLPCache(LPSolveCache):
-    """An :class:`LPSolveCache` that remembers nothing."""
+    """An :class:`LPSolveCache` that remembers nothing and asks SciPy's
+    public ``linprog`` — the wrapper the cold solve replaced."""
 
     def solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray | None:
         self.misses += 1
@@ -197,6 +210,88 @@ def make_cold(fw: FevesFramework) -> FevesFramework:
     sim = fw.manager.sim
     sim.run = lambda: reference_run(sim)
     return fw
+
+
+def reference_select_rstar_device(
+    platform: Platform,
+    rstar_estimates: dict[str, float],
+    cfg: CodecConfig,
+) -> RStarDecision:
+    """Dijkstra over the stage/device graph, by ``networkx``."""
+    import networkx as nx
+
+    devices = [d.name for d in platform.devices if d.name in rstar_estimates]
+    if not devices:
+        raise ValueError("no device has an R* estimate")
+    sizes = BufferSizes(width=cfg.width, height=cfg.height)
+    payload = float(sizes.rf_frame) * 2.0  # residual + partial reconstruction
+
+    g = nx.DiGraph()
+    g.add_node("src")
+    g.add_node("sink")
+    prev_nodes: list[tuple[str, str]] = []
+    for si, (stage, share) in enumerate(RSTAR_STAGES):
+        nodes = [(stage, d) for d in devices]
+        for stage_d in nodes:
+            _, d = stage_d
+            stage_cost = rstar_estimates[d] * share
+            if si == 0:
+                g.add_edge("src", stage_d, weight=stage_cost)
+            else:
+                for prev in prev_nodes:
+                    _, pd = prev
+                    w = stage_cost + _migration_cost(platform, pd, d, payload)
+                    g.add_edge(prev, stage_d, weight=w)
+        prev_nodes = nodes
+    for stage_d in prev_nodes:
+        g.add_edge(stage_d, "sink", weight=0.0)
+
+    length, path = nx.single_source_dijkstra(g, "src", "sink", weight="weight")
+    stage_path = tuple(n for n in path if n not in ("src", "sink"))
+
+    # Collapse to one device (the paper's single-device assignment): the
+    # device carrying the largest share of stage time along the path.
+    share_by_dev: dict[str, float] = {}
+    for (stage, dev), (_, frac) in zip(stage_path, RSTAR_STAGES, strict=True):
+        share_by_dev[dev] = share_by_dev.get(dev, 0.0) + frac
+    best = max(share_by_dev.items(), key=lambda kv: (kv[1], -devices.index(kv[0])))
+    return RStarDecision(device=best[0], path=stage_path, total_s=float(length))
+
+
+def reference_round_preserving_sum(fractions: np.ndarray, total: int) -> tuple[int, ...]:
+    """Largest-remainder rounding to integers summing to ``total``, by NumPy."""
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    frac = np.atleast_1d(np.asarray(fractions, dtype=np.float64))
+    if frac.size == 0:
+        if total != 0:
+            raise ValueError(f"cannot distribute {total} rows over zero devices")
+        return ()
+    if (frac < -1e-6).any():
+        raise ValueError(f"negative fractions: {frac}")
+    frac = np.clip(frac, 0.0, None)
+    if total == 0:
+        return (0,) * len(frac)
+    if len(frac) == 1:
+        return (total,)
+    s = frac.sum()
+    if s == 0:
+        return tuple(Distribution.equidistant(total, len(frac)).rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        frac = frac * (total / s)
+    if not np.isfinite(frac).all():  # guard subnormal inputs overflowing
+        return tuple(Distribution.equidistant(total, len(frac)).rows)
+    floor = np.floor(frac).astype(int)
+    # Float error can make the scaled sum land a hair above ``total``;
+    # floors then already cover it and there is nothing left to hand out.
+    short = max(0, total - int(floor.sum()))
+    # Stable sort: equal remainders go to the lower device index, keeping
+    # the rounded vector deterministic across numpy versions.
+    order = np.argsort(-(frac - floor), kind="stable")
+    out = floor.copy()
+    for k in range(short):
+        out[order[k % len(out)]] += 1
+    return tuple(int(x) for x in out)
 
 
 def cell_membership(shape: tuple[int, int]) -> np.ndarray:
