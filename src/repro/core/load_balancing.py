@@ -16,18 +16,14 @@ catch-up transfers σ/σʳ are sized from the predicted τtot − τ2 window
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations as _combinations
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
-
-try:  # the one import site of the bindings; scipy.optimize has no public path to them
-    import scipy.optimize._highspy._core as _hs
-except ImportError as exc:  # pragma: no cover - depends on the installed SciPy
-    raise ImportError(
-        "repro.core.load_balancing needs SciPy >= 1.15 (HiGHS through the "
-        "highspy bindings it ships as scipy.optimize._highspy._core)"
-    ) from exc
 
 from repro.codec.config import CodecConfig
 from repro.core.bounds import ExtraTransfers, ls_bounds, ms_bounds, sf_remainder_segments
@@ -38,6 +34,39 @@ from repro.hw.interconnect import BufferSizes
 from repro.hw.topology import Platform
 from repro.util.journal import record as _journal
 from repro.util.profiling import PhaseProfiler
+
+
+def _load_highs_bindings() -> ModuleType:
+    """The highspy extension SciPy ships, without ``scipy.optimize``.
+
+    ``import scipy.optimize._highspy._core`` first executes
+    ``scipy/optimize/__init__`` — every optimizer, ``scipy.linalg``,
+    ``.special``, ``.spatial``: ≈ 0.4 s and ≈ 40 MB to reach one extension
+    module that needs none of it. So the file is loaded by path, under its
+    canonical name: a later ``import scipy.optimize`` (the ``linprog``
+    oracle in ``tests/oracles.py``) finds it in ``sys.modules`` and shares
+    the one module. ``scipy.optimize`` has no public path to the bindings
+    either way; this is the one site that reaches for them.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy.submodule_search_locations if scipy else None) or ():
+        for path in Path(root, "optimize", "_highspy").glob("_core*"):
+            spec = importlib.util.spec_from_file_location(name, path)
+            if spec is not None and spec.loader is not None:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    raise ImportError(
+        "repro.core.load_balancing needs SciPy >= 1.15 (HiGHS through the "
+        "highspy bindings it ships as scipy.optimize._highspy._core)"
+    )
+
+
+_hs = _load_highs_bindings()
 
 
 @dataclass

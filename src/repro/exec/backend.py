@@ -5,9 +5,12 @@ DES-backed :class:`~repro.core.coding_manager.VideoCodingManager`, but
 instead of simulating the collaborative schedule it *executes* it: each
 "device" of the platform becomes a worker group on one persistent
 :class:`~repro.exec.pool.KernelPool`, the LP-assigned row split (m, l, s)
-is honored by giving every device's band to its group as MB-row chunks,
-and the τ1/τ2 phase barriers of Algorithm 1 are real collection points —
-no SME task is submitted before every ME/INT result of the frame is in.
+is honored by giving every device's band to its group as MB-row chunks —
+chunk j to the group's j-th worker, which runs what it is given in order,
+so a device's INT and ME share its workers the way the LP's engine row
+assumes — and the τ1/τ2 phase barriers of Algorithm 1 are real collection
+points: no SME task is submitted before every ME/INT result of the frame
+is in.
 
 Timing discipline: the host anchors ``t=0`` at frame start; workers stamp
 their kernels with ``time.perf_counter()`` (machine-wide on Linux), so
@@ -26,8 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -39,12 +41,14 @@ from repro.codec.sme import SubpelField
 from repro.core.coding_manager import FrameReport, RealContext
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import TransferPlan
+from repro.core.distribution import Distribution
 from repro.core.load_balancing import LoadDecision
 from repro.core.perf_model import PerformanceCharacterization
 from repro.exec.accuracy import AccuracyReport, FrameAccuracy
 from repro.exec.pool import (
     TASK_TIMEOUT_ENV,
     KernelPool,
+    TaskHandle,
     resolve_start_method,
     task_timeout_from_env,
 )
@@ -180,14 +184,14 @@ class ProcessBackend:
                 )
 
     def _collect(
-        self, futs: list["Future[tuple[Any, float, float, list[AccessRecord]]]"]
+        self, futs: list[TaskHandle[tuple[Any, float, float, list[AccessRecord]]]]
     ) -> list[tuple[Any, float, float, list[AccessRecord]]]:
         """Gather task results, failing fast on a stalled pool."""
         out: list[tuple[Any, float, float, list[AccessRecord]]] = []
         for fut in futs:
             try:
                 out.append(fut.result(timeout=self.task_timeout_s))
-            except FutureTimeoutError:
+            except TimeoutError:
                 raise RuntimeError(
                     f"worker pool stalled: no result within "
                     f"{self.task_timeout_s:.0f}s (set ${TASK_TIMEOUT_ENV} "
@@ -238,6 +242,18 @@ class ProcessBackend:
         live_idx = [i for i, d in enumerate(devices) if d.name in live_set]
         groups = worker_group_sizes(len(live_idx), self.workers)
         group_of = dict(zip(live_idx, groups, strict=True))
+        # Device i owns workers first_of[i] .. first_of[i] + group_of[i] - 1
+        # (mod the pool width when there are fewer workers than devices).
+        first_of = dict(zip(live_idx, accumulate([0, *groups[:-1]]), strict=True))
+
+        def chunks_of(i: int, dist: Distribution) -> list[tuple[int, int, int]]:
+            """``(row0, nrows, worker)`` per chunk of device ``i``'s band."""
+            return [
+                (row0, stop - row0, first_of[i] + j)
+                for j, (row0, stop) in enumerate(
+                    split_band(dist.band(i), group_of[i])
+                )
+            ]
 
         t_frame0 = time.perf_counter()
 
@@ -260,21 +276,21 @@ class ProcessBackend:
         # ---- phase 1: ME + INT, barriered at τ1 ----------------------------
         with self.profiler.phase("exec_phase1"):
             int_futs: list[
-                Future[tuple[None, float, float, list[AccessRecord]]]
+                TaskHandle[tuple[None, float, float, list[AccessRecord]]]
             ] = []
             int_meta: list[tuple[str, int, int]] = []
             me_futs: list[
-                Future[tuple[MotionField, float, float, list[AccessRecord]]]
+                TaskHandle[tuple[MotionField, float, float, list[AccessRecord]]]
             ] = []
             me_meta: list[tuple[str, int, int]] = []
             for i in live_idx:
                 name = devices[i].name
-                for row0, stop in split_band(decision.l.band(i), group_of[i]):
-                    int_futs.append(pool.submit_int(row0, stop - row0))
-                    int_meta.append((name, row0, stop - row0))
-                for row0, stop in split_band(decision.m.band(i), group_of[i]):
-                    me_futs.append(pool.submit_me(row0, stop - row0, n_refs))
-                    me_meta.append((name, row0, stop - row0))
+                for row0, nrows, worker in chunks_of(i, decision.l):
+                    int_futs.append(pool.submit_int(row0, nrows, worker))
+                    int_meta.append((name, row0, nrows))
+                for row0, nrows, worker in chunks_of(i, decision.m):
+                    me_futs.append(pool.submit_me(row0, nrows, n_refs, worker))
+                    me_meta.append((name, row0, nrows))
             int_results = self._collect(list(int_futs))
             me_results = self._collect(list(me_futs))
             tau1 = time.perf_counter() - t_frame0
@@ -302,19 +318,19 @@ class ProcessBackend:
         with self.profiler.phase("exec_phase2"):
             n_sfs = 1 + len(ctx.sfs_prev)
             sme_futs: list[
-                Future[tuple[SubpelField, float, float, list[AccessRecord]]]
+                TaskHandle[tuple[SubpelField, float, float, list[AccessRecord]]]
             ] = []
             sme_meta: list[tuple[str, int, int]] = []
             for i in live_idx:
                 name = devices[i].name
-                for row0, stop in split_band(decision.s.band(i), group_of[i]):
+                for row0, nrows, worker in chunks_of(i, decision.s):
                     sme_futs.append(
                         pool.submit_sme(
-                            row0, stop - row0, n_sfs,
-                            ctx.me_field.slice_rows(row0, stop - row0),
+                            row0, nrows, n_sfs,
+                            ctx.me_field.slice_rows(row0, nrows), worker,
                         )
                     )
-                    sme_meta.append((name, row0, stop - row0))
+                    sme_meta.append((name, row0, nrows))
             sme_results = self._collect(list(sme_futs))
             tau2 = time.perf_counter() - t_frame0
             for (name, row0, nrows), (_sf, t0, t1, jr) in zip(
@@ -433,9 +449,11 @@ class ProcessBackend:
         """Close the loop: measured rates → the characterization.
 
         The per-(device, module) observation is the *span* from the first
-        chunk start to the last chunk end — it includes pool queue wait,
-        which is exactly the effective rate the LP must plan with when a
-        group shares cores.
+        chunk start to the last chunk end. It starts at a worker's own
+        stamp, so the wait ahead of a device's first chunk is never in it;
+        the gaps between its chunks are, when its group shares workers
+        with another device — the effective rate the LP must plan with
+        there.
         """
         span: dict[tuple[str, str], tuple[float, float]] = {}
         for module, name, _row0, _nrows, t0, t1 in chunks:

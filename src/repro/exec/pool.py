@@ -1,7 +1,7 @@
 """Persistent multiprocessing worker pool for the codec kernels.
 
 Workers attach to the :class:`~repro.exec.shm.SharedFrameStore` segments
-once, in the pool initializer, and afterwards every task is pure
+once, when they start, and afterwards every task is pure
 coordinates: ``(row0, nrows)`` plus small metadata. ME and SME return
 their per-band motion fields (a few KB per MB row); INT writes its SF band
 straight into the shared ``sf0`` slot and returns nothing — no pixel
@@ -26,9 +26,12 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections import deque
+from collections.abc import Callable
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
+from typing import Any, Generic, NoReturn, TypeVar
 
 import numpy as np
 
@@ -45,8 +48,7 @@ from repro.exec.shm import (
 )
 from repro.util.journal import record as _proto_journal, sanitize_from_env
 
-if TYPE_CHECKING:
-    from multiprocessing.sharedctypes import Synchronized
+T = TypeVar("T")
 
 #: Environment override for the pool start method ("fork"/"spawn"/...).
 START_METHOD_ENV = "REPRO_EXEC_START_METHOD"
@@ -54,6 +56,10 @@ START_METHOD_ENV = "REPRO_EXEC_START_METHOD"
 #: Environment override for the per-task deadlock failsafe (seconds).
 TASK_TIMEOUT_ENV = "REPRO_EXEC_TIMEOUT_S"
 DEFAULT_TASK_TIMEOUT_S = 600.0
+
+#: How long a worker whose pipe broke gets to finish dying, so that the
+#: error can name its exit code.
+_EXIT_GRACE_S = 1.0
 
 # Per-worker attachment state, populated once by _attach_worker(). The
 # SharedMemory objects are kept alive so the numpy views stay valid for
@@ -64,24 +70,24 @@ _CFG: CodecConfig | None = None
 _SANITIZE: bool = False
 
 
-def _attach_worker(
-    layout: Layout, cfg: CodecConfig, slot: Synchronized | None
-) -> None:
-    """Pool initializer: map every shared slot, take a CPU if handed a ``slot``.
+def _attach_worker(layout: Layout, cfg: CodecConfig, cpu: int | None) -> None:
+    """Worker start-up: map every shared slot, take a CPU if handed one.
 
-    ``slot`` counts the workers that have attached so far; the k-th one
-    pins itself to the k-th CPU this process may run on (see
-    :class:`KernelPool` for when and why).
+    ``cpu`` is the worker's index when the pool pins (see
+    :class:`KernelPool` for when and why): worker k takes the k-th CPU
+    this process may run on, wrapping around. Where the OS has it the
+    worker also becomes a ``SCHED_BATCH`` task — same share of the CPU,
+    but waking it does not preempt the thread that woke it (see
+    :class:`KernelPool`, "the host is never preempted by its own work").
     """
     global _CFG, _SANITIZE
     _CFG = cfg
     _SANITIZE = sanitize_from_env()
-    if slot is not None:
-        with slot.get_lock():
-            k = slot.value
-            slot.value = k + 1
+    if hasattr(os, "SCHED_BATCH"):
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    if cpu is not None:
         cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        os.sched_setaffinity(0, {cpus[cpu % len(cpus)]})
     for key, (name, shape) in layout.items():
         seg = shared_memory.SharedMemory(name=name)
         _SEGMENTS[key] = seg
@@ -90,7 +96,7 @@ def _attach_worker(
 
 def _cfg() -> CodecConfig:
     if _CFG is None:
-        raise RuntimeError("worker not attached (pool initializer did not run)")
+        raise RuntimeError("worker not attached (_attach_worker did not run)")
     return _CFG
 
 
@@ -219,16 +225,97 @@ def task_timeout_from_env() -> float:
     return value
 
 
+def _worker_loop(
+    conn: Connection, layout: Layout, cfg: CodecConfig, cpu: int | None
+) -> None:
+    """A worker's whole life: attach, then run the tasks on its own pipe.
+
+    Tasks run in the order the host wrote them. A task's own exception
+    goes back as its result; ``None`` (or the host's end closing) ends
+    the loop.
+    """
+    _attach_worker(layout, cfg, cpu)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        fn, args = task
+        try:
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
+
+
+class TaskHandle(Generic[T]):
+    """One submitted task; ``result()`` waits for it.
+
+    ``worker`` is the index of the worker the task was given to and
+    ``task`` its label (``"sme rows 9+9"``).
+    """
+
+    __slots__ = ("_pool", "worker", "task", "_reply")
+
+    def __init__(self, pool: KernelPool, worker: int, task: str) -> None:
+        self._pool = pool
+        self.worker = worker
+        self.task = task
+        self._reply: tuple[bool, Any] | None = None
+
+    def result(self, timeout: float | None = None) -> T:
+        """The task's return value; its own exception is raised as itself.
+
+        Raises :class:`TimeoutError` after ``timeout`` seconds and
+        :class:`RuntimeError` if a worker died (the pool is then closed).
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self._reply is None:
+            self._pool._drain(
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+        ok, value = self._reply
+        if not ok:
+            raise value
+        return value
+
+
 class KernelPool:
     """A persistent, pre-attached pool of kernel workers.
 
-    Thin wrapper over :class:`~concurrent.futures.ProcessPoolExecutor`
-    whose only job is to keep the submit API typed per kernel and to make
-    shutdown explicit (``close()``): the pool lives for a whole encode,
-    not per frame, so worker start-up and segment attachment are paid
-    once. The start method comes from ``$REPRO_EXEC_START_METHOD``
-    (validated: a typo fails here with a named token, not deep inside
-    ``multiprocessing``).
+    ``workers`` processes, each at the far end of its own duplex pipe.
+    The calling thread writes a task straight to the pipe of the worker
+    it names and reads results back with one ``wait`` over the busy
+    pipes: no thread, no shared queue and no lock stands between the
+    host and a worker, so a burst of submits reaches every worker within
+    microseconds of each other, and what one worker is given it runs in
+    order. A worker holds one task at a time; what else it has been given
+    queues on the host and goes down the pipe the moment the result ahead
+    of it is read — a pipe never holds two messages, so neither end can
+    block on a full one whatever a field pickles to. The pool lives for a
+    whole encode, not per frame, so worker start-up and segment
+    attachment are paid once. The start method comes from
+    ``$REPRO_EXEC_START_METHOD`` (validated: a typo fails here with a
+    named token, not deep inside ``multiprocessing``).
+
+    A worker that dies (its pipe at EOF, its process gone) is one
+    :class:`RuntimeError` naming it and the task it held; the pool is
+    closed by then. A task's own exception is raised by that task's
+    ``result()`` and the pool carries on.
+
+    The host is never preempted by its own work: workers are
+    ``SCHED_BATCH`` tasks. A worker that has slept since the last phase
+    wakes with all the credit the scheduler can give; pinned to the CPU
+    the host thread happens to be on, it used to take that CPU the moment
+    the host wrote its task, and the host got to write the *next* worker's
+    task only once it had been migrated or the first task was over — 4–5
+    ms into phase 1, every frame, whenever the first task of a burst went
+    to the worker sharing the host's CPU (measured both ways round on the
+    2-CPU guest, EXPERIMENTS.md "Host performance: dispatch"). Batch tasks
+    do not preempt on wake-up; the host finishes the burst, sleeps in
+    ``wait``, and the worker has the CPU a few tens of microseconds later.
 
     A pool at least as wide as the machine pins worker k to CPU k (mod the
     CPUs this process may use). A phase is a burst of a few tens of
@@ -248,50 +335,134 @@ class KernelPool:
         self.workers = workers
         self.start_method = resolve_start_method()
         ctx = multiprocessing.get_context(self.start_method)
-        slot = None
-        if hasattr(os, "sched_setaffinity") and workers >= len(
+        pin = hasattr(os, "sched_setaffinity") and workers >= len(
             os.sched_getaffinity(0)
-        ):
-            slot = ctx.Value("i", 0)
-        self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_attach_worker,
-            initargs=(layout, cfg, slot),
         )
+        self._closed = False
+        self._procs: list[BaseProcess] = []
+        self._conns: list[Connection] = []
+        #: Process id of every worker, by worker index.
+        self.pids: list[int | None] = []
+        #: Per worker, oldest first: the task it holds, then those waiting.
+        self._queues: list[deque[tuple[TaskHandle[Any], Any]]] = [
+            deque() for _ in range(workers)
+        ]
         _proto_journal(self, "create")
+        try:
+            for k in range(workers):
+                host_end, worker_end = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_loop,
+                    args=(worker_end, layout, cfg, k if pin else None),
+                    name=f"repro-kernel-{k}",
+                    daemon=True,
+                )
+                proc.start()
+                self._conns.append(host_end)
+                self._procs.append(proc)
+                self.pids.append(proc.pid)
+                # Closed before the next fork: the worker holds the only
+                # copy of its end, so its death reads as EOF on the host's.
+                worker_end.close()
+        except BaseException:
+            self.close()
+            raise
 
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
+    def _submit(
+        self, worker: int, task: str, fn: Callable[..., T], *args: Any
+    ) -> TaskHandle[T]:
+        if self._closed:
             raise RuntimeError("kernel pool is closed")
-        return self._pool
+        handle: TaskHandle[T] = TaskHandle(self, worker % self.workers, task)
+        queue = self._queues[handle.worker]
+        queue.append((handle, (fn, args)))
+        if len(queue) == 1:
+            self._send(handle.worker)
+        return handle
+
+    def _send(self, worker: int) -> None:
+        """Write the head of ``worker``'s queue to its (idle) pipe."""
+        try:
+            self._conns[worker].send(self._queues[worker][0][1])
+        except OSError:
+            self._fail(worker)
+
+    def _drain(self, timeout: float | None) -> None:
+        """Wait for a result, then take in every one that is ready."""
+        busy = {self._conns[k]: k for k, queue in enumerate(self._queues) if queue}
+        if not busy:
+            raise RuntimeError("kernel pool is closed")
+        ready = wait(list(busy), timeout)
+        if not ready:
+            raise TimeoutError
+        for conn in ready:
+            k = busy[conn]
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                self._fail(k)
+            handle, _task = self._queues[k].popleft()
+            handle._reply = reply
+            if self._queues[k]:
+                self._send(k)
+
+    def _fail(self, worker: int) -> NoReturn:
+        """A worker is gone: close the pool, raise the one named error."""
+        proc = self._procs[worker]
+        held = self._queues[worker][0][0].task
+        proc.join(_EXIT_GRACE_S)
+        self.close()
+        raise RuntimeError(
+            f"kernel worker {worker} (pid {proc.pid}) died with exit code "
+            f"{proc.exitcode} while it held {held!r}; the pool is closed"
+        )
 
     def submit_me(
-        self, row0: int, nrows: int, n_refs: int
-    ) -> "Future[tuple[MotionField, float, float, list[AccessRecord]]]":
+        self, row0: int, nrows: int, n_refs: int, worker: int = 0
+    ) -> TaskHandle[tuple[MotionField, float, float, list[AccessRecord]]]:
         _proto_journal(self, "submit_me", detail=f"{row0}+{nrows}")
-        return self._executor().submit(me_task, row0, nrows, n_refs)
+        return self._submit(
+            worker, f"me rows {row0}+{nrows}", me_task, row0, nrows, n_refs
+        )
 
     def submit_int(
-        self, row0: int, nrows: int
-    ) -> "Future[tuple[None, float, float, list[AccessRecord]]]":
+        self, row0: int, nrows: int, worker: int = 0
+    ) -> TaskHandle[tuple[None, float, float, list[AccessRecord]]]:
         _proto_journal(self, "submit_int", detail=f"{row0}+{nrows}")
-        return self._executor().submit(int_task, row0, nrows)
+        return self._submit(
+            worker, f"int rows {row0}+{nrows}", int_task, row0, nrows
+        )
 
     def submit_sme(
-        self, row0: int, nrows: int, n_sfs: int, me_band: MotionField
-    ) -> "Future[tuple[SubpelField, float, float, list[AccessRecord]]]":
+        self, row0: int, nrows: int, n_sfs: int, me_band: MotionField,
+        worker: int = 0,
+    ) -> TaskHandle[tuple[SubpelField, float, float, list[AccessRecord]]]:
         _proto_journal(self, "submit_sme", detail=f"{row0}+{nrows}")
-        return self._executor().submit(sme_task, row0, nrows, n_sfs, me_band)
+        return self._submit(
+            worker, f"sme rows {row0}+{nrows}", sme_task,
+            row0, nrows, n_sfs, me_band,
+        )
 
     def close(self) -> None:
-        """Shut the workers down (idempotent; queued tasks are dropped)."""
+        """Stop the workers (idempotent; tasks not yet run are dropped)."""
         _proto_journal(self, "close")
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        self._closed = True
+        conns, self._conns = self._conns, []
+        procs, self._procs = self._procs, []
+        for conn, proc, queue in zip(conns, procs, self._queues):
+            if queue:  # mid-task: nobody will read its result
+                queue.clear()
+                proc.kill()
+            else:
+                try:
+                    conn.send(None)
+                except OSError:  # already dead
+                    pass
+            conn.close()
+        for proc in procs:
+            proc.join()
 
-    def __enter__(self) -> "KernelPool":
+    def __enter__(self) -> KernelPool:
         return self
 
     def __exit__(self, *exc: object) -> None:

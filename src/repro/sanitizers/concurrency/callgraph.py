@@ -5,7 +5,8 @@ not where it is written but where it can run — before the fork, or
 inside a pool initializer that every forked worker executes. That needs
 a (deliberately cheap) whole-scope call graph: every function defined in
 the analyzed modules, call edges resolved by trailing name, and the set
-of functions passed as ``initializer=`` to a process-pool constructor.
+of functions passed as ``initializer=`` to a process-pool constructor or
+as ``target=`` to a ``Process``.
 
 Resolution by trailing name over-approximates (two modules may both
 define ``_warm``), which is the right direction for a safety lint: a
@@ -22,13 +23,17 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.sanitizers.dataflow.engine import Module
 
-#: Constructors that start a worker pool. The distinction matters:
-#: only *process* pools fork/spawn, so only they make pre-existing
+#: Constructors that start worker processes. The distinction matters:
+#: only *processes* fork/spawn, so only they make pre-existing
 #: threads/locks dangerous (thread pools are REP201-neutral).
 PROCESS_POOL_TAILS = frozenset({
     "ProcessPoolExecutor",
     "Pool",  # multiprocessing.Pool / get_context(...).Pool
+    "Process",  # multiprocessing.Process / get_context(...).Process
 })
+
+#: Keywords of those constructors naming the function every child runs.
+_ENTRY_KEYWORDS = frozenset({"initializer", "target"})
 
 
 def call_name(node: ast.expr) -> str | None:
@@ -68,7 +73,7 @@ class CallGraph:
     by_tail: dict[str, list[FunctionInfo]] = field(default_factory=dict)
     #: (module, qualname) -> trailing names it calls
     calls: dict[tuple[str, str], set[str]] = field(default_factory=dict)
-    #: trailing names passed as ``initializer=`` to a process pool
+    #: trailing names passed as ``initializer=``/``target=`` to a process pool
     initializers: set[str] = field(default_factory=set)
     #: (module, qualname) of functions that construct a process pool
     pool_builders: set[tuple[str, str]] = field(default_factory=set)
@@ -106,7 +111,7 @@ class CallGraph:
         if owner is not None:
             self.pool_builders.add(owner.key)
         for kw in node.keywords:
-            if kw.arg == "initializer":
+            if kw.arg in _ENTRY_KEYWORDS:
                 tail = call_name(kw.value) or (
                     kw.value.id if isinstance(kw.value, ast.Name) else None
                 )

@@ -11,8 +11,15 @@ signal instead of simulated times.
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
+import pickle
+import re
+import signal
+import threading
 import time
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +31,7 @@ from repro.codec.me import MotionField, motion_estimate_rows
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.exec.backend import ProcessBackend, split_band, worker_group_sizes
+from repro.exec import pool as pool_mod
 from repro.exec.pool import KernelPool
 from repro.exec.shm import SharedFrameStore, slot_specs
 from repro.hw.noise import FaultEvent, FaultSchedule
@@ -282,12 +290,6 @@ class TestLifecycle:
 # worker placement: a pool as wide as the machine takes one CPU per worker
 
 
-def _where() -> tuple[int, frozenset[int]]:
-    """Runs in a worker; sleeps so that one worker cannot serve every probe."""
-    time.sleep(0.05)
-    return os.getpid(), frozenset(os.sched_getaffinity(0))
-
-
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
 )
@@ -307,24 +309,197 @@ class TestWorkerPlacement:
             os.sched_setaffinity(0, allowed)
 
     @staticmethod
-    def placement(workers: int) -> dict[int, frozenset[int]]:
+    def placement(workers: int) -> list[list[int]]:
+        """CPUs each worker may run on, by worker index, read from the host."""
         with SharedFrameStore(CFG) as store, KernelPool(
             workers, store.layout(), CFG
         ) as pool:
-            futs = [pool._executor().submit(_where) for _ in range(4 * workers)]
-            return dict(f.result() for f in futs)
+            # A result is back only after the worker has attached and pinned.
+            for k in range(workers):
+                pool.submit_int(0, 1, k).result(timeout=60)
+            return [sorted(os.sched_getaffinity(pid)) for pid in pool.pids]
 
     def test_full_width_pool_gives_each_worker_its_own_cpu(self, two_cpus):
-        placed = self.placement(2)
-        assert sorted(map(sorted, placed.values())) == [[c] for c in two_cpus]
+        assert self.placement(2) == [[c] for c in two_cpus]
 
     def test_wider_pool_wraps_around(self, two_cpus):
-        placed = self.placement(3)
-        assert all(len(cpus) == 1 for cpus in placed.values())
-        assert {c for cpus in placed.values() for c in cpus} == set(two_cpus)
+        a, b = two_cpus
+        assert self.placement(3) == [[a], [b], [a]]
 
     def test_narrower_pool_is_left_to_the_scheduler(self, two_cpus):
-        assert set(self.placement(1).values()) == {frozenset(two_cpus)}
+        assert self.placement(1) == [two_cpus]
+
+    @pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="no SCHED_BATCH")
+    def test_workers_are_batch_tasks(self):
+        """Waking a worker must not preempt the thread handing out work."""
+        with SharedFrameStore(CFG) as store, KernelPool(
+            2, store.layout(), CFG
+        ) as pool:
+            for k in range(2):
+                pool.submit_int(0, 1, k).result(timeout=60)
+            policies = [os.sched_getscheduler(pid) for pid in pool.pids]
+        assert policies == [os.SCHED_BATCH] * 2
+        assert os.sched_getscheduler(0) != os.SCHED_BATCH  # the host is not
+
+
+# ---------------------------------------------------------------------------
+# dispatch: nothing between the host and a worker, devices own their workers
+
+
+def _spy_on_submits(monkeypatch):
+    """Record every handle the pool's three submit methods return."""
+    handles = []
+    for name in ("submit_int", "submit_me", "submit_sme"):
+        original = getattr(KernelPool, name)
+
+        def spy(self, *args, _original=original):
+            handles.append(_original(self, *args))
+            return handles[-1]
+
+        monkeypatch.setattr(KernelPool, name, spy)
+    return handles
+
+
+class TestDispatch:
+    def test_the_pool_starts_no_thread(self, frames):
+        before = threading.active_count()
+        fw = FevesFramework(
+            get_platform("SysHK"), CFG,
+            FrameworkConfig(backend="process", exec_workers=2),
+        )
+        with fw:
+            fw.encode(frames[:2])
+            assert fw.manager._pool is not None
+            assert threading.active_count() == before
+        assert threading.active_count() == before
+
+    def test_exec_imports_no_executor(self):
+        import repro.exec
+
+        for path in Path(repro.exec.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert "concurrent.futures" not in text, path.name
+            assert "ProcessPoolExecutor" not in text, path.name
+
+    def test_a_device_owns_its_worker(self, frames, monkeypatch):
+        """One worker per device: every chunk of device d ran on worker d,
+        in the order it was given — INT[d] ends before ME[d] starts."""
+        handles = _spy_on_submits(monkeypatch)
+        out, fw, _acc = encode_process(frames, 2)
+        worker_of = {d.name: i for i, d in enumerate(fw.platform.devices)}
+        pending = iter(handles)
+        for rep in (o.report for o in out if o.report is not None):
+            chunks = [
+                (r, *re.fullmatch(r"(INT|ME|SME)\[(\w+)\] (rows .+)", r.label).groups())
+                for r in rep.timeline.records  # sorted by start
+                if not r.label.startswith(("R*", "tau"))
+            ]
+            sent_to = {h.task: h.worker for h in islice(pending, len(chunks))}
+            ends: dict[str, float] = {}
+            for r, module, dev, rows in chunks:
+                assert sent_to[f"{module.lower()} {rows}"] == worker_of[dev]
+                if module == "INT":
+                    ends[dev] = r.end
+                elif module == "ME":
+                    assert ends.get(dev, 0.0) <= r.start
+        assert next(pending, None) is None
+        assert len(handles) >= 3 * (len(frames) - 1)
+
+    def test_fewer_workers_than_devices_share_in_device_order(
+        self, frames, monkeypatch
+    ):
+        handles = _spy_on_submits(monkeypatch)
+        encode_process(frames[:3], 1)
+        assert handles and {h.worker for h in handles} == {0}
+
+    def test_megabyte_tasks_queued_on_one_worker_cannot_fill_a_pipe(self):
+        """Three SME tasks, ≈ 1 MB each way, for one worker: a pipe holds
+        ≈ 200 KB, so written back to back the third send would block on a
+        worker that is itself blocked sending its first result."""
+        cfg = CodecConfig(width=640, height=480, search_range=4, num_ref_frames=1)
+        ref, cur = SyntheticSequence(width=640, height=480, seed=3).frames(2)
+        with SharedFrameStore(cfg) as store, KernelPool(
+            1, store.layout(), cfg
+        ) as pool:
+            store.view("cur")[:] = cur.y
+            store.view("ref0")[:] = pad_plane(ref.y, cfg.search_range)
+            pool.submit_int(0, cfg.mb_rows).result(timeout=60)
+            field = pool.submit_me(0, cfg.mb_rows, 1).result(timeout=60)[0]
+            assert len(pickle.dumps(field)) > 4 * 212_992
+            handles = [pool.submit_sme(0, cfg.mb_rows, 1, field) for _ in range(3)]
+            first, *rest = [h.result(timeout=60)[0] for h in handles]
+        for other in rest:
+            for shape in first.mode_shapes:
+                np.testing.assert_array_equal(other.qmvs[shape], first.qmvs[shape])
+
+    def test_a_task_error_is_itself_and_the_pool_lives(self):
+        with SharedFrameStore(CFG) as store, KernelPool(
+            1, store.layout(), CFG
+        ) as pool:
+            bad = pool.submit_me(0, 1, 5)  # CFG has two reference slots
+            good = pool.submit_int(0, 1)
+            with pytest.raises(KeyError, match="ref2"):
+                bad.result(timeout=60)
+            assert good.result(timeout=60)[0] is None
+
+
+def _dying_sme_task(row0, nrows, n_sfs, me_band):
+    """Runs in a worker: the second device's SME chunk is SIGKILLed mid-task."""
+    if row0 > 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL_SME_TASK(row0, nrows, n_sfs, me_band)
+
+
+def _sleeping_int_task(row0, nrows):
+    time.sleep(30)
+
+
+_REAL_SME_TASK = pool_mod.sme_task
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched task reaches the workers by fork",
+)
+
+
+@needs_fork
+class TestWorkerFailure:
+    @staticmethod
+    def encode_and_fail(frames, match):
+        """Encode until the backend raises; return its segment names."""
+        fw = FevesFramework(
+            get_platform("SysHK"), CFG,
+            FrameworkConfig(backend="process", exec_workers=2),
+        )
+        names = []
+        with pytest.raises(RuntimeError, match=match), fw:
+            try:
+                fw.encode(frames)
+            finally:
+                names += [s.name for s in fw.manager._store._segments.values()]
+        assert names
+        return names
+
+    def test_a_killed_worker_is_one_named_error(self, frames, monkeypatch):
+        monkeypatch.setenv(pool_mod.START_METHOD_ENV, "fork")
+        monkeypatch.setattr(pool_mod, "sme_task", _dying_sme_task)
+        names = self.encode_and_fail(
+            frames,
+            r"kernel worker 1 \(pid \d+\) died with exit code -9 while it "
+            r"held 'sme rows \d+\+\d+'; the pool is closed",
+        )
+        for n in names:
+            assert not glob.glob(f"/dev/shm/*{n.lstrip('/')}*"), n
+
+    def test_a_stalled_worker_trips_the_timeout(self, frames, monkeypatch):
+        monkeypatch.setenv(pool_mod.START_METHOD_ENV, "fork")
+        monkeypatch.setenv(pool_mod.TASK_TIMEOUT_ENV, "0.3")
+        monkeypatch.setattr(pool_mod, "int_task", _sleeping_int_task)
+        t0 = time.perf_counter()
+        names = self.encode_and_fail(frames, r"stalled.*REPRO_EXEC_TIMEOUT_S")
+        assert time.perf_counter() - t0 < 20  # close() did not wait it out
+        for n in names:
+            assert not glob.glob(f"/dev/shm/*{n.lstrip('/')}*"), n
 
 
 # ---------------------------------------------------------------------------

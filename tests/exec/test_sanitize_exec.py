@@ -221,18 +221,17 @@ class TestEnvValidation:
 
 
 # ---------------------------------------------------------------------------
-# spawn start-method smoke (satellite: bit-identity under spawn)
+# start methods (satellite: bit-identity under fork and under spawn)
 
 
-class TestSpawnSmoke:
-    @pytest.mark.skipif(
-        "spawn" not in multiprocessing.get_all_start_methods(),
-        reason="platform has no spawn start method",
-    )
+class TestStartMethods:
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.usefixtures("checked_me_fields", "checked_sme_fields")
-    def test_spawn_backend_is_bit_identical(self, frames, reference,
-                                            monkeypatch):
-        monkeypatch.setenv(pool_mod.START_METHOD_ENV, "spawn")
+    def test_backend_is_bit_identical(self, frames, reference, monkeypatch,
+                                      method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"platform has no {method} start method")
+        monkeypatch.setenv(pool_mod.START_METHOD_ENV, method)
         fw = FevesFramework(
             get_platform("SysHK"),
             CFG,
@@ -243,5 +242,5 @@ class TestSpawnSmoke:
         with fw:
             out = fw.encode(frames)
             assert fw.manager._pool is not None
-            assert fw.manager._pool.start_method == "spawn"
+            assert fw.manager._pool.start_method == method
         assert_identical(reference, out)

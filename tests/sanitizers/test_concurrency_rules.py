@@ -56,6 +56,24 @@ def build_pool():
         max_workers=2, initializer=_attach_worker
     )
 """),
+    "rep201_process_target_reaches_lock": (EXEC_PATH, """\
+import multiprocessing
+import threading
+
+def _attach_worker(layout):
+    lock = threading.Lock()
+
+def _worker_loop(conn, layout):
+    _attach_worker(layout)
+    while True:
+        conn.send(conn.recv())
+
+def build_pool(layout):
+    host_end, worker_end = multiprocessing.Pipe()
+    return multiprocessing.Process(
+        target=_worker_loop, args=(worker_end, layout)
+    )
+"""),
     "rep202_bulk_payloads": (EXEC_PATH, """\
 import numpy as np
 
@@ -184,6 +202,34 @@ class TestForkSafety:
                 )
                 lock = threading.Lock()
                 return pool
+            """,
+            only=["REP201"],
+        )
+
+
+    def test_process_target_reachable_lock_is_flagged(self):
+        # ``Process(target=...)`` is a root like ``initializer=``: the
+        # Lock is one call below the worker loop.
+        assert "REP201" in mutant_hits("rep201_process_target_reaches_lock")
+
+    def test_process_target_that_only_serves_its_pipe_is_clean(self):
+        assert not rules_hit(
+            """\
+            import multiprocessing
+
+            def _attach_worker(layout):
+                pass
+
+            def _worker_loop(conn, layout):
+                _attach_worker(layout)
+                while True:
+                    conn.send(conn.recv())
+
+            def build_pool(layout):
+                host_end, worker_end = multiprocessing.Pipe()
+                return multiprocessing.Process(
+                    target=_worker_loop, args=(worker_end, layout)
+                )
             """,
             only=["REP201"],
         )

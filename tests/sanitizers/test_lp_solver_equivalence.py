@@ -21,6 +21,8 @@ prints the LPs-by-platform table EXPERIMENTS.md records.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -234,9 +236,26 @@ def test_mutant_is_killed(name, corpus, mutant):
         check_corpus(corpus)
 
 
-if __name__ == "__main__":  # the LPs-by-platform table of EXPERIMENTS.md
-    import sys
+def test_the_bindings_load_without_scipy_optimize_and_are_shared():
+    """``load_balancing`` reaches the one extension module by path — not
+    through ``scipy/optimize/__init__`` — and the oracle's later ``import
+    scipy.optimize`` gets the very same module (a fresh interpreter: here
+    ``oracles`` has long imported ``linprog``)."""
+    code = (
+        "import sys, repro.core.load_balancing as lb\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "from scipy.optimize import linprog\n"
+        "import scipy.optimize._highspy._core as core\n"
+        "assert core is lb._hs, 'two copies of the bindings'\n"
+        "assert linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1]).fun == 1.0\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
+
+if __name__ == "__main__":  # the LPs-by-platform table of EXPERIMENTS.md
     by_platform: dict[str, Counter] = {}
     total = seeded_run(int(sys.argv[1]) if len(sys.argv) > 1 else 200, by_platform)
     print("platform | scenarios | LPs | made infeasible/unbounded, None on both | differing")
