@@ -734,11 +734,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.sanitizers.dataflow.reporting import (
-        format_json,
-        format_sarif,
-        format_text,
-    )
+    from repro.sanitizers.dataflow.reporting import format_json, format_text
     from repro.sanitizers.runner import RULES, run_lint
 
     targets = [Path(p) for p in args.paths]
@@ -773,7 +769,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     if args.summary:
         # Rule rows (a shared pass is one row, e.g. REP00x) count their
-        # findings; the shared steps (parse/summaries/graph/cfg) have none.
+        # findings; the shared steps (parse/graph/cfg) have none.
         print("step      time        findings", file=sys.stderr)
         for step in sorted(timings):
             n = sum(v.rule.startswith(step.rstrip("x")) for v in violations)
@@ -785,10 +781,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(format_json(violations))
-    elif args.format == "sarif":
-        print(format_sarif(
-            violations, {r: RULES[r].description for r in selected}
-        ))
     else:
         text = format_text(violations)
         if text:
@@ -975,8 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="repo-specific static checks (REP001-004, REP101-104, "
-             "REP201-204, REP301-304)",
+        help=f"repo-specific static checks ({', '.join(RULES)})",
         description=(
             "Repo-specific static rules, one table and one driver "
             "(repro.sanitizers.runner): "
@@ -988,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")
     lint.add_argument("--format", default="text",
-                      choices=("text", "json", "sarif"))
+                      choices=("text", "json"))
     lint.add_argument("--select", default=None, metavar="PREFIXES",
                       help="comma-separated rule prefixes to run (e.g. "
                            "'REP2' or 'REP103,REP2'); other rules are "

@@ -89,7 +89,6 @@ class FunctionContext:
 
     fn: FunctionNode | None  # None: the module's top-level statements
     qualname: str
-    summaries: dict[str, str]  # callable name -> unit repr (REP101)
     graph: CallGraph | None = None  # whole-scope call graph (REP304)
 
 

@@ -1,28 +1,16 @@
-"""REP103 — engine/slot acquire must be released on every CFG path.
+"""REP103 — a shared-memory segment must be released on every CFG path.
 
-The DES models engines and copy slots as exclusive resources; a
-schedule that acquires one and returns (or unwinds through an
-exception) without releasing it deadlocks every later op on that
-engine.  This is a may-hold analysis: an acquire-style call adds a held
-token keyed by its receiver, a release-style call on the same receiver
-clears it, and any token still held at the function's normal or
-exceptional exit is a finding.  ``with``-statement acquisition is
-exempt — the context manager's ``__exit__`` is the release.
-
-Pairing is name-based (``acquire``/``release``, ``reserve``/``free``,
-…) and receiver-based (``eng.acquire()`` is cleared by
-``eng.release()``, not by releasing some other engine), which is
-exactly the granularity the DES resource API exposes.
-
-OS-level resources are tracked the same way: constructing a
-``SharedMemory`` segment bound to a single name
-(``seg = SharedMemory(...)``) acquires a token on that name, and
-``seg.close()`` / ``seg.unlink()`` release it.  Ownership may *escape*
-instead of being released in-function: returning the held name, or
-assigning exactly the held name to something else
-(``self._segments[k] = seg``), transfers responsibility to the new
-owner and drops the token — the container's own ``close()`` is then
-the audited release site.
+The process backend stages frames in ``SharedMemory`` segments; one
+that is never closed and unlinked outlives the process as a
+``/dev/shm`` file. This is a may-hold analysis: constructing a segment
+bound to a single name (``seg = SharedMemory(...)``) adds a held token
+keyed by that name, ``seg.close()`` / ``seg.unlink()`` clear it, and any
+token still held at the function's normal or exceptional exit is a
+finding. Ownership may *escape* instead of being released in-function:
+returning the held name, or assigning exactly the held name to
+something else (``self._segments[k] = seg``), transfers responsibility
+to the new owner and drops the token — the container's own ``close()``
+is then the audited release site.
 """
 
 from __future__ import annotations
@@ -30,43 +18,15 @@ from __future__ import annotations
 import ast
 from types import SimpleNamespace
 
-from repro.sanitizers.dataflow.cfg import Element, WithElem
+from repro.sanitizers.dataflow.cfg import Element
 from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
 
 #: (key, line, col) of an acquisition that may still be held.
 Token = tuple[str, int, int]
 State = frozenset[Token]
 
-ACQUIRE_NAMES = frozenset(
-    {
-        "acquire",
-        "acquire_engine",
-        "acquire_slot",
-        "reserve",
-        "reserve_slot",
-        "reserve_engine",
-        "claim",
-        "claim_engine",
-        "claim_slot",
-        "lock_engine",
-    }
-)
-
-RELEASE_NAMES = frozenset(
-    {
-        "release",
-        "release_engine",
-        "release_slot",
-        "free",
-        "free_slot",
-        "free_engine",
-        "unreserve",
-        "unclaim",
-        "unlock_engine",
-        "close",
-        "unlink",
-    }
-)
+#: Calls that release the resource held by their receiver.
+RELEASE_NAMES = frozenset({"close", "unlink"})
 
 #: Constructors whose bare call acquires an OS resource: a single-name
 #: assignment ``x = Ctor(...)`` holds a token on ``x`` until a release
@@ -113,45 +73,24 @@ class ResourceAnalysis:
     def transfer(
         self, elem: Element, state: State, emit: Emitter, ctx: FunctionContext
     ) -> State:
-        if isinstance(elem, WithElem):
-            # `with dev.acquire_engine(...):` releases via __exit__.
-            return state
-        held = set(state)
-        exprs: list[ast.expr] = []
         if isinstance(elem, ast.stmt):
-            for sub in ast.iter_child_nodes(elem):
-                if isinstance(sub, ast.expr):
-                    exprs.append(sub)
-        elif not isinstance(elem, WithElem):
-            expr = getattr(elem, "expr", None) or getattr(
-                elem, "iterable", None
-            )
-            if expr is not None:
-                exprs.append(expr)
+            exprs = [
+                sub for sub in ast.iter_child_nodes(elem)
+                if isinstance(sub, ast.expr)
+            ]
+        else:
+            expr = getattr(elem, "expr", None) or getattr(elem, "iterable", None)
+            exprs = [expr] if expr is not None else []
+        held = set(state)
         for expr in exprs:
             for sub in ast.walk(expr):
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                name = (
-                    func.attr
-                    if isinstance(func, ast.Attribute)
-                    else func.id
-                    if isinstance(func, ast.Name)
-                    else None
-                )
-                if name in ACQUIRE_NAMES:
-                    key = _receiver_key(sub)
-                    if key is not None:
-                        held.add(
-                            (key, sub.lineno, sub.col_offset + 1)
-                        )
-                elif name in RELEASE_NAMES:
-                    key = _receiver_key(sub)
-                    if key is not None:
-                        held = {t for t in held if t[0] != key}
-        held = self._statement_ownership(elem, held)
-        return frozenset(held)
+                if (
+                    isinstance(sub, ast.Call)
+                    and _callable_name(sub) in RELEASE_NAMES
+                    and (key := _receiver_key(sub)) is not None
+                ):
+                    held = {t for t in held if t[0] != key}
+        return frozenset(self._statement_ownership(elem, held))
 
     @staticmethod
     def _statement_ownership(elem: Element, held: set[Token]) -> set[Token]:
@@ -192,7 +131,7 @@ class ResourceAnalysis:
 
         A release is assumed to take effect even when the releasing
         statement raises (the release call itself is the last thing the
-        statement does); an acquire that raises did NOT acquire. So a
+        statement does); a constructor that raises did NOT acquire. So a
         release-only element contributes its post-state, everything
         else its pre-state.
         """
@@ -212,5 +151,5 @@ class ResourceAnalysis:
             emit.emit(
                 SimpleNamespace(lineno=line, col_offset=col - 1),
                 f"resource {key!r} acquired here may not be released on "
-                f"{how} (add try/finally or use a with-statement)",
+                f"{how} (add try/finally)",
             )

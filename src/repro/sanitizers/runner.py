@@ -1,9 +1,8 @@
 """The rule table and the one driver behind ``repro lint``.
 
 Every static rule is one :class:`Rule` row of :data:`RULES`: its id, a
-one-line description, the path scope it is meaningful in, the
-whole-scope artifact it reads (``"summaries"``: the merged unit
-signatures, ``"graph"``: the call graph, or nothing) and how it runs —
+one-line description, the path scope it is meaningful in, whether it
+reads the whole-scope call graph (``needs_graph``) and how it runs —
 an ``analysis`` solved over every function's CFG by the layer-3 engine,
 a whole-module ``run`` pass, or (REP203) one of each.
 
@@ -48,8 +47,6 @@ from repro.sanitizers.dataflow.engine import (
     run_analysis,
 )
 from repro.sanitizers.dataflow.resources import ResourceAnalysis
-from repro.sanitizers.dataflow.summaries import build_summaries
-from repro.sanitizers.dataflow.units import UnitAnalysis
 from repro.sanitizers.lint import (
     MESSAGES,
     LintViolation,
@@ -73,7 +70,7 @@ class Rule:
     id: str
     description: str
     scope: re.Pattern[str]  # searched in the posix display path
-    needs: str | None = None  # "summaries" | "graph"
+    needs_graph: bool = False  # built once over every parsed module
     analysis: Callable[[], FunctionAnalysis] | None = None
     run: ModulePass | None = None
     #: also solve ``analysis`` over the module's top-level statements
@@ -101,14 +98,6 @@ RULES: dict[str, Rule] = {
         Rule("REP004", MESSAGES["REP004"], re.compile(""), run=check_lines),
         # Layer 3, dataflow.
         Rule(
-            "REP101",
-            "unit mismatch in rate/bandwidth/time/row/byte arithmetic",
-            _in("hw", "core"),
-            needs="summaries",
-            analysis=UnitAnalysis,
-            toplevel=True,
-        ),
-        Rule(
             "REP102",
             "unordered set iteration leaks into event/candidate ordering",
             _in("hw", "core", "service"),
@@ -117,8 +106,8 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             "REP103",
-            "engine/slot acquired but not released on every path",
-            _in("hw", "core", "service", "exec"),
+            "SharedMemory segment not closed/unlinked on every path",
+            _EXEC,
             analysis=ResourceAnalysis,
             toplevel=True,
         ),
@@ -129,7 +118,7 @@ RULES: dict[str, Rule] = {
             "REP201",
             "fork-unsafe primitive before/inside the pool initializer",
             _in("exec", "hw", "service"),
-            needs="graph",
+            needs_graph=True,
             run=check_fork_safety,
         ),
         Rule(
@@ -177,7 +166,7 @@ RULES: dict[str, Rule] = {
             "REP304",
             "live-set mutated without note_live_set_change before solve",
             _in("core"),
-            needs="graph",
+            needs_graph=True,
             analysis=InvalidationAnalysis,
         ),
     )
@@ -223,7 +212,6 @@ def _guarded(
 def _check_module(
     module: Module,
     rows: list[Rule],
-    summaries: dict[str, str],
     graph: CallGraph | None,
     timings: dict[str, float],
     errors: list[AnalyzerError],
@@ -260,7 +248,7 @@ def _check_module(
                 if fn is None
                 else build_cfg(fn, qualname=qualname)
             )
-        ctx = FunctionContext(fn, qualname, summaries, graph)
+        ctx = FunctionContext(fn, qualname, graph)
         for row, analysis in solvers:
             if fn is None and not row.toplevel:
                 continue
@@ -308,24 +296,16 @@ def _lint(
             module = Module(display, source, tree, iter_functions(tree))
         work.append((module, [RULES[rule] for rule in rules]))
 
-    # Whole-scope artifacts span every parsed module (a summary or call
-    # edge may come from a file no selected rule is scoped to), but are
-    # built only if some selected row reads them.
-    modules = [module for module, _rows in work]
-    needs = {row.needs for _module, rows in work for row in rows}
-    summaries: dict[str, str] = {}
+    # The call graph spans every parsed module (an edge may come from a
+    # file no selected rule is scoped to), but is built only if some
+    # selected row reads it.
     graph = None
-    if "summaries" in needs:
-        with _timed(timings, "summaries"):
-            summaries = build_summaries(modules)
-    if "graph" in needs:
+    if any(row.needs_graph for _module, rows in work for row in rows):
         with _timed(timings, "graph"):
-            graph = build_graph(modules)
+            graph = build_graph([module for module, _rows in work])
 
     for module, rows in work:
-        findings += _check_module(
-            module, rows, summaries, graph, timings, errors
-        )
+        findings += _check_module(module, rows, graph, timings, errors)
     findings.sort(key=lambda v: (v.path, v.line, v.rule, v.col))
     return findings, errors
 
@@ -342,7 +322,7 @@ def run_lint(
     matches. Returns ``(findings, internal_errors)``, findings sorted by
     (path, line, rule, col). A file that cannot be read or parsed is a
     ``REP000`` finding, not a skipped file. Seconds per rule and per
-    shared step (``parse``/``summaries``/``graph``/``cfg``) accumulate
+    shared step (``parse``/``graph``/``cfg``) accumulate
     into ``timings`` when given.
     """
     sources: list[tuple[str, str, list[str]]] = []
@@ -367,8 +347,8 @@ def analyze(
     """Lint one module's source text under the display path ``display``.
 
     ``rules=None`` runs the rows whose scope matches the path; a list
-    runs exactly those rows, in or out of scope. Summaries and the call
-    graph span just this module.
+    runs exactly those rows, in or out of scope. The call graph spans
+    just this module.
     """
     picked = rules_in_scope(display) if rules is None else list(rules)
     return _lint([(display, source, picked)])

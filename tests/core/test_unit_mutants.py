@@ -1,0 +1,116 @@
+"""Unit mistakes in the performance model die on the dynamic checks.
+
+The LP is only as right as the units of what it consumes: K in s/row,
+bandwidth in B/s, transfers in rows × bytes-per-row. The static REP101
+unit lattice was retired on this evidence: each of its four seeded
+mutants, transplanted into the ``hw/``/``core/`` function where such a
+mistake would live, fails a check the suite already runs — and the same
+check passes on the unmutated function, so the kill is the mutant's.
+"""
+
+import sys
+
+import pytest
+
+import test_analysis
+import test_coding_manager
+import test_load_balancing
+from repro.core.coding_manager import VideoCodingManager
+from repro.core.config import FrameworkConfig
+from repro.core.data_access import DataAccessManager
+from repro.core.framework import FevesFramework
+from repro.core.load_balancing import LoadBalancer
+from repro.core.perf_model import PerformanceCharacterization
+from repro.hw.presets import get_platform
+from repro.sanitizers import ScheduleViolationError, TimelineSanitizer
+
+
+@pytest.fixture
+def transplant(mutant, monkeypatch):
+    """``transplant(cls, method, old, new)``: ``cls.method`` with ``old``
+    replaced by ``new``, seen by every module that imported ``cls``."""
+
+    def install(cls, method: str, old: str, new: str) -> None:
+        module = sys.modules[cls.__module__]
+        mutant(module, cls.__name__, lambda source: source.replace(old, new))
+        mutated = getattr(module, cls.__name__)
+        monkeypatch.setattr(module, cls.__name__, cls)
+        monkeypatch.setattr(cls, method, mutated.__dict__[method])
+
+    return install
+
+
+def run_model(platform: str, frames: int) -> FevesFramework:
+    fw = FevesFramework(get_platform(platform), test_analysis.CFG, FrameworkConfig())
+    fw.run_model(frames)
+    return fw
+
+
+def san_c3_holds():
+    """SAN-C3 (bytes = rows × bytes-per-row) over a sanitized run; under
+    REPRO_SANITIZE the run itself raises on the first bad frame."""
+    fw = run_model("SysNFF", 3)
+    san = TimelineSanitizer.for_framework(fw)
+    san.check_report(fw.reports[-1]).raise_if_dirty()
+
+
+def ideal_bound_holds():
+    test_analysis.TestIdealBound().test_efficiency_in_range(run_model("SysHK", 15))
+
+
+def observed_k_holds():
+    test_coding_manager.TestMeasurements().test_observed_k_matches_ground_truth()
+
+
+def sigma_window_holds():
+    test_load_balancing.TestSigmaWindow().test_positive_window_still_catches_up()
+
+
+#: REP101 mutant -> (class, method, original, mutant, check that kills it,
+#: what the check raises on the mutant, a pattern its message must match).
+SITES = {
+    # Rows per second planned as a transfer's byte count.
+    "rows_per_second_into_bytes": (
+        DataAccessManager, "plan",
+        "nbytes=rows * buffer_row_bytes(buf, sizes)",
+        "nbytes=round(rows / max(decision.tau_tot_pred, 1e-3))",
+        san_c3_holds, ScheduleViolationError, "SAN-C3",
+    ),
+    # Rows added to the R* op's simulated seconds: the measured
+    # efficiency falls far below the ideal-aggregate bound.
+    "seconds_plus_rows": (
+        VideoCodingManager, "_build_rstar",
+        "rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_dev)",
+        "(rstar_dev.spec.rates.rstar_frame_s(cfg) + cfg.mb_rows) * scale(rstar_dev)",
+        ideal_bound_holds, AssertionError, None,
+    ),
+    # A rate (rows/s) stored where K (s/row) belongs: the noise-free
+    # measurement no longer equals the rate model.
+    "mismatch_through_assignment": (
+        PerformanceCharacterization, "observe_compute",
+        "st.k_compute.get(module), seconds / rows",
+        "st.k_compute.get(module), rows / seconds",
+        observed_k_holds, AssertionError, None,
+    ),
+    # The LP's τ2→τtot window (s) clipped by the frame (rows) and never
+    # divided by K, so σ is 0 rows whenever the window is under a second.
+    "min_mixing_units": (
+        LoadBalancer, "_finalize",
+        "int((tau_tot - tau2) / k_sf)",
+        "int(min(tau_tot - tau2, self.codec_cfg.mb_rows))",
+        sigma_window_holds, AssertionError, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SITES))
+class TestUnitMutantsDie:
+    def test_mutant_is_killed(self, transplant, name):
+        cls, method, old, new, check, raised, match = SITES[name]
+        transplant(cls, method, old, new)
+        with pytest.raises(raised, match=match):
+            check()
+
+    def test_site_passes_unmutated(self, name):
+        check = SITES[name][4]
+        check()

@@ -47,7 +47,7 @@ def test_scoped_run_over_src_is_clean():
 
 
 def test_fixpoint_terminates_on_pathological_loops():
-    # Deep nesting + mutually-reassigned units must still converge
+    # Deep nesting + mutually-reassigned names must still converge
     # under the iteration budget.
     depth = 12
     lines = ["def f(tau_s, mb_rows, nbytes):"]

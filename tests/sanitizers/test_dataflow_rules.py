@@ -20,24 +20,6 @@ OUTSIDE_PATH = "src/repro/util/fake_module.py"
 # Seeded mutants as (display path, source); test_kill_matrix.py runs each
 # of them under every rule in the table.
 MUTANTS = {
-    "rep101_seconds_plus_rows": (HW_PATH, """\
-def f(transfer_s: float, mb_rows: int) -> float:
-    return transfer_s + mb_rows
-"""),
-    "rep101_rows_per_second_into_bytes": (CORE_PATH, """\
-def f(plan, mb_rows, tau_s):
-    plan.nbytes = mb_rows / tau_s
-"""),
-    "rep101_mismatch_through_assignment": (CORE_PATH, """\
-def f(mb_rows, duration_s):
-    speed = mb_rows / duration_s   # rows/s, fine
-    total_bytes = speed            # rows/s stored as bytes: bug
-    return total_bytes
-"""),
-    "rep101_min_mixing_units": (HW_PATH, """\
-def f(tau_s, mb_rows):
-    return min(tau_s, mb_rows)
-"""),
     "rep102_for_loop_over_set": (HW_PATH, """\
 def schedule(events):
     pending = {e.key for e in events}
@@ -61,28 +43,6 @@ def f(d):
     for x in item:
         use(x)
     return item
-"""),
-    "rep103_early_return": (HW_PATH, """\
-def run_op(dev, op):
-    dev.acquire_engine(op.engine)
-    if op.rows <= 0:
-        return None
-    result = execute(dev, op)
-    dev.release_engine(op.engine)
-    return result
-"""),
-    "rep103_exception_path": (HW_PATH, """\
-def run_op(dev, op):
-    dev.acquire_engine(op.engine)
-    result = execute(dev, op)
-    dev.release_engine(op.engine)
-    return result
-"""),
-    "rep103_release_of_other": (HW_PATH, """\
-def f(a, b):
-    a.acquire()
-    b.release()
-    return done()
 """),
     "rep103_shm_never_released": (EXEC_PATH, """\
 def make(nbytes):
@@ -128,67 +88,6 @@ def run(source: str, path: str, select=None):
 
 def rules_hit(source: str, path: str, select=None):
     return {v.rule for v in run(source, path, select=select)}
-
-
-class TestREP101Units:
-    def test_seconds_plus_rows_is_caught(self):
-        assert "REP101" in rules_hit(*mutant("rep101_seconds_plus_rows"))
-
-    def test_rows_per_second_into_bytes_field_is_caught(self):
-        assert "REP101" in rules_hit(*mutant("rep101_rows_per_second_into_bytes"))
-
-    def test_consistent_arithmetic_is_clean(self):
-        src = """
-        def f(k_me, mb_rows, bw, row_bytes_per_row):
-            compute_s = k_me * mb_rows
-            transfer_s = mb_rows * row_bytes_per_row / bw
-            return compute_s + transfer_s
-        """
-        assert rules_hit(src, HW_PATH) == set()
-
-    def test_dimensionless_constants_are_compatible(self):
-        src = """
-        def f(tau_s):
-            return max(0.0, tau_s) * 2
-        """
-        assert rules_hit(src, HW_PATH) == set()
-
-    def test_mismatch_flows_through_assignment(self):
-        assert "REP101" in rules_hit(*mutant("rep101_mismatch_through_assignment"))
-
-    def test_branches_that_disagree_degrade_to_unknown(self):
-        # One arm leaves `x` as seconds, the other as rows: after the
-        # join the unit is unknown, so later use must NOT flag.
-        src = """
-        def f(cond, tau_s, mb_rows):
-            if cond:
-                x = tau_s
-            else:
-                x = mb_rows
-            return x + 1.0
-        """
-        assert rules_hit(src, HW_PATH) == set()
-
-    def test_summary_table_beats_naming_convention(self):
-        # buffer_row_bytes ends in _bytes but its signature is bytes/row;
-        # rows * bytes/row = bytes is clean.
-        src = """
-        def f(mb_rows, buf, sizes):
-            nbytes = mb_rows * buffer_row_bytes(buf, sizes)
-            return nbytes
-        """
-        assert rules_hit(src, CORE_PATH) == set()
-
-    def test_min_mixing_units_is_caught(self):
-        assert "REP101" in rules_hit(*mutant("rep101_min_mixing_units"))
-
-    def test_out_of_scope_path_is_silent(self):
-        src = """
-        def f(transfer_s, mb_rows):
-            return transfer_s + mb_rows
-        """
-        assert rules_hit(src, OUTSIDE_PATH) == set()
-        assert "REP101" not in rules_for_path(OUTSIDE_PATH)
 
 
 class TestREP102Determinism:
@@ -239,57 +138,6 @@ class TestREP102Determinism:
             s = sorted(s)
             for x in s:
                 use(x)
-        """
-        assert rules_hit(src, HW_PATH) == set()
-
-
-class TestREP103Resources:
-    def test_early_return_leaks_engine(self):
-        found = run(*mutant("rep103_early_return"))
-        assert any(v.rule == "REP103" for v in found)
-
-    def test_exception_path_leak_is_caught(self):
-        # execute() may raise between acquire and release; REP103 must
-        # see the exceptional exit even though the return path is fine.
-        found = [v for v in run(*mutant("rep103_exception_path")) if v.rule == "REP103"]
-        assert found
-        assert "exception path" in found[0].message
-
-    def test_try_finally_release_is_clean(self):
-        src = """
-        def run_op(dev, op):
-            dev.acquire_engine(op.engine)
-            try:
-                return execute(dev, op)
-            finally:
-                dev.release_engine(op.engine)
-        """
-        assert rules_hit(src, HW_PATH) == set()
-
-    def test_with_statement_is_exempt(self):
-        src = """
-        def run_op(dev, op):
-            with dev.acquire_engine(op.engine):
-                return execute(dev, op)
-        """
-        assert rules_hit(src, HW_PATH) == set()
-
-    def test_release_of_other_resource_does_not_clear(self):
-        found = [v for v in run(*mutant("rep103_release_of_other")) if v.rule == "REP103"]
-        assert found
-
-    def test_both_paths_release_is_clean(self):
-        src = """
-        def f(dev, fast):
-            dev.reserve()
-            try:
-                if fast:
-                    r = quick(dev)
-                else:
-                    r = slow(dev)
-            finally:
-                dev.free()
-            return r
         """
         assert rules_hit(src, HW_PATH) == set()
 
@@ -350,17 +198,121 @@ class TestREP103SharedMemory:
         assert found
 
     def test_exec_package_is_in_rep103_scope(self):
+        # ... and only exec/: it is the one package that creates segments.
         assert "REP103" in rules_for_path(EXEC_PATH)
-        # ... but wall-clock rules stay out of exec/ (REP001 is the
-        # per-line lint; REP101 units scope is hw/core only).
-        assert "REP101" not in rules_for_path(EXEC_PATH)
+        for path in (HW_PATH, CORE_PATH, SERVICE_PATH, OUTSIDE_PATH):
+            assert "REP103" not in rules_for_path(path)
+
+    def test_engine_style_acquire_is_not_tracked(self):
+        # Only SharedMemory construction acquires; src/ has no
+        # acquire/reserve/claim API for the rule to pair.
+        src = """
+        def run_op(dev, op):
+            dev.acquire_engine(op.engine)
+            return execute(dev, op)
+        """
+        assert rules_hit(src, EXEC_PATH) == set()
+
+
+class TestREP103Resources:
+    """Path sensitivity: which CFG shapes release a segment on every exit."""
+
+    def test_early_return_leaks_segment(self):
+        src = """
+        def make(nbytes):
+            seg = SharedMemory(create=True, size=nbytes)
+            if nbytes <= 0:
+                return None
+            try:
+                fill(seg.buf)
+            finally:
+                seg.close()
+                seg.unlink()
+        """
+        found = [v for v in run(src, EXEC_PATH) if v.rule == "REP103"]
+        assert any("a return path" in v.message for v in found)
+
+    def test_exception_path_leak_is_caught(self):
+        # The return path releases; a write inside the loop may raise
+        # before it does, so only the exceptional exit is flagged.
+        src = """
+        def make(nbytes, chunks):
+            seg = SharedMemory(create=True, size=nbytes)
+            for chunk in chunks:
+                write(seg.buf, chunk)
+            seg.close()
+            seg.unlink()
+        """
+        found = [v for v in run(src, EXEC_PATH) if v.rule == "REP103"]
+        assert [v.message for v in found if "exception path" in v.message]
+        assert not [v for v in found if "a return path" in v.message]
+
+    def test_try_finally_release_is_clean(self):
+        # One segment per iteration, each released before the next.
+        src = """
+        def make(sizes):
+            for n in sizes:
+                seg = SharedMemory(create=True, size=n)
+                try:
+                    fill(seg.buf)
+                finally:
+                    seg.close()
+                    seg.unlink()
+        """
+        assert rules_hit(src, EXEC_PATH) == set()
+
+    def test_both_paths_release_is_clean(self):
+        src = """
+        def make(nbytes, fast):
+            seg = SharedMemory(create=True, size=nbytes)
+            try:
+                if fast:
+                    r = quick(seg.buf)
+                else:
+                    r = slow(seg.buf)
+            finally:
+                seg.close()
+                seg.unlink()
+            return r
+        """
+        assert rules_hit(src, EXEC_PATH) == set()
+
+    def test_release_on_one_branch_is_caught(self):
+        src = """
+        def make(nbytes, fast):
+            seg = SharedMemory(create=True, size=nbytes)
+            try:
+                r = fill(seg.buf)
+            finally:
+                if fast:
+                    seg.close()
+                    seg.unlink()
+            return r
+        """
+        found = [v for v in run(src, EXEC_PATH) if v.rule == "REP103"]
+        assert any("a return path" in v.message for v in found)
+
+    def test_release_of_other_resource_does_not_clear(self):
+        # self.seg is a different key from the local seg.
+        src = """
+        def swap(self, nbytes):
+            seg = SharedMemory(create=True, size=nbytes)
+            try:
+                fill(seg.buf)
+            finally:
+                self.seg.close()
+                self.seg.unlink()
+        """
+        found = [v for v in run(src, EXEC_PATH) if v.rule == "REP103"]
+        assert found and all("'seg'" in v.message for v in found)
 
 
 class TestSuppressionAndScoping:
     def test_noqa_suppresses_dataflow_finding(self):
         src = """
-        def f(transfer_s, mb_rows):
-            return transfer_s + mb_rows  # noqa: REP101
+        def f(xs):
+            s = set(xs)
+            return list(s)  # noqa: REP102
         """
         assert rules_hit(src, HW_PATH) == set()
 
@@ -374,10 +326,12 @@ class TestSuppressionAndScoping:
 
     def test_select_forces_rules_out_of_scope(self):
         src = """
-        def f(transfer_s, mb_rows):
-            return transfer_s + mb_rows
+        def f(xs):
+            s = set(xs)
+            return list(s)
         """
-        assert "REP101" in rules_hit(src, OUTSIDE_PATH, select=["REP101"])
+        assert "REP102" not in rules_for_path(OUTSIDE_PATH)
+        assert "REP102" in rules_hit(src, OUTSIDE_PATH, select=["REP102"])
 
     def test_syntax_error_is_silent_here(self):
         # REP000 is the driver's job (test_lint.py pins it); the dataflow
@@ -387,5 +341,5 @@ class TestSuppressionAndScoping:
         assert errors == []
 
     def test_every_rule_has_a_description(self):
-        assert set(DATAFLOW_RULES) == {"REP101", "REP102", "REP103"}
+        assert set(DATAFLOW_RULES) == {"REP102", "REP103"}
         assert all(DATAFLOW_RULES[r] for r in DATAFLOW_RULES)

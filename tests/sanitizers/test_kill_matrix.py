@@ -1,9 +1,9 @@
 """The static half of the mutation kill-matrix (ROADMAP item 4).
 
 Every seeded mutant hoisted into ``MUTANTS`` by the four rule test
-modules is analysed under *all 15* rules, forced regardless of scope,
-and the resulting ``mutant -> rules that fire`` table is committed in
-DESIGN.md. A rule that fires only on its own mutants is orthogonal; a
+modules is analysed under every rule of the table, forced regardless of
+scope, and the resulting ``mutant -> rules that fire`` table is committed
+in DESIGN.md. A rule that fires only on its own mutants is orthogonal; a
 mutant caught by several rows names an overlap. The table is data for
 the pruning decision — this test only keeps it honest.
 

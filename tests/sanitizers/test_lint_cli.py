@@ -4,13 +4,13 @@ structure pins of the one-table/one-driver design."""
 import argparse
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.sanitizers import runner
-from repro.sanitizers.dataflow import summaries
 
 BUGGY = (
     "def schedule(events):\n"
@@ -46,6 +46,17 @@ def lint(tree: Path, *extra: str) -> int:
     return main(["lint", *extra, str(tree / "src")])
 
 
+def lint_parser_and_help() -> tuple[argparse.ArgumentParser, str]:
+    """The ``lint`` subparser and its one-line entry in ``repro -h``."""
+    (sub,) = [
+        a
+        for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    (line,) = [a.help for a in sub._choices_actions if a.dest == "lint"]
+    return sub.choices["lint"], line
+
+
 class TestExitCodes:
     def test_findings_exit_1(self, tree):
         assert lint(tree) == 1
@@ -55,7 +66,7 @@ class TestExitCodes:
         assert lint(tree) == 0
         out = capsys.readouterr().out
         assert "clean" in out
-        assert "REP101" in out and "REP103" in out  # dataflow rules ran
+        assert "REP102" in out and "REP103" in out  # dataflow rules ran
 
     def test_internal_error_exit_2(self, tree, monkeypatch, capsys):
         # A rule that crashes is an analyzer-infrastructure failure, not
@@ -91,22 +102,10 @@ class TestFormats:
         keys = [(v["path"], v["line"], v["rule"]) for v in payload]
         assert keys == sorted(keys)
 
-    def test_sarif_structure(self, tree, capsys):
-        assert lint(tree, "--format", "sarif") == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {
-            "REP001", "REP101", "REP102", "REP103",
-            "REP201", "REP202", "REP203", "REP204",
-        } <= rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "REP102"
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith("sched.py")
-        assert loc["region"]["startLine"] >= 1
+    def test_sarif_is_rejected(self, tree):
+        with pytest.raises(SystemExit) as exc:
+            lint(tree, "--format", "sarif")
+        assert exc.value.code == 2
 
 
 class TestSelectAndSummary:
@@ -198,24 +197,30 @@ class TestStructure:
 
     def test_select_builds_only_the_artifacts_it_reads(self, tree, monkeypatch):
         def forbidden(*_args, **_kw):
-            raise AssertionError("artifact built for a rule that never reads it")
+            raise AssertionError("call graph built for rules that never read it")
 
-        monkeypatch.setattr(summaries, "summarize_module", forbidden)
-        assert lint(tree, "--select", "REP2") == 0
-        monkeypatch.undo()
         monkeypatch.setattr(runner, "build_graph", forbidden)
         assert lint(tree, "--select", "REP1") == 1
 
     def test_option_surface(self):
-        (sub,) = [
-            a
-            for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
-        options = {
-            s for a in sub.choices["lint"]._actions for s in a.option_strings
-        }
+        lint_parser, _ = lint_parser_and_help()
+        options = {s for a in lint_parser._actions for s in a.option_strings}
         assert options == {"--format", "--select", "--summary", "-h", "--help"}
+        (fmt,) = [a for a in lint_parser._actions if "--format" in a.option_strings]
+        assert set(fmt.choices) == {"text", "json"}
+
+    def test_help_names_exactly_the_table(self):
+        lint_parser, line = lint_parser_and_help()
+        for text in (line, lint_parser.description):
+            assert set(re.findall(r"REP\d{3}", text)) == set(runner.RULES)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["lint", "-h"]])
+    def test_printed_help_names_exactly_the_table(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"REP\d{3}", out)) == set(runner.RULES)
 
     @pytest.mark.parametrize("flag", ["--baseline", "--summary-cache"])
     def test_removed_flags_are_rejected(self, tree, flag):
