@@ -65,6 +65,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.presets import get_platform
 from repro.service import EncodingService, ServiceConfig, build_workload
+from repro.util.journal import JOURNAL
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SERVICE_PATH = REPO_ROOT / "BENCH_SERVICE.json"
@@ -174,15 +175,18 @@ def _encoded_identical(ref_out: list, outcomes: list) -> bool:
 def unsanitized():
     """Clear ``$REPRO_SANITIZE`` for a measured block.
 
-    Store and pool workers read the variable when they start; journaling
-    shared-memory accesses on a timed path would skew the points.
+    Store and pool workers read the variable when they start, the event
+    journal when it is reset; journaling on a timed path would skew the
+    points.
     """
     saved = os.environ.pop("REPRO_SANITIZE", None)
+    JOURNAL.reset()
     try:
         yield
     finally:
         if saved is not None:
             os.environ["REPRO_SANITIZE"] = saved
+        JOURNAL.reset()
 
 
 def measure_parallel(

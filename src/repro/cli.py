@@ -24,7 +24,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.presets import get_platform, list_platforms
 from repro.report import ascii_series, format_table
-from repro.util.journal import JOURNAL, SANITIZE_ENV, sanitize_from_env
+from repro.util.journal import HOST_CLOCK, JOURNAL, SANITIZE_ENV, sanitize_from_env, span
 
 
 def _parse_fault_spec(flag: str, spec: str, kind: str, want_param: bool):
@@ -214,9 +214,7 @@ def _or_exit(build):
         raise SystemExit(f"error: {exc}") from None
 
 
-def _framework_from_args(
-    args: argparse.Namespace, profiler=None
-) -> FevesFramework:
+def _framework_from_args(args: argparse.Namespace) -> FevesFramework:
     """The framework ``run``/``profile``/``trace`` drive, on either backend."""
     return _or_exit(lambda: FevesFramework(
         get_platform(args.platform),
@@ -228,7 +226,6 @@ def _framework_from_args(
             rstar_parallel=getattr(args, "rstar_parallel", False),
             faults=_fault_schedule(args),
         ),
-        profiler=profiler,
     ))
 
 
@@ -586,11 +583,36 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return _sanitize_exit(lambda san: san.check_cluster(cluster))
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.util.profiling import PhaseProfiler
+def _phase_rows(events: list, n_frames: int) -> list[dict]:
+    """One row per span name in ``events``, by total time: calls, total
+    ms, ms per frame over ``n_frames``, share of all spanned time."""
+    stats: dict[str, list] = {}
+    for e in events:
+        if e.domain == HOST_CLOCK:
+            st = stats.setdefault(e.event, [0, 0.0])
+            st[0] += 1
+            st[1] += e.end - e.clock
+    total = sum(s for _, s in stats.values())
+    return [
+        {"phase": name, "calls": n, "total_ms": s * 1e3,
+         "ms_per_frame": s * 1e3 / max(1, n_frames),
+         "share": s / total if total > 0 else 0.0}
+        for name, (n, s) in sorted(stats.items(), key=lambda kv: -kv[1][1])
+    ]
 
-    profiler = PhaseProfiler()
-    fw = _framework_from_args(args, profiler=profiler)
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    # The phase table is the run's spans: the journal is on for this
+    # command whether or not it sanitizes, and off again after it.
+    JOURNAL.reset(on=True)
+    try:
+        return _profile(args)
+    finally:
+        JOURNAL.reset()
+
+
+def _profile(args: argparse.Namespace) -> int:
+    fw = _framework_from_args(args)
     cfg = fw.codec_cfg
     process = fw.fw_cfg.backend == "process"
     with fw:
@@ -600,17 +622,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
             fw.run_model(args.frames)
     accuracy = fw.accuracy_report().summary() if process else {}
     workers = fw.manager.workers if process else 0
+    # The SAN-G replay drains the journal: keep the run's events first.
+    events = JOURNAL.snapshot()
     rc = 0
     if sanitize_from_env():
-        with profiler.phase("sanitizer"):
-            rc = _sanitize_exit(
-                lambda san: san.for_framework(fw).check_run(fw)
-            )
+        with span(fw, "sanitizer"):
+            rc = _sanitize_exit(lambda san: san.for_framework(fw).check_run(fw))
+        events += JOURNAL.drain()
+    # Per inter frame, the frames scheduling_overhead_ms averages over
+    # (the process backend's I frame is encoded untimed).
+    n_frames = len(fw.reports)
+    phases = _phase_rows(events, n_frames)
 
     rows = [
         [r["phase"], r["calls"], f"{r['total_ms']:.2f}",
          f"{r['ms_per_frame']:.3f}", f"{100 * r['share']:.1f}%"]
-        for r in profiler.report(args.frames)
+        for r in phases
     ]
     print(format_table(
         ["phase", "calls", "total ms", "ms/frame", "share"], rows,
@@ -636,7 +663,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "workers": workers,
             "overhead_ms_per_frame": fw.scheduling_overhead_ms,
             "accuracy": accuracy,
-            **profiler.to_dict(args.frames),
+            "total_ms": sum(r["total_ms"] for r in phases),
+            "frames": n_frames,
+            "phases": phases,
         }, indent=1))
         print(f"wrote profile JSON to {args.json}")
     return rc
@@ -1004,20 +1033,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not getattr(args, "sanitize", False):
         return args.func(args)
     # --sanitize is REPRO_SANITIZE=1 for this one command: the variable
-    # is what every layer (and every pool worker, fork or spawn) asks.
-    # Restoring it and dropping the journal keeps an in-process caller's
-    # later runs unjournaled and releases the objects the journal pins.
+    # is what every layer (and every pool worker, fork or spawn) asks,
+    # and the journal reads it when reset. Restoring it before the last
+    # reset keeps an in-process caller's later runs unjournaled and
+    # releases the objects the journal pins.
     prior = os.environ.get(SANITIZE_ENV)
     os.environ[SANITIZE_ENV] = "1"
     JOURNAL.reset()
     try:
         return args.func(args)
     finally:
-        JOURNAL.reset()
         if prior is None:
             del os.environ[SANITIZE_ENV]
         else:
             os.environ[SANITIZE_ENV] = prior
+        JOURNAL.reset()
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from repro.hw.device import Device
 from repro.hw.interconnect import BufferSizes
 from repro.hw.timeline import FrameTimeline
 from repro.hw.topology import Platform
-from repro.util.profiling import PhaseProfiler
+from repro.util.journal import span
 
 #: Simulated watchdog time charged on the frame a dropout/hang is
 #: detected: the faulted device's engine stalls this long before its
@@ -135,12 +135,10 @@ class VideoCodingManager:
         platform: Platform,
         codec_cfg: CodecConfig,
         fw_cfg: FrameworkConfig,
-        profiler: PhaseProfiler | None = None,
     ) -> None:
         self.platform = platform
         self.codec_cfg = codec_cfg
         self.fw_cfg = fw_cfg
-        self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.host = Resource("host.sync")
         resources = [self.host]
         for dev in platform.devices:
@@ -217,7 +215,7 @@ class VideoCodingManager:
             transfer_ops.append((op, item))
             return op
 
-        with self.profiler.phase("des_build"):
+        with span(self, "des_build"):
             live_set = (
                 frozenset(d.name for d in devices) if live is None else frozenset(live)
             )
@@ -395,7 +393,7 @@ class VideoCodingManager:
                 )
 
         # ------------------------- run & harvest ----------------------------
-        with self.profiler.phase("des"):
+        with span(self, "des"):
             records = self.sim.run()
         tau1 = float(tau1_op.end or 0.0)
         tau2 = float(tau2_op.end or 0.0)

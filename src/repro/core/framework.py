@@ -40,7 +40,7 @@ from repro.core.rstar import select_rstar_device
 from repro.hw.interconnect import BufferSizes
 from repro.hw.timeline import EncodingTrace
 from repro.hw.topology import Platform
-from repro.util.profiling import PhaseProfiler
+from repro.util.journal import span
 from repro.util.timing import WallTimer
 
 
@@ -68,33 +68,25 @@ class FevesFramework:
         platform: Platform,
         codec_cfg: CodecConfig,
         fw_cfg: FrameworkConfig | None = None,
-        profiler: PhaseProfiler | None = None,
     ) -> None:
         self.platform = platform
         self.codec_cfg = codec_cfg
         self.fw_cfg = fw_cfg or FrameworkConfig()
         sizes = BufferSizes(width=codec_cfg.width, height=codec_cfg.height)
 
-        # Phase-attributed wall-clock accounting (`repro profile`).
-        self.profiler = profiler if profiler is not None else PhaseProfiler()
-
         # Algorithm 1, lines 1-2: "detect" devices and instantiate blocks.
         self.perf = PerformanceCharacterization(alpha=self.fw_cfg.ewma_alpha)
-        self.balancer = LoadBalancer(
-            platform, codec_cfg, self.fw_cfg, profiler=self.profiler
-        )
+        self.balancer = LoadBalancer(platform, codec_cfg, self.fw_cfg)
         if self.fw_cfg.backend == "process":
             # Lazy import: repro.exec depends on the coding manager (for
             # the run_frame contract), never the other way round.
             from repro.exec.backend import ProcessBackend
 
             self.manager: VideoCodingManager | ProcessBackend = ProcessBackend(
-                platform, codec_cfg, self.fw_cfg, profiler=self.profiler
+                platform, codec_cfg, self.fw_cfg
             )
         else:
-            self.manager = VideoCodingManager(
-                platform, codec_cfg, self.fw_cfg, profiler=self.profiler
-            )
+            self.manager = VideoCodingManager(platform, codec_cfg, self.fw_cfg)
         self.dam = DataAccessManager(
             platform, sizes, enable_parking=self.fw_cfg.enable_parking
         )
@@ -340,7 +332,7 @@ class FevesFramework:
                     sigma_r_prev=dict(self.dam.sigma_r_rows),
                     live=live,
                 )
-            with self.profiler.phase("plan"):
+            with span(self, "plan"):
                 plan = self.dam.plan(decision, self._rstar_device, live=survivors)
 
         # Degradation faults enter as genuine slowdowns, never as events:

@@ -32,8 +32,7 @@ from repro.core.distribution import Distribution, round_preserving_sum
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.interconnect import BufferSizes
 from repro.hw.topology import Platform
-from repro.util.journal import record as _journal
-from repro.util.profiling import PhaseProfiler
+from repro.util.journal import record as _journal, span
 
 
 def _load_highs_bindings() -> ModuleType:
@@ -254,12 +253,10 @@ class LoadBalancer:
         platform: Platform,
         codec_cfg: CodecConfig,
         fw_cfg: FrameworkConfig,
-        profiler: PhaseProfiler | None = None,
     ) -> None:
         self.platform = platform
         self.codec_cfg = codec_cfg
         self.fw_cfg = fw_cfg
-        self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.sizes = BufferSizes(width=codec_cfg.width, height=codec_cfg.height)
         self.halo = codec_cfg.sf_halo_rows
         self._cache_ks: np.ndarray | None = None
@@ -357,7 +354,7 @@ class LoadBalancer:
         )
         if not live_set:
             raise ValueError("no live devices to distribute over")
-        _journal(self, "solve", detail=",".join(sorted(live_set)))
+        _journal(self, "solve", detail=live_set)
         live_idx = [i for i, dev in enumerate(devices) if dev.name in live_set]
         ready_idx = [i for i in live_idx if self._characterized(perf, devices[i])]
         warming_idx = [i for i in live_idx if i not in ready_idx]
@@ -442,7 +439,7 @@ class LoadBalancer:
             if parked and best is not None:
                 # Bound, then solve: a subset whose floor already exceeds
                 # the incumbent cannot win the strict `<` below.
-                with self.profiler.phase("bounds"):
+                with span(self, "bounds"):
                     floor = self._tau_floor(
                         perf, rstar_device,
                         [devices[i] for i in ready_idx if i not in parked],
@@ -464,7 +461,7 @@ class LoadBalancer:
         m, l, s, taus = best
         self._seed = (m, l, s)
         m, l, s = self._grant_warmup(m, l, s, warming_idx)
-        with self.profiler.phase("distribution"):
+        with span(self, "distribution"):
             decision = self._finalize(
                 m, l, s, taus, used_lp=True, perf=perf, rstar_device=rstar_device
             )
@@ -584,7 +581,7 @@ class LoadBalancer:
         prev_rows: tuple | None = None
         converged = False
         for _ in range(LP_DELTA_ITERATIONS):
-            with self.profiler.phase("bounds"):
+            with span(self, "bounds"):
                 dm = [ms_bounds(m, s, i).rows for i in range(d)]
                 dl = [ls_bounds(l, s, i, self.halo).rows for i in range(d)]
             solution = self._solve_lp(
@@ -593,7 +590,7 @@ class LoadBalancer:
             if solution is None:
                 return None
             mf, lf, sf, taus = solution
-            with self.profiler.phase("distribution"):
+            with span(self, "distribution"):
                 m = Distribution(rows=round_preserving_sum(mf, n), total=n)
                 l = Distribution(rows=round_preserving_sum(lf, n), total=n)
                 s = Distribution(rows=round_preserving_sum(sf, n), total=n)
@@ -732,10 +729,9 @@ class LoadBalancer:
         """One LP solve with Δ terms fixed. Returns (m, l, s, taus) or None.
 
         Splits into constraint build (:meth:`_build_lp`) and the HiGHS
-        call (through :attr:`lp_cache`), separately attributed by the
-        profiler.
+        call (through :attr:`lp_cache`), journaled as separate spans.
         """
-        with self.profiler.phase("lp_build"):
+        with span(self, "lp_build"):
             built = self._build_lp(
                 perf, rstar_device, needs_rf, sigma_r_prev, dm, dl, parked
             )
@@ -743,7 +739,7 @@ class LoadBalancer:
             return None
         c, a_ub, b_ub, a_eq, b_eq, bounds, taus_idx = built
         d = len(self.platform.devices)
-        with self.profiler.phase("lp_solve"):
+        with span(self, "lp_solve"):
             x = self.lp_cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
         if x is None:
             return None

@@ -61,7 +61,7 @@ from repro.exec.shm import (
 from repro.hw.des import OpRecord
 from repro.hw.timeline import FrameTimeline
 from repro.hw.topology import Platform
-from repro.util.profiling import PhaseProfiler
+from repro.util.journal import span
 
 #: Representative payload for the one-time transfer priors (bytes).
 _PRIOR_TRANSFER_BYTES = 1 << 20
@@ -110,12 +110,10 @@ class ProcessBackend:
         platform: Platform,
         codec_cfg: CodecConfig,
         fw_cfg: FrameworkConfig,
-        profiler: PhaseProfiler | None = None,
     ) -> None:
         self.platform = platform
         self.codec_cfg = codec_cfg
         self.fw_cfg = fw_cfg
-        self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.workers = fw_cfg.exec_workers or os.cpu_count() or 1
         self.accuracy = AccuracyReport()
         # Validate both env knobs here, at construction: a typo'd
@@ -134,7 +132,7 @@ class ProcessBackend:
 
     def _ensure_started(self) -> tuple[SharedFrameStore, KernelPool]:
         if self._store is None or self._pool is None:
-            with self.profiler.phase("exec_start"):
+            with span(self, "exec_start"):
                 store = SharedFrameStore(self.codec_cfg)
                 try:
                     pool = KernelPool(self.workers, store.layout(), self.codec_cfg)
@@ -258,7 +256,7 @@ class ProcessBackend:
         t_frame0 = time.perf_counter()
 
         # ---- stage the frame into shared memory (host is the only writer)
-        with self.profiler.phase("exec_write"):
+        with span(self, "exec_write"):
             sr = cfg.search_range
             n_refs = min(len(ctx.refs_y), cfg.num_ref_frames)
             store.view("cur")[:] = ctx.cur.y
@@ -274,7 +272,7 @@ class ProcessBackend:
         journal: list[AccessRecord] = []
 
         # ---- phase 1: ME + INT, barriered at τ1 ----------------------------
-        with self.profiler.phase("exec_phase1"):
+        with span(self, "exec_phase1"):
             int_futs: list[
                 TaskHandle[tuple[None, float, float, list[AccessRecord]]]
             ] = []
@@ -306,7 +304,7 @@ class ProcessBackend:
                 journal.extend(jr)
 
         # ---- τ1 barrier: stitch ME bands, copy the new SF out ------------
-        with self.profiler.phase("exec_tau1"):
+        with span(self, "exec_tau1"):
             ctx.me_field = MotionField.merge(
                 [mf for mf, _t0, _t1, _j in me_results]
             )
@@ -315,7 +313,7 @@ class ProcessBackend:
             ctx.sfs = [ctx.sf_new] + ctx.sfs_prev
 
         # ---- phase 2: SME, barriered at τ2 --------------------------------
-        with self.profiler.phase("exec_phase2"):
+        with span(self, "exec_phase2"):
             n_sfs = 1 + len(ctx.sfs_prev)
             sme_futs: list[
                 TaskHandle[tuple[SubpelField, float, float, list[AccessRecord]]]
@@ -339,13 +337,13 @@ class ProcessBackend:
                 chunks.append(("sme", name, row0, nrows, t0, t1))
                 journal.extend(jr)
 
-        with self.profiler.phase("exec_tau2"):
+        with span(self, "exec_tau2"):
             ctx.sme_field = SubpelField.merge(
                 [sf for sf, _t0, _t1, _j in sme_results]
             )
 
         # ---- R* block on the host, attributed to the R* device ------------
-        with self.profiler.phase("exec_rstar"):
+        with span(self, "exec_rstar"):
             t_rstar0 = time.perf_counter()
             ctx.run_rstar()
             rstar_s = time.perf_counter() - t_rstar0

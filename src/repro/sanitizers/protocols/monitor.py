@@ -2,8 +2,8 @@
 
 The monitor compiles each :class:`~repro.sanitizers.protocols.spec.
 ProtocolSpec` into a per-object replay checker and walks one journal
-(:class:`~repro.util.journal.ProtocolEvent` stream) in
-sequence order. Two rules:
+(the lifecycle events of a :class:`~repro.util.journal.Event` stream;
+spans carry host wall time and are skipped) in sequence order. Two rules:
 
 SAN-G1
     An event illegal in the object's current protocol state (a
@@ -28,7 +28,7 @@ held to ``require_terminal``.
 
 from __future__ import annotations
 
-from repro.util.journal import ProtocolEvent
+from repro.util.journal import OBJECT_CLOCK, Event
 from repro.sanitizers.protocols.spec import (
     CLASS_SPECS,
     ON_CHANGE,
@@ -50,7 +50,7 @@ class _ObjectMonitor:
         self.born = False              # create event was journaled
         self.clock: float | None = None
         # until-discharged: obligation name -> {detail: trigger event}
-        self.pending: dict[str, dict[str, ProtocolEvent]] = {
+        self.pending: dict[str, dict[str, Event]] = {
             ob.name: {} for ob in spec.obligations
         }
         # on-change: obligation name -> (last detail, discharged since)
@@ -58,7 +58,7 @@ class _ObjectMonitor:
 
     # ------------------------------------------------------------------
 
-    def _check_clock(self, ev: ProtocolEvent, report: SanitizerReport) -> None:
+    def _check_clock(self, ev: Event, report: SanitizerReport) -> None:
         if self.clock is not None and ev.clock < self.clock - 1e-12:
             report.add(
                 "SAN-G1",
@@ -68,7 +68,7 @@ class _ObjectMonitor:
             )
         self.clock = max(self.clock, ev.clock) if self.clock is not None else ev.clock
 
-    def _apply_state(self, ev: ProtocolEvent, report: SanitizerReport) -> None:
+    def _apply_state(self, ev: Event, report: SanitizerReport) -> None:
         spec = self.spec
         if ev.event == CREATE:
             self.born = True
@@ -98,7 +98,7 @@ class _ObjectMonitor:
         self.state = nxt
 
     def _apply_obligations(
-        self, ev: ProtocolEvent, report: SanitizerReport
+        self, ev: Event, report: SanitizerReport
     ) -> None:
         for ob in self.spec.obligations:
             if ob.kind == ON_CHANGE:
@@ -128,7 +128,7 @@ class _ObjectMonitor:
                 elif ev.event in ob.discharge:
                     self.pending[ob.name].pop(ev.detail, None)
 
-    def observe(self, ev: ProtocolEvent, report: SanitizerReport) -> None:
+    def observe(self, ev: Event, report: SanitizerReport) -> None:
         self._check_clock(ev, report)
         self._apply_state(ev, report)
         self._apply_obligations(ev, report)
@@ -157,13 +157,13 @@ class _ObjectMonitor:
             )
 
 
-def check_events(events: list[ProtocolEvent]) -> SanitizerReport:
-    """Replay one journal; returns the SAN-G report."""
+def check_events(events: list[Event]) -> SanitizerReport:
+    """Replay the lifecycle events of one journal; returns the SAN-G report."""
     report = SanitizerReport()
     monitors: dict[str, _ObjectMonitor] = {}
     for ev in sorted(events, key=lambda e: e.seq):
         spec = CLASS_SPECS.get(ev.cls)
-        if spec is None:
+        if spec is None or ev.domain != OBJECT_CLOCK:
             continue
         mon = monitors.get(ev.obj)
         if mon is None:

@@ -682,10 +682,10 @@ class TimelineSanitizer:
     def check_protocols(events: list | None = None) -> SanitizerReport:
         """Class-G lifecycle/protocol discipline on the runtime journal.
 
-        ``events`` is a list of :class:`~repro.util.journal.
-        ProtocolEvent` (the stream instrumented classes emit under
-        ``REPRO_SANITIZE``); when omitted, the global journal is
-        drained. The events are replayed against the declarative specs
+        ``events`` is a list of :class:`~repro.util.journal.Event` (the
+        stream instrumented classes emit while the journal is on); when
+        omitted, the global journal is drained. Its lifecycle events are
+        replayed against the declarative specs
         in :mod:`repro.sanitizers.protocols.spec` — the same
         declarations the REP301–REP304 static rules compile from:
 

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, timing, profiling and the protocol journal."""
+"""Shared utilities: validation, timing and the runtime event journal."""
 
 from repro.util.timing import WallTimer
 from repro.util.validation import (

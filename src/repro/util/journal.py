@@ -1,41 +1,44 @@
-"""The sanitize switch and the runtime lifecycle journal it gates.
+"""The runtime event journal: lifecycle events and host phase time.
 
-- :func:`sanitize_from_env` is the one predicate over ``$REPRO_SANITIZE``.
-  Nothing else in ``src/`` reads the variable and nothing takes a
-  ``sanitize`` argument: the shared frame store and the kernel pool's
-  worker initializer ask it once when they start, the journal asks per
-  record, and ``repro … --sanitize`` sets the variable for one command.
-- Instrumented classes (sessions, nodes, the dispatcher, the shared frame
-  store, the kernel pool, the load balancer) call :func:`record` at each
-  lifecycle transition; while the predicate holds, the event is appended
-  to the global :data:`JOURNAL`, and ``TimelineSanitizer.check_protocols``
-  replays the stream against the declarative protocol specs (SAN-G).
-  The runtime journals, the analysis package checks: imports point from
-  there to here, never back.
-
-Properties the callers rely on:
-
-- **No imports of its own** beyond ``os`` and ``dataclasses``: it sits
-  below every runtime layer, so ``core/`` imports it at module level
-  without a cycle. (Importing it still runs ``repro/__init__.py`` first,
-  like any submodule — a leaf, not a lightweight entry point.)
-- **Determinism.** Object labels are assigned in first-recorded order
-  (``Node#0``, ``Node#1`` …) and sequence numbers are dense, so a
-  deterministic run produces a byte-identical journal across
-  ``PYTHONHASHSEED`` (pinned by the determinism regression tests).
-  Strong references are kept for labeled objects so ``id()`` reuse can
-  never alias two objects to one label.
-- **One env read per record.** With the variable unset, ``record`` is
-  that read and a return.
+- :func:`sanitize_from_env` is the one predicate over ``$REPRO_SANITIZE``;
+  nothing else in ``src/`` reads the variable and nothing takes a
+  ``sanitize`` argument. The shared frame store and the kernel pool's
+  worker initializer ask it once when they start; ``repro … --sanitize``
+  sets the variable for one command.
+- :attr:`Journal.on` is the journal's one switch, set by
+  :meth:`Journal.reset`: from the predicate at import and on every plain
+  ``reset()``, or explicitly (``repro profile``). No record reads the
+  environment: off, :func:`record` and :func:`span` are one attribute
+  test each, with no allocation.
+- :class:`Event` is the one record type. A *lifecycle event*
+  (:func:`record`) is an instant on the object's own clock, replayed by
+  ``TimelineSanitizer.check_protocols`` against the protocol specs
+  (SAN-G). A *span* (``with span(self, "lp_solve"):``) is an interval of
+  host ``time.perf_counter`` time spent in one named phase, tabulated by
+  ``repro profile``. The runtime journals, the analysis package checks:
+  imports point from there to here, never back.
+- Standard-library imports only: it sits below every runtime layer, so
+  ``core/`` imports it at module level without a cycle.
+- Labels are assigned in first-recorded order (``Node#0``, ``Node#1`` …)
+  and sequence numbers are dense, so the lifecycle events of a
+  deterministic run are byte-identical across ``PYTHONHASHSEED``; spans
+  carry wall times. Labeled objects are pinned so ``id()`` reuse can
+  never alias two of them.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from collections.abc import Iterator
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 
 #: The one switch for every runtime sanitizer layer (SAN-A…G).
 SANITIZE_ENV = "REPRO_SANITIZE"
+
+#: :attr:`Event.domain` of a lifecycle instant and of a span.
+OBJECT_CLOCK, HOST_CLOCK = "object", "host"
 
 
 def sanitize_from_env() -> bool:
@@ -49,44 +52,33 @@ def sanitize_from_env() -> bool:
 
 
 @dataclass(frozen=True)
-class ProtocolEvent:
-    """One journaled lifecycle event."""
+class Event:
+    """One journaled event: a lifecycle instant or a host phase span."""
 
     seq: int
-    cls: str      # tracked class name ("Node", "KernelPool", ...)
+    cls: str      # recording class name ("Node", "LoadBalancer", ...)
     obj: str      # stable per-run label ("Node#0", ...)
-    event: str    # transition/observer/obligation event name
-    clock: float  # the object's own clock at the event (0.0 if none)
+    event: str    # lifecycle event or phase name
+    clock: float  # the instant, or the span's start (0.0 if no clock)
     detail: str = ""  # stream id / slot key / live-set signature
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "cls": self.cls,
-            "obj": self.obj,
-            "event": self.event,
-            "clock": repr(self.clock),
-            "detail": self.detail,
-        }
+    end: float | None = None     # a span's end; None for an instant
+    domain: str = OBJECT_CLOCK   # the clock ``clock`` and ``end`` are on
 
 
-class ProtocolJournal:
+class Journal:
     """Global, append-only event journal (one per process)."""
 
     def __init__(self) -> None:
-        self._events: list[ProtocolEvent] = []
+        self.reset()
+
+    def reset(self, on: bool | None = None) -> None:
+        """Drop every event and label and set the switch: to ``on`` if
+        given, else to :func:`sanitize_from_env`."""
+        self._events: list[Event] = []
         self._labels: dict[int, str] = {}
         self._keep: list[object] = []  # pin ids against reuse
         self._counts: dict[str, int] = {}
-
-    def reset(self) -> None:
-        """Drop every event and label (test isolation)."""
-        self._events.clear()
-        self._labels.clear()
-        self._keep.clear()
-        self._counts.clear()
-
-    # -- recording -----------------------------------------------------
+        self.on = sanitize_from_env() if on is None else on
 
     def label_of(self, obj: object) -> str:
         key = id(obj)
@@ -100,30 +92,21 @@ class ProtocolJournal:
             self._keep.append(obj)
         return label
 
-    def record(
-        self, obj: object, event: str, clock: float = 0.0, detail: str = ""
+    def _append(
+        self, obj: object, event: str, clock: float, detail: str,
+        end: float | None = None, domain: str = OBJECT_CLOCK,
     ) -> None:
-        if not sanitize_from_env():
-            return
-        self._events.append(
-            ProtocolEvent(
-                seq=len(self._events),
-                cls=type(obj).__name__,
-                obj=self.label_of(obj),
-                event=event,
-                clock=float(clock),
-                detail=detail,
-            )
-        )
+        self._events.append(Event(
+            len(self._events), type(obj).__name__, self.label_of(obj),
+            event, float(clock), detail, end, domain,
+        ))
 
-    # -- consumption ---------------------------------------------------
-
-    def drain(self) -> list[ProtocolEvent]:
+    def drain(self) -> list[Event]:
         """Return and clear the journal (labels survive for continuity)."""
         out, self._events = self._events, []
         return out
 
-    def snapshot(self) -> list[ProtocolEvent]:
+    def snapshot(self) -> list[Event]:
         return list(self._events)
 
     def __len__(self) -> int:
@@ -131,15 +114,35 @@ class ProtocolJournal:
 
 
 #: The process-wide journal every instrumented class records into.
-JOURNAL = ProtocolJournal()
+JOURNAL = Journal()
+
+_OFF = nullcontext()
 
 
 def record(
-    obj: object, event: str, clock: float = 0.0, detail: str = ""
+    obj: object, event: str, clock: float = 0.0, detail: str | frozenset[str] = ""
 ) -> None:
-    """Journal one lifecycle event on the global journal (cheap no-op
-    unless sanitizing is enabled)."""
-    JOURNAL.record(obj, event, clock, detail)
+    """Journal one lifecycle event of ``obj`` at its own ``clock``; a set
+    ``detail`` becomes its sorted, comma-joined members (only while on)."""
+    if JOURNAL.on:
+        if not isinstance(detail, str):
+            detail = ",".join(sorted(detail))
+        JOURNAL._append(obj, event, clock, detail)
 
 
-__all__ = ["JOURNAL", "ProtocolEvent", "ProtocolJournal", "record"]
+def span(obj: object, phase: str) -> AbstractContextManager[None]:
+    """``with span(self, "lp_solve"):`` journals the block's host wall
+    time as one span of ``obj`` (a shared null context while off)."""
+    return _timed(obj, phase) if JOURNAL.on else _OFF
+
+
+@contextmanager
+def _timed(obj: object, phase: str) -> Iterator[None]:
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        JOURNAL._append(obj, phase, t0, "", time.perf_counter(), HOST_CLOCK)
+
+
+__all__ = ["JOURNAL", "Event", "Journal", "record", "span"]

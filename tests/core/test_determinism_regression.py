@@ -385,14 +385,14 @@ def test_protocol_lint_identical_across_hash_seeds():
 # first-record order, sequence numbers are dense, and event details are
 # stream/node ids — none of which may leak hash-seed-dependent order.
 PROTOCOL_RUNNER = r"""
-import hashlib, json
+import dataclasses, hashlib, json
 
 from repro.cluster import (
     Cluster, ClusterConfig, NodeFaultEvent, NodeFaultSchedule, NodeSpec,
 )
 from repro.sanitizers import TimelineSanitizer
 from repro.service import build_workload
-from repro.util.journal import JOURNAL
+from repro.util.journal import JOURNAL, OBJECT_CLOCK
 
 wl = build_workload(
     5, n_frames=3, mix="conference", arrival_rate=25.0, seed=9
@@ -407,7 +407,10 @@ cluster.run(wl)
 events = JOURNAL.snapshot()
 report = TimelineSanitizer.check_protocols(JOURNAL.drain())
 assert report.clean, report.summary()
-blob = [e.to_dict() for e in events]
+# The lifecycle view: spans carry host wall times.
+lifecycle = [e for e in events if e.domain == OBJECT_CLOCK]
+assert lifecycle and len(lifecycle) < len(events)
+blob = [dataclasses.asdict(e) for e in lifecycle]
 print(hashlib.sha256(json.dumps(blob, sort_keys=False).encode()).hexdigest())
 """
 

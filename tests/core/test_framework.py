@@ -159,6 +159,9 @@ class TestOptionSurface:
         ):
             with pytest.raises(TypeError):
                 FrameworkConfig(**removed)
+        # Phase time is journaled as spans, not handed a profiler.
+        with pytest.raises(TypeError):
+            FevesFramework(get_platform("SysHK"), CFG, profiler=None)
 
     def test_codec_config_fields_are_pinned(self):
         """The codec's twelve, each with a CLI flag, benchmark or example

@@ -31,6 +31,7 @@ def journal(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     JOURNAL.reset()
     yield JOURNAL
+    monkeypatch.undo()  # the last reset reads the restored variable
     JOURNAL.reset()
 
 

@@ -157,10 +157,12 @@ def mutant_hits(name: str) -> list[str]:
 
 @pytest.fixture
 def journal(monkeypatch):
-    """Switch the lifecycle journal on for one test, dropped at exit."""
+    """Switch the lifecycle journal on for one test, dropped at exit
+    (the variable is restored first: the last reset reads it)."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     JOURNAL.reset()
     yield JOURNAL
+    monkeypatch.undo()
     JOURNAL.reset()
 
 
@@ -566,6 +568,7 @@ class TestSanGDynamic:
             cluster.run([StreamSpec("s0", n_frames=1, fps_target=25.0)])
             assert bool(JOURNAL.snapshot()) is on            # SAN-G
         finally:
+            monkeypatch.undo()
             JOURNAL.reset()
 
 

@@ -53,9 +53,7 @@ class TestServingOptionSurface:
         """No scheduler tunables, and no ``sanitize`` parameter anywhere:
         ``$REPRO_SANITIZE`` is the only switch."""
         assert parameters(CoScheduler) == []
-        assert parameters(ProcessBackend) == [
-            "platform", "codec_cfg", "fw_cfg", "profiler",
-        ]
+        assert parameters(ProcessBackend) == ["platform", "codec_cfg", "fw_cfg"]
         assert parameters(KernelPool) == ["workers", "layout", "cfg"]
         assert parameters(SharedFrameStore) == ["cfg"]
 
