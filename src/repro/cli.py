@@ -351,11 +351,6 @@ def _run_process(args: argparse.Namespace, fw: FevesFramework) -> bool:
           f"-> {speedup:.2f}x")
     print(f"  bit-identical to serial: {'yes' if identical else 'NO'}")
     _print_accuracy(fw.accuracy_report().summary())
-    if sanitize_from_env():
-        journal = fw.manager.exec_journal
-        print(f"  shared-memory journal: "
-              f"{sum(len(e) for e in journal.values())} records, "
-              f"{len(journal)} frames")
     return identical
 
 
@@ -847,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "synthetic clip on a multiprocessing worker pool "
                           "and compare against the serial encoder")
     run.add_argument("--workers", type=int, default=0,
-                     help="process backend pool size (0 = one per CPU core)")
+                     help="process backend pool size (0 = one per usable CPU)")
     run.add_argument("--size", type=_parse_size, default=None, metavar="WxH",
                      help="frame size (default 1920x1088; use a small size "
                           "like 256x144 for quick process-backend runs)")
@@ -964,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="process = profile a real parallel encode, exec "
                           "phases included")
     prof.add_argument("--workers", type=int, default=0,
-                     help="process backend pool size (0 = one per CPU core)")
+                     help="process backend pool size (0 = one per usable CPU)")
     prof.add_argument("--size", type=_parse_size, default=None, metavar="WxH",
                      help="frame size (default 1920x1088)")
     prof.add_argument("--sanitize", action="store_true",
@@ -1033,10 +1028,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not getattr(args, "sanitize", False):
         return args.func(args)
     # --sanitize is REPRO_SANITIZE=1 for this one command: the variable
-    # is what every layer (and every pool worker, fork or spawn) asks,
-    # and the journal reads it when reset. Restoring it before the last
-    # reset keeps an in-process caller's later runs unjournaled and
-    # releases the objects the journal pins.
+    # is what every layer asks, and the journal reads it when reset.
+    # Restoring it before the last reset keeps an in-process caller's
+    # later runs unjournaled and releases the objects the journal pins.
     prior = os.environ.get(SANITIZE_ENV)
     os.environ[SANITIZE_ENV] = "1"
     JOURNAL.reset()

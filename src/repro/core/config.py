@@ -65,7 +65,8 @@ class FrameworkConfig:
         :data:`BACKENDS` and :mod:`repro.exec`). ``"process"`` requires
         an empty fault schedule — faults are a simulation concept.
     exec_workers:
-        Process backend: worker-pool size. 0 = one worker per CPU core.
+        Process backend: worker-pool size. 0 = one worker per CPU this
+        process may run on.
     """
 
     centric: str = "auto"

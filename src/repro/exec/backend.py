@@ -27,7 +27,6 @@ platform's model priors once, purely to satisfy the LP's readiness check.
 
 from __future__ import annotations
 
-import os
 import time
 from itertools import accumulate
 from typing import Any
@@ -49,15 +48,12 @@ from repro.exec.pool import (
     TASK_TIMEOUT_ENV,
     KernelPool,
     TaskHandle,
+    TaskResult,
     resolve_start_method,
     task_timeout_from_env,
+    usable_cpus,
 )
-from repro.exec.shm import (
-    PHASE_P2,
-    PHASE_STAGE,
-    AccessRecord,
-    SharedFrameStore,
-)
+from repro.exec.shm import SharedFrameStore
 from repro.hw.des import OpRecord
 from repro.hw.timeline import FrameTimeline
 from repro.hw.topology import Platform
@@ -114,16 +110,13 @@ class ProcessBackend:
         self.platform = platform
         self.codec_cfg = codec_cfg
         self.fw_cfg = fw_cfg
-        self.workers = fw_cfg.exec_workers or os.cpu_count() or 1
+        self.workers = fw_cfg.exec_workers or usable_cpus()
         self.accuracy = AccuracyReport()
         # Validate both env knobs here, at construction: a typo'd
         # $REPRO_EXEC_START_METHOD / $REPRO_EXEC_TIMEOUT_S must fail
         # with a named token before any frame (or fork) happens.
         resolve_start_method()
         self.task_timeout_s = task_timeout_from_env()
-        #: SAN-F: per-frame shared-memory access journal (host + workers);
-        #: stays empty unless store and pool start under $REPRO_SANITIZE.
-        self.exec_journal: dict[int, list[AccessRecord]] = {}
         self._store: SharedFrameStore | None = None
         self._pool: KernelPool | None = None
         self._priors_seeded = False
@@ -182,10 +175,10 @@ class ProcessBackend:
                 )
 
     def _collect(
-        self, futs: list[TaskHandle[tuple[Any, float, float, list[AccessRecord]]]]
-    ) -> list[tuple[Any, float, float, list[AccessRecord]]]:
+        self, futs: list[TaskHandle[TaskResult[Any]]]
+    ) -> list[TaskResult[Any]]:
         """Gather task results, failing fast on a stalled pool."""
-        out: list[tuple[Any, float, float, list[AccessRecord]]] = []
+        out: list[TaskResult[Any]] = []
         for fut in futs:
             try:
                 out.append(fut.result(timeout=self.task_timeout_s))
@@ -260,26 +253,18 @@ class ProcessBackend:
             sr = cfg.search_range
             n_refs = min(len(ctx.refs_y), cfg.num_ref_frames)
             store.view("cur")[:] = ctx.cur.y
-            store.record_full("cur", "w", "host.stage", PHASE_STAGE)
             for k in range(n_refs):
                 store.view(f"ref{k}")[:] = pad_plane(ctx.refs_y[k], sr)
-                store.record_full(f"ref{k}", "w", "host.stage", PHASE_STAGE)
             for k, sf_prev in enumerate(ctx.sfs_prev):
                 store.view(f"sf{k + 1}")[:] = sf_prev
-                store.record_full(f"sf{k + 1}", "w", "host.stage", PHASE_STAGE)
 
         chunks: list[_Chunk] = []
-        journal: list[AccessRecord] = []
 
         # ---- phase 1: ME + INT, barriered at τ1 ----------------------------
         with span(self, "exec_phase1"):
-            int_futs: list[
-                TaskHandle[tuple[None, float, float, list[AccessRecord]]]
-            ] = []
+            int_futs: list[TaskHandle[TaskResult[None]]] = []
             int_meta: list[tuple[str, int, int]] = []
-            me_futs: list[
-                TaskHandle[tuple[MotionField, float, float, list[AccessRecord]]]
-            ] = []
+            me_futs: list[TaskHandle[TaskResult[MotionField]]] = []
             me_meta: list[tuple[str, int, int]] = []
             for i in live_idx:
                 name = devices[i].name
@@ -292,32 +277,27 @@ class ProcessBackend:
             int_results = self._collect(list(int_futs))
             me_results = self._collect(list(me_futs))
             tau1 = time.perf_counter() - t_frame0
-            for (name, row0, nrows), (_none, t0, t1, jr) in zip(
+            for (name, row0, nrows), (_none, t0, t1, _) in zip(
                 int_meta, int_results, strict=True
             ):
                 chunks.append(("int", name, row0, nrows, t0, t1))
-                journal.extend(jr)
-            for (name, row0, nrows), (_mf, t0, t1, jr) in zip(
+            for (name, row0, nrows), (_mf, t0, t1, _) in zip(
                 me_meta, me_results, strict=True
             ):
                 chunks.append(("me", name, row0, nrows, t0, t1))
-                journal.extend(jr)
 
         # ---- τ1 barrier: stitch ME bands, copy the new SF out ------------
         with span(self, "exec_tau1"):
             ctx.me_field = MotionField.merge(
-                [mf for mf, _t0, _t1, _j in me_results]
+                [mf for mf, _t0, _t1, _ in me_results]
             )
             ctx.sf_new = np.array(store.view("sf0"), copy=True)
-            store.record_full("sf0", "r", "host.tau1", PHASE_P2)
             ctx.sfs = [ctx.sf_new] + ctx.sfs_prev
 
         # ---- phase 2: SME, barriered at τ2 --------------------------------
         with span(self, "exec_phase2"):
             n_sfs = 1 + len(ctx.sfs_prev)
-            sme_futs: list[
-                TaskHandle[tuple[SubpelField, float, float, list[AccessRecord]]]
-            ] = []
+            sme_futs: list[TaskHandle[TaskResult[SubpelField]]] = []
             sme_meta: list[tuple[str, int, int]] = []
             for i in live_idx:
                 name = devices[i].name
@@ -331,15 +311,14 @@ class ProcessBackend:
                     sme_meta.append((name, row0, nrows))
             sme_results = self._collect(list(sme_futs))
             tau2 = time.perf_counter() - t_frame0
-            for (name, row0, nrows), (_sf, t0, t1, jr) in zip(
+            for (name, row0, nrows), (_sf, t0, t1, _) in zip(
                 sme_meta, sme_results, strict=True
             ):
                 chunks.append(("sme", name, row0, nrows, t0, t1))
-                journal.extend(jr)
 
         with span(self, "exec_tau2"):
             ctx.sme_field = SubpelField.merge(
-                [sf for sf, _t0, _t1, _j in sme_results]
+                [sf for sf, _t0, _t1, _ in sme_results]
             )
 
         # ---- R* block on the host, attributed to the R* device ------------
@@ -348,10 +327,6 @@ class ProcessBackend:
             ctx.run_rstar()
             rstar_s = time.perf_counter() - t_rstar0
         tau_tot = time.perf_counter() - t_frame0
-
-        entries = store.drain_journal() + journal
-        if entries:
-            self.exec_journal[frame_index] = entries
 
         timeline = self._build_timeline(
             frame_index, chunks, rstar_device,

@@ -7,17 +7,11 @@ their per-band motion fields (a few KB per MB row); INT writes its SF band
 straight into the shared ``sf0`` slot and returns nothing — no pixel
 plane ever crosses a process boundary.
 
-Each task also returns its own ``time.perf_counter()`` start/end pair.
-On Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which is machine-wide,
-so worker timestamps are directly comparable with the host's frame-start
-anchor; the backend clamps defensively on platforms where they are not.
-
-A worker that starts under ``$REPRO_SANITIZE`` (SAN-F; inherited by fork
-and spawn alike) additionally returns its shared-memory
-:class:`~repro.exec.shm.AccessRecord` entries with every task — built
-from the *same* bounds the actual reads/writes use, so the journal
-cannot drift from the access it describes — and the backend keeps the
-merged per-frame journal for ``TimelineSanitizer.check_exec``.
+Each task also returns its own ``time.perf_counter()`` start/end pair
+(see :data:`TaskResult`). On Linux ``perf_counter`` is
+``CLOCK_MONOTONIC``, which is machine-wide, so worker timestamps are
+directly comparable with the host's frame-start anchor; the backend
+clamps defensively on platforms where they are not.
 """
 
 from __future__ import annotations
@@ -39,16 +33,15 @@ from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.interpolation import interpolate_rows
 from repro.codec.me import MotionField, motion_estimate_rows
 from repro.codec.sme import SubpelField, subpel_refine_rows
-from repro.exec.shm import (
-    PHASE_P1,
-    PHASE_P2,
-    SLOT_DTYPE,
-    AccessRecord,
-    Layout,
-)
-from repro.util.journal import record as _proto_journal, sanitize_from_env
+from repro.exec.shm import SLOT_DTYPE, Layout
+from repro.util.journal import record as _proto_journal
 
 T = TypeVar("T")
+
+#: What a task returns: its value, the ``perf_counter`` stamps of its
+#: start and end, and an empty tuple — the slot the retired access journal
+#: used, kept while ``benchmarks/suite`` unpacks four values from a result.
+TaskResult = tuple[T, float, float, tuple[()]]
 
 #: Environment override for the pool start method ("fork"/"spawn"/...).
 START_METHOD_ENV = "REPRO_EXEC_START_METHOD"
@@ -67,7 +60,6 @@ _EXIT_GRACE_S = 1.0
 _VIEWS: dict[str, np.ndarray] = {}
 _SEGMENTS: dict[str, shared_memory.SharedMemory] = {}
 _CFG: CodecConfig | None = None
-_SANITIZE: bool = False
 
 
 def _attach_worker(layout: Layout, cfg: CodecConfig, cpu: int | None) -> None:
@@ -80,9 +72,8 @@ def _attach_worker(layout: Layout, cfg: CodecConfig, cpu: int | None) -> None:
     but waking it does not preempt the thread that woke it (see
     :class:`KernelPool`, "the host is never preempted by its own work").
     """
-    global _CFG, _SANITIZE
+    global _CFG
     _CFG = cfg
-    _SANITIZE = sanitize_from_env()
     if hasattr(os, "SCHED_BATCH"):
         os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     if cpu is not None:
@@ -110,21 +101,7 @@ def _rf_view() -> np.ndarray:
     return pad[sr:-sr, sr:-sr]
 
 
-def _journal(
-    task: str, phase: int, accesses: list[tuple[str, int, int, str]]
-) -> list[AccessRecord]:
-    """Worker-side journal entries (empty unless sanitizing)."""
-    if not _SANITIZE:
-        return []
-    return [
-        AccessRecord(segment, row0, row1, kind, task, phase)
-        for segment, row0, row1, kind in accesses
-    ]
-
-
-def me_task(
-    row0: int, nrows: int, n_refs: int
-) -> tuple[MotionField, float, float, list[AccessRecord]]:
+def me_task(row0: int, nrows: int, n_refs: int) -> TaskResult[MotionField]:
     """Full-search ME over one chunk of MB rows (prepadded refs)."""
     cfg = _cfg()
     t0 = time.perf_counter()
@@ -132,18 +109,10 @@ def me_task(
     out = motion_estimate_rows(
         _VIEWS["cur"], refs, row0, nrows, cfg, refs_prepadded=True
     )
-    entries = _journal(
-        f"me rows {row0}+{nrows}", PHASE_P1,
-        [("cur", MB_SIZE * row0, MB_SIZE * (row0 + nrows), "r")]
-        + [(f"ref{k}", 0, _VIEWS[f"ref{k}"].shape[0], "r")
-           for k in range(n_refs)],
-    )
-    return out, t0, time.perf_counter(), entries
+    return out, t0, time.perf_counter(), ()
 
 
-def int_task(
-    row0: int, nrows: int
-) -> tuple[None, float, float, list[AccessRecord]]:
+def int_task(row0: int, nrows: int) -> TaskResult[None]:
     """Interpolate one SF band and write it into ``sf0`` in place.
 
     Bands are disjoint by construction (they partition the frame's MB
@@ -158,28 +127,25 @@ def int_task(
     lo = px * row0
     hi = px * (row0 + nrows)
     _VIEWS["sf0"][lo:hi, :] = band
-    entries = _journal(
-        f"int rows {row0}+{nrows}", PHASE_P1,
-        [("ref0", 0, _VIEWS["ref0"].shape[0], "r"), ("sf0", lo, hi, "w")],
-    )
-    return None, t0, time.perf_counter(), entries
+    return None, t0, time.perf_counter(), ()
 
 
 def sme_task(
     row0: int, nrows: int, n_sfs: int, me_band: MotionField
-) -> tuple[SubpelField, float, float, list[AccessRecord]]:
+) -> TaskResult[SubpelField]:
     """Quarter-pel refinement over one chunk (reads the stitched SFs)."""
     cfg = _cfg()
     t0 = time.perf_counter()
     sfs = [_VIEWS[f"sf{k}"] for k in range(n_sfs)]
     out = subpel_refine_rows(_VIEWS["cur"], sfs, me_band, row0, nrows, cfg)
-    entries = _journal(
-        f"sme rows {row0}+{nrows}", PHASE_P2,
-        [("cur", MB_SIZE * row0, MB_SIZE * (row0 + nrows), "r")]
-        + [(f"sf{k}", 0, _VIEWS[f"sf{k}"].shape[0], "r")
-           for k in range(n_sfs)],
-    )
-    return out, t0, time.perf_counter(), entries
+    return out, t0, time.perf_counter(), ()
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the OS cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def resolve_start_method(requested: str | None = None) -> str:
@@ -335,9 +301,7 @@ class KernelPool:
         self.workers = workers
         self.start_method = resolve_start_method()
         ctx = multiprocessing.get_context(self.start_method)
-        pin = hasattr(os, "sched_setaffinity") and workers >= len(
-            os.sched_getaffinity(0)
-        )
+        pin = hasattr(os, "sched_setaffinity") and workers >= usable_cpus()
         self._closed = False
         self._procs: list[BaseProcess] = []
         self._conns: list[Connection] = []
@@ -419,7 +383,7 @@ class KernelPool:
 
     def submit_me(
         self, row0: int, nrows: int, n_refs: int, worker: int = 0
-    ) -> TaskHandle[tuple[MotionField, float, float, list[AccessRecord]]]:
+    ) -> TaskHandle[TaskResult[MotionField]]:
         _proto_journal(self, "submit_me", detail=f"{row0}+{nrows}")
         return self._submit(
             worker, f"me rows {row0}+{nrows}", me_task, row0, nrows, n_refs
@@ -427,7 +391,7 @@ class KernelPool:
 
     def submit_int(
         self, row0: int, nrows: int, worker: int = 0
-    ) -> TaskHandle[tuple[None, float, float, list[AccessRecord]]]:
+    ) -> TaskHandle[TaskResult[None]]:
         _proto_journal(self, "submit_int", detail=f"{row0}+{nrows}")
         return self._submit(
             worker, f"int rows {row0}+{nrows}", int_task, row0, nrows
@@ -436,7 +400,7 @@ class KernelPool:
     def submit_sme(
         self, row0: int, nrows: int, n_sfs: int, me_band: MotionField,
         worker: int = 0,
-    ) -> TaskHandle[tuple[SubpelField, float, float, list[AccessRecord]]]:
+    ) -> TaskHandle[TaskResult[SubpelField]]:
         _proto_journal(self, "submit_sme", detail=f"{row0}+{nrows}")
         return self._submit(
             worker, f"sme rows {row0}+{nrows}", sme_task,

@@ -26,14 +26,10 @@ frame — which INT workers fill in place, each writing its disjoint
 SME read. Reference windows need no per-device Δm/Δl management here:
 every worker sees the whole padded plane, a superset of any Δ window.
 
-That discipline is machine-checked from both sides: statically by the
-REP203/REP204 concurrency lint, and dynamically by the SAN-F access
-journal — a store created while ``$REPRO_SANITIZE`` is set (it asks
-:func:`~repro.util.journal.sanitize_from_env` once, at construction)
-records every host-side access as an :class:`AccessRecord` and worker
-tasks return their own records, so :meth:`TimelineSanitizer.check_exec`
-can verify pairwise disjointness of concurrent writes and the barrier
-ordering of every read on a real parallel run.
+That discipline is checked statically by the REP203/REP204 concurrency
+lint (band confinement of worker writes, staging → τ1 → SME order on the
+host); that the bands partition the frame is a test of the chunks the
+host submits.
 """
 
 from __future__ import annotations
@@ -43,44 +39,14 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.codec.config import MB_SIZE, CodecConfig
-from repro.util.journal import record as _proto_journal, sanitize_from_env
+from repro.codec.config import CodecConfig
+from repro.util.journal import record as _proto_journal
 
 #: Every slot stores 8-bit samples.
 SLOT_DTYPE = np.uint8
 
 #: ``{key: (segment name, shape)}`` — everything a worker needs to attach.
 Layout = dict[str, tuple[str, tuple[int, int]]]
-
-
-#: Phase tags for :class:`AccessRecord` (matching Algorithm 1's beats):
-#: 0 = host staging, 1 = ME/INT, 2 = τ1 stitch + SME.
-PHASE_STAGE, PHASE_P1, PHASE_P2 = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class AccessRecord:
-    """One journaled access to a shared segment (SAN-F).
-
-    ``row0``/``row1`` bound the touched array rows half-open; ``task``
-    names the accessor uniquely within a frame (``host.stage``,
-    ``int rows 3+2``, …) so two records from different tasks are known
-    to be concurrent within a phase.
-    """
-
-    segment: str
-    row0: int
-    row1: int
-    kind: str  # "r" | "w"
-    task: str
-    phase: int
-
-    def overlaps(self, other: "AccessRecord") -> bool:
-        return (
-            self.segment == other.segment
-            and self.row0 < other.row1
-            and other.row0 < self.row1
-        )
 
 
 @dataclass(frozen=True)
@@ -118,8 +84,6 @@ class SharedFrameStore:
 
     def __init__(self, cfg: CodecConfig) -> None:
         self.cfg = cfg
-        self._sanitize = sanitize_from_env()
-        self.journal: list[AccessRecord] = []
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._shapes: dict[str, tuple[int, int]] = {}
         self._views: dict[str, np.ndarray] = {}
@@ -149,40 +113,6 @@ class SharedFrameStore:
             arr = np.ndarray(self._shapes[key], dtype=SLOT_DTYPE, buffer=seg.buf)
             self._views[key] = arr
         return arr
-
-    def sf_band_rows(self, row0: int, nrows: int) -> slice:
-        """SF pixel-row slice of an MB-row band (4× vertical upsampling)."""
-        return slice(4 * MB_SIZE * row0, 4 * MB_SIZE * (row0 + nrows))
-
-    # ------------------------- SAN-F access journal -----------------------
-
-    def record(
-        self,
-        segment: str,
-        row0: int,
-        row1: int,
-        kind: str,
-        task: str,
-        phase: int,
-    ) -> None:
-        """Journal one host-side access (no-op unless sanitizing)."""
-        if self._sanitize:
-            self.journal.append(
-                AccessRecord(segment, row0, row1, kind, task, phase)
-            )
-
-    def record_full(
-        self, segment: str, kind: str, task: str, phase: int
-    ) -> None:
-        """Journal a whole-plane host access of one slot."""
-        if self._sanitize:
-            rows = self._shapes[segment][0]
-            self.record(segment, 0, rows, kind, task, phase)
-
-    def drain_journal(self) -> list[AccessRecord]:
-        """Return and clear the host-side journal (one frame's worth)."""
-        out, self.journal = self.journal, []
-        return out
 
     def close(self) -> None:
         """Release and unlink every segment (idempotent)."""

@@ -22,9 +22,10 @@ REP204
     τ1 collection happens-before any SME submit or host SF read
     (:mod:`phases`).
 
-The dynamic cross-check is SAN-F (the shared-memory access journal in
-:mod:`repro.exec.shm` + :meth:`TimelineSanitizer.check_exec`): the
-static rules prove the shape, the journal verifies real interleavings.
+There is no dynamic twin. A run-time access journal was retired: its
+phase tags were constants written beside each access, so it could not
+see the orderings REP203/REP204 prove. That the INT bands partition the
+frame is a test of the chunks the host submits.
 
 The rule table and the driver that runs them are
 :mod:`repro.sanitizers.runner`.

@@ -208,9 +208,6 @@ SPECS: tuple[ProtocolSpec, ...] = (
         observers=(
             Observer("view", ("open",)),
             Observer("layout", ("open",)),
-            Observer("record", ("open",)),
-            Observer("record_full", ("open",)),
-            Observer("sf_band_rows", ("open",)),
         ),
         require_terminal=True,
     ),

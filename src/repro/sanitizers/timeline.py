@@ -485,14 +485,13 @@ class TimelineSanitizer:
         intra refresh, a fault event, or parking are skipped — those
         legitimately reset the backlog.
 
-        A process-backed framework has measured timelines and no modelled
-        transfers, so its check is SAN-F over the shared-memory journal
-        the backend kept (empty unless it ran under ``REPRO_SANITIZE``).
+        A process-backed framework gets an empty report: its timelines
+        are measured, not scheduled, it has no modelled transfers, and
+        its shared-memory discipline is proved statically (REP203/REP204)
+        rather than journaled at run time.
         """
         out = SanitizerReport()
         if fw.fw_cfg.backend == "process":
-            for f, entries in sorted(fw.manager.exec_journal.items()):
-                out.extend(self.check_exec(entries, frame=f))
             return out
         if not fw.reports:
             return out   # never encoded (e.g. a rejected session)
@@ -584,96 +583,6 @@ class TimelineSanitizer:
                     f"(> 1.0)",
                     where="scheduler",
                 )
-        return out
-
-    # ----------------------- exec-backend checks (SAN-F) ------------------
-
-    @staticmethod
-    def check_exec(entries: list, frame: int = 0) -> SanitizerReport:
-        """Class-F shared-memory discipline on one real parallel frame.
-
-        ``entries`` is the merged :class:`~repro.exec.shm.AccessRecord`
-        journal of one ``ProcessBackend.run_frame`` (host staging + every
-        worker task). Two invariants, checked purely from the journal:
-
-        **SAN-F1** — writes racing: two write records in the *same phase*
-        from *different tasks* must never overlap on a segment (the INT
-        row bands must be pairwise disjoint). Same-phase read/write
-        overlap between different tasks is equally unordered and flagged
-        too.
-
-        **SAN-F2** — reads ordered: every read's row range must be
-        covered by the union of strictly-earlier-phase writes to that
-        segment — staging (phase 0) feeds ME/INT (phase 1), whose ``sf0``
-        writes must jointly cover every SME/τ1 read (phase 2). A read of
-        rows nobody staged or interpolated is a read of garbage (or of a
-        racing write).
-        """
-        out = SanitizerReport()
-        writes_by_seg: dict[str, list] = {}
-        for e in entries:
-            if e.kind == "w":
-                writes_by_seg.setdefault(e.segment, []).append(e)
-
-        # --- F1: same-phase cross-task write/write overlap ----------------
-        for seg in sorted(writes_by_seg):
-            ws = sorted(
-                writes_by_seg[seg], key=lambda e: (e.phase, e.row0, e.task)
-            )
-            for i, a in enumerate(ws):
-                for b in ws[i + 1:]:
-                    if b.phase != a.phase or b.row0 >= a.row1:
-                        continue
-                    if a.task != b.task and a.overlaps(b):
-                        out.add(
-                            "SAN-F1",
-                            f"writes [{a.row0}, {a.row1}) by {a.task!r} and "
-                            f"[{b.row0}, {b.row1}) by {b.task!r} overlap in "
-                            f"phase {a.phase}",
-                            frame=frame,
-                            where=seg,
-                        )
-
-        # --- F2: reads covered by earlier-phase writes, unordered
-        #     same-phase write overlap ----------------------------------
-        for e in entries:
-            if e.kind != "r":
-                continue
-            earlier = sorted(
-                (
-                    (w.row0, w.row1)
-                    for w in writes_by_seg.get(e.segment, [])
-                    if w.phase < e.phase
-                ),
-            )
-            covered_to = e.row0
-            for lo, hi in earlier:
-                if lo > covered_to:
-                    break
-                covered_to = max(covered_to, hi)
-            if covered_to < e.row1:
-                out.add(
-                    "SAN-F2",
-                    f"read [{e.row0}, {e.row1}) by {e.task!r} in phase "
-                    f"{e.phase} touches rows no earlier-phase write "
-                    f"produced (covered up to {covered_to})",
-                    frame=frame,
-                    where=e.segment,
-                )
-            for w in writes_by_seg.get(e.segment, []):
-                if (
-                    w.phase == e.phase
-                    and w.task != e.task
-                    and w.overlaps(e)
-                ):
-                    out.add(
-                        "SAN-F2",
-                        f"read [{e.row0}, {e.row1}) by {e.task!r} overlaps "
-                        f"write [{w.row0}, {w.row1}) by {w.task!r} in the "
-                        f"same phase {e.phase} (no barrier between them)",
-                        frame=frame,
-                        where=e.segment,
-                    )
         return out
 
     # ----------------------- protocol checks (SAN-G) ----------------------

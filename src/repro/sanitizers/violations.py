@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 #: Dynamic (schedule) rule identifiers, by violation class of the design
 #: doc: A = engine races, B = dependency/τ races, C = conservation,
-#: D = service invariants, E = cluster invariants, F = shared-memory
-#: access discipline on the real process backend.
+#: D = service invariants, E = cluster invariants, G = lifecycle protocols.
 SCHED_RULES: dict[str, str] = {
     "SAN-A1": "two ops overlap on one serially-executing engine",
     "SAN-A2": "concurrent copies exceed the device's copy-engine count",
@@ -29,8 +28,6 @@ SCHED_RULES: dict[str, str] = {
     "SAN-E1": "stream owned by more than one node at a time",
     "SAN-E2": "segment placed on a node outside its live window",
     "SAN-E3": "frames lost or duplicated across a cluster reroute",
-    "SAN-F1": "concurrent shared-memory writes overlap (row bands collide)",
-    "SAN-F2": "shared-memory read not ordered after the writes it depends on",
     "SAN-G1": "lifecycle event illegal in the object's protocol state "
               "(or its clock ran backwards)",
     "SAN-G2": "protocol obligation unmet (missing disposition, "

@@ -2,9 +2,9 @@
 
 - :func:`sanitize_from_env` is the one predicate over ``$REPRO_SANITIZE``;
   nothing else in ``src/`` reads the variable and nothing takes a
-  ``sanitize`` argument. The shared frame store and the kernel pool's
-  worker initializer ask it once when they start; ``repro … --sanitize``
-  sets the variable for one command.
+  ``sanitize`` argument. The journal asks it on every plain ``reset()``,
+  the CLI when a command ends (to run its sanitizer pass or not);
+  ``repro … --sanitize`` sets the variable for one command.
 - :attr:`Journal.on` is the journal's one switch, set by
   :meth:`Journal.reset`: from the predicate at import and on every plain
   ``reset()``, or explicitly (``repro profile``). No record reads the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -21,10 +22,9 @@ def _schedule_sanitizer(monkeypatch):
     :meth:`VideoCodingManager.run_frame` call anywhere in the suite gets
     its report checked against the schedule invariants (engine races, τ
     windows, conservation, faulted-device idleness) and fails the test on
-    the first violation. Process-backend frames get the SAN-F treatment
-    instead: the backend journals every shared-memory access (the env
-    var switches the journal on) and the frame's journal is checked for
-    overlapping concurrent writes and barrier-ordered reads. Every
+    the first violation. Process-backend frames are measured, not
+    scheduled, so they have no such pass (their shared-memory discipline
+    is REP203/REP204's and the partition test's). Every
     :meth:`Cluster.run` gets the fleet pass (SAN-E, plus A–D per node) —
     the runtime only journals, so raising on a dirty fleet is this
     fixture's job. Unset, this fixture is a no-op, so the plain tier-1
@@ -38,7 +38,6 @@ def _schedule_sanitizer(monkeypatch):
 
     from repro.cluster import Cluster
     from repro.core.coding_manager import VideoCodingManager
-    from repro.exec.backend import ProcessBackend
     from repro.sanitizers import TimelineSanitizer
 
     original = VideoCodingManager.run_frame
@@ -50,19 +49,6 @@ def _schedule_sanitizer(monkeypatch):
         return report
 
     monkeypatch.setattr(VideoCodingManager, "run_frame", sanitized)
-
-    exec_original = ProcessBackend.run_frame
-
-    def exec_sanitized(self, *args, **kwargs):
-        report = exec_original(self, *args, **kwargs)
-        entries = self.exec_journal.get(report.frame_index, [])
-        if entries:
-            TimelineSanitizer.check_exec(
-                entries, frame=report.frame_index
-            ).raise_if_dirty()
-        return report
-
-    monkeypatch.setattr(ProcessBackend, "run_frame", exec_sanitized)
 
     cluster_original = Cluster.run
 
@@ -129,5 +115,20 @@ def mutant(monkeypatch):
         namespace: dict = {}
         exec(mutated, vars(module), namespace)
         monkeypatch.setattr(module, name, namespace[name])
+
+    return install
+
+
+@pytest.fixture
+def transplant(mutant, monkeypatch):
+    """``transplant(cls, method, old, new)``: ``cls.method`` with ``old``
+    replaced by ``new``, seen by every module that imported ``cls``."""
+
+    def install(cls, method: str, old: str, new: str) -> None:
+        module = sys.modules[cls.__module__]
+        mutant(module, cls.__name__, lambda source: source.replace(old, new))
+        mutated = getattr(module, cls.__name__)
+        monkeypatch.setattr(module, cls.__name__, cls)
+        monkeypatch.setattr(cls, method, mutated.__dict__[method])
 
     return install

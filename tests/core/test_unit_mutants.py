@@ -8,8 +8,6 @@ mistake would live, fails a check the suite already runs — and the same
 check passes on the unmutated function, so the kill is the mutant's.
 """
 
-import sys
-
 import pytest
 
 import test_analysis
@@ -23,21 +21,6 @@ from repro.core.load_balancing import LoadBalancer
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.presets import get_platform
 from repro.sanitizers import ScheduleViolationError, TimelineSanitizer
-
-
-@pytest.fixture
-def transplant(mutant, monkeypatch):
-    """``transplant(cls, method, old, new)``: ``cls.method`` with ``old``
-    replaced by ``new``, seen by every module that imported ``cls``."""
-
-    def install(cls, method: str, old: str, new: str) -> None:
-        module = sys.modules[cls.__module__]
-        mutant(module, cls.__name__, lambda source: source.replace(old, new))
-        mutated = getattr(module, cls.__name__)
-        monkeypatch.setattr(module, cls.__name__, cls)
-        monkeypatch.setattr(cls, method, mutated.__dict__[method])
-
-    return install
 
 
 def run_model(platform: str, frames: int) -> FevesFramework:

@@ -265,6 +265,17 @@ class TestLifecycle:
         fw.close()
         fw.close()
 
+    def test_default_pool_is_as_wide_as_the_usable_cpus(self, monkeypatch):
+        # Under `taskset -c 0` on a 2-CPU machine: one worker, not two
+        # stacked on CPU 0.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        be = ProcessBackend(get_platform("SysHK"), CFG, FrameworkConfig(backend="process"))
+        assert be.workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        be = ProcessBackend(get_platform("SysHK"), CFG, FrameworkConfig(backend="process"))
+        assert be.workers == 2
+
     def test_backend_rejects_faults(self):
         faults = FaultSchedule([FaultEvent(frame=1, device="GPU_H", kind="dropout")])
         with pytest.raises(ValueError, match="fault"):

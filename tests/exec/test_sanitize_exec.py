@@ -1,15 +1,23 @@
-"""SAN-F: the shared-memory access journal and its sanitizer.
+"""The process backend's shared-memory discipline, held without a journal.
 
-The static layer (REP201-REP204) proves the *shape* of the process
-backend is race-free; SAN-F verifies the *actual interleavings*: under
-``$REPRO_SANITIZE`` every worker task journals the byte-row intervals it read
-and wrote (built from the same bounds the accesses use), and
-``TimelineSanitizer.check_exec`` proves concurrent writes are pairwise
-disjoint and every read is covered by strictly-earlier-phase writes.
+INT workers fill ``sf0`` in place, each in its own ``(row0, nrows)`` band
+of MB rows, and the τ1 barrier orders those writes before any SME read.
+Three checks hold that discipline between them:
 
-The overlapping-band mutant at the bottom is the agreement test: the
-same seeded bug is caught dynamically (SAN-F1, from the journal of a
-real run) and statically (REP203, from the mutant's own source).
+* the partition test below: at 1, 2 and 4 workers, each phase's chunks
+  (as the host submits them, grouped by frame) cover the frame's MB rows
+  exactly once, and the output is bit-identical to the serial encoder.
+  ME and SME bands are also held contiguous by their ``merge``; INT's
+  in-place writes are held by nothing else — an overlap writes the same
+  bytes twice and stays bit-identical;
+* REP203 on the worker side: ``int_task`` writes inside its band, and a
+  seeded twin that writes one band too far is flagged;
+* REP203/REP204 on the host side: the staging, τ1 and SME ordering of
+  ``ProcessBackend.run_frame`` (its transplanted mutants are in
+  ``test_exec_mutants.py``, with the chunk mutants this test kills).
+
+The rest of the file pins eager environment validation and bit-identity
+under both start methods.
 """
 
 from __future__ import annotations
@@ -29,10 +37,7 @@ from repro.core.framework import FevesFramework
 from repro.exec import pool as pool_mod
 from repro.exec.backend import ProcessBackend
 from repro.exec.pool import KernelPool, resolve_start_method, task_timeout_from_env
-from repro.exec.shm import PHASE_P1
 from repro.hw.presets import get_platform
-from repro.sanitizers import TimelineSanitizer
-from repro.sanitizers.violations import ScheduleViolationError
 from repro.video.generator import SyntheticSequence
 
 pytestmark = pytest.mark.timeout_guarded
@@ -52,19 +57,13 @@ def reference(frames):
     return ReferenceEncoder(CFG).encode_sequence(frames)
 
 
-def encode_sanitized(frames, workers, monkeypatch, **fw_kwargs):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
+def encode(frames, workers):
     fw = FevesFramework(
-        get_platform("SysHK"),
-        CFG,
-        FrameworkConfig(
-            backend="process", exec_workers=workers,
-            **fw_kwargs,
-        ),
+        get_platform("SysHK"), CFG,
+        FrameworkConfig(backend="process", exec_workers=workers),
     )
     with fw:
-        out = fw.encode(frames)
-    return out, dict(fw.manager.exec_journal)
+        return fw.encode(frames)
 
 
 def assert_identical(ref_out, fev_out):
@@ -76,38 +75,52 @@ def assert_identical(ref_out, fev_out):
         np.testing.assert_array_equal(r.recon.y, o.encoded.recon.y)
 
 
+def record_chunks(monkeypatch) -> list[dict[str, list[tuple[int, int]]]]:
+    """Per inter frame, the ``(row0, nrows)`` of every ME, INT and SME
+    chunk the host submits (wraps whatever ``run_frame`` is installed)."""
+    chunks: list[dict[str, list[tuple[int, int]]]] = []
+    run_frame = ProcessBackend.run_frame
+
+    def per_frame(self, *args, **kwargs):
+        chunks.append({"me": [], "int": [], "sme": []})
+        return run_frame(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessBackend, "run_frame", per_frame)
+    for module in ("me", "int", "sme"):
+        submit = getattr(KernelPool, f"submit_{module}")
+
+        def recorded(self, row0, nrows, *args, _submit=submit, _module=module):
+            chunks[-1][_module].append((row0, nrows))
+            return _submit(self, row0, nrows, *args)
+
+        monkeypatch.setattr(KernelPool, f"submit_{module}", recorded)
+    return chunks
+
+
+def assert_partitions(chunks) -> None:
+    """Each phase's chunks cover every MB row of its frame exactly once."""
+    assert len(chunks) == N_FRAMES - 1  # frame 0 is intra: no parallel phase
+    for k, frame in enumerate(chunks, start=1):
+        for module, bands in frame.items():
+            rows = sorted(r for row0, n in bands for r in range(row0, row0 + n))
+            assert rows == list(range(CFG.mb_rows)), (
+                f"inter frame {k}: {module} chunks {bands} do not partition "
+                f"{CFG.mb_rows} MB rows"
+            )
+
+
 # ---------------------------------------------------------------------------
-# clean runs: journal populated, sanitizer clean, output still bit-exact
+# clean runs: chunks partition the rows, output bit-exact
 
 
-class TestSanFClean:
+class TestPartition:
     @pytest.mark.usefixtures("checked_me_fields", "checked_sme_fields")
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_clean_at_worker_counts(self, frames, reference, workers,
                                     monkeypatch):
-        out, journal = encode_sanitized(frames, workers, monkeypatch)
-        assert_identical(reference, out)
-        # Frame 0 is intra (no parallel phase); every inter frame must
-        # have journaled its staging, phase-1 and phase-2 accesses.
-        assert sorted(journal) == list(range(1, N_FRAMES))
-        for frame, entries in sorted(journal.items()):
-            assert entries, f"frame {frame} journaled nothing"
-            assert {e.kind for e in entries} == {"r", "w"}
-            TimelineSanitizer.check_exec(entries, frame=frame).raise_if_dirty()
-
-    def test_journal_off_by_default(self, frames, monkeypatch):
-        # Neutralize a strict-mode suite run: off means env unset too.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        fw = FevesFramework(
-            get_platform("SysHK"),
-            CFG,
-            FrameworkConfig(
-                backend="process", exec_workers=2,
-            ),
-        )
-        with fw:
-            fw.encode(frames)
-        assert fw.manager.exec_journal == {}
+        chunks = record_chunks(monkeypatch)
+        assert_identical(reference, encode(frames, workers))
+        assert_partitions(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -125,44 +138,13 @@ def _overlapping_int_task(row0, nrows):
     stop = min(hi + px, view.shape[0])
     view[lo:hi, :] = band
     view[hi:stop, :] = band[: stop - hi, :]
-    entries = pool_mod._journal(
-        f"int rows {row0}+{nrows}", PHASE_P1,
-        [("ref0", 0, pool_mod._VIEWS["ref0"].shape[0], "r"),
-         ("sf0", lo, stop, "w")],
-    )
-    return None, t0, time.perf_counter(), entries
+    return None, t0, time.perf_counter(), ()
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="mutant injection relies on fork inheriting the patched module",
-)
-
-
-class TestSanFCatchesMutant:
-    @needs_fork
-    def test_dynamic_overlap_is_caught(self, frames, monkeypatch):
-        # Patch before the pool exists: forked workers inherit the
-        # mutant, and submit_int picks it up via the module global.
-        monkeypatch.setenv(pool_mod.START_METHOD_ENV, "fork")
-        monkeypatch.setattr(pool_mod, "int_task", _overlapping_int_task)
-        try:
-            _, journal = encode_sanitized(frames, 4, monkeypatch)
-        except ScheduleViolationError as exc:
-            # Under REPRO_SANITIZE=strict the autouse fixture checks the
-            # journal per frame and flags the overlap before we can.
-            assert any(v.rule == "SAN-F1" for v in exc.violations)
-            return
-        hits = []
-        for frame, entries in sorted(journal.items()):
-            report = TimelineSanitizer.check_exec(entries, frame=frame)
-            hits += [v for v in report.violations if v.rule == "SAN-F1"]
-        assert hits, "overlapping writes escaped the sanitizer"
-        assert all(v.where == "sf0" for v in hits)
-
+class TestIntBandConfinement:
     def test_static_twin_agrees(self):
-        # The *same* mutant source fails REP203: the extended write's
-        # upper bound is not provably inside the (row0, nrows) band.
+        # The mutant fails REP203: the extended write's upper bound is
+        # not provably inside the (row0, nrows) band.
         from repro.sanitizers.runner import analyze
 
         src = textwrap.dedent(inspect.getsource(_overlapping_int_task))

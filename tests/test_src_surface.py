@@ -10,9 +10,11 @@ capabilities are what those demonstrate); a test does not — a name only
 tests reach is code nobody runs, and a slow twin a test wants as its
 reference belongs in ``tests/oracles.py``.
 
-``sanitizers/`` is out of scope: ROADMAP item 4 judges the analysis
-stack by its kill matrix, not by its callers. ``util/journal.py`` is in:
-it is the runtime's event API.
+``sanitizers/`` is out of scope on both sides: ROADMAP item 4 judges
+the analysis stack by its kill matrix, not by its callers, and it checks
+the runtime rather than calling it, so a name it mentions (a protocol
+observer, a rule's pattern) keeps nothing alive. ``util/journal.py`` is
+in: it is the runtime's event API.
 
 The match is by name (``grep -w``), not by resolution: a method called
 ``merge`` is kept alive by any ``.merge`` anywhere. That errs towards
@@ -29,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 CALLER_ROOTS = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
+ANALYSIS = SRC / "sanitizers"
 
 #: Public names only ``tests/`` refers to, kept on purpose. At most five.
 ALLOWED = {
@@ -52,7 +55,7 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def in_scope(path: Path) -> bool:
-    return path.relative_to(SRC).parts[0] != "sanitizers"
+    return not path.is_relative_to(ANALYSIS)
 
 
 def public_definitions(path: Path) -> list[tuple[str, int]]:
@@ -131,7 +134,8 @@ def orphans() -> dict[str, str]:
     refs: Counter = Counter()
     for root in CALLER_ROOTS:
         for path in sorted(root.rglob("*.py")):
-            refs.update(references(path))
+            if in_scope(path):
+                refs.update(references(path))
     return {
         name: f"{path.relative_to(SRC)}:{lineno} {name}"
         for path in sorted(SRC.rglob("*.py")) if in_scope(path)
