@@ -13,8 +13,9 @@ import pytest
 from repro.codec.config import CodecConfig
 from repro.codec.deblock import BlockInfo, deblock_plane
 from repro.codec.interpolation import interpolate_plane
+from repro.codec.mc import build_prediction, decide_modes
 from repro.codec.me import motion_estimate_rows
-from repro.codec.partitions import total_subpartitions
+from repro.codec.partitions import get_mode, total_subpartitions
 from repro.codec.residual import code_luma_plane
 from repro.codec.sme import subpel_refine_rows
 from repro.video.generator import SyntheticSequence
@@ -77,6 +78,33 @@ def test_kernel_sme(benchmark, search_range, n_refs, metric):
     # Candidates scored: every sub-partition of every MB, two rings of 9.
     n_cand = cfg.mb_rows * cfg.mb_cols * total_subpartitions() * 18
     benchmark.extra_info["mcand_per_s"] = n_cand / 1e6 / benchmark.stats["mean"]
+
+
+@pytest.mark.parametrize("search_range,n_refs", [(16, 1), (4, 2)])
+def test_kernel_mc(benchmark, search_range, n_refs):
+    """MC's prediction on the benchmark suite's two encode configs."""
+    cfg = CodecConfig(
+        width=W, height=H, search_range=search_range, num_ref_frames=n_refs
+    )
+    seq = SyntheticSequence(width=W, height=H, seed=5, noise_sigma=1.5)
+    refs = [seq.frame(n_refs - 1 - k) for k in range(n_refs)]  # newest first
+    cur = seq.frame(n_refs)
+    me = motion_estimate_rows(cur.y, [r.y for r in refs], 0, cfg.mb_rows, cfg)
+    sfs = [interpolate_plane(r.y) for r in refs]
+    field = subpel_refine_rows(cur.y, sfs, me, 0, cfg.mb_rows, cfg)
+    mode_idx = decide_modes(field, cfg, cfg.qp_p)
+    pred, _, _ = benchmark(
+        build_prediction, mode_idx, field.mode_shapes, field.qmvs, field.refs,
+        sfs, [(r.u, r.v) for r in refs], H, W,
+    )
+    assert pred.y.shape == (H, W)
+    _mpps(benchmark, W * H)
+    # Sub-partition blocks predicted (luma and both chroma planes each).
+    n_blocks = sum(
+        get_mode(shape).nparts * int((mode_idx == i).sum())
+        for i, shape in enumerate(field.mode_shapes)
+    )
+    benchmark.extra_info["mblocks_per_s"] = n_blocks / 1e6 / benchmark.stats["mean"]
 
 
 def test_kernel_tq(benchmark, frames):

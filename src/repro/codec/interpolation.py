@@ -46,7 +46,7 @@ def _filt6_v(a: np.ndarray, y0: int, height: int) -> np.ndarray:
     """Vertical 6-tap filter (unrounded int32) at rows y0..y0+height-1."""
     out = np.zeros((height, a.shape[1]), dtype=np.int32)
     for tap, off in zip(_TAPS, _OFFS, strict=True):
-        out += tap * a[y0 + off : y0 + off + height, :].astype(np.int32)
+        out += tap * a[y0 + off : y0 + off + height, :].astype(np.int32, copy=False)
     return out
 
 
@@ -81,10 +81,10 @@ def _interp_core(gpad: np.ndarray, height: int, width: int) -> np.ndarray:
     h_ext = _round_half(h_raw)
     h_half = h_ext[:, :width]
 
-    # j: centre half-pel — vertical 6-tap over unrounded b values.
-    j_raw = np.zeros((height, width), dtype=np.int64)
-    for tap, off in zip(_TAPS, _OFFS, strict=True):
-        j_raw += tap * b_raw_full[p + off : p + off + height, :].astype(np.int64)
+    # j: centre half-pel — vertical 6-tap over unrounded b values, exact in
+    # int32: |b_raw| <= 42 * 255 = 10 710 and b_raw >= -10 * 255, so
+    # |j_raw| <= 42 * 10 710 + 10 * 2 550 < 2**19.
+    j_raw = _filt6_v(b_raw_full, p, height)
     j = np.clip((j_raw + 512) >> 10, 0, 255).astype(np.uint8)
 
     g_int = ge[:height, :width]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.entropy import se_len, ue_len
@@ -87,37 +88,56 @@ def decide_modes(field: SubpelField, cfg: CodecConfig, qp: int) -> np.ndarray:
     return cost.argmin(axis=0)
 
 
-def _chroma_predict(
-    ref_plane: np.ndarray, cqy: np.ndarray, cqx: np.ndarray, ch: int, cw: int
-) -> np.ndarray:
-    """Eighth-pel bilinear chroma prediction for a stack of blocks.
+#: Edge margin of a padded reference chroma plane: the largest chroma block
+#: plus the bilinear tap's one extra sample — from the block size, never from
+#: an MV (the parser admits components up to 2¹⁶ quarter-pels).
+_CHROMA_PAD = MB_SIZE // 2 + 1
 
-    ``cqy/cqx`` are eighth-chroma-sample positions of each block's top-left
-    corner (numerically equal to the luma quarter-pel position).
+
+def _chroma_predict(
+    padded: np.ndarray, cqy: np.ndarray, cqx: np.ndarray, ch: int, cw: int
+) -> np.ndarray:
+    """Eighth-pel bilinear chroma prediction, ``(n, 2, ch, cw)`` for U and V.
+
+    ``padded`` is a reference's U and V stacked and edge-padded by
+    ``P = _CHROMA_PAD`` on both axes; ``cqy/cqx`` are
+    eighth-chroma-sample positions of each block's top-left corner
+    (numerically equal to the luma quarter-pel position). Every sample is
+    read at its position clipped into the plane: a block's integer position
+    clamped to ``[−P, hh]`` (``[−P, ww]``) reads the same clipped samples —
+    beyond that range all of them are the border row (column) — so one
+    ``(ch + 1, cw + 1)`` patch per block and plane holds its four taps. The
+    weighted sum fits uint16: at most ``8 · 8 · 255 + 32 = 16 352``.
     """
-    hh, ww = ref_plane.shape
-    iy, fy = cqy >> 3, (cqy & 7).astype(np.int64)
-    ix, fx = cqx >> 3, (cqx & 7).astype(np.int64)
-    ry = iy[:, None] + np.arange(ch, dtype=np.int64)[None, :]
-    rx = ix[:, None] + np.arange(cw, dtype=np.int64)[None, :]
-    ry0 = np.clip(ry, 0, hh - 1)
-    rx0 = np.clip(rx, 0, ww - 1)
-    ry1 = np.clip(ry + 1, 0, hh - 1)
-    rx1 = np.clip(rx + 1, 0, ww - 1)
-    a = ref_plane[ry0[:, :, None], rx0[:, None, :]].astype(np.int64)
-    b = ref_plane[ry0[:, :, None], rx1[:, None, :]].astype(np.int64)
-    c = ref_plane[ry1[:, :, None], rx0[:, None, :]].astype(np.int64)
-    d = ref_plane[ry1[:, :, None], rx1[:, None, :]].astype(np.int64)
-    wy = fy[:, None, None]
-    wx = fx[:, None, None]
-    num = (
-        (8 - wx) * (8 - wy) * a
-        + wx * (8 - wy) * b
-        + (8 - wx) * wy * c
-        + wx * wy * d
-        + 32
+    pad = _CHROMA_PAD
+    hh, ww = padded.shape[1] - 2 * pad, padded.shape[2] - 2 * pad
+    iy = np.minimum(np.maximum(cqy >> 3, -pad), hh) + pad
+    ix = np.minimum(np.maximum(cqx >> 3, -pad), ww) + pad
+    # (2, ch + 1, cw + 1, n): the instance axis innermost, so every pass
+    # below runs over rows of n blocks.
+    patch = (
+        sliding_window_view(padded, (ch + 1, cw + 1), axis=(1, 2))[:, iy, ix]
+        .transpose(0, 2, 3, 1)
+        .astype(np.uint16)
     )
-    return (num >> 6).astype(np.uint8)
+    wy = (cqy & 7).astype(np.uint16)
+    wx = (cqx & 7).astype(np.uint16)
+    # Separable: (8 − wy)·row(y) + wy·row(y + 1), each row (8 − wx)·a + wx·b
+    # — the same integer as the four-tap sum.
+    rows = (8 - wx) * patch[:, :, :-1] + wx * patch[:, :, 1:]
+    num = (8 - wy) * rows[:, :-1] + wy * rows[:, 1:]
+    num += 32
+    num >>= 6
+    return num.astype(np.uint8).transpose(3, 0, 1, 2)
+
+
+def _cell_partitions(mode) -> np.ndarray:
+    """``(4, 4)`` index of the partition covering each 4×4 cell of an MB."""
+    bh, bw = mode.shape
+    table = np.empty((MB_SIZE // 4, MB_SIZE // 4), dtype=np.intp)
+    for p, (oy, ox) in enumerate(mode.origins // 4):
+        table[oy : oy + bh // 4, ox : ox + bw // 4] = p
+    return table
 
 
 def build_prediction(
@@ -136,15 +156,23 @@ def build_prediction(
     sample the SF (luma, clamped at borders) and the reference chroma
     (eighth-pel bilinear) identically for drift-free reconstruction.
 
+    Per mode the sub-partitions of every MB that chose it are one stack:
+    per reference one :func:`subpel_blocks` gather and one chroma patch
+    gather for U and V, scattered through a ``(rows, 16/bh, bh, cols,
+    16/bw, bw)`` view of the prediction; ``mv4``/``ref4`` take one assignment per
+    mode through the cell→partition table. A reference index without an SF
+    is rejected, not predicted from.
+
     Returns ``(pred_frame, mv4_grid, ref4_grid)``.
     """
     h, w = height, width
+    mb_rows, mb_cols = h // MB_SIZE, w // MB_SIZE
     pred_y = np.zeros((h, w), dtype=np.uint8)
-    pred_u = np.zeros((h // 2, w // 2), dtype=np.uint8)
-    pred_v = np.zeros((h // 2, w // 2), dtype=np.uint8)
+    pred_uv = np.zeros((2, h // 2, w // 2), dtype=np.uint8)
     mv4 = np.zeros((h // 4, w // 4, 2), dtype=np.int32)
     ref4 = np.zeros((h // 4, w // 4), dtype=np.int32)
-    n_refs = len(sfs)
+    pad = ((0, 0), (_CHROMA_PAD, _CHROMA_PAD), (_CHROMA_PAD, _CHROMA_PAD))
+    padded_chroma = [np.pad(np.stack(uv), pad, mode="edge") for uv in ref_chroma]
 
     for mode_i, shape in enumerate(mode_shapes):
         sel = mode_idx == mode_i
@@ -152,45 +180,45 @@ def build_prediction(
             continue
         mode = get_mode(shape)
         bh, bw = shape
+        ch, cw = bh // 2, bw // 2
         rr, cc = np.nonzero(sel)
-        for p in range(mode.nparts):
-            oy, ox = int(mode.origins[p, 0]), int(mode.origins[p, 1])
-            base_y = rr * MB_SIZE + oy
-            base_x = cc * MB_SIZE + ox
-            qmv = qmvs[shape][rr, cc, p]         # (n, 2)
-            prefs = refs[shape][rr, cc, p]
-            qy = np.clip(4 * base_y + qmv[:, 0], 0, 4 * (h - bh)).astype(np.int64)
-            qx = np.clip(4 * base_x + qmv[:, 1], 0, 4 * (w - bw)).astype(np.int64)
+        qmv = qmvs[shape][rr, cc]                # (n, nparts, 2)
+        prefs = refs[shape][rr, cc]              # (n, nparts)
+        if not 0 <= prefs.min() <= prefs.max() < len(sfs):
+            bad = prefs.max() if prefs.max() >= len(sfs) else prefs.min()
+            raise ValueError(
+                f"refs[{shape}] names reference {bad} but only "
+                f"{len(sfs)} SF(s) were given"
+            )
 
-            # Per-4×4-block metadata for DBL / entropy.
-            for cy in range(bh // 4):
-                for cx in range(bw // 4):
-                    g_r = (base_y // 4) + cy
-                    g_c = (base_x // 4) + cx
-                    mv4[g_r, g_c] = qmv
-                    ref4[g_r, g_c] = prefs
+        # Per-4×4-block metadata for DBL / entropy.
+        cells = _cell_partitions(mode)
+        mv4.reshape(mb_rows, 4, mb_cols, 4, 2)[rr, :, cc] = qmv[:, cells]
+        ref4.reshape(mb_rows, 4, mb_cols, 4)[rr, :, cc] = prefs[:, cells]
 
-            for ref in range(n_refs):
-                mask = prefs == ref
-                if not mask.any():
-                    continue
-                blocks = subpel_blocks(sfs[ref], qy[mask], qx[mask], bh, bw)
-                rows = base_y[mask][:, None] + np.arange(bh)[None, :]
-                cols = base_x[mask][:, None] + np.arange(bw)[None, :]
-                pred_y[rows[:, :, None], cols[:, None, :]] = blocks
+        # Every sub-partition instance, flattened [mb, part].
+        mb_r, mb_c = np.repeat(rr, mode.nparts), np.repeat(cc, mode.nparts)
+        py = np.tile(mode.origins[:, 0] // bh, len(rr))
+        px = np.tile(mode.origins[:, 1] // bw, len(rr))  # noqa: REP004 - block width
+        # Quarter-pel (luma) = eighth-pel (chroma) block positions, unclamped.
+        cqy = ((MB_SIZE * rr[:, None] + mode.origins[:, 0]) * 4 + qmv[..., 0]).ravel()
+        cqx = ((MB_SIZE * cc[:, None] + mode.origins[:, 1]) * 4 + qmv[..., 1]).ravel()
+        qy = np.minimum(np.maximum(cqy, 0), 4 * (h - bh))
+        qx = np.minimum(np.maximum(cqx, 0), 4 * (w - bw))
+        view_y = pred_y.reshape(mb_rows, MB_SIZE // bh, bh, mb_cols, -1, bw)
+        view_uv = pred_uv.reshape(2, mb_rows, MB_SIZE // bh, ch, mb_cols, -1, cw)
+        flat_ref = prefs.ravel()
+        for ref, sf in enumerate(sfs):
+            k = np.flatnonzero(flat_ref == ref)
+            if not k.size:
+                continue
+            at = (mb_r[k], py[k], slice(None), mb_c[k], px[k])
+            view_y[at] = subpel_blocks(sf, qy[k], qx[k], bh, bw)
+            view_uv[(slice(None),) + at] = _chroma_predict(
+                padded_chroma[ref], cqy[k], cqx[k], ch, cw
+            )
 
-                cqy = (4 * base_y[mask] + qmv[mask, 0]).astype(np.int64)
-                cqx = (4 * base_x[mask] + qmv[mask, 1]).astype(np.int64)
-                ch, cw = bh // 2, bw // 2
-                u_ref, v_ref = ref_chroma[ref]
-                u_blocks = _chroma_predict(u_ref, cqy, cqx, ch, cw)
-                v_blocks = _chroma_predict(v_ref, cqy, cqx, ch, cw)
-                crows = (base_y[mask] // 2)[:, None] + np.arange(ch)[None, :]
-                ccols = (base_x[mask] // 2)[:, None] + np.arange(cw)[None, :]
-                pred_u[crows[:, :, None], ccols[:, None, :]] = u_blocks
-                pred_v[crows[:, :, None], ccols[:, None, :]] = v_blocks
-
-    return YuvFrame(pred_y, pred_u, pred_v), mv4, ref4
+    return YuvFrame(pred_y, pred_uv[0], pred_uv[1]), mv4, ref4
 
 
 def motion_compensate(

@@ -11,18 +11,19 @@ Like ME, the kernel processes MB rows (the ``s`` distribution vector of
 Algorithm 2). Per partition mode and ring it is batched over every
 sub-partition of the band *and* the ring's 9 candidates:
 
-1. all candidate positions at once as ``(9, 2, n)`` arrays, each clamped on
-   its own (the restricted-MV border policy MC shares);
-2. one block gather per reference through
-   :func:`repro.codec.interpolation.subpel_blocks` — whole ``(bh, bw)``
-   blocks from a strided-window view of the SF, one index pair per block —
-   into a ``(9, n, bh, bw)`` uint8 stack (the instances are grouped by
-   reference once per mode, so each SF serves one contiguous run);
-3. SAD at the width the data needs: ``maximum − minimum`` in uint8, summed
-   in uint16 (at most ``256 · 255 = 65 280``);
-4. one first-minimum ``argmin`` over the candidate axis — the centre is
-   candidate 0, so ties resolve toward the smaller refinement — and the
-   winner's *clamped* displacement.
+1. per axis the three candidate coordinates, each clamped on its own (the
+   restricted-MV border policy MC shares); every clamped candidate is one
+   slot of a 3×3 lattice around the centre (see :func:`_evaluate_ring`);
+2. one patch gather per instance — the lattice's samples, from a
+   strided-window view of the SF, the instances grouped by reference once
+   per mode so each SF serves one contiguous run — laid out ``(PH, PW, n)``
+   with the instance axis innermost;
+3. SAD of each of the 9 slots at the width the data needs: ``maximum −
+   minimum`` in uint8, summed in uint16 (at most ``256 · 255 = 65 280``),
+   each ufunc over rows of ``n`` instances;
+4. the 9 candidates' costs read through their slots, one first minimum over
+   the candidate axis — the centre is candidate 0, so ties resolve toward
+   the smaller refinement — and the winner's *clamped* displacement.
 
 :class:`SubpelField` carries ``int64`` SADs and ``int32`` MVs/refs; the
 narrow types are widened once, when the field is assembled.
@@ -33,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.config import MB_SIZE, CodecConfig
-from repro.codec.interpolation import subpel_blocks
 from repro.codec.me import MotionField, check_field_arrays, merge_field_bands
 from repro.codec.partitions import get_mode
 from repro.codec.satd import block_metric, sad_blocks
@@ -55,6 +56,10 @@ def _ring(step: int) -> np.ndarray:
 #: Stage offsets in quarter-pel units: half-pel ring then quarter-pel ring.
 _HALF_RING = _ring(2)
 _QUARTER_RING = _ring(1)
+
+#: ``(3, 1, 1)`` unit offsets of one axis; instances gathered per chunk.
+_UNIT = np.arange(-1, 2)[:, None, None]
+_CHUNK = 256
 
 
 @dataclass
@@ -165,7 +170,8 @@ def subpel_refine_rows(
             runs = [
                 (sf, slice(a, b)) for sf, a, b in zip(sfs, ends, ends[1:]) if a < b
             ]
-            # Partition origins in quarter-pel units, and the current blocks:
+            # Partition origins in quarter-pel units, and the current blocks
+            # as (bh, bw, n), instance axis innermost like the patches:
             # raster sub-partitions of raster MBs are one reshape of the band.
             mb_y = 4 * MB_SIZE * np.arange(row0, row0 + nrows)
             mb_x = 4 * MB_SIZE * np.arange(mb_cols)
@@ -173,10 +179,12 @@ def subpel_refine_rows(
             origin[0] = mb_y[:, None, None] + 4 * mode.origins[:, 0]
             origin[1] = mb_x[:, None] + 4 * mode.origins[:, 1]
             origin = origin.reshape(2, -1)[:, order]
-            cur_blocks = (
+            cur_blocks = np.take(
                 band_y.reshape(nrows, MB_SIZE // bh, bh, mb_cols, -1, bw)
-                .transpose(0, 3, 1, 4, 2, 5)
-                .reshape(-1, bh, bw)[order]
+                .transpose(2, 5, 0, 3, 1, 4)
+                .reshape(bh, bw, -1),
+                order,
+                axis=2,
             )
             limit = np.array([[4 * (h - bh)], [4 * (w - bw)]])
             best_q = qmv[order].T
@@ -205,11 +213,12 @@ def _evaluate_ring(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one candidate ring around ``centre_q``; return best (qmv, cost).
 
-    ``ring`` is ``(9, 2, 1)`` offsets, centre first; ``centre_q`` and
-    ``origin`` are ``(2, n)`` quarter-pel ``(y, x)`` displacements /
-    partition origins of the ``n`` instances, ``limit`` the largest
-    ``(qy, qx)`` at which a block still fits the SF, and ``runs`` the
-    ``(sf, slice)`` runs of instances that share a reference.
+    ``ring`` is ``(9, 2, 1)`` offsets of one step (2: half-pel, 1:
+    quarter-pel), centre first; ``centre_q`` and ``origin`` are ``(2, n)``
+    quarter-pel ``(y, x)`` displacements / partition origins of the ``n``
+    instances, ``cur_blocks`` their ``(bh, bw, n)`` current blocks, ``limit``
+    the largest ``(qy, qx)`` at which a block still fits the SF, and ``runs``
+    the ``(sf, slice)`` runs of instances that share a reference.
 
     Every candidate — including the centre — is clamped on its own and
     scored on the SF samples at the clamped position, so the cost recorded
@@ -217,38 +226,72 @@ def _evaluate_ring(
     the returned displacement is the clamped one. The first minimum over
     the centre-first candidate axis makes ties resolve toward the smaller
     offset.
+
+    All nine clamped candidates of an instance lie on one 3×3 lattice of
+    ``step``-spaced slots (DESIGN.md "Performance: the SME kernel"): per
+    axis the centre is a multiple of ``2·step`` inside ``[0, L]`` or beyond
+    it, ``L`` a multiple of 4, so ``clip(c + d)`` is ``clip(c) + d`` or
+    ``clip(c)``, and with ``low = clip(c − step, 0, L − 2·step)`` it is slot
+    ``(p − low) / step ∈ {0, 1, 2}``. One patch per instance covers the
+    slots; an axis with ``L < 2·step`` (the block spans the frame) has one.
     """
-    bh, bw = cur_blocks.shape[1:]
-    # (9, 2, n) candidate positions under the restricted-MV border policy.
-    pos = origin + centre_q + ring
-    np.maximum(pos, 0, out=pos)
-    np.minimum(pos, limit, out=pos)
-    costs = np.concatenate(
-        [
-            _candidate_costs(
-                cur_blocks[run],
-                subpel_blocks(sf, pos[:, 0, run], pos[:, 1, run], bh, bw),
-                metric,
-            )
-            for sf, run in runs
-        ],
-        axis=1,
+    step = int(ring.max())
+    pitch = 4 // step  # patch samples from one block row to the next
+    bh, bw, n = cur_blocks.shape
+    centre = origin + centre_q
+    # (3, 2, n): per axis, the clamped coordinate of offsets -step, 0, +step.
+    axis_pos = np.minimum(np.maximum(centre + step * _UNIT, 0), limit)
+    span = np.where(limit >= 2 * step, 2 * step, 0)
+    low = np.minimum(np.maximum(centre - step, 0), limit - span)
+    slot, rem = np.divmod(axis_pos - low, step)
+    if rem.any() or slot.min() < 0 or (step * slot > span).any():
+        raise RuntimeError(
+            f"SME {bh}x{bw} step {step}: a clamped candidate is off its patch"
+        )
+    n_y, n_x = (span[:, 0] // step + 1).tolist()
+    patch = np.empty(
+        (n_y + pitch * (bh - 1), n_x + pitch * (bw - 1), n), dtype=np.uint8
     )
-    win = costs.argmin(axis=0)[None]  # (1, n): first minimum per instance
-    best_pos = np.take_along_axis(pos, win[:, None], axis=0)[0]
-    return best_pos - origin, np.take_along_axis(costs, win, axis=0)[0]
+    for sf, run in runs:
+        windows = sliding_window_view(
+            sf, (step * (patch.shape[0] - 1) + 1, step * (patch.shape[1] - 1) + 1)
+        )[:, :, ::step, ::step]
+        # Instance axis innermost; in chunks, so each transposing copy reads
+        # a gather that is still in cache.
+        for c0 in range(run.start, run.stop, _CHUNK):
+            c = slice(c0, min(c0 + _CHUNK, run.stop))
+            patch[:, :, c] = windows[low[0, c], low[1, c]].transpose(1, 2, 0)
+    slot_costs = np.empty((n_y * n_x, n), dtype=np.int64)
+    for ky in range(n_y):
+        for kx in range(n_x):
+            cand = patch[
+                ky : ky + pitch * (bh - 1) + 1 : pitch,
+                kx : kx + pitch * (bw - 1) + 1 : pitch,
+            ]
+            slot_costs[ky * n_x + kx] = _slot_cost(cur_blocks, cand, metric)
+    # (9, n): each candidate's cost, read through its slot.
+    uy, ux = (ring[:, :, 0] // step + 1).T
+    cols = np.arange(n)
+    keyed = np.take(slot_costs, (slot[uy, 0] * n_x + slot[ux, 1]) * n + cols)
+    # First minimum over the candidate axis: cost · 16 + candidate index.
+    keyed <<= 4
+    keyed += np.arange(len(ring))[:, None]
+    best = np.minimum.reduce(keyed, axis=0)
+    win = best & 15
+    best_pos = np.stack((axis_pos[uy[win], 0, cols], axis_pos[ux[win], 1, cols]))
+    return best_pos - origin, best >> 4
 
 
-def _candidate_costs(cur_blocks: np.ndarray, cand: np.ndarray, metric) -> np.ndarray:
-    """``(9, n)`` costs of a ``(9, n, bh, bw)`` candidate stack.
+def _slot_cost(cur_blocks: np.ndarray, cand: np.ndarray, metric) -> np.ndarray:
+    """``(n,)`` costs of a ``(bh, bw, n)`` candidate view against ``cur_blocks``.
 
     SAD stays at the width the data needs (the FSBM idiom): ``|a − b|`` as
     ``maximum − minimum`` in uint8, summed in uint16 — a 16×16 block of
-    all-0 against all-255 is ``65 280 < 2¹⁶``. Any other metric scores the
-    stack one candidate at a time.
+    all-0 against all-255 is ``65 280 < 2¹⁶`` — over the instance axis, which
+    is innermost. Any other metric scores the ``(n, bh, bw)`` stacks.
     """
     if metric is not sad_blocks:
-        return np.stack([metric(cur_blocks, blocks) for blocks in cand])
+        return metric(cur_blocks.transpose(2, 0, 1), cand.transpose(2, 0, 1))
     diff = np.maximum(cand, cur_blocks)
-    diff -= np.minimum(cand, cur_blocks, out=cand)  # cand is a gathered copy
-    return diff.reshape(*diff.shape[:2], -1).sum(axis=-1, dtype=np.uint16)
+    diff -= np.minimum(cand, cur_blocks)
+    return diff.sum(axis=(0, 1), dtype=np.uint16)

@@ -107,3 +107,25 @@ class TestLevelRange:
     def test_level_at_the_bound_decodes(self):
         cfg, packet = self.packet_with(-MAX_LEVEL, "luma_levels")
         assert SequenceDecoder(cfg).decode_packet(packet).y.shape == (32, 32)
+
+
+class TestMissingReference:
+    """The parser admits reference indices below 16; the store holds at most
+    ``num_ref_frames`` SFs, and only one right after an I frame."""
+
+    def test_ref_past_the_store_is_rejected(self):
+        cfg = CodecConfig(width=32, height=32, search_range=4, num_ref_frames=2)
+        clip = moving_objects_sequence(width=32, height=32, count=2, seed=5)
+        enc = ReferenceEncoder(cfg, keep_syntax=True)
+        packets = []
+        for frame in clip:
+            syntax = enc.encode_frame(frame).syntax
+            if not syntax.is_intra:
+                syntax.ref4[:] = 1  # the store holds one SF after the I frame
+            w = BitWriter()
+            write_frame(w, syntax, cfg=cfg)
+            packets.append(w.to_bytes())
+        dec = SequenceDecoder(cfg)
+        dec.decode_packet(packets[0])
+        with pytest.raises(ValueError, match=r"reference 1 but only 1 SF"):
+            dec.decode_packet(packets[1])

@@ -138,3 +138,49 @@ class TestSampling:
         sf = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         with pytest.raises(IndexError):
             subpel_blocks(sf, np.array([4 * (16 - 8) + 4]), np.array([0]), 8, 8)
+
+
+def _j_int64(y: np.ndarray) -> np.ndarray:
+    """Centre half-pels ``j`` recomputed in int64: both 6-tap passes unrounded."""
+    taps = np.array([1, -5, 20, 20, -5, 1], dtype=np.int64)
+    g = np.pad(y, PAD, mode="edge").astype(np.int64)
+    h, w = y.shape
+    b_raw = sum(t * g[:, PAD + o : PAD + o + w] for t, o in zip(taps, range(-2, 4)))
+    j_raw = sum(t * b_raw[PAD + o : PAD + o + h] for t, o in zip(taps, range(-2, 4)))
+    return j_raw
+
+
+def _extreme_planes() -> dict[str, np.ndarray]:
+    """0/255 planes that drive ``|j_raw|`` to its extremes."""
+    yy, xx = np.mgrid[:48, :48]
+    # 255 under every positive tap (offsets -2, 0, 1, 3 of each 6-sample run).
+    peak = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
+    planes = {
+        "checkerboard": (yy + xx) % 2,
+        "checkerboard2": (yy // 2 + xx // 2) % 2,
+        "rows": yy % 2,
+        "columns": xx % 2,
+        "stripes2": (xx // 2) % 2,
+        "stripes3": (yy // 3) % 2,
+        "peak": peak[yy % 6] & peak[xx % 6],
+        "trough": ~(peak[yy % 6] & peak[xx % 6]),
+    }
+    return {k: (255 * v).astype(np.uint8) for k, v in planes.items()}
+
+
+class TestCentreHalfPelWidth:
+    """``j`` accumulates in int32: |j_raw| <= 42 · 10 710 + 10 · 2 550 < 2¹⁹."""
+
+    @pytest.mark.parametrize("name", list(_extreme_planes()))
+    def test_int32_pass_equals_int64(self, name):
+        y = _extreme_planes()[name]
+        j_raw = _j_int64(y)
+        assert np.abs(j_raw).max() < 2**19
+        want = np.clip((j_raw + 512) >> 10, 0, 255).astype(np.uint8)
+        np.testing.assert_array_equal(interpolate_plane(y)[2::4, 2::4], want)
+
+    def test_planes_reach_the_bound(self):
+        """The peak plane puts 42 · 255 under the positive taps of both passes."""
+        j_raw = _j_int64(_extreme_planes()["peak"])
+        assert j_raw.max() == 42 * 42 * 255
+        assert _j_int64(_extreme_planes()["trough"]).min() < -(2**17)

@@ -293,6 +293,31 @@ class TestMatchesReferenceKernel:
         assert got.sads[(16, 16)].max() == 65_280
         assert_fields_identical(got, reference_sme(cur, [sf], me, 0, 2, cfg))
 
+    @pytest.mark.parametrize("size", [(16, 48), (48, 16), (16, 16)])
+    def test_frame_one_block_tall_or_wide(self, rng, size):
+        """An axis the 16×16 block spans has one slot; its patch stays in the SF."""
+        h, w = size
+        cfg = CodecConfig(width=w, height=h, num_ref_frames=1)
+        cur = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        sf = interpolate_plane(rng.integers(0, 256, (h, w), dtype=np.uint8))
+        for reach in (0, 1, 40):
+            me = random_me_field(rng, cfg, 1, reach=reach)
+            got = subpel_refine_rows(cur, [sf], me, 0, cfg.mb_rows, cfg)
+            assert_fields_identical(got, reference_sme(cur, [sf], me, 0, cfg.mb_rows, cfg))
+
+    def test_patch_origin_off_the_lattice_is_caught(self, mutant, rng):
+        """A patch that starts one step too early leaves the +step candidate
+        off its 3×3 slots: the kernel raises instead of scoring a wrong slot."""
+        mutant(sme_module, "_evaluate_ring", lambda source: source.replace(
+            "np.maximum(centre - step, 0)", "np.maximum(centre - 2 * step, 0)"
+        ))
+        cfg = CodecConfig(width=64, height=48, num_ref_frames=1)
+        cur = rng.integers(0, 256, (48, 64), dtype=np.uint8)
+        sf = interpolate_plane(rng.integers(0, 256, (48, 64), dtype=np.uint8))
+        me = random_me_field(rng, cfg, 1, reach=0)
+        with pytest.raises(RuntimeError, match="off its patch"):
+            subpel_refine_rows(cur, [sf], me, 0, 3, cfg)
+
     def test_out_of_frame_mvs_on_every_edge(self, rng):
         """MVs far past each edge clamp to the border position, per candidate."""
         cfg = CodecConfig(width=64, height=48, num_ref_frames=1)

@@ -1,52 +1,76 @@
 """Slow reference twins of production hot paths, kept as test oracles.
 
-Production has one DES loop, one solve path and one FSBM kernel; these are
-the straightforward versions the equivalence tests diff them against, bit
-for bit:
+Production has one DES loop, one solve path and one kernel per codec
+stage; these are the straightforward versions the equivalence tests diff
+them against, bit for bit. Index — oracle: what it does; what replaced it
+(the DESIGN.md section that describes the replacement); the property that
+diffs the two:
 
 - :func:`reference_run` — Kahn's algorithm over per-op dicts with a
-  ``list.pop(0)`` ready queue, the textbook form of
-  :meth:`Simulator.run`'s index-based loop;
-- :func:`make_cold` — turns a framework into a *cold* scheduler: every
-  LP reaches HiGHS (no solve memo), every frame re-solves (no exact
-  decision reuse), every transfer K is re-derived (no version-keyed
-  table), every activity subset is solved (:func:`solve_every_subset`:
-  τtot floor ≡ 0, nothing pruned), and the DES runs :func:`reference_run`;
-  :func:`log_subsets` records which subsets a balancer solved, each with
-  its floor, for the pruning tests to hold against the LP optimum;
+  ``list.pop(0)`` ready queue; replaced by :meth:`Simulator.run`'s
+  index-based loop ("Performance: the scheduling hot path");
+  ``tests/hw/test_des_fast.py``.
+- :func:`make_cold` — a *cold* scheduler: every LP reaches HiGHS (no solve
+  memo), every frame re-solves, every transfer K is re-derived, every
+  activity subset is solved (:func:`solve_every_subset`: τtot floor ≡ 0)
+  and the DES runs :func:`reference_run`; :func:`log_subsets` records which
+  subsets a balancer solved, with their floors; replaced by the decision
+  cache, the K table and subset pruning ("Performance: the scheduling hot
+  path"); ``tests/sanitizers/test_fast_path_equivalence.py``,
+  ``tests/core/test_fast_path.py``, ``tests/core/test_subset_pruning.py``,
+  ``tests/sanitizers/test_pruning_equivalence.py``.
+- :class:`PassThroughLPCache` — every LP through ``scipy.optimize.linprog``;
+  replaced by the direct HiGHS call of ``LPSolveCache._cold_solve``;
+  ``tests/sanitizers/test_lp_solver_equivalence.py``.
 - :func:`reference_select_rstar_device` — the R* mapping as a ``networkx``
-  stage/device graph and ``single_source_dijkstra``, moved here verbatim
-  when :func:`repro.core.rstar.select_rstar_device` took the same path with
-  ``heapq`` (``networkx`` is a ``dev`` extra, imported on first use);
+  stage/device graph and ``single_source_dijkstra``; replaced by the
+  ``heapq`` Dijkstra of :func:`repro.core.rstar.select_rstar_device`;
+  ``tests/core/test_rstar_dijkstra.py``.
 - :func:`reference_round_preserving_sum` — largest-remainder rounding as
-  NumPy ``clip`` / ``sum`` / ``floor`` / stable ``argsort`` calls, moved
-  here verbatim when :func:`repro.core.distribution.round_preserving_sum`
-  took the same IEEE operations to Python floats;
+  NumPy ``clip`` / ``sum`` / ``floor`` / stable ``argsort`` calls; replaced
+  by the same IEEE operations on Python floats in
+  :func:`repro.core.distribution.round_preserving_sum`;
+  ``tests/core/test_distribution.py``.
 - :func:`reference_fsbm` — full search as one wide-integer pass per
-  ``(row, ref, dy)``: int32 absolute differences, a multi-axis reduce to
-  4×4 cells, one float64 cell-membership matmul per partition mode
-  (:func:`reference_partition_sads`) and a strict ``<`` masked update of
-  the running best — the kernel :func:`motion_estimate_rows` replaced;
-- :func:`reference_strip_cell_sads_batch` — 4×4 cell SADs the direct way,
-  ``maximum − minimum`` over the window batch and six adds per cell — the
-  kernel :class:`repro.codec.sad.StripCellSads` (``Σcur + Σref − 2·Σmin``)
-  replaced, moved here verbatim;
+  ``(row, ref, dy)``: int32 absolute differences, a reduce to 4×4 cells,
+  one float64 cell-membership matmul per partition mode
+  (:func:`reference_partition_sads`) and a strict ``<`` masked update;
+  replaced by :func:`motion_estimate_rows` ("Performance: the FSBM
+  kernel"); ``tests/codec/test_me.py``, ``tests/codec/test_partitions.py``.
+- :func:`reference_strip_cell_sads_batch` — 4×4 cell SADs as ``maximum −
+  minimum`` over the window batch and six adds per cell; replaced by
+  :class:`repro.codec.sad.StripCellSads` (``Σcur + Σref − 2·Σmin``, same
+  section); ``tests/codec/test_sad.py``.
 - :func:`reference_sme` — sub-pel refinement one candidate at a time:
-  per-pixel fancy-index gathers from the SF, a boolean reference mask per
-  candidate, int32 SADs reduced to int64 and a strict ``<`` masked update
-  of the running best — the kernel :func:`subpel_refine_rows` replaced;
-- :func:`reference_deblock_plane` — DBL one edge at a time, left→right
-  then top→bottom, each edge a ``boundary_strength`` call and a
-  ``_filter_edge_luma`` / ``_filter_edge_chroma`` call on int32 lines that
-  read what the previous edge wrote — the kernel the whole-plane phases of
-  :func:`repro.codec.deblock.deblock_plane` replaced;
+  per-pixel fancy-index gathers, a boolean reference mask per candidate,
+  int32 SADs reduced to int64 and a strict ``<`` masked update; replaced
+  by :func:`subpel_refine_rows` ("Performance: the SME kernel" — its
+  per-candidate block gathers then gave way to one patch per instance and
+  ring; the property diffs today's kernel against this one);
+  ``tests/codec/test_sme.py``.
+- :func:`reference_build_prediction` — MC one partition and one 4×4 cell
+  at a time, one gather per ``(partition, reference)``, int64 chroma taps
+  from four per-pixel gathers; replaced by
+  :func:`repro.codec.mc.build_prediction` ("Performance: the R* block",
+  MC); ``tests/codec/test_mc.py``.
+- :func:`reference_deblock_plane` — DBL one edge at a time, each a
+  ``boundary_strength`` call and a ``_filter_edge_luma`` /
+  ``_filter_edge_chroma`` call on int32 lines that read what the previous
+  edge wrote; replaced by the whole-plane phases of
+  :func:`repro.codec.deblock.deblock_plane` ("Performance: the R* block");
+  ``tests/codec/test_deblock.py``, ``tests/codec/test_encoder.py``.
 - :func:`reference_forward_transform` / :func:`reference_inverse_transform`
   / :func:`reference_hadamard2x2` and the ``reference_*`` quantisers — TQ
-  and TQ⁻¹ as int64 matrix products (three-operand ``einsum``) over
-  ``(n, 4, 4)`` stacks, with :func:`reference_code_luma_plane` /
-  :func:`reference_code_chroma_plane` pricing *every* block — what the
-  int16/int32 butterflies of :mod:`repro.codec.transform` and the
-  coded-blocks-only rate of :mod:`repro.codec.residual` replaced;
+  and TQ⁻¹ as int64 three-operand ``einsum`` products over ``(n, 4, 4)``
+  stacks, with :func:`reference_code_luma_plane` /
+  :func:`reference_code_chroma_plane` pricing *every* block; replaced by
+  the int16/int32 butterflies of :mod:`repro.codec.transform` and the
+  coded-blocks-only rate of :mod:`repro.codec.residual` (same section);
+  ``tests/codec/test_transform.py``, ``tests/codec/test_residual.py``,
+  ``tests/codec/test_encoder.py``.
+
+Plain references, not replaced kernels:
+
 - :func:`quant_step` — the nominal Qstep(QP) that TQ→TQ⁻¹ round-trip
   error is bounded by;
 - :func:`sad` — plain int32 SAD of two blocks, the reference the cell-SAD
@@ -74,7 +98,8 @@ from repro.codec.bitstream import BitWriter
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.deblock import ALPHA_TABLE, BETA_TABLE, TC0_TABLE, BlockInfo
 from repro.codec.entropy import get_coder
-from repro.codec.frames import pad_plane
+from repro.codec.frames import YuvFrame, pad_plane
+from repro.codec.interpolation import subpel_blocks
 from repro.codec.me import MotionField
 from repro.codec.partitions import all_modes, get_mode
 from repro.codec.quant import chroma_qp, mf_matrix, v_matrix
@@ -651,6 +676,114 @@ def _evaluate_ring(
         best_q[better, 1] = eff_qdx[better]
         first = False
     return best_q, best
+
+
+def _chroma_predict(
+    ref_plane: np.ndarray, cqy: np.ndarray, cqx: np.ndarray, ch: int, cw: int
+) -> np.ndarray:
+    """Eighth-pel bilinear chroma prediction for a stack of blocks.
+
+    ``cqy/cqx`` are eighth-chroma-sample positions of each block's top-left
+    corner (numerically equal to the luma quarter-pel position).
+    """
+    hh, ww = ref_plane.shape
+    iy, fy = cqy >> 3, (cqy & 7).astype(np.int64)
+    ix, fx = cqx >> 3, (cqx & 7).astype(np.int64)
+    ry = iy[:, None] + np.arange(ch, dtype=np.int64)[None, :]
+    rx = ix[:, None] + np.arange(cw, dtype=np.int64)[None, :]
+    ry0 = np.clip(ry, 0, hh - 1)
+    rx0 = np.clip(rx, 0, ww - 1)
+    ry1 = np.clip(ry + 1, 0, hh - 1)
+    rx1 = np.clip(rx + 1, 0, ww - 1)
+    a = ref_plane[ry0[:, :, None], rx0[:, None, :]].astype(np.int64)
+    b = ref_plane[ry0[:, :, None], rx1[:, None, :]].astype(np.int64)
+    c = ref_plane[ry1[:, :, None], rx0[:, None, :]].astype(np.int64)
+    d = ref_plane[ry1[:, :, None], rx1[:, None, :]].astype(np.int64)
+    wy = fy[:, None, None]
+    wx = fx[:, None, None]
+    num = (
+        (8 - wx) * (8 - wy) * a
+        + wx * (8 - wy) * b
+        + (8 - wx) * wy * c
+        + wx * wy * d
+        + 32
+    )
+    return (num >> 6).astype(np.uint8)
+
+
+def reference_build_prediction(
+    mode_idx: np.ndarray,
+    mode_shapes: tuple[tuple[int, int], ...],
+    qmvs: dict[tuple[int, int], np.ndarray],
+    refs: dict[tuple[int, int], np.ndarray],
+    sfs: list[np.ndarray],
+    ref_chroma: list[tuple[np.ndarray, np.ndarray]],
+    height: int,
+    width: int,
+) -> tuple[YuvFrame, np.ndarray, np.ndarray]:
+    """Build the motion-compensated frame from per-mode MV/ref arrays, the slow way.
+
+    Same contract as :func:`repro.codec.mc.build_prediction` on valid input
+    (every reference index has an SF) — the kernel it replaced, verbatim:
+    a Python loop over partitions and their 4×4 cells, one gather per
+    ``(partition, reference)`` and int64 chroma taps from four per-pixel
+    fancy-index gathers.
+
+    Returns ``(pred_frame, mv4_grid, ref4_grid)``.
+    """
+    h, w = height, width
+    pred_y = np.zeros((h, w), dtype=np.uint8)
+    pred_u = np.zeros((h // 2, w // 2), dtype=np.uint8)
+    pred_v = np.zeros((h // 2, w // 2), dtype=np.uint8)
+    mv4 = np.zeros((h // 4, w // 4, 2), dtype=np.int32)
+    ref4 = np.zeros((h // 4, w // 4), dtype=np.int32)
+    n_refs = len(sfs)
+
+    for mode_i, shape in enumerate(mode_shapes):
+        sel = mode_idx == mode_i
+        if not sel.any():
+            continue
+        mode = get_mode(shape)
+        bh, bw = shape
+        rr, cc = np.nonzero(sel)
+        for p in range(mode.nparts):
+            oy, ox = int(mode.origins[p, 0]), int(mode.origins[p, 1])
+            base_y = rr * MB_SIZE + oy
+            base_x = cc * MB_SIZE + ox
+            qmv = qmvs[shape][rr, cc, p]         # (n, 2)
+            prefs = refs[shape][rr, cc, p]
+            qy = np.clip(4 * base_y + qmv[:, 0], 0, 4 * (h - bh)).astype(np.int64)
+            qx = np.clip(4 * base_x + qmv[:, 1], 0, 4 * (w - bw)).astype(np.int64)
+
+            # Per-4×4-block metadata for DBL / entropy.
+            for cy in range(bh // 4):
+                for cx in range(bw // 4):
+                    g_r = (base_y // 4) + cy
+                    g_c = (base_x // 4) + cx
+                    mv4[g_r, g_c] = qmv
+                    ref4[g_r, g_c] = prefs
+
+            for ref in range(n_refs):
+                mask = prefs == ref
+                if not mask.any():
+                    continue
+                blocks = subpel_blocks(sfs[ref], qy[mask], qx[mask], bh, bw)
+                rows = base_y[mask][:, None] + np.arange(bh)[None, :]
+                cols = base_x[mask][:, None] + np.arange(bw)[None, :]
+                pred_y[rows[:, :, None], cols[:, None, :]] = blocks
+
+                cqy = (4 * base_y[mask] + qmv[mask, 0]).astype(np.int64)
+                cqx = (4 * base_x[mask] + qmv[mask, 1]).astype(np.int64)
+                ch, cw = bh // 2, bw // 2
+                u_ref, v_ref = ref_chroma[ref]
+                u_blocks = _chroma_predict(u_ref, cqy, cqx, ch, cw)
+                v_blocks = _chroma_predict(v_ref, cqy, cqx, ch, cw)
+                crows = (base_y[mask] // 2)[:, None] + np.arange(ch)[None, :]
+                ccols = (base_x[mask] // 2)[:, None] + np.arange(cw)[None, :]
+                pred_u[crows[:, :, None], ccols[:, None, :]] = u_blocks
+                pred_v[crows[:, :, None], ccols[:, None, :]] = v_blocks
+
+    return YuvFrame(pred_y, pred_u, pred_v), mv4, ref4
 
 
 def validate_schedule(records: list[OpRecord]) -> None:
