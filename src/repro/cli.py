@@ -755,16 +755,24 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lint_usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.sanitizers.dataflow.reporting import format_json, format_text
     from repro.sanitizers.runner import RULES, run_lint
 
+    # Exit codes: 0 clean, 1 findings, 2 usage or internal analyzer
+    # error — so CI can tell "code has findings" from "the linter broke
+    # or was called wrong".
     targets = [Path(p) for p in args.paths]
     for t in targets:
         if not t.exists():
-            raise SystemExit(f"error: no such file or directory: {t}")
+            return _lint_usage_error(f"no such file or directory: {t}")
 
     selected = list(RULES)
     if args.select:
@@ -773,13 +781,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         )
         selected = [r for r in RULES if r.startswith(prefixes)]
         if not selected:
-            raise SystemExit(
-                f"error: --select {args.select!r} matches no rule "
+            return _lint_usage_error(
+                f"--select {args.select!r} matches no rule "
                 f"(known: {', '.join(RULES)})"
             )
 
-    # Exit codes: 0 clean, 1 findings, 2 internal analyzer error — so CI
-    # can tell "code has findings" from "the linter broke".
     timings: dict[str, float] = {}
     try:
         violations, errors = run_lint(targets, selected, timings)
@@ -997,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(repro.sanitizers.runner): "
             + "; ".join(f"{r.id} {r.description}" for r in RULES.values())
             + ". Suppress per line with '# noqa: REPxxx'. Exit codes: "
-            "0 clean, 1 findings, 2 internal analyzer error."
+            "0 clean, 1 findings, 2 usage or internal analyzer error."
         ),
     )
     lint.add_argument("paths", nargs="*", default=["src"],

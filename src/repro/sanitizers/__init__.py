@@ -7,8 +7,9 @@ and one driver (:mod:`repro.sanitizers.runner`): per-line AST rules
 (:mod:`repro.sanitizers.lint`, REP00x), CFG + abstract-interpretation
 dataflow rules (:mod:`repro.sanitizers.dataflow`, REP1xx), concurrency
 rules for the process backend (:mod:`repro.sanitizers.concurrency`,
-REP2xx) and lifecycle/protocol rules (:mod:`repro.sanitizers.protocols`,
-REP3xx). Importing this package loads only the dynamic layer.
+REP2xx) and the clock and cache-invalidation rules REP302/REP304
+(:mod:`repro.sanitizers.protocols`, which also holds the protocol specs
+SAN-G replays). Importing this package loads only the dynamic layer.
 """
 
 from repro.sanitizers.timeline import TimelineSanitizer

@@ -29,6 +29,7 @@ import ast
 from typing import Any
 
 from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
+from repro.sanitizers.lint import _dotted
 
 
 #: Attribute names treated as simulated clocks.
@@ -36,17 +37,6 @@ CLOCK_ATTRS = frozenset({"now"})
 
 #: Functions where a plain clock seed is legal (clock birth).
 SEED_FUNCTIONS = frozenset({"__init__", "reset"})
-
-
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _clock_target(target: ast.expr) -> str | None:

@@ -28,7 +28,6 @@ from typing import Any
 from repro.sanitizers.concurrency.callgraph import call_name
 from repro.sanitizers.dataflow.cfg import IterElem, TestElem, WithElem
 from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
-from repro.sanitizers.protocols.typestate import _iter_calls
 
 
 #: Subscript-store base tails treated as live-set bookkeeping.
@@ -58,6 +57,21 @@ def _tail(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def _iter_calls(node: ast.AST):
+    """Calls in ``node``, skipping nested function/class bodies."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if isinstance(
+            cur,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
+        ) and cur is not node:
+            continue
+        if isinstance(cur, ast.Call):
+            yield cur
+        stack.extend(reversed(list(ast.iter_child_nodes(cur))))
 
 
 def _live_store(target: ast.expr) -> bool:

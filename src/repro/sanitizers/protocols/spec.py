@@ -1,26 +1,25 @@
-"""Declarative protocol specs: one source of truth for REP3xx and SAN-G.
+"""Declarative protocol specs: what SAN-G replays the journal against.
 
 A :class:`ProtocolSpec` is a small state machine over one tracked class:
 named states, transition methods (``method: sources -> target``),
 observer methods legal only in some states, terminal states, and
 paired-op :class:`Obligation`\\ s (a trigger event that must be matched
-by a discharge event). The *same* spec object compiles two ways:
-
-- the static REP301 typestate domain walks CFG paths with the
-  transition table (:mod:`repro.sanitizers.protocols.typestate`);
-- the dynamic SAN-G monitor replays runtime journals against it
-  (:mod:`repro.sanitizers.protocols.monitor`).
-
-Because both halves read one declaration, they cannot drift: adding a
-state or renaming a transition updates the lint and the sanitizer in
-the same edit.
+by a discharge event). The spec compiles once, into the SAN-G replay
+monitor (:mod:`repro.sanitizers.protocols.monitor`), which walks the
+lifecycle events the tracked classes journal at run time. Every
+transition, observer and obligation event of a shipped spec is journaled
+somewhere in ``src/``, and every event a tracked class journals is in
+its spec's alphabet or is ``create`` (``tests/sanitizers/
+test_protocols.py::TestSpecJournalCensus``): a method nothing journals
+would be a rule that never runs, an event outside the alphabet one the
+monitor silently treats as neutral.
 
 Specs validate eagerly at construction (so a malformed spec fails at
-import, not mid-analysis) with named-token errors: ``unknown state``,
+import, not mid-replay) with named-token errors: ``unknown state``,
 ``duplicate transition``, ``unreachable terminal``.
 
-This module has no imports of its own on purpose: the lint rules and the
-replay monitor both import it, and it needs neither.
+This module has no imports of its own on purpose: the replay monitor
+imports it, and it needs nothing.
 """
 
 from __future__ import annotations
@@ -205,24 +204,8 @@ SPECS: tuple[ProtocolSpec, ...] = (
         initial="open",
         transitions=(Transition("close", ("open", "closed"), "closed"),),
         terminal=("closed",),
-        observers=(
-            Observer("view", ("open",)),
-            Observer("layout", ("open",)),
-        ),
+        observers=(Observer("view", ("open",)),),
         require_terminal=True,
-    ),
-    # A raw shared-memory segment: unlink only after close (unlinking a
-    # still-mapped segment invalidates every attached worker's view).
-    ProtocolSpec(
-        name="shm-segment",
-        classes=("SharedMemory",),
-        states=("attached", "closed", "unlinked"),
-        initial="attached",
-        transitions=(
-            Transition("close", ("attached", "closed"), "closed"),
-            Transition("unlink", ("closed",), "unlinked"),
-        ),
-        terminal=("unlinked",),
     ),
     # The worker pool: submissions only between construction and close.
     ProtocolSpec(
@@ -313,7 +296,7 @@ SPECS: tuple[ProtocolSpec, ...] = (
 
 SPEC_BY_NAME: dict[str, ProtocolSpec] = {s.name: s for s in SPECS}
 
-#: Tracked class name -> its spec (what the static rule keys on).
+#: Tracked class name -> its spec (what the monitor keys on).
 CLASS_SPECS: dict[str, ProtocolSpec] = {
     cls: s for s in SPECS for cls in s.classes
 }

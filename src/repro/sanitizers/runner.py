@@ -55,9 +55,7 @@ from repro.sanitizers.lint import (
     noqa_codes,
 )
 from repro.sanitizers.protocols.clocks import ClockAnalysis
-from repro.sanitizers.protocols.conservation import ConservationAnalysis
 from repro.sanitizers.protocols.invalidation import InvalidationAnalysis
-from repro.sanitizers.protocols.typestate import TypestateAnalysis
 
 #: A whole-module pass: ``(module, graph, emitters of the selected rows)``.
 ModulePass = Callable[[Module, CallGraph | None, dict[str, Emitter]], None]
@@ -140,27 +138,13 @@ RULES: dict[str, Rule] = {
             _EXEC,
             analysis=PhaseOrderAnalysis,
         ),
-        # Layer 5, protocols. Lifecycles live wherever tracked classes
-        # are constructed or driven; clocks in the DES tiers; queue
-        # conservation in the dispatch/admission tiers; cache
+        # Layer 5, protocols: clocks in the DES tiers, cache
         # invalidation in the framework core.
-        Rule(
-            "REP301",
-            "object lifecycle violates its protocol state machine",
-            _in("service", "cluster", "exec", "core"),
-            analysis=TypestateAnalysis,
-        ),
         Rule(
             "REP302",
             "clock rewound or cross-assigned between clock domains",
             _in("service", "cluster", "core"),
             analysis=ClockAnalysis,
-        ),
-        Rule(
-            "REP303",
-            "dequeued stream can exit without place/park/reject",
-            _in("service", "cluster"),
-            analysis=ConservationAnalysis,
         ),
         Rule(
             "REP304",

@@ -595,8 +595,7 @@ class TimelineSanitizer:
         stream instrumented classes emit while the journal is on); when
         omitted, the global journal is drained. Its lifecycle events are
         replayed against the declarative specs
-        in :mod:`repro.sanitizers.protocols.spec` — the same
-        declarations the REP301–REP304 static rules compile from:
+        in :mod:`repro.sanitizers.protocols.spec`:
 
         **SAN-G1** — an event illegal in the object's protocol state
         (``step()`` on a retired node, ``view()`` on a closed store),

@@ -68,6 +68,19 @@ def _schedule_sanitizer(monkeypatch):
 
 
 @pytest.fixture
+def journal(monkeypatch):
+    """Switch the lifecycle journal on for one test, dropped at exit
+    (the variable is restored first: the last reset reads it)."""
+    from repro.util.journal import JOURNAL
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    JOURNAL.reset()
+    yield JOURNAL
+    monkeypatch.undo()
+    JOURNAL.reset()
+
+
+@pytest.fixture
 def small_cfg() -> CodecConfig:
     """A fast codec configuration for real-compute tests."""
     return CodecConfig(width=128, height=96, search_range=8, num_ref_frames=2)

@@ -347,12 +347,11 @@ def test_lint_output_identical_across_hash_seeds():
     assert json.loads(stdout) == []
 
 
-# The protocol layer (REP3xx + SAN-G) repeats the contract on two new
-# surfaces: lint findings over typestate/obligation domains (sets of
-# states, pending-site tuples, reverse-reachability worklists — all
-# name- or position-keyed) and the runtime lifecycle journal itself
-# (object labels, sequence numbers, event details). Both must be
-# byte-identical across hash seeds.
+# The protocol layer (REP302/REP304 + SAN-G) repeats the contract on two
+# new surfaces: lint findings over pending-site tuples and
+# reverse-reachability worklists (all name- or position-keyed) and the
+# runtime lifecycle journal itself (object labels, sequence numbers,
+# event details). Both must be byte-identical across hash seeds.
 def _run_lint3(hash_seed: str) -> tuple[int, str]:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed

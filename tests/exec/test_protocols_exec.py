@@ -18,21 +18,11 @@ from repro.exec.shm import SharedFrameStore
 from repro.hw.presets import get_platform
 from repro.sanitizers import TimelineSanitizer
 from repro.sanitizers.protocols.monitor import check_events
-from repro.util.journal import JOURNAL
 from repro.video.generator import SyntheticSequence
 
 pytestmark = pytest.mark.timeout_guarded
 
 CFG = CodecConfig(width=128, height=96, search_range=8, num_ref_frames=2)
-
-
-@pytest.fixture
-def journal(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    JOURNAL.reset()
-    yield JOURNAL
-    monkeypatch.undo()  # the last reset reads the restored variable
-    JOURNAL.reset()
 
 
 class TestStoreLifecycle:

@@ -216,8 +216,8 @@ class TestCli:
         assert payload[0]["rule"] == "REP002"
         assert payload[0]["line"] == 1
 
-    def test_lint_command_rejects_missing_path(self):
+    def test_lint_command_rejects_missing_path(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="no such file"):
-            main(["lint", "definitely/not/a/path"])
+        assert main(["lint", "definitely/not/a/path"]) == 2
+        assert "no such file" in capsys.readouterr().err

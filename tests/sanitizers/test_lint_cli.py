@@ -133,9 +133,12 @@ class TestSelectAndSummary:
         payload = json.loads(capsys.readouterr().out)
         assert {v["rule"] for v in payload} == {"REP102"}
 
-    def test_select_unknown_prefix_errors(self, exec_tree):
-        with pytest.raises(SystemExit):
-            lint(exec_tree, "--select", "REP9")
+    def test_select_unknown_prefix_errors(self, exec_tree, capsys):
+        # A usage error is exit 2, never the findings code 1.
+        for select in ("REP9", "REP301"):
+            assert lint(exec_tree, "--select", select) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --select") and "REP302" in err
 
     def test_select_clean_lists_only_selected(self, exec_tree, capsys):
         (exec_tree / "src" / "repro" / "exec" / "task.py").write_text(

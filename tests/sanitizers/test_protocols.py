@@ -1,22 +1,30 @@
-"""Layer-5 protocol analysis: DSL validation, REP3xx mutants, SAN-G pins.
+"""Layer 5: the protocol specs, SAN-G, and the REP302/REP304 lint.
 
-Three layers of coverage:
+Four layers of coverage:
 
 1. the spec DSL itself — malformed specs must fail *at construction*
    with named-token errors, and every shipped spec must round-trip
    through its own validator;
-2. the static half — one seeded mutant and one clean twin per rule
-   (REP301–REP304), analyzed under in-scope display paths;
-3. the dynamic half — the same bug classes reproduced on *real* runtime
+2. the census — every event a shipped spec names is journaled somewhere
+   in ``src/``, and every event a tracked class journals is one its spec
+   names;
+3. the static half — seeded mutants and clean twins for REP302 and
+   REP304, analyzed under in-scope display paths;
+4. the dynamic half — the same bug classes reproduced on *real* runtime
    objects with the lifecycle journal enabled, caught by SAN-G replay.
 
-The static/dynamic agreement pins (same mutant caught by both halves)
-live in the ``TestAgreement`` class at the bottom.
+The static/dynamic agreement pins (same bug caught by both halves) live
+in the ``TestAgreement`` class at the bottom. The lifecycle bugs that
+only SAN-G or a plain test can see are in
+``test_lifecycle_transplants.py``.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -39,45 +47,10 @@ from repro.util.journal import JOURNAL, sanitize_from_env
 
 CLUSTER_PATH = "src/repro/cluster/fake_module.py"
 CORE_PATH = "src/repro/core/fake_module.py"
-EXEC_PATH = "src/repro/exec/fake_module.py"
 
 # Seeded mutants as (display path, source); test_kill_matrix.py runs each
 # of them under every rule in the table.
 MUTANTS = {
-    "rep301_step_after_retire": (CLUSTER_PATH, """\
-from repro.cluster.node import Node
-
-def shutdown_one(spec, stream, t):
-    node = Node(spec)
-    node.offer(stream, t)
-    node.retire(t, "down")
-    node.step()
-"""),
-    "rep301_retire_on_one_branch": (CLUSTER_PATH, """\
-from repro.cluster.node import Node
-
-def maybe_retire(spec, t, flaky):
-    node = Node(spec)
-    if flaky:
-        node.retire(t, "down")
-    node.step()
-"""),
-    "rep301_view_after_close": (EXEC_PATH, """\
-from repro.exec.shm import SharedFrameStore
-
-def leak(layout):
-    store = SharedFrameStore(layout)
-    store.close()
-    return store.view("orig")
-"""),
-    "rep301_unlink_before_close": (EXEC_PATH, """\
-from multiprocessing.shared_memory import SharedMemory
-
-def teardown(name):
-    seg = SharedMemory(name=name)
-    seg.unlink()
-    seg.close()
-"""),
     "rep302_rewind": (CLUSTER_PATH, """\
 class EncodingService:
     def hurry(self, t):
@@ -92,17 +65,6 @@ class Dispatcher:
 class EncodingService:
     def restart(self):
         self.now = 0.0
-"""),
-    "rep303_pop_with_bailing_branch": (CLUSTER_PATH, """\
-class Dispatcher:
-    def drain(self, t):
-        while self.queue:
-            head = self.queue.popleft()
-            node = self.pick(head)
-            if node is None:
-                return 0
-            self._place(head, node, t)
-        return 1
 """),
     "rep304_mutation_then_solve": (CORE_PATH, """\
 class FevesFramework:
@@ -153,17 +115,6 @@ def rules_hit(source: str, **kw) -> list[str]:
 def mutant_hits(name: str) -> list[str]:
     path, source = MUTANTS[name]
     return rules_hit(source, path=path)
-
-
-@pytest.fixture
-def journal(monkeypatch):
-    """Switch the lifecycle journal on for one test, dropped at exit
-    (the variable is restored first: the last reset reads it)."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    JOURNAL.reset()
-    yield JOURNAL
-    monkeypatch.undo()
-    JOURNAL.reset()
 
 
 def make_node(**kw):
@@ -300,49 +251,82 @@ class TestShippedSpecs:
 
 
 # ---------------------------------------------------------------------------
-# 2. Static half: one mutant + clean twin per rule.
+# 2. The census: the specs and the journal calls in src/ name one alphabet.
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: Receivers of a journal call other than ``self``, by the class they hold.
+RECEIVERS = {"s": "EncodingSession", "self.dispatcher": "Dispatcher"}
 
 
-class TestRep301Typestate:
-    def test_step_after_retire_is_flagged(self):
-        assert "REP301" in mutant_hits("rep301_step_after_retire")
+def alphabet(spec: ProtocolSpec) -> set[str]:
+    """Every event ``spec`` gives a meaning to."""
+    events = set(spec.by_method) | set(spec.observer_states)
+    for ob in spec.obligations:
+        events |= {ob.trigger, *ob.discharge}
+    return events
 
-    def test_retire_then_step_on_one_branch_only(self):
-        # The violating path goes through the if-branch; the join must
-        # keep the 'retired' possibility alive (may-analysis).
-        assert "REP301" in mutant_hits("rep301_retire_on_one_branch")
 
-    def test_step_before_retire_is_clean(self):
-        assert not rules_hit(
-            """\
-            from repro.cluster.node import Node
+@functools.cache
+def journaled_events() -> frozenset[tuple[str, str]]:
+    """``(class, event)`` of every ``repro.util.journal.record`` call in
+    ``src/``; the receiver's class is the enclosing class for ``self``."""
+    found: set[tuple[str, str]] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "repro.util.journal"
+            for alias in node.names
+            if alias.name == "record"
+        }
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for call in ast.walk(cls):
+                if not (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id in names
+                ):
+                    continue
+                recv, event = call.args[:2]
+                assert isinstance(event, ast.Constant), ast.dump(call)
+                text = ast.unparse(recv)
+                owner = cls.name if text == "self" else RECEIVERS[text]
+                found.add((owner, event.value))
+    return frozenset(found)
 
-            def run_one(spec, stream, t):
-                node = Node(spec)
-                node.offer(stream, t)
-                node.step()
-                node.retire(t, "down")
-            """
+
+class TestSpecJournalCensus:
+    """A spec event nothing journals is a check that never runs; a
+    journaled event outside the spec is one SAN-G treats as neutral."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+    def test_every_spec_event_is_journaled(self, spec):
+        journaled = journaled_events()
+        missing = sorted(
+            (cls, event)
+            for cls in spec.classes
+            for event in alphabet(spec)
+            if (cls, event) not in journaled
         )
+        assert missing == []
 
-    def test_view_after_close_is_flagged(self):
-        assert "REP301" in mutant_hits("rep301_view_after_close")
-
-    def test_unlink_before_close_is_flagged(self):
-        assert "REP301" in mutant_hits("rep301_unlink_before_close")
-
-    def test_close_then_unlink_is_clean(self):
-        assert not rules_hit(
-            """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            def teardown(name):
-                seg = SharedMemory(name=name)
-                seg.close()
-                seg.unlink()
-            """,
-            path=EXEC_PATH,
+    def test_every_journaled_event_is_in_its_spec(self):
+        stray = sorted(
+            (cls, event)
+            for cls, event in journaled_events()
+            if event != "create"
+            and (cls not in CLASS_SPECS or event not in alphabet(CLASS_SPECS[cls]))
         )
+        assert stray == []
+
+
+# ---------------------------------------------------------------------------
+# 3. Static half: one mutant + clean twin per rule.
 
 
 class TestRep302Clocks:
@@ -374,44 +358,6 @@ class TestRep302Clocks:
         assert "REP302" in mutant_hits("rep302_bare_reset")
 
 
-class TestRep303Conservation:
-    def test_pop_with_bailing_branch_is_flagged(self):
-        assert "REP303" in mutant_hits("rep303_pop_with_bailing_branch")
-
-    def test_peek_then_pop_is_clean(self):
-        # The shipped drain shape: decide on the head first, pop only
-        # once a placement is guaranteed.
-        assert not rules_hit(
-            """\
-            class Dispatcher:
-                def drain(self, t):
-                    while self.queue:
-                        head = self.queue[0]
-                        node = self.pick(head)
-                        if node is None:
-                            return 0
-                        self.queue.popleft()
-                        self._place(head, node, t)
-                    return 1
-            """
-        )
-
-    def test_pop_disposed_on_all_branches_is_clean(self):
-        assert not rules_hit(
-            """\
-            class Dispatcher:
-                def drain(self, t):
-                    while self.queue:
-                        head = self.queue.popleft()
-                        node = self.pick(head)
-                        if node is None:
-                            self.reject(head)
-                        else:
-                            self._place(head, node, t)
-            """
-        )
-
-
 class TestRep304Invalidation:
     def test_mutation_then_solve_is_flagged(self):
         assert "REP304" in mutant_hits("rep304_mutation_then_solve")
@@ -437,16 +383,12 @@ class TestRep304Invalidation:
 
 
 # ---------------------------------------------------------------------------
-# 3. Scoping and registry plumbing.
+# 4. Scoping and registry plumbing.
 
 
 class TestScopes:
-    def test_all_rules_run_in_cluster_scope(self):
-        assert set(rules_for_path(CLUSTER_PATH)) >= {
-            "REP301",
-            "REP302",
-            "REP303",
-        }
+    def test_clock_rule_runs_in_cluster_scope(self):
+        assert rules_for_path(CLUSTER_PATH) == ["REP302"]
 
     def test_rep304_is_core_scoped(self):
         assert "REP304" in rules_for_path(CORE_PATH)
@@ -457,26 +399,18 @@ class TestScopes:
 
     def test_noqa_suppresses(self):
         src = """\
-        from repro.cluster.node import Node
-
-        def shutdown_one(spec, t):
-            node = Node(spec)
-            node.retire(t, "down")
-            node.step()  # noqa: REP301
+        class EncodingService:
+            def hurry(self, t):
+                self.now = self.now - 5.0  # noqa: REP302
         """
         assert not rules_hit(src)
 
     def test_rule_table_is_complete(self):
-        assert set(PROTOCOL_RULES) == {
-            "REP301",
-            "REP302",
-            "REP303",
-            "REP304",
-        }
+        assert set(PROTOCOL_RULES) == {"REP302", "REP304"}
 
 
 # ---------------------------------------------------------------------------
-# 4. Dynamic half: the same bug classes on real objects, via SAN-G.
+# 5. Dynamic half: the same bug classes on real objects, via SAN-G.
 
 
 class TestSanGDynamic:
@@ -566,31 +500,11 @@ class TestSanGDynamic:
 
 
 # ---------------------------------------------------------------------------
-# 5. Agreement pins: one mutant per rule, caught by BOTH halves.
+# 6. Agreement pins: one mutant per rule, caught by BOTH halves.
 
 
 class TestAgreement:
     """The declarative spec drives lint and monitor identically."""
-
-    def test_rep301_and_san_g1_agree_on_retired_node(self, journal):
-        mutant = """\
-        from repro.cluster.node import Node
-
-        def shutdown_one(spec, t):
-            node = Node(spec)
-            node.retire(t, "down")
-            node.step()
-        """
-        assert "REP301" in rules_hit(mutant, only=["REP301"])
-
-        node = make_node()
-        node.retire(0.0, DOWN)
-        try:
-            node.step()
-        except Exception:
-            pass
-        report = check_events(journal.drain())
-        assert any(v.rule == "SAN-G1" for v in report.violations)
 
     def test_rep302_and_san_g1_agree_on_clock_rewind(self, journal):
         mutant = """\
@@ -609,39 +523,6 @@ class TestAgreement:
         report = check_events(journal.drain())
         assert any(
             v.rule == "SAN-G1" and "clock ran backwards" in v.message
-            for v in report.violations
-        )
-
-    def test_rep303_and_san_g2_agree_on_dropped_dequeue(self, journal):
-        mutant = """\
-        class Dispatcher:
-            def drain(self, t):
-                while self.queue:
-                    head = self.queue.popleft()
-                    node = self.pick(head)
-                    if node is None:
-                        return 0
-                    self._place(head, node, t)
-        """
-        assert "REP303" in rules_hit(mutant, only=["REP303"])
-
-        # Dynamic twin: a real dispatcher pops a parked stream and
-        # never disposes of it.
-        cluster = Cluster(
-            ClusterConfig(nodes=(NodeSpec("n0", max_queue=1),))
-        )
-        for i in range(12):
-            cluster.dispatcher.submit(
-                StreamSpec(f"s{i}", n_frames=2, fps_target=25.0), t=0.0
-            )
-        from repro.util.journal import record as _journal
-
-        d = cluster.dispatcher
-        head = d.queue.popleft()
-        _journal(d, "dequeue", d.now, detail=head.stream_id)
-        report = check_events(journal.drain())
-        assert any(
-            v.rule == "SAN-G2" and "dequeue-disposition" in v.message
             for v in report.violations
         )
 
@@ -707,17 +588,13 @@ class TestAgreement:
 
 
 # ---------------------------------------------------------------------------
-# 6. The gate: shipped sources pass every protocol rule.
+# 7. The gate: shipped sources pass every protocol rule.
 
 
 class TestShippedSourcesClean:
-    @pytest.mark.parametrize(
-        "pkg", ["core", "service", "cluster", "exec"]
-    )
+    @pytest.mark.parametrize("pkg", ["core", "service", "cluster"])
     def test_package_lints_clean(self, pkg):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2] / "src" / "repro" / pkg
+        root = SRC / pkg
         violations, errors = run_lint([root], PROTOCOL_RULES)
         assert not errors, errors
         assert violations == [], [str(v) for v in violations]
