@@ -14,6 +14,7 @@ from repro.codec.config import CodecConfig
 from repro.core.coding_manager import FrameReport, VideoCodingManager
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import DataAccessManager
+from repro.core.frame_plan import FramePlan
 from repro.core.load_balancing import LoadDecision
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.interconnect import BufferSizes
@@ -52,14 +53,12 @@ class PolicyRunner:
             self._frames_done += 1
             idx = self._frames_done
             decision, rstar = self.policy(idx, self.perf)
-            plan = self.dam.plan(decision, rstar)
+            plan = FramePlan.build(
+                self.platform, idx, decision, rstar,
+                min(idx, self.codec_cfg.num_ref_frames),
+            )
             report = self.manager.run_frame(
-                frame_index=idx,
-                decision=decision,
-                rstar_device=rstar,
-                plan=plan,
-                active_refs=min(idx, self.codec_cfg.num_ref_frames),
-                perf=self.perf,
+                plan, self.dam.plan(decision, rstar), self.perf
             )
             self.dam.commit(decision, rstar)
             self.trace.add(report.timeline)

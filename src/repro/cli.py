@@ -199,7 +199,8 @@ def _or_exit(build):
     """``build()``, with what the user got wrong as a one-line error.
 
     An unknown platform or device, ``--headroom 0``, ``--max-nodes 0``, a
-    malformed ``--submit``, faults on the process backend, a typo'd
+    malformed ``--submit``, a degrade or copy-fail fault on the process
+    backend (it has no modelled durations to scale), a typo'd
     ``$REPRO_EXEC_START_METHOD``/``$REPRO_EXEC_TIMEOUT_S``, ``encode --qp
     99`` — each is the ``KeyError``/``ValueError`` of a parser or
     constructor; a missing or unwritable file is an ``OSError``; a
@@ -243,13 +244,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     drive = _run_process if fw.fw_cfg.backend == "process" else _run_model
     with fw:
         ok = drive(args, fw)
+    _print_faults(args, fw)
     return _sanitize_exit(lambda san: san.for_framework(fw).check_run(fw)) or (
         0 if ok else 1
     )
 
 
 def _run_model(args: argparse.Namespace, fw: FevesFramework) -> bool:
-    """``run`` on the DES: per-frame times, steady state, fault log."""
+    """``run`` on the DES: per-frame times, steady state, distributions."""
     fw.run_model(args.frames)
     times = fw.frame_times_ms()
     print(ascii_series(
@@ -268,6 +270,11 @@ def _run_model(args: argparse.Namespace, fw: FevesFramework) -> bool:
     names = [d.name for d in fw.platform.devices]
     print(f"final distributions over {names}:")
     print(f"  ME={last.m.rows}  INT={last.l.rows}  SME={last.s.rows}")
+    return True
+
+
+def _print_faults(args: argparse.Namespace, fw: FevesFramework) -> None:
+    """``run``'s epilogue on either backend: the fault log, and its file."""
     if not fw.fw_cfg.faults.empty:
         summary = fw.summary()
         print(f"live devices at end: {summary['live_devices']}   "
@@ -287,7 +294,6 @@ def _run_model(args: argparse.Namespace, fw: FevesFramework) -> bool:
 
         n = export_fault_log(fw.fault_log, args.fault_log)
         print(f"wrote {n} fault-log entries to {args.fault_log}")
-    return True
 
 
 def _encoded_equal(a, b) -> bool:

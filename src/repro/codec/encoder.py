@@ -123,9 +123,9 @@ def encode_rstar(
     """The R* block of one P frame: MC → TQ/TQ⁻¹ + entropy → DBL.
 
     The paper maps this block to a single device, and it exists once:
-    the reference encoder, the sim backend's R* op thunk and the process
-    backend (on the host, after the τ2 barrier) all call it with the
-    merged SME field, which is why their outputs are bit-identical.
+    the reference encoder, the sim backend's in-process executor and the
+    process backend (on the host, after the τ2 barrier) all call it with
+    the merged SME field, which is why their outputs are bit-identical.
     """
     qp = cfg.qp_p
     mc = motion_compensate(cur, sme_field, sfs, chroma, cfg, qp)

@@ -3,8 +3,10 @@
 - :mod:`repro.core.framework` — Framework Control (paper Algorithm 1):
   initialization with equidistant partitioning, then the adaptive
   iterative phase.
-- :mod:`repro.core.coding_manager` — Video Coding Manager (Fig. 4): builds
-  the per-frame DAG of kernels and transfers with the τ1/τ2/τtot
+- :mod:`repro.core.frame_plan` — one inter frame's row split as executable
+  rows (faulted bands as redo rows on a survivor), read by every executor.
+- :mod:`repro.core.coding_manager` — Video Coding Manager (Fig. 4): turns
+  the frame plan into the DAG of kernels and transfers with the τ1/τ2/τtot
   synchronization structure, for GPU- and CPU-centric configurations and
   single/dual copy engines.
 - :mod:`repro.core.data_access` — Data Access Management (Fig. 5): device

@@ -18,6 +18,11 @@ CENTRIC_MODES = ("auto", "gpu", "cpu")
 #: shared-memory frame buffers and has no model mode.
 BACKENDS = ("sim", "process")
 
+#: Fault kinds that only scale modelled durations. A measured run has
+#: none to scale, so ``backend="process"`` refuses them; a dropout or a
+#: hang runs on either backend.
+MODELLED_FAULTS = ("degrade", "copy_fail")
+
 
 @dataclass
 class FrameworkConfig:
@@ -58,12 +63,14 @@ class FrameworkConfig:
         Device-fault injection plan (dropout / hang / degrade / copy_fail
         events; see :class:`~repro.hw.noise.FaultSchedule`). Empty by
         default. Event device names are validated against the platform
-        when the framework is constructed.
+        when the framework is constructed. Dropouts and hangs run on
+        either backend (the faulted bands are redone on a survivor);
+        ``degrade``/``copy_fail`` need ``backend="sim"``
+        (:data:`MODELLED_FAULTS`).
     backend:
         ``"sim"`` (the DES) or ``"process"`` (really-parallel execution
         on a multiprocessing worker pool over shared-memory buffers; see
-        :data:`BACKENDS` and :mod:`repro.exec`). ``"process"`` requires
-        an empty fault schedule — faults are a simulation concept.
+        :data:`BACKENDS` and :mod:`repro.exec`).
     exec_workers:
         Process backend: worker-pool size. 0 = one worker per CPU this
         process may run on.
@@ -85,10 +92,14 @@ class FrameworkConfig:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.backend == "process" and not self.faults.empty:
-            raise ValueError(
-                "backend='process' cannot inject faults (simulation-only)"
-            )
+        if self.backend == "process":
+            for ev in self.faults.events:
+                if ev.kind in MODELLED_FAULTS:
+                    raise ValueError(
+                        f"backend='process' cannot inject a {ev.kind!r} fault: "
+                        "it scales modelled durations, and a measured run has "
+                        "none (use backend='sim')"
+                    )
         check_range("exec_workers", self.exec_workers, 0, 64)
         if self.centric not in CENTRIC_MODES:
             raise ValueError(

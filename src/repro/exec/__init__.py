@@ -1,13 +1,13 @@
 """Execution backends: run a frame's schedule for real instead of simulating it.
 
 The DES-backed :class:`~repro.core.coding_manager.VideoCodingManager` is
-the ``"sim"`` backend: it *simulates* the collaborative schedule and
-(under ``encode()``) executes the kernels serially on the host. This package
-adds the ``"process"`` backend — the same ``run_frame`` contract, but
-ME/INT/SME work items execute at MB-row granularity on a persistent
-``multiprocessing`` worker pool with frames, reference windows and
-subpel planes in ``multiprocessing.shared_memory`` buffers, honoring the
-LP-assigned row split per device (worker group) and the τ1/τ2 phase
+the ``"sim"`` backend: it *simulates* a frame's
+:class:`~repro.core.frame_plan.FramePlan` and (under ``encode()``) then
+executes it serially on the host. This package adds the ``"process"``
+backend — the same ``run_frame`` contract, but the plan's ME/INT/SME rows
+execute on the persistent ``multiprocessing`` workers their slots name,
+with frames, reference windows and subpel planes in
+``multiprocessing.shared_memory`` buffers, behind the τ1/τ2 phase
 barriers of Algorithm 1.
 
 Select it with ``FrameworkConfig(backend="process")`` or ``repro run

@@ -10,17 +10,15 @@ subject to dependencies.
 Because per-resource order is fixed at issue time, the schedule is fully
 determined: every op starts at the maximum of its dependencies' end times
 and the end of the previous op on its resource. :meth:`Simulator.run`
-evaluates the DAG in topological order, calling each op's Python thunk
-(the real NumPy computation, attached only by ``encode()``) as the op
-"runs"; an exception raised by a thunk propagates.
+evaluates the DAG in topological order. Ops only take time: the real
+NumPy computation of ``encode()`` runs outside the simulator, from the
+same frame plan (:mod:`repro.core.frame_plan`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Callable
-from typing import Any
 
 
 @dataclass
@@ -49,9 +47,6 @@ class Op:
     deps:
         Ops that must complete before this op starts (in addition to the
         implicit previous-op-on-resource ordering).
-    thunk:
-        Optional callable performing the real computation; invoked once
-        when the op is evaluated, with the op itself as argument.
     category:
         Coarse tag (``"compute"`` / ``"h2d"`` / ``"d2h"`` / ``"fault"``)
         for reporting. ``"fault"`` marks stall intervals injected when a
@@ -62,7 +57,6 @@ class Op:
     resource: Resource
     duration: float
     deps: list["Op"] = field(default_factory=list)
-    thunk: Callable[["Op"], Any] | None = None
     category: str = "compute"
     start: float | None = None
     end: float | None = None
@@ -103,14 +97,14 @@ class Simulator:
         self.resources = list(resources)
 
     def run(self) -> list[OpRecord]:
-        """Schedule all issued ops, running the thunks they carry.
+        """Schedule all issued ops.
 
         Returns op records sorted by start time. Raises ``RuntimeError`` on
         a dependency cycle (including cycles through resource ordering).
 
         Kahn's algorithm over integer adjacency lists with a FIFO ready
-        queue, so evaluation order — and with it thunk order and every
-        start/end float — is deterministic. ``tests/oracles.py`` keeps a
+        queue, so evaluation order — and with it every start/end float —
+        is deterministic. ``tests/oracles.py`` keeps a
         dict-based twin of this loop that the equivalence tests compare
         against bit for bit.
         """
@@ -157,8 +151,6 @@ class Simulator:
             end = t0 + op.duration
             op.end = end
             ends[k] = end
-            if op.thunk is not None:
-                op.thunk(op)
             done += 1
             for s in succs[k]:
                 indeg[s] -= 1

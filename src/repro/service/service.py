@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.config import FrameworkConfig
 from repro.hw.noise import FaultSchedule
 from repro.hw.presets import get_platform
 from repro.hw.trace_export import StreamTrace, export_stream_traces
@@ -70,6 +71,8 @@ class ServiceConfig:
     backend, exec_workers:
         ``"process"`` makes every session really encode on a worker pool
         (``exec_workers`` processes) that the service owns and releases.
+        Both are judged, with ``faults``, as
+        :class:`~repro.core.config.FrameworkConfig` judges them.
     """
 
     platform: str = "SysHK"
@@ -82,14 +85,9 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.headroom <= 0:
             raise ValueError(f"headroom must be > 0, got {self.headroom}")
-        if self.backend not in ("sim", "process"):
-            raise ValueError(
-                f"backend must be 'sim' or 'process', got {self.backend!r}"
-            )
-        if self.backend == "process" and not self.faults.empty:
-            raise ValueError(
-                "backend='process' cannot inject faults (simulation-only)"
-            )
+        FrameworkConfig(
+            backend=self.backend, exec_workers=self.exec_workers, faults=self.faults
+        )
 
 
 #: ``step_round`` outcomes (see its docstring).

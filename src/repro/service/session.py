@@ -120,6 +120,10 @@ class SessionFaultView:
     def empty(self) -> bool:
         return self.schedule.empty
 
+    @property
+    def events(self) -> list[FaultEvent]:
+        return self.schedule.events
+
     def devices(self) -> set[str]:
         return self.schedule.devices()
 

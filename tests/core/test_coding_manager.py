@@ -8,6 +8,7 @@ from repro.codec.config import CodecConfig
 from repro.core.coding_manager import VideoCodingManager
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import DataAccessManager
+from repro.core.frame_plan import FramePlan
 from repro.core.load_balancing import LoadBalancer
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.interconnect import BufferSizes
@@ -32,15 +33,9 @@ def run_one_frame(platform_name="SysHK", frame_index=1, fw_cfg=None):
             perf0, rstar, dam.needs_rf(), {g: 0 for g in gpus}
         )
     perf = PerformanceCharacterization()
-    plan = dam.plan(decision, rstar)
+    plan = FramePlan.build(platform, frame_index, decision, rstar, 1)
     report = manager.run_frame(
-        frame_index=frame_index,
-        decision=decision,
-        rstar_device=rstar,
-        plan=plan,
-        active_refs=1,
-        perf=perf,
-        probe_rstar=frame_index == 1,
+        plan, dam.plan(decision, rstar), perf, probe_rstar=frame_index == 1
     )
     return platform, report, perf, decision
 

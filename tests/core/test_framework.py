@@ -151,8 +151,7 @@ class TestOptionSurface:
         }
         assert str(inspect.signature(Simulator.run)) == "(self) -> 'list[OpRecord]'"
         assert {f.name for f in dataclasses.fields(Op)} == {
-            "label", "resource", "duration", "deps", "thunk", "category",
-            "start", "end",
+            "label", "resource", "duration", "deps", "category", "start", "end",
         }
         for removed in (
             {"lp_warm_start": False}, {"compute": "real"}, {"calibrate": False},

@@ -17,6 +17,7 @@ from repro.core.coding_manager import VideoCodingManager
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import DataAccessManager
 from repro.core.distribution import Distribution, round_preserving_sum
+from repro.core.frame_plan import FramePlan
 from repro.core.load_balancing import LoadDecision
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.interconnect import BufferSizes
@@ -74,15 +75,8 @@ class TestOrchestrationFuzz:
         dam = DataAccessManager(platform, BufferSizes(CFG.width, CFG.height))
         manager = VideoCodingManager(platform, CFG, FrameworkConfig())
         perf = PerformanceCharacterization()
-        plan = dam.plan(decision, rstar)
-        report = manager.run_frame(
-            frame_index=1,
-            decision=decision,
-            rstar_device=rstar,
-            plan=plan,
-            active_refs=1,
-            perf=perf,
-        )
+        plan = FramePlan.build(platform, 1, decision, rstar, 1)
+        report = manager.run_frame(plan, dam.plan(decision, rstar), perf)
         # Structural invariants of the Fig. 4 schedule:
         validate_schedule(report.timeline.records)
         assert 0 <= report.tau1 <= report.tau2 <= report.tau_tot
@@ -121,11 +115,8 @@ class TestOrchestrationFuzz:
         dam = DataAccessManager(platform, BufferSizes(CFG.width, CFG.height))
         manager = VideoCodingManager(platform, CFG, FrameworkConfig())
         perf = PerformanceCharacterization()
-        plan = dam.plan(decision, rstar)
-        manager.run_frame(
-            frame_index=1, decision=decision, rstar_device=rstar,
-            plan=plan, active_refs=1, perf=perf,
-        )
+        plan = FramePlan.build(platform, 1, decision, rstar, 1)
+        manager.run_frame(plan, dam.plan(decision, rstar), perf)
         for i, dev in enumerate(platform.devices):
             for module, dist in (("me", m), ("int", l), ("sme", s)):
                 k = perf.k_compute(dev.name, module)

@@ -1,4 +1,5 @@
-"""Ordering and chunking mistakes in ``ProcessBackend.run_frame`` die on
+"""Ordering and chunking mistakes in ``ProcessBackend.run_frame`` — the
+one function that stages a frame and submits its plan's rows — die on
 the checks that remain.
 
 The SAN-F shared-memory access journal was retired on this evidence. It
@@ -29,11 +30,10 @@ frames = exec_tests.frames
 reference = exec_tests.reference
 
 STAGE = "    # ---- stage the frame into shared memory"
-CHUNKS = "    chunks: list[_Chunk] = []\n"
-INT_COLLECT = "        int_results = self._collect(list(int_futs))\n"
-P1_COLLECTS = INT_COLLECT + "        me_results = self._collect(list(me_futs))\n"
+PHASE1 = "    # ---- phase 1: ME + INT rows"
+P1_COLLECT = "        p1_results = self._collect(p1_futs)\n"
 SF0_READ = '        ctx.sf_new = np.array(store.view("sf0"), copy=True)\n'
-SME_COLLECT = "        sme_results = self._collect(list(sme_futs))\n"
+SME_COLLECT = "        sme_results = self._collect(sme_futs)\n"
 
 
 def move(source: str, block: str, anchor: str, indent: int = 0) -> str:
@@ -45,18 +45,18 @@ def move(source: str, block: str, anchor: str, indent: int = 0) -> str:
 
 
 def staging_after_submits(source: str) -> str:
-    block = source[source.index(STAGE):source.index(CHUNKS)]
-    return move(source, block, INT_COLLECT, indent=4)
+    block = source[source.index(STAGE):source.index(PHASE1)]
+    return move(source, block, P1_COLLECT, indent=4)
 
 
 #: Ordering mutant -> (edit of run_frame's source, rules that must flag it).
 ORDERING = {
     "staging_after_phase1_submits": (staging_after_submits, {"REP203", "REP204"}),
     "sf0_read_before_tau1_collect": (
-        lambda s: move(s, SF0_READ, INT_COLLECT), {"REP204"},
+        lambda s: move(s, SF0_READ, P1_COLLECT), {"REP204"},
     ),
     "phase1_collects_after_sme_submits": (
-        lambda s: move(s, P1_COLLECTS, SME_COLLECT), {"REP204"},
+        lambda s: move(s, P1_COLLECT, SME_COLLECT), {"REP204"},
     ),
 }
 
@@ -83,16 +83,19 @@ class TestOrderingMutantsDie:
         assert fired(run_frame_source()) == set()
 
 
-SUBMIT_INT = "pool.submit_int(row0, nrows, worker)"
+#: Where the pool submits a plan's INT row.
+SUBMIT_INT = "pool.submit_int(row0, nrows, row.slot)"
 
 #: Chunking mutant -> (INT submit it installs, output still bit-identical).
 CHUNKING = {
     # Every chunk but the frame's first starts one MB row early.
     "int_chunks_overlap": (
-        "pool.submit_int(max(row0 - 1, 0), nrows + (row0 > 0), worker)", True,
+        "pool.submit_int(max(row0 - 1, 0), nrows + (row0 > 0), row.slot)", True,
     ),
     # Every chunk of two or more MB rows leaves its last row unwritten.
-    "int_chunks_gap": ("pool.submit_int(row0, nrows - (nrows > 1), worker)", False),
+    "int_chunks_gap": (
+        "pool.submit_int(row0, nrows - (nrows > 1), row.slot)", False,
+    ),
 }
 
 

@@ -106,47 +106,6 @@ class TestValidation:
         validate_schedule(records)  # must not raise
 
 
-class TestThunks:
-    def test_thunks_run_in_dependency_order(self):
-        order = []
-        r1, r2 = Resource("r1"), Resource("r2")
-        a = Op("a", r1, 2.0, thunk=lambda op: order.append("a"))
-        Op("b", r2, 1.0, deps=[a], thunk=lambda op: order.append("b"))
-        Simulator([r1, r2]).run()
-        assert order == ["a", "b"]
-
-    def test_thunk_result_stored(self):
-        # The DES keeps no return value: a thunk is called once, with its
-        # op, and stores its own result (the manager's fill a RealContext).
-        r = Resource("r")
-        out = []
-        a = Op("a", r, 1.0, thunk=lambda op: out.append((op, 42)))
-        Simulator([r]).run()
-        assert out == [(a, 42)]
-
-    def test_thunks_skipped_in_model_mode(self):
-        # Model mode is an op built without a thunk: it only takes time.
-        r = Resource("r")
-        a = Op("a", r, 1.0)
-        Simulator([r]).run()
-        assert a.thunk is None
-        assert a.end == 1.0
-
-
-class TestFailOk:
-    """There is no ``fail_ok``: a thunk exception always propagates."""
-
-    def test_serial_exception_propagates_by_default(self):
-        r = Resource("r")
-
-        def boom(op):
-            raise RuntimeError("device lost")
-
-        Op("a", r, 1.0, thunk=boom)
-        with pytest.raises(RuntimeError, match="device lost"):
-            Simulator([r]).run()
-
-
 class TestReset:
     def test_reset_clears_ops(self):
         r = Resource("r")

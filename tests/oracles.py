@@ -151,8 +151,6 @@ def reference_run(sim: Simulator) -> list[OpRecord]:
         t0 = max((p.end for p in preds[op]), default=0.0)
         op.start = t0
         op.end = t0 + op.duration
-        if op.thunk is not None:
-            op.thunk(op)
         done += 1
         for s in succs[op]:
             indeg[s] -= 1

@@ -86,6 +86,27 @@ class TestCli:
         assert len(payload) == 8
         assert payload[3]["evicted"] == ["GPU_F2"]
 
+    def test_process_run_with_dropout_has_the_same_epilogue(self, tmp_path, capsys):
+        log = tmp_path / "faults.json"
+        rc = main([
+            "run", "--backend", "process", "--platform", "SysHK",
+            "--size", "64x48", "--sa", "8", "--frames", "4", "--workers", "1",
+            "--drop", "GPU_K@2", "--fault-log", str(log),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "bit-identical to serial: yes" in out
+        assert "live devices at end: ['CPU_H']" in out
+        assert "frame 2: evicted GPU_K" in out
+        import json
+
+        assert json.loads(log.read_text())[1]["evicted"] == ["GPU_K"]
+
+    def test_process_run_refuses_modelled_faults_by_kind(self):
+        with pytest.raises(SystemExit, match="'copy_fail' fault"):
+            main(["run", "--backend", "process", "--size", "64x48",
+                  "--copy-fail", "GPU_K@2:2"])
+
     def test_run_hang_and_degrade_flags(self, capsys):
         rc = main([
             "run", "--platform", "SysNFF", "--frames", "10",
