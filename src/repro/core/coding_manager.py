@@ -177,17 +177,18 @@ class VideoCodingManager:
         # Non-redo compute op per module and device index (the harvest).
         ops: dict[str, dict[int, Op]] = {"int": {}, "me": {}, "sme": {}}
 
-        def scale(dev: Device) -> float:
-            # Load noise, active compute degradation, and the session's
-            # multi-stream capacity share: all three are *measured* by the
-            # characterization, never reported to it.
-            fault = dev.fault_compute_scale * dev.share_scale
-            return noise.scale(frame_index, dev.name) * fault
+        # Load noise, active compute degradation, and the session's
+        # multi-stream capacity share: all three are *measured* by the
+        # characterization, never reported to it. One noise draw per op.
+        stretch = {dev.spec.name: dev.fault_compute_scale * dev.share_scale for dev in devices}
+
+        def scale(name: str) -> float:
+            return noise.scale(frame_index, name) * stretch[name]
 
         def xfer(dev: Device, item: TransferItem, deps: list[Op]) -> Op:
             # The one TransferItem → Op builder (copy queue by direction).
             op = Op(
-                label=f"{item.label}[{dev.name}]",
+                label=f"{item.label}[{item.device}]",
                 resource=dev.copy_h2d if item.direction == "h2d" else dev.copy_d2h,
                 duration=dev.transfer_s(item.nbytes, item.direction),
                 deps=deps,
@@ -208,7 +209,7 @@ class VideoCodingManager:
             op = Op(
                 label=row.label(names),
                 resource=dev.compute,
-                duration=row_s * (row.band[1] - row.band[0]) * scale(dev),
+                duration=row_s * (row.band[1] - row.band[0]) * scale(names[row.device]),
                 deps=deps,
             )
             if row.redo:
@@ -222,11 +223,15 @@ class VideoCodingManager:
             by_owner: dict[int, list[Row]] = {}
             for row in plan.phase1:
                 by_owner.setdefault(row.owner, []).append(row)
+            # The transfers of each (device, phase), in plan order.
+            moves: dict[tuple[str, int], list[TransferItem]] = {}
+            for item in transfers.items:
+                moves.setdefault((item.device, item.phase), []).append(item)
 
             # ------------------------- phase 1 ------------------------------
             phase1: list[Op] = []
             for i, dev in enumerate(devices):
-                name = dev.name
+                name = names[i]
                 if name not in plan.live:
                     continue
                 if name in plan.faulted:
@@ -244,7 +249,7 @@ class VideoCodingManager:
                     phase1 += [compute(row, [stall]) for row in by_owner.get(i, ())]
                     continue
 
-                items = transfers.for_device(name, phase=1) if dev.is_accelerator else ()
+                items = moves.get((name, 1), ()) if dev.is_accelerator else ()
                 rf_op: Op | None = None
                 cf_me_op: Op | None = None
                 for item in items:
@@ -256,9 +261,10 @@ class VideoCodingManager:
                         rf_op = op
                     if item.label == "CF->ME":
                         cf_me_op = op
+                int_in = [] if rf_op is None else [rf_op]
+                me_in = int_in if cf_me_op is None else [*int_in, cf_me_op]
                 for row in by_owner.get(i, ()):
-                    deps = (rf_op,) if row.module == "int" else (rf_op, cf_me_op)
-                    phase1.append(compute(row, [d for d in deps if d is not None]))
+                    phase1.append(compute(row, list(int_in if row.module == "int" else me_in)))
                 for item in items:
                     if item.direction != "d2h":
                         continue
@@ -275,10 +281,10 @@ class VideoCodingManager:
             phase2 = [compute(row, [tau1_op]) for row in plan.phase2 if row.redo]
             sme_rows = {row.owner: row for row in plan.phase2 if not row.redo}
             for i, dev in enumerate(devices):
-                name = dev.name
+                name = names[i]
                 if name not in survivors:
                     continue
-                items = transfers.for_device(name, phase=2) if dev.is_accelerator else ()
+                items = moves.get((name, 2), ()) if dev.is_accelerator else ()
                 in_ops: list[Op] = [tau1_op]
                 for item in items:
                     if item.direction != "h2d":
@@ -305,7 +311,7 @@ class VideoCodingManager:
                 )
             else:
                 tail_ops, rstar_obs = self._build_rstar(
-                    plan.rstar_device, transfers, tau2_op, xfer, scale,
+                    plan.rstar_device, moves, tau2_op, xfer, scale,
                     survivors if probe_rstar else frozenset(),
                 )
 
@@ -317,17 +323,19 @@ class VideoCodingManager:
         tau_tot = max(float(op.end or 0.0) for op in tail_ops + [tau2_op])
 
         # Feed the Performance Characterization (Algorithm 1, lines 5/10).
-        rows_of = {"me": decision.m, "int": decision.l, "sme": decision.s}
-        for i, name in enumerate(names):
-            for module, dist in rows_of.items():
-                if i in ops[module]:
-                    perf.observe_compute(
-                        name, module, dist.rows[i], ops[module][i].duration
-                    )
-        for name, frame_s in rstar_obs:
-            perf.observe_rstar(name, frame_s)
-        for op, item in transfer_ops:
-            perf.observe_transfer(item.device, item.direction, item.nbytes, op.duration)
+        with span(self, "observe"):
+            rows_of = (("me", decision.m), ("int", decision.l), ("sme", decision.s))
+            for i, name in enumerate(names):
+                for module, dist in rows_of:
+                    op = ops[module].get(i)
+                    if op is not None:
+                        perf.observe_compute(name, module, dist.rows[i], op.duration)
+            for name, frame_s in rstar_obs:
+                perf.observe_rstar(name, frame_s)
+            for op, item in transfer_ops:
+                perf.observe_transfer(
+                    item.device, item.direction, item.nbytes, op.duration
+                )
 
         if ctx is not None:
             ctx.execute(plan)
@@ -357,9 +365,10 @@ class VideoCodingManager:
         )
 
     def _build_rstar(
-        self, rstar_device, transfers, tau2_op, xfer, scale, probe_on
+        self, rstar_device, moves, tau2_op, xfer, scale, probe_on
     ) -> tuple[list[Op], list[tuple[str, float]]]:
-        """The paper's R* block on its one device, plus the phase-3 traffic.
+        """The paper's R* block on its one device, plus the phase-3 traffic
+        (``moves``: the frame's transfers by ``(device, phase)``).
 
         Returns ``(tail_ops, rstar_observations)``: the ops whose ends
         bound τtot, and ``(device, full-frame R* seconds)`` measurements —
@@ -368,11 +377,7 @@ class VideoCodingManager:
         """
         cfg = self.codec_cfg
         rstar_dev = self.platform.device(rstar_device)
-        items = (
-            transfers.for_device(rstar_device, phase=3)
-            if rstar_dev.is_accelerator
-            else ()
-        )
+        items = moves.get((rstar_device, 3), ()) if rstar_dev.is_accelerator else ()
         rstar_deps = [tau2_op]
         for item in items:
             if item.direction == "h2d":
@@ -380,7 +385,7 @@ class VideoCodingManager:
         rstar_op = Op(
             label=f"R*[{rstar_device}]",
             resource=rstar_dev.compute,
-            duration=rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_dev),
+            duration=rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_device),
             deps=rstar_deps,
         )
         tail_ops = [rstar_op]
@@ -389,7 +394,7 @@ class VideoCodingManager:
                 tail_ops.append(xfer(rstar_dev, item, [rstar_op]))
         for dev in self.platform.devices:
             if dev.is_accelerator and dev.name != rstar_device:
-                for item in transfers.for_device(dev.name, phase=3):
+                for item in moves.get((dev.name, 3), ()):
                     tail_ops.append(xfer(dev, item, [tau2_op]))
         rstar_obs = [(rstar_device, rstar_op.duration)]
         for dev in self.platform.devices:
@@ -397,7 +402,7 @@ class VideoCodingManager:
                 probe = Op(
                     label=f"R*probe[{dev.name}]",
                     resource=dev.compute,
-                    duration=dev.spec.rates.rstar_row_s(cfg) * scale(dev),
+                    duration=dev.spec.rates.rstar_row_s(cfg) * scale(dev.name),
                     deps=[tau2_op],
                 )
                 rstar_obs.append((dev.name, probe.duration * cfg.mb_rows))
@@ -456,7 +461,7 @@ class VideoCodingManager:
             comp = Op(
                 label=f"R*slice[{dev.name}]",
                 resource=dev.compute,
-                duration=dev.spec.rates.rstar_row_s(cfg) * rows * scale(dev),
+                duration=dev.spec.rates.rstar_row_s(cfg) * rows * scale(dev.name),
                 deps=[tau2_op] + pre,
             )
             rstar_obs.append((dev.name, comp.duration * cfg.mb_rows / max(1, rows)))

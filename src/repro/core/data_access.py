@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.load_balancing import LoadDecision
-from repro.core.perf_model import buffer_row_bytes
+from repro.core.perf_model import BUFFERS, buffer_row_bytes
 from repro.hw.interconnect import BufferSizes
 from repro.hw.topology import Platform
 
@@ -55,13 +55,6 @@ class TransferPlan:
 
     items: list[TransferItem] = field(default_factory=list)
 
-    def for_device(self, device: str, phase: int | None = None) -> list[TransferItem]:
-        return [
-            t
-            for t in self.items
-            if t.device == device and (phase is None or t.phase == phase)
-        ]
-
     def total_bytes(self, direction: str | None = None) -> int:
         return sum(
             t.nbytes
@@ -78,6 +71,7 @@ class DataAccessManager:
     ) -> None:
         self.platform = platform
         self.sizes = sizes
+        self._row_bytes = {buf: buffer_row_bytes(buf, sizes) for buf in BUFFERS}
         self.enable_parking = enable_parking
         #: device name → rows of SF deferred from the previous frame.
         self.sigma_r_rows: dict[str, int] = {
@@ -118,7 +112,7 @@ class DataAccessManager:
         assigns the faulted device rows but its link is gone.
         """
         plan = TransferPlan()
-        sizes = self.sizes
+        row_bytes = self._row_bytes
         n = decision.m.total
         needs = self.needs_rf()
 
@@ -131,7 +125,7 @@ class DataAccessManager:
                     buffer=buf,
                     direction=direction,
                     rows=rows,
-                    nbytes=rows * buffer_row_bytes(buf, sizes),
+                    nbytes=rows * row_bytes[buf],
                     phase=phase,
                     label=label,
                 )

@@ -155,10 +155,8 @@ class FramePlan(NamedTuple):
             dev = fb if name in dying else i
             slot, k, redo = first[dev], size[dev], dev != i
             for module, starts, phase in cuts:
-                phase += [
-                    Row(module, i, chunk, dev, slot + j, redo)
-                    for j, chunk in enumerate(split_band((starts[i], starts[i + 1]), k))
-                ]
+                for j, chunk in enumerate(split_band((starts[i], starts[i + 1]), k)):
+                    phase.append(Row(module, i, chunk, dev, slot + j, redo))
         return cls(
             frame_index, decision, rstar_device, active_refs, live_set, dying,
             survivors, tuple(phase1), tuple(phase2),

@@ -345,12 +345,13 @@ class FevesFramework:
             )
 
         ctx = self._build_ctx(cur, idx) if cur is not None else None
-        plan = FramePlan.build(
-            self.platform, idx, decision, self._rstar_device, active_refs,
-            live=live, faulted=newly_down,
-            fallback=self._fault_fallback(survivors) if newly_down else None,
-            workers=self.manager.workers,
-        )
+        with span(self, "frame_plan"):
+            plan = FramePlan.build(
+                self.platform, idx, decision, self._rstar_device, active_refs,
+                live=live, faulted=newly_down,
+                fallback=self._fault_fallback(survivors) if newly_down else None,
+                workers=self.manager.workers,
+            )
         report = self.manager.run_frame(
             plan, transfers, self.perf, ctx, probe_rstar=is_init and n_devices > 1
         )

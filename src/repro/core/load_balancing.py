@@ -20,6 +20,7 @@ import importlib.util
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations as _combinations
+from operator import eq
 from pathlib import Path
 from types import ModuleType
 
@@ -259,7 +260,7 @@ class LoadBalancer:
         self.fw_cfg = fw_cfg
         self.sizes = BufferSizes(width=codec_cfg.width, height=codec_cfg.height)
         self.halo = codec_cfg.sf_halo_rows
-        self._cache_ks: np.ndarray | None = None
+        self._cache_ks: tuple[float, ...] | None = None
         self._cache_key: tuple | None = None
         self._cache_decision: LoadDecision | None = None
         self._seed: tuple[Distribution, Distribution, Distribution] | None = None
@@ -387,19 +388,21 @@ class LoadBalancer:
             tuple(sorted(sigma_r_prev.items())),
         )
         rtol = self.fw_cfg.lb_cache_rtol
+        cached = self._cache_ks
         if (
             self._cache_decision is not None
             and self._cache_key == key
-            and self._cache_ks is not None
-            and self._cache_ks.shape == ks.shape
+            and cached is not None
+            and len(cached) == len(ks)
         ):
             # Exact reuse (warm start): with bit-identical Ks and a
             # converged fixed point, re-solving provably reproduces the
             # cached decision — skipping the solve is not approximation.
-            if self._lp_converged and np.array_equal(ks, self._cache_ks):
+            # Element by element, so that a NaN K never matches itself.
+            if self._lp_converged and all(map(eq, ks, cached)):
                 return self._cache_decision
-            if rtol > 0 and np.all(
-                np.abs(ks - self._cache_ks) <= rtol * np.abs(self._cache_ks)
+            if rtol > 0 and all(
+                abs(k - c) <= rtol * abs(c) for k, c in zip(ks, cached)
             ):
                 return self._cache_decision
 
@@ -608,7 +611,7 @@ class LoadBalancer:
         perf: PerformanceCharacterization,
         names: list[str],
         accel: list[str],
-    ) -> np.ndarray:
+    ) -> tuple[float, ...]:
         """All measured speeds the LP consumes, flattened (for the cache)."""
         vals: list[float] = []
         for name in names:
@@ -618,7 +621,7 @@ class LoadBalancer:
         for name in accel:
             vals.append(perf.bandwidth(name, "h2d") or 0.0)
             vals.append(perf.bandwidth(name, "d2h") or 0.0)
-        return np.array(vals)
+        return tuple(vals)
 
     def _heuristic(
         self,

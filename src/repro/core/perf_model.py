@@ -95,7 +95,10 @@ class PerformanceCharacterization:
 
     def _state(self, device: str) -> _DeviceState:
         """The record an ``observe_*`` writes to; queries must not create one."""
-        return self._devices.setdefault(device, _DeviceState())
+        st = self._devices.get(device)
+        if st is None:
+            st = self._devices[device] = _DeviceState()
+        return st
 
     def _blend(self, st: _DeviceState, key: str, old: float | None, new: float) -> float:
         if old is None or key in st.priors:

@@ -9,27 +9,39 @@ subject to dependencies.
 
 Because per-resource order is fixed at issue time, the schedule is fully
 determined: every op starts at the maximum of its dependencies' end times
-and the end of the previous op on its resource. :meth:`Simulator.run`
-evaluates the DAG in topological order. Ops only take time: the real
-NumPy computation of ``encode()`` runs outside the simulator, from the
-same frame plan (:mod:`repro.core.frame_plan`).
+and the end of the previous op on its resource. An op's deps are issued
+before it, so issue order is already a topological order and
+:meth:`Simulator.run` is one forward pass in that order. Ops only take
+time: the real NumPy computation of ``encode()`` runs outside the
+simulator, from the same frame plan (:mod:`repro.core.frame_plan`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
+from operator import attrgetter
+
+#: Issue stamps: only their order matters, so every resource draws from
+#: one counter and ops of different resources still compare.
+_ISSUE_STAMP = count()
 
 
 @dataclass
 class Resource:
-    """A serially-executing engine (device compute queue or copy engine)."""
+    """A serially-executing engine (device compute queue or copy engine).
+
+    ``ops`` is the queue in issue order; ``stamps`` holds, per op, where
+    it falls in the issue order across resources.
+    """
 
     name: str
     ops: list["Op"] = field(default_factory=list, repr=False)
+    stamps: list[int] = field(default_factory=list, repr=False)
 
     def reset(self) -> None:
         self.ops.clear()
+        self.stamps.clear()
 
 
 @dataclass(eq=False)
@@ -46,7 +58,9 @@ class Op:
         Simulated execution time (from the rate models).
     deps:
         Ops that must complete before this op starts (in addition to the
-        implicit previous-op-on-resource ordering).
+        implicit previous-op-on-resource ordering). Each must be issued
+        before this op is: deps are complete at construction, never
+        appended later (:meth:`Simulator.run` rejects a later one).
     category:
         Coarse tag (``"compute"`` / ``"h2d"`` / ``"d2h"`` / ``"fault"``)
         for reporting. ``"fault"`` marks stall intervals injected when a
@@ -65,6 +79,7 @@ class Op:
         if self.duration < 0:
             raise ValueError(f"op {self.label!r}: negative duration {self.duration}")
         self.resource.ops.append(self)
+        self.resource.stamps.append(next(_ISSUE_STAMP))
 
 
 @dataclass
@@ -99,79 +114,51 @@ class Simulator:
     def run(self) -> list[OpRecord]:
         """Schedule all issued ops.
 
-        Returns op records sorted by start time. Raises ``RuntimeError`` on
-        a dependency cycle (including cycles through resource ordering).
+        Contract: the deps of an op are issued before it. Returns op
+        records sorted by start time; raises ``RuntimeError`` when an op
+        depends on one issued after it (every dependency cycle does) or
+        on one no resource of this simulator holds.
 
-        Kahn's algorithm over integer adjacency lists with a FIFO ready
-        queue, so evaluation order — and with it every start/end float —
-        is deterministic. ``tests/oracles.py`` keeps a
-        dict-based twin of this loop that the equivalence tests compare
-        against bit for bit.
+        One forward pass over the ops in issue order: every dep and the
+        previous op on the resource have ended by the time an op is
+        reached, so its start is the running max of their ends over
+        native floats — the same floats, in the same record order, as
+        the Kahn loop ``tests/oracles.py::reference_run`` evaluates.
         """
-        ops: list[Op] = [op for r in self.resources for op in r.ops]
-        idx = {op: k for k, op in enumerate(ops)}
-        n = len(ops)
-        # Effective predecessors: explicit deps + previous op in the queue.
-        preds: list[list[int]] = [[] for _ in range(n)]
+        issued: list[tuple[int, Op, Op | None]] = []
         for r in self.resources:
-            prev = -1
-            for op in r.ops:
-                k = idx[op]
-                lst = preds[k]
-                for d in op.deps:
-                    j = idx.get(d)
-                    if j is None:
-                        raise RuntimeError(
-                            f"op {op.label!r} depends on {d.label!r}, which is not "
-                            "issued on any resource of this simulator"
-                        )
-                    lst.append(j)
-                if prev >= 0:
-                    lst.append(prev)
-                prev = k
-
-        indeg = [len(ps) for ps in preds]
-        succs: list[list[int]] = [[] for _ in range(n)]
-        for k, ps in enumerate(preds):
-            for p in ps:
-                succs[p].append(k)
-
-        ends = [0.0] * n
-        ready = deque(k for k in range(n) if indeg[k] == 0)
-        done = 0
-        while ready:
-            k = ready.popleft()
-            op = ops[k]
+            ops = r.ops
+            issued += zip(r.stamps, ops, [None, *ops[:-1]])
+        issued.sort()  # stamps are unique: no tie reaches an Op
+        done: set[Op] = set()
+        records = []
+        for _, op, prev in issued:
             t0 = 0.0
-            for p in preds[k]:
-                e = ends[p]
+            for d in op.deps:
+                if d not in done:
+                    raise self._unissued(op, d)
+                e = d.end
+                if e > t0:
+                    t0 = e
+            if prev is not None:
+                e = prev.end
                 if e > t0:
                     t0 = e
             op.start = t0
             end = t0 + op.duration
             op.end = end
-            ends[k] = end
-            done += 1
-            for s in succs[k]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        if done != n:
-            stuck = [op.label for op in ops if op.start is None][:8]
-            raise RuntimeError(f"dependency cycle involving ops: {stuck}")
-
-        records = [
-            OpRecord(
-                label=op.label,
-                resource=op.resource.name,
-                category=op.category,
-                start=op.start,  # type: ignore[arg-type]
-                end=op.end,  # type: ignore[arg-type]
-            )
-            for op in ops
-        ]
-        records.sort(key=lambda rec: (rec.start, rec.resource, rec.label))
+            done.add(op)
+            records.append(OpRecord(op.label, op.resource.name, op.category, t0, end))
+        records.sort(key=attrgetter("start", "resource", "label"))
         return records
+
+    def _unissued(self, op: Op, dep: Op) -> RuntimeError:
+        where = (
+            "issued after it: a dependency cycle, or a dep added after issue"
+            if any(dep in r.ops for r in self.resources)
+            else "not issued on any resource of this simulator"
+        )
+        return RuntimeError(f"op {op.label!r} depends on {dep.label!r}, which is {where}")
 
     def makespan(self) -> float:
         """End time of the last op (valid after :meth:`run`)."""

@@ -375,8 +375,8 @@ class TimelineSanitizer:
     ) -> int:
         return sum(
             item.rows
-            for item in report.transfer_plan.for_device(device, phase=phase)
-            if item.label == label
+            for item in report.transfer_plan.items
+            if (item.device, item.phase, item.label) == (device, phase, label)
         )
 
     def _check_sigma_conservation(
@@ -408,7 +408,7 @@ class TimelineSanitizer:
             # Planned transfers must move exactly the Δ/σ rows the decision
             # predicts. A device absent from the plan was parked or lost
             # its link this frame — nothing to reconcile.
-            if not report.transfer_plan.for_device(name):
+            if not any(t.device == name for t in report.transfer_plan.items):
                 continue
             dm = decision.delta_m[i].rows if i < len(decision.delta_m) else 0
             dl = decision.delta_l[i].rows if i < len(decision.delta_l) else 0
@@ -510,7 +510,7 @@ class TimelineSanitizer:
             for name, rem in prev.decision.sigma_r.items():
                 if name in prev.faulted or name in cur.faulted:
                     continue
-                if not cur.transfer_plan.for_device(name):
+                if not any(t.device == name for t in cur.transfer_plan.items):
                     continue  # parked this frame: backlog legitimately reset
                 got = self._plan_rows(cur, name, "SF(RF-1)->SME", 1)
                 if got != rem.rows:

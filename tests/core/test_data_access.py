@@ -48,14 +48,14 @@ class TestPlan:
     def test_cpu_has_no_transfers(self):
         platform, dam, decision, rstar = make_dam()
         plan = dam.plan(decision, rstar)
-        assert plan.for_device("CPU_N") == []
+        assert not any(t.device == "CPU_N" for t in plan.items)
 
     def test_first_frame_everyone_needs_rf(self):
         platform, dam, decision, rstar = make_dam()
         plan = dam.plan(decision, rstar)
         for gpu in ("GPU_F", "GPU_F2"):
             rf_items = [
-                t for t in plan.for_device(gpu, phase=1) if t.buffer == "rf"
+                t for t in plan.items if (t.device, t.phase, t.buffer) == (gpu, 1, "rf")
             ]
             assert len(rf_items) == 1 and rf_items[0].rows == 68
 
@@ -65,14 +65,14 @@ class TestPlan:
         assert dam.needs_rf()[rstar] is False
         assert dam.needs_rf()["GPU_F2"] is True
         plan = dam.plan(decision, rstar)
-        assert not any(t.buffer == "rf" and t.direction == "h2d"
-                       for t in plan.for_device(rstar))
+        assert not any((t.device, t.buffer, t.direction) == (rstar, "rf", "h2d")
+                       for t in plan.items)
 
     def test_rstar_device_phase3_sends_rf_back(self):
         platform, dam, decision, rstar = make_dam()
         plan = dam.plan(decision, rstar)
         back = [
-            t for t in plan.for_device(rstar, phase=3) if t.direction == "d2h"
+            t for t in plan.items if (t.device, t.phase, t.direction) == (rstar, 3, "d2h")
         ]
         assert len(back) == 1
         assert back[0].buffer == "rf" and back[0].rows == 68
@@ -80,7 +80,7 @@ class TestPlan:
     def test_rstar_gets_mc_inputs_in_phase2(self):
         platform, dam, decision, rstar = make_dam()
         plan = dam.plan(decision, rstar)
-        labels = {t.label for t in plan.for_device(rstar, phase=2)}
+        labels = {t.label for t in plan.items if (t.device, t.phase) == (rstar, 2)}
         assert "CF->MC" in labels or decision.m.rows[0] + decision.delta_m[0].rows >= 68
         assert "SF->MC" in labels or decision.l.rows[0] + decision.delta_l[0].rows >= 68
 
@@ -91,8 +91,8 @@ class TestPlan:
         if decision.s.rows[i2] > 0:
             mv_out = [
                 t
-                for t in plan.for_device("GPU_F2", phase=2)
-                if t.direction == "d2h" and t.buffer == "mv"
+                for t in plan.items
+                if (t.device, t.phase, t.direction, t.buffer) == ("GPU_F2", 2, "d2h", "mv")
             ]
             assert len(mv_out) == 1
             assert mv_out[0].rows == decision.s.rows[i2]
@@ -130,8 +130,8 @@ class TestSigmaState:
         plan = dam.plan(decision, rstar)
         catchup = [
             t
-            for t in plan.for_device(other, phase=1)
-            if t.buffer == "sf" and t.direction == "h2d"
+            for t in plan.items
+            if (t.device, t.phase, t.buffer, t.direction) == (other, 1, "sf", "h2d")
         ]
         total = sum(t.rows for t in catchup)
         assert total == backlog or backlog == 0

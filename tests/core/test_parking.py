@@ -55,7 +55,7 @@ class TestParkingDecision:
         fw = FevesFramework(dead_link_platform(), CFG, FrameworkConfig(centric="cpu"))
         fw.run_model(8)
         steady = fw.reports[-1]
-        assert steady.transfer_plan.for_device("farGPU") == []
+        assert not any(t.device == "farGPU" for t in steady.transfer_plan.items)
 
 
 class TestDamParkingState:
@@ -94,8 +94,8 @@ class TestDamParkingState:
         if decision.m.rows[1] + decision.l.rows[1] + decision.s.rows[1] > 0:
             plan = dam.plan(decision, "GPU_F")
             catchup = [
-                t for t in plan.for_device("GPU_F2", phase=1)
-                if t.buffer == "sf" and t.direction == "h2d"
+                t for t in plan.items
+                if (t.device, t.phase, t.buffer, t.direction) == ("GPU_F2", 1, "sf", "h2d")
             ]
             assert sum(t.rows for t in catchup) == CFG.mb_rows
 

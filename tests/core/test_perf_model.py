@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.perf_model as perf_model
 from repro.baselines.oracle import ground_truth_perf
 from repro.codec.config import CodecConfig
 from repro.core.config import FrameworkConfig
@@ -204,3 +205,29 @@ class TestQueriesDoNotMutate:
         assert decision.used_lp  # the probe of GPU_F2 ran; it is warming
         assert "GPU_F2" not in perf._devices
         assert perf.version == version
+
+
+class TestObservationsReuseTheRecord:
+    """An observation of a device already on record builds no new record
+    (``dict.setdefault`` would construct one per call and throw it away)."""
+
+    @pytest.mark.parametrize("observe", [
+        lambda p: p.observe_compute("dev", "me", 4, 0.02),
+        lambda p: p.observe_transfer("dev", "h2d", 1e6, 1e-3),
+        lambda p: p.observe_rstar("dev", 0.03),
+    ], ids=["compute", "transfer", "rstar"])
+    def test_known_device_constructs_no_state(self, monkeypatch, observe):
+        built = []
+
+        class Counted(perf_model._DeviceState):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(perf_model, "_DeviceState", Counted)
+        p = PerformanceCharacterization()
+        p.observe_compute("dev", "int", 1, 0.01)  # the first one creates it
+        assert len(built) == 1
+        observe(p)
+        observe(p)
+        assert len(built) == 1

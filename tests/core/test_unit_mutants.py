@@ -55,7 +55,7 @@ SITES = {
     # Rows per second planned as a transfer's byte count.
     "rows_per_second_into_bytes": (
         DataAccessManager, "plan",
-        "nbytes=rows * buffer_row_bytes(buf, sizes)",
+        "nbytes=rows * row_bytes[buf]",
         "nbytes=round(rows / max(decision.tau_tot_pred, 1e-3))",
         san_c3_holds, ScheduleViolationError, "SAN-C3",
     ),
@@ -63,8 +63,8 @@ SITES = {
     # efficiency falls far below the ideal-aggregate bound.
     "seconds_plus_rows": (
         VideoCodingManager, "_build_rstar",
-        "rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_dev)",
-        "(rstar_dev.spec.rates.rstar_frame_s(cfg) + cfg.mb_rows) * scale(rstar_dev)",
+        "rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_device)",
+        "(rstar_dev.spec.rates.rstar_frame_s(cfg) + cfg.mb_rows) * scale(rstar_device)",
         ideal_bound_holds, AssertionError, None,
     ),
     # A rate (rows/s) stored where K (s/row) belongs: the noise-free

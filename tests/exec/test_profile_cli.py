@@ -31,13 +31,13 @@ BACKENDS = {
     "sim": (
         ["profile", "--platform", "SysHK", "--frames", "20"],
         20,
-        LB_PHASES | {"des_build", "des"},
+        LB_PHASES | {"frame_plan", "des_build", "des", "observe"},
     ),
     "process": (
         ["profile", "--backend", "process", "--workers", "1",
          "--size", "128x96", "--frames", "3"],
         2,
-        LB_PHASES | EXEC_PHASES,
+        LB_PHASES | EXEC_PHASES | {"frame_plan"},
     ),
 }
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import validate_schedule
+from oracles import reference_run, validate_schedule
 from repro.hw.des import Op, Resource, Simulator
 
 
@@ -76,6 +76,20 @@ class TestValidation:
         a.deps.append(b)
         with pytest.raises(RuntimeError, match="cycle"):
             Simulator([r1, r2]).run()
+
+    def test_dep_issued_after_its_op_rejected(self):
+        """The deps of an op are issued before it. A dep added after
+        issue is refused even when the graph stays acyclic, which the
+        Kahn loop of ``reference_run`` accepts."""
+        r1, r2 = Resource("r1"), Resource("r2")
+        a = Op("a", r1, 1.0)
+        b = Op("b", r2, 2.0)
+        a.deps.append(b)  # b does not depend on a: no cycle
+        sim = Simulator([r1, r2])
+        reference_run(sim)
+        assert a.start == 2.0
+        with pytest.raises(RuntimeError, match="'a' depends on 'b', which is issued after it"):
+            sim.run()
 
     def test_foreign_dep_rejected(self):
         r1, r2 = Resource("r1"), Resource("r2")

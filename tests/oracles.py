@@ -7,9 +7,9 @@ them against, bit for bit. Index — oracle: what it does; what replaced it
 diffs the two:
 
 - :func:`reference_run` — Kahn's algorithm over per-op dicts with a
-  ``list.pop(0)`` ready queue; replaced by :meth:`Simulator.run`'s
-  index-based loop ("Performance: the scheduling hot path");
-  ``tests/hw/test_des_fast.py``.
+  ``list.pop(0)`` ready queue; replaced by :meth:`Simulator.run`'s one
+  forward pass in issue order ("Issue-order DES" under "Performance: the
+  scheduling hot path"); ``tests/hw/test_des_fast.py``.
 - :func:`make_cold` — a *cold* scheduler: every LP reaches HiGHS (no solve
   memo), every frame re-solves, every transfer K is re-derived, every
   activity subset is solved (:func:`solve_every_subset`: τtot floor ≡ 0)

@@ -1,7 +1,7 @@
 """Fast-path equivalence property: the scheduler is bit-identical to its oracle.
 
 The LP solve memo, the exact decision reuse, the version-keyed
-characterization tables and the index-based DES are pure performance
+characterization tables and the issue-order DES pass are pure performance
 work — with the rtol decision cache disabled (``lb_cache_rtol=0.0``)
 they must reproduce a cold scheduler's output *exactly*: same timeline
 records (same floats), same distributions, same taus, same fault log.

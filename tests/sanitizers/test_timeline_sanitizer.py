@@ -237,7 +237,7 @@ class TestConservation:
             for k, r in enumerate(fw.reports[:-1])
             if r.frame_index > 0
             for n in r.decision.sigma_r
-            if fw.reports[k + 1].transfer_plan.for_device(n)
+            if any(t.device == n for t in fw.reports[k + 1].transfer_plan.items)
         )
         prev = fw.reports[idx]
         rem = prev.decision.sigma_r[name]
