@@ -1,15 +1,18 @@
 """Model-mode digest pins: the simulated schedule, to the last digit.
 
-Each frame of four model-mode setups is reduced to one SHA-256 over
+Each frame of eight model-mode setups is reduced to one SHA-256 over
 what a refactor of the scheduling path must not move: the timeline's
 records (label, resource, category, start, end, with floats by
 ``repr``), τ1/τ2/τtot, the ME/INT/SME distributions, the frame's
-fault-log entry and its ``fault_time_lost_s``. Three setups draw
+fault-log entry and its ``fault_time_lost_s``. Four setups draw
 load jitter, so the order in which op durations are sampled is pinned
-too. The constants below were
-computed before the DES stopped carrying kernel thunks and must hold
-unedited on both sides of that change, and of any later one that claims
-to keep model mode's numbers.
+too. The first four setups' constants were computed before the DES
+stopped carrying kernel thunks, the last four's before the coding
+manager kept its op graph across frames: they are runs in which a
+repeated plan breaks mid-run (each fault kind without jitter, capacity
+shares moving under a kept decision, references ramping under repeated
+rows, a σʳ backlog moving under one decision object). All must hold
+unedited across any change that claims to keep model mode's numbers.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.noise import FaultEvent, FaultSchedule, GaussianJitter, NoiseModel
 from repro.hw.presets import get_platform
+from repro.service import EncodingService, ServiceConfig, StreamSpec
 
 CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=2)
 SLICED = CodecConfig(
@@ -60,12 +64,47 @@ def frame_digest(report, log_entry=None) -> str:
     return hashlib.sha256(repr(blob).encode()).hexdigest()
 
 
-def framework_digests(platform: str, cfg: CodecConfig, **fw_kwargs) -> list[str]:
-    fw = FevesFramework(get_platform(platform), cfg, FrameworkConfig(**fw_kwargs))
-    fw.run_model(FRAMES)
+def fw_digests(fw: FevesFramework) -> list[str]:
     return [
         frame_digest(r, e) for r, e in zip(fw.reports, fw.fault_log, strict=True)
     ]
+
+
+def framework_digests(platform: str, cfg: CodecConfig, **fw_kwargs) -> list[str]:
+    fw = FevesFramework(get_platform(platform), cfg, FrameworkConfig(**fw_kwargs))
+    fw.run_model(FRAMES)
+    return fw_digests(fw)
+
+
+def service_digests() -> list[str]:
+    """Three staggered 1080p streams on one SysHK service: the capacity
+    shares move between rounds, also under a decision the balancer keeps."""
+    svc = EncodingService(ServiceConfig(platform="SysHK", headroom=4.0))
+    svc.run([
+        StreamSpec("a", n_frames=6),
+        StreamSpec("b", n_frames=4, arrival_s=0.05),
+        StreamSpec("c", n_frames=2, arrival_s=0.12),
+    ])
+    return [d for s in svc.sessions for d in fw_digests(s.framework)]
+
+
+def fixed_decision_digests() -> list[str]:
+    """SysNF with R* on the CPU, every solve answered by one decision
+    object that defers SF rows (σʳ > 0): from frame 2 to frame 3 the
+    DAM's σʳ backlog is the only plan input that moves."""
+    slow_link = FaultSchedule([
+        FaultEvent(frame=3, device="GPU_F", kind="copy_fail", factor=6.0),
+    ])
+    probe = FevesFramework(
+        get_platform("SysNF"), CFG, FrameworkConfig(centric="cpu", faults=slow_link)
+    )
+    probe.run_model(5)
+    decision = probe.reports[-1].decision
+    assert decision.sigma_r["GPU_F"].rows > 0
+    fw = FevesFramework(get_platform("SysNF"), CFG, FrameworkConfig(centric="cpu"))
+    fw.balancer.solve = lambda **_: decision
+    fw.run_model(FRAMES)
+    return fw_digests(fw)
 
 
 def policy_digests() -> list[str]:
@@ -85,6 +124,12 @@ SETUPS = {
         "SysHK", SLICED, rstar_parallel=True, noise=jitter()
     ),
     "SysNF_equidistant_policy": policy_digests,
+    "SysNFF_faults_clean": lambda: framework_digests("SysNFF", CFG, faults=FAULTS),
+    "SysHK_service_staggered": service_digests,
+    # One device: the rows repeat from frame 1 while the active references
+    # ramp 1 -> 2 under them.
+    "CPU_N_ref_ramp": lambda: framework_digests("CPU_N", CFG, noise=jitter()),
+    "SysNF_fixed_decision": fixed_decision_digests,
 }
 
 PINNED = {
@@ -143,6 +188,62 @@ PINNED = {
         "b440b7def904f0c3ec9c891921c8ebf1ef02a1fcf98d41e22065c6e1909f636f",
         "6c6130894fd61e2ba85470d2a48492bcd30c377d1027cf5bbe63e6cbb69c6400",
         "e7e21e0521507a8f46d70f6af92c7c771f5bfa1f7d98e33414ac43b79d8927c8",
+    ],
+    "SysNFF_faults_clean": [
+        "a968a2ed930a557ab1baa76be6aced14c220087da25d7cf7a885b32a50f263b9",
+        "8a5ed4a37ba2c4d86a0a827d799a46ae56f22699053774e4d0040249e1809b31",
+        "445e1e6f91a54ba314778811b03c5ee3cc81ae82c262447920dc312aeeefeabe",
+        "1fabc7d20592a0c350245e6719c9d1b86d7fe8624b8ef4176aa765c3431c982b",
+        "655d16188efc10a1adf2c1f26b0cae7a9eee8f5248c2e235040c970f9fc94a30",
+        "fb72dd98ff76c1ff7de495f597f2e62e87948cfe77b23a712dfe428663867a84",
+        "a221aea3934a08d9ab0f60e970e28062ca572f8c5adfeea61a77c2f4d2c0278f",
+        "cf508d8e09f12f5c4fdb5815b97b512afff7a3ab30ea1c3585a3f4427c9045fe",
+        "aa99d6de96ae12348eb91ef7ac0df760b2ad4077f0b5ef4f29530622b8137b2c",
+        "280629d4f0c595ee7717bce0f853556518ae5829d6e9f6ef1738c9fa79dbffdc",
+        "c92b5f9c8b066e68c3e01d945ba1ed108c07b8f3e9a5a41889d2393e81fac155",
+        "599755426dc3e51bdb02184f7c40c3db8c63e47a6f7c59ffca5db42e0b5d2989",
+    ],
+    "SysHK_service_staggered": [
+        "e1f0568ec038fe2d412bd245271c162d53e00b82aec545616cd94fc2c41fecc2",
+        "42956cfd50757209facbdb1dc7d731adf40b7b40d1ca45adb63c70d2eb655d81",
+        "1a158b9f7a795e408b351655efd55eef94b2e18fd8a690ba1da0aa27bb07df5f",
+        "c7e0aafff6c4810bae9c8547fe92582aaa71ea07515dff317219d84b118a1ee4",
+        "a1d06042fb07bc942f9eab56ba03eda14664ad230d071b818804da0ab4434a68",
+        "1b89ea026e2720ed22bb92fc4d1d36d1a098e7bc2d7ddf55f51934419b6a4738",
+        "e1f0568ec038fe2d412bd245271c162d53e00b82aec545616cd94fc2c41fecc2",
+        "42956cfd50757209facbdb1dc7d731adf40b7b40d1ca45adb63c70d2eb655d81",
+        "c9540f6494f7a61c5c41aba60e89e9854d880d00dfdd7fec56494c390965a3f4",
+        "9b602d638d5ebf3234712f32df90f24a40a089777ae167b7c8d9f509df4709fd",
+        "e9cee74768640f1aa166561a0be96729b3e3bee32facd1b3b7949f1d4e496cf8",
+        "19592f911c2b7f1bd641365895955310580ee1d5816d14660fbb8937a939ecb7",
+    ],
+    "CPU_N_ref_ramp": [
+        "bd790288af15642a1f52e50e2659e36fd1313dbf4a589b86af8f0b21cb73e78e",
+        "deca74fcfa14d5cbc64678c14261b0ef89049570f6d9a8e996e72b18618e3db0",
+        "b816f736635eeb4268be72c2a3725d147da8d3625c40e11a6f4ba45d19f159af",
+        "e5d3aaaf7b44bfca5387627746318530ea10ccff0971d84bcac101f42c25a40c",
+        "aed19968ff7ec2d940b7a1d6f1afb1c2e807e26bc6a00937a7c33fe35fd3d73f",
+        "ed02bcd6bedc0736d39690eabc028d818a90751dfdf79482b54f74ba5a52644b",
+        "d7ecaf0a5c2dbd9cecd02c146580cf72c231997f9806856c144aaa959a152e8d",
+        "01438d6cad41908643352fd0ae812f9946f127e33106aa30424a2c965f0e7b82",
+        "d3e95014ed0e19764b2b878bae287a6cf053780ef165a743db3ccb5325c55c63",
+        "8d9cf882fccc5b9ccc1bc635eee288e59a0f59f5c4bdb6c7e1d3f8a13b2febf5",
+        "7c61831b971db7f532abff3c519b42b7b5d7b6e8e863d3443160a93f1d4954a4",
+        "50bd8742be17965c97d189b80452f99ddaedddf9b4a1fa0c4bf56f16f7117fa6",
+    ],
+    "SysNF_fixed_decision": [
+        "19f121ed525f56a7a3581040e15ddd4d1777c52474f409e928aa53c97f1a63ad",
+        "c593791cbbf4e77173335fa5863097dfa96782c1ab6094e9c38048c8ed07e346",
+        "301226175a85ed0f9304c5fcb3f2f9c83a9cc7b0e604555898b56f4114ebaf1d",
+        "968be2b5b344e4dabff2eadc151d64e81e273f8a3b8c3c8a3a268310469dd52f",
+        "aab460530b6c8d2905133b21afa363ebc0c5241610e055fb940ce5ce4da9408e",
+        "cd041605c7ec06a83f107cba80dd054d62d7122f2761dce7db888ebce7fbfc11",
+        "f4b646a38ef7069319cdb4ae7809675894d76a4f3177031290fa3102149a49ce",
+        "564d16f17c3ea76fb2b8ccf735bf6f7c859e0b6f58ed2bc6edffd93a814c554b",
+        "54f1da24866e08a86b8220891d35bd800f2b0981e73d288533a0cd137031787e",
+        "7593e20a59d2bf83c4a4c2866caf6815290316808858d6c4b7f35f02d8fb8afb",
+        "1b00c54e1d8024771c09e2aa5ff6763c0dbf299e2465e0c9a7186938b850df6c",
+        "c3a711846a48e384fe258241aaf96ad8c6e1b29efb46e15ab0265b9cc26570cd",
     ],
 }
 
