@@ -649,6 +649,12 @@ def _profile(args: argparse.Namespace) -> int:
             + f" — LB overhead {fw.scheduling_overhead_ms:.3f} ms/frame"
         ),
     ))
+    # A repeated plan re-times the last op graph: what a repeat frame
+    # spends is des_retime + des + observe, what a change adds des_build.
+    builds = sum(1 for e in events if e.event == "des_build")
+    if not process:
+        print(f"DES graph builds: {builds} over {n_frames} frames "
+              f"({builds / max(1, n_frames):.3f} per frame)")
     _print_accuracy(accuracy)
     if args.json:
         import json
@@ -666,6 +672,7 @@ def _profile(args: argparse.Namespace) -> int:
             "accuracy": accuracy,
             "total_ms": sum(r["total_ms"] for r in phases),
             "frames": n_frames,
+            "graph_builds": builds,
             "phases": phases,
         }, indent=1))
         print(f"wrote profile JSON to {args.json}")

@@ -1,4 +1,5 @@
-"""Unit mistakes in the performance model die on the dynamic checks.
+"""Unit mistakes in the performance model, and plan-reuse keys missing a
+field, die on the dynamic checks.
 
 The LP is only as right as the units of what it consumes: K in s/row,
 bandwidth in B/s, transfers in rows × bytes-per-row. The static REP101
@@ -6,6 +7,10 @@ unit lattice was retired on this evidence: each of its four seeded
 mutants, transplanted into the ``hw/``/``core/`` function where such a
 mistake would live, fails a check the suite already runs — and the same
 check passes on the unmutated function, so the kill is the mutant's.
+
+A repeated frame reuses the plans and the op graph built from its
+inputs; a key that misses one input reuses a stale one. Two such
+mutants die on the model-mode digests.
 """
 
 import pytest
@@ -13,6 +18,7 @@ import pytest
 import test_analysis
 import test_coding_manager
 import test_load_balancing
+import test_model_digest
 from repro.core.coding_manager import VideoCodingManager
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import DataAccessManager
@@ -49,7 +55,15 @@ def sigma_window_holds():
     test_load_balancing.TestSigmaWindow().test_positive_window_still_catches_up()
 
 
-#: REP101 mutant -> (class, method, original, mutant, check that kills it,
+def ref_ramp_digest_holds():
+    test_model_digest.test_model_mode_digest_is_pinned("CPU_N_ref_ramp")
+
+
+def fixed_decision_digest_holds():
+    test_model_digest.test_model_mode_digest_is_pinned("SysNF_fixed_decision")
+
+
+#: Mutant -> (class, method, original, mutant, check that kills it,
 #: what the check raises on the mutant, a pattern its message must match).
 SITES = {
     # Rows per second planned as a transfer's byte count.
@@ -63,8 +77,8 @@ SITES = {
     # efficiency falls far below the ideal-aggregate bound.
     "seconds_plus_rows": (
         VideoCodingManager, "_build_rstar",
-        "rstar_dev.spec.rates.rstar_frame_s(cfg) * scale(rstar_device)",
-        "(rstar_dev.spec.rates.rstar_frame_s(cfg) + cfg.mb_rows) * scale(rstar_device)",
+        "rstar_dev.spec.rates.rstar_frame_s(cfg), rstar_deps",
+        "rstar_dev.spec.rates.rstar_frame_s(cfg) + cfg.mb_rows, rstar_deps",
         ideal_bound_holds, AssertionError, None,
     ),
     # A rate (rows/s) stored where K (s/row) belongs: the noise-free
@@ -82,6 +96,22 @@ SITES = {
         "int((tau_tot - tau2) / k_sf)",
         "int(min(tau_tot - tau2, self.codec_cfg.mb_rows))",
         sigma_window_holds, AssertionError, None,
+    ),
+    # The graph key without the active references: on one device the
+    # rows repeat from frame 1, so frame 2 re-times a 1-reference ME op.
+    "graph_key_without_active_refs": (
+        VideoCodingManager, "run_frame",
+        "plan.rstar_device, plan.active_refs,",
+        "plan.rstar_device,",
+        ref_ramp_digest_holds, AssertionError, "inter frame 2 moved",
+    ),
+    # The plan key without the DAM's σʳ backlog: under one decision
+    # object frame 3 reuses frame 2's transfers, which fetched none.
+    "plan_key_without_sigma_r": (
+        FevesFramework, "_encode_inter",
+        "tuple(dam.sigma_r_rows.items()), ",
+        "",
+        fixed_decision_digest_holds, AssertionError, "inter frame 3 moved",
     ),
 }
 

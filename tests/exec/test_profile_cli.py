@@ -3,8 +3,9 @@
 Both backends: the ``--json`` schema, rows ordered by total time, the
 per-frame column normalised by inter frames (the ones the LB overhead
 averages over — the process backend's I frame is untimed), the LB
-phases inside the LB overhead, and ``--sanitize`` timing itself as one
-more row.
+phases inside the LB overhead, ``--sanitize`` timing itself as one
+more row, and the sim backend's DES graph builds apart from its
+per-frame retime.
 """
 
 import json
@@ -18,7 +19,8 @@ pytestmark = pytest.mark.timeout_guarded
 
 KEYS = [
     "platform", "backend", "width", "height", "sa", "refs", "workers",
-    "overhead_ms_per_frame", "accuracy", "total_ms", "frames", "phases",
+    "overhead_ms_per_frame", "accuracy", "total_ms", "frames", "graph_builds",
+    "phases",
 ]
 ROW_KEYS = ["phase", "calls", "total_ms", "ms_per_frame", "share"]
 LB_PHASES = {"bounds", "lp_build", "lp_solve", "distribution", "plan"}
@@ -31,7 +33,7 @@ BACKENDS = {
     "sim": (
         ["profile", "--platform", "SysHK", "--frames", "20"],
         20,
-        LB_PHASES | {"frame_plan", "des_build", "des", "observe"},
+        LB_PHASES | {"frame_plan", "des_build", "des_retime", "des", "observe"},
     ),
     "process": (
         ["profile", "--backend", "process", "--workers", "1",
@@ -84,3 +86,22 @@ def test_sanitize_adds_a_sanitizer_row(tmp_path, backend, capsys):
     doc = profile(tmp_path, [*argv, "--sanitize"])
     assert {r["phase"] for r in doc["phases"]} == phases | {"sanitizer"}
     assert "schedule sanitizer: clean" in capsys.readouterr().out
+
+
+def test_graph_builds_apart_from_retimes(tmp_path, backend, capsys):
+    argv, inter_frames, phases = backend
+    doc = profile(tmp_path, argv)
+    calls = {r["phase"]: r["calls"] for r in doc["phases"]}
+    out = capsys.readouterr().out
+    if "des" not in phases:
+        assert doc["graph_builds"] == 0
+        assert "DES graph builds" not in out
+        return
+    # Every frame is re-timed; a graph is built on frame 1, on frame 2
+    # (the probes end, the LP's rows begin) and whenever the plan moves.
+    assert calls["des_retime"] == calls["des"] == inter_frames
+    assert calls["des_build"] == doc["graph_builds"]
+    assert 2 <= doc["graph_builds"] < inter_frames
+    per_frame = doc["graph_builds"] / inter_frames
+    assert f"DES graph builds: {doc['graph_builds']} over {inter_frames} frames " \
+        f"({per_frame:.3f} per frame)" in out
