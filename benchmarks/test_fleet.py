@@ -24,7 +24,7 @@ import pytest
 from conftest import RESULTS_DIR
 from repro.cluster import Cluster, ClusterConfig, NodeSpec
 from repro.report import format_table
-from repro.sanitizers import TimelineSanitizer
+from repro.sanitizers import check_cluster, check_protocols
 from repro.service import build_workload
 from repro.util.journal import sanitize_from_env
 
@@ -65,8 +65,12 @@ def fleet_point(n_nodes: int, arrival_rate: float) -> dict:
     wall_s = time.perf_counter() - t0
     if sanitize_from_env():
         # The runtime only journals; under $REPRO_SANITIZE (CI's
-        # fleet-smoke job) this sweep is who raises on a dirty fleet.
-        TimelineSanitizer.check_cluster(cluster).raise_if_dirty()
+        # fleet-smoke job) this sweep is who raises on a dirty fleet:
+        # the segment audit (SAN-E) and the point's lifecycle journal
+        # (SAN-G).
+        report = check_cluster(cluster)
+        report.extend(check_protocols())
+        report.raise_if_dirty()
     hit_rates = [c["hit_rate"] for c in m.lp_cache.values()]
     return {
         "nodes": n_nodes,

@@ -18,9 +18,9 @@ Public API highlights
 - :mod:`repro.service` — multi-stream encoding service: session
   scheduling, admission control, and deadline-aware platform sharing on
   top of the single-stream framework (CLI: ``repro serve``).
-- :mod:`repro.sanitizers` — schedule sanitizer (dynamic race/invariant
-  checking of DES timelines and LP outputs) and repo-specific static
-  lint (CLI: ``repro lint``, ``--sanitize`` on run/serve).
+- :mod:`repro.sanitizers` — the runtime checks (``--sanitize`` on
+  run/serve/fleet/profile: the lifecycle-journal replay, plus the fleet's
+  segment audit) and repo-specific static lint (CLI: ``repro lint``).
 """
 
 from repro.codec.config import CodecConfig
@@ -28,7 +28,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.hw.noise import FaultEvent, FaultSchedule
 from repro.hw.presets import get_platform, list_platforms
-from repro.sanitizers import ScheduleViolationError, TimelineSanitizer
+from repro.sanitizers import ScheduleViolationError
 from repro.service import EncodingService, ServiceConfig, StreamSpec
 
 __version__ = "1.2.0"
@@ -43,7 +43,6 @@ __all__ = [
     "ScheduleViolationError",
     "ServiceConfig",
     "StreamSpec",
-    "TimelineSanitizer",
     "get_platform",
     "list_platforms",
     "__version__",

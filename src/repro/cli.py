@@ -175,20 +175,20 @@ def cmd_platforms(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _sanitize_exit(check) -> int:
+def _sanitize_exit(cluster=None) -> int:
     """The sanitizer epilogue of every command: 0 if off or clean.
 
     Runs under ``$REPRO_SANITIZE`` (which is all ``--sanitize`` sets, see
-    :func:`main`). ``check(TimelineSanitizer)`` returns the command's own
-    report; the SAN-G protocol replay is appended, the summary and the
+    :func:`main`): the SAN-G replay of the run's lifecycle journal, plus
+    the SAN-E1 audit of a fleet run's ``cluster``. The summary and the
     first 20 violations are printed, and a dirty report exits 1.
     """
     if not sanitize_from_env():
         return 0
-    from repro.sanitizers import TimelineSanitizer
+    from repro.sanitizers import SanitizerReport, check_cluster, check_protocols
 
-    report = check(TimelineSanitizer)
-    report.extend(TimelineSanitizer.check_protocols())
+    report = SanitizerReport() if cluster is None else check_cluster(cluster)
+    report.extend(check_protocols())
     print(report.summary())
     for v in report.violations[:20]:
         print(f"  {v}")
@@ -245,9 +245,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with fw:
         ok = drive(args, fw)
     _print_faults(args, fw)
-    return _sanitize_exit(lambda san: san.for_framework(fw).check_run(fw)) or (
-        0 if ok else 1
-    )
+    return _sanitize_exit() or (0 if ok else 1)
 
 
 def _run_model(args: argparse.Namespace, fw: FevesFramework) -> bool:
@@ -462,7 +460,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         n = service.export_trace(args.trace)
         print(f"wrote {n} trace events ({len(metrics.streams)} stream pids) "
               f"to {args.trace}")
-    return _sanitize_exit(lambda san: san.check_service(service))
+    return _sanitize_exit()
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -581,7 +579,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.trace:
         n = cluster.export_trace(args.trace)
         print(f"wrote {n} trace events (node-namespaced pids) to {args.trace}")
-    return _sanitize_exit(lambda san: san.check_cluster(cluster))
+    return _sanitize_exit(cluster)
 
 
 def _phase_rows(events: list, n_frames: int) -> list[dict]:
@@ -628,7 +626,7 @@ def _profile(args: argparse.Namespace) -> int:
     rc = 0
     if sanitize_from_env():
         with span(fw, "sanitizer"):
-            rc = _sanitize_exit(lambda san: san.for_framework(fw).check_run(fw))
+            rc = _sanitize_exit()
         events += JOURNAL.drain()
     # Per inter frame, the frames scheduling_overhead_ms averages over
     # (the process backend's I frame is encoded untimed).
@@ -720,13 +718,14 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.hw.trace_export import export_chrome_trace
+    from repro.hw.trace_export import StreamTrace, export_stream_traces
 
     fw = _framework_from_args(args)
     fw.run_model(args.frames)
-    n = export_chrome_trace(
-        [r.timeline for r in fw.reports], args.out, fault_log=fw.fault_log
+    run = StreamTrace.back_to_back(
+        [r.timeline for r in fw.reports], fw.platform.name, fault_log=fw.fault_log
     )
+    n = export_stream_traces([run], args.out)
     print(f"wrote {n} events for {args.frames} frames to {args.out}")
     print("open chrome://tracing (or https://ui.perfetto.dev) and load it")
     return 0
@@ -874,8 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault-log", metavar="PATH",
                      help="write the per-frame fault/decision log as JSON")
     run.add_argument("--sanitize", action="store_true",
-                     help="check every produced timeline against the "
-                          "schedule invariants (exit 1 on violations)")
+                     help="replay the run's lifecycle journal against the "
+                          "protocol specs (SAN-G; exit 1 on violations)")
     run.set_defaults(func=cmd_run)
 
     serve = sub.add_parser(
@@ -901,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a Chrome trace, one pid per stream")
     _add_fault_args(serve)
     serve.add_argument("--sanitize", action="store_true",
-                       help="check per-session timelines and service "
-                            "invariants (exit 1 on violations)")
+                       help="replay the service's lifecycle journal "
+                            "(SAN-G; exit 1 on violations)")
     serve.set_defaults(func=cmd_serve)
 
     fleet = sub.add_parser(
@@ -952,9 +951,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a Chrome trace, one pid per "
                             "node/stream segment")
     fleet.add_argument("--sanitize", action="store_true",
-                       help="check fleet invariants (SAN-E) plus every "
-                            "node's service invariants (exit 1 on "
-                            "violations)")
+                       help="audit the fleet's stream segments (SAN-E1) "
+                            "and replay the lifecycle journal (SAN-G); "
+                            "exit 1 on violations")
     fleet.set_defaults(func=cmd_fleet)
 
     prof = sub.add_parser(

@@ -75,10 +75,11 @@ class Segment:
     """One placement of a stream on one node.
 
     ``offset`` is the number of frames the stream had already encoded on
-    *earlier* nodes when this segment was routed, so frame ``k`` of the
-    segment's session is global frame ``offset + k`` of the stream —
-    the bookkeeping SAN-E3 uses to prove reroutes neither lose nor
-    duplicate frames.
+    *earlier* nodes when this segment was routed: frame ``k`` of the
+    segment's session is global frame ``offset + k`` of the stream, and a
+    rerouted stream's frames are numbered 1..n across its segments.
+    ``t_routed``/``t_evicted`` are audited by SAN-E1
+    (:func:`repro.sanitizers.check_cluster`): one owner at a time.
     """
 
     node_id: str

@@ -13,8 +13,8 @@ streams simply re-enter the global queue unchanged.
 Fault granularity is the scheduling-round boundary: the fleet loop
 applies a fault before stepping any node past its trigger time, so no
 frame is ever half-encoded on a dead node — frame conservation across
-the reroute (no loss, no duplication) is exactly what sanitizer class
-SAN-E3 checks.
+the reroute (no loss, no duplication) is what
+``tests/cluster/test_dispatcher.py::TestNodeFaults`` checks.
 
 Two kinds:
 

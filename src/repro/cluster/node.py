@@ -188,8 +188,8 @@ class Node:
         """Tear every session off this node (fault or drain at ``now``).
 
         Running sessions keep their frame records (encoded frames stay
-        counted on this node — conservation is checked by SAN-E3) and are
-        stamped ``EVICTED``; queued sessions never ran here, so they are
+        counted on this node; ``Segment.offset`` numbers them in the
+        stream) and are stamped ``EVICTED``; queued sessions never ran here, so they are
         removed from the node's session list entirely and only their
         specs travel back to the global queue. Returns
         ``(evicted_running, removed_queued)``.

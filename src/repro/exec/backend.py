@@ -290,16 +290,14 @@ class ProcessBackend:
         """Assemble the measured Gantt chart (times relative to frame start)."""
         names = [dev.name for dev in self.platform.devices]
         records: list[OpRecord] = []
-        lane: dict[str, int] = {}
         for row, t0, t1 in chunks:
+            # One lane per worker: ``<device>.w<slot>``, the slot the row ran on.
             name = names[row.device]
-            j = lane.get(name, 0)
-            lane[name] = j + 1
             start = max(0.0, t0 - t_frame0)
             end = max(start, t1 - t_frame0)
             row0, stop = row.band
             records.append(OpRecord(
-                f"{row.label(names)} rows {row0}+{stop - row0}", f"{name}.w{j}",
+                f"{row.label(names)} rows {row0}+{stop - row0}", f"{name}.w{row.slot}",
                 "compute", start, end,
             ))
         rstar = plan.rstar_device

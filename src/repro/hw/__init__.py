@@ -23,7 +23,7 @@ from repro.hw.interconnect import LinkSpec
 from repro.hw.presets import get_platform, list_platforms, multi_gpu_platform
 from repro.hw.rates import ModuleRates
 from repro.hw.topology import Platform
-from repro.hw.trace_export import export_chrome_trace
+from repro.hw.trace_export import StreamTrace, export_stream_traces
 
 __all__ = [
     "Device",
@@ -34,7 +34,8 @@ __all__ = [
     "Platform",
     "Resource",
     "Simulator",
-    "export_chrome_trace",
+    "StreamTrace",
+    "export_stream_traces",
     "get_platform",
     "list_platforms",
     "multi_gpu_platform",

@@ -9,17 +9,19 @@ ordinary duration events with category ``fault``, and the per-frame
 each frame's start, so the moment a GPU dies is visible in the same view
 as the schedule reacting to it.
 
-Multi-stream runs are namespaced by *process*: each encoding session
-exports under its own ``pid`` with a ``process_name`` metadata record, so
-N concurrent streams render as N labelled process groups instead of
-interleaving into one row (see :func:`export_stream_traces`, used by
-``EncodingService.export_trace``).
+One writer, :func:`export_stream_traces`, serves every trace: each
+stream exports under its own ``pid`` with a ``process_name`` metadata
+record, so N concurrent streams of a service or fleet render as N
+labelled process groups instead of interleaving into one row, and a
+single run (``repro trace``) is one stream whose frames follow each other
+(:meth:`StreamTrace.back_to_back`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from repro.hw.timeline import FaultLogEntry, FrameTimeline
@@ -156,34 +158,6 @@ def fault_log_to_events(
     return events
 
 
-def export_chrome_trace(
-    timelines: list[FrameTimeline],
-    path: str | Path,
-    fault_log: list[FaultLogEntry] | None = None,
-    pid: int = 1,
-) -> int:
-    """Write consecutive frame timelines as one chrome trace JSON file.
-
-    Frames are laid out back-to-back on a common clock with one stable
-    resource → tid mapping across all of them; an optional fault log
-    contributes instant events at the start of each eventful frame.
-    Returns the number of duration events written.
-    """
-    tids = resource_tids(timelines)
-    events: list[dict] = list(thread_metadata_events(tids, pid=pid))
-    offset = 0.0
-    frame_offsets: dict[int, float] = {}
-    for tl in timelines:
-        frame_offsets[tl.frame_index] = offset
-        events.extend(timeline_to_events(tl, time_offset_s=offset, pid=pid, tids=tids))
-        offset += max(tl.tau_tot, 0.0)
-    if fault_log:
-        events.extend(fault_log_to_events(fault_log, frame_offsets, pid=pid))
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    Path(path).write_text(json.dumps(payload))
-    return sum(1 for e in events if e["ph"] == "X")
-
-
 def export_fault_log(entries: list[FaultLogEntry], path: str | Path) -> int:
     """Write the structured per-frame fault/decision log as JSON.
 
@@ -214,6 +188,18 @@ class StreamTrace:
     def __post_init__(self) -> None:
         if self.sort_index < 0:
             self.sort_index = self.pid
+
+    @classmethod
+    def back_to_back(
+        cls,
+        timelines: list[FrameTimeline],
+        name: str,
+        fault_log: list[FaultLogEntry] | None = None,
+    ) -> StreamTrace:
+        """One run's consecutive frames as pid 1: frame k starts where the
+        frames before it end, at the sum of their τtot."""
+        starts = accumulate((max(tl.tau_tot, 0.0) for tl in timelines), initial=0.0)
+        return cls(1, name, list(zip(timelines, starts, strict=False)), fault_log)
 
 
 def export_stream_traces(streams: list[StreamTrace], path: str | Path) -> int:

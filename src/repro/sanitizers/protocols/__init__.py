@@ -2,7 +2,7 @@
 
 The declarative specs in :mod:`spec` (one state machine or obligation set
 per tracked class) compile once, into the SAN-G runtime monitor
-(:mod:`monitor`, :meth:`TimelineSanitizer.check_protocols`): instrumented
+(:mod:`monitor`, :func:`~monitor.check_protocols`): instrumented
 classes journal lifecycle events under ``REPRO_SANITIZE`` and the monitor
 replays them against the specs (SAN-G1 illegal transition / clock
 regression, SAN-G2 unmet obligation / missing shutdown).

@@ -28,7 +28,7 @@ held to ``require_terminal``.
 
 from __future__ import annotations
 
-from repro.util.journal import OBJECT_CLOCK, Event
+from repro.util.journal import JOURNAL, OBJECT_CLOCK, Event
 from repro.sanitizers.protocols.spec import (
     CLASS_SPECS,
     ON_CHANGE,
@@ -174,4 +174,9 @@ def check_events(events: list[Event]) -> SanitizerReport:
     return report
 
 
-__all__ = ["CREATE", "check_events"]
+def check_protocols(events: list[Event] | None = None) -> SanitizerReport:
+    """SAN-G on ``events``, or on the global journal, which it drains."""
+    return check_events(JOURNAL.drain() if events is None else events)
+
+
+__all__ = ["CREATE", "check_events", "check_protocols"]

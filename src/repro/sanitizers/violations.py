@@ -1,6 +1,6 @@
-"""Structured violation records shared by both sanitizer layers.
+"""Structured violation records shared by the dynamic and static layers.
 
-Every check — dynamic (timeline/schedule) or static (AST lint) — reports
+Every check — dynamic (SAN-E1, SAN-G) or static (``repro lint``) — reports
 :class:`Violation` objects instead of raising ad hoc, so callers can
 collect, group, filter by rule, render for humans, or serialize to JSON.
 Strict mode turns a non-empty report into a single
@@ -11,23 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Dynamic (schedule) rule identifiers, by violation class of the design
-#: doc: A = engine races, B = dependency/τ races, C = conservation,
-#: D = service invariants, E = cluster invariants, G = lifecycle protocols.
+#: Dynamic rule identifiers: E1 = one owner per stream
+#: (:mod:`repro.sanitizers.cluster`), G = lifecycle protocols
+#: (:mod:`repro.sanitizers.protocols.monitor`).
 SCHED_RULES: dict[str, str] = {
-    "SAN-A1": "two ops overlap on one serially-executing engine",
-    "SAN-A2": "concurrent copies exceed the device's copy-engine count",
-    "SAN-B1": "τ synchronization points out of order (need τ1 ≤ τ2 ≤ τtot)",
-    "SAN-B2": "op executes outside its synchronization window",
-    "SAN-C1": "distribution vector does not exactly cover the MB rows",
-    "SAN-C2": "Δm/Δl deltas disagree with MS_BOUNDS/LS_BOUNDS",
-    "SAN-C3": "transfer bytes disagree with rows × bytes-per-row",
-    "SAN-C4": "σ/σʳ deferrals do not conserve the missing SF rows",
-    "SAN-D1": "per-round capacity shares sum above the whole platform",
-    "SAN-D2": "work scheduled on a device that is down/evicted",
     "SAN-E1": "stream owned by more than one node at a time",
-    "SAN-E2": "segment placed on a node outside its live window",
-    "SAN-E3": "frames lost or duplicated across a cluster reroute",
     "SAN-G1": "lifecycle event illegal in the object's protocol state "
               "(or its clock ran backwards)",
     "SAN-G2": "protocol obligation unmet (missing disposition, "
@@ -39,28 +27,23 @@ SCHED_RULES: dict[str, str] = {
 class Violation:
     """One invariant violation found by a sanitizer.
 
-    ``frame`` is the 1-based inter-frame index (0 when not applicable,
-    e.g. service-level checks keyed by round instead), ``where`` names the
-    resource/device/stream the violation is anchored to.
+    ``where`` names the stream or object the violation is anchored to.
     """
 
     rule: str
     message: str
-    frame: int = 0
     where: str = ""
 
     def __str__(self) -> str:
-        loc = f" frame={self.frame}" if self.frame else ""
         at = f" at {self.where}" if self.where else ""
-        return f"{self.rule}{loc}{at}: {self.message}"
+        return f"{self.rule}{at}: {self.message}"
 
 
 class ScheduleViolationError(AssertionError):
-    """Raised in strict mode when a timeline fails sanitization.
+    """Raised by :meth:`SanitizerReport.raise_if_dirty` on a dirty report.
 
     Subclasses ``AssertionError`` so pytest renders it as a test failure
-    rather than an error, and existing ``validate_schedule`` callers can
-    catch both uniformly.
+    rather than an error.
     """
 
     def __init__(self, violations: list[Violation]) -> None:
@@ -78,10 +61,8 @@ class SanitizerReport:
 
     violations: list[Violation] = field(default_factory=list)
 
-    def add(self, rule: str, message: str, frame: int = 0, where: str = "") -> None:
-        self.violations.append(
-            Violation(rule=rule, message=message, frame=frame, where=where)
-        )
+    def add(self, rule: str, message: str, where: str = "") -> None:
+        self.violations.append(Violation(rule=rule, message=message, where=where))
 
     def extend(self, other: "SanitizerReport | list[Violation]") -> None:
         vs = other.violations if isinstance(other, SanitizerReport) else other
@@ -116,7 +97,6 @@ class SanitizerReport:
             "violations": [
                 {
                     "rule": v.rule,
-                    "frame": v.frame,
                     "where": v.where,
                     "message": v.message,
                 }

@@ -12,7 +12,7 @@
   test each, with no allocation.
 - :class:`Event` is the one record type. A *lifecycle event*
   (:func:`record`) is an instant on the object's own clock, replayed by
-  ``TimelineSanitizer.check_protocols`` against the protocol specs
+  ``repro.sanitizers.check_protocols`` against the protocol specs
   (SAN-G). A *span* (``with span(self, "lp_solve"):``) is an interval of
   host ``time.perf_counter`` time spent in one named phase, tabulated by
   ``repro profile``. The runtime journals, the analysis package checks:
@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 
-#: The one switch for every runtime sanitizer layer (SAN-A…G).
+#: The one switch for the runtime checks (SAN-E1, SAN-G).
 SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: :attr:`Event.domain` of a lifecycle instant and of a span.

@@ -118,6 +118,7 @@ class TestNodeFaults:
     def test_drain_is_graceful(self):
         cluster, m = self.fleet_with_fault("drain")
         assert cluster.node("n0").state == DRAINED
+        assert cluster.node("n0") not in cluster.live_nodes()
         assert m.frames_encoded == 8 * 6
         assert m.streams == {"done": 8}
 

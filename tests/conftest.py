@@ -15,20 +15,15 @@ from repro.video.generator import SyntheticSequence
 
 @pytest.fixture(autouse=True)
 def _schedule_sanitizer(monkeypatch):
-    """Sanitize every timeline the suite produces (opt-in via env var).
+    """The runtime checks, on every test (opt-in via env var).
 
     With ``REPRO_SANITIZE=1`` (or ``strict``; see
-    :func:`sanitize_from_env` for the spellings) in the environment, every
-    :meth:`VideoCodingManager.run_frame` call anywhere in the suite gets
-    its report checked against the schedule invariants (engine races, τ
-    windows, conservation, faulted-device idleness) and fails the test on
-    the first violation. Process-backend frames are measured, not
-    scheduled, so they have no such pass (their shared-memory discipline
-    is REP203/REP204's and the partition test's). Every
-    :meth:`Cluster.run` gets the fleet pass (SAN-E, plus A–D per node) —
-    the runtime only journals, so raising on a dirty fleet is this
-    fixture's job. Unset, this fixture is a no-op, so the plain tier-1
-    run is unaffected.
+    :func:`sanitize_from_env` for the spellings) in the environment,
+    every :meth:`Cluster.run` gets its segment audit (SAN-E) and each
+    test's lifecycle journal is replayed at teardown (SAN-G); the first
+    violation fails the test. The runtime only journals, so raising is
+    this fixture's job. Unset, this fixture is a no-op, so the plain
+    tier-1 run is unaffected.
     """
     from repro.util.journal import JOURNAL, sanitize_from_env
 
@@ -37,26 +32,16 @@ def _schedule_sanitizer(monkeypatch):
         return
 
     from repro.cluster import Cluster
-    from repro.core.coding_manager import VideoCodingManager
-    from repro.sanitizers import TimelineSanitizer
-
-    original = VideoCodingManager.run_frame
-
-    def sanitized(self, *args, **kwargs):
-        report = original(self, *args, **kwargs)
-        san = TimelineSanitizer.for_config(self.platform, self.codec_cfg)
-        san.check_report(report).raise_if_dirty()
-        return report
-
-    monkeypatch.setattr(VideoCodingManager, "run_frame", sanitized)
+    from repro.sanitizers import check_cluster, check_protocols
 
     cluster_original = Cluster.run
 
     def cluster_sanitized(self, workload):
         metrics = cluster_original(self, workload)
-        TimelineSanitizer.check_cluster(self).raise_if_dirty()
+        check_cluster(self).raise_if_dirty()
         return metrics
 
+    cluster_sanitized.__wrapped__ = cluster_original  # the unaudited run
     monkeypatch.setattr(Cluster, "run", cluster_sanitized)
 
     # SAN-G: the env var switches the lifecycle journal on; replay each
@@ -64,7 +49,7 @@ def _schedule_sanitizer(monkeypatch):
     # keeps one test's objects from leaking obligations into the next.
     JOURNAL.reset()
     yield
-    TimelineSanitizer.check_protocols(JOURNAL.drain()).raise_if_dirty()
+    check_protocols().raise_if_dirty()
 
 
 @pytest.fixture

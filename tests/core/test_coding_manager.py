@@ -44,6 +44,8 @@ class TestSchedule:
     def test_taus_ordered_and_positive(self):
         _, report, _, _ = run_one_frame()
         assert 0 < report.tau1 <= report.tau2 <= report.tau_tot
+        tl = report.timeline
+        assert (tl.tau1, tl.tau2, tl.tau_tot) == (report.tau1, report.tau2, report.tau_tot)
 
     def test_no_resource_overlap(self):
         _, report, _, _ = run_one_frame("SysNFF")

@@ -42,7 +42,7 @@ from repro.core.framework import FevesFramework
 from repro.hw.noise import FaultEvent, FaultSchedule
 from repro.hw.presets import CPU_N, GPU_F
 from repro.hw.topology import Platform
-from repro.hw.trace_export import export_chrome_trace
+from repro.hw.trace_export import StreamTrace, export_stream_traces
 
 # Shuffle the insertion order of the name->spec table the platform is
 # assembled from; the canonical device order itself is part of the
@@ -93,7 +93,9 @@ blob = {
 }
 with tempfile.TemporaryDirectory() as td:
     trace = Path(td) / "trace.json"
-    export_chrome_trace([rep.timeline for rep in fw.reports], trace)
+    export_stream_traces(
+        [StreamTrace.back_to_back([rep.timeline for rep in fw.reports], "run")], trace
+    )
     trace_bytes = trace.read_bytes()
 
 digest = hashlib.sha256(
@@ -389,7 +391,7 @@ import dataclasses, hashlib, json
 from repro.cluster import (
     Cluster, ClusterConfig, NodeFaultEvent, NodeFaultSchedule, NodeSpec,
 )
-from repro.sanitizers import TimelineSanitizer
+from repro.sanitizers import check_protocols
 from repro.service import build_workload
 from repro.util.journal import JOURNAL, OBJECT_CLOCK
 
@@ -404,7 +406,7 @@ cluster = Cluster(ClusterConfig(
 ))
 cluster.run(wl)
 events = JOURNAL.snapshot()
-report = TimelineSanitizer.check_protocols(JOURNAL.drain())
+report = check_protocols(JOURNAL.drain())
 assert report.clean, report.summary()
 # The lifecycle view: spans carry host wall times.
 lifecycle = [e for e in events if e.domain == OBJECT_CLOCK]

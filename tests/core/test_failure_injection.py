@@ -12,7 +12,7 @@ from repro.core.framework import FevesFramework
 from repro.hw.device import DeviceSpec
 from repro.hw.interconnect import LinkSpec
 from repro.hw.noise import NoiseModel, PerturbationEvent, PerturbationSchedule
-from repro.hw.presets import CPU_N, GPU_K, get_platform
+from repro.hw.presets import CPU_N, GPU_K, get_platform, multi_gpu_platform
 from repro.hw.rates import ModuleRates
 from repro.hw.topology import Platform
 
@@ -101,6 +101,19 @@ class TestLpFallbacks:
         """If the solver dies, the speed-proportional heuristic takes over."""
         monkeypatch.setattr(lb.LPSolveCache, "_cold_solve", lambda self, *lp: None)
         self.assert_heuristic_took_over(*self.run_syshk())
+
+    def test_heuristic_rows_cover_the_frame_on_four_devices(self):
+        """Speed-proportional shares rounded one by one need not sum to the
+        frame (three GPUs and a CPU: 20 + 20 + 20 + 9 = 69 of 68 rows);
+        the heuristic's largest-remainder split does."""
+        fw = FevesFramework(multi_gpu_platform(3), CFG, FrameworkConfig())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lb.LPSolveCache, "_cold_solve", lambda self, *lp: None)
+            fw.run_model(6)
+        decision = fw.reports[-1].decision
+        assert not decision.used_lp
+        for dist in (decision.m, decision.l, decision.s):
+            assert sum(dist.rows) == 68
 
     @pytest.mark.parametrize("breakage", ["infeasible", "unbounded"])
     def test_an_lp_without_optimum_falls_back_and_is_cached(self, monkeypatch, breakage):

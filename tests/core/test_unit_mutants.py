@@ -5,8 +5,9 @@ The LP is only as right as the units of what it consumes: K in s/row,
 bandwidth in B/s, transfers in rows × bytes-per-row. The static REP101
 unit lattice was retired on this evidence: each of its four seeded
 mutants, transplanted into the ``hw/``/``core/`` function where such a
-mistake would live, fails a check the suite already runs — and the same
-check passes on the unmutated function, so the kill is the mutant's.
+mistake would live, fails a plain check the suite already runs — and the
+same check passes on the unmutated function, so the kill is the
+mutant's.
 
 A repeated frame reuses the plans and the op graph built from its
 inputs; a key that misses one input reuses a stale one. Two such
@@ -26,7 +27,6 @@ from repro.core.framework import FevesFramework
 from repro.core.load_balancing import LoadBalancer
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.presets import get_platform
-from repro.sanitizers import ScheduleViolationError, TimelineSanitizer
 
 
 def run_model(platform: str, frames: int) -> FevesFramework:
@@ -35,12 +35,8 @@ def run_model(platform: str, frames: int) -> FevesFramework:
     return fw
 
 
-def san_c3_holds():
-    """SAN-C3 (bytes = rows × bytes-per-row) over a sanitized run; under
-    REPRO_SANITIZE the run itself raises on the first bad frame."""
-    fw = run_model("SysNFF", 3)
-    san = TimelineSanitizer.for_framework(fw)
-    san.check_report(fw.reports[-1]).raise_if_dirty()
+def clean_digest_holds():
+    test_model_digest.test_model_mode_digest_is_pinned("SysNFF_clean")
 
 
 def ideal_bound_holds():
@@ -66,12 +62,13 @@ def fixed_decision_digest_holds():
 #: Mutant -> (class, method, original, mutant, check that kills it,
 #: what the check raises on the mutant, a pattern its message must match).
 SITES = {
-    # Rows per second planned as a transfer's byte count.
+    # Rows per second planned as a transfer's byte count: every transfer
+    # of the pinned SysNFF run takes another time.
     "rows_per_second_into_bytes": (
         DataAccessManager, "plan",
         "nbytes=rows * row_bytes[buf]",
         "nbytes=round(rows / max(decision.tau_tot_pred, 1e-3))",
-        san_c3_holds, ScheduleViolationError, "SAN-C3",
+        clean_digest_holds, AssertionError, "inter frame 1 moved",
     ),
     # Rows added to the R* op's simulated seconds: the measured
     # efficiency falls far below the ideal-aggregate bound.

@@ -170,6 +170,27 @@ class TestMeasurement:
             elif r.label.startswith("SME["):
                 assert r.end <= rep.tau2 + 1e-9
 
+    def test_a_lane_is_one_worker(self, frames):
+        """A chunk's lane is ``<device>.w<slot>``, the worker that ran it:
+        at 2 workers on SysHK's 2 devices, device k's INT, ME and SME
+        chunks all sit on ``.w<k>`` (not one lane per chunk), and one
+        worker's chunks never overlap."""
+        out, fw, _acc = encode_process(frames, 2)
+        names = [d.name for d in fw.platform.devices]
+        own = {f"{name}.w{k}" for k, name in enumerate(names)}
+        inter = [o.report for o in out if o.report is not None and o.report.frame_index]
+        assert len(inter) == N_FRAMES - 1
+        for rep in inter:
+            lanes: dict[str, list] = {}
+            for r in rep.timeline.records:
+                if not r.label.startswith(("R*", "tau")):
+                    lanes.setdefault(r.resource, []).append(r)
+            assert lanes and set(lanes) <= own, sorted(lanes)
+            for recs in lanes.values():
+                recs.sort(key=lambda r: r.start)
+                for a, b in zip(recs, recs[1:]):
+                    assert a.end <= b.start, (a, b)
+
     def test_calibration_feeds_characterization(self, frames):
         _out, fw, _acc = encode_process(frames, 2)
         perf = fw.perf

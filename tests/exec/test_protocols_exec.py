@@ -16,7 +16,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.exec.shm import SharedFrameStore
 from repro.hw.presets import get_platform
-from repro.sanitizers import TimelineSanitizer
+from repro.sanitizers import check_protocols
 from repro.sanitizers.protocols.monitor import check_events
 from repro.video.generator import SyntheticSequence
 
@@ -91,8 +91,8 @@ class TestProcessBackendClean:
     def test_check_protocols_drains_global_journal(self, journal):
         store = SharedFrameStore(CFG)
         store.close()
-        # The TimelineSanitizer entry point reads (and drains) the
-        # module-level journal when no events are passed.
-        report = TimelineSanitizer.check_protocols()
+        # Without events, the SAN-G entry point reads (and drains) the
+        # module-level journal.
+        report = check_protocols()
         assert report.clean, report.summary()
         assert len(journal) == 0

@@ -10,13 +10,18 @@ from repro.core.framework import FevesFramework
 from repro.hw.presets import get_platform
 from repro.hw.trace_export import (
     StreamTrace,
-    export_chrome_trace,
     export_stream_traces,
     resource_tids,
     timeline_to_events,
 )
 
 CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
+
+
+def export_run(timelines, path, fault_log=None) -> int:
+    """A single run's trace, as ``repro trace`` writes it."""
+    run = StreamTrace.back_to_back(timelines, "run", fault_log=fault_log)
+    return export_stream_traces([run], path)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +49,7 @@ class TestTraceExport:
 
     def test_file_export_valid_json(self, timelines, tmp_path):
         path = tmp_path / "trace.json"
-        n = export_chrome_trace(timelines, path)
+        n = export_run(timelines, path)
         assert n > 0
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
@@ -53,7 +58,7 @@ class TestTraceExport:
 
     def test_frames_laid_out_sequentially(self, timelines, tmp_path):
         path = tmp_path / "trace.json"
-        export_chrome_trace(timelines, path)
+        export_run(timelines, path)
         payload = json.loads(path.read_text())
         by_frame: dict[int, list[float]] = {}
         for e in payload["traceEvents"]:
@@ -62,6 +67,10 @@ class TestTraceExport:
         frames = sorted(by_frame)
         for a, b in zip(frames, frames[1:], strict=False):
             assert min(by_frame[b]) >= max(by_frame[a]) - 1e-6
+        starts = [start for _tl, start in StreamTrace.back_to_back(timelines, "r").frames]
+        assert starts[0] == 0.0
+        for k in range(1, len(timelines)):
+            assert starts[k] == pytest.approx(starts[k - 1] + timelines[k - 1].tau_tot)
 
     def test_zero_duration_barriers_skipped(self, timelines, tmp_path):
         events = timeline_to_events(timelines[0])
@@ -199,7 +208,7 @@ class TestFaultExport:
 
     def test_chrome_trace_includes_fault_instants(self, faulted_fw, tmp_path):
         path = tmp_path / "trace.json"
-        export_chrome_trace(
+        export_run(
             [r.timeline for r in faulted_fw.reports],
             path,
             fault_log=faulted_fw.fault_log,

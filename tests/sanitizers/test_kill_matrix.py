@@ -1,4 +1,4 @@
-"""The static half of the mutation kill-matrix (ROADMAP item 4).
+"""The static half of the mutation kill-matrix (ROADMAP item 8).
 
 Every seeded mutant hoisted into ``MUTANTS`` by the four rule test
 modules is analysed under every rule of the table, forced regardless of

@@ -125,6 +125,9 @@ class TestFaults:
         for sess in svc.sessions:
             log = [e for e in sess.framework.fault_log if e.eventful]
             assert log and log[0].evicted == ("GPU_K",)
+            # ... in the service round the schedule names, not a round late
+            rounds = {rec.index: rec.round for rec in sess.records}
+            assert rounds[log[0].frame_index] == 2
             # post-fault decisions exclude the dead device
             idx = [d.name for d in sess.framework.platform.devices].index(
                 "GPU_K"

@@ -10,7 +10,7 @@ capabilities are what those demonstrate); a test does not — a name only
 tests reach is code nobody runs, and a slow twin a test wants as its
 reference belongs in ``tests/oracles.py``.
 
-``sanitizers/`` is out of scope on both sides: ROADMAP item 4 judges
+``sanitizers/`` is out of scope on both sides: ROADMAP item 8 judges
 the analysis stack by its kill matrix, not by its callers, and it checks
 the runtime rather than calling it, so a name it mentions (a protocol
 observer, a rule's pattern) keeps nothing alive. ``util/journal.py`` is
