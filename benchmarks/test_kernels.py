@@ -12,9 +12,10 @@ import pytest
 
 from repro.codec.config import CodecConfig
 from repro.codec.deblock import BlockInfo, deblock_plane
+from repro.codec.fastme import diamond_search_rows
 from repro.codec.interpolation import interpolate_plane
 from repro.codec.mc import build_prediction, decide_modes
-from repro.codec.me import motion_estimate_rows
+from repro.codec.me import dy_batch, motion_estimate_rows
 from repro.codec.partitions import get_mode, total_subpartitions
 from repro.codec.residual import code_luma_plane
 from repro.codec.sme import subpel_refine_rows
@@ -30,26 +31,52 @@ def frames():
     return seq.frame(0), seq.frame(1)
 
 
+def _clip(n_refs: int):
+    """``n_refs`` references, newest first, and the frame after them."""
+    seq = SyntheticSequence(width=W, height=H, seed=5, noise_sigma=1.5)
+    return [seq.frame(n_refs - 1 - k) for k in range(n_refs)], seq.frame(n_refs)
+
+
 def _mpps(benchmark, pixels: int) -> None:
     """Attach a megapixels/s metric to the benchmark stats."""
     benchmark.extra_info["mpixel_per_s"] = pixels / 1e6 / benchmark.stats["mean"]
 
 
-@pytest.mark.parametrize("search_range", [4, 8, 16])
-def test_kernel_me_fsbm(benchmark, frames, search_range):
-    ref, cur = frames
-    cfg = CodecConfig(width=W, height=H, search_range=search_range)
-    result = benchmark(
-        motion_estimate_rows, cur.y, [ref.y], 0, cfg.mb_rows, cfg
+@pytest.mark.parametrize(
+    "search_range,n_refs", [(4, 1), (8, 1), (16, 1), (4, 2)]
+)
+def test_kernel_me_fsbm(benchmark, search_range, n_refs):
+    """``(16, 1)`` and ``(4, 2)`` are the benchmark suite's two encode
+    configs (enc_sa32, enc_sa8_rf2)."""
+    cfg = CodecConfig(
+        width=W, height=H, search_range=search_range, num_ref_frames=n_refs
     )
+    refs, cur = _clip(n_refs)
+    result = benchmark(motion_estimate_rows, cur.y, [r.y for r in refs], 0, cfg.mb_rows, cfg)
     assert result.nrows == cfg.mb_rows
     _mpps(benchmark, W * H)
+    benchmark.extra_info["dy_batch"] = dy_batch(search_range, W)
     # The benchmark suite's codec.me.gsad_per_s formula (computed, not
     # counted): pixels x (2*sr)^2 candidates x references, per second.
-    n_refs = 1
     benchmark.extra_info["gsad_per_s"] = (
         W * H * (2 * search_range) ** 2 * n_refs / benchmark.stats["mean"] / 1e9
     )
+
+
+@pytest.mark.parametrize("search_range,n_refs", [(8, 1), (4, 2)])
+def test_kernel_fastme(benchmark, search_range, n_refs):
+    """Diamond search, the content-adaptive ablation FSBM is compared with
+    (benchmarks/test_fsbm_vs_fastme.py), on the same frames."""
+    cfg = CodecConfig(
+        width=W, height=H, search_range=search_range, num_ref_frames=n_refs
+    )
+    refs, cur = _clip(n_refs)
+    result, stats = benchmark(
+        diamond_search_rows, cur.y, [r.y for r in refs], 0, cfg.mb_rows, cfg
+    )
+    assert result.nrows == cfg.mb_rows
+    _mpps(benchmark, W * H)
+    benchmark.extra_info["kcand_per_s"] = stats.total / 1e3 / benchmark.stats["mean"]
 
 
 def test_kernel_interpolation(benchmark, frames):

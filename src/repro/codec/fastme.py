@@ -25,7 +25,7 @@ import numpy as np
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.me import MotionField, padded_references
 from repro.codec.partitions import PartitionSadTree, all_modes
-from repro.codec.sad import StripCellSads
+from repro.codec.sad import StripCellSads, box_sums
 
 #: Large diamond: centre + 8 points at L1 distance 2.
 LDSP = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -70,6 +70,9 @@ def diamond_search_rows(
     MVs are bounded by ``cfg.search_range`` like FSBM's.
     """
     padded = padded_references(cur_y, refs_y, row0, nrows, cfg)
+    # The padded rows the band reads and their 4×4 box sums, as FSBM builds them.
+    band = slice(row0 * MB_SIZE, (row0 + nrows) * MB_SIZE + 2 * cfg.search_range)
+    strips = [(ref_pad[band], box_sums(ref_pad[band])) for ref_pad in padded]
     mb_cols = cur_y.shape[1] // MB_SIZE
     sr = cfg.search_range
     modes = all_modes(cfg.enabled_partitions)
@@ -92,9 +95,9 @@ def diamond_search_rows(
         cur_strip = cur_y[r * MB_SIZE : (r + 1) * MB_SIZE, :]
         for c in range(mb_cols):
             kernel.set_current(cur_strip[:, c * MB_SIZE : (c + 1) * MB_SIZE])
-            for ref_idx, ref_pad in enumerate(padded):
+            for ref_idx, (ref_band, box) in enumerate(strips):
                 visited: dict[tuple[int, int], np.ndarray] = {}
-                n_evals = _search_mb(kernel, ref_pad, r, c, sr, visited)
+                n_evals = _search_mb(kernel, ref_band, box, out_r, c, sr, visited)
                 stats.candidates_per_row[out_r] += n_evals
                 _commit_best(out, out_r, c, ref_idx, visited, modes)
     return out, stats
@@ -102,24 +105,32 @@ def diamond_search_rows(
 
 def _cells_at(
     kernel: StripCellSads,
-    ref_pad: np.ndarray,
-    mb_row: int,
+    ref_band: np.ndarray,
+    box: np.ndarray,
+    band_row: int,
     mb_col: int,
     sr: int,
     dy: int,
     dx: int,
 ) -> np.ndarray:
-    """4×4 cell SADs of the kernel's MB at one displacement (padded reference)."""
-    y0 = mb_row * MB_SIZE + sr + dy
+    """4×4 cell SADs of the kernel's MB at one displacement.
+
+    ``ref_band`` is the padded reference's rows the band reads and ``box``
+    their :func:`repro.codec.sad.box_sums`: the candidate's cell sums B are
+    read from it, not folded from its pels.
+    """
+    y0 = band_row * MB_SIZE + sr + dy
     x0 = mb_col * MB_SIZE + sr + dx
-    ref_mb = ref_pad[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
-    return kernel.cell_sads(ref_mb[None])[:, :, 0, 0]
+    ref_mb = ref_band[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
+    ref_sums = box[y0 : y0 + MB_SIZE : 4, x0 : x0 + MB_SIZE : 4]
+    return kernel.cell_sads(ref_mb[None], ref_sums[:, :, None, None])[:, :, 0, 0]
 
 
 def _search_mb(
     kernel: StripCellSads,
-    ref_pad: np.ndarray,
-    mb_row: int,
+    ref_band: np.ndarray,
+    box: np.ndarray,
+    band_row: int,
     mb_col: int,
     sr: int,
     visited: dict[tuple[int, int], np.ndarray],
@@ -129,7 +140,7 @@ def _search_mb(
     def evaluate(dy: int, dx: int) -> int:
         key = (dy, dx)
         if key not in visited:
-            visited[key] = _cells_at(kernel, ref_pad, mb_row, mb_col, sr, dy, dx)
+            visited[key] = _cells_at(kernel, ref_band, box, band_row, mb_col, sr, dy, dx)
         return int(visited[key].sum())
 
     cy, cx = 0, 0

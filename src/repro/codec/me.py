@@ -9,26 +9,33 @@ constant "time per MB row" (the K^m parameters of Algorithm 2).
 
 The kernel is organized exactly like the optimized implementations in the
 paper's module library: one MB row at a time (the framework's distribution
-unit), vectorized across the horizontal displacements and all MBs of the
-row, with every intermediate at the width the data needs and every pel of a
-displaced reference strip read once:
+unit), vectorized across a batch of whole ``dy`` rows of the search window,
+every ``dx`` and all MBs of the row, with every intermediate at the width the
+data needs and every pel of a displaced reference strip read once. A pass
+takes ``nb`` ``dy`` rows, ``nb · (2·sr + 1)`` displacements
+(:func:`dy_batch`: the most whose ``uint8`` windows fit
+:data:`WINDOW_BUDGET`); every pass does the same work whatever the content:
 
 1. 4×4 cell SADs as ``Σ cur + Σ ref − 2·Σ min(cur, ref)`` in ``uint16``
    (:class:`repro.codec.sad.StripCellSads`): ``Σ cur`` is folded once per MB
-   row, ``Σ ref`` is read from one 4×4 box-sum table per reference
-   (:func:`repro.codec.sad.box_sums` over the band's padded rows, relaid
-   once per ``(MB row, reference)`` strip), and ``minimum`` is the only
-   pass over the ``(2·sr + 1, 16, W)`` window batch;
+   row; ``Σ ref`` is read from one 4×4 box-sum table per reference
+   (:func:`repro.codec.sad.box_sums` over the band's padded rows), relaid
+   once per ``(MB row, reference)`` strip and handed to each pass as one
+   strided view; ``minimum`` is the only pass over the
+   ``(nb, 2·sr + 1, 16, W)`` window batch, a view of the sliding windows
+   built once per reference per call;
 2. all 41 sub-partition SADs from one integer tree of pairwise adds
    (:class:`repro.codec.partitions.PartitionSadTree`), partition-major —
    exact in ``uint16`` because the largest possible SAD, a 16×16 MB of
    all-0 against all-255, is ``256 · 255 = 65 280 < 2¹⁶``;
-3. per ``(ref, dy)``, ``SAD · 2¹⁶ + (ref · (2·sr + 1) + dy_index)`` as a
-   ``uint32`` key — the low bits are one scalar — folded into a running
-   elementwise minimum per ``dx``;
-4. per MB row, one first-minimum ``argmin`` over ``dx`` picks the winner:
-   lexicographic ``(SAD, ref, dy, dx)``, i.e. earlier reference, then
-   smaller ``dy``, then smaller ``dx``.
+3. ``SAD · 2¹⁶ + (ref · (2·sr + 1) + dy_index)`` as a ``uint32`` key — each
+   ``dy`` row of the batch OR-s in its own tag — folded into a running
+   elementwise minimum per ``(dy row of the batch, dx)``;
+4. per MB row, one minimum over the batch axis, then one first-minimum
+   ``argmin`` over ``dx`` picks the winner: lexicographic
+   ``(SAD, ref, dy, dx)``, i.e. earlier reference, then smaller ``dy``, then
+   smaller ``dx`` — the keys are distinct per ``(ref, dy)``, so the order in
+   which they are folded does not matter.
 
 :class:`MotionField` carries ``int64`` SADs and ``int32`` MVs/refs; the
 narrow types are widened once, when the field is assembled.
@@ -40,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.frames import pad_plane
@@ -56,6 +63,25 @@ _Field = TypeVar("_Field", "MotionField", "SubpelField")
 #: (below ``16 · 513 = 8 208`` by :class:`CodecConfig`'s range checks), and
 #: ``65 280 · 2¹⁶ + 8 207`` still fits ``uint32``.
 _TAG_BITS = 16
+
+#: Byte budget of one FSBM pass's ``uint8`` window batch,
+#: ``nb · (2·sr + 1) · 16 · W`` (:func:`dy_batch`). The pass's scratch — fold
+#: rows and lanes, tree, keys, running minimum — is about 2.7 times as much
+#: again, so a batch at the budget keeps the pass inside a 2 MB L2; DESIGN.md
+#: "Performance: the FSBM kernel" has the measurement that placed it.
+WINDOW_BUDGET = 512 * 1024
+
+
+def dy_batch(search_range: int, width: int) -> int:
+    """Whole ``dy`` rows one FSBM pass takes, for a ``width``-pel plane.
+
+    The largest divisor ``nb`` of ``2·sr + 1`` whose window batch,
+    ``nb · (2·sr + 1) · 16 · width`` bytes, fits :data:`WINDOW_BUDGET`; 1 when
+    not even one row fits. A divisor, so every pass has the same shape.
+    """
+    ndx = 2 * search_range + 1
+    fits = WINDOW_BUDGET // (ndx * MB_SIZE * width)
+    return max(nb for nb in range(1, max(fits, 1) + 1) if ndx % nb == 0)
 
 
 def check_field_arrays(motion: MotionField | SubpelField, mv_name: str) -> None:
@@ -255,44 +281,67 @@ def motion_estimate_rows(
     modes = all_modes(cfg.enabled_partitions)
 
     ndx = 2 * sr + 1
-    kernel = StripCellSads(ndx, w)
-    tree = PartitionSadTree(ndx, mb_cols)
+    nb = dy_batch(sr, w)
+    kernel = StripCellSads((nb, ndx), w)
+    tree = PartitionSadTree(nb * ndx, mb_cols)
     keys = np.empty(tree.sads.shape, dtype=np.uint32)
-    # Minimum key over every (ref, dy) searched so far, per dx.
-    best = np.empty(tree.sads.shape, dtype=np.uint32)
+    # The keys' dy rows, [part, i, dx·mb], for the tags.
+    key_rows = keys.reshape(len(keys), nb, -1)
+    # Minimum key over every (ref, batch) searched so far, per (dy row of a
+    # batch, dx); the batch axis is folded once per MB row.
+    best = np.empty(keys.shape, dtype=np.uint32)
+    row_best = np.empty((len(best), ndx, mb_cols), dtype=np.uint32)
+    # The (ref, dy) tag of every dy row of every batch.
+    tags = np.arange(len(padded_refs) * ndx, dtype=np.uint32).reshape(-1, ndx // nb, nb, 1)
     # One strip of a box-sum table, relaid [box row, cell_col, dx, mb]: the
     # cells of vertical displacement dy_i are rows dy_i, dy_i + 4, ... of it.
     strip_sums = np.empty((2 * sr + MB_SIZE - 3, CELLS, ndx, mb_cols), dtype=np.uint16)
+    # Batch b's cell sums B, [b][cy, cx, i, dx, mb] = strip_sums[b·nb + i + 4·cy,
+    # cx, dx, mb]: one strided view, no copy. The last row it reads,
+    # (ndx - 1) + 12, is the strip's last.
+    row, col, dx_step, mb_step = strip_sums.strides
+    b_sums = as_strided(
+        strip_sums,
+        (ndx // nb, CELLS, CELLS, nb, ndx, mb_cols),
+        (nb * row, 4 * row, col, row, dx_step, mb_step),
+        writeable=False,
+    )
     # Per MB row: the winning dx index and its key.
     win_dx = np.empty((nrows, len(best), mb_cols), dtype=np.intp)
     win_key = np.empty(win_dx.shape, dtype=np.uint32)
 
-    # Box sums of the padded rows the band reads, one table per reference.
+    # Per reference, over the padded rows the band reads: windows[y, dx_i] is
+    # the 16-row strip at band row y displaced by dx_i - sr, and cell
+    # (mb, cell_col) at dx_i reads box-sum column dx_i + 16·mb + 4·cell_col.
     band = slice(row0 * MB_SIZE, (row0 + nrows) * MB_SIZE + 2 * sr)
-    boxes = [box_sums(ref_pad[band]) for ref_pad in padded_refs]
+    views = [
+        (
+            sliding_window_view(ref_pad[band], (MB_SIZE, w)),
+            sliding_window_view(box_sums(ref_pad[band]), ndx, axis=1)[:, ::4],
+        )
+        for ref_pad in padded_refs
+    ]
 
     for out_r in range(nrows):
-        # The MB row's first pel row — padded row of dy = -sr — in its band
-        # and in the plane.
+        # The MB row's first pel row — padded row of dy = -sr — in its band.
         band_top = out_r * MB_SIZE
         top = band.start + band_top
         kernel.set_current(cur_y[top : top + MB_SIZE])
         best.fill(np.iinfo(np.uint32).max)
-        for ref_idx, (ref_pad, box) in enumerate(zip(padded_refs, boxes)):
-            # windows[dy, dx] is the reference strip displaced by (dy - sr, dx - sr).
-            windows = sliding_window_view(ref_pad[top : top + MB_SIZE + 2 * sr], (MB_SIZE, w))
-            # Cell (mb, cell_col) at dx reads box column dx + 16·mb + 4·cell_col.
-            columns = sliding_window_view(box[band_top : band_top + len(strip_sums)], ndx, axis=1)
-            strip_sums[...] = columns[:, ::4].reshape(-1, mb_cols, CELLS, ndx).transpose(0, 2, 3, 1)
-            for dy_i in range(ndx):
-                kernel.cell_sads(windows[dy_i], strip_sums[dy_i : dy_i + MB_SIZE : 4], tree.cells)
+        for ref_idx, (windows, columns) in enumerate(views):
+            strip = columns[band_top : band_top + len(strip_sums)]
+            strip_sums[...] = strip.reshape(-1, mb_cols, CELLS, ndx).transpose(0, 2, 3, 1)
+            for b, d0 in enumerate(range(band_top, band_top + ndx, nb)):
+                kernel.cell_sads(windows[d0 : d0 + nb], b_sums[b], tree.cells)
                 tree.fill()
                 np.left_shift(tree.sads, _TAG_BITS, out=keys, dtype=np.uint32)
-                keys |= np.uint32(ref_idx * ndx + dy_i)
+                np.bitwise_or(key_rows, tags[ref_idx, b], out=key_rows)
                 np.minimum(best, keys, out=best)
-        # First minimum over dx of keys ordered (SAD, ref, dy).
-        np.argmin(best, axis=1, out=win_dx[out_r])
-        np.min(best, axis=1, out=win_key[out_r])
+        # Keys order (SAD, ref, dy): the minimum over the batch axis, then the
+        # first minimum over dx.
+        np.min(best.reshape(len(best), nb, ndx, mb_cols), axis=1, out=row_best)
+        np.argmin(row_best, axis=1, out=win_dx[out_r])
+        np.min(row_best, axis=1, out=win_key[out_r])
 
     # Widen once: [row, part, mb] search results -> MotionField's [row, mb, part].
     sads = (win_key >> _TAG_BITS).astype(np.int64)

@@ -24,6 +24,8 @@ level of the partition tree, which the kernel writes into directly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.codec.config import MB_SIZE
@@ -90,31 +92,36 @@ class StripCellSads:
     """Cell SADs of one current MB-row strip at batches of displacements.
 
     The one cell-SAD kernel: :meth:`set_current` folds A once per strip;
-    :meth:`cell_sads` makes the ``minimum`` pass over ``n_disp`` displaced
+    :meth:`cell_sads` makes the ``minimum`` pass over the displaced
     reference strips, folds it to 2·M and combines ``B − 2·M + A``. The
-    window-sized ``minimum`` buffer and the fold's scratch are allocated
-    once, here.
+    batch of displacements has a shape, ``n_disp`` (an int, or a tuple such
+    as FSBM's ``(dy rows, dx)``), fixed here with the window-sized
+    ``minimum`` buffer and the fold's scratch, allocated once.
     """
 
-    def __init__(self, n_disp: int, width: int) -> None:
+    def __init__(self, n_disp: int | tuple[int, ...], width: int) -> None:
         if width % MB_SIZE:
             raise ValueError(f"strip width {width} not MB-aligned")
-        cells = (CELLS, CELLS, n_disp, width // MB_SIZE)
-        self._min = np.empty((n_disp, MB_SIZE, width), dtype=np.uint8)
-        self._rows = np.empty((CELLS, n_disp, width), dtype=np.uint16)
+        disp = (n_disp,) if isinstance(n_disp, int) else tuple(n_disp)
+        n = math.prod(disp)
+        cells = (CELLS, CELLS, n, width // MB_SIZE)
+        self._min = np.empty((*disp, MB_SIZE, width), dtype=np.uint8)
+        # The same buffer as the fold reads it: one strip per displacement.
+        self._strips = self._min.reshape(n, MB_SIZE, width)
+        self._rows = np.empty((CELLS, n, width), dtype=np.uint16)
         self._lanes = np.empty(cells, dtype=np.uint64)
-        self._cur_sums = np.empty(cells, dtype=np.uint16)
+        self._cur_sums = np.empty((CELLS, CELLS, *disp, width // MB_SIZE), dtype=np.uint16)
 
     def set_current(self, cur_strip: np.ndarray) -> None:
         """Take the ``(16, W)`` uint8 current strip and fold its cell sums."""
-        if cur_strip.shape != self._min.shape[1:]:
+        if cur_strip.shape != self._min.shape[-2:]:
             raise ValueError(
-                f"strip shape mismatch: {cur_strip.shape} vs {self._min.shape[1:]}"
+                f"strip shape mismatch: {cur_strip.shape} vs {self._min.shape[-2:]}"
             )
         if cur_strip.dtype != np.uint8:
             raise ValueError(f"uint8 samples required, got cur={cur_strip.dtype}")
         self._cur = cur_strip
-        self._cur_sums[...] = fold_cells(cur_strip[None])
+        self._cur_sums.reshape(self._lanes.shape)[...] = fold_cells(cur_strip[None])
 
     def cell_sads(
         self,
@@ -124,12 +131,14 @@ class StripCellSads:
     ) -> np.ndarray:
         """Cell SADs of the current strip against ``ref_windows``.
 
-        ``ref_windows`` is ``(n_disp, 16, W)`` uint8 (usually a sliding-window
-        view — no copy); ``ref_sums`` its cell sums B, cell-major uint16 in
-        any memory layout — FSBM reads them from its box-sum tables, and
-        they are folded from the windows when omitted. Returns (in ``out``,
-        when given: FSBM passes :attr:`PartitionSadTree.cells`)
-        ``(4, 4, n_disp, mb_cols)`` uint16, ``[cell_row, cell_col, disp, mb]``.
+        ``ref_windows`` is ``(*n_disp, 16, W)`` uint8 (usually a
+        sliding-window view — no copy); ``ref_sums`` its cell sums B,
+        ``(4, 4, *n_disp, mb_cols)`` uint16 in any memory layout — FSBM and
+        diamond search read them from box-sum tables, and they are folded
+        from the windows when omitted. Returns (in ``out``, when given: FSBM
+        passes :attr:`PartitionSadTree.cells`) ``(4, 4, n, mb_cols)`` uint16,
+        ``[cell_row, cell_col, disp, mb]``, the ``n`` displacements of the
+        batch in C order.
         """
         if ref_windows.shape != self._min.shape:
             raise ValueError(
@@ -139,9 +148,13 @@ class StripCellSads:
         if ref_windows.dtype != np.uint8:
             raise ValueError(f"uint8 samples required, got windows={ref_windows.dtype}")
         if ref_sums is None:
-            ref_sums = fold_cells(ref_windows, rows=self._rows, lanes=self._lanes)
+            ref_sums = fold_cells(
+                ref_windows.reshape(self._strips.shape), rows=self._rows, lanes=self._lanes
+            ).reshape(self._cur_sums.shape)
         np.minimum(ref_windows, self._cur, out=self._min)
-        out = fold_cells(self._min, 2, out, self._rows, self._lanes)
+        out = fold_cells(self._strips, 2, out, self._rows, self._lanes)
         # Modulo 2**16: B - 2M may wrap, adding A lands in [0, 4080].
-        np.subtract(ref_sums, out, out=out)
-        return np.add(out, self._cur_sums, out=out)
+        batch = out.reshape(self._cur_sums.shape)
+        np.subtract(ref_sums, batch, out=batch)
+        np.add(batch, self._cur_sums, out=batch)
+        return out

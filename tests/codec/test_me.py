@@ -108,6 +108,48 @@ class TestMatchesReferenceKernel:
         assert_fields_identical(f, reference_fsbm(cur, [ref], 0, 1, cfg))
 
 
+class TestDyBatches:
+    """A pass takes ``nb`` whole ``dy`` rows; the hypothesis planes (at most
+    96 pels wide) mostly take the whole window at once, so each way the
+    budget can split a window is pinned here on planes wide enough for it."""
+
+    @pytest.mark.parametrize("sr,width,split", [
+        (4, 352, "whole"),    # 9 rows of 50 KB: the enc_sa8_rf2 batch
+        (2, 96, "whole"),
+        (7, 352, "part"),     # 15 rows of 82 KB: batches of 5
+        (13, 352, "part"),    # 27 rows of 148 KB: batches of 3
+        (16, 96, "part"),     # 33 rows of 50 KB: batches of 3
+        (16, 352, "single"),  # 33 rows of 182 KB: the enc_sa32 batch
+        (8, 352, "single"),   # 17 rows of 94 KB: 17 is prime
+    ])
+    def test_identical_to_reference_fsbm(self, rng, sr, width, split):
+        nb, ndx = me_module.dy_batch(sr, width), 2 * sr + 1
+        assert ndx % nb == 0
+        assert {"whole": nb == ndx, "part": 1 < nb < ndx, "single": nb == 1}[split]
+        cfg = CodecConfig(width=width, height=32, search_range=sr, num_ref_frames=2)
+        # Four grey levels: many equal SADs, inside and across batches.
+        cur, *refs = [
+            (rng.integers(0, 4, (32, width)) * 64).astype(np.uint8) for _ in range(3)
+        ]
+        assert_fields_identical(
+            motion_estimate_rows(cur, refs, 0, 2, cfg),
+            reference_fsbm(cur, refs, 0, 2, cfg),
+        )
+
+    def test_batch_is_the_largest_divisor_inside_the_budget(self):
+        for sr in range(1, 40):
+            for width in (16, 96, 352, 1920):
+                ndx = 2 * sr + 1
+                nb = me_module.dy_batch(sr, width)
+                row_bytes = ndx * 16 * width
+                assert ndx % nb == 0
+                assert nb == 1 or nb * row_bytes <= me_module.WINDOW_BUDGET
+                assert not any(
+                    ndx % k == 0 and k * row_bytes <= me_module.WINDOW_BUDGET
+                    for k in range(nb + 1, ndx + 1)
+                )
+
+
 class TestKeyWidths:
     """The search key is ``SAD · 2¹⁶ + (ref · (2·sr + 1) + dy_index)`` in uint32."""
 
@@ -236,15 +278,17 @@ class TestMutantsAreKilled:
             self.property_fails()
 
     def test_box_table_read_one_column_late(self, mutant):
-        mutant(me_module, "motion_estimate_rows", self.swap(
-            ("columns[:, ::4]", "np.roll(columns, -1, axis=1)[:, ::4]"),
-        ))
+        mutant(me_module, "motion_estimate_rows", self.swap((
+            "sliding_window_view(box_sums(ref_pad[band]), ndx, axis=1)[:, ::4]",
+            "np.roll(sliding_window_view(box_sums(ref_pad[band]), ndx, axis=1), -1, axis=1)"
+            "[:, ::4]",
+        )))
         self.property_fails()
 
     def test_last_minimum_over_dx(self, mutant):
         mutant(me_module, "motion_estimate_rows", self.swap((
-            "np.argmin(best, axis=1, out=win_dx[out_r])",
-            "win_dx[out_r] = ndx - 1 - np.argmin(best[:, ::-1], axis=1)",
+            "np.argmin(row_best, axis=1, out=win_dx[out_r])",
+            "win_dx[out_r] = ndx - 1 - np.argmin(row_best[:, ::-1], axis=1)",
         )))
         self.property_fails()
         with pytest.raises(AssertionError):
@@ -254,20 +298,35 @@ class TestMutantsAreKilled:
         """The parent's key, the new reduction: ``(SAD, dx)`` ordered keys
         whose running minimum forgets which ``(ref, dy)`` it came from."""
         mutant(me_module, "motion_estimate_rows", self.swap((
-            "keys |= np.uint32(ref_idx * ndx + dy_i)",
-            "keys |= np.arange(ndx, dtype=np.uint32)[:, None]",
+            "np.bitwise_or(key_rows, tags[ref_idx, b], out=key_rows)",
+            "keys |= np.tile(np.arange(ndx, dtype=np.uint32), nb)[:, None]",
         )))
         self.property_fails()
 
     def test_references_folded_newest_last(self, mutant):
         mutant(me_module, "motion_estimate_rows", self.swap(
-            ("np.uint32(ref_idx * ndx + dy_i)",
-             "np.uint32((len(padded_refs) - 1 - ref_idx) * ndx + dy_i)"),
+            ("tags[ref_idx, b]", "tags[len(padded_refs) - 1 - ref_idx, b]"),
             ("refs = tag // ndx", "refs = len(padded_refs) - 1 - tag // ndx"),
         ))
         self.property_fails()
         with pytest.raises(AssertionError):
             TestTieBreakOrder().test_two_references()
+
+    def test_batch_rows_all_tagged_with_its_first_dy(self, mutant):
+        """Every ``dy`` row of a batch keyed as the batch's first: ties and
+        winners inside a batch report the wrong ``dy``."""
+        mutant(me_module, "motion_estimate_rows", self.swap(
+            ("tags[ref_idx, b]", "tags[ref_idx, b, :1]"),
+        ))
+        self.property_fails()
+
+    def test_b_view_cell_row_stride_off_by_one(self, mutant):
+        """Cell row ``cy`` of the strided B view read ``3·cy`` box rows down,
+        not ``4·cy``: still inside the strip, wrong sums."""
+        mutant(me_module, "motion_estimate_rows", self.swap(
+            ("(nb * row, 4 * row, col,", "(nb * row, 3 * row, col,"),
+        ))
+        self.property_fails()
 
 
 class TestCheckConsistent:

@@ -158,11 +158,11 @@ class TestMatchesReferenceKernel:
 
     def test_undoubled_minimum_mutant_is_killed(self, mutant):
         """SAD = A + B − 2·M: the property must notice M counted once."""
-        doubled = "fold_cells(self._min, 2,"
+        doubled = "fold_cells(self._strips, 2,"
 
         def edit(source: str) -> str:
             assert source.count(doubled) == 1
-            return source.replace(doubled, "fold_cells(self._min, 1,")
+            return source.replace(doubled, "fold_cells(self._strips, 1,")
 
         mutant(sad_module, "StripCellSads", edit)
         run = settings(
