@@ -4,6 +4,8 @@ Exposes the library's main entry points without writing Python::
 
     python -m repro platforms
     python -m repro run --platform SysHK --sa 64 --refs 2 --frames 100
+    python -m repro serve --platform SysHK --streams 4
+    python -m repro fleet --nodes 3 --platforms SysHK,SysNF,SysNFF
     python -m repro profile --platform SysHK --frames 50
     python -m repro sweep --what sa|refs
     python -m repro encode in.yuv --size 352x288 --out clip.fevs
@@ -850,7 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_platforms
     )
 
-    run = sub.add_parser("run", help="model-mode encoding run on a preset")
+    run = sub.add_parser("run", help="encode on a preset: a DES model run (--backend "
+                         "sim) or a real worker-pool encode (process)")
     run.add_argument("--platform", default="SysHK", choices=list_platforms())
     run.add_argument("--sa", type=int, default=32, help="search-area side")
     run.add_argument("--refs", type=int, default=1)

@@ -126,7 +126,7 @@ class StripCellSads:
     def cell_sads(
         self,
         ref_windows: np.ndarray,
-        ref_sums: np.ndarray | None = None,
+        ref_sums: np.ndarray,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Cell SADs of the current strip against ``ref_windows``.
@@ -134,8 +134,8 @@ class StripCellSads:
         ``ref_windows`` is ``(*n_disp, 16, W)`` uint8 (usually a
         sliding-window view — no copy); ``ref_sums`` its cell sums B,
         ``(4, 4, *n_disp, mb_cols)`` uint16 in any memory layout — FSBM and
-        diamond search read them from box-sum tables, and they are folded
-        from the windows when omitted. Returns (in ``out``, when given: FSBM
+        diamond search read them from box-sum tables (:func:`box_sums`).
+        Returns (in ``out``, when given: FSBM
         passes :attr:`PartitionSadTree.cells`) ``(4, 4, n, mb_cols)`` uint16,
         ``[cell_row, cell_col, disp, mb]``, the ``n`` displacements of the
         batch in C order.
@@ -147,10 +147,6 @@ class StripCellSads:
             )
         if ref_windows.dtype != np.uint8:
             raise ValueError(f"uint8 samples required, got windows={ref_windows.dtype}")
-        if ref_sums is None:
-            ref_sums = fold_cells(
-                ref_windows.reshape(self._strips.shape), rows=self._rows, lanes=self._lanes
-            ).reshape(self._cur_sums.shape)
         np.minimum(ref_windows, self._cur, out=self._min)
         out = fold_cells(self._strips, 2, out, self._rows, self._lanes)
         # Modulo 2**16: B - 2M may wrap, adding A lands in [0, 4080].

@@ -2,9 +2,9 @@
 
 Layer 1 (:mod:`repro.sanitizers.cluster`) audits a fleet run's segment
 bookkeeping (SAN-E1); the schedule invariants themselves are held by
-plain tests (DESIGN.md "Layer 1 — the verdict"). Layers 2–5 are static
-and run under ``repro lint`` from one rule table and one driver
-(:mod:`repro.sanitizers.runner`): per-line AST rules
+plain tests (DESIGN.md "Layer 1 — the timeline sanitizer's verdict").
+Layers 2–5 are static and run under ``repro lint`` from one rule table
+and one driver (:mod:`repro.sanitizers.runner`): per-line AST rules
 (:mod:`repro.sanitizers.lint`, REP00x), CFG + abstract-interpretation
 dataflow rules (:mod:`repro.sanitizers.dataflow`, REP1xx), concurrency
 rules for the process backend (:mod:`repro.sanitizers.concurrency`,

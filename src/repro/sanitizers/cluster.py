@@ -1,12 +1,12 @@
 """SAN-E1: one owner per stream, audited over a fleet run's segments.
 
-Layer 1 of the analysis stack (DESIGN.md "Layer 1 — the verdict" says
-why the other schedule classes are plain tests now). The dispatcher books
-one :class:`~repro.cluster.dispatcher.Segment` per placement of a stream
-on a node; its routed and evicted times are read back by nothing else in
-``src/``, so this audit is their only check: only a stream's last segment
-may still be open, and a reroute never starts before the previous owner
-evicted the stream.
+Layer 1 of the analysis stack (DESIGN.md "Layer 1 — the timeline
+sanitizer's verdict" says why the other schedule classes are plain tests
+now). The dispatcher books one :class:`~repro.cluster.dispatcher.Segment`
+per placement of a stream on a node; its routed and evicted times are
+read back by nothing else in ``src/``, so this audit is their only check:
+only a stream's last segment may still be open, and a reroute never
+starts before the previous owner evicted the stream.
 """
 
 from __future__ import annotations

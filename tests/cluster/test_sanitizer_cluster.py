@@ -105,7 +105,8 @@ def test_strict_env_raises_on_dirty(monkeypatch):
 
 
 def test_only_e1_kills_a_reroute_booked_at_arrival(transplant, monkeypatch):
-    """The evidence SAN-E1 stays on (DESIGN.md "Layer 1 — the verdict"):
+    """The evidence SAN-E1 stays on (DESIGN.md "Layer 1 — the timeline
+    sanitizer's verdict"):
     a segment booked at the stream's arrival time instead of its routing
     time moves no frame and no metric, so the fleet's plain tests pass on
     it (run unaudited, also under ``REPRO_SANITIZE``); only the audit sees

@@ -13,11 +13,14 @@ from repro.codec.sad import box_sums, fold_cells
 u8 = st.integers(min_value=0, max_value=255)
 
 
-def cell_sads(cur_strip: np.ndarray, ref_windows: np.ndarray, **kwargs) -> np.ndarray:
-    """The production kernel on one batch, cell-major ``[cy, cx, disp, mb]``."""
+def cell_sads(
+    cur_strip: np.ndarray, ref_windows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The production kernel on one batch, cell-major ``[cy, cx, disp, mb]``,
+    with B read from box-sum tables as FSBM reads it."""
     kernel = sad_module.StripCellSads(len(ref_windows), cur_strip.shape[1])
     kernel.set_current(cur_strip)
-    return kernel.cell_sads(ref_windows, **kwargs)
+    return kernel.cell_sads(ref_windows, table_ref_sums(ref_windows), out)
 
 
 def per_mb(cells: np.ndarray) -> np.ndarray:
@@ -127,18 +130,17 @@ def strip_batches(draw):
 def check_matches_reference(batch) -> None:
     cur, windows = batch
     want = reference_strip_cell_sads_batch(cur, windows)
-    for ref_sums in (None, table_ref_sums(windows)):
-        got = cell_sads(cur, windows, ref_sums=ref_sums)
-        assert got.dtype == np.uint16
-        np.testing.assert_array_equal(per_mb(got), want)
+    got = cell_sads(cur, windows)
+    assert got.dtype == np.uint16
+    np.testing.assert_array_equal(per_mb(got), want)
 
 
 class TestMatchesReferenceKernel:
     @given(strip_batches())
     @settings(max_examples=100, deadline=None)
     def test_identical_to_reference_cell_sads(self, batch):
-        """A + B − 2·M, with B folded from the windows and read from box-sum
-        tables, equals the ``maximum − minimum`` kernel cell for cell."""
+        """A + B − 2·M, with B read from box-sum tables, equals the
+        ``maximum − minimum`` kernel cell for cell."""
         check_matches_reference(batch)
 
     @given(
@@ -226,16 +228,18 @@ class TestBatch:
         windows = rng.integers(0, 256, (3, 16, 32), dtype=np.uint8)
         with pytest.raises(ValueError, match="uint8"):
             cell_sads(cur.astype(np.int32), windows)
+        kernel = sad_module.StripCellSads(3, 32)
+        kernel.set_current(cur)
         with pytest.raises(ValueError, match="uint8"):
-            cell_sads(cur, windows.astype(np.int16))
+            kernel.cell_sads(windows.astype(np.int16), table_ref_sums(windows))
 
     def test_incompatible_shapes(self, rng):
         kernel = sad_module.StripCellSads(3, 32)
         kernel.set_current(rng.integers(0, 256, (16, 32), dtype=np.uint8))
-        with pytest.raises(ValueError, match="incompatible shapes"):
-            kernel.cell_sads(rng.integers(0, 256, (3, 16, 48), dtype=np.uint8))
-        with pytest.raises(ValueError, match="incompatible shapes"):
-            kernel.cell_sads(rng.integers(0, 256, (2, 16, 32), dtype=np.uint8))
+        for shape in ((3, 16, 48), (2, 16, 32)):
+            windows = rng.integers(0, 256, shape, dtype=np.uint8)
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                kernel.cell_sads(windows, table_ref_sums(windows))
 
 
 class TestFoldWidths:

@@ -5,7 +5,9 @@ The timeline sanitizer re-derived, for every simulated frame, service
 and fleet under ``REPRO_SANITIZE``, what the op graph enforces and plain
 tests already pin. Each of its classes was judged by seeded mutants put
 into the ``src/`` method where the mistake would live (DESIGN.md "Layer 1
-— the verdict" holds the matrix, plain and strict columns). Each mutant
+— the timeline sanitizer's verdict" names the guard of each; its matrix,
+plain and strict columns, is in EXPERIMENTS.md "The timeline sanitizer,
+class by class"). Each mutant
 below is installed with the ``transplant`` fixture and fails the named
 plain test; every named test passes on the unmutated code, so each kill
 is the mutant's.
