@@ -46,7 +46,7 @@ def sweep():
     out = {}
     for alpha in ALPHAS:
         fw = run(alpha, jitter=0.10)
-        times = fw.trace.frame_times_s[5:]
+        times = [r.tau_tot for r in fw.reports[5:]]
         out[alpha] = {
             "mean_ms": statistics.mean(times) * 1e3,
             "cv": statistics.pstdev(times) / statistics.mean(times),
@@ -85,7 +85,7 @@ def test_recovery_speed_tradeoff(benchmark):
 
     def settle_frames(alpha: float) -> int:
         fw = run(alpha, jitter=0.0, events=events)
-        times = fw.trace.frame_times_s
+        times = [r.tau_tot for r in fw.reports]
         final = statistics.mean(times[-10:])
         for i in range(20, len(times)):
             if all(abs(t - final) < 0.03 * final for t in times[i:]):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.codec.config import CodecConfig
+from repro.core.analysis import steady_state_fps
 from repro.core.coding_manager import FrameReport, VideoCodingManager
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import DataAccessManager
@@ -18,7 +19,6 @@ from repro.core.frame_plan import FramePlan
 from repro.core.load_balancing import LoadDecision
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.interconnect import BufferSizes
-from repro.hw.timeline import EncodingTrace
 from repro.hw.topology import Platform
 
 #: policy(frame_index, perf) -> (decision, rstar_device_name)
@@ -43,7 +43,6 @@ class PolicyRunner:
         self.perf = PerformanceCharacterization(alpha=self.fw_cfg.ewma_alpha)
         self.manager = VideoCodingManager(platform, codec_cfg, self.fw_cfg)
         self.dam = DataAccessManager(platform, sizes)
-        self.trace = EncodingTrace(platform=platform.name)
         self.reports: list[FrameReport] = []
         self._frames_done = 0
 
@@ -61,9 +60,8 @@ class PolicyRunner:
                 plan, self.dam.plan(decision, rstar), self.perf
             )
             self.dam.commit(decision, rstar)
-            self.trace.add(report.timeline)
             self.reports.append(report)
         return self.reports
 
     def steady_state_fps(self, warmup: int = 2) -> float:
-        return self.trace.steady_state_fps(warmup=warmup)
+        return steady_state_fps(self.reports, warmup)

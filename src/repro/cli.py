@@ -4,13 +4,13 @@ Exposes the library's main entry points without writing Python::
 
     python -m repro platforms
     python -m repro run --platform SysHK --sa 64 --refs 2 --frames 100
+    python -m repro run --platform SysHK --frames 5 --trace trace.json
     python -m repro serve --platform SysHK --streams 4
     python -m repro fleet --nodes 3 --platforms SysHK,SysNF,SysNFF
     python -m repro profile --platform SysHK --frames 50
     python -m repro sweep --what sa|refs
     python -m repro encode in.yuv --size 352x288 --out clip.fevs
     python -m repro decode clip.fevs --out recon.yuv
-    python -m repro trace --platform SysHK --frames 5 --out trace.json
     python -m repro lint src
 """
 
@@ -218,7 +218,7 @@ def _or_exit(build):
 
 
 def _framework_from_args(args: argparse.Namespace) -> FevesFramework:
-    """The framework ``run``/``profile``/``trace`` drive, on either backend."""
+    """The framework ``run``/``profile`` drive, on either backend."""
     return _or_exit(lambda: FevesFramework(
         get_platform(args.platform),
         _codec_cfg(args),
@@ -246,7 +246,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     drive = _run_process if fw.fw_cfg.backend == "process" else _run_model
     with fw:
         ok = drive(args, fw)
+    _print_accuracy(fw.accuracy_report().summary())
     _print_faults(args, fw)
+    if args.trace:
+        from repro.hw.trace_export import StreamTrace, export_stream_traces
+
+        run = StreamTrace.back_to_back(
+            [r.timeline for r in fw.reports], fw.platform.name,
+            fault_log=fw.fault_log,
+        )
+        n = _or_exit(lambda: export_stream_traces([run], args.trace))
+        print(f"wrote {n} trace events ({len(fw.reports)} inter frames) "
+              f"to {args.trace}")
     return _sanitize_exit() or (0 if ok else 1)
 
 
@@ -276,9 +287,9 @@ def _run_model(args: argparse.Namespace, fw: FevesFramework) -> bool:
 def _print_faults(args: argparse.Namespace, fw: FevesFramework) -> None:
     """``run``'s epilogue on either backend: the fault log, and its file."""
     if not fw.fw_cfg.faults.empty:
-        summary = fw.summary()
-        print(f"live devices at end: {summary['live_devices']}   "
-              f"fault time lost: {summary['fault_time_lost_s'] * 1e3:.1f} ms")
+        lost_s = sum(e.time_lost_s for e in fw.fault_log)
+        print(f"live devices at end: {fw.live_devices}   "
+              f"fault time lost: {lost_s * 1e3:.1f} ms")
         for entry in fw.fault_log:
             if not entry.eventful:
                 continue
@@ -312,17 +323,17 @@ def _encoded_equal(a, b) -> bool:
 
 
 def _print_accuracy(accuracy: dict) -> None:
-    """The process backend's predicted-vs-measured line (``{}`` on sim)."""
-    if accuracy.get("frames", 0):
+    """The LP's predicted τs against the run's (simulated or measured)."""
+    if accuracy["frames"]:
         phase_err = ", ".join(
             f"{k} {100 * v:.1f}%"
             for k, v in accuracy["phase_error_mean"].items()
         )
-        print(f"  LP makespan error (predicted vs measured, "
+        print(f"  LP makespan error (predicted vs run, "
               f"{accuracy['frames']} LP frames): "
               f"mean {100 * accuracy['makespan_error_mean']:.1f}%, "
               f"max {100 * accuracy['makespan_error_max']:.1f}% ({phase_err})")
-    elif accuracy:
+    else:
         print("  LP makespan error: n/a (no LP-scheduled frames; "
               "encode more frames)")
 
@@ -356,7 +367,6 @@ def _run_process(args: argparse.Namespace, fw: FevesFramework) -> bool:
     print(f"  process backend: {n / process_s:7.2f} fps  ({process_s:.2f} s)  "
           f"-> {speedup:.2f}x")
     print(f"  bit-identical to serial: {'yes' if identical else 'NO'}")
-    _print_accuracy(fw.accuracy_report().summary())
     return identical
 
 
@@ -621,7 +631,7 @@ def _profile(args: argparse.Namespace) -> int:
             fw.encode(_synthetic_clip(cfg, args.frames))
         else:
             fw.run_model(args.frames)
-    accuracy = fw.accuracy_report().summary() if process else {}
+    accuracy = fw.accuracy_report().summary()
     workers = fw.manager.workers if process else 0
     # The SAN-G replay drains the journal: keep the run's events first.
     events = JOURNAL.snapshot()
@@ -711,26 +721,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """``--frames``: an integer >= 1, checked while parsing (0 encodes nothing)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _parse_size(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
         return int(w), int(h)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad size {text!r}, expected WxH") from exc
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.hw.trace_export import StreamTrace, export_stream_traces
-
-    fw = _framework_from_args(args)
-    fw.run_model(args.frames)
-    run = StreamTrace.back_to_back(
-        [r.timeline for r in fw.reports], fw.platform.name, fault_log=fw.fault_log
-    )
-    n = export_stream_traces([run], args.out)
-    print(f"wrote {n} events for {args.frames} frames to {args.out}")
-    print("open chrome://tracing (or https://ui.perfetto.dev) and load it")
-    return 0
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -857,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--platform", default="SysHK", choices=list_platforms())
     run.add_argument("--sa", type=int, default=32, help="search-area side")
     run.add_argument("--refs", type=int, default=1)
-    run.add_argument("--frames", type=int, default=50)
+    run.add_argument("--frames", type=_at_least_one, default=50)
     run.add_argument("--backend", default="sim", choices=("sim", "process"),
                      help="sim = DES model run; process = really encode a "
                           "synthetic clip on a multiprocessing worker pool "
@@ -875,6 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_args(run)
     run.add_argument("--fault-log", metavar="PATH",
                      help="write the per-frame fault/decision log as JSON")
+    run.add_argument("--trace", metavar="PATH",
+                     help="write a Chrome trace, one lane per engine (sim) "
+                          "or worker (process)")
     run.add_argument("--sanitize", action="store_true",
                      help="replay the run's lifecycle journal against the "
                           "protocol specs (SAN-G; exit 1 on violations)")
@@ -969,13 +979,14 @@ def build_parser() -> argparse.ArgumentParser:
             "distribution, transfer planning, and DES. On the process "
             "backend it is a real parallel encode of a synthetic clip, "
             "so the measured exec phases (ME+INT, SME, R*) join the "
-            "table, followed by the LP's predicted-vs-measured error."
+            "table. Either table is followed by the LP's makespan error "
+            "against the run."
         ),
     )
     prof.add_argument("--platform", default="SysHK", choices=list_platforms())
     prof.add_argument("--sa", type=int, default=32, help="search-area side")
     prof.add_argument("--refs", type=int, default=1)
-    prof.add_argument("--frames", type=int, default=50)
+    prof.add_argument("--frames", type=_at_least_one, default=50)
     prof.add_argument("--backend", default="sim", choices=("sim", "process"),
                      help="process = profile a real parallel encode, exec "
                           "phases included")
@@ -1033,14 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print a per-step timing/finding table to stderr")
     lint.set_defaults(func=cmd_lint)
 
-    tr = sub.add_parser("trace", help="export a chrome://tracing JSON")
-    tr.add_argument("--platform", default="SysHK", choices=list_platforms())
-    tr.add_argument("--sa", type=int, default=32)
-    tr.add_argument("--refs", type=int, default=1)
-    tr.add_argument("--frames", type=int, default=5)
-    tr.add_argument("--out", required=True)
-    _add_fault_args(tr)
-    tr.set_defaults(func=cmd_trace)
     return ap
 
 

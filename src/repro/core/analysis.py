@@ -7,7 +7,8 @@ paper's evaluation section is built from:
 - parallel efficiency against the *ideal aggregate* bound (every
   distributable module perfectly split across devices, R\\* on the fastest
   one, zero transfer cost);
-- mean per-frame bytes moved in each direction.
+- mean per-frame bytes moved in each direction;
+- steady-state frames per second, the fold of each frame's τtot.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ def utilization_summary(
     return UtilizationSummary(
         per_resource={k: sum(v) / len(v) for k, v in acc.items()}
     )
+
+
+def steady_state_fps(reports: list[FrameReport], warmup: int = 2) -> float:
+    """Frames per second over ``reports[warmup:]``, from each τtot.
+
+    The last frame counts however short the run; no frames at all is 0.
+    """
+    times = [r.tau_tot for r in reports[min(warmup, max(0, len(reports) - 1)):]]
+    return len(times) / sum(times) if times else 0.0
 
 
 def ideal_aggregate_fps(

@@ -28,6 +28,7 @@ from repro.codec.config import CodecConfig
 from repro.codec.encoder import EncodedFrame, encode_intra
 from repro.codec.frames import YuvFrame
 from repro.codec.gop import ReferenceStore
+from repro.core.analysis import steady_state_fps, utilization_summary
 from repro.core.coding_manager import FrameReport, RealContext, VideoCodingManager
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import DataAccessManager, TransferPlan
@@ -39,7 +40,6 @@ from repro.core.load_balancing import LoadBalancer
 from repro.core.perf_model import PerformanceCharacterization
 from repro.core.rstar import select_rstar_device
 from repro.hw.interconnect import BufferSizes
-from repro.hw.timeline import EncodingTrace
 from repro.hw.topology import Platform
 from repro.util.journal import span
 from repro.util.timing import WallTimer
@@ -103,7 +103,6 @@ class FevesFramework:
         self._frames_since_intra = 0
         self._rstar_device = self._initial_rstar_device()
         self.lb_timer = WallTimer()
-        self.trace = EncodingTrace(platform=platform.name)
         self.reports: list[FrameReport] = []
         #: (decision, other plan inputs, transfer plan, frame plan) of the
         #: last plans built, reused while a frame repeats their inputs.
@@ -270,8 +269,10 @@ class FevesFramework:
         self.close()
 
     def accuracy_report(self):
-        """The process backend's predicted-vs-measured report (else None)."""
-        return getattr(self.manager, "accuracy", None)
+        """The LP's predicted τ1/τ2/τtot against each LP frame's, either backend."""
+        from repro.exec.accuracy import AccuracyReport
+
+        return AccuracyReport(tuple(self.reports))
 
     # ------------------------- shared control loop ----------------------------
 
@@ -420,7 +421,6 @@ class FevesFramework:
             self._store.push_sf(ctx.sf_new)
             self._store.push(ctx.encoded.recon)
 
-        self.trace.add(report.timeline)
         self.reports.append(report)
         return FrameOutcome(report=report, encoded=ctx.encoded if ctx else None)
 
@@ -447,12 +447,17 @@ class FevesFramework:
         return self.lb_timer.mean_s * 1e3
 
     def frame_times_ms(self) -> list[float]:
-        """Simulated τtot per inter frame, in ms (paper Fig. 7 y-axis)."""
-        return [t * 1e3 for t in self.trace.frame_times_s]
+        """τtot per inter frame, in ms (paper Fig. 7 y-axis)."""
+        return [r.tau_tot * 1e3 for r in self.reports]
 
     def steady_state_fps(self, warmup: int = 2) -> float:
         """fps once the load balancing has converged (paper Fig. 6)."""
-        return self.trace.steady_state_fps(warmup=warmup)
+        return steady_state_fps(self.reports, warmup)
+
+    @property
+    def live_devices(self) -> list[str]:
+        """The devices live now, by name."""
+        return sorted(n for n, a in self._live.items() if a)
 
     def summary(self) -> dict:
         """Headline numbers of the run so far (for logs and notebooks).
@@ -463,8 +468,6 @@ class FevesFramework:
         """
         if not self.reports:
             raise RuntimeError("nothing encoded yet")
-        from repro.core.analysis import utilization_summary
-
         last = self.reports[-1].decision
         names = [d.name for d in self.platform.devices]
         util = utilization_summary(self.reports)
@@ -475,7 +478,7 @@ class FevesFramework:
             "steady_fps": fps,
             "realtime": fps >= 25.0,
             "rstar_device": self._rstar_device,
-            "live_devices": sorted(n for n, a in self._live.items() if a),
+            "live_devices": self.live_devices,
             "fault_events": sum(1 for e in self.fault_log if e.eventful),
             "fault_time_lost_s": sum(e.time_lost_s for e in self.fault_log),
             "lb_overhead_ms": self.scheduling_overhead_ms,

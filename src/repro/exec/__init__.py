@@ -13,18 +13,19 @@ barriers of Algorithm 1.
 Select it with ``FrameworkConfig(backend="process")`` or ``repro run
 --backend process`` and drive it with ``encode()`` / ``encode_frame_at()``;
 it has no model mode, so ``run_model()`` raises. Measured per-row kernel
-times feed the Performance Characterization, and every frame's
-LP-predicted τ1/τ2/τtot is compared against the measured timeline in an
-:class:`~repro.exec.accuracy.AccuracyReport`.
+times feed the Performance Characterization. The measured τs land in the
+framework's ``reports`` like the simulated ones, so
+``FevesFramework.accuracy_report()`` (an
+:class:`~repro.exec.accuracy.AccuracyReport`) scores the LP's predicted
+τ1/τ2/τtot against either backend's run.
 """
 
-from repro.exec.accuracy import AccuracyReport, FrameAccuracy
+from repro.exec.accuracy import AccuracyReport
 from repro.exec.backend import ProcessBackend
 from repro.exec.shm import SharedFrameStore
 
 __all__ = [
     "AccuracyReport",
-    "FrameAccuracy",
     "ProcessBackend",
     "SharedFrameStore",
 ]

@@ -1,10 +1,11 @@
-"""Predicted-vs-measured accuracy accounting for the process backend.
+"""How well the LP's performance model predicts a run, on either backend.
 
 The LP (Algorithm 2) predicts τ1/τ2/τtot for every frame it schedules;
-the process backend measures the same quantities on the wall clock. The
-report aggregates the per-frame relative errors so a single number —
-makespan error — says how well the simulator's performance model
-predicts reality on this machine, and per-phase errors localize which
+the frame's :class:`~repro.core.coding_manager.FrameReport` holds those
+predictions (its decision) beside the τs the DES simulated or the
+process backend measured. The report folds the per-frame relative
+errors so a single number — makespan error — says how well the
+performance model predicts the run, and per-phase errors localize which
 model (ME+INT rates, SME rates, or the R* residual) is off.
 
 Frames the LP did not schedule (warm-up, equidistant fallback) carry no
@@ -13,66 +14,46 @@ prediction and are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.core.coding_manager import FrameReport
+
+
+def _phase_errors(report: FrameReport) -> dict[str, float]:
+    """Relative error ``|τ - predicted| / predicted`` per predicted phase."""
+    d = report.decision
+    pairs = (
+        ("tau1", d.tau1_pred, report.tau1),
+        ("tau2", d.tau2_pred, report.tau2),
+        ("tau_tot", d.tau_tot_pred, report.tau_tot),
+    )
+    return {name: abs(tau - pred) / pred for name, pred, tau in pairs if pred > 0}
 
 
 @dataclass(frozen=True)
-class FrameAccuracy:
-    """One frame's predicted vs measured phase times (seconds)."""
-
-    frame_index: int
-    tau1_pred: float
-    tau2_pred: float
-    tau_tot_pred: float
-    tau1_meas: float
-    tau2_meas: float
-    tau_tot_meas: float
-
-    def phase_errors(self) -> dict[str, float]:
-        """Relative error ``|measured - predicted| / predicted`` per phase."""
-        out: dict[str, float] = {}
-        pairs = (
-            ("tau1", self.tau1_pred, self.tau1_meas),
-            ("tau2", self.tau2_pred, self.tau2_meas),
-            ("tau_tot", self.tau_tot_pred, self.tau_tot_meas),
-        )
-        for name, pred, meas in pairs:
-            if pred > 0:
-                out[name] = abs(meas - pred) / pred
-        return out
-
-    @property
-    def makespan_error(self) -> float:
-        """Relative makespan (τtot) error; 0 when there is no prediction."""
-        if self.tau_tot_pred <= 0:
-            return 0.0
-        return abs(self.tau_tot_meas - self.tau_tot_pred) / self.tau_tot_pred
-
-
-@dataclass
 class AccuracyReport:
-    """Accumulates :class:`FrameAccuracy` rows over an encode."""
+    """The LP frames of a run's reports, scored against their predictions."""
 
-    frames: list[FrameAccuracy] = field(default_factory=list)
-
-    def add(self, fa: FrameAccuracy) -> None:
-        self.frames.append(fa)
+    reports: tuple[FrameReport, ...]
 
     def summary(self) -> dict[str, object]:
         """JSON-ready aggregate: mean/max makespan error + per-phase means."""
-        if not self.frames:
+        frames = [
+            _phase_errors(r) for r in self.reports
+            if r.decision.used_lp and r.decision.tau_tot_pred > 0
+        ]
+        if not frames:
             return {"frames": 0}
-        mk = [fa.makespan_error for fa in self.frames]
-        phase_sums: dict[str, list[float]] = {}
-        for fa in self.frames:
-            for name, err in fa.phase_errors().items():
-                phase_sums.setdefault(name, []).append(err)
+        cols: dict[str, list[float]] = {}
+        for errs in frames:
+            for name, err in errs.items():
+                cols.setdefault(name, []).append(err)
+        mk = cols["tau_tot"]
         return {
-            "frames": len(self.frames),
+            "frames": len(frames),
             "makespan_error_mean": sum(mk) / len(mk),
             "makespan_error_max": max(mk),
             "phase_error_mean": {
-                name: sum(errs) / len(errs)
-                for name, errs in sorted(phase_sums.items())
+                name: sum(col) / len(col) for name, col in sorted(cols.items())
             },
         }

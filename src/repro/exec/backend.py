@@ -17,8 +17,8 @@ their kernels with ``time.perf_counter()`` (machine-wide on Linux), so
 the assembled :class:`~repro.hw.timeline.FrameTimeline` holds measured,
 not simulated, intervals. Measured per-module spans (redo rows excepted)
 feed ``PerformanceCharacterization.observe_*`` so the LP schedules
-subsequent frames from real rates; the accuracy report compares its
-predictions with what was then measured.
+subsequent frames from real rates; the framework's accuracy report
+compares its predictions with what was then measured.
 
 Transfers are identically zero here — shared memory *is* the bus — so
 the backend seeds the characterization's transfer estimates with the
@@ -41,7 +41,6 @@ from repro.core.config import FrameworkConfig
 from repro.core.data_access import TransferPlan
 from repro.core.frame_plan import FramePlan, Row
 from repro.core.perf_model import PerformanceCharacterization
-from repro.exec.accuracy import AccuracyReport, FrameAccuracy
 from repro.exec.pool import (
     TASK_TIMEOUT_ENV,
     KernelPool,
@@ -94,7 +93,6 @@ class ProcessBackend:
         self.codec_cfg = codec_cfg
         self.fw_cfg = fw_cfg
         self.workers = fw_cfg.exec_workers or usable_cpus()
-        self.accuracy = AccuracyReport()
         # Validate both env knobs here, at construction: a typo'd
         # $REPRO_EXEC_START_METHOD / $REPRO_EXEC_TIMEOUT_S must fail
         # with a named token before any frame (or fork) happens.
@@ -225,6 +223,7 @@ class ProcessBackend:
             ])
             ctx.sf_new = np.array(store.view("sf0"), copy=True)
             ctx.sfs = [ctx.sf_new] + ctx.sfs_prev
+            barrier1 = (tau1, time.perf_counter() - t_frame0)
 
         # ---- phase 2: SME rows, barriered at τ2 ---------------------------
         with span(self, "exec_phase2"):
@@ -241,6 +240,7 @@ class ProcessBackend:
 
         with span(self, "exec_tau2"):
             ctx.sme_field = SubpelField.merge([sf for sf, *_ in sme_results])
+            barrier2 = (tau2, time.perf_counter() - t_frame0)
 
         # ---- R* block on the host, attributed to the R* device ------------
         with span(self, "exec_rstar"):
@@ -255,25 +255,16 @@ class ProcessBackend:
             for row, (_out, t0, t1, _) in zip(rows, results, strict=True)
         ]
         timeline = self._build_timeline(
-            plan, chunks, t_frame0, t_rstar0, rstar_s, tau1, tau2, tau_tot,
+            plan, chunks, t_frame0, t_rstar0, rstar_s, barrier1, barrier2, tau_tot,
         )
         self._feed_characterization(perf, plan, chunks, rstar_s, probe_rstar)
-        decision = plan.decision
-        if decision.used_lp and decision.tau_tot_pred > 0:
-            self.accuracy.add(FrameAccuracy(
-                frame_index=plan.frame_index,
-                tau1_pred=decision.tau1_pred,
-                tau2_pred=decision.tau2_pred,
-                tau_tot_pred=decision.tau_tot_pred,
-                tau1_meas=tau1, tau2_meas=tau2, tau_tot_meas=tau_tot,
-            ))
         return FrameReport(
             frame_index=plan.frame_index,
             tau1=tau1,
             tau2=tau2,
             tau_tot=tau_tot,
             timeline=timeline,
-            decision=decision,
+            decision=plan.decision,
             rstar_device=plan.rstar_device,
             transfer_plan=transfers,
             encoded=ctx.encoded,
@@ -285,9 +276,15 @@ class ProcessBackend:
 
     def _build_timeline(
         self, plan: FramePlan, chunks: list[_Chunk], t_frame0: float,
-        t_rstar0: float, rstar_s: float, tau1: float, tau2: float, tau_tot: float,
+        t_rstar0: float, rstar_s: float, barrier1: tuple[float, float],
+        barrier2: tuple[float, float], tau_tot: float,
     ) -> FrameTimeline:
-        """Assemble the measured Gantt chart (times relative to frame start)."""
+        """Assemble the measured Gantt chart (times relative to frame start).
+
+        A barrier's ``host.sync`` record runs from τ1 (τ2) to the end of
+        the host's stitch of that phase's results, the host's own work
+        between the phases.
+        """
         names = [dev.name for dev in self.platform.devices]
         records: list[OpRecord] = []
         for row, t0, t1 in chunks:
@@ -305,11 +302,13 @@ class ProcessBackend:
         records += [
             OpRecord(f"R*[{rstar}]", f"{rstar}.compute", "compute",
                      rstar_start, rstar_start + rstar_s),
-            OpRecord("tau1", "host.sync", "sync", tau1, tau1),
-            OpRecord("tau2", "host.sync", "sync", tau2, tau2),
+            OpRecord("tau1", "host.sync", "sync", *barrier1),
+            OpRecord("tau2", "host.sync", "sync", *barrier2),
         ]
         records.sort(key=lambda r: (r.start, r.resource, r.label))
-        return FrameTimeline(plan.frame_index, records, tau1, tau2, tau_tot)
+        return FrameTimeline(
+            plan.frame_index, records, barrier1[0], barrier2[0], tau_tot
+        )
 
     def _feed_characterization(
         self, perf: PerformanceCharacterization, plan: FramePlan,

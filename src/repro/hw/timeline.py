@@ -106,26 +106,3 @@ class FrameTimeline:
             lines.append(f"{res:>18s} |{''.join(row)}|")
         return "\n".join(lines)
 
-
-@dataclass
-class EncodingTrace:
-    """Accumulated per-frame timing of one encoding run."""
-
-    platform: str
-    frame_times_s: list[float] = field(default_factory=list)
-    timelines: list[FrameTimeline] = field(default_factory=list)
-
-    def add(self, timeline: FrameTimeline) -> None:
-        self.timelines.append(timeline)
-        self.frame_times_s.append(timeline.tau_tot)
-
-    def mean_fps(self, skip: int = 0) -> float:
-        """Mean frames/second over frames ``skip:`` (skip warm-up frames)."""
-        times = self.frame_times_s[skip:]
-        if not times:
-            return 0.0
-        return len(times) / sum(times)
-
-    def steady_state_fps(self, warmup: int = 2) -> float:
-        """fps after the framework has adapted (paper's steady regime)."""
-        return self.mean_fps(skip=min(warmup, max(0, len(self.frame_times_s) - 1)))

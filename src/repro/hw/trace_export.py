@@ -13,7 +13,7 @@ One writer, :func:`export_stream_traces`, serves every trace: each
 stream exports under its own ``pid`` with a ``process_name`` metadata
 record, so N concurrent streams of a service or fleet render as N
 labelled process groups instead of interleaving into one row, and a
-single run (``repro trace``) is one stream whose frames follow each other
+single run (``repro run --trace``) is one stream whose frames follow each other
 (:meth:`StreamTrace.back_to_back`).
 """
 

@@ -80,7 +80,7 @@ class TestIdealBound:
 class TestConvergence:
     def test_feves_converges_by_frame_two(self, syshk_run):
         """From the third frame on, every time is within 2 % of the last."""
-        times = syshk_run.trace.frame_times_s
+        times = [r.tau_tot for r in syshk_run.reports]
         steady = times[-1]
         assert all(abs(t - steady) <= 0.02 * steady for t in times[2:])
 
@@ -141,7 +141,7 @@ class TestObserversDoNotMutate:
         functions = public_functions()
         assert set(functions) == {
             "utilization_summary", "ideal_aggregate_fps",
-            "parallel_efficiency", "communication_volume",
+            "parallel_efficiency", "communication_volume", "steady_state_fps",
         }
         for fn in functions.values():
             assert_inputs_untouched(fn, available)

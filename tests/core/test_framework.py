@@ -129,6 +129,17 @@ class TestReporting:
         assert sum(s["distribution"]["me"]) == 68
         assert 0 < s["compute_utilization"]["GPU_K"] <= 1.0
 
+    def test_accuracy_report_counts_the_lp_frames_on_sim(self):
+        """The sim backend's reports are scored like the pool's: every
+        frame the LP scheduled, no other (frame 1 is equidistant)."""
+        fw = FevesFramework(get_platform("SysHK"), CFG)
+        fw.run_model(6)
+        acc = fw.accuracy_report().summary()
+        lp_frames = sum(1 for r in fw.reports if r.decision.used_lp)
+        assert acc["frames"] == lp_frames == 5
+        assert 0.0 <= acc["makespan_error_mean"] <= acc["makespan_error_max"]
+        assert set(acc["phase_error_mean"]) == {"tau1", "tau2", "tau_tot"}
+
     def test_summary_requires_frames(self):
         fw = FevesFramework(get_platform("SysHK"), CFG)
         with pytest.raises(RuntimeError, match="nothing encoded"):

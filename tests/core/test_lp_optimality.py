@@ -55,7 +55,7 @@ def run_static(m0: int, l0: int, s0: int) -> float:
 
     runner = PolicyRunner(platform, CFG, policy, FrameworkConfig())
     runner.run(3)
-    return runner.trace.frame_times_s[-1]
+    return runner.reports[-1].tau_tot
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ class TestLpVsExhaustive:
         best, combo = exhaustive_best
         fw = FevesFramework(get_platform("SysNF"), CFG, FrameworkConfig())
         fw.run_model(8)
-        feves = fw.trace.frame_times_s[-1]
+        feves = fw.reports[-1].tau_tot
         assert feves <= best * 1.18, (
             f"FEVES {feves * 1e3:.3f} ms vs exhaustive best {best * 1e3:.3f} ms "
             f"at {combo}"
@@ -95,7 +95,7 @@ class TestLpVsExhaustive:
         platform = get_platform("SysNF")
         fw = FevesFramework(platform, cfg, FrameworkConfig())
         fw.run_model(8)
-        feves_t = fw.trace.frame_times_s[-1]
+        feves_t = fw.reports[-1].tau_tot
         base = fw.reports[-1].decision
         m0, l0, s0 = base.m.rows[0], base.l.rows[0], base.s.rows[0]
 
@@ -113,7 +113,7 @@ class TestLpVsExhaustive:
             runner = PolicyRunner(p, cfg, lambda i, pf: (dec, "GPU_F"),
                                   FrameworkConfig())
             runner.run(3)
-            return runner.trace.frame_times_s[-1]
+            return runner.reports[-1].tau_tot
 
         for dm, dl, ds in itertools.product((-4, 0, 4), repeat=3):
             m = min(n, max(0, m0 + dm))

@@ -1,7 +1,11 @@
 """Noise injection and timeline utilities."""
 
+import dataclasses
+
 import pytest
 
+from repro.codec.config import CodecConfig
+from repro.core.framework import FevesFramework
 from repro.hw.des import OpRecord
 from repro.hw.noise import (
     FaultEvent,
@@ -11,7 +15,8 @@ from repro.hw.noise import (
     PerturbationEvent,
     PerturbationSchedule,
 )
-from repro.hw.timeline import EncodingTrace, FrameTimeline
+from repro.hw.presets import get_platform
+from repro.hw.timeline import FrameTimeline
 
 
 class TestPerturbationSchedule:
@@ -198,12 +203,30 @@ class TestTimeline:
 
 
 class TestTrace:
+    """A run's frame times and steady-state fps fold its reports' τtot."""
+
+    @staticmethod
+    def framework(times_s: list[float]) -> FevesFramework:
+        fw = FevesFramework(
+            get_platform("SysHK"), CodecConfig(width=64, height=48, search_range=4)
+        )
+        if times_s:
+            fw.run_model(len(times_s))
+        fw.reports[:] = [
+            dataclasses.replace(r, tau_tot=t)
+            for r, t in zip(fw.reports, times_s, strict=True)
+        ]
+        return fw
+
     def test_fps_accounting(self):
-        trace = EncodingTrace(platform="X")
-        for i, t in enumerate([0.1, 0.05, 0.05, 0.05]):
-            trace.add(FrameTimeline(frame_index=i, records=[], tau_tot=t))
-        assert trace.mean_fps() == pytest.approx(4 / 0.25)
-        assert trace.steady_state_fps(warmup=1) == pytest.approx(20.0)
+        fw = self.framework([0.1, 0.05, 0.05, 0.05])
+        assert fw.frame_times_ms() == pytest.approx([100.0, 50.0, 50.0, 50.0])
+        assert fw.steady_state_fps(warmup=0) == pytest.approx(4 / 0.25)
+        assert fw.steady_state_fps(warmup=1) == pytest.approx(20.0)
+        # A warm-up longer than the run still counts its last frame.
+        assert fw.steady_state_fps(warmup=9) == pytest.approx(20.0)
 
     def test_empty_trace(self):
-        assert EncodingTrace(platform="X").mean_fps() == 0.0
+        fw = self.framework([])
+        assert fw.frame_times_ms() == []
+        assert fw.steady_state_fps() == 0.0

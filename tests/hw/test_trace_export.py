@@ -19,7 +19,7 @@ CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
 
 
 def export_run(timelines, path, fault_log=None) -> int:
-    """A single run's trace, as ``repro trace`` writes it."""
+    """A single run's trace, as ``repro run --trace`` writes it."""
     run = StreamTrace.back_to_back(timelines, "run", fault_log=fault_log)
     return export_stream_traces([run], path)
 
