@@ -1048,7 +1048,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_profile and args.backend == "process" and args.frames < 2:
+        # Its first frame is the I frame, encoded untimed: one frame would
+        # leave the phase table empty.
+        parser.error("profile --backend process needs --frames >= 2 "
+                     "(frame 1 is the untimed I frame)")
     if not getattr(args, "sanitize", False):
         return args.func(args)
     # --sanitize is REPRO_SANITIZE=1 for this one command: the variable

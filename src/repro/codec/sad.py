@@ -25,6 +25,7 @@ level of the partition tree, which the kernel writes into directly.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -36,6 +37,9 @@ CELLS = MB_SIZE // 4
 #: One in each ``uint16`` lane of a ``uint64``: multiplying by it leaves the
 #: sum of the four lanes in the top lane.
 _LANE_SUM = 0x0001_0001_0001_0001
+
+#: Index of a ``uint64``'s top ``uint16`` lane in memory.
+_TOP_LANE = 3 if sys.byteorder == "little" else 0
 
 
 def box_sums(plane: np.ndarray) -> np.ndarray:
@@ -64,28 +68,31 @@ def fold_cells(
 
     ``(n, 16, W)`` uint8 → cell-major ``(4, 4, n, W / 16)`` uint16. ``out``
     and the scratch arrays ``rows`` (``(4, n, W)`` uint16) and ``lanes``
-    (``out``'s shape, uint64) are allocated when not passed.
+    (``(4, n, W / 4)`` uint64) are allocated when not passed.
 
     Four pel rows fold into one with a widening copy and three adds. The four
     pel columns of a cell are then the ``uint16`` lanes of one ``uint64`` and
-    a single multiply sums them: a lane is at most ``4 · 255 = 1 020``, so no
-    partial sum, even doubled, carries into the next lane, and the sum is
-    symmetric in the lanes, so byte order does not matter.
+    a single multiply of the contiguous rows sums them into the top lane: a
+    lane is at most ``4 · 255 = 1 020``, so no partial sum, even doubled,
+    carries into the next lane. The top lanes are read through a ``uint16``
+    view and copied into the cell-major ``out``.
     """
     n, _, w = pels.shape
-    cells = (CELLS, CELLS, n, w // MB_SIZE)
     rows = np.empty((CELLS, n, w), dtype=np.uint16) if rows is None else rows
-    lanes = np.empty(cells, dtype=np.uint64) if lanes is None else lanes
-    out = np.empty(cells, dtype=np.uint16) if out is None else out
+    lanes = np.empty((CELLS, n, w // 4), dtype=np.uint64) if lanes is None else lanes
+    if out is None:
+        out = np.empty((CELLS, CELLS, n, w // MB_SIZE), dtype=np.uint16)
     # [pel row of the cell, cell_row, n, x]
     pel_rows = pels.reshape(n, CELLS, 4, w).transpose(2, 1, 0, 3)
     np.copyto(rows, pel_rows[0])
     for k in (1, 2, 3):
         np.add(rows, pel_rows[k], out=rows)
-    # [cell_row, cell_col, n, mb]: one uint64 per cell, its four column sums.
-    quads = rows.view(np.uint64).reshape(CELLS, n, -1, CELLS).transpose(0, 3, 1, 2)
-    np.multiply(quads, np.uint64(weight * _LANE_SUM), out=lanes)
-    return np.right_shift(lanes, 48, out=out, casting="unsafe")
+    # One uint64 per cell row of 4 pels, its four column sums in the lanes.
+    np.multiply(rows.view(np.uint64), np.uint64(weight * _LANE_SUM), out=lanes)
+    # [cell_row, n, mb, cell_col] top lanes -> [cell_row, cell_col, n, mb].
+    sums = lanes.view(np.uint16)[..., _TOP_LANE::4].reshape(CELLS, n, -1, CELLS)
+    np.copyto(out, sums.transpose(0, 3, 1, 2))
+    return out
 
 
 class StripCellSads:
@@ -104,12 +111,12 @@ class StripCellSads:
             raise ValueError(f"strip width {width} not MB-aligned")
         disp = (n_disp,) if isinstance(n_disp, int) else tuple(n_disp)
         n = math.prod(disp)
-        cells = (CELLS, CELLS, n, width // MB_SIZE)
+        self._cells = (CELLS, CELLS, n, width // MB_SIZE)
         self._min = np.empty((*disp, MB_SIZE, width), dtype=np.uint8)
         # The same buffer as the fold reads it: one strip per displacement.
         self._strips = self._min.reshape(n, MB_SIZE, width)
         self._rows = np.empty((CELLS, n, width), dtype=np.uint16)
-        self._lanes = np.empty(cells, dtype=np.uint64)
+        self._lanes = np.empty((CELLS, n, width // 4), dtype=np.uint64)
         self._cur_sums = np.empty((CELLS, CELLS, *disp, width // MB_SIZE), dtype=np.uint16)
 
     def set_current(self, cur_strip: np.ndarray) -> None:
@@ -121,7 +128,7 @@ class StripCellSads:
         if cur_strip.dtype != np.uint8:
             raise ValueError(f"uint8 samples required, got cur={cur_strip.dtype}")
         self._cur = cur_strip
-        self._cur_sums.reshape(self._lanes.shape)[...] = fold_cells(cur_strip[None])
+        self._cur_sums.reshape(self._cells)[...] = fold_cells(cur_strip[None])
 
     def cell_sads(
         self,

@@ -8,19 +8,20 @@ position are evaluated first, then the 8 quarter-pel neighbours of the best
 half-pel position. Distortion is SAD (or SATD) against the current frame.
 
 Like ME, the kernel processes MB rows (the ``s`` distribution vector of
-Algorithm 2). Per partition mode and ring it is batched over every
-sub-partition of the band *and* the ring's 9 candidates:
+Algorithm 2). Every sub-partition instance of the band, over *every* enabled
+partition mode, is one column of a few ``(…, N)`` arrays, grouped once per
+call by (mode, reference). Each ring (half-pel, then quarter-pel) is then one
+pass over all of them (see :func:`_evaluate_ring`):
 
 1. per axis the three candidate coordinates, each clamped on its own (the
    restricted-MV border policy MC shares); every clamped candidate is one
-   slot of a 3×3 lattice around the centre (see :func:`_evaluate_ring`);
-2. one patch gather per instance — the lattice's samples, from a
-   strided-window view of the SF, the instances grouped by reference once
-   per mode so each SF serves one contiguous run — laid out ``(PH, PW, n)``
-   with the instance axis innermost;
-3. SAD of each of the 9 slots at the width the data needs: ``maximum −
-   minimum`` in uint8, summed in uint16 (at most ``256 · 255 = 65 280``),
-   each ufunc over rows of ``n`` instances;
+   slot of a 3×3 lattice around the centre;
+2. per (mode, reference), one patch gather per instance — the lattice's
+   samples, from an exact-shape strided window of the SF — laid out
+   ``(PH, PW, n)`` with the instance axis innermost;
+3. per mode, the SAD of all its slots at the width the data needs:
+   ``maximum − minimum`` in uint8, summed in uint16 (at most
+   ``256 · 255 = 65 280``);
 4. the 9 candidates' costs read through their slots, one first minimum over
    the candidate axis — the centre is candidate 0, so ties resolve toward
    the smaller refinement — and the winner's *clamped* displacement.
@@ -32,9 +33,9 @@ narrow types are widened once, when the field is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.config import MB_SIZE, CodecConfig
 from repro.codec.me import MotionField, check_field_arrays, merge_field_bands
@@ -57,9 +58,22 @@ def _ring(step: int) -> np.ndarray:
 _HALF_RING = _ring(2)
 _QUARTER_RING = _ring(1)
 
-#: ``(3, 1, 1)`` unit offsets of one axis; instances gathered per chunk.
-_UNIT = np.arange(-1, 2)[:, None, None]
-_CHUNK = 256
+#: ``(3, 1, 1)`` unit offsets of one axis; patch bytes gathered per chunk.
+_UNIT = np.arange(-1, 2, dtype=np.int32)[:, None, None]
+_CHUNK_BYTES = 1 << 18
+
+
+class _ModeBlock(NamedTuple):
+    """One partition mode's instances: columns ``seg`` of the per-call arrays."""
+
+    shape: tuple[int, int]
+    seg: slice
+    #: ``(sf, columns)`` runs of the mode's instances that share a reference.
+    runs: list[tuple[np.ndarray, slice]]
+    #: ``(bh, bw, n)`` current blocks, instance axis innermost.
+    cur: np.ndarray
+    #: Largest ``(qy, qx)`` at which the block still fits the SF.
+    limit: tuple[int, int]
 
 
 @dataclass
@@ -139,7 +153,8 @@ def subpel_refine_rows(
                 f"sfs[{k}] is {sf.dtype} {sf.shape}, expected uint8 {(4 * h, 4 * w)}"
             )
     src = slice(row0 - me_field.row0, row0 - me_field.row0 + nrows)
-    for shape in me_field.mode_shapes:
+    shapes = me_field.mode_shapes
+    for shape in shapes:
         refs = me_field.refs[shape][src]
         if refs.size and not 0 <= refs.min() <= refs.max() < len(sfs):
             bad = refs.max() if refs.max() >= len(sfs) else refs.min()
@@ -147,78 +162,124 @@ def subpel_refine_rows(
                 f"refs[{shape}] names reference {bad} but only "
                 f"{len(sfs)} SF(s) were given"
             )
-    out = SubpelField(
-        row0=row0, nrows=nrows, mb_cols=mb_cols, mode_shapes=me_field.mode_shapes
+    out = SubpelField(row0=row0, nrows=nrows, mb_cols=mb_cols, mode_shapes=shapes)
+    for shape in shapes:
+        out.refs[shape] = me_field.refs[shape][src].astype(np.int32)
+    if not (cfg.subpel and nrows):
+        for shape in shapes:
+            out.qmvs[shape] = (4 * me_field.mvs[shape][src]).astype(np.int32)
+            out.sads[shape] = me_field.sads[shape][src].astype(np.int64)
+        return out
+
+    # The gather windows address each SF's buffer; a strided SF is copied.
+    sfs = [np.ascontiguousarray(sf) for sf in sfs]
+    order, bounds, origin, limit, best_q, modes = _instances(
+        cur_y, sfs, me_field, row0, nrows
     )
     metric = block_metric(cfg.subpel_metric)
+    slot_costs = np.empty(
+        (9, bounds[-1]), dtype=np.uint16 if metric is sad_blocks else np.int64
+    )
+    for ring in (_HALF_RING, _QUARTER_RING):
+        best_q, best = _evaluate_ring(ring, best_q, origin, limit, modes, slot_costs, metric)
+
+    # Back to [mode, part, row, mb] order, then [row, mb, part] per mode;
+    # widen once, at assembly.
+    qmv = np.empty((bounds[-1], 2), dtype=np.int32)
+    qmv[order] = best_q.T
+    cost = np.empty(bounds[-1], dtype=np.int64)
+    cost[order] = best
+    for k, shape in enumerate(shapes):
+        seg = slice(bounds[k], bounds[k + 1])
+        dims = (get_mode(shape).nparts, nrows, mb_cols)
+        out.qmvs[shape] = np.moveaxis(qmv[seg].reshape(dims + (2,)), 0, 2).copy()
+        out.sads[shape] = np.moveaxis(cost[seg].reshape(dims), 0, 2).copy()
+    return out
+
+
+def _instances(
+    cur_y: np.ndarray,
+    sfs: list[np.ndarray],
+    me_field: MotionField,
+    row0: int,
+    nrows: int,
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, np.ndarray, list[_ModeBlock]]:
+    """Every sub-partition instance of the band, over every mode, as columns.
+
+    The instances are flattened ``[mode, part, row, mb]`` and grouped by
+    (mode, reference) once, so each ring gathers a contiguous run per SF (the
+    SFs live in separate segments). Returns the grouping ``order`` (column →
+    flat instance), the modes' column ``bounds``, the ``(2, N)`` int32
+    partition origins, clamp limits and ME displacements in quarter-pel
+    units, and one :class:`_ModeBlock` per mode.
+    """
+    h, w = cur_y.shape
+    mb_cols = w // MB_SIZE
+    src = slice(row0 - me_field.row0, row0 - me_field.row0 + nrows)
+    shapes = me_field.mode_shapes
+    n_sf = len(sfs)
+    sizes = [nrows * mb_cols * get_mode(shape).nparts for shape in shapes]
+    bounds = np.cumsum([0] + sizes).tolist()
+    key = np.concatenate(
+        [np.moveaxis(me_field.refs[shape][src], 2, 0).ravel() for shape in shapes]
+    ).astype(np.int32)
+    key += np.repeat(np.arange(len(shapes), dtype=np.int32) * n_sf, sizes)
+    order = np.argsort(key, kind="stable")
+    ends = np.searchsorted(key[order], np.arange(len(shapes) * n_sf + 1)).tolist()
+    mb_y = 4 * MB_SIZE * np.arange(row0, row0 + nrows, dtype=np.int32)
+    mb_x = 4 * MB_SIZE * np.arange(mb_cols, dtype=np.int32)
+    origin = np.empty((2, bounds[-1]), dtype=np.int32)
+    limits = [(4 * (h - bh), 4 * (w - bw)) for bh, bw in shapes]
+    limit = np.repeat(np.array(limits, dtype=np.int32).T, sizes, axis=1)
     band_y = cur_y[row0 * MB_SIZE : (row0 + nrows) * MB_SIZE]
-    for shape in me_field.mode_shapes:
+    # [y, x, row, mb]: each pel of the MB over the band's MBs, contiguous.
+    pels = band_y.reshape(nrows, MB_SIZE, mb_cols, MB_SIZE).transpose(1, 3, 0, 2).copy()
+    modes = []
+    for k, shape in enumerate(shapes):
         mode = get_mode(shape)
         bh, bw = shape
-        refs = me_field.refs[shape][src]            # (nrows, mbc, nparts)
-        out.refs[shape] = refs.astype(np.int32)
-        # Every sub-partition instance of the band, flattened [row, mb, part].
-        qmv = 4 * me_field.mvs[shape][src].reshape(-1, 2).astype(np.int64)
-        cost = me_field.sads[shape][src].ravel()
-
-        if cfg.subpel and nrows:
-            # Group the instances by reference once, so each ring gathers a
-            # contiguous run per SF (the SFs live in separate segments).
-            flat_ref = refs.ravel()
-            order = np.argsort(flat_ref, kind="stable")
-            ends = np.searchsorted(flat_ref[order], np.arange(len(sfs) + 1))
-            runs = [
-                (sf, slice(a, b)) for sf, a, b in zip(sfs, ends, ends[1:]) if a < b
-            ]
-            # Partition origins in quarter-pel units, and the current blocks
-            # as (bh, bw, n), instance axis innermost like the patches:
-            # raster sub-partitions of raster MBs are one reshape of the band.
-            mb_y = 4 * MB_SIZE * np.arange(row0, row0 + nrows)
-            mb_x = 4 * MB_SIZE * np.arange(mb_cols)
-            origin = np.empty((2, nrows, mb_cols, mode.nparts), dtype=np.int64)
-            origin[0] = mb_y[:, None, None] + 4 * mode.origins[:, 0]
-            origin[1] = mb_x[:, None] + 4 * mode.origins[:, 1]
-            origin = origin.reshape(2, -1)[:, order]
-            cur_blocks = np.take(
-                band_y.reshape(nrows, MB_SIZE // bh, bh, mb_cols, -1, bw)
-                .transpose(2, 5, 0, 3, 1, 4)
-                .reshape(bh, bw, -1),
-                order,
-                axis=2,
-            )
-            limit = np.array([[4 * (h - bh)], [4 * (w - bw)]])
-            best_q = qmv[order].T
-            for ring in (_HALF_RING, _QUARTER_RING):
-                best_q, best = _evaluate_ring(
-                    ring, best_q, cur_blocks, runs, origin, limit, metric
-                )
-            qmv[order] = best_q.T
-            cost = np.empty_like(best)
-            cost[order] = best
-
-        # Widen once, at assembly.
-        out.qmvs[shape] = qmv.astype(np.int32).reshape(nrows, mb_cols, mode.nparts, 2)
-        out.sads[shape] = cost.astype(np.int64).reshape(nrows, mb_cols, mode.nparts)
-    return out
+        seg = slice(bounds[k], bounds[k + 1])
+        mode_origin = origin[:, seg].reshape(2, mode.nparts, nrows, mb_cols)
+        mode_origin[0] = 4 * mode.origins[:, 0, None, None] + mb_y[:, None]
+        mode_origin[1] = 4 * mode.origins[:, 1, None, None] + mb_x
+        runs = [
+            (sf, slice(a, b))
+            for sf, a, b in zip(sfs, ends[k * n_sf :], ends[k * n_sf + 1 :])
+            if a < b
+        ]
+        # (bh, bw, n): raster sub-partitions are one reshape of ``pels``.
+        cur = np.take(
+            pels.reshape(MB_SIZE // bh, bh, -1, bw, nrows * mb_cols)
+            .transpose(1, 3, 0, 2, 4)
+            .reshape(bh, bw, -1),
+            order[seg] - seg.start,
+            axis=2,
+        )
+        modes.append(_ModeBlock(shape, seg, runs, cur, limits[k]))
+    qmv = np.concatenate(
+        [np.moveaxis(me_field.mvs[shape][src], 2, 0).reshape(-1, 2) for shape in shapes]
+    )
+    qmv = np.multiply(qmv[order].T, 4, order="C", dtype=np.int32)
+    return order, bounds, origin[:, order], limit, qmv, modes
 
 
 def _evaluate_ring(
     ring: np.ndarray,
     centre_q: np.ndarray,
-    cur_blocks: np.ndarray,
-    runs: list[tuple[np.ndarray, slice]],
     origin: np.ndarray,
     limit: np.ndarray,
+    modes: list[_ModeBlock],
+    slot_costs: np.ndarray,
     metric,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one candidate ring around ``centre_q``; return best (qmv, cost).
 
     ``ring`` is ``(9, 2, 1)`` offsets of one step (2: half-pel, 1:
-    quarter-pel), centre first; ``centre_q`` and ``origin`` are ``(2, n)``
-    quarter-pel ``(y, x)`` displacements / partition origins of the ``n``
-    instances, ``cur_blocks`` their ``(bh, bw, n)`` current blocks, ``limit``
-    the largest ``(qy, qx)`` at which a block still fits the SF, and ``runs``
-    the ``(sf, slice)`` runs of instances that share a reference.
+    quarter-pel), centre first; ``centre_q``, ``origin`` and ``limit`` are
+    ``(2, N)`` int32 quarter-pel ``(y, x)`` displacements, partition origins
+    and the largest position at which each block still fits the SF, over the
+    ``N`` instances of every mode in ``modes``; ``slot_costs`` is ``(9, N)``
+    scratch, slot ``(ky, kx)`` in row ``3·ky + kx``.
 
     Every candidate — including the centre — is clamped on its own and
     scored on the SF samples at the clamped position, so the cost recorded
@@ -231,67 +292,121 @@ def _evaluate_ring(
     ``step``-spaced slots (DESIGN.md "Performance: the SME kernel"): per
     axis the centre is a multiple of ``2·step`` inside ``[0, L]`` or beyond
     it, ``L`` a multiple of 4, so ``clip(c + d)`` is ``clip(c) + d`` or
-    ``clip(c)``, and with ``low = clip(c − step, 0, L − 2·step)`` it is slot
-    ``(p − low) / step ∈ {0, 1, 2}``. One patch per instance covers the
-    slots; an axis with ``L < 2·step`` (the block spans the frame) has one.
+    ``clip(c)``, and with ``low = clip(c − step, 0, L − span)``, ``span =
+    min(L, 2·step)``, it is slot ``(p − low) / step ∈ {0, 1, 2}``. One patch
+    per instance covers the slots; an axis with ``L = 0`` (the block spans
+    the frame) has one.
     """
     step = int(ring.max())
+    shift = step.bit_length() - 1
     pitch = 4 // step  # patch samples from one block row to the next
-    bh, bw, n = cur_blocks.shape
+    n = centre_q.shape[1]
     centre = origin + centre_q
-    # (3, 2, n): per axis, the clamped coordinate of offsets -step, 0, +step.
-    axis_pos = np.minimum(np.maximum(centre + step * _UNIT, 0), limit)
-    span = np.where(limit >= 2 * step, 2 * step, 0)
-    low = np.minimum(np.maximum(centre - step, 0), limit - span)
-    slot, rem = np.divmod(axis_pos - low, step)
-    if rem.any() or slot.min() < 0 or (step * slot > span).any():
-        raise RuntimeError(
-            f"SME {bh}x{bw} step {step}: a clamped candidate is off its patch"
+    span = np.minimum(limit, 2 * step)
+    low = np.maximum(centre - step, 0)
+    np.minimum(low, limit - span, out=low)
+    # (3, 2, n): per axis, the clamped coordinates of offsets -step, 0, +step,
+    # then their slots from ``low``.
+    slot = centre + step * _UNIT
+    np.maximum(slot, 0, out=slot)
+    np.minimum(slot, limit, out=slot)
+    slot -= low
+    if (slot & (step - 1)).any() or slot.min() < 0 or (slot > span).any():
+        raise RuntimeError(f"SME step {step}: a clamped candidate is off its patch")
+    slot >>= shift
+    costs = slot_costs.reshape(3, 3, n)
+    for (bh, bw), seg, runs, cur, (lim_y, lim_x) in modes:
+        n_y, n_x = min(lim_y, 2 * step) // step + 1, min(lim_x, 2 * step) // step + 1
+        # One mode's patches at a time: they are freed when its costs are in.
+        patch_shape = (n_y + pitch * (bh - 1), n_x + pitch * (bw - 1))
+        _slot_costs(
+            cur, _gather_patches(runs, low, seg, step, patch_shape),
+            n_y, n_x, pitch, costs[:n_y, :n_x, seg], metric,
         )
-    n_y, n_x = (span[:, 0] // step + 1).tolist()
-    patch = np.empty(
-        (n_y + pitch * (bh - 1), n_x + pitch * (bw - 1), n), dtype=np.uint8
-    )
-    for sf, run in runs:
-        windows = sliding_window_view(
-            sf, (step * (patch.shape[0] - 1) + 1, step * (patch.shape[1] - 1) + 1)
-        )[:, :, ::step, ::step]
-        # Instance axis innermost; in chunks, so each transposing copy reads
-        # a gather that is still in cache.
-        for c0 in range(run.start, run.stop, _CHUNK):
-            c = slice(c0, min(c0 + _CHUNK, run.stop))
-            patch[:, :, c] = windows[low[0, c], low[1, c]].transpose(1, 2, 0)
-    slot_costs = np.empty((n_y * n_x, n), dtype=np.int64)
-    for ky in range(n_y):
-        for kx in range(n_x):
-            cand = patch[
-                ky : ky + pitch * (bh - 1) + 1 : pitch,
-                kx : kx + pitch * (bw - 1) + 1 : pitch,
-            ]
-            slot_costs[ky * n_x + kx] = _slot_cost(cur_blocks, cand, metric)
     # (9, n): each candidate's cost, read through its slot.
     uy, ux = (ring[:, :, 0] // step + 1).T
-    cols = np.arange(n)
-    keyed = np.take(slot_costs, (slot[uy, 0] * n_x + slot[ux, 1]) * n + cols)
-    # First minimum over the candidate axis: cost · 16 + candidate index.
-    keyed <<= 4
-    keyed += np.arange(len(ring))[:, None]
+    cols = np.arange(n, dtype=np.int32)
+    index = slot[uy, 0]
+    index *= 3
+    index += slot[ux, 1]
+    index *= n
+    index += cols
+    # First minimum over the candidate axis: cost · 16 + candidate index (a
+    # 16×16 SATD is below 2²⁰, so int32 holds it), in the index's buffer.
+    keyed = np.left_shift(np.take(slot_costs, index), 4, out=index, dtype=np.int32)
+    keyed += np.arange(len(ring), dtype=np.int32)[:, None]
     best = np.minimum.reduce(keyed, axis=0)
     win = best & 15
-    best_pos = np.stack((axis_pos[uy[win], 0, cols], axis_pos[ux[win], 1, cols]))
-    return best_pos - origin, best >> 4
+    best_slot = np.stack((slot[uy[win], 0, cols], slot[ux[win], 1, cols]))
+    return low + (best_slot << shift) - origin, best >> 4
 
 
-def _slot_cost(cur_blocks: np.ndarray, cand: np.ndarray, metric) -> np.ndarray:
-    """``(n,)`` costs of a ``(bh, bw, n)`` candidate view against ``cur_blocks``.
+def _gather_patches(
+    runs: list[tuple[np.ndarray, slice]],
+    low: np.ndarray,
+    seg: slice,
+    step: int,
+    patch_shape: tuple[int, int],
+) -> np.ndarray:
+    """``(PH, PW, n)`` patches of one mode's instances, columns ``seg``.
 
-    SAD stays at the width the data needs (the FSBM idiom): ``|a − b|`` as
-    ``maximum − minimum`` in uint8, summed in uint16 — a 16×16 block of
-    all-0 against all-255 is ``65 280 < 2¹⁶`` — over the instance axis, which
-    is innermost. Any other metric scores the ``(n, bh, bw)`` stacks.
+    Instance ``i``'s patch is the SF of its run sampled at ``step`` from
+    ``low[:, i]``: through an exact-shape window, so an index past the last
+    position at which the patch fits raises instead of reading past the SF.
     """
+    ph, pw = patch_shape
+    patch = np.empty((ph, pw, seg.stop - seg.start), dtype=np.uint8)
+    # Instance axis innermost; in chunks, so each transposing copy reads a
+    # gather that is still in cache.
+    chunk = max(1, _CHUNK_BYTES // (ph * pw))
+    for sf, run in runs:
+        s0, s1 = sf.strides
+        windows = np.ndarray(
+            (sf.shape[0] - step * (ph - 1), sf.shape[1] - step * (pw - 1), ph, pw),
+            np.uint8, sf, 0, (s0, s1, step * s0, step * s1),
+        )
+        for c0 in range(run.start, run.stop, chunk):
+            c = slice(c0, min(c0 + chunk, run.stop))
+            patch[:, :, c.start - seg.start : c.stop - seg.start] = windows[
+                low[0, c], low[1, c]
+            ].transpose(1, 2, 0)
+    return patch
+
+
+def _slot_costs(
+    cur: np.ndarray,
+    patch: np.ndarray,
+    n_y: int,
+    n_x: int,
+    pitch: int,
+    out: np.ndarray,
+    metric,
+) -> None:
+    """``(n_y, n_x, n)`` slot costs of the ``(bh, bw, n)`` ``cur`` blocks into ``out``.
+
+    Slot ``(ky, kx)`` is the ``(bh, bw, n)`` view of ``patch`` from
+    ``(ky, kx)`` at ``pitch``. SAD stays at the width the data needs (the FSBM
+    idiom): ``|a − b|`` as ``maximum − minimum`` in uint8, summed in uint16 —
+    a 16×16 block of all-0 against all-255 is ``65 280 < 2¹⁶`` — over the
+    instance axis, which is innermost, one row of slots at a time. Any other
+    metric scores the ``(n, bh, bw)`` stacks of one slot at a time.
+    """
+    bh, bw, n = cur.shape
+    sy, sx, _ = patch.strides
+    slots = np.ndarray(
+        (n_y, n_x, bh, bw, n), np.uint8, patch, 0, (sy, sx, pitch * sy, pitch * sx, 1)
+    )
     if metric is not sad_blocks:
-        return metric(cur_blocks.transpose(2, 0, 1), cand.transpose(2, 0, 1))
-    diff = np.maximum(cand, cur_blocks)
-    diff -= np.minimum(cand, cur_blocks)
-    return diff.sum(axis=(0, 1), dtype=np.uint16)
+        for ky in range(n_y):
+            for kx in range(n_x):
+                out[ky, kx] = metric(
+                    cur.transpose(2, 0, 1), slots[ky, kx].transpose(2, 0, 1)
+                )
+        return
+    diff = np.empty((n_x, bh, bw, n), dtype=np.uint8)
+    low = np.empty_like(diff)
+    for ky in range(n_y):
+        np.maximum(slots[ky], cur, out=diff)
+        np.minimum(slots[ky], cur, out=low)
+        diff -= low
+        np.add.reduce(diff, axis=(1, 2), dtype=np.uint16, out=out[ky])

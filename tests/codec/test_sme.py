@@ -318,6 +318,30 @@ class TestMatchesReferenceKernel:
         with pytest.raises(RuntimeError, match="off its patch"):
             subpel_refine_rows(cur, [sf], me, 0, 3, cfg)
 
+    def test_one_clamp_limit_for_every_mode_is_killed(self, mutant):
+        """Instances of every mode sit in one set of columns, each with its
+        own mode's clamp limit: the property must notice the 16×16 limit used
+        for all of them (smaller blocks could no longer reach the far edge)."""
+        mutant(sme_module, "_instances", lambda source: source.replace(
+            "(4 * (h - bh), 4 * (w - bw))", "(4 * (h - 16), 4 * (w - 16))"
+        ))
+        mutant_run = settings(
+            max_examples=80, deadline=None, derandomize=True, database=None,
+            phases=[Phase.generate],
+        )(given(sme_cases())(check_matches_reference))
+        with pytest.raises(AssertionError):
+            mutant_run()
+
+    def test_patch_past_the_sf_raises(self, rng):
+        """The gather window has exactly the positions at which a patch fits:
+        one past the last raises instead of reading beyond the SF's buffer."""
+        sf = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        run = [(sf, slice(0, 1))]
+        patch = sme_module._gather_patches(run, np.array([[61], [61]]), slice(0, 1), 1, (3, 3))
+        np.testing.assert_array_equal(patch[:, :, 0], sf[61:, 61:])
+        with pytest.raises(IndexError):
+            sme_module._gather_patches(run, np.array([[62], [0]]), slice(0, 1), 1, (3, 3))
+
     def test_out_of_frame_mvs_on_every_edge(self, rng):
         """MVs far past each edge clamp to the border position, per candidate."""
         cfg = CodecConfig(width=64, height=48, num_ref_frames=1)
@@ -332,6 +356,21 @@ class TestMatchesReferenceKernel:
 
 
 class TestValidation:
+    def test_strided_and_read_only_sfs(self, rng):
+        """The gather windows address the SF's buffer: a strided view (copied)
+        and a read-only plane score the same as the plain SF."""
+        cfg = CodecConfig(width=64, height=48, num_ref_frames=1)
+        cur = rng.integers(0, 256, (48, 64), dtype=np.uint8)
+        sf = interpolate_plane(rng.integers(0, 256, (48, 64), dtype=np.uint8))
+        wide = np.zeros((192, 512), dtype=np.uint8)
+        wide[:, ::2] = sf
+        read_only = sf.copy()
+        read_only.flags.writeable = False
+        me = random_me_field(rng, cfg, 1, reach=40)
+        want = reference_sme(cur, [sf], me, 0, 3, cfg)
+        for plane in (wide[:, ::2], read_only):
+            assert_fields_identical(subpel_refine_rows(cur, [plane], me, 0, 3, cfg), want)
+
     def test_reference_without_an_sf(self, rng, cfg):
         """A field naming reference 1 with one SF must not score garbage."""
         cur = rng.integers(0, 256, (64, 64), dtype=np.uint8)

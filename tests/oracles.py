@@ -46,7 +46,8 @@ diffs the two:
   int32 SADs reduced to int64 and a strict ``<`` masked update; replaced
   by :func:`subpel_refine_rows` ("Performance: the SME kernel" — its
   per-candidate block gathers then gave way to one patch per instance and
-  ring; the property diffs today's kernel against this one);
+  ring, and the per-mode rings to one pass per ring over every mode; the
+  property diffs today's kernel against this one);
   ``tests/codec/test_sme.py``.
 - :func:`reference_build_prediction` — MC one partition and one 4×4 cell
   at a time, one gather per ``(partition, reference)``, int64 chroma taps

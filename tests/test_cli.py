@@ -401,6 +401,18 @@ class TestBadNumbers:
         assert "argument --frames: must be >= 1" in captured.err
         assert captured.out == ""
 
+    def test_process_profile_of_one_frame_is_a_usage_error(self, capsys):
+        """The process backend's first frame is the untimed I frame: one
+        frame would print an empty phase table at "0.000 ms/frame", so
+        the parser rejects it before a pool starts."""
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--backend", "process", "--size", "64x48",
+                  "--frames", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "needs --frames >= 2" in captured.err
+        assert captured.out == ""
+
 
 class TestEncodeDecodeErrors:
     """``encode``/``decode`` fed a bad number, a bad size or a bad file end
