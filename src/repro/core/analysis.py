@@ -42,13 +42,12 @@ def utilization_summary(
         raise ValueError("no reports to analyze")
     acc: dict[str, list[float]] = {}
     for rep in window:
-        # One pass per report via the timeline's memoized per-resource
-        # busy table (identical sums to the old per-resource scans).
-        # sorted(): set iteration order would otherwise decide the key
-        # insertion order of `per_resource`, which leaks into exported
-        # summaries under different hash seeds (REP102).
-        for res in sorted(rep.timeline.busy_by_resource()):
-            acc.setdefault(res, []).append(rep.timeline.utilization(res))
+        # One pass per report over the timeline's times. sorted(): set
+        # iteration order would otherwise decide the key insertion order
+        # of `per_resource`, which leaks into exported summaries under
+        # different hash seeds (REP102).
+        for res, u in sorted(rep.timeline.utilization_by_resource().items()):
+            acc.setdefault(res, []).append(u)
     return UtilizationSummary(
         per_resource={k: sum(v) / len(v) for k, v in acc.items()}
     )

@@ -35,6 +35,7 @@ from repro.core.data_access import DataAccessManager, TransferPlan
 from repro.core.distribution import Distribution
 from repro.core.frame_plan import FramePlan
 from repro.core.load_balancing import LoadDecision
+from repro.hw.des import Schedule
 from repro.hw.timeline import FaultLogEntry, FrameTimeline
 from repro.core.load_balancing import LoadBalancer
 from repro.core.perf_model import PerformanceCharacterization
@@ -503,7 +504,7 @@ def _intra_report() -> FrameReport:
         tau1=0.0,
         tau2=0.0,
         tau_tot=0.0,
-        timeline=FrameTimeline(frame_index=0, records=[]),
+        timeline=FrameTimeline(frame_index=0, records=Schedule.of(())),
         decision=decision,
         rstar_device="",
         transfer_plan=TransferPlan(),

@@ -51,7 +51,7 @@ from repro.exec.pool import (
     usable_cpus,
 )
 from repro.exec.shm import SharedFrameStore
-from repro.hw.des import OpRecord
+from repro.hw.des import OpRecord, Schedule
 from repro.hw.timeline import FrameTimeline
 from repro.hw.topology import Platform
 from repro.util.journal import span
@@ -305,9 +305,8 @@ class ProcessBackend:
             OpRecord("tau1", "host.sync", "sync", *barrier1),
             OpRecord("tau2", "host.sync", "sync", *barrier2),
         ]
-        records.sort(key=lambda r: (r.start, r.resource, r.label))
         return FrameTimeline(
-            plan.frame_index, records, barrier1[0], barrier2[0], tau_tot
+            plan.frame_index, Schedule.of(records), barrier1[0], barrier2[0], tau_tot
         )
 
     def _feed_characterization(

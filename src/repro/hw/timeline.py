@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.hw.des import OpRecord
+from repro.hw.des import Schedule
 
 
 @dataclass(frozen=True)
@@ -46,54 +46,58 @@ class FaultLogEntry:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameTimeline:
-    """Schedule of one encoded frame."""
+    """Schedule of one encoded frame.
+
+    ``records`` holds the frame's op descriptors, record order and times
+    (:class:`~repro.hw.des.Schedule`): a simulated frame shares the first
+    two with every frame that re-times the same op graph.
+    """
 
     frame_index: int
-    records: list[OpRecord]
+    records: Schedule
     tau1: float = 0.0
     tau2: float = 0.0
     tau_tot: float = 0.0
-    _busy: dict[str, float] | None = field(default=None, repr=False, compare=False)
 
     def busy_by_resource(self) -> dict[str, float]:
-        """Busy seconds per resource, computed in one pass and memoized.
+        """Busy seconds per resource, in one pass over the times.
 
-        Accumulating per resource in record order adds the same floats in
-        the same order as the per-resource filtered scans did, so the
-        sums are bit-identical; callers iterating over many resources go
-        from O(records × resources) to O(records). Records are treated
-        as immutable once the timeline exists (they are — the simulator
-        emits them once per frame).
+        The durations are added per resource in record order, so the sums
+        are the floats a pass over :attr:`records` gives.
         """
-        if self._busy is None:
-            busy: dict[str, float] = {}
-            for r in self.records:
-                busy[r.resource] = busy.get(r.resource, 0.0) + r.duration
-            self._busy = busy
-        return self._busy
+        s = self.records
+        ops, times, n = s.ops, s.times.tolist(), len(s.ops)
+        busy: dict[str, float] = {}
+        get = busy.get
+        for i in s.order:
+            res = ops[i][1]
+            busy[res] = get(res, 0.0) + (times[n + i] - times[i])
+        return busy
 
-    def busy_time(self, resource: str) -> float:
-        """Total occupied simulated seconds of a resource."""
-        return self.busy_by_resource().get(resource, 0.0)
+    def utilization_by_resource(self) -> dict[str, float]:
+        """Busy fraction of each resource over the frame makespan."""
+        busy = self.busy_by_resource()
+        if self.tau_tot <= 0:
+            return dict.fromkeys(busy, 0.0)
+        return {res: b / self.tau_tot for res, b in busy.items()}
 
     def utilization(self, resource: str) -> float:
         """Busy fraction of a resource over the frame makespan."""
-        if self.tau_tot <= 0:
-            return 0.0
-        return self.busy_time(resource) / self.tau_tot
+        return self.utilization_by_resource().get(resource, 0.0)
 
     def gantt_text(self, width: int = 72) -> str:
         """ASCII Gantt chart of the frame (one line per resource)."""
-        if not self.records or self.tau_tot <= 0:
+        records = list(self.records)
+        if not records or self.tau_tot <= 0:
             return "(empty timeline)"
-        resources = sorted({r.resource for r in self.records})
+        resources = sorted({r.resource for r in records})
         lines = [f"frame {self.frame_index}  tau_tot={self.tau_tot * 1e3:.3f} ms"]
         scale = width / self.tau_tot
         for res in resources:
             row = [" "] * width
-            for rec in self.records:
+            for rec in records:
                 if rec.resource != res:
                     continue
                 a = min(width - 1, int(rec.start * scale))

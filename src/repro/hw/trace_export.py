@@ -42,7 +42,7 @@ def resource_tids(timelines: list[FrameTimeline]) -> dict[str, int]:
     resource (an evicted device, an idle copy engine) cannot shift the
     tids of later frames.
     """
-    resources = sorted({r.resource for tl in timelines for r in tl.records})
+    resources = sorted({res for tl in timelines for _, res, _ in tl.records.ops})
     return {res: i + 1 for i, res in enumerate(resources)}
 
 

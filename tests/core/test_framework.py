@@ -165,7 +165,7 @@ class TestOptionSurface:
             "enable_parking", "rstar_parallel", "faults", "backend",
             "exec_workers",
         }
-        assert str(inspect.signature(Simulator.run)) == "(self) -> 'list[OpRecord]'"
+        assert str(inspect.signature(Simulator.run)) == "(self) -> 'Schedule'"
         assert {f.name for f in dataclasses.fields(Op)} == {
             "label", "resource", "duration", "deps", "category", "start", "end",
         }

@@ -3,7 +3,7 @@
 import pytest
 
 from oracles import reference_run, validate_schedule
-from repro.hw.des import Op, Resource, Simulator
+from repro.hw.des import Op, OpRecord, Resource, Schedule, Simulator
 
 
 class TestScheduling:
@@ -103,8 +103,6 @@ class TestValidation:
             Simulator([Resource("x"), Resource("x")])
 
     def test_validate_schedule_detects_overlap(self):
-        from repro.hw.des import OpRecord
-
         recs = [
             OpRecord("a", "r", "compute", 0.0, 2.0),
             OpRecord("b", "r", "compute", 1.0, 3.0),
@@ -142,3 +140,52 @@ class TestReset:
             return [(x.label, x.start, x.end) for x in recs]
 
         assert build() == build()
+
+
+class TestSchedule:
+    """``run`` returns the times as arrays over the issued ops; read as a
+    sequence, they are the records the simulator used to return."""
+
+    @staticmethod
+    def issue(resources):
+        r1, r2 = resources
+        a = Op("a", r1, 1.5)
+        b = Op("b", r2, 0.5, deps=[a], category="h2d")
+        Op("c", r1, 1.0, deps=[b])
+        Op("d", r2, 0.25)
+
+    def test_reads_as_the_records(self):
+        r1, r2 = Resource("r1"), Resource("r2")
+        self.issue((r1, r2))
+        sim = Simulator([r1, r2])
+        s = sim.run()
+        recs = reference_run(sim)
+        assert len(s) == 4 and list(s) == recs and s == recs and recs == s
+        assert s[0] == recs[0] and s[-1] == recs[-1] and s[1:3] == recs[1:3]
+        assert s == Schedule.of(reversed(recs))  # packing re-sorts
+        assert s != recs[:-1]
+        assert s != [*recs[:-1], OpRecord("d", "r2", "compute", 0.0, 0.5)]
+        with pytest.raises(AttributeError):
+            s[0].start = 1.0  # type: ignore[misc]
+
+    def test_rerun_shares_descriptors_and_order(self):
+        r1, r2 = Resource("r1"), Resource("r2")
+        self.issue((r1, r2))
+        sim = Simulator([r1, r2])
+        first, second = sim.run(), sim.run()
+        assert second.ops is first.ops and second.order is first.order
+        assert second.times is not first.times
+
+    def test_rebuilt_graph_reuses_its_descriptors(self):
+        r1, r2 = Resource("r1"), Resource("r2")
+        self.issue((r1, r2))
+        sim = Simulator([r1, r2])
+        first = sim.run()
+        sim.reset()
+        Op("x", r1, 1.0)
+        other = sim.run()
+        assert [rec.label for rec in other] == ["x"]
+        sim.reset()
+        self.issue((r1, r2))
+        again = sim.run()
+        assert again.ops is first.ops and again == first

@@ -6,7 +6,7 @@ import pytest
 
 from repro.codec.config import CodecConfig
 from repro.core.framework import FevesFramework
-from repro.hw.des import OpRecord
+from repro.hw.des import OpRecord, Schedule
 from repro.hw.noise import (
     FaultEvent,
     FaultSchedule,
@@ -182,12 +182,15 @@ class TestTimeline:
             OpRecord("CF", "gpu.copy", "h2d", 0.0, 0.5),
             OpRecord("MV", "gpu.copy", "d2h", 2.0, 2.2),
         ]
-        return FrameTimeline(frame_index=1, records=recs, tau1=2.2, tau2=3.0, tau_tot=4.0)
+        return FrameTimeline(
+            frame_index=1, records=Schedule.of(recs), tau1=2.2, tau2=3.0, tau_tot=4.0
+        )
 
     def test_busy_time(self):
         tl = self._timeline()
-        assert tl.busy_time("gpu.compute") == pytest.approx(2.0)
-        assert tl.busy_time("gpu.copy") == pytest.approx(0.7)
+        busy = tl.busy_by_resource()
+        assert busy["gpu.compute"] == pytest.approx(2.0)
+        assert busy["gpu.copy"] == pytest.approx(0.7)
 
     def test_utilization(self):
         tl = self._timeline()
@@ -198,7 +201,7 @@ class TestTimeline:
         assert "gpu.compute" in text and "#" in text and ">" in text
 
     def test_empty_timeline_text(self):
-        tl = FrameTimeline(frame_index=0, records=[])
+        tl = FrameTimeline(frame_index=0, records=Schedule.of([]))
         assert "empty" in tl.gantt_text()
 
 

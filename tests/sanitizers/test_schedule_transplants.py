@@ -51,7 +51,7 @@ SITES = {
         DIGEST.format("SysNFF_clean"), AssertionError,
     ),
     "des_prev_two_back": (
-        Simulator, "run", "[None, *ops[:-1]]", "[None, None, *ops[:-2]]",
+        Simulator, "_compiled", "[None, *ops[:-1]]", "[None, None, *ops[:-2]]",
         DIGEST.format("SysNFF_clean"), AssertionError,
     ),
     # --- SAN-A2: copies in flight ≤ the link's copy engines ------------
