@@ -1038,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("text", "json"))
     lint.add_argument("--select", default=None, metavar="PREFIXES",
                       help="comma-separated rule prefixes to run (e.g. "
-                           "'REP2' or 'REP103,REP2'); other rules are "
+                           "'REP2' or 'REP102,REP2'); other rules are "
                            "skipped entirely")
     lint.add_argument("--summary", action="store_true",
                       help="print a per-step timing/finding table to stderr")

@@ -8,9 +8,11 @@ slot names — the plan gives every surviving device a worker group and
 splits the device's band into one chunk per worker, which runs what it
 is given in order, so a device's INT and ME share its workers the way
 the LP's engine row assumes — and the τ1/τ2 phase barriers of
-Algorithm 1 are real collection points: no SME task is submitted before
-every ME/INT result of the frame is in. A faulted device's redo rows
-run on the fallback's workers like any other row.
+Algorithm 1 are real collection points: the frame is staged before the
+first task is submitted, and the new SF is read and SME tasks submitted
+only once every ME/INT result of the frame is in (the call-order test
+of ``tests/exec/test_sanitize_exec.py`` holds it). A faulted
+device's redo rows run on the fallback's workers like any other row.
 
 Timing discipline: the host anchors ``t=0`` at frame start; workers stamp
 their kernels with ``time.perf_counter()`` (machine-wide on Linux), so

@@ -197,11 +197,20 @@ def _worker_loop(
     """A worker's whole life: attach, then run the tasks on its own pipe.
 
     Tasks run in the order the host wrote them. A task's own exception
-    goes back as its result; ``None`` (or the host's end closing) ends
-    the loop.
+    goes back as its result; ``None``, the host's end closing or the host
+    itself exiting ends the loop. The last is the one a killed host
+    leaves: under fork this worker holds a copy of its pipe's host end
+    (and so does every later sibling), so ``recv`` would never see EOF.
     """
     _attach_worker(layout, cfg, cpu)
+    host = multiprocessing.parent_process()
+    assert host is not None, "a kernel worker runs in a child process"
     while True:
+        # REP201 reads any wait() a worker can reach as a fork hazard. This
+        # one blocks on two descriptors the worker owns, after start-up,
+        # holding no lock: a false positive.
+        if conn not in wait([conn, host.sentinel]):  # noqa: REP201
+            return
         try:
             task = conn.recv()
         except EOFError:

@@ -26,10 +26,16 @@ frame — which INT workers fill in place, each writing its disjoint
 SME read. Reference windows need no per-device Δm/Δl management here:
 every worker sees the whole padded plane, a superset of any Δ window.
 
-That discipline is checked statically by the REP203/REP204 concurrency
-lint (band confinement of worker writes, staging → τ1 → SME order on the
-host); that the bands partition the frame is a test of the chunks the
-host submits.
+That discipline is held by plain tests of the real path
+(``tests/exec/test_sanitize_exec.py``): the host's staging → τ1 → SME
+call order, an INT task's writes confined to its band, and the chunks
+the host submits partitioning the frame.
+
+Lifetime: :meth:`SharedFrameStore.close` unlinks every segment. A host
+killed before it can close leaves them to ``multiprocessing``'s resource
+tracker, which unlinks them once every process holding its pipe has
+exited — the host and its workers, which leave when the host does (see
+``pool._worker_loop``).
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ class SharedFrameStore:
     ever attach (``create=False``) and drop their mappings when the pool
     shuts down. Construction is exception-safe: if any segment fails to
     allocate, the ones already created are released before the error
-    propagates (the REP103 acquire/release discipline).
+    propagates.
     """
 
     def __init__(self, cfg: CodecConfig) -> None:

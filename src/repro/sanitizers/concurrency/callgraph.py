@@ -45,13 +45,6 @@ def call_name(node: ast.expr) -> str | None:
     return None
 
 
-def dotted_root(node: ast.expr) -> str | None:
-    """Leftmost name of a dotted/subscripted expression, if any."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
 @dataclass
 class FunctionInfo:
     """One function definition known to the graph."""

@@ -129,7 +129,7 @@ def _may_raise(stmt: ast.stmt) -> bool:
     Any call, subscript, attribute access, binary op or assert can raise
     at runtime; only trivially safe statements (pass, simple name/const
     rebinding, defs) are exempt, which keeps except-edge counts sane
-    without losing the paths REP103 cares about.
+    without losing the paths a rule cares about.
     """
     if isinstance(stmt, (ast.Pass, ast.Global, ast.Nonlocal)):
         return False

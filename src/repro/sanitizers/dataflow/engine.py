@@ -139,25 +139,15 @@ def run_analysis(
         out_state = in_state
         # Exception edges fire when some element raises; the state then
         # is the state *before* that element (an element either takes
-        # effect or raises). Join over all pre-element states. A rule
-        # can refine one element's contribution via ``exc_transfer``
-        # (e.g. REP103 assumes a release takes effect even if the
-        # release call itself raises).
-        exc_transfer = getattr(analysis, "exc_transfer", None)
+        # effect or raises). Join over all pre-element states.
         exc_state = None  # element-less blocks pass their in-state through
         for elem in cfg.blocks[bid].elems:
-            before = out_state
-            out_state = analysis.transfer(elem, out_state, emitter, ctx)
-            contrib = (
-                exc_transfer(elem, before, out_state)
-                if exc_transfer is not None
-                else before
-            )
             exc_state = (
-                contrib
+                out_state
                 if exc_state is None
-                else analysis.join(exc_state, contrib)
+                else analysis.join(exc_state, out_state)
             )
+            out_state = analysis.transfer(elem, out_state, emitter, ctx)
         if exc_state is None:
             exc_state = in_state
         for dst, kind in succs[bid]:

@@ -4,7 +4,7 @@ Every static rule is one :class:`Rule` row of :data:`RULES`: its id, a
 one-line description, the path scope it is meaningful in, whether it
 reads the whole-scope call graph (``needs_graph``) and how it runs —
 an ``analysis`` solved over every function's CFG by the layer-3 engine,
-a whole-module ``run`` pass, or (REP203) one of each.
+or a whole-module ``run`` pass.
 
 :func:`run_lint` (files/directories) and :func:`analyze` (one source
 string) share one driver: each file is read and parsed once, only the
@@ -27,14 +27,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.sanitizers.concurrency.bands import (
-    HostWriteWindowAnalysis,
-    check_band_workers,
-)
 from repro.sanitizers.concurrency.callgraph import CallGraph, build_graph
 from repro.sanitizers.concurrency.forksafety import check_fork_safety
-from repro.sanitizers.concurrency.payload import check_payloads
-from repro.sanitizers.concurrency.phases import PhaseOrderAnalysis
 from repro.sanitizers.dataflow.cfg import build_cfg, build_module_cfg
 from repro.sanitizers.dataflow.determinism import DeterminismAnalysis
 from repro.sanitizers.dataflow.engine import (
@@ -46,7 +40,6 @@ from repro.sanitizers.dataflow.engine import (
     iter_functions,
     run_analysis,
 )
-from repro.sanitizers.dataflow.resources import ResourceAnalysis
 from repro.sanitizers.lint import (
     MESSAGES,
     LintViolation,
@@ -79,8 +72,6 @@ def _in(*packages: str) -> re.Pattern[str]:
     return re.compile(rf"repro/({'|'.join(packages)})/")
 
 
-_EXEC = _in("exec")
-
 RULES: dict[str, Rule] = {
     rule.id: rule
     for rule in (
@@ -102,41 +93,14 @@ RULES: dict[str, Rule] = {
             analysis=DeterminismAnalysis,
             toplevel=True,
         ),
-        Rule(
-            "REP103",
-            "SharedMemory segment not closed/unlinked on every path",
-            _EXEC,
-            analysis=ResourceAnalysis,
-            toplevel=True,
-        ),
-        # Layer 4, concurrency. REP201 watches every module the pool
-        # machinery can execute (fork inherits all of them); the
-        # payload/band/phase contracts are specific to exec/.
+        # Layer 4, concurrency: every module the pool machinery can
+        # execute (fork inherits all of them).
         Rule(
             "REP201",
             "fork-unsafe primitive before/inside the pool initializer",
             _in("exec", "hw", "service"),
             needs_graph=True,
             run=check_fork_safety,
-        ),
-        Rule(
-            "REP202",
-            "task submission payload carries shared bulk data",
-            _EXEC,
-            run=check_payloads,
-        ),
-        Rule(
-            "REP203",
-            "shared-memory write escapes its (row0, nrows) band",
-            _EXEC,
-            analysis=HostWriteWindowAnalysis,
-            run=check_band_workers,
-        ),
-        Rule(
-            "REP204",
-            "τ1/τ2 phase ordering broken (staging/barrier/SME)",
-            _EXEC,
-            analysis=PhaseOrderAnalysis,
         ),
         # Layer 5, protocols: clocks in the DES tiers, cache
         # invalidation in the framework core.

@@ -217,11 +217,10 @@ class TestOptionSurface:
                     )
 
     def test_process_backend_has_no_model_mode(self):
-        import glob
+        from pathlib import Path
 
         from repro.video.generator import SyntheticSequence
 
-        before = set(glob.glob("/dev/shm/repro_*"))
         fw = FevesFramework(
             get_platform("SysHK"),
             CodecConfig(width=64, height=48, search_range=4),
@@ -231,10 +230,12 @@ class TestOptionSurface:
             # Start pool and shared memory for real, then misuse the API.
             fw.encode(SyntheticSequence(width=64, height=48, seed=5).frames(2))
             assert fw.manager._pool is not None
+            names = [seg.name for seg in fw.manager._store._segments.values()]
             with pytest.raises(ValueError, match="no model mode"):
                 fw.run_model(1)
         assert fw.manager._pool is None and fw.manager._store is None
-        assert set(glob.glob("/dev/shm/repro_*")) == before
+        assert names
+        assert not [n for n in names if Path("/dev/shm", n).exists()]
 
     def test_inter_frame_before_any_intra_fails_by_name(self):
         from repro.video.generator import SyntheticSequence

@@ -16,6 +16,8 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 from itertools import islice
@@ -219,15 +221,6 @@ class TestLifecycle:
     def test_store_slots_cover_schedule(self):
         keys = {s.key for s in slot_specs(CFG)}
         assert keys == {"cur", "ref0", "ref1", "sf0", "sf1"}
-
-    def test_store_unlinks_on_close(self):
-        store = SharedFrameStore(CFG)
-        names = [seg.name for seg in store._segments.values()]
-        assert names
-        store.close()
-        for n in names:
-            assert not glob.glob(f"/dev/shm/*{n.lstrip('/')}*"), n
-        store.close()  # idempotent
 
     def test_view_after_close_raises(self):
         store = SharedFrameStore(CFG)
@@ -502,6 +495,76 @@ class TestWorkerFailure:
         assert time.perf_counter() - t0 < 20  # close() did not wait it out
         for n in names:
             assert not glob.glob(f"/dev/shm/*{n.lstrip('/')}*"), n
+
+
+# ---------------------------------------------------------------------------
+# a killed host: its workers exit and its segments go with them
+
+#: A host that starts a 2-worker backend, prints its worker pids and
+#: segment names, then waits to be killed.
+_HOST = """\
+import time
+from repro.codec.config import CodecConfig
+from repro.core.config import FrameworkConfig
+from repro.exec.backend import ProcessBackend
+from repro.hw.presets import get_platform
+
+backend = ProcessBackend(
+    get_platform("SysHK"), CodecConfig(width=64, height=48, search_range=4),
+    FrameworkConfig(backend="process", exec_workers=2),
+)
+store, pool = backend._ensure_started()
+print(*pool.pids, *(seg.name for seg in store._segments.values()), flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a live process (a zombie nobody has reaped is not)?"""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+class TestHostDeath:
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_and_segments_go_with_a_killed_host(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"platform has no {method} start method")
+        env = dict(os.environ, PYTHONPATH=str(Path(pool_mod.__file__).parents[2]))
+        env[pool_mod.START_METHOD_ENV] = method
+        host = subprocess.Popen(
+            [sys.executable, "-c", _HOST], env=env, stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids: list[int] = []
+        names: list[str] = []
+        try:
+            fields = host.stdout.readline().split()
+            pids, names = [int(p) for p in fields[:2]], fields[2:]
+            assert len(pids) == 2 and names, fields
+            host.kill()
+            host.wait()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and (
+                any(map(_alive, pids))
+                or any(Path("/dev/shm", n).exists() for n in names)
+            ):
+                time.sleep(0.05)
+            assert not [p for p in pids if _alive(p)], "workers outlived the host"
+            assert not [n for n in names if Path("/dev/shm", n).exists()]
+        finally:
+            host.kill()
+            host.wait()
+            host.stdout.close()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for name in names:
+                Path("/dev/shm", name).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,14 @@ CLEAN = (
     "    return [key for key in sorted(pending)]\n"
 )
 
-# Whole-plane write from a band task: the minimal REP203 mutant.
+# A lock every forked worker inherits: the minimal REP201 mutant.
 EXEC_BUGGY = (
+    "import threading\n"
+    "\n"
+    "_LOCK = threading.Lock()\n"
+    "\n"
     "def int_task(row0, nrows):\n"
-    '    _VIEWS["sf0"][:, :] = 0\n'
+    "    return row0 + nrows\n"
 )
 
 
@@ -66,7 +70,7 @@ class TestExitCodes:
         assert lint(tree) == 0
         out = capsys.readouterr().out
         assert "clean" in out
-        assert "REP102" in out and "REP103" in out  # dataflow rules ran
+        assert "REP102" in out and "REP201" in out  # every layer ran
 
     def test_internal_error_exit_2(self, tree, monkeypatch, capsys):
         # A rule that crashes is an analyzer-infrastructure failure, not
@@ -119,14 +123,14 @@ class TestSelectAndSummary:
     def test_concurrency_rules_run_by_default(self, exec_tree, capsys):
         assert lint(exec_tree, "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in payload} == {"REP102", "REP203"}
+        assert {v["rule"] for v in payload} == {"REP102", "REP201"}
 
     def test_select_scopes_to_prefix(self, exec_tree, capsys):
         # --select REP2 runs only the concurrency layer: the REP102 bug
         # in hw/sched.py must not be reported (or even analyzed).
         assert lint(exec_tree, "--select", "REP2", "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in payload} == {"REP203"}
+        assert {v["rule"] for v in payload} == {"REP201"}
 
     def test_select_single_rule(self, exec_tree, capsys):
         assert lint(exec_tree, "--select", "REP102", "--format", "json") == 1
@@ -147,7 +151,7 @@ class TestSelectAndSummary:
         (exec_tree / "src" / "repro" / "hw" / "sched.py").write_text(CLEAN)
         assert lint(exec_tree, "--select", "REP2") == 0
         out = capsys.readouterr().out
-        assert "clean" in out and "REP201" in out and "REP204" in out
+        assert "clean" in out and "REP201" in out
         assert "REP102" not in out
 
     def test_summary_prints_per_rule_timing_rows(self, exec_tree, capsys):
@@ -158,15 +162,13 @@ class TestSelectAndSummary:
             for line in err.splitlines()
             if line.startswith("REP")
         }
-        assert {"REP201", "REP202", "REP203", "REP204"} <= set(rows)
-        assert "ms" in rows["REP203"]
-        assert rows["REP203"].rstrip().endswith("1")  # one finding
-        assert rows["REP201"].rstrip().endswith("0")
+        assert "REP201" in rows and "REP102" not in rows
+        assert "ms" in rows["REP201"]
+        assert rows["REP201"].rstrip().endswith("1")  # one finding
 
     def test_noqa_suppresses_concurrency_rule(self, exec_tree):
         (exec_tree / "src" / "repro" / "exec" / "task.py").write_text(
-            "def int_task(row0, nrows):\n"
-            '    _VIEWS["sf0"][:, :] = 0  # noqa: REP203\n'
+            EXEC_BUGGY.replace("Lock()", "Lock()  # noqa: REP201")
         )
         assert lint(exec_tree, "--select", "REP2") == 0
 
@@ -194,9 +196,10 @@ class TestStructure:
         monkeypatch.setattr(runner, "build_cfg", counting_cfg)
         violations, errors = runner.run_lint([tree / "src"])
         assert not errors
-        assert {v.rule for v in violations} == {"REP102", "REP203"}
+        assert {v.rule for v in violations} == {"REP102", "REP201"}
         assert len(parses) == 3
-        assert sorted(cfgs) == ["a", "b", "int_task", "schedule"]
+        # No flow analysis is scoped to exec/: int_task gets no CFG.
+        assert sorted(cfgs) == ["a", "b", "schedule"]
 
     def test_select_builds_only_the_artifacts_it_reads(self, tree, monkeypatch):
         def forbidden(*_args, **_kw):
