@@ -498,6 +498,81 @@ class TestWorkerFailure:
 
 
 # ---------------------------------------------------------------------------
+# the worker loop, run in a thread against a stand-in host
+
+
+class TestWorkerLoop:
+    """``_worker_loop`` on a real pipe, with the host's sentinel played
+    by the read end of an ``os.pipe`` (closing the write end makes it
+    ready, as a process sentinel is once its process exits)."""
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "_attach_worker", lambda *args: None)
+        alive_r, alive_w = os.pipe()
+        host = type("Host", (), {"sentinel": alive_r})()
+        monkeypatch.setattr(pool_mod.multiprocessing, "parent_process", lambda: host)
+        host_end, worker_end = multiprocessing.Pipe()
+        loop = threading.Thread(
+            target=pool_mod._worker_loop, args=(worker_end, {}, CFG, None),
+            daemon=True,
+        )
+        loop.start()
+        state = {"alive_w": alive_w}
+
+        def host_exits():
+            os.close(state.pop("alive_w"))
+
+        try:
+            yield loop, host_end, host_exits
+        finally:
+            if loop.is_alive():
+                host_end.send(None)
+                loop.join(5.0)
+            host_end.close()
+            worker_end.close()
+            if "alive_w" in state:
+                os.close(state["alive_w"])
+            os.close(alive_r)
+
+    def test_tasks_run_in_order(self, worker):
+        loop, host_end, _ = worker
+        for args in [(7, 2), (9, 4), (1, 1)]:
+            host_end.send((divmod, args))
+        assert [host_end.recv() for _ in range(3)] == [
+            (True, (3, 1)), (True, (2, 1)), (True, (1, 0)),
+        ]
+        assert loop.is_alive()
+
+    def test_task_exception_goes_back_as_its_result(self, worker):
+        loop, host_end, _ = worker
+        host_end.send((int, ("seven",)))
+        ok, exc = host_end.recv()
+        assert not ok and isinstance(exc, ValueError)
+        host_end.send((abs, (-3,)))
+        assert host_end.recv() == (True, 3)
+
+    def test_none_ends_the_loop(self, worker):
+        loop, host_end, _ = worker
+        host_end.send(None)
+        loop.join(5.0)
+        assert not loop.is_alive()
+
+    def test_closed_host_end_ends_the_loop(self, worker):
+        loop, host_end, _ = worker
+        host_end.close()
+        loop.join(5.0)
+        assert not loop.is_alive()
+
+    def test_host_exit_ends_the_loop(self, worker):
+        """No task, no EOF on the pipe: only the host's sentinel fires."""
+        loop, host_end, host_exits = worker
+        host_exits()
+        loop.join(5.0)
+        assert not loop.is_alive(), "the worker outlived its host"
+
+
+# ---------------------------------------------------------------------------
 # a killed host: its workers exit and its segments go with them
 
 #: A host that starts a 2-worker backend, prints its worker pids and

@@ -51,7 +51,8 @@ from repro.exec.pool import (
     resolve_start_method,
     task_timeout_from_env,
 )
-from repro.exec.shm import SharedFrameStore
+from repro.exec.shm import SharedFrameStore, slot_specs
+from repro.hw.noise import FaultEvent, FaultSchedule
 from repro.hw.presets import get_platform
 from repro.video.generator import SyntheticSequence
 
@@ -72,10 +73,10 @@ def reference(frames):
     return ReferenceEncoder(CFG).encode_sequence(frames)
 
 
-def encode(frames, workers):
+def encode(frames, workers, **fw_kwargs):
     fw = FevesFramework(
         get_platform("SysHK"), CFG,
-        FrameworkConfig(backend="process", exec_workers=workers),
+        FrameworkConfig(backend="process", exec_workers=workers, **fw_kwargs),
     )
     with fw:
         return fw.encode(frames)
@@ -172,6 +173,17 @@ class TestPartition:
         assert_partitions(calls)
         assert_ordered(calls)
 
+    @pytest.mark.parametrize("frame", [1, 2])
+    def test_order_holds_through_a_dropout(self, frames, reference, frame,
+                                           monkeypatch):
+        """The dropped device's rows are redone on the fallback's workers;
+        their results are phase-1 results like any other."""
+        calls = record_host_calls(monkeypatch)
+        faults = FaultSchedule([FaultEvent(frame=frame, device="GPU_K", kind="dropout")])
+        assert_identical(reference, encode(frames, 2, faults=faults))
+        assert_partitions(calls)
+        assert_ordered(calls)
+
 
 # ---------------------------------------------------------------------------
 # band: an INT task writes its own rows of sf0 and nothing else
@@ -197,7 +209,7 @@ def assert_int_task_writes_only_its_band(monkeypatch, row0=1, nrows=1):
 
 
 class TestIntBand:
-    @pytest.mark.parametrize("row0,nrows", [(0, 1), (1, 1), (2, 1), (0, 3)])
+    @pytest.mark.parametrize("row0,nrows", [(0, 1), (1, 1), (2, 1), (1, 2), (0, 3)])
     def test_int_task_writes_only_its_band(self, monkeypatch, row0, nrows):
         assert_int_task_writes_only_its_band(monkeypatch, row0, nrows)
 
@@ -233,9 +245,11 @@ def check_payloads(monkeypatch) -> list[str]:
 
 
 class TestPayload:
-    def test_tasks_carry_coordinates_only(self, frames, reference, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_tasks_carry_coordinates_only(self, frames, reference, monkeypatch,
+                                          workers):
         checked = check_payloads(monkeypatch)
-        assert_identical(reference, encode(frames, 2))
+        assert_identical(reference, encode(frames, workers))
         assert set(checked) == {"me_task", "int_task", "sme_task"}
 
 
@@ -272,8 +286,8 @@ def assert_no_segment_left(made) -> None:
     assert made and not left, f"segments left behind: {left}"
 
 
-def assert_store_failure_leaves_no_segment(monkeypatch) -> None:
-    made = created_segments(monkeypatch, fail_at=3)
+def assert_store_failure_leaves_no_segment(monkeypatch, fail_at=3) -> None:
+    made = created_segments(monkeypatch, fail_at=fail_at)
     with pytest.raises(OSError, match="no space"):
         SharedFrameStore(CFG)
     assert_no_segment_left(made)
@@ -304,8 +318,10 @@ def assert_store_close_unlinks(monkeypatch) -> None:
 
 @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
 class TestSegments:
-    def test_store_failure_leaves_no_segment(self, monkeypatch):
-        assert_store_failure_leaves_no_segment(monkeypatch)
+    @pytest.mark.parametrize("fail_at", range(1, len(slot_specs(CFG))))
+    def test_store_failure_leaves_no_segment(self, monkeypatch, fail_at):
+        """Whichever segment fails to allocate, the ones before it go."""
+        assert_store_failure_leaves_no_segment(monkeypatch, fail_at)
 
     def test_pool_failure_leaves_no_segment(self, monkeypatch):
         assert_pool_failure_leaves_no_segment(monkeypatch)
