@@ -118,7 +118,7 @@ def test_data_reuse_reduces_traffic(emit, benchmark):
     fw = FevesFramework(get_platform("SysNFF"), CFG, FrameworkConfig())
     fw.run_model(10)
     report = fw.reports[-1]
-    plan_bytes = report.transfer_plan.total_bytes("h2d")
+    plan_bytes = report.h2d_bytes
     # Naive: every non-R* accelerator refetches full CF + SF + MV each
     # frame for SME/MC instead of only the Δ segments.
     from repro.hw.interconnect import BufferSizes

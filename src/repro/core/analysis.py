@@ -120,8 +120,7 @@ def communication_volume(reports: list[FrameReport], skip: int = 2) -> dict[str,
     window = reports[skip:] if len(reports) > skip else reports
     if not window:
         raise ValueError("no reports to analyze")
-    out = {"h2d": 0.0, "d2h": 0.0}
-    for rep in window:
-        for direction in out:
-            out[direction] += rep.transfer_plan.total_bytes(direction)
-    return {k: v / len(window) for k, v in out.items()}
+    return {
+        "h2d": sum(rep.h2d_bytes for rep in window) / len(window),
+        "d2h": sum(rep.d2h_bytes for rep in window) / len(window),
+    }

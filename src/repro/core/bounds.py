@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.distribution import Distribution, missing_segments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtraTransfers:
     """Additional rows a device needs for its SME band.
 

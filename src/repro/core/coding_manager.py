@@ -98,7 +98,7 @@ class RealContext:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameReport:
     """Everything observed while encoding one inter frame.
 
@@ -108,6 +108,8 @@ class FrameReport:
     ``rf_on_host`` is set when slice-parallel R* ran: the new RF was
     reassembled on the host, so no accelerator holds it (Data Access
     Management must not assume the R* device does).
+    ``h2d_bytes`` and ``d2h_bytes`` total the frame's transfer plan per
+    direction; the plan itself is not kept, since a run keeps every report.
     """
 
     frame_index: int
@@ -117,7 +119,8 @@ class FrameReport:
     timeline: FrameTimeline
     decision: LoadDecision
     rstar_device: str
-    transfer_plan: TransferPlan
+    h2d_bytes: int = 0
+    d2h_bytes: int = 0
     encoded: EncodedFrame | None = None
     faulted: tuple[str, ...] = ()
     fault_time_lost_s: float = 0.0
@@ -266,7 +269,8 @@ class VideoCodingManager:
             timeline=FrameTimeline(plan.frame_index, records, tau1, tau2, tau_tot),
             decision=plan.decision,
             rstar_device=plan.rstar_device,
-            transfer_plan=transfers,
+            h2d_bytes=transfers.h2d_bytes,
+            d2h_bytes=transfers.d2h_bytes,
             encoded=ctx.encoded if ctx else None,
             faulted=tuple(sorted(plan.faulted)),
             fault_time_lost_s=sum(op.duration for op in graph.fault_ops),

@@ -21,6 +21,7 @@ newest RF, and each accelerator's σʳ backlog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.load_balancing import LoadDecision
 from repro.core.perf_model import BUFFERS, buffer_row_bytes
@@ -61,6 +62,16 @@ class TransferPlan:
             for t in self.items
             if direction is None or t.direction == direction
         )
+
+    # Summed once per plan (complete when built), not once per frame that
+    # reuses it: a frame's report keeps these, not the plan.
+    @cached_property
+    def h2d_bytes(self) -> int:
+        return self.total_bytes("h2d")
+
+    @cached_property
+    def d2h_bytes(self) -> int:
+        return self.total_bytes("d2h")
 
 
 class DataAccessManager:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distribution:
     """Rows-per-device assignment for one module, in device order."""
 

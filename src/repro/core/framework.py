@@ -507,5 +507,4 @@ def _intra_report() -> FrameReport:
         timeline=FrameTimeline(frame_index=0, records=Schedule.of(())),
         decision=decision,
         rstar_device="",
-        transfer_plan=TransferPlan(),
     )

@@ -69,7 +69,7 @@ def _load_highs_bindings() -> ModuleType:
 _hs = _load_highs_bindings()
 
 
-@dataclass
+@dataclass(slots=True)
 class LoadDecision:
     """Complete per-frame scheduling decision."""
 
@@ -140,11 +140,14 @@ class LPSolveCache:
     (:func:`_new_highs`); ``passModel`` drops the previous basis and
     solution, so no answer depends on what the instance solved before.
 
-    One instance may be shared across balancers: the service layer hands
-    every session the same cache, which batches the structurally
+    Only a shared instance memoizes: the service layer hands every
+    session one cache (``RoundLPBatch``), which batches the structurally
     identical per-session solves of a scheduling round into one HiGHS
     call per *unique* constraint system (sessions holding equal capacity
-    shares measure equal Ks and therefore build equal systems).
+    shares measure equal Ks and therefore build equal systems). A lone
+    balancer's LP moves with every measurement, so its cache is built
+    with ``max_entries=0``: it counts each solve as a miss, builds no key
+    and stores nothing.
 
     Infeasible outcomes are cached as ``None`` — re-proving
     infeasibility is as wasteful as re-solving.
@@ -153,8 +156,8 @@ class LPSolveCache:
     __slots__ = ("max_entries", "hits", "misses", "_table", "_highs")
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        if max_entries < 0:
+            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -174,6 +177,9 @@ class LPSolveCache:
         ``(low, high)`` per variable in ``bounds`` (``None``: open). Returns a
         read-only ``x`` shared by later hits, ``None`` without a proven optimum.
         """
+        if not self.max_entries:
+            self.misses += 1
+            return self._cold_solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
         key = (
             a_ub.shape, c.tobytes(), a_ub.tobytes(), b_ub.tobytes(),
             a_eq.tobytes(), b_eq.tobytes(), tuple(bounds),
@@ -269,7 +275,7 @@ class LoadBalancer:
         # point is stationary: re-solving from the stored seed reproduces
         # the same rows and taus; see DESIGN.md → Performance).
         self._lp_converged = False
-        self.lp_cache = LPSolveCache()
+        self.lp_cache = LPSolveCache(max_entries=0)
         # Characterization-derived tables, keyed on perf.version (bumped
         # on every observation/invalidation — a version match proves the
         # cached values are current).
@@ -277,7 +283,8 @@ class LoadBalancer:
         self._kt_cache: dict[tuple[str, str, str], float | None] = {}
 
     def use_lp_cache(self, cache: LPSolveCache) -> None:
-        """Adopt a shared solve cache (cross-session LP batching)."""
+        """Adopt a shared solve cache (cross-session LP batching); until
+        then the balancer solves through its own, which keeps nothing."""
         self.lp_cache = cache
 
     def note_live_set_change(self) -> None:
@@ -287,8 +294,8 @@ class LoadBalancer:
         live set's converged operating point; reusing either across a
         live-set change would let a pre-fault decision leak into the
         post-fault (or post-readmit) schedule. Dropping them makes the
-        next solve behave exactly like a fresh balancer. The LP solve
-        cache stays — its keys are the full constraint bytes, which
+        next solve behave exactly like a fresh balancer. A shared LP
+        solve cache stays — its keys are the full constraint bytes, which
         already encode the live set.
         """
         _journal(self, "invalidate")

@@ -268,7 +268,8 @@ class ProcessBackend:
             timeline=timeline,
             decision=plan.decision,
             rstar_device=plan.rstar_device,
-            transfer_plan=transfers,
+            h2d_bytes=transfers.h2d_bytes,
+            d2h_bytes=transfers.d2h_bytes,
             encoded=ctx.encoded,
             faulted=tuple(sorted(plan.faulted)),
             fault_time_lost_s=_wall_s([(t0, t1) for row, t0, t1 in chunks if row.redo]),

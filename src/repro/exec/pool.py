@@ -206,10 +206,7 @@ def _worker_loop(
     host = multiprocessing.parent_process()
     assert host is not None, "a kernel worker runs in a child process"
     while True:
-        # REP201 reads any wait() a worker can reach as a fork hazard. This
-        # one blocks on two descriptors the worker owns, after start-up,
-        # holding no lock: a false positive.
-        if conn not in wait([conn, host.sentinel]):  # noqa: REP201
+        if conn not in wait([conn, host.sentinel]):
             return
         try:
             task = conn.recv()

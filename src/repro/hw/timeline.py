@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.hw.des import Schedule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultLogEntry:
     """Structured per-frame fault/decision record.
 

@@ -45,6 +45,13 @@ HAZARD_CONSTRUCTORS = frozenset({
 #: (they may wait on a thread/lock that only existed in the parent).
 BLOCKING_TAILS = frozenset({"join", "acquire", "wait", "input"})
 
+#: Calls with a blocking tail that wait on no lock: ``select`` over the
+#: caller's own descriptors. Matched by the dotted name the module's
+#: imports give the call, so ``wait(...)`` after ``from
+#: multiprocessing.connection import wait`` is one and
+#: ``threading.Event().wait()`` is not.
+NON_BLOCKING = frozenset({"multiprocessing.connection.wait"})
+
 
 def _hazard_calls(node: ast.AST) -> list[tuple[ast.Call, str]]:
     out: list[tuple[ast.Call, str]] = []
@@ -56,12 +63,44 @@ def _hazard_calls(node: ast.AST) -> list[tuple[ast.Call, str]]:
     return out
 
 
-def _blocking_calls(node: ast.AST) -> list[tuple[ast.Call, str]]:
+def _imported_names(tree: ast.Module) -> dict[str, str]:
+    """Each name the module's imports bind -> the dotted name it stands for."""
+    names: dict[str, str] = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            for alias in n.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    top = alias.name.partition(".")[0]
+                    names[top] = top
+        elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
+            for alias in n.names:
+                names[alias.asname or alias.name] = f"{n.module}.{alias.name}"
+    return names
+
+
+def _dotted(func: ast.expr, imported: dict[str, str]) -> str | None:
+    """``a.b.c`` with ``a`` resolved through the imports; None unless the
+    call target is a plain name or attribute chain."""
+    parts: list[str] = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    parts.append(imported.get(func.id, func.id))
+    return ".".join(reversed(parts))
+
+
+def _blocking_calls(
+    node: ast.AST, imported: dict[str, str]
+) -> list[tuple[ast.Call, str]]:
     out: list[tuple[ast.Call, str]] = []
     for n in ast.walk(node):
         if isinstance(n, ast.Call):
             tail = call_name(n.func)
-            if tail in BLOCKING_TAILS:
+            if tail in BLOCKING_TAILS and _dotted(n.func, imported) not in NON_BLOCKING:
                 out.append((n, tail))
     return out
 
@@ -73,9 +112,10 @@ def check_fork_safety(
     emitter = emitters[RULE]
     _check_module_level(module.tree, emitter)
     reachable = graph.reachable_from_initializers()
+    imported = _imported_names(module.tree)
     for qualname, fn in module.functions:
         if (module.display, qualname) in reachable:
-            _check_initializer_body(fn, qualname, emitter)
+            _check_initializer_body(fn, qualname, imported, emitter)
         if (module.display, qualname) in graph.pool_builders:
             _check_pre_fork(fn, emitter)
 
@@ -99,7 +139,7 @@ def _check_module_level(tree: ast.Module, emitter: Emitter) -> None:
 
 
 def _check_initializer_body(
-    fn: ast.AST, qualname: str, emitter: Emitter
+    fn: ast.AST, qualname: str, imported: dict[str, str], emitter: Emitter
 ) -> None:
     """Hazards inside (or reachable from) a pool initializer."""
     for call, tail in _hazard_calls(fn):
@@ -109,7 +149,7 @@ def _check_initializer_body(
             f"(via {qualname}); a forked child must not create "
             "threads/locks/handles while inherited state is live",
         )
-    for call, tail in _blocking_calls(fn):
+    for call, tail in _blocking_calls(fn, imported):
         emitter.emit(
             call,
             f"blocking .{tail}() runs inside the pool initializer "

@@ -55,8 +55,8 @@ class RoundLPBatch:
     """
 
     def __init__(self) -> None:
-        # Sized for every session of a platform class at once: four
-        # times a balancer's private cache.
+        # The one LP memo of a run: a lone balancer keeps none. Sized for
+        # the unique systems of every session of a platform class at once.
         self.cache = LPSolveCache(max_entries=4096)
 
     def attach(self, session: EncodingSession) -> None:

@@ -130,3 +130,31 @@ def transplant(mutant, monkeypatch):
         monkeypatch.setattr(cls, method, mutated.__dict__[method])
 
     return install
+
+
+@pytest.fixture
+def transfer_plans():
+    """``watch(fw)``: from then on, ``watch(fw)[i]`` is the transfer plan
+    inter frame ``i`` ran with, as ``fw``'s Data Access Manager built it.
+
+    A frame that repeats the last plan's inputs reuses that plan rather
+    than building one, so frame ``i``'s plan is the last one built at or
+    before it. Reports keep only the plan's byte totals.
+    """
+
+    class Watched:
+        def __init__(self, fw) -> None:
+            self.built: list = []  # (inter frame index, TransferPlan)
+            plan = fw.dam.plan
+
+            def recording(*args, **kwargs):
+                out = plan(*args, **kwargs)
+                self.built.append((fw._inter_frames_done, out))
+                return out
+
+            fw.dam.plan = recording
+
+        def __getitem__(self, frame_index: int):
+            return next(p for f, p in reversed(self.built) if f <= frame_index)
+
+    return Watched

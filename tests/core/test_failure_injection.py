@@ -116,9 +116,15 @@ class TestLpFallbacks:
             assert sum(dist.rows) == 68
 
     @pytest.mark.parametrize("breakage", ["infeasible", "unbounded"])
-    def test_an_lp_without_optimum_falls_back_and_is_cached(self, monkeypatch, breakage):
+    def test_an_lp_without_optimum_falls_back(self, monkeypatch, breakage):
         """HiGHS itself says no: Σm = −n with m ≥ 0, or τtot maximised."""
         build = lb.LoadBalancer._build_lp
+        solve = lb.LPSolveCache.solve
+        returned = []
+
+        def recorded(self, *lp):
+            returned.append(solve(self, *lp))
+            return returned[-1]
 
         def broken(self, *args):
             c, a_ub, b_ub, a_eq, b_eq, bounds, taus = build(self, *args)
@@ -127,10 +133,12 @@ class TestLpFallbacks:
             return -c, a_ub, b_ub, a_eq, b_eq, bounds, taus
 
         monkeypatch.setattr(lb.LoadBalancer, "_build_lp", broken)
+        monkeypatch.setattr(lb.LPSolveCache, "solve", recorded)
         fw, out = self.run_syshk()
         self.assert_heuristic_took_over(fw, out)
         cache = fw.balancer.lp_cache
-        assert cache.misses > 0 and set(cache._table.values()) == {None}
+        assert (cache.hits, cache.misses) == (0, len(returned))
+        assert returned and all(x is None for x in returned)
 
     @pytest.mark.parametrize("method", ["passModel", "run"])
     def test_a_highs_error_is_none_and_the_instance_recovers(self, method):

@@ -20,8 +20,11 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
 from repro.core.load_balancing import LoadBalancer, LPSolveCache
 from repro.core.perf_model import PerformanceCharacterization
-from repro.hw.noise import FaultEvent, FaultSchedule
+from repro.hw.noise import FaultEvent, FaultSchedule, GaussianJitter, NoiseModel
 from repro.hw.presets import get_platform
+from repro.service.scheduler import RoundLPBatch
+from repro.service.session import EncodingSession
+from repro.service.workload import StreamSpec
 
 from oracles import make_cold
 
@@ -86,12 +89,17 @@ class TestLPSolveCache:
         cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)  # miss again
         assert cache.misses == 3 and cache.hits == 0
 
-    @pytest.mark.parametrize("max_entries", [0, -1])
-    def test_a_table_that_can_hold_nothing_is_rejected(self, max_entries):
-        # FIFO eviction pops before it inserts: an empty table has nothing
-        # to pop (a bare StopIteration on the first miss).
+    def test_a_negative_table_size_is_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):
-            LPSolveCache(max_entries=max_entries)
+            LPSolveCache(max_entries=-1)
+
+    def test_a_table_of_size_zero_solves_every_time_and_keeps_nothing(self):
+        cache = LPSolveCache(max_entries=0)
+        x1 = cache.solve(*self.tiny_lp())
+        x2 = cache.solve(*self.tiny_lp())
+        assert (cache.misses, cache.hits) == (2, 0)
+        assert x1 is not x2 and np.array_equal(x1, x2)
+        assert cache._table == {}
 
     def test_infeasible_cached_as_none(self):
         cache = LPSolveCache()
@@ -104,10 +112,36 @@ class TestLPSolveCache:
 
 class TestWarmStart:
     def test_steady_state_hits_the_cache(self):
-        fw = run()
-        assert fw.balancer.lp_cache.hits > 0, (
-            "steady state never reused an LP solve"
-        )
+        """A round's batch shared by two equal sessions: the second asks
+        for every LP the first has just solved."""
+        batch = RoundLPBatch()
+        spec = StreamSpec(stream_id="s", n_frames=8, width=CFG.width, height=CFG.height)
+        sessions = [EncodingSession(spec, "SysHK") for _ in range(2)]
+        for session in sessions:
+            batch.attach(session)
+        for _ in range(spec.n_frames):
+            for session in sessions:
+                session.framework.encode_next_inter()
+        assert 0 < batch.misses <= batch.hits
+
+    def test_a_lone_balancer_keeps_no_solve(self, monkeypatch):
+        """200 jittered solves without a shared cache: each one reaches
+        HiGHS and is counted as a miss, and none is kept."""
+        solved = []
+        cold = LPSolveCache._cold_solve
+
+        def counted(self, *lp):
+            solved.append(None)
+            return cold(self, *lp)
+
+        monkeypatch.setattr(LPSolveCache, "_cold_solve", counted)
+        noise = NoiseModel(jitter=GaussianJitter(sigma=0.05, seed=7))
+        fw = FevesFramework(get_platform("SysHK"), CFG, FrameworkConfig(noise=noise))
+        while len(solved) < 200:
+            fw.encode_next_inter()
+        cache = fw.balancer.lp_cache
+        assert (cache.hits, cache.misses) == (0, len(solved))
+        assert cache._table == {}
 
     def test_note_live_set_change_clears_warm_state(self):
         fw = run(frames=6)
@@ -176,9 +210,8 @@ class TestFaultThenReadmit:
         # The fault actually happened (otherwise this test is vacuous)...
         assert any(e.evicted for e in fast.fault_log)
         assert any(e.readmitted for e in fast.fault_log)
-        # ...the fast path actually engaged its caches, the oracle none.
-        assert fast.balancer.lp_cache.hits > 0
-        assert cold.balancer.lp_cache.hits == 0
+        # ...and the fast path skipped solves the oracle made.
+        assert fast.balancer.lp_cache.misses < cold.balancer.lp_cache.misses
 
     def test_dropout_bit_identical_to_cold_solver(self):
         faults = FaultSchedule(events=(

@@ -261,9 +261,7 @@ class TestRstarParallelDecidedOnce:
         for a, b in zip(on.reports, off.reports, strict=True):
             assert not a.rf_on_host
             assert (a.tau1, a.tau2, a.tau_tot) == (b.tau1, b.tau2, b.tau_tot)
-            assert a.transfer_plan.total_bytes("h2d") == (
-                b.transfer_plan.total_bytes("h2d")
-            )
+            assert (a.h2d_bytes, a.d2h_bytes) == (b.h2d_bytes, b.d2h_bytes)
             assert not any(
                 r.label.startswith("R*slice") for r in a.timeline.records
             )

@@ -63,27 +63,28 @@ class TestFrameworkGop:
             np.testing.assert_array_equal(r.recon.y, o.encoded.recon.y)
             np.testing.assert_array_equal(r.recon.u, o.encoded.recon.u)
 
-    def test_accelerators_refetch_rf_after_refresh(self, cfg, clip):
+    def test_accelerators_refetch_rf_after_refresh(self, cfg, clip, transfer_plans):
         fw = FevesFramework(
             get_platform("SysHK"), cfg,
             FrameworkConfig(gop_size=4),
         )
+        plans = transfer_plans(fw)
         fw.encode(clip)
         # Reports are inter frames in order: GOP1 has 3 P frames, then the
         # intra refresh, then GOP2's P frames. The first P frame of GOP 2
         # (report index 3) must re-upload the RF to every accelerator —
         # including the R* GPU that normally keeps it resident.
-        first_p_gop2 = fw.reports[3]
+        first_p_gop2 = plans[fw.reports[3].frame_index]
         rf_in = [
-            t for t in first_p_gop2.transfer_plan.items
+            t for t in first_p_gop2.items
             if t.buffer == "rf" and t.direction == "h2d"
         ]
         assert {t.device for t in rf_in} == {"GPU_K"}
         # Whereas in steady state the R* GPU holds the newest RF locally.
-        steady = fw.reports[2]
+        steady = plans[fw.reports[2].frame_index]
         assert not any(
             t.buffer == "rf" and t.direction == "h2d"
-            for t in steady.transfer_plan.items
+            for t in steady.items
         )
 
     def test_active_refs_ramp_restarts(self, cfg, clip):

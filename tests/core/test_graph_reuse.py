@@ -16,48 +16,50 @@ CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
 FRAMES = 300
 
 
-def run(journal, sigma: float) -> tuple[FevesFramework, dict[str, int]]:
+def run(journal, plans, sigma: float) -> tuple[FevesFramework, dict[str, int], int]:
+    """The run, its span counts, and its structure changes."""
     fw = FevesFramework(
         get_platform("SysNFF"), CFG,
         FrameworkConfig(noise=NoiseModel(jitter=GaussianJitter(sigma=sigma, seed=11))),
     )
+    watched = plans(fw)
     fw.run_model(FRAMES)
     spans: dict[str, int] = {}
     for e in journal.drain():
         spans[e.event] = spans.get(e.event, 0) + 1
-    return fw, spans
+    return fw, spans, structure_changes(fw, watched)
 
 
-def structure_changes(fw: FevesFramework) -> int:
+def structure_changes(fw: FevesFramework, plans) -> int:
     """Frames whose rows, R* device or transfers differ from the previous
     frame's (the first frame counts): the builds a graph kept while the
     structure repeats needs."""
     n, prev = 0, None
     for r in fw.reports:
         d = r.decision
-        key = (d.m.rows, d.l.rows, d.s.rows, r.rstar_device, r.transfer_plan.items)
+        key = (d.m.rows, d.l.rows, d.s.rows, r.rstar_device, plans[r.frame_index].items)
         n += key != prev
         prev = key
     return n
 
 
-def test_steady_run_builds_once_per_cold_solve(journal):
+def test_steady_run_builds_once_per_cold_solve(journal, transfer_plans):
     """σ = 0.002 is a tenth of the decision cache's tolerance: the
     balancer keeps its decision, and the frames keep their graph."""
-    fw, spans = run(journal, 0.002)
+    fw, spans, changes = run(journal, transfer_plans, 0.002)
     cold = fw.balancer.lp_cache.misses
     assert spans["des_retime"] == FRAMES
-    assert spans["des_build"] == structure_changes(fw)
+    assert spans["des_build"] == changes
     assert 2 <= spans["des_build"] <= cold + 1
     assert spans["plan"] <= cold + 1
     assert spans["frame_plan"] == spans["plan"]
 
 
-def test_jittered_run_builds_on_every_moved_frame(journal):
+def test_jittered_run_builds_on_every_moved_frame(journal, transfer_plans):
     """σ = 0.05 re-solves nearly every frame: a graph is built whenever
     the structure moved, which is (nearly) every frame."""
-    fw, spans = run(journal, 0.05)
-    assert spans["des_build"] == structure_changes(fw)
+    fw, spans, changes = run(journal, transfer_plans, 0.05)
+    assert spans["des_build"] == changes
     assert spans["des_build"] >= FRAMES - 3
     assert spans["plan"] == FRAMES
 

@@ -51,11 +51,12 @@ class TestParkingDecision:
         d = fw.reports[-1].decision
         assert d.m.rows[0] + d.l.rows[0] + d.s.rows[0] > 0
 
-    def test_parked_device_generates_no_transfers(self):
+    def test_parked_device_generates_no_transfers(self, transfer_plans):
         fw = FevesFramework(dead_link_platform(), CFG, FrameworkConfig(centric="cpu"))
+        plans = transfer_plans(fw)
         fw.run_model(8)
-        steady = fw.reports[-1]
-        assert not any(t.device == "farGPU" for t in steady.transfer_plan.items)
+        steady = plans[fw.reports[-1].frame_index]
+        assert not any(t.device == "farGPU" for t in steady.items)
 
 
 class TestDamParkingState:

@@ -13,7 +13,9 @@ rules, transplanted" has the table). They were removed on this evidence.
 
 REP201 (fork safety) stays: its four transplants into ``pool.py`` run
 clean, so nothing cheaper kills them, and the last class shows that the
-rule flags each of them.
+rule flags each of them, and a fifth: a wait on an event in the worker
+loop, flagged while the loop's own ``multiprocessing.connection.wait``
+is not.
 
 Two INT chunking mutants, installed on the host, fail the partition
 test — the overlap one while the output stays bit-identical, so nothing
@@ -237,7 +239,13 @@ REP201_TRANSPLANTS = {
     "worker_loop_takes_a_lock": (
         "    _attach_worker(layout, cfg, cpu)\n", "    lock = threading.Lock()\n",
     ),
+    "worker_loop_waits_on_an_event": (
+        "    _attach_worker(layout, cfg, cpu)\n", "    threading.Event().wait()\n",
+    ),
 }
+
+#: The hazards each transplant's line holds: ``Event()`` is one of its own.
+REP201_HAZARDS = {"worker_loop_waits_on_an_event": ("Event()", ".wait()")}
 
 
 def rep201_transplanted(name: str) -> str:
@@ -260,7 +268,12 @@ class TestRep201Stays:
         )
         assert not errors, errors
         at = mutated.splitlines().index(line.rstrip("\n")) + 1
-        assert [v.line for v in violations] == [at], [str(v) for v in violations]
+        hazards = REP201_HAZARDS.get(name, ("",))
+        assert [v.line for v in violations] == [at] * len(hazards), [
+            str(v) for v in violations
+        ]
+        for v, hazard in zip(violations, hazards, strict=True):
+            assert hazard in v.message
 
 
 #: Where the pool submits a plan's INT row.

@@ -11,6 +11,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.sanitizers.runner import RULES, analyze, rules_in_scope, run_lint
 
 CONCURRENCY_RULES = [r for r in RULES if r.startswith("REP2")]
@@ -182,6 +184,38 @@ class TestForkSafety:
             """,
             only=["REP201"],
         )
+
+    WAITING_TARGET = """\
+        {imports}
+
+        def _worker_loop(conn, host):
+            while conn in {call}([conn, host.sentinel]):
+                conn.send(conn.recv())
+
+        def build_pool(conn, host):
+            return multiprocessing.Process(target=_worker_loop, args=(conn, host))
+        """
+
+    @pytest.mark.parametrize("imports, call", [
+        ("import multiprocessing\n        from multiprocessing.connection import wait", "wait"),
+        ("import multiprocessing\n        from multiprocessing import connection", "connection.wait"),
+        ("import multiprocessing\n        import multiprocessing.connection as mpc", "mpc.wait"),
+        ("import multiprocessing.connection", "multiprocessing.connection.wait"),
+    ])
+    def test_a_select_over_own_descriptors_is_clean(self, imports, call):
+        # ``multiprocessing.connection.wait`` waits on no lock fork copied,
+        # however the module names it.
+        source = self.WAITING_TARGET.format(imports=imports, call=call)
+        assert not rules_hit(source, only=["REP201"])
+
+    @pytest.mark.parametrize("imports, call", [
+        ("import multiprocessing\n        import threading", "threading.Event().wait"),
+        ("import multiprocessing\n        from threading import Event", "Event().wait"),
+        ("import multiprocessing\n        from somewhere import wait", "wait"),
+    ])
+    def test_any_other_wait_is_flagged(self, imports, call):
+        source = self.WAITING_TARGET.format(imports=imports, call=call)
+        assert "REP201" in rules_hit(source, only=["REP201"])
 
 
 # ---------------------------------------------------------------------------

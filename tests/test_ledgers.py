@@ -7,6 +7,8 @@ after ``DESIGN.md`` or ``EXPERIMENTS.md`` — ``DESIGN.md "…"``,
 ``DESIGN.md → "…"``, ``EXPERIMENTS.md "…"`` — in the code, the tests, the
 benchmarks, the examples, README.md or those two files must be the start
 of a ``#`` heading or a ``**bold**`` paragraph title of the file it names.
+DESIGN.md, EXPERIMENTS.md and CHANGES.md together stay under one byte
+budget.
 """
 
 import re
@@ -14,6 +16,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY_BUDGET = 1536
+#: DESIGN.md + EXPERIMENTS.md + CHANGES.md together, in bytes (221 116
+#: when the budget was set): a change that would grow them past it
+#: trims them first.
+LEDGERS = ("DESIGN.md", "EXPERIMENTS.md", "CHANGES.md")
+LEDGER_BUDGET = 226_000
 BULLET = re.compile(r"- PR (\d+)\b")
 CITATION = re.compile(r'\b(DESIGN|EXPERIMENTS)\.md(?:\s+→)?\s+"([^"]+)"')
 HEADING = re.compile(r"^#+\s+(.+)$", re.M)
@@ -48,6 +55,11 @@ def test_every_entry_fits_the_budget():
         if len(text.encode()) > ENTRY_BUDGET
     }
     assert not over, f"CHANGES.md entries over {ENTRY_BUDGET} bytes: {over}"
+
+
+def test_the_ledgers_fit_their_total_budget():
+    total = sum(len((ROOT / name).read_bytes()) for name in LEDGERS)
+    assert total <= LEDGER_BUDGET, f"ledgers total {total} B, budget {LEDGER_BUDGET} B"
 
 
 def normal(text: str) -> str:
