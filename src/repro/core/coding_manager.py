@@ -5,9 +5,9 @@ the Fig.-4 op DAG — per accelerator engine queues, the τ1/τ2
 synchronization barriers, the R* block on its selected device — runs it
 on the DES, and harvests the measurements that feed the Performance
 Characterization. The DAG is built only when the plan's structure
-changes; every frame re-times it (noise, fault and share stretch, link
-speed) before the DES runs. The ops only take simulated time; under ``encode()``
-the same plan is then executed serially on the host
+changes; every frame re-times it (bands and bytes, noise, fault and share
+stretch, link speed) before the DES runs. The ops only take simulated
+time; under ``encode()`` the same plan is then executed serially on the host
 (:meth:`RealContext.execute`), so the collaborative output can be
 compared bit-exactly against the reference encoder.
 """
@@ -15,6 +15,7 @@ compared bit-exactly against the reference encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_not
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.codec.slices import slice_bounds
 from repro.codec.sme import SubpelField, subpel_refine_rows
 from repro.core.config import FrameworkConfig
 from repro.core.data_access import TransferItem, TransferPlan
-from repro.core.frame_plan import FramePlan, Row
+from repro.core.frame_plan import FramePlan
 from repro.core.load_balancing import LoadDecision
 from repro.core.perf_model import PerformanceCharacterization, buffer_row_bytes
 from repro.hw.des import Op, Resource, Simulator
@@ -132,8 +133,10 @@ class _OpGraph:
     """One frame's op DAG, issued on the simulator's engines.
 
     The build fixes the structure: which ops, on which engine, after
-    which. Durations are the retime's (:meth:`retime`), so a graph serves
-    every frame whose structure repeats, re-timed each time.
+    which. The sizes are a plan's (:meth:`size`: its bands and bytes) and
+    the durations the retime's (:meth:`retime`), so a graph serves every
+    frame whose structure repeats, sized when its plan moves and re-timed
+    every frame.
     """
 
     #: (op, device, seconds before noise and stretch) per compute op, in
@@ -141,12 +144,16 @@ class _OpGraph:
     kernels: list[tuple[Op, str, float]]
     #: (op, device, bytes, direction) per transfer op.
     copies: list[tuple[Op, Device, int, str]]
-    #: What the Performance Characterization harvests: (device, module,
-    #: rows, op) per non-redo compute op, (item, op) per planned transfer,
-    #: and (device, op, mul, div) per R* measurement, ``op.duration * mul /
-    #: div`` full-frame seconds.
-    observed_compute: list[tuple[str, str, int, Op]]
-    observed_copies: list[tuple[TransferItem, Op]]
+    #: Where a plan's sizes go: (kernel, row, seconds per MB row) per
+    #: compute op of a plan row (``row`` indexes ``phase1 + phase2``),
+    #: (copy, item) per planned transfer and (device, module, owner, op)
+    #: per non-redo compute op.
+    row_kernels: list[tuple[int, int, float]]
+    planned: list[tuple[int, int]]
+    owners: list[tuple[str, str, int, Op]]
+    #: (device, op, mul, div) per R* measurement, ``op.duration * mul /
+    #: div`` full-frame seconds: with the two lists :meth:`size` fills,
+    #: what the Performance Characterization harvests.
     observed_rstar: list[tuple[str, Op, int, int]]
     #: Stalls and redo work: the frame's ``fault_time_lost_s``.
     fault_ops: list[Op]
@@ -156,12 +163,38 @@ class _OpGraph:
     tail: list[Op]
     #: The first op issued on a device engine (engines a platform shares).
     first: Op
+    #: (device, module, rows, op) per non-redo compute op and (item, op)
+    #: per planned transfer, of the plan last sized.
+    observed_compute: list[tuple[str, str, int, Op]] = field(default_factory=list)
+    observed_copies: list[tuple[TransferItem, Op]] = field(default_factory=list)
 
     def installed(self) -> bool:
         """Do the engines still queue this graph? Another simulator on the
         same platform resets them when it builds."""
         queue = self.first.resource.ops
         return bool(queue) and queue[0] is self.first
+
+    def size(self, plan: FramePlan, transfers: TransferPlan) -> None:
+        """Take ``plan``'s bands and ``transfers``' bytes (the structure
+        must be this graph's): the seconds and bytes the retime times, and
+        the rows and items the harvest reports."""
+        rows = plan.phase1 + plan.phase2
+        kernels = self.kernels
+        for k, r, row_s in self.row_kernels:
+            op, name, _ = kernels[k]
+            band = rows[r].band
+            kernels[k] = (op, name, row_s * (band[1] - band[0]))
+        items, copies = transfers.items, self.copies
+        self.observed_copies = []
+        for c, i in self.planned:
+            op, dev, _, direction = copies[c]
+            copies[c] = (op, dev, items[i].nbytes, direction)
+            self.observed_copies.append((items[i], op))
+        d = plan.decision
+        rows_of = {"me": d.m.rows, "int": d.l.rows, "sme": d.s.rows}
+        self.observed_compute = [
+            (name, module, rows_of[module][i], op) for name, module, i, op in self.owners
+        ]
 
     def retime(self, frame_index: int, noise: NoiseModel, devices: list[Device]) -> None:
         """Fill every duration for ``frame_index``: one noise draw per
@@ -201,6 +234,9 @@ class VideoCodingManager:
         #: while the plan's structure repeats (see :meth:`run_frame`).
         self._graph: _OpGraph | None = None
         self._graph_key: tuple | None = None
+        #: The rows and transfer items of the last plan, and their structure.
+        self._sizes: tuple = (None, None, None)
+        self._structure: tuple = ()
 
     # -------------------------------------------------------------------------
 
@@ -226,21 +262,36 @@ class VideoCodingManager:
         mapping (initialization frame only).
 
         The op graph is built only when its structure changes: the last
-        frame's graph is kept and, while the rows, the transfers, the R*
-        placement and mode, the probes, the live and faulted sets and the
-        active references (the ME rate) repeat, only re-timed.
+        frame's graph is kept and, while the rows (by module, owner,
+        device, slot and redo), the transfers (by device, direction, label
+        and phase), the R* placement and mode, the probes, the live and
+        faulted sets and the active references (the ME rate) repeat, only
+        re-timed from this frame's bands and bytes.
         """
         rf_on_host = self._rstar_parallel_possible(ctx)
+        # A frame that repeats the last plan hands on its very rows and
+        # items: their structure is derived, and the graph sized, once.
+        sizes = (plan.phase1, plan.phase2, transfers.items)
+        resized = any(map(is_not, sizes, self._sizes))
+        if resized:
+            self._sizes = sizes
+            self._structure = (
+                [(r.module, r.owner, r.device, r.slot, r.redo) for r in plan.phase1 + plan.phase2],
+                [(t.device, t.direction, t.label, t.phase) for t in transfers.items],
+            )
         key = (
             probe_rstar, rf_on_host, plan.rstar_device, plan.active_refs,
-            plan.live, plan.faulted, plan.phase1, plan.phase2, transfers.items,
+            plan.live, plan.faulted, self._structure,
         )
         graph = self._graph
         if graph is None or self._graph_key != key or not graph.installed():
             with span(self, "des_build"):
                 graph = self._graph = self._build(plan, transfers, probe_rstar, rf_on_host)
             self._graph_key = key
+            resized = True
         with span(self, "des_retime"):
+            if resized:
+                graph.size(plan, transfers)
             graph.retime(plan.frame_index, self.fw_cfg.noise, self.platform.devices)
         with span(self, "des"):
             records = self.sim.run()
@@ -285,9 +336,11 @@ class VideoCodingManager:
         cfg = self.codec_cfg
         devices = self.platform.devices
         names = [dev.name for dev in devices]
+        rows = plan.phase1 + plan.phase2
         kernels: list[tuple[Op, str, float]] = []
+        row_kernels: list[tuple[int, int, float]] = []
         copies: list[tuple[Op, Device, int, str]] = []
-        observed_copies: list[tuple[TransferItem, Op]] = []
+        planned: list[tuple[int, int]] = []
         fault_ops: list[Op] = []  # stalls + redo work (never harvested)
         # Non-redo compute op per module and device index (the harvest).
         ops: dict[str, dict[int, Op]] = {"int": {}, "me": {}, "sme": {}}
@@ -311,14 +364,17 @@ class VideoCodingManager:
             copies.append((op, dev, nbytes, direction))
             return op
 
-        def xfer(dev: Device, item: TransferItem, deps: list[Op]) -> Op:
-            # A planned transfer: the characterization measures its link.
-            op = copy(dev, item.nbytes, item.direction, f"{item.label}[{item.device}]", deps)
-            observed_copies.append((item, op))
-            return op
+        def xfer(dev: Device, entry: tuple[int, TransferItem], deps: list[Op]) -> Op:
+            # A planned transfer (its index in the plan, and the item), sized
+            # by the plan: the characterization measures its link.
+            k, item = entry
+            planned.append((len(copies), k))
+            return copy(dev, 0, item.direction, f"{item.label}[{item.device}]", deps)
 
-        def compute(row: Row, deps: list[Op]) -> Op:
-            # The one Row → Op builder, on the executing device's engine.
+        def compute(k: int, deps: list[Op]) -> Op:
+            # The one plan-row → Op builder (``rows[k]``), on the executing
+            # device's engine.
+            row = rows[k]
             dev = devices[row.device]
             rates = dev.spec.rates
             row_s = (
@@ -326,7 +382,8 @@ class VideoCodingManager:
                 else rates.me_row_s(cfg, plan.active_refs) if row.module == "me"
                 else rates.sme_row_s(cfg)
             )
-            op = kernel(row.label(names), dev, row_s * (row.band[1] - row.band[0]), deps)
+            row_kernels.append((len(kernels), k, row_s))
+            op = kernel(row.label(names), dev, 0.0, deps)
             if row.redo:
                 fault_ops.append(op)
             else:
@@ -334,13 +391,15 @@ class VideoCodingManager:
             return op
 
         survivors = plan.survivors
-        by_owner: dict[int, list[Row]] = {}
-        for row in plan.phase1:
-            by_owner.setdefault(row.owner, []).append(row)
-        # The transfers of each (device, phase), in plan order.
-        moves: dict[tuple[str, int], list[TransferItem]] = {}
-        for item in transfers.items:
-            moves.setdefault((item.device, item.phase), []).append(item)
+        n_phase1 = len(plan.phase1)
+        by_owner: dict[int, list[int]] = {}
+        for k in range(n_phase1):
+            by_owner.setdefault(rows[k].owner, []).append(k)
+        # The transfers of each (device, phase), in plan order, with their
+        # index in the plan.
+        moves: dict[tuple[str, int], list[tuple[int, TransferItem]]] = {}
+        for k, item in enumerate(transfers.items):
+            moves.setdefault((item.device, item.phase), []).append((k, item))
 
         # ------------------------- phase 1 ----------------------------------
         phase1: list[Op] = []
@@ -360,16 +419,17 @@ class VideoCodingManager:
                 )
                 fault_ops.append(stall)
                 phase1.append(stall)
-                phase1 += [compute(row, [stall]) for row in by_owner.get(i, ())]
+                phase1 += [compute(k, [stall]) for k in by_owner.get(i, ())]
                 continue
 
             items = moves.get((name, 1), ()) if dev.is_accelerator else ()
             rf_op: Op | None = None
             cf_me_op: Op | None = None
-            for item in items:
+            for entry in items:
+                item = entry[1]
                 if item.direction != "h2d":
                     continue
-                op = xfer(dev, item, [])
+                op = xfer(dev, entry, [])
                 phase1.append(op)
                 if item.label == "RF":
                     rf_op = op
@@ -377,39 +437,42 @@ class VideoCodingManager:
                     cf_me_op = op
             int_in = [] if rf_op is None else [rf_op]
             me_in = int_in if cf_me_op is None else [*int_in, cf_me_op]
-            for row in by_owner.get(i, ()):
-                phase1.append(compute(row, list(int_in if row.module == "int" else me_in)))
-            for item in items:
+            for k in by_owner.get(i, ()):
+                phase1.append(compute(k, list(int_in if rows[k].module == "int" else me_in)))
+            for entry in items:
+                item = entry[1]
                 if item.direction != "d2h":
                     continue
                 # SF(RF)->host waits for INT, MV->SME for ME.
                 src = ops["int" if item.label.startswith("SF") else "me"]
-                phase1.append(xfer(dev, item, [src[i]] if i in src else []))
+                phase1.append(xfer(dev, entry, [src[i]] if i in src else []))
 
         tau1_op = Op(label="tau1", resource=self.host, duration=0.0, deps=list(phase1))
 
         # ------------------------- phase 2 ----------------------------------
         # Redo rows queue on the fallback ahead of its own SME.
-        phase2 = [compute(row, [tau1_op]) for row in plan.phase2 if row.redo]
-        sme_rows = {row.owner: row for row in plan.phase2 if not row.redo}
+        phase2_rows = range(n_phase1, len(rows))
+        phase2 = [compute(k, [tau1_op]) for k in phase2_rows if rows[k].redo]
+        sme_rows = {rows[k].owner: k for k in phase2_rows if not rows[k].redo}
         for i, dev in enumerate(devices):
             name = names[i]
             if name not in survivors:
                 continue
             items = moves.get((name, 2), ()) if dev.is_accelerator else ()
             in_ops: list[Op] = [tau1_op]
-            for item in items:
+            for entry in items:
+                item = entry[1]
                 if item.direction != "h2d":
                     continue
-                op = xfer(dev, item, [tau1_op])
+                op = xfer(dev, entry, [tau1_op])
                 phase2.append(op)
                 if item.label in ("SF(RF)->SME", "MV->SME"):
                     in_ops.append(op)
             if i in sme_rows:
                 phase2.append(compute(sme_rows[i], in_ops))
-            for item in items:
-                if item.direction == "d2h":
-                    phase2.append(xfer(dev, item, [ops["sme"].get(i, tau1_op)]))
+            for entry in items:
+                if entry[1].direction == "d2h":
+                    phase2.append(xfer(dev, entry, [ops["sme"].get(i, tau1_op)]))
 
         tau2_op = Op(label="tau2", resource=self.host, duration=0.0, deps=phase2 + [tau1_op])
 
@@ -424,18 +487,17 @@ class VideoCodingManager:
                 survivors if probe_rstar else frozenset(),
             )
 
-        decision = plan.decision
-        rows_of = (("me", decision.m), ("int", decision.l), ("sme", decision.s))
         return _OpGraph(
             kernels=kernels,
             copies=copies,
-            observed_compute=[
-                (name, module, dist.rows[i], ops[module][i])
+            row_kernels=row_kernels,
+            planned=planned,
+            owners=[
+                (name, module, i, ops[module][i])
                 for i, name in enumerate(names)
-                for module, dist in rows_of
+                for module in ("me", "int", "sme")
                 if i in ops[module]
             ],
-            observed_copies=observed_copies,
             observed_rstar=observed_rstar,
             fault_ops=fault_ops,
             tau1=tau1_op,
@@ -470,21 +532,21 @@ class VideoCodingManager:
         rstar_dev = self.platform.device(rstar_device)
         items = moves.get((rstar_device, 3), ()) if rstar_dev.is_accelerator else ()
         rstar_deps = [tau2_op]
-        for item in items:
-            if item.direction == "h2d":
-                rstar_deps.append(xfer(rstar_dev, item, [tau2_op]))
+        for entry in items:
+            if entry[1].direction == "h2d":
+                rstar_deps.append(xfer(rstar_dev, entry, [tau2_op]))
         rstar_op = kernel(
             f"R*[{rstar_device}]", rstar_dev,
             rstar_dev.spec.rates.rstar_frame_s(cfg), rstar_deps,
         )
         tail_ops = [rstar_op]
-        for item in items:
-            if item.direction == "d2h":
-                tail_ops.append(xfer(rstar_dev, item, [rstar_op]))
+        for entry in items:
+            if entry[1].direction == "d2h":
+                tail_ops.append(xfer(rstar_dev, entry, [rstar_op]))
         for dev in self.platform.devices:
             if dev.is_accelerator and dev.name != rstar_device:
-                for item in moves.get((dev.name, 3), ()):
-                    tail_ops.append(xfer(dev, item, [tau2_op]))
+                for entry in moves.get((dev.name, 3), ()):
+                    tail_ops.append(xfer(dev, entry, [tau2_op]))
         rstar_obs = [(rstar_device, rstar_op, 1, 1)]
         for dev in self.platform.devices:
             if dev.name != rstar_device and dev.name in probe_on:

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate
 from itertools import combinations as _combinations
 from operator import eq
 from pathlib import Path
 from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +70,8 @@ def _load_highs_bindings() -> ModuleType:
 
 
 _hs = _load_highs_bindings()
+_COLWISE = int(_hs.MatrixFormat.kColwise)
+_MINIMIZE = int(_hs.ObjSense.kMinimize)
 
 
 @dataclass(slots=True)
@@ -126,15 +131,51 @@ def _new_highs() -> "_hs._Highs":
     return highs
 
 
+class ColumnLP(NamedTuple):
+    """One LP in HiGHS's column form: ``argmin c·x`` s.t. ``row_lower ≤ A x ≤
+    row_upper`` and ``col_lower ≤ x ≤ col_upper`` (``±inf``: open).
+
+    Column ``j`` of ``A`` holds ``value[start[j]:start[j + 1]]`` in rows
+    ``index[start[j]:start[j + 1]]``, ascending; an exact zero is no entry.
+    """
+
+    c: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+
+class _SubsetLP(NamedTuple):
+    """One activity subset's LP for one frame, Δm/Δl aside
+    (:meth:`LoadBalancer._build_lp`): the matrix, the cost, the column
+    bounds and every row bound Δ does not move, plus the rows it does."""
+
+    lp: ColumnLP
+    #: (row, its upper bound as a function of (dm, dl)) per Δ-dependent row.
+    delta_rows: list[tuple[int, Callable[[list[int], list[int]], float]]]
+
+    def at(self, dm: list[int], dl: list[int]) -> ColumnLP:
+        """The LP with the Δm/Δl terms ``dm``/``dl`` fixed."""
+        upper = self.lp.row_upper.copy()
+        for row, rhs in self.delta_rows:
+            upper[row] = rhs(dm, dl)
+        return self.lp._replace(row_upper=upper)
+
+
 class LPSolveCache:
     """Exact-keyed memo of HiGHS solves — the warm-start fast path.
 
     The per-frame LP changes only through its K-parameter coefficients;
     in steady state (and between the Δ fixed-point iterations once the
     fixed point is reached) consecutive solves receive byte-identical
-    constraint systems. The cache keys on the exact bytes of the LP, so a
-    hit returns precisely what the cold solve would have returned (HiGHS
-    is deterministic) — bit-identical by construction, no tolerance.
+    constraint systems. The cache keys on the exact bytes of the LP's
+    column arrays, so a hit returns precisely what the cold solve would
+    have returned (HiGHS is deterministic) — bit-identical by
+    construction, no tolerance.
 
     A miss goes straight to HiGHS, on one persistent instance per cache
     (:func:`_new_highs`); ``passModel`` drops the previous basis and
@@ -164,83 +205,61 @@ class LPSolveCache:
         self._table: dict[tuple, np.ndarray | None] = {}
         self._highs = _new_highs()
 
-    def solve(
-        self,
-        c: np.ndarray,
-        a_ub: np.ndarray,
-        b_ub: np.ndarray,
-        a_eq: np.ndarray,
-        b_eq: np.ndarray,
-        bounds: list[tuple],
-    ) -> np.ndarray | None:
-        """``argmin c·x`` s.t. ``a_ub x ≤ b_ub``, ``a_eq x = b_eq``, one
-        ``(low, high)`` per variable in ``bounds`` (``None``: open). Returns a
-        read-only ``x`` shared by later hits, ``None`` without a proven optimum.
-        """
+    def solve(self, lp: ColumnLP) -> np.ndarray | None:
+        """The optimal ``x`` of ``lp``: read-only and shared by later hits,
+        ``None`` without a proven optimum."""
         if not self.max_entries:
             self.misses += 1
-            return self._cold_solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        key = (
-            a_ub.shape, c.tobytes(), a_ub.tobytes(), b_ub.tobytes(),
-            a_eq.tobytes(), b_eq.tobytes(), tuple(bounds),
-        )
+            return self._cold_solve(lp)
+        key = tuple(arr.tobytes() for arr in lp)
         if key in self._table:
             self.hits += 1
             return self._table[key]
         self.misses += 1
-        x = self._cold_solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        x = self._cold_solve(lp)
         if len(self._table) >= self.max_entries:
             self._table.pop(next(iter(self._table)))  # FIFO eviction
         self._table[key] = x
         return x
 
-    def _cold_solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray | None:
+    def _cold_solve(self, lp: ColumnLP) -> np.ndarray | None:
         """One HiGHS run, with what ``linprog`` checked around the same call.
 
-        Before: NaN or ±inf in an array is a ``ValueError`` (HiGHS takes a
-        NaN cost and answers). After: anything but ``kOptimal`` — infeasible,
-        unbounded, ``kError`` from ``passModel`` or ``run`` — is ``None``, and
-        so is an "optimum" off a bound or a row by more than ``RESIDUAL_TOL``.
+        Before: NaN or ±inf in the cost, a matrix entry or an upper row
+        bound, or NaN or +inf in a lower row bound, is a ``ValueError``
+        (HiGHS takes a NaN cost and answers). After: anything but
+        ``kOptimal`` — infeasible, unbounded, ``kError`` from ``passModel``
+        or ``run`` — is ``None``, and so is an "optimum" off a bound or a
+        row by more than ``RESIDUAL_TOL``.
         """
-        for name, arr in zip(
-            ("c", "a_ub", "b_ub", "a_eq", "b_eq"), (c, a_ub, b_ub, a_eq, b_eq), strict=True
+        row_lower = lp.row_lower
+        for name, arr in (
+            ("c", lp.c), ("value", lp.value), ("row_upper", lp.row_upper),
+            ("row_lower", row_lower[row_lower != -np.inf]),  # −inf: an open row
         ):
             if not np.isfinite(arr).all():
                 raise ValueError(f"LP input {name} must not contain inf or nan")
-        n_ub = len(b_ub)
-        lo = np.array([-np.inf if low is None else low for low, _ in bounds])
-        hi = np.array([np.inf if high is None else high for _, high in bounds])
-        # Rows as HiGHS wants them: lower ≤ a x ≤ upper, matrix column-wise.
-        upper = np.concatenate((b_ub, b_eq))
-        lower = np.concatenate((np.full(n_ub, -np.inf), b_eq))
-        by_col = np.vstack((a_ub, a_eq)).T
-        col, row = np.nonzero(by_col)
-        start = np.zeros(len(c) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(col, minlength=len(c)), out=start[1:])
-        lp = _hs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
-        lp.a_matrix_.format_ = _hs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = row.astype(np.int32)
-        lp.a_matrix_.value_ = by_col[col, row]
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lo, hi
-        lp.row_lower_, lp.row_upper_ = lower, upper
+        num_col = len(lp.c)
         highs = self._highs
         if (
-            highs.passModel(lp) == _hs.HighsStatus.kError
+            highs.passModel(
+                num_col, len(row_lower), len(lp.value), _COLWISE, _MINIMIZE, 0.0,
+                lp.c, lp.col_lower, lp.col_upper, row_lower, lp.row_upper,
+                lp.start, lp.index, lp.value,
+                np.zeros(num_col, dtype=np.int32),  # all continuous; empty is kError
+            ) == _hs.HighsStatus.kError
             or highs.run() == _hs.HighsStatus.kError
             or highs.getModelStatus() != _hs.HighsModelStatus.kOptimal
         ):
             return None
         solution = highs.getSolution()
         x = np.array(solution.col_value)
-        slack = upper - np.array(solution.row_value)
+        rows = np.array(solution.row_value)
         if not (
-            (x >= lo - RESIDUAL_TOL).all()
-            and (x <= hi + RESIDUAL_TOL).all()
-            and (slack[:n_ub] >= -RESIDUAL_TOL).all()
-            and (np.abs(slack[n_ub:]) <= RESIDUAL_TOL).all()
+            (x >= lp.col_lower - RESIDUAL_TOL).all()
+            and (x <= lp.col_upper + RESIDUAL_TOL).all()
+            and (lp.row_upper - rows >= -RESIDUAL_TOL).all()
+            and (rows - row_lower >= -RESIDUAL_TOL).all()
         ):  # written so that a NaN anywhere fails
             return None
         x.setflags(write=False)  # shared across hits — must stay frozen
@@ -587,16 +606,20 @@ class LoadBalancer:
             for k, i in enumerate(active):
                 rows[i] = per.rows[k]
             m = l = s = Distribution(rows=tuple(rows), total=n)
-        solution = None
-        prev_rows: tuple | None = None
+        with span(self, "lp_build"):
+            subset = self._build_lp(perf, rstar_device, needs_rf, sigma_r_prev, parked)
+        if subset is None:
+            return None
+        # The seed's rows count as the previous solve's: an LP that returns
+        # its own seed is at the fixed point (a second solve would be fed
+        # the same Δ, so the same bytes, and answer the same).
+        prev_rows = (m.rows, l.rows, s.rows)
         converged = False
         for _ in range(LP_DELTA_ITERATIONS):
             with span(self, "bounds"):
                 dm = [ms_bounds(m, s, i).rows for i in range(d)]
                 dl = [ls_bounds(l, s, i, self.halo).rows for i in range(d)]
-            solution = self._solve_lp(
-                perf, rstar_device, needs_rf, sigma_r_prev, dm, dl, parked
-            )
+            solution = self._solve_lp(subset, dm, dl)
             if solution is None:
                 return None
             mf, lf, sf, taus = solution
@@ -727,34 +750,23 @@ class LoadBalancer:
         )
 
     def _solve_lp(
-        self,
-        perf: PerformanceCharacterization,
-        rstar_device: str,
-        needs_rf: dict[str, bool],
-        sigma_r_prev: dict[str, int],
-        dm: list[int],
-        dl: list[int],
-        parked: frozenset[int] = frozenset(),
+        self, subset: _SubsetLP, dm: list[int], dl: list[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float, float]] | None:
-        """One LP solve with Δ terms fixed. Returns (m, l, s, taus) or None.
+        """One LP solve of ``subset`` with the Δ terms ``dm``/``dl`` fixed.
+        Returns (m, l, s, taus) or None.
 
-        Splits into constraint build (:meth:`_build_lp`) and the HiGHS
-        call (through :attr:`lp_cache`), journaled as separate spans.
+        The right-hand sides (``lp_build``) and the HiGHS call (through
+        :attr:`lp_cache`, ``lp_solve``) are journaled as separate spans.
         """
         with span(self, "lp_build"):
-            built = self._build_lp(
-                perf, rstar_device, needs_rf, sigma_r_prev, dm, dl, parked
-            )
-        if built is None:
-            return None
-        c, a_ub, b_ub, a_eq, b_eq, bounds, taus_idx = built
-        d = len(self.platform.devices)
+            lp = subset.at(dm, dl)
         with span(self, "lp_solve"):
-            x = self.lp_cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+            x = self.lp_cache.solve(lp)
         if x is None:
             return None
-        i_t1, i_t2, i_tt = taus_idx
-        taus = (float(x[i_t1]), float(x[i_t2]), float(x[i_tt]))
+        d = len(self.platform.devices)
+        i_t1 = 3 * d
+        taus = (float(x[i_t1]), float(x[i_t1 + 1]), float(x[i_t1 + 2]))
         return x[0:d], x[d : 2 * d], x[2 * d : 3 * d], taus
 
     def _kt_lookup(self, perf: PerformanceCharacterization):
@@ -790,11 +802,10 @@ class LoadBalancer:
         rstar_device: str,
         needs_rf: dict[str, bool],
         sigma_r_prev: dict[str, int],
-        dm: list[int],
-        dl: list[int],
         parked: frozenset[int],
-    ):
-        """Assemble the constraint system. Returns None if a K is missing.
+    ) -> _SubsetLP | None:
+        """Assemble one activity subset's constraint system for this frame,
+        Δ aside (:meth:`_SubsetLP.at`). Returns None if a K is missing.
 
         ``parked`` devices are excluded entirely (zero rows, no transfer
         obligations). Every *active* non-R* accelerator additionally gets a
@@ -803,6 +814,10 @@ class LoadBalancer:
         during τ2..τtot (σ) or during the next frame's τ1 (the backlog),
         which is what stops the LP from myopically assigning work to
         devices behind links too slow to keep their SF mirror warm.
+
+        Δm/Δl enter right-hand sides only, so the matrix is built once per
+        subset: each row's bound is a number, or a function of ``(dm,
+        dl)`` that :meth:`_SubsetLP.at` evaluates per Δ iteration.
         """
         devices = self.platform.devices
         d = len(devices)
@@ -820,27 +835,26 @@ class LoadBalancer:
         i_t1, i_t2, i_tt = 3 * d, 3 * d + 1, 3 * d + 2
         i_sig = {dev_i: 3 * d + 3 + k for k, dev_i in enumerate(sigma_devs)}
 
-        a_ub: list[np.ndarray] = []
-        b_ub: list[float] = []
+        # Row r is ``coefs[r] · x ≤ upper[r]``, the bound a number or a
+        # function of (dm, dl).
+        coefs: list[dict[int, float]] = []
+        upper: list = []
 
-        def add(coef: dict[int, float], rhs: float) -> None:
-            row = np.zeros(nv)
-            for k, v in coef.items():
-                row[k] += v
-            a_ub.append(row)
-            b_ub.append(rhs)
+        def add(coef: dict[int, float], rhs) -> None:
+            coefs.append(coef)
+            upper.append(rhs)
 
         kt = self._kt_lookup(perf)
 
-        for i, dev in enumerate(devices):
+        def device_rows(i: int, dev) -> bool:
+            # One device's rows (a scope per device: the bounds' closures
+            # bind its own Ks); False if a K is missing.
             name = dev.name
-            if i in parked:
-                continue  # zero bounds below; no constraints needed
             km = perf.k_compute(name, "me")
             kl = perf.k_compute(name, "int")
             ks = perf.k_compute(name, "sme")
             if km is None or kl is None or ks is None:
-                return None
+                return False
             # (2)-style compute capacity before τ1: INT + ME share the engine.
             add({i_m(i): km, i_l(i): kl, i_t1: -1.0}, 0.0)
             # (3)-style: SME fits in τ1..τ2.
@@ -850,7 +864,7 @@ class LoadBalancer:
                 if name == rstar_device:
                     trs = perf.rstar_frame_s(name) or 0.0
                     add({i_t2: 1.0, i_tt: -1.0}, -trs)
-                continue
+                return True
 
             k_cf = kt(name, "cf", "h2d")
             k_cff = kt(name, "cf_full", "h2d")
@@ -861,28 +875,31 @@ class LoadBalancer:
             k_mv_hd = kt(name, "mv", "h2d")
             k_mv_dh = kt(name, "mv", "d2h")
             if None in (k_cf, k_cff, k_rf_hd, k_rf_dh, k_sf_hd, k_sf_dh, k_mv_hd, k_mv_dh):
-                return None
+                return False
             rf_rows = n if needs_rf.get(name, True) else 0
-            fixed1 = (
-                rf_rows * k_rf_hd
-                + dm[i] * k_cf
-                + sigma_r_prev.get(name, 0) * k_sf_hd
-            )
+            rf_in = rf_rows * k_rf_hd
+            sf_backlog_in = sigma_r_prev.get(name, 0) * k_sf_hd
+
+            def fixed1(dm: list[int]) -> float:
+                return rf_in + dm[i] * k_cf + sf_backlog_in
+
+            def fixed2(dm: list[int], dl: list[int]) -> float:
+                return dl[i] * k_sf_hd + dm[i] * k_mv_hd
+
             single = dev.copy_h2d is dev.copy_d2h
             if single:
                 # (4)–(6)/(10)–(12): one engine moves everything before τ1.
                 add(
                     {i_m(i): k_cf + k_mv_dh, i_l(i): k_sf_dh, i_t1: -1.0},
-                    -fixed1,
+                    lambda dm, dl: -fixed1(dm),
                 )
             else:
-                add({i_m(i): k_cf, i_t1: -1.0}, -fixed1)          # h2d engine
+                add({i_m(i): k_cf, i_t1: -1.0}, lambda dm, dl: -fixed1(dm))  # h2d engine
                 add({i_m(i): k_mv_dh, i_l(i): k_sf_dh, i_t1: -1.0}, 0.0)  # d2h
             # Critical paths through compute: RF→CF→ME→MV_out, RF→INT→SF_out.
             add({i_m(i): k_cf + km + k_mv_dh, i_t1: -1.0}, -rf_rows * k_rf_hd)
             add({i_l(i): kl + k_sf_dh, i_t1: -1.0}, -rf_rows * k_rf_hd)
 
-            fixed2 = dl[i] * k_sf_hd + dm[i] * k_mv_hd
             if name == rstar_device:
                 # (8): MC inputs stream in during SME on the R* accelerator.
                 add(
@@ -892,80 +909,99 @@ class LoadBalancer:
                         i_t1: 1.0,
                         i_t2: -1.0,
                     },
-                    -(fixed2 + n * k_cff + n * k_sf_hd - dm[i] * k_cff - dl[i] * k_sf_hd),
+                    lambda dm, dl: -(
+                        fixed2(dm, dl) + n * k_cff + n * k_sf_hd
+                        - dm[i] * k_cff - dl[i] * k_sf_hd
+                    ),
                 )
                 # Path: Δ in, SME compute (MVs stay local).
-                add({i_s(i): ks, i_t1: 1.0, i_t2: -1.0}, -fixed2)
+                add({i_s(i): ks, i_t1: 1.0, i_t2: -1.0}, lambda dm, dl: -fixed2(dm, dl))
                 # (9): missing MVs in, R* block, RF back to host.
                 trs = perf.rstar_frame_s(name) or 0.0
                 add(
                     {i_s(i): -k_mv_hd, i_t2: 1.0, i_tt: -1.0},
                     -(n * k_mv_hd + trs + n * k_rf_dh),
                 )
-            else:
-                # (13): Δ in, SME, SME MVs out, all within τ1..τ2.
+                return True
+            # (13): Δ in, SME, SME MVs out, all within τ1..τ2.
+            add(
+                {i_s(i): ks + k_mv_dh, i_t1: 1.0, i_t2: -1.0},
+                lambda dm, dl: -fixed2(dm, dl),
+            )
+            if single:
+                add({i_s(i): k_mv_dh, i_t1: 1.0, i_t2: -1.0}, lambda dm, dl: -fixed2(dm, dl))
+            # Steady-state SF maintenance ((14)/(15) made endogenous):
+            # σ_i fits in the τ2..τtot window, never exceeds what is
+            # still missing, and the remainder (the next frame's σʳ
+            # backlog) must fit the phase-1 copy engine alongside the
+            # regular phase-1 traffic.
+            sig = i_sig[i]
+            add({sig: k_sf_hd, i_t2: 1.0, i_tt: -1.0}, 0.0)     # (14)
+            add({sig: 1.0, i_l(i): 1.0}, lambda dm, dl: float(n - dl[i]))  # σ ≤ missing
+
+            def backlog(dm: list[int], dl: list[int]) -> float:
+                return -(rf_rows * k_rf_hd + dm[i] * k_cf + (n - dl[i]) * k_sf_hd)
+
+            if single:
                 add(
-                    {i_s(i): ks + k_mv_dh, i_t1: 1.0, i_t2: -1.0},
-                    -fixed2,
+                    {
+                        i_m(i): k_cf + k_mv_dh,
+                        i_l(i): k_sf_dh - k_sf_hd,
+                        sig: -k_sf_hd,
+                        i_t1: -1.0,
+                    },
+                    backlog,
                 )
-                if single:
-                    add({i_s(i): k_mv_dh, i_t1: 1.0, i_t2: -1.0}, -fixed2)
-                # Steady-state SF maintenance ((14)/(15) made endogenous):
-                # σ_i fits in the τ2..τtot window, never exceeds what is
-                # still missing, and the remainder (the next frame's σʳ
-                # backlog) must fit the phase-1 copy engine alongside the
-                # regular phase-1 traffic.
-                sig = i_sig[i]
-                add({sig: k_sf_hd, i_t2: 1.0, i_tt: -1.0}, 0.0)     # (14)
-                add({sig: 1.0, i_l(i): 1.0}, float(n - dl[i]))      # σ ≤ missing
-                backlog_fixed = rf_rows * k_rf_hd + dm[i] * k_cf + (n - dl[i]) * k_sf_hd
-                if single:
-                    add(
-                        {
-                            i_m(i): k_cf + k_mv_dh,
-                            i_l(i): k_sf_dh - k_sf_hd,
-                            sig: -k_sf_hd,
-                            i_t1: -1.0,
-                        },
-                        -backlog_fixed,
-                    )
-                else:
-                    add(
-                        {
-                            i_m(i): k_cf,
-                            i_l(i): -k_sf_hd,
-                            sig: -k_sf_hd,
-                            i_t1: -1.0,
-                        },
-                        -backlog_fixed,
-                    )
+            else:
+                add(
+                    {
+                        i_m(i): k_cf,
+                        i_l(i): -k_sf_hd,
+                        sig: -k_sf_hd,
+                        i_t1: -1.0,
+                    },
+                    backlog,
+                )
+            return True
+
+        for i, dev in enumerate(devices):
+            if i in parked:
+                continue  # zero bounds below; no constraints needed
+            if not device_rows(i, dev):
+                return None
 
         # τ ordering.
         add({i_t1: 1.0, i_t2: -1.0}, 0.0)
         add({i_t2: 1.0, i_tt: -1.0}, 0.0)
 
-        a_eq = np.zeros((3, nv))
-        a_eq[0, 0:d] = 1.0
-        a_eq[1, d : 2 * d] = 1.0
-        a_eq[2, 2 * d : 3 * d] = 1.0
-        b_eq = np.array([n, n, n], dtype=float)
+        # Σm = Σl = Σs = n over every device (a parked one's columns are
+        # pinned to 0 by their bounds).
+        n_ub = len(upper)
+        for k in range(3):
+            add(dict.fromkeys(range(k * d, (k + 1) * d), 1.0), n)
+        delta_rows = [(r, rhs) for r, rhs in enumerate(upper) if callable(rhs)]
+        for r, _ in delta_rows:
+            upper[r] = 0.0  # set per Δ iteration (_SubsetLP.at)
 
-        bounds = [(0.0, float(n))] * (3 * d) + [(0.0, None)] * 3
-        bounds += [(0.0, float(n))] * len(sigma_devs)
-        # sorted(): `parked` is a set; the pinned bounds are disjoint so
-        # order cannot change the LP, but deterministic iteration keeps
-        # the constraint build reproducible by construction (REP102).
-        for i in sorted(parked):
-            for idx in (i_m(i), i_l(i), i_s(i)):
-                bounds[idx] = (0.0, 0.0)
+        # Each column's (row, value) entries, rows ascending.
+        entries: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
+        for r, coef in enumerate(coefs):
+            for k, v in coef.items():
+                if v:  # np.nonzero's rule: ±0.0 is no entry, NaN is one
+                    entries[k].append((r, v))
+        start = np.fromiter(accumulate(map(len, entries), initial=0), np.int32, nv + 1)
+
+        col_upper = np.full(nv, float(n))
+        col_upper[i_t1 : i_tt + 1] = np.inf
+        for i in sorted(parked):  # sorted: a set's order is not reproducible (REP102)
+            col_upper[[i_m(i), i_l(i), i_s(i)]] = 0.0
+        row_lower = np.full(n_ub + 3, -np.inf)
+        row_lower[n_ub:] = n
         c = np.zeros(nv)
         c[i_tt] = 1.0
-        return (
-            c,
-            np.array(a_ub),
-            np.array(b_ub),
-            a_eq,
-            b_eq,
-            bounds,
-            (i_t1, i_t2, i_tt),
+        lp = ColumnLP(
+            c, np.zeros(nv), col_upper, row_lower, np.array(upper, dtype=float), start,
+            np.array([r for col in entries for r, _ in col], dtype=np.int32),
+            np.array([v for col in entries for _, v in col], dtype=float),
         )
+        return _SubsetLP(lp, delta_rows)

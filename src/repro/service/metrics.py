@@ -159,9 +159,8 @@ class ServiceMetrics:
         stats = frame_stats(r for s in sessions for r in s.records)
         busy: dict[str, float] = {}
         for s in sessions:
-            for r in s.records:
-                for res, t in r.busy_device_s.items():
-                    busy[res] = busy.get(res, 0.0) + t
+            for res, t in s.busy_device_s.items():
+                busy[res] = busy.get(res, 0.0) + t
         # Per-device utilization: fold a device's engines (compute + copy)
         # into the compute-engine figure most dashboards care about.
         util = {

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.codec.config import CodecConfig
 from repro.core.config import FrameworkConfig
@@ -149,7 +149,6 @@ class FrameRecord:
     deadline_s: float   # capture + budget_factor * period (inf = none)
     share: float        # capacity share granted for this frame
     tau_s: float        # simulated encode time at that share
-    busy_device_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def latency_s(self) -> float:
@@ -207,6 +206,9 @@ class EncodingSession:
         _journal(self, "create", 0.0, detail=spec.stream_id)
         self.admitted_s: float | None = None
         self.records: list[FrameRecord] = []
+        #: Device-seconds consumed per engine over the session's frames:
+        #: busy time on its scaled clock × its share of the engine.
+        self.busy_device_s: dict[str, float] = {}
         # EWMA of the full-speed (share-normalized) frame time: the
         # session's measured demand on the whole platform, in
         # platform-seconds per frame.
@@ -303,13 +305,9 @@ class EncodingSession:
         self.fault_view.round = round_idx
         outcome = self._encode_next()
         tau = outcome.report.tau_tot
-        # Device-seconds actually consumed: busy time on the session's
-        # scaled clock × its share of the engine.
-        timeline = outcome.report.timeline
-        busy = {
-            res: b * share
-            for res, b in sorted(timeline.busy_by_resource().items())
-        }
+        busy = self.busy_device_s
+        for res, b in outcome.report.timeline.busy_by_resource().items():
+            busy[res] = busy.get(res, 0.0) + b * share
         capture = self.next_capture_s()
         rec = FrameRecord(
             index=self.frames_done + 1,
@@ -320,7 +318,6 @@ class EncodingSession:
             deadline_s=self.deadline_for(capture),
             share=share,
             tau_s=tau,
-            busy_device_s=busy,
         )
         self.records.append(rec)
         full = tau * share

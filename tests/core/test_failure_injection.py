@@ -60,13 +60,15 @@ class TestExtremeAsymmetry:
         assert fw.steady_state_fps() >= 0.8 * solo_cpu.steady_state_fps()
 
 
-def tiny_lp():
-    # minimize x  s.t.  x >= 0.5,  x + y = 1;  optimum (0.5, 0.5)
-    return dict(
+def tiny_lp() -> lb.ColumnLP:
+    # minimize x  s.t.  -x <= -0.5,  x + y = 1;  optimum (0.5, 0.5)
+    return lb.ColumnLP(
         c=np.array([1.0, 0.0]),
-        a_ub=np.array([[-1.0, 0.0]]), b_ub=np.array([-0.5]),
-        a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
-        bounds=[(0.0, None), (0.0, None)],
+        col_lower=np.array([0.0, 0.0]), col_upper=np.array([np.inf, np.inf]),
+        row_lower=np.array([-np.inf, 1.0]), row_upper=np.array([-0.5, 1.0]),
+        start=np.array([0, 2, 3], dtype=np.int32),
+        index=np.array([0, 1, 1], dtype=np.int32),
+        value=np.array([-1.0, 1.0, 1.0]),
     )
 
 
@@ -99,7 +101,7 @@ class TestLpFallbacks:
 
     def test_heuristic_fallback_on_lp_failure(self, monkeypatch):
         """If the solver dies, the speed-proportional heuristic takes over."""
-        monkeypatch.setattr(lb.LPSolveCache, "_cold_solve", lambda self, *lp: None)
+        monkeypatch.setattr(lb.LPSolveCache, "_cold_solve", lambda self, lp: None)
         self.assert_heuristic_took_over(*self.run_syshk())
 
     def test_heuristic_rows_cover_the_frame_on_four_devices(self):
@@ -108,7 +110,7 @@ class TestLpFallbacks:
         the heuristic's largest-remainder split does."""
         fw = FevesFramework(multi_gpu_platform(3), CFG, FrameworkConfig())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lb.LPSolveCache, "_cold_solve", lambda self, *lp: None)
+            mp.setattr(lb.LPSolveCache, "_cold_solve", lambda self, lp: None)
             fw.run_model(6)
         decision = fw.reports[-1].decision
         assert not decision.used_lp
@@ -122,15 +124,15 @@ class TestLpFallbacks:
         solve = lb.LPSolveCache.solve
         returned = []
 
-        def recorded(self, *lp):
-            returned.append(solve(self, *lp))
+        def recorded(self, lp):
+            returned.append(solve(self, lp))
             return returned[-1]
 
         def broken(self, *args):
-            c, a_ub, b_ub, a_eq, b_eq, bounds, taus = build(self, *args)
+            subset = build(self, *args)
             if breakage == "infeasible":
-                return c, a_ub, b_ub, a_eq, -b_eq, bounds, taus
-            return -c, a_ub, b_ub, a_eq, b_eq, bounds, taus
+                return subset._replace(lp=make_infeasible(subset.lp))
+            return subset._replace(lp=subset.lp._replace(c=-subset.lp.c))
 
         monkeypatch.setattr(lb.LoadBalancer, "_build_lp", broken)
         monkeypatch.setattr(lb.LPSolveCache, "solve", recorded)
@@ -145,27 +147,31 @@ class TestLpFallbacks:
         cache = lb.LPSolveCache()
         cache._highs = FailsOnce(cache._highs, method)
         lp = tiny_lp()
-        assert cache.solve(**lp) is None
+        assert cache.solve(lp) is None
         assert cache._highs.failed
-        assert cache.solve(**lp) is None and cache.hits == 1  # cached like any None
-        x = cache.solve(**{**lp, "b_ub": np.array([-0.25])})
+        assert cache.solve(lp) is None and cache.hits == 1  # cached like any None
+        x = cache.solve(lp._replace(row_upper=np.array([-0.25, 1.0])))
         np.testing.assert_array_equal(x, [0.25, 0.75])
 
-    @pytest.mark.parametrize("name", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_input_raises_naming_the_array(self, name, bad):
+    @pytest.mark.parametrize("name, bad", [
+        *((name, bad) for name in ("c", "value", "row_upper")
+          for bad in (np.nan, np.inf, -np.inf)),
+        ("row_lower", np.nan), ("row_lower", np.inf),  # −inf: an open row
+    ])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_a_non_finite_input_raises_naming_the_array(self, name, bad, at):
         lp = tiny_lp()
-        lp[name] = lp[name].copy()
-        lp[name].flat[0] = bad
+        arr = getattr(lp, name).copy()
+        arr[at] = bad
         cache = lb.LPSolveCache()
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
-            cache.solve(**lp)
-        assert cache.solve(**tiny_lp())[0] == 0.5  # nothing cached, nothing stuck
+            cache.solve(lp._replace(**{name: arr}))
+        assert cache.solve(tiny_lp())[0] == 0.5  # nothing cached, nothing stuck
 
     def test_highs_alone_would_answer_a_nan_cost(self, mutant):
         """Why the check exists: without it the solver returns a point."""
         mutant(lb, "LPSolveCache", drop_the_finite_check)
-        x = lb.LPSolveCache().solve(**{**tiny_lp(), "c": np.array([np.nan, 0.0])})
+        x = lb.LPSolveCache().solve(tiny_lp()._replace(c=np.array([np.nan, 0.0])))
         assert x is not None and np.isfinite(x).all()
 
     @pytest.mark.parametrize("point, accepted", [
@@ -190,11 +196,20 @@ class TestLpFallbacks:
                 return SimpleNamespace(col_value=[x, y], row_value=[-x, x + y])
 
         cache._highs = Planted()
-        x = cache.solve(**tiny_lp())
+        x = cache.solve(tiny_lp())
         if accepted:
             np.testing.assert_array_equal(x, point)
         else:
             assert x is None
+
+
+def make_infeasible(lp: lb.ColumnLP) -> lb.ColumnLP:
+    """Σm = −n with m ≥ 0: the equality rows' bounds negated."""
+    eq = lp.row_lower == lp.row_upper
+    return lp._replace(
+        row_lower=np.where(eq, -lp.row_lower, lp.row_lower),
+        row_upper=np.where(eq, -lp.row_upper, lp.row_upper),
+    )
 
 
 def drop_the_finite_check(source: str) -> str:

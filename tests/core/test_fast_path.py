@@ -18,7 +18,7 @@ import pytest
 from repro.codec.config import CodecConfig
 from repro.core.config import FrameworkConfig
 from repro.core.framework import FevesFramework
-from repro.core.load_balancing import LoadBalancer, LPSolveCache
+from repro.core.load_balancing import ColumnLP, LoadBalancer, LPSolveCache
 from repro.core.perf_model import PerformanceCharacterization
 from repro.hw.noise import FaultEvent, FaultSchedule, GaussianJitter, NoiseModel
 from repro.hw.presets import get_platform
@@ -53,20 +53,21 @@ def decisions(fw):
 
 
 class TestLPSolveCache:
-    def tiny_lp(self):
-        # minimize x  s.t.  x >= 0.5,  x + y = 1
-        c = np.array([1.0, 0.0])
-        a_ub = np.array([[-1.0, 0.0]])
-        b_ub = np.array([-0.5])
-        a_eq = np.array([[1.0, 1.0]])
-        b_eq = np.array([1.0])
-        bounds = [(0.0, None), (0.0, None)]
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
+    def tiny_lp(self, bound: float = -0.5) -> ColumnLP:
+        # minimize x  s.t.  -x <= bound,  x + y = 1
+        return ColumnLP(
+            c=np.array([1.0, 0.0]),
+            col_lower=np.zeros(2), col_upper=np.full(2, np.inf),
+            row_lower=np.array([-np.inf, 1.0]), row_upper=np.array([bound, 1.0]),
+            start=np.array([0, 2, 3], dtype=np.int32),
+            index=np.array([0, 1, 1], dtype=np.int32),
+            value=np.array([-1.0, 1.0, 1.0]),
+        )
 
     def test_hit_returns_the_same_solution_object(self):
         cache = LPSolveCache()
-        x1 = cache.solve(*self.tiny_lp())
-        x2 = cache.solve(*self.tiny_lp())
+        x1 = cache.solve(self.tiny_lp())
+        x2 = cache.solve(self.tiny_lp())
         assert (cache.misses, cache.hits) == (1, 1)
         assert x2 is x1  # bit-identical by construction
         assert x1 is not None and x1[0] == pytest.approx(0.5)
@@ -74,19 +75,37 @@ class TestLPSolveCache:
 
     def test_distinct_systems_are_not_conflated(self):
         cache = LPSolveCache()
-        c, a_ub, b_ub, a_eq, b_eq, bounds = self.tiny_lp()
-        x1 = cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        x2 = cache.solve(c, a_ub, np.array([-0.75]), a_eq, b_eq, bounds)
+        x1 = cache.solve(self.tiny_lp())
+        x2 = cache.solve(self.tiny_lp(-0.75))
         assert cache.misses == 2 and cache.hits == 0
         assert x1 is not None and x2 is not None
         assert x1[0] != x2[0]
 
+    def test_every_array_is_part_of_the_key(self):
+        """Equal bytes in every other array: a change to one still misses."""
+        lp = self.tiny_lp()
+        moved = {
+            "c": np.array([1.0, 0.5]),
+            "col_lower": np.array([0.0, 0.25]),
+            "col_upper": np.array([np.inf, 0.75]),
+            "row_lower": np.array([-0.75, 1.0]),
+            "row_upper": np.array([-0.5, 1.25]),
+            "start": np.array([0, 1, 3], dtype=np.int32),
+            "index": np.array([0, 0, 1], dtype=np.int32),
+            "value": np.array([-1.0, 1.0, 2.0]),
+        }
+        assert set(moved) == set(ColumnLP._fields)
+        cache = LPSolveCache()
+        cache.solve(lp)
+        for name, arr in moved.items():
+            cache.solve(lp._replace(**{name: arr}))
+        assert (cache.misses, cache.hits) == (1 + len(moved), 0)
+
     def test_fifo_eviction_bounds_the_table(self):
         cache = LPSolveCache(max_entries=1)
-        c, a_ub, b_ub, a_eq, b_eq, bounds = self.tiny_lp()
-        cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        cache.solve(c, a_ub, np.array([-0.75]), a_eq, b_eq, bounds)  # evicts
-        cache.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)  # miss again
+        cache.solve(self.tiny_lp())
+        cache.solve(self.tiny_lp(-0.75))  # evicts
+        cache.solve(self.tiny_lp())  # miss again
         assert cache.misses == 3 and cache.hits == 0
 
     def test_a_negative_table_size_is_rejected(self):
@@ -95,18 +114,17 @@ class TestLPSolveCache:
 
     def test_a_table_of_size_zero_solves_every_time_and_keeps_nothing(self):
         cache = LPSolveCache(max_entries=0)
-        x1 = cache.solve(*self.tiny_lp())
-        x2 = cache.solve(*self.tiny_lp())
+        x1 = cache.solve(self.tiny_lp())
+        x2 = cache.solve(self.tiny_lp())
         assert (cache.misses, cache.hits) == (2, 0)
         assert x1 is not x2 and np.array_equal(x1, x2)
         assert cache._table == {}
 
     def test_infeasible_cached_as_none(self):
         cache = LPSolveCache()
-        c, a_ub, _, a_eq, b_eq, bounds = self.tiny_lp()
-        bad = np.array([-2.0])  # x >= 2 contradicts x + y = 1, y >= 0
-        assert cache.solve(c, a_ub, bad, a_eq, b_eq, bounds) is None
-        assert cache.solve(c, a_ub, bad, a_eq, b_eq, bounds) is None
+        bad = self.tiny_lp(-2.0)  # x >= 2 contradicts x + y = 1, y >= 0
+        assert cache.solve(bad) is None
+        assert cache.solve(bad) is None
         assert (cache.misses, cache.hits) == (1, 1)
 
 
@@ -130,9 +148,9 @@ class TestWarmStart:
         solved = []
         cold = LPSolveCache._cold_solve
 
-        def counted(self, *lp):
+        def counted(self, lp):
             solved.append(None)
-            return cold(self, *lp)
+            return cold(self, lp)
 
         monkeypatch.setattr(LPSolveCache, "_cold_solve", counted)
         noise = NoiseModel(jitter=GaussianJitter(sigma=0.05, seed=7))

@@ -6,7 +6,9 @@ descriptor tuple of the kept op graph (shared while the graph is
 re-timed), a record order and one array of start and end times; its
 ``OpRecord`` values are built only when read. A report keeps its
 transfer plan's byte totals, not the plan, and a lone balancer keeps no
-LP solve: only a service's shared ``RoundLPBatch`` memoizes.
+LP solve: only a service's shared ``RoundLPBatch`` memoizes. A service
+session keeps one running total of its busy device-seconds, not one per
+frame.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ RETAINED_PER_JITTERED_FRAME_B = 4096
 
 #: Bytes one 40-frame ``serve_poisson`` session may leave behind: its
 #: framework, reports and frame records, and its part of the service's
-#: shared LP cache (≈ 103 KiB; 116.2 KiB when each report kept its plan).
-RETAINED_PER_SESSION_B = 116 * 1024
+#: shared LP cache (≈ 88.4 KiB; 103.7 KiB when each frame record kept a
+#: busy-seconds dict and the cache keyed on dense matrices, 116.2 KiB when
+#: each report kept its plan).
+RETAINED_PER_SESSION_B = 92 * 1024
 
 CFG = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
 

@@ -19,8 +19,16 @@ diffs the two:
   path"); ``tests/sanitizers/test_fast_path_equivalence.py``,
   ``tests/core/test_fast_path.py``, ``tests/core/test_subset_pruning.py``,
   ``tests/sanitizers/test_pruning_equivalence.py``.
-- :class:`PassThroughLPCache` — every LP through ``scipy.optimize.linprog``;
-  replaced by the direct HiGHS call of ``LPSolveCache._cold_solve``;
+- :class:`PassThroughLPCache` — every LP, densified (:func:`densify`),
+  through ``scipy.optimize.linprog``; replaced by the direct HiGHS call of
+  ``LPSolveCache._cold_solve``; ``tests/sanitizers/test_lp_solver_equivalence.py``.
+- :func:`reference_build_lp` — the LP as dense rows, one ``np.zeros`` row
+  per constraint, rebuilt per Δ iteration; replaced by the column form
+  of :meth:`LoadBalancer._build_lp`, built once per subset ("LP solve
+  reuse"); ``tests/core/test_lp_build.py``.
+- :func:`reference_cold_solve` — the dense LP turned into columns and
+  copied into a ``HighsLp``; replaced by the column arrays handed to
+  ``passModel`` as they are (same section);
   ``tests/sanitizers/test_lp_solver_equivalence.py``.
 - :func:`reference_select_rstar_device` — the R* mapping as a ``networkx``
   stage/device graph and ``single_source_dijkstra``; replaced by the
@@ -111,7 +119,7 @@ from repro.codec.sme import SubpelField
 from repro.codec.transform import blocks_to_plane, plane_to_blocks
 from repro.core.distribution import Distribution
 from repro.core.framework import FevesFramework
-from repro.core.load_balancing import LPSolveCache
+from repro.core.load_balancing import RESIDUAL_TOL, ColumnLP, LPSolveCache, _hs
 from repro.core.rstar import RSTAR_STAGES, RStarDecision, _migration_cost
 from repro.hw.des import Op, OpRecord, Simulator
 from repro.hw.interconnect import BufferSizes
@@ -175,17 +183,257 @@ def reference_run(sim: Simulator) -> list[OpRecord]:
     return records
 
 
+def densify(lp: ColumnLP):
+    """``(c, a_ub, b_ub, a_eq, b_eq, bounds)`` of a column-form LP whose
+    rows are ``≤`` rows (lower bound −inf) or ``=`` rows: ``linprog``'s
+    dense form, what the LP build emitted before it emitted columns."""
+    a = np.zeros((len(lp.row_upper), len(lp.c)))
+    for j in range(len(lp.c)):
+        span = slice(lp.start[j], lp.start[j + 1])
+        a[lp.index[span], j] = lp.value[span]
+    ub = lp.row_lower == -np.inf
+    bounds = [
+        (None if lo == -np.inf else lo, None if hi == np.inf else hi)
+        for lo, hi in zip(lp.col_lower.tolist(), lp.col_upper.tolist(), strict=True)
+    ]
+    return lp.c, a[ub], lp.row_upper[ub], a[~ub], lp.row_upper[~ub], bounds
+
+
 class PassThroughLPCache(LPSolveCache):
     """An :class:`LPSolveCache` that remembers nothing and asks SciPy's
-    public ``linprog`` — the wrapper the cold solve replaced."""
+    public ``linprog`` — the wrapper the cold solve replaced — for the
+    LP densified (:func:`densify`)."""
 
-    def solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray | None:
+    def solve(self, lp: ColumnLP) -> np.ndarray | None:
         self.misses += 1
+        c, a_ub, b_ub, a_eq, b_eq, bounds = densify(lp)
         res = linprog(
             c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
             bounds=bounds, method="highs",
         )
         return res.x if res.success else None
+
+
+def reference_build_lp(
+    balancer, perf, rstar_device, needs_rf, sigma_r_prev, dm, dl, parked
+):
+    """The dense LP build :meth:`LoadBalancer._build_lp` replaced: one
+    ``np.zeros`` row per constraint, every Δ term in place. Returns
+    ``(c, a_ub, b_ub, a_eq, b_eq, bounds, taus_idx)``, None if a K is missing."""
+    devices = balancer.platform.devices
+    d = len(devices)
+    n = balancer.codec_cfg.mb_rows
+    # σ variables for active non-R* accelerators.
+    sigma_devs = [
+        i
+        for i, dev in enumerate(devices)
+        if dev.is_accelerator and dev.name != rstar_device and i not in parked
+    ]
+    nv = 3 * d + 3 + len(sigma_devs)
+    i_m = lambda i: i                    # noqa: E731
+    i_l = lambda i: d + i                # noqa: E731
+    i_s = lambda i: 2 * d + i            # noqa: E731
+    i_t1, i_t2, i_tt = 3 * d, 3 * d + 1, 3 * d + 2
+    i_sig = {dev_i: 3 * d + 3 + k for k, dev_i in enumerate(sigma_devs)}
+
+    a_ub: list[np.ndarray] = []
+    b_ub: list[float] = []
+
+    def add(coef: dict[int, float], rhs: float) -> None:
+        row = np.zeros(nv)
+        for k, v in coef.items():
+            row[k] += v
+        a_ub.append(row)
+        b_ub.append(rhs)
+
+    kt = balancer._kt_lookup(perf)
+
+    for i, dev in enumerate(devices):
+        name = dev.name
+        if i in parked:
+            continue  # zero bounds below; no constraints needed
+        km = perf.k_compute(name, "me")
+        kl = perf.k_compute(name, "int")
+        ks = perf.k_compute(name, "sme")
+        if km is None or kl is None or ks is None:
+            return None
+        # (2)-style compute capacity before τ1: INT + ME share the engine.
+        add({i_m(i): km, i_l(i): kl, i_t1: -1.0}, 0.0)
+        # (3)-style: SME fits in τ1..τ2.
+        add({i_s(i): ks, i_t1: 1.0, i_t2: -1.0}, 0.0)
+
+        if not dev.is_accelerator:
+            if name == rstar_device:
+                trs = perf.rstar_frame_s(name) or 0.0
+                add({i_t2: 1.0, i_tt: -1.0}, -trs)
+            continue
+
+        k_cf = kt(name, "cf", "h2d")
+        k_cff = kt(name, "cf_full", "h2d")
+        k_rf_hd = kt(name, "rf", "h2d")
+        k_rf_dh = kt(name, "rf", "d2h")
+        k_sf_hd = kt(name, "sf", "h2d")
+        k_sf_dh = kt(name, "sf", "d2h")
+        k_mv_hd = kt(name, "mv", "h2d")
+        k_mv_dh = kt(name, "mv", "d2h")
+        if None in (k_cf, k_cff, k_rf_hd, k_rf_dh, k_sf_hd, k_sf_dh, k_mv_hd, k_mv_dh):
+            return None
+        rf_rows = n if needs_rf.get(name, True) else 0
+        fixed1 = (
+            rf_rows * k_rf_hd
+            + dm[i] * k_cf
+            + sigma_r_prev.get(name, 0) * k_sf_hd
+        )
+        single = dev.copy_h2d is dev.copy_d2h
+        if single:
+            # (4)–(6)/(10)–(12): one engine moves everything before τ1.
+            add(
+                {i_m(i): k_cf + k_mv_dh, i_l(i): k_sf_dh, i_t1: -1.0},
+                -fixed1,
+            )
+        else:
+            add({i_m(i): k_cf, i_t1: -1.0}, -fixed1)          # h2d engine
+            add({i_m(i): k_mv_dh, i_l(i): k_sf_dh, i_t1: -1.0}, 0.0)  # d2h
+        # Critical paths through compute: RF→CF→ME→MV_out, RF→INT→SF_out.
+        add({i_m(i): k_cf + km + k_mv_dh, i_t1: -1.0}, -rf_rows * k_rf_hd)
+        add({i_l(i): kl + k_sf_dh, i_t1: -1.0}, -rf_rows * k_rf_hd)
+
+        fixed2 = dl[i] * k_sf_hd + dm[i] * k_mv_hd
+        if name == rstar_device:
+            # (8): MC inputs stream in during SME on the R* accelerator.
+            add(
+                {
+                    i_m(i): -k_cff,
+                    i_l(i): -k_sf_hd,
+                    i_t1: 1.0,
+                    i_t2: -1.0,
+                },
+                -(fixed2 + n * k_cff + n * k_sf_hd - dm[i] * k_cff - dl[i] * k_sf_hd),
+            )
+            # Path: Δ in, SME compute (MVs stay local).
+            add({i_s(i): ks, i_t1: 1.0, i_t2: -1.0}, -fixed2)
+            # (9): missing MVs in, R* block, RF back to host.
+            trs = perf.rstar_frame_s(name) or 0.0
+            add(
+                {i_s(i): -k_mv_hd, i_t2: 1.0, i_tt: -1.0},
+                -(n * k_mv_hd + trs + n * k_rf_dh),
+            )
+        else:
+            # (13): Δ in, SME, SME MVs out, all within τ1..τ2.
+            add(
+                {i_s(i): ks + k_mv_dh, i_t1: 1.0, i_t2: -1.0},
+                -fixed2,
+            )
+            if single:
+                add({i_s(i): k_mv_dh, i_t1: 1.0, i_t2: -1.0}, -fixed2)
+            # Steady-state SF maintenance ((14)/(15) made endogenous):
+            # σ_i fits in the τ2..τtot window, never exceeds what is
+            # still missing, and the remainder (the next frame's σʳ
+            # backlog) must fit the phase-1 copy engine alongside the
+            # regular phase-1 traffic.
+            sig = i_sig[i]
+            add({sig: k_sf_hd, i_t2: 1.0, i_tt: -1.0}, 0.0)     # (14)
+            add({sig: 1.0, i_l(i): 1.0}, float(n - dl[i]))      # σ ≤ missing
+            backlog_fixed = rf_rows * k_rf_hd + dm[i] * k_cf + (n - dl[i]) * k_sf_hd
+            if single:
+                add(
+                    {
+                        i_m(i): k_cf + k_mv_dh,
+                        i_l(i): k_sf_dh - k_sf_hd,
+                        sig: -k_sf_hd,
+                        i_t1: -1.0,
+                    },
+                    -backlog_fixed,
+                )
+            else:
+                add(
+                    {
+                        i_m(i): k_cf,
+                        i_l(i): -k_sf_hd,
+                        sig: -k_sf_hd,
+                        i_t1: -1.0,
+                    },
+                    -backlog_fixed,
+                )
+
+    # τ ordering.
+    add({i_t1: 1.0, i_t2: -1.0}, 0.0)
+    add({i_t2: 1.0, i_tt: -1.0}, 0.0)
+
+    a_eq = np.zeros((3, nv))
+    a_eq[0, 0:d] = 1.0
+    a_eq[1, d : 2 * d] = 1.0
+    a_eq[2, 2 * d : 3 * d] = 1.0
+    b_eq = np.array([n, n, n], dtype=float)
+
+    bounds = [(0.0, float(n))] * (3 * d) + [(0.0, None)] * 3
+    bounds += [(0.0, float(n))] * len(sigma_devs)
+    # sorted(): `parked` is a set; the pinned bounds are disjoint so
+    # order cannot change the LP, but deterministic iteration keeps
+    # the constraint build reproducible by construction (REP102).
+    for i in sorted(parked):
+        for idx in (i_m(i), i_l(i), i_s(i)):
+            bounds[idx] = (0.0, 0.0)
+    c = np.zeros(nv)
+    c[i_tt] = 1.0
+    return (
+        c,
+        np.array(a_ub),
+        np.array(b_ub),
+        a_eq,
+        b_eq,
+        bounds,
+        (i_t1, i_t2, i_tt),
+    )
+
+
+def reference_cold_solve(highs, c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray | None:
+    """The dense hand-off ``LPSolveCache._cold_solve`` replaced: the dense
+    LP turned into columns by ``vstack``/``nonzero`` and copied into a
+    ``HighsLp``, with the same checks around the HiGHS run on ``highs``."""
+    for name, arr in zip(
+        ("c", "a_ub", "b_ub", "a_eq", "b_eq"), (c, a_ub, b_ub, a_eq, b_eq), strict=True
+    ):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"LP input {name} must not contain inf or nan")
+    n_ub = len(b_ub)
+    lo = np.array([-np.inf if low is None else low for low, _ in bounds])
+    hi = np.array([np.inf if high is None else high for _, high in bounds])
+    # Rows as HiGHS wants them: lower ≤ a x ≤ upper, matrix column-wise.
+    upper = np.concatenate((b_ub, b_eq))
+    lower = np.concatenate((np.full(n_ub, -np.inf), b_eq))
+    by_col = np.vstack((a_ub, a_eq)).T
+    col, row = np.nonzero(by_col)
+    start = np.zeros(len(c) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=len(c)), out=start[1:])
+    lp = _hs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+    lp.a_matrix_.format_ = _hs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = row.astype(np.int32)
+    lp.a_matrix_.value_ = by_col[col, row]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lo, hi
+    lp.row_lower_, lp.row_upper_ = lower, upper
+    if (
+        highs.passModel(lp) == _hs.HighsStatus.kError
+        or highs.run() == _hs.HighsStatus.kError
+        or highs.getModelStatus() != _hs.HighsModelStatus.kOptimal
+    ):
+        return None
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = upper - np.array(solution.row_value)
+    if not (
+        (x >= lo - RESIDUAL_TOL).all()
+        and (x <= hi + RESIDUAL_TOL).all()
+        and (slack[:n_ub] >= -RESIDUAL_TOL).all()
+        and (np.abs(slack[n_ub:]) <= RESIDUAL_TOL).all()
+    ):  # written so that a NaN anywhere fails
+        return None
+    x.setflags(write=False)  # shared across hits — must stay frozen
+    return x
+
 
 
 def solve_every_subset(balancer) -> None:

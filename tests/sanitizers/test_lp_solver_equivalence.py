@@ -6,11 +6,14 @@ Same solver, same options, so the same vertex — held here against the
 public ``linprog`` (``oracles.PassThroughLPCache``) on whatever SciPy the
 tests run on:
 
-- every LP a run hands to ``LPSolveCache.solve`` gets an ``x`` that is
+- every LP a run hands to ``LPSolveCache.solve`` (in HiGHS's column
+  form, densified for ``linprog``) gets an ``x`` that is
   ``np.array_equal`` to ``linprog``'s (the multi-device platforms of
   ``framework_scenarios()`` plus 3 and 4 GPUs, σ ∈ {0, 0.05}, 0–2 faults),
   and every fourth one, made infeasible and made unbounded, is ``None`` on
   both sides;
+- the column arrays handed to ``passModel`` directly give the bits the
+  dense LP copied into a ``HighsLp`` gave (``oracles.reference_cold_solve``);
 - the instance is stateless: A, B, A on one instance and A on a fresh one
   agree bit for bit, two interleaved caches agree;
 - seeded mutants of the call die.
@@ -37,7 +40,7 @@ from repro.core.framework import FevesFramework
 from repro.hw.noise import FaultSchedule, GaussianJitter, NoiseModel
 from repro.hw.presets import get_platform, multi_gpu_platform
 
-from oracles import PassThroughLPCache
+from oracles import PassThroughLPCache, densify, reference_cold_solve
 from test_property import CODECS, PLATFORMS, fault_events
 
 HD = CodecConfig(width=1920, height=1088, search_range=16, num_ref_frames=1)
@@ -55,6 +58,15 @@ def same_answer(x, ref) -> bool:
     return x.dtype == ref.dtype and np.array_equal(x, ref)
 
 
+def make_infeasible(lp: lb_module.ColumnLP) -> lb_module.ColumnLP:
+    """Σm = −n with m ≥ 0: the equality rows' bounds negated."""
+    eq = lp.row_lower == lp.row_upper
+    return lp._replace(
+        row_lower=np.where(eq, -lp.row_lower, lp.row_lower),
+        row_upper=np.where(eq, -lp.row_upper, lp.row_upper),
+    )
+
+
 def diffing_cache(tally: Counter, corpus: list | None = None):
     """An ``LPSolveCache`` (the module's current one, so a mutant's) that
     also asks ``linprog`` and fails on the first LP the two answer differently."""
@@ -62,20 +74,19 @@ def diffing_cache(tally: Counter, corpus: list | None = None):
     class Diffing(lb_module.LPSolveCache):
         oracle = PassThroughLPCache()
 
-        def solve(self, *lp):
-            x = super().solve(*lp)
-            ref = self.oracle.solve(*lp)
+        def solve(self, lp):
+            x = super().solve(lp)
+            ref = self.oracle.solve(lp)
             tally.update(lps=1)
             if corpus is not None:
                 corpus.append(lp)
             assert same_answer(x, ref), f"direct {x!r} != linprog {ref!r}"
             if tally["lps"] % 4 == 0:  # status included: the LP made unsolvable
-                c, a_ub, b_ub, a_eq, b_eq, bounds = lp
-                for broken in ((c, a_ub, b_ub, a_eq, -b_eq, bounds),   # Σm = −n, m ≥ 0
-                               (-c, a_ub, b_ub, a_eq, b_eq, bounds)):  # maximise τtot
+                for broken in (make_infeasible(lp),           # Σm = −n, m ≥ 0
+                               lp._replace(c=-lp.c)):         # maximise τtot
                     tally.update(without_optimum=1)
-                    assert self.oracle.solve(*broken) is None
-                    assert self._cold_solve(*broken) is None, "direct answered, linprog did not"
+                    assert self.oracle.solve(broken) is None
+                    assert self._cold_solve(broken) is None, "direct answered, linprog did not"
             return x
 
     return Diffing()
@@ -152,7 +163,8 @@ def corpus() -> list[tuple]:
         check_every_lp(
             (platform, HD, 0.05, FaultSchedule(), 6), Counter(), lps
         )
-    assert len({lp[1].shape for lp in lps}) >= 3  # several matrix shapes
+    shapes = {(len(lp.c), len(lp.row_upper)) for lp in lps}
+    assert len(shapes) >= 3  # several matrix shapes
     return lps
 
 
@@ -160,11 +172,11 @@ def test_a_b_a_on_one_instance_and_a_on_a_fresh_one_agree(corpus):
     oracle = PassThroughLPCache()
     for a, b in zip(corpus, corpus[1:] + corpus[:1], strict=True):
         one = lb_module.LPSolveCache()
-        first = one._cold_solve(*a)
-        one._cold_solve(*b)
-        again = one._cold_solve(*a)
-        fresh = lb_module.LPSolveCache()._cold_solve(*a)
-        ref = oracle.solve(*a)
+        first = one._cold_solve(a)
+        one._cold_solve(b)
+        again = one._cold_solve(a)
+        fresh = lb_module.LPSolveCache()._cold_solve(a)
+        ref = oracle.solve(a)
         assert first is not again
         assert same_answer(first, again) and same_answer(first, fresh)
         assert same_answer(first, ref)
@@ -174,10 +186,23 @@ def test_two_interleaved_caches_agree(corpus):
     left, right = lb_module.LPSolveCache(), lb_module.LPSolveCache()
     for k, lp in enumerate(corpus):
         other = corpus[-1 - k]
-        x = left.solve(*lp)
-        right.solve(*other)
-        assert same_answer(right.solve(*lp), x)
-        left.solve(*other)
+        x = left.solve(lp)
+        right.solve(other)
+        assert same_answer(right.solve(lp), x)
+        left.solve(other)
+
+
+def test_the_column_hand_off_gives_the_dense_hand_offs_bits(corpus):
+    """No ``HighsLp``, an all-continuous integrality array: the same ``x``
+    as the dense LP copied into a ``HighsLp`` on a HiGHS instance of its own."""
+    highs = lb_module._new_highs()
+    cache = lb_module.LPSolveCache()
+    for lp in corpus:
+        dense = densify(lp)
+        assert same_answer(cache._cold_solve(lp), reference_cold_solve(highs, *dense))
+        for broken in (make_infeasible(lp), lp._replace(c=-lp.c)):
+            assert cache._cold_solve(broken) is None
+            assert reference_cold_solve(highs, *densify(broken)) is None
 
 
 # --- mutants ----------------------------------------------------------------
@@ -187,7 +212,7 @@ def check_corpus(corpus) -> None:
     """Every corpus LP through one fresh cache of the module's current class."""
     cache = diffing_cache(Counter())
     for lp in corpus:
-        cache.solve(*lp)
+        cache.solve(lp)
 
 
 def swap(old: str, new: str):
@@ -209,17 +234,17 @@ MUTANTS = {
     "stale matrix: passModel skipped when the shape is unchanged": (
         "LPSolveCache",
         swap(
-            "highs.passModel(lp) == _hs.HighsStatus.kError",
-            "(highs.getNumCol(), highs.getNumRow()) != (lp.num_col_, lp.num_row_) "
-            "and highs.passModel(lp) == _hs.HighsStatus.kError",
+            "highs.passModel(",
+            "(highs.getNumCol(), highs.getNumRow()) != (num_col, len(row_lower)) "
+            "and highs.passModel(",
         ),
     ),
     "equality rows left open below": (
         "LPSolveCache",
-        swap("np.concatenate((np.full(n_ub, -np.inf), b_eq))", "np.full(len(upper), -np.inf)"),
+        swap("row_lower, lp.row_upper,", "np.full(len(row_lower), -np.inf), lp.row_upper,"),
     ),
     "CSC start off by one column": (
-        "LPSolveCache", swap("out=start[1:]", "out=start[:-1]"),
+        "LPSolveCache", swap("lp.start, lp.index", "lp.start[1:], lp.index"),
     ),
 }
 

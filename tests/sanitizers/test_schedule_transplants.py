@@ -98,20 +98,20 @@ SITES = {
         AssertionError,
     ),
     "phase2_h2d_without_tau1": (
-        VideoCodingManager, "_build", "op = xfer(dev, item, [tau1_op])",
-        "op = xfer(dev, item, [])",
+        VideoCodingManager, "_build", "op = xfer(dev, entry, [tau1_op])",
+        "op = xfer(dev, entry, [])",
         DIGEST.format("SysNFF_clean"), AssertionError,
     ),
     "phase1_d2h_outside_tau1": (
         VideoCodingManager, "_build",
-        "phase1.append(xfer(dev, item, [src[i]] if i in src else []))",
-        "xfer(dev, item, [src[i]] if i in src else [])",
+        "phase1.append(xfer(dev, entry, [src[i]] if i in src else []))",
+        "xfer(dev, entry, [src[i]] if i in src else [])",
         DIGEST.format("SysNFF_clean"), AssertionError,
     ),
     "phase3_sigma_without_tau2": (
         VideoCodingManager, "_build_rstar",
-        "tail_ops.append(xfer(dev, item, [tau2_op]))",
-        "tail_ops.append(xfer(dev, item, []))",
+        "tail_ops.append(xfer(dev, entry, [tau2_op]))",
+        "tail_ops.append(xfer(dev, entry, []))",
         DIGEST.format("SysNFF_clean"), AssertionError,
     ),
     # --- SAN-C1: m, l, s each cover the frame's rows -------------------

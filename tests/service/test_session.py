@@ -103,8 +103,21 @@ class TestEncodingSession:
         rec = sess.step(0.0, 0.5, 1)
         # busy seconds are share-weighted: can never exceed the true
         # device-seconds available in the round
-        for res, t in rec.busy_device_s.items():
+        assert sess.busy_device_s
+        for res, t in sess.busy_device_s.items():
             assert 0 <= t <= rec.tau_s * 0.5 + 1e-9
+
+    def test_busy_device_seconds_total_the_frames(self):
+        """The session keeps a running total, not one dict per frame."""
+        sess = EncodingSession(StreamSpec("a", n_frames=3), "SysHK")
+        sess.admit(0.0)
+        expected: dict[str, float] = {}
+        for k, share in enumerate((1.0, 0.5, 0.25), start=1):
+            sess.step(0.0, share, k)
+            for res, b in sess.framework.reports[-1].timeline.busy_by_resource().items():
+                expected[res] = expected.get(res, 0.0) + b * share
+        assert sess.busy_device_s == expected
+        assert not hasattr(sess.records[0], "busy_device_s")
 
     def test_est_frame_s_is_share_normalized(self):
         a = EncodingSession(StreamSpec("a", n_frames=1), "SysHK")
