@@ -820,7 +820,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     if args.summary:
         # Rule rows (a shared pass is one row, e.g. REP00x) count their
-        # findings; the shared steps (parse/graph/cfg) have none.
+        # findings; the shared steps (parse/cfg) have none.
         print("step      time        findings", file=sys.stderr)
         for step in sorted(timings):
             n = sum(v.rule.startswith(step.rstrip("x")) for v in violations)
@@ -1038,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("text", "json"))
     lint.add_argument("--select", default=None, metavar="PREFIXES",
                       help="comma-separated rule prefixes to run (e.g. "
-                           "'REP2' or 'REP102,REP2'); other rules are "
+                           "'REP3' or 'REP102,REP3'); other rules are "
                            "skipped entirely")
     lint.add_argument("--summary", action="store_true",
                       help="print a per-step timing/finding table to stderr")

@@ -133,15 +133,6 @@ class DeterminismAnalysis:
                     self._check_sinks_in(sub, frozenset(tainted), emit)
         return frozenset(tainted)
 
-    def at_exit(
-        self,
-        state: State,
-        emit: Emitter,
-        ctx: FunctionContext,
-        exceptional: bool,
-    ) -> None:
-        return
-
     # ------------------------------------------------------------------
 
     def _bind(self, target: ast.expr, is_set: bool, tainted: set[str]) -> None:

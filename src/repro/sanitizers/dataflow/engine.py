@@ -2,9 +2,9 @@
 
 A :class:`FunctionAnalysis` supplies a lattice (initial state, join,
 equality via ``==``) and a transfer function over CFG elements; the
-solver iterates a worklist to a fixpoint and hands the exit states back
-for end-of-function checks.  Findings are emitted through a deduplicating
-collector because transfer functions re-run as states grow.
+solver iterates a worklist to a fixpoint.  Findings are emitted through
+a deduplicating collector because transfer functions re-run as states
+grow.
 
 The solver is deliberately defensive: states must be *plain comparable
 values* (dicts/frozensets), iteration is capped as a termination
@@ -19,13 +19,10 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import Any, Protocol
 
 from repro.sanitizers.dataflow.cfg import CFG, Element
 from repro.sanitizers.lint import LintViolation
-
-if TYPE_CHECKING:
-    from repro.sanitizers.concurrency.callgraph import CallGraph
 
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -89,7 +86,6 @@ class FunctionContext:
 
     fn: FunctionNode | None  # None: the module's top-level statements
     qualname: str
-    graph: CallGraph | None = None  # whole-scope call graph (REP304)
 
 
 class FunctionAnalysis(Protocol):
@@ -102,14 +98,6 @@ class FunctionAnalysis(Protocol):
     def transfer(
         self, elem: Element, state: Any, emit: Emitter, ctx: FunctionContext
     ) -> Any: ...
-
-    def at_exit(
-        self,
-        state: Any,
-        emit: Emitter,
-        ctx: FunctionContext,
-        exceptional: bool,
-    ) -> None: ...
 
 
 def run_analysis(
@@ -159,13 +147,6 @@ def run_analysis(
                 if dst not in queued:
                     queued.add(dst)
                     work.append(dst)
-
-    if cfg.exit in states:
-        analysis.at_exit(states[cfg.exit], emitter, ctx, exceptional=False)
-    if cfg.raise_exit in states:
-        analysis.at_exit(
-            states[cfg.raise_exit], emitter, ctx, exceptional=True
-        )
 
 
 def iter_functions(tree: ast.Module) -> list[tuple[str, FunctionNode]]:

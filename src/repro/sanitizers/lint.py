@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.sanitizers.concurrency.callgraph import CallGraph
     from repro.sanitizers.dataflow.engine import Emitter, Module
 
 #: What each per-line rule reports — also its rule-table description.
@@ -253,9 +252,7 @@ class _LineRules(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check_lines(
-    module: Module, graph: CallGraph | None, emitters: dict[str, Emitter]
-) -> None:
+def check_lines(module: Module, emitters: dict[str, Emitter]) -> None:
     """One visitor pass serving every selected REP00x rule."""
     _LineRules(emitters).visit(module.tree)
 

@@ -8,16 +8,16 @@ replays them against the specs (SAN-G1 illegal transition / clock
 regression, SAN-G2 unmet obligation / missing shutdown).
 
 Two static rules guard the bug classes a replay sees only when a run
-takes the broken path, both on the layer-3 CFG engine:
+takes the broken path, each a whole-module pass over the AST:
 
 REP302
     Monotone-clock discipline: simulated clocks may advance and
     compare, never rewind or cross-assign between domains
     (:mod:`clocks`).
 REP304
-    Invalidation-before-solve: a live-set mutation must be followed by
-    ``note_live_set_change()`` before the next reachable solve — the
-    stale-decision-cache class (:mod:`invalidation`).
+    Invalidation-before-solve: a live-set mutation must be followed at
+    once by ``note_live_set_change()`` — the stale-decision-cache class
+    (:mod:`invalidation`).
 
 The rule table and the driver that runs them are
 :mod:`repro.sanitizers.runner`. Nothing at runtime imports this package:

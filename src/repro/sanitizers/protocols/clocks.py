@@ -17,18 +17,18 @@ services' clocks are causally unrelated — syncing them by assignment
 fabricates an ordering the DES never established); ``c.now = t``
 outside ``__init__`` can rewind whenever ``t`` is stale.
 
-The rule runs per-function on the layer-3 engine (a stateless pass —
-each write site is judged locally, on every path the CFG reaches it).
-The dynamic twin is SAN-G1's per-object clock-regression check on the
-runtime journal.
+The rule is one whole-module pass: each clock store is judged on its
+own, under the name of its innermost enclosing function (stores outside
+any function are not judged), so it needs no control flow. The dynamic
+twin is SAN-G1's per-object clock-regression check on the runtime
+journal.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any
 
-from repro.sanitizers.dataflow.engine import Emitter, FunctionContext
+from repro.sanitizers.dataflow.engine import Emitter, Module
 from repro.sanitizers.lint import _dotted
 
 
@@ -57,98 +57,95 @@ def _clock_refs(expr: ast.expr) -> list[str]:
     return out
 
 
-class ClockAnalysis:
-    #: Stateless pass: the lattice is a single point. (Not ``None`` —
-    #: the engine uses ``None`` as its unvisited sentinel.)
-    def initial_state(self, ctx: FunctionContext) -> tuple:
-        return ()
-
-    def join(self, a: tuple, b: tuple) -> tuple:
-        return ()
-
-    def _check_assign(
-        self, stmt: ast.Assign, emit: Emitter, ctx: FunctionContext
-    ) -> None:
-        for target in stmt.targets:
-            path = _clock_target(target)
-            if path is None:
-                continue
-            self._judge(stmt, path, stmt.value, emit, ctx)
-
-    def _judge(
-        self,
-        stmt: ast.stmt,
-        path: str,
-        value: ast.expr,
-        emit: Emitter,
-        ctx: FunctionContext,
-    ) -> None:
-        refs = _clock_refs(value)
-        same = [r for r in refs if r == path]
-        others = sorted({r for r in refs if r != path})
-        if same:
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "max"
-            ):
-                return  # max(self-ref, ...) is monotone by construction
-            if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add):
-                return  # c.now = c.now + dt
-            word = (
-                "rewound"
-                if isinstance(value, ast.BinOp)
-                and isinstance(value.op, ast.Sub)
-                else "assigned from a non-monotone expression"
-            )
-            emit.emit(
-                stmt,
-                f"clock {path!r} {word}; advance with "
-                f"`{path} = max({path}, t)` or `{path} += dt`",
-            )
-            return
-        if others:
-            emit.emit(
-                stmt,
-                f"clock {path!r} cross-assigned from clock domain "
-                f"{others[0]!r}; clocks of different objects are causally "
-                f"unrelated — pull forward with max() against {path!r}",
-            )
-            return
-        fn_name = ctx.qualname.rsplit(".", 1)[-1]
-        if fn_name in SEED_FUNCTIONS:
-            return  # clock birth
+def _judge(
+    stmt: ast.stmt, path: str, value: ast.expr, fn_name: str, emit: Emitter
+) -> None:
+    """One ``path = value`` clock store inside function ``fn_name``."""
+    refs = _clock_refs(value)
+    same = [r for r in refs if r == path]
+    others = sorted({r for r in refs if r != path})
+    if same:
+        if (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id == "max"
+        ):
+            return  # max(self-ref, ...) is monotone by construction
+        if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add):
+            return  # c.now = c.now + dt
+        word = (
+            "rewound"
+            if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Sub)
+            else "assigned from a non-monotone expression"
+        )
         emit.emit(
             stmt,
-            f"clock {path!r} set from a non-clock value outside "
-            f"__init__/reset; this can rewind it — use "
-            f"`{path} = max({path}, t)`",
+            f"clock {path!r} {word}; advance with "
+            f"`{path} = max({path}, t)` or `{path} += dt`",
         )
+        return
+    if others:
+        emit.emit(
+            stmt,
+            f"clock {path!r} cross-assigned from clock domain "
+            f"{others[0]!r}; clocks of different objects are causally "
+            f"unrelated — pull forward with max() against {path!r}",
+        )
+        return
+    if fn_name in SEED_FUNCTIONS:
+        return  # clock birth
+    emit.emit(
+        stmt,
+        f"clock {path!r} set from a non-clock value outside "
+        f"__init__/reset; this can rewind it — use "
+        f"`{path} = max({path}, t)`",
+    )
 
-    def transfer(
-        self, elem: Any, state: tuple, emit: Emitter, ctx: FunctionContext
-    ) -> tuple:
-        if isinstance(elem, ast.Assign):
-            self._check_assign(elem, emit, ctx)
-        elif isinstance(elem, ast.AnnAssign) and elem.value is not None:
-            path = _clock_target(elem.target)
-            if path is not None:
-                self._judge(elem, path, elem.value, emit, ctx)
-        elif isinstance(elem, ast.AugAssign):
-            path = _clock_target(elem.target)
-            if path is not None and not isinstance(elem.op, ast.Add):
-                emit.emit(
-                    elem,
-                    f"clock {path!r} modified with a non-advancing "
-                    f"augmented assignment; only `+=` keeps it monotone",
-                )
-        return state
 
-    def at_exit(
-        self,
-        state: tuple,
-        emit: Emitter,
-        ctx: FunctionContext,
-        exceptional: bool,
-    ) -> None:
-        return None
+class _ClockStores(ast.NodeVisitor):
+    """Every clock store, with the name of the function it sits in."""
+
+    def __init__(self, emit: Emitter) -> None:
+        self.emit = emit
+        self.fn: str | None = None  # innermost enclosing function
+
+    def _inside(self, node: ast.AST, fn: str | None) -> None:
+        outer, self.fn = self.fn, fn
+        self.generic_visit(node)
+        self.fn = outer
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._inside(node, node.name)
+
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
+        self._inside(node, node.name)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._inside(node, None)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            path = _clock_target(target)
+            if path is not None and self.fn is not None:
+                _judge(node, path, node.value, self.fn, self.emit)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        path = _clock_target(node.target)
+        if path is not None and self.fn is not None and node.value is not None:
+            _judge(node, path, node.value, self.fn, self.emit)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        path = _clock_target(node.target)
+        if path is not None and self.fn is not None and not isinstance(
+            node.op, ast.Add
+        ):
+            self.emit.emit(
+                node,
+                f"clock {path!r} modified with a non-advancing "
+                f"augmented assignment; only `+=` keeps it monotone",
+            )
+
+
+def check_clocks(module: Module, emitters: dict[str, Emitter]) -> None:
+    """REP302 over one module."""
+    _ClockStores(emitters["REP302"]).visit(module.tree)

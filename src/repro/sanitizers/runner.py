@@ -1,19 +1,18 @@
 """The rule table and the one driver behind ``repro lint``.
 
 Every static rule is one :class:`Rule` row of :data:`RULES`: its id, a
-one-line description, the path scope it is meaningful in, whether it
-reads the whole-scope call graph (``needs_graph``) and how it runs —
-an ``analysis`` solved over every function's CFG by the layer-3 engine,
-or a whole-module ``run`` pass.
+one-line description, the path scope it is meaningful in and how it
+runs — an ``analysis`` solved over every function's CFG by the layer-3
+engine (REP102), or a whole-module ``run`` pass (every other rule).
 
 :func:`run_lint` (files/directories) and :func:`analyze` (one source
-string) share one driver: each file is read and parsed once, only the
-artifacts the selected rows declare are built, and each module gets one
-pass over its functions — one CFG and one :class:`FunctionContext` per
-function, every applicable analysis solved over it. ``# noqa``
-filtering, the crash-to-:class:`AnalyzerError` policy and the sort
-order live here and nowhere else. Findings depend only on (sources,
-selected rows), so the output is deterministic.
+string) share one driver: each file is read and parsed once, and each
+module gets one pass over its functions and its top-level statements —
+one CFG and one :class:`FunctionContext` each, every applicable
+analysis solved over it. ``# noqa`` filtering, the
+crash-to-:class:`AnalyzerError` policy and the sort order live here and
+nowhere else. Findings depend only on (sources, selected rows), so the
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.sanitizers.concurrency.callgraph import CallGraph, build_graph
-from repro.sanitizers.concurrency.forksafety import check_fork_safety
 from repro.sanitizers.dataflow.cfg import build_cfg, build_module_cfg
 from repro.sanitizers.dataflow.determinism import DeterminismAnalysis
 from repro.sanitizers.dataflow.engine import (
@@ -47,11 +44,11 @@ from repro.sanitizers.lint import (
     iter_python_files,
     noqa_codes,
 )
-from repro.sanitizers.protocols.clocks import ClockAnalysis
-from repro.sanitizers.protocols.invalidation import InvalidationAnalysis
+from repro.sanitizers.protocols.clocks import check_clocks
+from repro.sanitizers.protocols.invalidation import check_invalidation
 
-#: A whole-module pass: ``(module, graph, emitters of the selected rows)``.
-ModulePass = Callable[[Module, CallGraph | None, dict[str, Emitter]], None]
+#: A whole-module pass: ``(module, emitters of the selected rows)``.
+ModulePass = Callable[[Module, dict[str, Emitter]], None]
 
 
 @dataclass(frozen=True)
@@ -61,11 +58,8 @@ class Rule:
     id: str
     description: str
     scope: re.Pattern[str]  # searched in the posix display path
-    needs_graph: bool = False  # built once over every parsed module
     analysis: Callable[[], FunctionAnalysis] | None = None
     run: ModulePass | None = None
-    #: also solve ``analysis`` over the module's top-level statements
-    toplevel: bool = False
 
 
 def _in(*packages: str) -> re.Pattern[str]:
@@ -91,16 +85,6 @@ RULES: dict[str, Rule] = {
             "unordered set iteration leaks into event/candidate ordering",
             _in("hw", "core", "service"),
             analysis=DeterminismAnalysis,
-            toplevel=True,
-        ),
-        # Layer 4, concurrency: every module the pool machinery can
-        # execute (fork inherits all of them).
-        Rule(
-            "REP201",
-            "fork-unsafe primitive before/inside the pool initializer",
-            _in("exec", "hw", "service"),
-            needs_graph=True,
-            run=check_fork_safety,
         ),
         # Layer 5, protocols: clocks in the DES tiers, cache
         # invalidation in the framework core.
@@ -108,14 +92,13 @@ RULES: dict[str, Rule] = {
             "REP302",
             "clock rewound or cross-assigned between clock domains",
             _in("service", "cluster", "core"),
-            analysis=ClockAnalysis,
+            run=check_clocks,
         ),
         Rule(
             "REP304",
-            "live-set mutated without note_live_set_change before solve",
+            "live-set mutated without note_live_set_change right after",
             _in("core"),
-            needs_graph=True,
-            analysis=InvalidationAnalysis,
+            run=check_invalidation,
         ),
     )
 }
@@ -160,7 +143,6 @@ def _guarded(
 def _check_module(
     module: Module,
     rows: list[Rule],
-    graph: CallGraph | None,
     timings: dict[str, float],
     errors: list[AnalyzerError],
 ) -> list[LintViolation]:
@@ -179,16 +161,15 @@ def _check_module(
         with _timed(timings, label):
             _guarded(
                 errors, (display, "<module>", label),
-                run, module, graph, emitters,
+                run, module, emitters,
             )
 
-    # The per-function pass: one CFG, every applicable analysis.
+    # The per-function pass: one CFG per function and one for the
+    # module's top-level statements, every applicable analysis.
     solvers = [
         (row, row.analysis()) for row in rows if row.analysis is not None
     ]
-    units = list(module.functions) if solvers else []
-    if any(row.toplevel for row, _ in solvers):
-        units.insert(0, ("<module>", None))
+    units = [("<module>", None), *module.functions] if solvers else []
     for qualname, fn in units:
         with _timed(timings, "cfg"):
             cfg = (
@@ -196,10 +177,8 @@ def _check_module(
                 if fn is None
                 else build_cfg(fn, qualname=qualname)
             )
-        ctx = FunctionContext(fn, qualname, graph)
+        ctx = FunctionContext(fn, qualname)
         for row, analysis in solvers:
-            if fn is None and not row.toplevel:
-                continue
             with _timed(timings, row.id):
                 _guarded(
                     errors, (display, qualname, row.id),
@@ -230,7 +209,6 @@ def _lint(
     timings = {} if timings is None else timings
     findings = list(unreadable or ())
     errors: list[AnalyzerError] = []
-    work: list[tuple[Module, list[Rule]]] = []
     for display, source, rules in sources:
         with _timed(timings, "parse"):
             try:
@@ -242,18 +220,8 @@ def _lint(
                 ))
                 continue
             module = Module(display, source, tree, iter_functions(tree))
-        work.append((module, [RULES[rule] for rule in rules]))
-
-    # The call graph spans every parsed module (an edge may come from a
-    # file no selected rule is scoped to), but is built only if some
-    # selected row reads it.
-    graph = None
-    if any(row.needs_graph for _module, rows in work for row in rows):
-        with _timed(timings, "graph"):
-            graph = build_graph([module for module, _rows in work])
-
-    for module, rows in work:
-        findings += _check_module(module, rows, graph, timings, errors)
+        rows = [RULES[rule] for rule in rules]
+        findings += _check_module(module, rows, timings, errors)
     findings.sort(key=lambda v: (v.path, v.line, v.rule, v.col))
     return findings, errors
 
@@ -270,7 +238,7 @@ def run_lint(
     matches. Returns ``(findings, internal_errors)``, findings sorted by
     (path, line, rule, col). A file that cannot be read or parsed is a
     ``REP000`` finding, not a skipped file. Seconds per rule and per
-    shared step (``parse``/``graph``/``cfg``) accumulate
+    shared step (``parse``/``cfg``) accumulate
     into ``timings`` when given.
     """
     sources: list[tuple[str, str, list[str]]] = []
@@ -295,8 +263,7 @@ def analyze(
     """Lint one module's source text under the display path ``display``.
 
     ``rules=None`` runs the rows whose scope matches the path; a list
-    runs exactly those rows, in or out of scope. The call graph spans
-    just this module.
+    runs exactly those rows, in or out of scope.
     """
     picked = rules_in_scope(display) if rules is None else list(rules)
     return _lint([(display, source, picked)])

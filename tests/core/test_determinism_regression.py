@@ -313,11 +313,11 @@ def test_process_backend_output_identical_across_seeds_and_workers():
     )
 
 
-# The static analyzers are part of the determinism contract too: the
-# concurrency layer walks call graphs, taint sets and interval
-# environments that are all name-keyed, so a stray set/dict iteration
-# would reorder (or flip) findings with the hash seed. Lint JSON over
-# the real exec/ sources must be byte-identical across seeds.
+# The static analyzers are part of the determinism contract too: REP102
+# solves over name-keyed taint sets and the other rules walk the AST, so
+# a stray set/dict iteration would reorder (or flip) findings with the
+# hash seed. Lint JSON of the whole table over the real src/ must be
+# byte-identical across seeds (and clean).
 REPO_ROOT = str(Path(__file__).resolve().parents[2])
 
 
@@ -326,11 +326,7 @@ def _run_lint(hash_seed: str) -> tuple[int, str]:
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = SRC
     out = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "lint",
-            "--select", "REP2", "--format", "json",
-            "src/repro/exec",
-        ],
+        [sys.executable, "-m", "repro", "lint", "--format", "json", "src/repro"],
         capture_output=True,
         text=True,
         env=env,
@@ -342,43 +338,10 @@ def _run_lint(hash_seed: str) -> tuple[int, str]:
 def test_lint_output_identical_across_hash_seeds():
     results = {_run_lint(seed) for seed in ("0", "1", "4242")}
     assert len(results) == 1, (
-        f"REP2xx lint output varies with PYTHONHASHSEED: {results}"
+        f"lint output varies with PYTHONHASHSEED: {results}"
     )
     ((rc, stdout),) = results
-    assert rc == 0, f"exec/ sources must lint clean, got:\n{stdout}"
-    assert json.loads(stdout) == []
-
-
-# The protocol layer (REP302/REP304 + SAN-G) repeats the contract on two
-# new surfaces: lint findings over pending-site tuples and
-# reverse-reachability worklists (all name- or position-keyed) and the
-# runtime lifecycle journal itself (object labels, sequence numbers,
-# event details). Both must be byte-identical across hash seeds.
-def _run_lint3(hash_seed: str) -> tuple[int, str]:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = SRC
-    out = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "lint",
-            "--select", "REP3", "--format", "json",
-            "src/repro/cluster", "src/repro/service", "src/repro/core",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    return out.returncode, out.stdout
-
-
-def test_protocol_lint_identical_across_hash_seeds():
-    results = {_run_lint3(seed) for seed in ("0", "1", "4242")}
-    assert len(results) == 1, (
-        f"REP3xx lint output varies with PYTHONHASHSEED: {results}"
-    )
-    ((rc, stdout),) = results
-    assert rc == 0, f"runtime sources must lint clean, got:\n{stdout}"
+    assert rc == 0, f"src/ must lint clean, got:\n{stdout}"
     assert json.loads(stdout) == []
 
 

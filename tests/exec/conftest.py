@@ -11,6 +11,7 @@ see ``ProcessBackend.task_timeout_s``).
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 from collections.abc import Iterator
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.codec.me import MotionField
 from repro.codec.sme import SubpelField
+from repro.exec.pool import START_METHOD_ENV
 
 #: Hard per-test wall-clock ceiling. Generous: the slowest test here
 #: encodes a few 128x96 frames per worker count, well under a minute
@@ -91,3 +93,12 @@ def checked_sme_fields(monkeypatch: pytest.MonkeyPatch) -> Iterator[None]:
     stitched = _check_every_merge(monkeypatch, SubpelField)
     yield
     assert stitched, "no SME band went through SubpelField.merge"
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request, monkeypatch: pytest.MonkeyPatch) -> str:
+    """The kernel pool's start method, set the way a user sets it."""
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"platform has no {request.param} start method")
+    monkeypatch.setenv(START_METHOD_ENV, request.param)
+    return request.param

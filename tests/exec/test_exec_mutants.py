@@ -11,11 +11,12 @@ it. The rules saw few of them: REP103 none, REP202 none, REP203 and REP204
 only the ``run_frame`` ones (EXPERIMENTS.md "The process backend's static
 rules, transplanted" has the table). They were removed on this evidence.
 
-REP201 (fork safety) stays: its four transplants into ``pool.py`` run
-clean, so nothing cheaper kills them, and the last class shows that the
-rule flags each of them, and a fifth: a wait on an event in the worker
-loop, flagged while the loop's own ``multiprocessing.connection.wait``
-is not.
+REP201 (fork safety) went the same way. Its five hoisted mutants go into
+``pool.py`` as modules of their own, which a spawned worker imports by
+name too, and at ``fork`` and ``spawn`` alike the plain checks of
+``test_fork_safety.py`` kill the module-level lock and the worker loop
+that waits on an event; the other three are equivalent, and
+:data:`REP201_TRANSPLANTS` says why.
 
 Two INT chunking mutants, installed on the host, fail the partition
 test — the overlap one while the output stays bit-identical, so nothing
@@ -23,16 +24,18 @@ else sees it. ME and SME chunks need no such mutant: their bands are
 stitched by ``merge``, which refuses a gap or an overlap.
 """
 
+import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
+import test_fork_safety as fork_safety
 import test_sanitize_exec as exec_tests
 from repro.exec import pool as pool_mod
 from repro.exec.backend import ProcessBackend
 from repro.exec.shm import SharedFrameStore
-from repro.sanitizers.runner import analyze
 
 # The clip and its serial encoding, shared with the plain tests.
 frames = exec_tests.frames
@@ -227,30 +230,46 @@ class TestTransplantsDie:
 
 
 #: Where REP201's hoisted mutants go in ``pool.py``: (anchor, what goes
-#: right after it). None of them changes what a run does.
+#: right after it, the check of ``test_fork_safety.py`` that kills it or,
+#: where no run can tell the difference, why the transplant is equivalent).
 REP201_TRANSPLANTS = {
-    "module_level_lock": ('T = TypeVar("T")\n', "_LOCK = threading.Lock()\n"),
+    "module_level_lock": (
+        'T = TypeVar("T")\n', "_LOCK = threading.Lock()\n", "module state",
+    ),
     "attach_starts_a_thread": (
         "    global _CFG\n", "    threading.Thread(target=_cfg).start()\n",
+        "equivalent: a worker never forks, so its threads are copied "
+        "nowhere, and this one ends by itself at once (`_cfg` raises or "
+        "returns); the thread probe sees it alive in 16 of 20 fork runs "
+        "and 0 of 20 spawn runs, so it is no reliable killer",
     ),
     "lock_before_the_fork": (
         "        self._closed = False\n", "        lock = threading.Lock()\n",
+        "equivalent: an unheld local lock that nobody shares; a forked "
+        "worker's copy is unreachable",
     ),
     "worker_loop_takes_a_lock": (
         "    _attach_worker(layout, cfg, cpu)\n", "    lock = threading.Lock()\n",
+        "equivalent: an unheld local lock in the worker, never acquired",
     ),
     "worker_loop_waits_on_an_event": (
         "    _attach_worker(layout, cfg, cpu)\n", "    threading.Event().wait()\n",
+        "worker threads",
     ),
 }
 
-#: The hazards each transplant's line holds: ``Event()`` is one of its own.
-REP201_HAZARDS = {"worker_loop_waits_on_an_event": ("Event()", ".wait()")}
+#: The checks of ``test_fork_safety.py`` -> (how it runs, its failure).
+FORK_CHECKS = {
+    "module state": (fork_safety.assert_no_module_state, "module state in worker"),
+    "worker threads": (
+        fork_safety.assert_one_thread_per_worker, "did not answer a probe",
+    ),
+}
 
 
 def rep201_transplanted(name: str) -> str:
     """``pool.py``'s source with one of :data:`REP201_TRANSPLANTS` in it."""
-    anchor, line = REP201_TRANSPLANTS[name]
+    anchor, line, _verdict = REP201_TRANSPLANTS[name]
     source = inspect.getsource(pool_mod)
     assert source.count(anchor) == 1 and source.count("import os\n") == 1
     return source.replace(anchor, anchor + line).replace(
@@ -258,22 +277,37 @@ def rep201_transplanted(name: str) -> str:
     )
 
 
-class TestRep201Stays:
-    @pytest.mark.parametrize("name", list(REP201_TRANSPLANTS))
-    def test_rule_flags_the_transplant(self, name):
-        line = REP201_TRANSPLANTS[name][1]
-        mutated = rep201_transplanted(name)
-        violations, errors = analyze(
-            mutated, "src/repro/exec/pool.py", rules=["REP201"]
-        )
-        assert not errors, errors
-        at = mutated.splitlines().index(line.rstrip("\n")) + 1
-        hazards = REP201_HAZARDS.get(name, ("",))
-        assert [v.line for v in violations] == [at] * len(hazards), [
-            str(v) for v in violations
-        ]
-        for v, hazard in zip(violations, hazards, strict=True):
-            assert hazard in v.message
+@pytest.fixture
+def transplanted_pool(tmp_path, monkeypatch):
+    """``load(name)``: ``pool.py`` with one REP201 transplant, as a module
+    a spawned worker imports by name too."""
+    loaded = []
+
+    def load(name: str):
+        module = f"pool_{name}"
+        (tmp_path / f"{module}.py").write_text(rep201_transplanted(name))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        loaded.append(module)
+        return importlib.import_module(module)
+
+    yield load
+    for module in loaded:
+        sys.modules.pop(module, None)
+
+
+class TestRep201Transplants:
+    @pytest.mark.parametrize("name", [
+        name for name, (*_, verdict) in REP201_TRANSPLANTS.items()
+        if verdict in FORK_CHECKS
+    ])
+    def test_plain_check_kills_it(self, transplanted_pool, start_method, name):
+        check, match = FORK_CHECKS[REP201_TRANSPLANTS[name][2]]
+        with pytest.raises(AssertionError, match=match):
+            check(transplanted_pool(name))
+
+    def test_every_transplant_is_killed_or_equivalent(self):
+        for name, (*_, verdict) in REP201_TRANSPLANTS.items():
+            assert verdict in FORK_CHECKS or verdict.startswith("equivalent: "), name
 
 
 #: Where the pool submits a plan's INT row.

@@ -1,6 +1,6 @@
 """The static half of the mutation kill-matrix (ROADMAP item 7).
 
-Every seeded mutant hoisted into ``MUTANTS`` by the four rule test
+Every seeded mutant hoisted into ``MUTANTS`` by the three rule test
 modules is analysed under every rule of the table, forced regardless of
 scope, and the resulting ``mutant -> rules that fire`` table is committed
 in DESIGN.md. A rule that fires only on its own mutants is orthogonal; a
@@ -13,7 +13,6 @@ and paste the output between the two markers in DESIGN.md.
 
 from pathlib import Path
 
-import test_concurrency_rules
 import test_dataflow_rules
 import test_lint
 import test_protocols
@@ -27,7 +26,7 @@ END = "<!-- static-kill-matrix:end -->"
 MUTANTS = {
     name: mutant
     for module in (
-        test_lint, test_dataflow_rules, test_concurrency_rules, test_protocols
+        test_lint, test_dataflow_rules, test_protocols
     )
     for name, mutant in module.MUTANTS.items()
 }

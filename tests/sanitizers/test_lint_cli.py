@@ -27,14 +27,18 @@ CLEAN = (
     "    return [key for key in sorted(pending)]\n"
 )
 
-# A lock every forked worker inherits: the minimal REP201 mutant.
-EXEC_BUGGY = (
-    "import threading\n"
-    "\n"
-    "_LOCK = threading.Lock()\n"
-    "\n"
-    "def int_task(row0, nrows):\n"
-    "    return row0 + nrows\n"
+# A clock turned back: the minimal REP302 mutant, in cluster/, where
+# REP102 does not run.
+CLUSTER_BUGGY = (
+    "class Node:\n"
+    "    def hurry(self, dt):\n"
+    "        self.now -= dt\n"
+)
+
+CLUSTER_CLEAN = (
+    "class Node:\n"
+    "    def advance(self, dt):\n"
+    "        self.now += dt\n"
 )
 
 
@@ -70,7 +74,7 @@ class TestExitCodes:
         assert lint(tree) == 0
         out = capsys.readouterr().out
         assert "clean" in out
-        assert "REP102" in out and "REP201" in out  # every layer ran
+        assert "REP102" in out and "REP304" in out  # every layer ran
 
     def test_internal_error_exit_2(self, tree, monkeypatch, capsys):
         # A rule that crashes is an analyzer-infrastructure failure, not
@@ -114,63 +118,64 @@ class TestFormats:
 
 class TestSelectAndSummary:
     @pytest.fixture
-    def exec_tree(self, tree: Path) -> Path:
-        mod = tree / "src" / "repro" / "exec" / "task.py"
+    def cluster_tree(self, tree: Path) -> Path:
+        mod = tree / "src" / "repro" / "cluster" / "node.py"
         mod.parent.mkdir(parents=True)
-        mod.write_text(EXEC_BUGGY)
+        mod.write_text(CLUSTER_BUGGY)
         return tree
 
-    def test_concurrency_rules_run_by_default(self, exec_tree, capsys):
-        assert lint(exec_tree, "--format", "json") == 1
+    def test_protocol_rules_run_by_default(self, cluster_tree, capsys):
+        assert lint(cluster_tree, "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in payload} == {"REP102", "REP201"}
+        assert {v["rule"] for v in payload} == {"REP102", "REP302"}
 
-    def test_select_scopes_to_prefix(self, exec_tree, capsys):
-        # --select REP2 runs only the concurrency layer: the REP102 bug
-        # in hw/sched.py must not be reported (or even analyzed).
-        assert lint(exec_tree, "--select", "REP2", "--format", "json") == 1
+    def test_select_scopes_to_prefix(self, cluster_tree, capsys):
+        # --select REP3 runs only the protocol rules: the REP102 bug in
+        # hw/sched.py must not be reported (or even analyzed).
+        assert lint(cluster_tree, "--select", "REP3", "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in payload} == {"REP201"}
+        assert {v["rule"] for v in payload} == {"REP302"}
 
-    def test_select_single_rule(self, exec_tree, capsys):
-        assert lint(exec_tree, "--select", "REP102", "--format", "json") == 1
+    def test_select_single_rule(self, cluster_tree, capsys):
+        assert lint(cluster_tree, "--select", "REP102", "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
         assert {v["rule"] for v in payload} == {"REP102"}
 
-    def test_select_unknown_prefix_errors(self, exec_tree, capsys):
-        # A usage error is exit 2, never the findings code 1.
-        for select in ("REP9", "REP301"):
-            assert lint(exec_tree, "--select", select) == 2
+    def test_select_unknown_prefix_errors(self, cluster_tree, capsys):
+        # A usage error is exit 2, never the findings code 1; a retired
+        # rule's id is unknown.
+        for select in ("REP9", "REP301", "REP2"):
+            assert lint(cluster_tree, "--select", select) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: --select") and "REP302" in err
 
-    def test_select_clean_lists_only_selected(self, exec_tree, capsys):
-        (exec_tree / "src" / "repro" / "exec" / "task.py").write_text(
-            "def int_task(row0, nrows):\n    return row0 + nrows\n"
+    def test_select_clean_lists_only_selected(self, cluster_tree, capsys):
+        (cluster_tree / "src" / "repro" / "cluster" / "node.py").write_text(
+            CLUSTER_CLEAN
         )
-        (exec_tree / "src" / "repro" / "hw" / "sched.py").write_text(CLEAN)
-        assert lint(exec_tree, "--select", "REP2") == 0
+        (cluster_tree / "src" / "repro" / "hw" / "sched.py").write_text(CLEAN)
+        assert lint(cluster_tree, "--select", "REP3") == 0
         out = capsys.readouterr().out
-        assert "clean" in out and "REP201" in out
+        assert "clean" in out and "REP302" in out
         assert "REP102" not in out
 
-    def test_summary_prints_per_rule_timing_rows(self, exec_tree, capsys):
-        assert lint(exec_tree, "--select", "REP2", "--summary") == 1
+    def test_summary_prints_per_rule_timing_rows(self, cluster_tree, capsys):
+        assert lint(cluster_tree, "--select", "REP3", "--summary") == 1
         err = capsys.readouterr().err
         rows = {
             line.split()[0]: line
             for line in err.splitlines()
             if line.startswith("REP")
         }
-        assert "REP201" in rows and "REP102" not in rows
-        assert "ms" in rows["REP201"]
-        assert rows["REP201"].rstrip().endswith("1")  # one finding
+        assert "REP302" in rows and "REP102" not in rows
+        assert "ms" in rows["REP302"]
+        assert rows["REP302"].rstrip().endswith("1")  # one finding
 
-    def test_noqa_suppresses_concurrency_rule(self, exec_tree):
-        (exec_tree / "src" / "repro" / "exec" / "task.py").write_text(
-            EXEC_BUGGY.replace("Lock()", "Lock()  # noqa: REP201")
+    def test_noqa_suppresses_protocol_rule(self, cluster_tree):
+        (cluster_tree / "src" / "repro" / "cluster" / "node.py").write_text(
+            CLUSTER_BUGGY.replace("-= dt", "-= dt  # noqa: REP302")
         )
-        assert lint(exec_tree, "--select", "REP2") == 0
+        assert lint(cluster_tree, "--select", "REP3") == 0
 
 
 class TestStructure:
@@ -179,8 +184,8 @@ class TestStructure:
     def test_one_parse_per_file_one_cfg_per_function(self, tree, monkeypatch):
         hw = tree / "src" / "repro" / "hw"
         (hw / "two.py").write_text("def a():\n    pass\n\ndef b():\n    pass\n")
-        (tree / "src" / "repro" / "exec").mkdir()
-        (tree / "src" / "repro" / "exec" / "task.py").write_text(EXEC_BUGGY)
+        (tree / "src" / "repro" / "cluster").mkdir()
+        (tree / "src" / "repro" / "cluster" / "node.py").write_text(CLUSTER_BUGGY)
         parses, cfgs = [], []
         real_parse, real_cfg = ast.parse, runner.build_cfg
 
@@ -196,17 +201,11 @@ class TestStructure:
         monkeypatch.setattr(runner, "build_cfg", counting_cfg)
         violations, errors = runner.run_lint([tree / "src"])
         assert not errors
-        assert {v.rule for v in violations} == {"REP102", "REP201"}
+        assert {v.rule for v in violations} == {"REP102", "REP302"}
         assert len(parses) == 3
-        # No flow analysis is scoped to exec/: int_task gets no CFG.
+        # Only REP102 runs on CFGs, and not in cluster/: Node.hurry gets
+        # none, REP302 judges it without one.
         assert sorted(cfgs) == ["a", "b", "schedule"]
-
-    def test_select_builds_only_the_artifacts_it_reads(self, tree, monkeypatch):
-        def forbidden(*_args, **_kw):
-            raise AssertionError("call graph built for rules that never read it")
-
-        monkeypatch.setattr(runner, "build_graph", forbidden)
-        assert lint(tree, "--select", "REP1") == 1
 
     def test_option_surface(self):
         lint_parser, _ = lint_parser_and_help()
@@ -227,6 +226,31 @@ class TestStructure:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert set(re.findall(r"REP\d{3}", out)) == set(runner.RULES)
+
+    def test_every_quoted_select_resolves(self):
+        # A --select value the docs or the help quote is one a reader
+        # runs: each of its prefixes must name at least one rule.
+        root = Path(__file__).resolve().parents[2]
+        quoted = [
+            (doc, value)
+            for doc in ("README.md", "DESIGN.md")
+            for value in re.findall(
+                r"--select[ =]'?([A-Z0-9,]+)", (root / doc).read_text()
+            )
+        ]
+        lint_parser, _ = lint_parser_and_help()
+        (select,) = [a for a in lint_parser._actions if "--select" in a.option_strings]
+        quoted += [("lint -h", v) for v in re.findall(r"'([A-Z0-9,]+)'", select.help)]
+        assert {"README.md", "lint -h"} <= {doc for doc, _ in quoted}
+        unknown = [
+            (doc, value)
+            for doc, value in quoted
+            if not all(
+                any(rule.startswith(prefix) for rule in runner.RULES)
+                for prefix in value.split(",")
+            )
+        ]
+        assert unknown == []
 
     @pytest.mark.parametrize("flag", ["--baseline", "--summary-cache"])
     def test_removed_flags_are_rejected(self, tree, flag):
