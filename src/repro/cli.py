@@ -339,33 +339,53 @@ def _print_accuracy(accuracy: dict) -> None:
 
 
 def _run_process(args: argparse.Namespace, fw: FevesFramework) -> bool:
-    """``run`` on the worker pool: really encode, diff vs the serial encoder."""
+    """``run`` on the worker pool: really encode, diff vs the serial encoder.
+
+    Every frame is timed on both paths, so the P frames' speedup prints
+    beside the clip's: an I frame is coded on the host on either path, so
+    it weighs on the clip's speedup without being parallel on either.
+    """
     import time
 
     from repro.codec.encoder import ReferenceEncoder
 
+    def timed(encode) -> tuple[list, list[float]]:
+        out, walls = [], []
+        for index, frame in enumerate(frames):
+            t0 = time.perf_counter()
+            out.append(encode(frame, index))
+            walls.append(time.perf_counter() - t0)
+        return out, walls
+
     cfg = fw.codec_cfg
     frames = _synthetic_clip(cfg, args.frames)
     ref = ReferenceEncoder(cfg)
-    t0 = time.perf_counter()
-    serial = [ref.encode_frame(f) for f in frames]
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    outcomes = fw.encode(frames)
-    process_s = time.perf_counter() - t0
+    serial, serial_walls = timed(lambda frame, _: ref.encode_frame(frame))
+    outcomes, process_walls = timed(fw.encode_frame_at)
 
     identical = all(
         o.encoded is not None and _encoded_equal(s, o.encoded)
         for s, o in zip(serial, outcomes)
     )
     n = len(frames)
-    speedup = serial_s / process_s if process_s > 0 else float("inf")
+    serial_s, process_s = sum(serial_walls), sum(process_walls)
+    n_intra = sum(s.is_intra for s in serial)
+    inter = [(a, b) for s, a, b in zip(serial, serial_walls, process_walls)
+             if not s.is_intra]
     print(f"{args.platform}, {cfg.width}x{cfg.height}, {n} frames, "
           f"{fw.manager.workers} workers (process backend)")
     print(f"  serial encoder : {n / serial_s:7.2f} fps  ({serial_s:.2f} s)")
     print(f"  process backend: {n / process_s:7.2f} fps  ({process_s:.2f} s)  "
-          f"-> {speedup:.2f}x")
+          f"-> {serial_s / process_s:.2f}x clip speedup, "
+          f"{n_intra} I frame{'s' if n_intra != 1 else ''} included")
+    if inter:
+        inter_serial, inter_process = (sum(t) for t in zip(*inter))
+        print(f"  inter frames   : serial {len(inter) / inter_serial:.2f} fps, "
+              f"process {len(inter) / inter_process:.2f} fps  "
+              f"-> {inter_serial / inter_process:.2f}x inter-frame speedup "
+              f"({len(inter)} P frames)")
+    else:
+        print("  inter frames   : none (no inter-frame speedup)")
     print(f"  bit-identical to serial: {'yes' if identical else 'NO'}")
     return identical
 

@@ -15,13 +15,13 @@ structure is as large as 16 reference frames.
 The module exposes a full-plane kernel and a row-band kernel. The band
 kernel is what the framework distributes (the ``l`` vector of Algorithm 2);
 it is bit-exact with the corresponding rows of the full-plane result, which
-is what makes cross-device stitching of the SF legal.
+is what makes cross-device stitching of the SF legal. Every read of an SF —
+SME's patches, MC's and the decoder's blocks — goes through :func:`sf_rows`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.config import MB_SIZE
 from repro.codec.frames import pad_plane
@@ -140,6 +140,25 @@ def interpolate_rows(y: np.ndarray, row0: int, nrows: int) -> np.ndarray:
     return _interp_core(strip, band_h, w)
 
 
+def sf_rows(sf: np.ndarray, nrows: int, row_stride: int, span: int) -> np.ndarray:
+    """View ``sf`` as windows of ``nrows`` overlapping rows of ``span`` bytes.
+
+    Element ``[y, x]`` is ``nrows`` ``np.void`` rows, row ``i`` the bytes
+    ``sf[y + row_stride·i, x : x + span]``, so fancy-indexing the view with
+    two position arrays copies each row as one element instead of byte by
+    byte. Its first two axes are exactly the positions at which the
+    window fits: an index one past them raises instead of reading beyond
+    the SF's buffer, which may be a shared-memory segment and is read in
+    place (only a non-contiguous SF is copied first).
+    """
+    sf = np.ascontiguousarray(sf)
+    s0 = sf.strides[0]
+    return np.ndarray(
+        (sf.shape[0] - row_stride * (nrows - 1), sf.shape[1] - span + 1, nrows),
+        np.dtype((np.void, span)), sf, 0, (s0, 1, row_stride * s0),
+    )
+
+
 def subpel_blocks(
     sf: np.ndarray, qys: np.ndarray, qxs: np.ndarray, bh: int, bw: int
 ) -> np.ndarray:
@@ -149,10 +168,10 @@ def subpel_blocks(
     top-left positions, already clamped to ``0 <= qy <= 4*(H - bh)`` (our SF
     covers exactly the frame, so SME and MC clamp identically — restricted-MV
     behaviour at frame borders, see DESIGN.md substitutions), and the result
-    is ``qys.shape + (bh, bw)`` uint8. A sliding window over the SF,
-    subsampled to every fourth sample, makes "the block at ``(qy, qx)``" one
-    element of a view — no copy of the SF, which may live in shared memory —
-    so the gather takes one index pair per block instead of one per pixel.
+    is ``qys.shape + (bh, bw)`` uint8. The block at ``(qy, qx)`` is ``bh``
+    rows of :func:`sf_rows` at stride 4, every fourth of their
+    ``4·bw − 3`` bytes: one index pair per block, one copy per block row.
     """
-    windows = sliding_window_view(sf, (4 * bh - 3, 4 * bw - 3))[:, :, ::4, ::4]
-    return windows[qys, qxs]
+    span = 4 * bw - 3
+    rows = sf_rows(sf, bh, 4, span)[qys, qxs]
+    return rows.view(np.uint8).reshape(rows.shape + (span,))[..., ::4]

@@ -135,9 +135,17 @@ class TestSampling:
         np.testing.assert_array_equal(stacked.reshape(got.shape), got)
 
     def test_subpel_blocks_rejects_blocks_past_the_sf(self, rng):
+        """The last block that fits starts at ``4·(16 − 8) + 3``; one further
+        on either axis raises instead of reading beyond the SF's buffer."""
         sf = rng.integers(0, 256, (64, 64), dtype=np.uint8)
-        with pytest.raises(IndexError):
-            subpel_blocks(sf, np.array([4 * (16 - 8) + 4]), np.array([0]), 8, 8)
+        last = 4 * (16 - 8) + 3
+        np.testing.assert_array_equal(
+            subpel_blocks(sf, np.array([last]), np.array([last]), 8, 8)[0],
+            sf[last::4, last::4],
+        )
+        for qy, qx in ((last + 1, 0), (0, last + 1)):
+            with pytest.raises(IndexError):
+                subpel_blocks(sf, np.array([qy]), np.array([qx]), 8, 8)
 
 
 def _j_int64(y: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """SME: sub-pixel refinement correctness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 
 import repro.codec.sme as sme_module
 from repro.codec.config import PARTITION_MODES, CodecConfig
-from repro.codec.interpolation import interpolate_plane
+from repro.codec.interpolation import interpolate_plane, sf_rows
 from repro.codec.me import MotionField, motion_estimate_rows
 from repro.codec.partitions import get_mode
 from repro.codec.sme import SubpelField, subpel_refine_rows
+from repro.video import SyntheticSequence
 
 from oracles import reference_sme
 
@@ -247,6 +250,16 @@ def check_matches_reference(case) -> None:
     assert_fields_identical(subpel_refine_rows(*case), reference_sme(*case))
 
 
+def assert_the_property_fails() -> None:
+    """The oracle diff, on a fixed set of examples, must fail on a mutant."""
+    mutant_run = settings(
+        max_examples=80, deadline=None, derandomize=True, database=None,
+        phases=[Phase.generate],
+    )(given(sme_cases())(check_matches_reference))
+    with pytest.raises(AssertionError):
+        mutant_run()
+
+
 class TestMatchesReferenceKernel:
     @given(sme_cases())
     @settings(max_examples=80, deadline=None)
@@ -258,12 +271,7 @@ class TestMatchesReferenceKernel:
         for name in ("_HALF_RING", "_QUARTER_RING"):
             ring = getattr(sme_module, name)
             monkeypatch.setattr(sme_module, name, np.roll(ring, -1, axis=0))
-        mutant_run = settings(
-            max_examples=80, deadline=None, derandomize=True, database=None,
-            phases=[Phase.generate],
-        )(given(sme_cases())(check_matches_reference))
-        with pytest.raises(AssertionError):
-            mutant_run()
+        assert_the_property_fails()
 
     @pytest.mark.parametrize("metric", ["sad", "satd"])
     def test_flat_content_keeps_the_fullpel_mv(self, metric):
@@ -325,22 +333,48 @@ class TestMatchesReferenceKernel:
         mutant(sme_module, "_instances", lambda source: source.replace(
             "(4 * (h - bh), 4 * (w - bw))", "(4 * (h - 16), 4 * (w - 16))"
         ))
-        mutant_run = settings(
-            max_examples=80, deadline=None, derandomize=True, database=None,
-            phases=[Phase.generate],
-        )(given(sme_cases())(check_matches_reference))
-        with pytest.raises(AssertionError):
-            mutant_run()
+        assert_the_property_fails()
+
+    def test_quarter_ring_two_row_phases_is_killed(self, mutant):
+        """The quarter ring reads SF rows ``4i + k`` for ``k < 3``: a gather
+        that keeps them only for ``k < 2`` (its third slot row re-reads the
+        second) must fail the property, not raise."""
+        mutant(sme_module, "_gather_patches", lambda source: source.replace(
+            "np.arange(phases_y)", "np.arange(phases_y).clip(max=1)"
+        ))
+        assert_the_property_fails()
 
     def test_patch_past_the_sf_raises(self, rng):
-        """The gather window has exactly the positions at which a patch fits:
-        one past the last raises instead of reading beyond the SF's buffer."""
+        """``sf_rows`` has exactly the positions at which its rows fit, so a
+        gather one past the last patch that fits raises, on either ring and
+        either axis, instead of reading beyond the SF's buffer."""
         sf = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+        windows = sf_rows(sf, 3, 2, 5)
+        assert windows.shape == (60, 60, 3)
+        got = windows[np.array([59]), np.array([59])]  # a copy, one row an element
+        np.testing.assert_array_equal(got.view(np.uint8).reshape(3, 5), sf[59::2, 59:])
+        for index in ((60, 0), (0, 60)):
+            with pytest.raises(IndexError):
+                windows[index]
         run = [(sf, slice(0, 1))]
-        patch = sme_module._gather_patches(run, np.array([[61], [61]]), slice(0, 1), 1, (3, 3))
-        np.testing.assert_array_equal(patch[:, :, 0], sf[61:, 61:])
-        with pytest.raises(IndexError):
-            sme_module._gather_patches(run, np.array([[62], [0]]), slice(0, 1), 1, (3, 3))
+        bh, bw = 4, 8
+        for step in (2, 1):
+            # The slots' reach past ``low``: two steps, then the block.
+            last = (63 - 2 * step - 4 * (bh - 1), 63 - 2 * step - 4 * (bw - 1))
+            slots = sme_module._gather_patches(
+                run, np.array(last)[:, None], slice(0, 1), step, (3, 3), (bh, bw)
+            )
+            for ky in range(3):
+                for kx in range(3):
+                    y, x = last[0] + step * ky, last[1] + step * kx
+                    np.testing.assert_array_equal(
+                        slots[ky, kx, :, :, 0], sf[y : y + 4 * bh : 4, x : x + 4 * bw : 4]
+                    )
+            for past in ((last[0] + 1, 0), (0, last[1] + 1)):
+                with pytest.raises(IndexError):
+                    sme_module._gather_patches(
+                        run, np.array(past)[:, None], slice(0, 1), step, (3, 3), (bh, bw)
+                    )
 
     def test_out_of_frame_mvs_on_every_edge(self, rng):
         """MVs far past each edge clamp to the border position, per candidate."""
@@ -353,6 +387,30 @@ class TestMatchesReferenceKernel:
                 me.mvs[shape][...] = (dy, dx)
             got = subpel_refine_rows(cur, [sf], me, 0, 3, cfg)
             assert_fields_identical(got, reference_sme(cur, [sf], me, 0, 3, cfg))
+
+
+class TestPeakAllocation:
+    #: The one-pass-per-ring kernel's peak before the row-width gather
+    #: (DESIGN.md "Performance: the SME kernel").
+    BUDGET = 4_640_000
+
+    def test_cif_frame_with_two_references(self):
+        """A CIF frame's 18 MB rows against 2 SFs peak at ≤ 4.64 MB
+        (tracemalloc): one mode's patch and one gather chunk at a time,
+        each freed before the next is gathered."""
+        cfg = CodecConfig(width=352, height=288, search_range=4, num_ref_frames=2)
+        seq = SyntheticSequence(width=352, height=288, seed=11)
+        cur, refs = seq.frame(2).y, [seq.frame(1).y, seq.frame(0).y]
+        me = motion_estimate_rows(cur, refs, 0, cfg.mb_rows, cfg)
+        sfs = [interpolate_plane(r) for r in refs]
+        subpel_refine_rows(cur, sfs, me, 0, 1, cfg)  # first-call caches
+        tracemalloc.start()
+        try:
+            subpel_refine_rows(cur, sfs, me, 0, cfg.mb_rows, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BUDGET, f"SME peak {peak / 1e6:.3f} MB"
 
 
 class TestValidation:

@@ -642,6 +642,82 @@ class TestHostDeath:
                 Path("/dev/shm", name).unlink(missing_ok=True)
 
 
+def _segments() -> set[str]:
+    return {p.name for p in Path("/dev/shm").glob("psm_*")}
+
+
+def _children(pid: int) -> list[int]:
+    """Live child processes of ``pid``: its workers and resource tracker."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+class TestSignalledHost:
+    """A real ``repro profile --backend process`` encode, signalled mid-run.
+
+    SIGTERM (``kill``) goes to the host alone and ends it without running
+    any Python: its workers wait on the host's sentinel and exit with it,
+    and the resource tracker unlinks the store's segments (warning on
+    stderr that it found 3 leaked ``shared_memory`` objects). SIGINT goes
+    to the whole process group, as a terminal's Ctrl-C does: the host's
+    ``KeyboardInterrupt`` leaves ``with fw:``, which closes the pool and
+    unlinks the segments itself. Either way, within 5 s no process of the
+    run is left and ``/dev/shm`` holds no new ``psm_*`` segment.
+    """
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+    def test_no_worker_and_no_segment_outlive_the_signal(self, sig):
+        before = _segments()
+        env = dict(os.environ, PYTHONPATH=str(Path(pool_mod.__file__).parents[2]))
+        host = subprocess.Popen(
+            [sys.executable, "-m", "repro", "profile", "--backend", "process",
+             "--workers", "2", "--size", "128x96", "--frames", "500"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        kids: list[int] = []
+        ours: set[str] = set()
+        try:
+            # Two workers and the resource tracker, the store's segments,
+            # then a few inter frames.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not (
+                _segments() - before and len(_children(host.pid)) >= 3
+            ):
+                time.sleep(0.05)
+            kids, ours = _children(host.pid), _segments() - before
+            assert len(kids) >= 3 and ours, "the encode never started"
+            time.sleep(0.5)
+            if sig == signal.SIGINT:
+                os.killpg(host.pid, sig)
+            else:
+                host.send_signal(sig)
+            assert host.wait(timeout=5.0) == -sig
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and (
+                any(map(_alive, kids)) or _segments() - before
+            ):
+                time.sleep(0.05)
+            assert not [k for k in kids if _alive(k)], "a process outlived the host"
+            assert not _segments() - before, "a segment outlived the host"
+        finally:
+            host.kill()
+            host.wait()
+            for pid in kids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for name in ours:
+                Path("/dev/shm", name).unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # service integration: a process-backed session really encodes
 

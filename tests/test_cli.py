@@ -140,6 +140,25 @@ class TestCli:
         assert fault["args"]["frame"] == 2
         assert fault["args"]["evicted"] == ["GPU_K"]
 
+    def test_process_run_prints_the_inter_frame_speedup(self, capsys):
+        """The clip's speedup says how many I frames it includes (coded on
+        the host on both paths); the P frames' own speedup prints beside it."""
+        import re
+
+        assert main([
+            "run", "--backend", "process", "--platform", "SysHK",
+            "--size", "64x48", "--sa", "8", "--frames", "3", "--workers", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^  process backend: +[\d.]+ fps +\([\d.]+ s\) +-> [\d.]+x clip "
+            r"speedup, 1 I frame included$", out, re.M,
+        ), out
+        assert re.search(
+            r"^  inter frames   : serial [\d.]+ fps, process [\d.]+ fps +-> "
+            r"[\d.]+x inter-frame speedup \(2 P frames\)$", out, re.M,
+        ), out
+
     def test_process_run_faults_without_an_inter_frame(self, capsys):
         """A fault scheduled past the clip's last inter frame never fires,
         and the epilogue says so instead of raising."""
@@ -150,6 +169,8 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "bit-identical to serial: yes" in out
+        assert "1 I frame included" in out
+        assert "inter frames   : none (no inter-frame speedup)" in out
         assert "live devices at end: ['CPU_H', 'GPU_K']" in out
         assert "fault time lost: 0.0 ms" in out
 
