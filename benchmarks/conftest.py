@@ -49,41 +49,6 @@ def save_result(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
-#: Wall-clock ceiling for ``timeout_guarded`` benchmarks (the process
-#: backend's worker pools must fail fast instead of hanging a runner).
-GUARD_S = 600
-
-
-@pytest.fixture(autouse=True)
-def _wallclock_guard(request):
-    """SIGALRM guard for tests marked ``timeout_guarded``.
-
-    Mirrors ``tests/exec/conftest.py``: no pytest-timeout dependency, a
-    hard alarm on POSIX, a no-op elsewhere (the backend's own per-task
-    timeout still applies).
-    """
-    import signal
-
-    sigalrm = getattr(signal, "SIGALRM", None)
-    if sigalrm is None or request.node.get_closest_marker("timeout_guarded") is None:
-        yield
-        return
-
-    def _fire(signum, frame):
-        raise RuntimeError(
-            f"benchmark exceeded the {GUARD_S}s wall-clock guard "
-            "(deadlocked worker pool?)"
-        )
-
-    previous = signal.signal(sigalrm, _fire)
-    signal.alarm(GUARD_S)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(sigalrm, previous)
-
-
 @pytest.fixture
 def emit(capsys):
     """Print a result block unconditionally and persist it."""

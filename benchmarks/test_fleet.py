@@ -8,7 +8,7 @@ the shared per-platform LP-cache hit rate. Results land in the usual
 ``benchmarks/results`` pair *and* as the committed root-level
 ``BENCH_FLEET.json`` snapshot that CI uploads.
 
-The regression gate is machine-normalized, following ``perf_smoke.py``:
+The regression gate is machine-normalized:
 every gated metric is *simulated* (frame counts, stream outcomes, p99
 milliseconds of simulated latency — all deterministic, so they must
 match the snapshot exactly) or a host-independent ratio (LP-cache hit

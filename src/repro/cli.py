@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from collections.abc import Sequence
 
@@ -1067,6 +1068,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_on_sigterm(signum: int, _frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1075,23 +1080,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         # leave the phase table empty.
         parser.error("profile --backend process needs --frames >= 2 "
                      "(frame 1 is the untimed I frame)")
-    if not getattr(args, "sanitize", False):
-        return args.func(args)
-    # --sanitize is REPRO_SANITIZE=1 for this one command: the variable
-    # is what every layer asks, and the journal reads it when reset.
-    # Restoring it before the last reset keeps an in-process caller's
-    # later runs unjournaled and releases the objects the journal pins.
+    # SIGTERM unwinds like Ctrl-C, so `with fw:` closes the pool and
+    # unlinks the shared-memory segments; an in-process caller gets its
+    # own handler back. --sanitize is REPRO_SANITIZE=1 for this one
+    # command: the variable is what every layer asks, and the journal
+    # reads it when reset. Restoring it before the last reset keeps an
+    # in-process caller's later runs unjournaled and releases the objects
+    # the journal pins.
+    prior_term = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    sanitize = getattr(args, "sanitize", False)
     prior = os.environ.get(SANITIZE_ENV)
-    os.environ[SANITIZE_ENV] = "1"
-    JOURNAL.reset()
+    if sanitize:
+        os.environ[SANITIZE_ENV] = "1"
+        JOURNAL.reset()
     try:
         return args.func(args)
     finally:
-        if prior is None:
-            del os.environ[SANITIZE_ENV]
-        else:
-            os.environ[SANITIZE_ENV] = prior
-        JOURNAL.reset()
+        signal.signal(signal.SIGTERM, prior_term)
+        if sanitize:
+            if prior is None:
+                del os.environ[SANITIZE_ENV]
+            else:
+                os.environ[SANITIZE_ENV] = prior
+            JOURNAL.reset()
 
 
 if __name__ == "__main__":

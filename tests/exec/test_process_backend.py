@@ -208,7 +208,10 @@ class TestMeasurement:
         _out, fw, acc = encode_process(frames, 2)
         lp_frames = sum(1 for rep in fw.reports if rep.decision.used_lp)
         assert acc["frames"] == lp_frames > 0
-        assert acc["makespan_error_mean"] >= 0.0
+        # A calibration loop fed wrong units or spans misses by multiples
+        # of the makespan; even a first LP frame on a busy host stays
+        # under 1x, so a mean above 3x is a broken loop, not noise.
+        assert 0.0 <= acc["makespan_error_mean"] <= 3.0
         assert acc["makespan_error_max"] >= acc["makespan_error_mean"]
         assert set(acc["phase_error_mean"]) <= {"tau1", "tau2", "tau_tot"}
 
@@ -663,14 +666,13 @@ def _children(pid: int) -> list[int]:
 class TestSignalledHost:
     """A real ``repro profile --backend process`` encode, signalled mid-run.
 
-    SIGTERM (``kill``) goes to the host alone and ends it without running
-    any Python: its workers wait on the host's sentinel and exit with it,
-    and the resource tracker unlinks the store's segments (warning on
-    stderr that it found 3 leaked ``shared_memory`` objects). SIGINT goes
-    to the whole process group, as a terminal's Ctrl-C does: the host's
-    ``KeyboardInterrupt`` leaves ``with fw:``, which closes the pool and
-    unlinks the segments itself. Either way, within 5 s no process of the
-    run is left and ``/dev/shm`` holds no new ``psm_*`` segment.
+    SIGTERM (``kill``) goes to the host alone, and ``cli.main`` turns it
+    into ``SystemExit(143)``. SIGINT goes to the whole process group, as a
+    terminal's Ctrl-C does, and the host raises ``KeyboardInterrupt``.
+    Either way the host leaves ``with fw:``, which closes the pool and
+    unlinks the segments itself, so the resource tracker finds no leaked
+    ``shared_memory`` to warn about. Within 5 s no process of the run is
+    left and ``/dev/shm`` holds no new ``psm_*`` segment.
     """
 
     @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
@@ -680,7 +682,7 @@ class TestSignalledHost:
         host = subprocess.Popen(
             [sys.executable, "-m", "repro", "profile", "--backend", "process",
              "--workers", "2", "--size", "128x96", "--frames", "500"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             start_new_session=True,
         )
         kids: list[int] = []
@@ -700,7 +702,8 @@ class TestSignalledHost:
                 os.killpg(host.pid, sig)
             else:
                 host.send_signal(sig)
-            assert host.wait(timeout=5.0) == -sig
+            want = 128 + sig if sig == signal.SIGTERM else -sig
+            assert host.wait(timeout=5.0) == want
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline and (
                 any(map(_alive, kids)) or _segments() - before
@@ -708,9 +711,12 @@ class TestSignalledHost:
                 time.sleep(0.05)
             assert not [k for k in kids if _alive(k)], "a process outlived the host"
             assert not _segments() - before, "a segment outlived the host"
+            # The tracker writes its warning as it exits, after the host.
+            assert "leaked shared_memory" not in host.stderr.read().decode()
         finally:
             host.kill()
             host.wait()
+            host.stderr.close()
             for pid in kids:
                 if _alive(pid):
                     os.kill(pid, signal.SIGKILL)

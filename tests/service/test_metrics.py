@@ -23,6 +23,7 @@ from repro.service.metrics import (
 from repro.service.scheduler import RoundLPBatch
 from repro.service.service import EncodingService, ServiceConfig
 from repro.service.session import FrameRecord, StreamSpec
+from repro.service.workload import build_workload
 
 
 class TestLatencyPercentiles:
@@ -172,6 +173,41 @@ class TestSharedLPCache:
         got = [r.timeline.tau_tot for r in session.framework.reports]
         want = [r.timeline.tau_tot for r in fw.reports]
         assert got == want
+
+
+class TestServicePoints:
+    @pytest.mark.parametrize(
+        ("n", "workload", "rounds", "frames", "miss", "class_miss", "solves"),
+        [
+            (4, {"mix": "broadcast"}, 8, 32, 23 / 24,
+             {"background": 0.0, "realtime": 7 / 8, "standard": 1.0}, 17),
+            (2, {"fps_target": 12.0}, 8, 16, 0.0, {"standard": 0.0}, 3),
+        ],
+        ids=["saturated", "light"],
+    )
+    def test_pinned_points(
+        self, n, workload, rounds, frames, miss, class_miss, solves
+    ):
+        """SysHK, 8 frames a stream: a broadcast mix that oversubscribes
+        it, so the deadline classes miss apart, and a light uniform load
+        that misses nothing. The run is simulated, so rounds, frames and
+        miss rates are exact; the LP solves are a ceiling, counted over
+        every cache a session solves through (with sharing, that is
+        ``lp_batch.misses``)."""
+        service = EncodingService(
+            ServiceConfig(platform="SysHK", headroom=4.0, max_queue=2 * n)
+        )
+        metrics = service.run(build_workload(n, n_frames=8, **workload))
+        assert metrics.rounds == rounds
+        assert sum(m.frames for m in metrics.streams) == frames
+        assert metrics.deadline_miss_rate == miss
+        assert {
+            name: c["deadline_miss_rate"] for name, c in metrics.classes.items()
+        } == class_miss
+        caches = {id(c): c for c in (
+            s.framework.balancer.lp_cache for s in service.sessions
+        )}
+        assert sum(c.misses for c in caches.values()) <= solves
 
 
 class TestRoundLPBatch:
